@@ -31,9 +31,9 @@ class BaselineCase:
     kind: str  # E, H, C, O_L, O_E
     assignment: dict[int, DeviceRole] | None
     breakdown: ObjectiveBreakdown | None
-    feasible: bool
+    feasible: bool | None  # None: the solver timed out before finding an allocation
     objective_value: Fraction | None  # under the case's own objective where applicable
-    detail: str | None = None  # why a case is inapplicable or infeasible
+    detail: str | None = None  # why a case is inapplicable, infeasible or unknown
 
     def to_dict(self) -> dict:
         return {
@@ -118,14 +118,15 @@ def run_baselines(
 
 
 def _case_from_allocation(kind: str, allocation: Allocation) -> BaselineCase:
-    if allocation.status is SolveStatus.INFEASIBLE:
+    if allocation.assignment is None:
+        proven = allocation.status is SolveStatus.INFEASIBLE
         return BaselineCase(
             kind=kind,
             assignment=None,
             breakdown=None,
-            feasible=False,
+            feasible=False if proven else None,
             objective_value=None,
-            detail="no feasible allocation",
+            detail="no feasible allocation" if proven else "time limit reached without an incumbent",
         )
     detail = None
     if allocation.status is SolveStatus.FEASIBLE:

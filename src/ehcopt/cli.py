@@ -117,6 +117,8 @@ def cmd_solve(args) -> int:
         print(f"{objective.value}: {float(allocation.objective_value):.6g}")
     if allocation.gap is not None:
         print(f"gap: {allocation.gap:.4f}")
+    elif allocation.status is SolveStatus.FEASIBLE:
+        print("time limit reached without an incumbent")
     print(f"wrote {out / 'allocation.json'}")
     if allocation.status is SolveStatus.INFEASIBLE:
         return EXIT_INFEASIBLE
@@ -138,7 +140,9 @@ def cmd_baseline(args) -> int:
     (out / "baseline.json").write_text(analysis.cases_to_json(cases))
     for case in cases:
         value = "-" if case.objective_value is None else f"{float(case.objective_value):.6g}"
-        flag = "feasible" if case.feasible else f"INFEASIBLE ({case.detail})"
+        flag = {True: "feasible", False: "INFEASIBLE", None: "UNKNOWN"}[case.feasible]
+        if not case.feasible:
+            flag += f" ({case.detail})"
         print(f"{case.kind:>4}: {value:>12}  {flag}")
     print(f"wrote {out / 'baseline.csv'} and {out / 'baseline.json'}")
     return EXIT_OK

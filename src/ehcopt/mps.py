@@ -5,8 +5,11 @@ solvers.
 The MPS writer uses classic fixed columns with short generated names
 (``OBJ``, ``R<n>``, ``X<n>``) so the file also parses as free format;
 the LP writer keeps the human-readable row labels and variable names.
-All numbers are written with 12 significant digits, and emission order
-is canonical, so identical models produce byte-identical files.
+All numbers are written with 12 significant digits by ``units.fmt12``,
+and emission order is canonical, so identical models produce
+byte-identical files.  A model repeats a few thousand distinct
+coefficients across hundreds of thousands of nonzeros, so each writer
+formats every distinct value once, memoised by (numerator, denominator).
 """
 
 from __future__ import annotations
@@ -19,35 +22,51 @@ from .units import fmt12
 _SENSE_TO_MPS = {"L": "L", "E": "E", "G": "G"}
 
 
+def _fmt12_memo():
+    """``fmt12`` that formats each distinct value once, keyed by
+    (numerator, denominator): hashing a Fraction itself is slower."""
+    text: dict[tuple[int, int], str] = {}
+
+    def fmt(value) -> str:
+        key = (value.numerator, value.denominator)
+        line = text.get(key)
+        if line is None:
+            line = text[key] = fmt12(value)
+        return line
+
+    return fmt
+
+
 def model_to_mps(model: BilpModel, name: str = "EHCOPT") -> str:
     rows = model.rows
+    fmt = _fmt12_memo()
     out: list[str] = [f"NAME          {name}"]
     out.append("ROWS")
     out.append(" N  OBJ")
     for idx, row in enumerate(rows):
         out.append(f" {_SENSE_TO_MPS[row.sense]}  R{idx + 1}")
 
-    # transpose: per-column entries, objective first, then rows in order
-    per_column: list[list[tuple[str, object]]] = [[] for _ in model.variables]
+    # transpose: per-column "row value" fields, objective first, then rows in order
+    per_column: list[list[str] | None] = [[] for _ in model.variables]
     for col, coeff in model.objective.items():
-        per_column[col].append(("OBJ", coeff))
+        per_column[col].append("OBJ       " + fmt(coeff))
     for idx, row in enumerate(rows):
-        row_name = f"R{idx + 1}"
+        row_name = f"{f'R{idx + 1}':<10}"
         for col, coeff in row.coeffs.items():
-            per_column[col].append((row_name, coeff))
+            per_column[col].append(row_name + fmt(coeff))
 
     out.append("COLUMNS")
     out.append("    MARKER                 'MARKER'                 'INTORG'")
-    for col, entries in enumerate(per_column):
-        col_name = f"X{col + 1}"
-        for row_name, coeff in entries:
-            out.append(f"    {col_name:<10}{row_name:<10}{fmt12(coeff)}")
+    for col, fields in enumerate(per_column):
+        prefix = f"    {f'X{col + 1}':<10}"
+        out.extend([prefix + entry for entry in fields])
+        per_column[col] = None  # release the column once its lines are made
     out.append("    MARKER                 'MARKER'                 'INTEND'")
 
     out.append("RHS")
     for idx, row in enumerate(rows):
         if row.rhs != 0:
-            out.append(f"    RHS       {f'R{idx + 1}':<10}{fmt12(row.rhs)}")
+            out.append(f"    RHS       {f'R{idx + 1}':<10}{fmt(row.rhs)}")
 
     out.append("BOUNDS")
     for col in range(len(model.variables)):
@@ -144,24 +163,31 @@ def parse_mps(text: str) -> ParsedMps:
 def model_to_lp(model: BilpModel) -> str:
     """CPLEX-style LP text with the model's own row labels and names."""
     names = [v.name for v in model.variables]
+    fmt = _fmt12_memo()
+    # signed term text per distinct value: (leading "-m"/"m", following "- m"/"+ m")
+    terms: dict[tuple[int, int], tuple[str, str]] = {}
 
     def expr(coeffs: dict) -> str:
         parts = []
-        for position, col in enumerate(sorted(coeffs)):
+        for col in sorted(coeffs):
             coeff = coeffs[col]
-            magnitude = fmt12(-coeff if coeff < 0 else coeff)
-            if position == 0:
-                sign = "-" if coeff < 0 else ""
-                parts.append(f"{sign}{magnitude} {names[col]}")
-            else:
-                parts.append(f"{'-' if coeff < 0 else '+'} {magnitude} {names[col]}")
+            key = (coeff.numerator, coeff.denominator)
+            term = terms.get(key)
+            if term is None:
+                if key[0] < 0:  # the sign comes from the numerator
+                    magnitude = fmt12(-coeff)
+                    term = terms[key] = ("-" + magnitude, "- " + magnitude)
+                else:
+                    magnitude = fmt12(coeff)
+                    term = terms[key] = (magnitude, "+ " + magnitude)
+            parts.append(f"{term[1] if parts else term[0]} {names[col]}")
         return " ".join(parts) if parts else "0 " + names[0]
 
     sense_text = {"L": "<=", "E": "=", "G": ">="}
     out = [f"\\ objective: {model.objective_kind.value}", "Minimize", f" obj: {expr(model.objective)}"]
     out.append("Subject To")
     for row in model.rows:
-        out.append(f" {row.label}: {expr(row.coeffs)} {sense_text[row.sense]} {fmt12(row.rhs)}")
+        out.append(f" {row.label}: {expr(row.coeffs)} {sense_text[row.sense]} {fmt(row.rhs)}")
     out.append("Binary")
     for name in names:
         out.append(f" {name}")

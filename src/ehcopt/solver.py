@@ -29,7 +29,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .etfg import Etfg
-from .milp import Objective, ObjectiveBreakdown, evaluate
+from .milp import Objective, ObjectiveBreakdown, _energy_parts_by_arc, evaluate
 from .model import ROLES, DeviceRole, topological_order
 from .units import si_number
 
@@ -97,8 +97,7 @@ def _common_denominator(values) -> int:
 
 
 def _as_int(value: Fraction, den: int) -> int:
-    scaled = value * den
-    return scaled.numerator  # exact: den is a multiple of the denominator
+    return value.numerator * (den // value.denominator)  # exact: den is a multiple of it
 
 
 def _finish(etfg, objective, assignment_roles, value, latency_threshold, stats, status, gap=None):
@@ -513,6 +512,8 @@ class _Instance:
         node_lat_f = [[t.latency[r] for r in t.allowed] for t in tasks]
         node_enr_f = [[t.latency[r] * t.power[r] for r in t.allowed] for t in tasks]
 
+        # per-device transfer-energy shares, one shared tuple per (data size, device pair)
+        parts_by_arc = _energy_parts_by_arc(etfg)
         arcs = []
         for (i, j) in graph.arcs:
             sp, dp = pos_of[i], pos_of[j]
@@ -523,23 +524,22 @@ class _Instance:
             src_allowed, dst_allowed = cand[sp], cand[dp]
             src_index = {r: ci for ci, r in enumerate(src_allowed)}
             dst_index = {r: ci for ci, r in enumerate(dst_allowed)}
-            data = graph.task(i).output_data
             for arc in group:
                 key = (src_index[arc.src_device], dst_index[arc.dst_device])
                 obj_tb[key] = arc.latency if objective is Objective.LATENCY else arc.energy
                 lat_tb[key] = arc.latency
-                parts_tb[key] = self._energy_parts(arc, data, system, role_idx)
+                parts_tb[key] = parts_by_arc.get(arc[:4], ())
             arcs.append((sp, dp, obj_tb, lat_tb, parts_tb))
 
         budgets = [system.device(r) for r in ROLES]
         obj_values = [c for row in node_obj_f for c in row]
         lat_values = [c for row in node_lat_f for c in row]
         enr_values = [c for row in node_enr_f for c in row]
-        for _, _, obj_tb, lat_tb, parts_tb in arcs:
+        for _, _, obj_tb, lat_tb, _ in arcs:
             obj_values.extend(obj_tb.values())
             lat_values.extend(lat_tb.values())
-            for parts in parts_tb.values():
-                enr_values.extend(amount for _, amount in parts)
+        for parts in {id(parts): parts for parts in parts_by_arc.values()}.values():
+            enr_values.extend(amount for _, amount in parts)
         obj_den = _common_denominator(obj_values)
         lat_den = _common_denominator(
             lat_values + ([latency_threshold] if self.use_threshold else [])
@@ -578,13 +578,15 @@ class _Instance:
         self.arcs = []
         self.in_arcs: list[list[int]] = [[] for _ in range(self.n)]
         self.out_arcs: list[list[int]] = [[] for _ in range(self.n)]
+        parts_int: dict[int, tuple] = {}  # each shared tuple converted once, keyed by id()
         for aidx, (sp, dp, obj_tb, lat_tb, parts_tb) in enumerate(arcs):
             obj_i = {k: _as_int(v, obj_den) for k, v in obj_tb.items()}
             lat_i = {k: _as_int(v, lat_den) for k, v in lat_tb.items()}
-            parts_i = {
-                k: tuple((r, _as_int(a, enr_den)) for r, a in parts)
-                for k, parts in parts_tb.items()
-            }
+            parts_i = {}
+            for k, parts in parts_tb.items():
+                if id(parts) not in parts_int:
+                    parts_int[id(parts)] = tuple((role_idx[r], _as_int(a, enr_den)) for r, a in parts)
+                parts_i[k] = parts_int[id(parts)]
             min_pair = min(obj_i.values())
             n_src = len(cand[sp])
             min_src = [
@@ -618,25 +620,6 @@ class _Instance:
             for p in range(self.n)
         ]
 
-    @staticmethod
-    def _energy_parts(arc, data, system, role_idx):
-        if arc.src_device == arc.dst_device:
-            return ()
-        k, l = arc.src_device, arc.dst_device
-        if not arc.indirect:
-            ch = system.channels[(k, l)]
-            return (
-                (role_idx[k], data * ch.tx_energy),
-                (role_idx[l], data * ch.rx_energy),
-            )
-        m = arc.via
-        first, second = system.channels[(k, m)], system.channels[(m, l)]
-        return (
-            (role_idx[k], data * first.tx_energy),
-            (role_idx[m], data * (first.rx_energy + second.tx_energy)),
-            (role_idx[l], data * second.rx_energy),
-        )
-
 
 def solve_branch_and_bound(
     etfg: Etfg,
@@ -648,7 +631,8 @@ def solve_branch_and_bound(
 
     Proves optimality when the search completes; under a time limit it
     returns the incumbent with a relative gap computed against the best
-    open lower bound.  Deterministic for fixed inputs and configuration.
+    open lower bound, or no assignment and a gap of None when no incumbent
+    was found.  Deterministic for fixed inputs and configuration.
     """
     objective = Objective(objective)
     config = config or SolveConfig()
@@ -847,7 +831,7 @@ def solve_branch_and_bound(
     # timed out: report the incumbent with its optimality gap
     open_bounds = [f[4] for f in frames if f[2] <= len(f[1])]
     lower = min(open_bounds) if open_bounds else best_value
-    if best_value is None:
+    if best_value is None:  # no incumbent, so no gap either
         stats["gap"] = None
         return Allocation(
             status=SolveStatus.FEASIBLE,
@@ -855,7 +839,6 @@ def solve_branch_and_bound(
             assignment=None,
             objective_value=None,
             breakdown=None,
-            gap=1.0,
             stats=stats,
         )
     gap = 0.0 if best_value == 0 else float(Fraction(best_value - lower, best_value))
@@ -911,12 +894,14 @@ def solve(
     """Front door: pick a solver (``auto`` uses the tree fast path when
     its preconditions hold, branch and bound otherwise)."""
     objective = Objective(objective)
+    use_threshold = objective is Objective.ENERGY and latency_threshold is not None
     if method == "auto":
-        use_threshold = objective is Objective.ENERGY and latency_threshold is not None
         method = "tree-dp" if not use_threshold and tree_dp_applicable(etfg) else "bnb"
     if method == "bruteforce":
         return solve_bruteforce(etfg, objective, latency_threshold)
     if method == "tree-dp":
+        if use_threshold:
+            raise ValueError("tree DP cannot honour a latency threshold; use bnb or bruteforce")
         return solve_tree_dp(etfg, objective)
     if method == "bnb":
         return solve_branch_and_bound(etfg, objective, latency_threshold, config)

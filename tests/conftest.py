@@ -7,6 +7,7 @@ reproduce exactly.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, islice
 
@@ -14,7 +15,7 @@ import pytest
 
 from ehcopt import presets
 from ehcopt.etfg import transform
-from ehcopt.generator import GenSpec, ParamSpec, generate_tfg, synthesize_params
+from ehcopt.generator import GenSpec, ParamSpec, default_param_spec, generate_tfg, synthesize_params
 from ehcopt.milp import evaluate
 from ehcopt.model import (
     Device,
@@ -73,6 +74,30 @@ def example_app():
     graph = presets.example_inspection_tfg()
     system = presets.system_model("C1", "run1")
     return transform(graph, system)
+
+
+def serial_200_graph() -> TaskGraph:
+    """Generated 200-task serial graph on C1/run1.  Under the energy
+    objective with the default 8 s cap, B&B proves it infeasible only
+    after about 140k nodes, so a short time limit ends the search with
+    no incumbent."""
+    spec = GenSpec("serial", 200, 4, 4, Fraction(5, 100), Fraction(2, 100), seed=1)
+    return synthesize_params(
+        generate_tfg(spec), default_param_spec("C1"), presets.system_model("C1", "run1"), spec.seed
+    )
+
+
+def uav_forest_without_budgets():
+    """The bundled app without arc (14,15) on C1/run1 with every budget
+    removed: a forest, so tree DP's preconditions hold."""
+    c1 = presets.system_model("C1", "run1")
+    devices = [
+        replace(d, memory_budget=None, storage_budget=None, energy_budget=None)
+        for d in c1.devices.values()
+    ]
+    graph = presets.example_inspection_tfg()
+    graph = TaskGraph(tasks=graph.tasks, arcs=tuple(a for a in graph.arcs if a != (14, 15)))
+    return transform(graph, make_system_model(devices, presets.channels("run1")))
 
 
 # --- seeded random instances for solver cross-checks ------------------------

@@ -3,9 +3,10 @@ from pathlib import Path
 
 import pytest
 
+from conftest import serial_200_graph, uav_forest_without_budgets
 from ehcopt import presets
 from ehcopt.cli import main
-from ehcopt.model import save_task_graph, system_model_to_dict
+from ehcopt.model import save_system_model, save_task_graph, system_model_to_dict
 from ehcopt.mps import parse_mps
 
 
@@ -191,3 +192,35 @@ def test_generate_with_custom_param_ranges(tmp_path):
     assert all(1000 <= t["output_data"] <= 2000 for t in graph["tasks"])
     meta = read_json(out / "meta.json")
     assert meta["paramspec"]["data_range"] == [1000.0, 2000.0]
+
+
+def test_forced_tree_dp_with_a_cap_exits_2(tmp_path, capsys):
+    etfg = uav_forest_without_budgets()
+    tfg, sys_path = tmp_path / "forest.json", tmp_path / "sys.json"
+    save_task_graph(etfg.graph, tfg)
+    save_system_model(etfg.system, sys_path)
+    base = ["solve", str(tfg), "--config", str(sys_path), "--solver", "tree-dp", "--objective", "energy"]
+    assert main(base + ["--lthr", "500ms", "--out", str(tmp_path / "a")]) == 2
+    assert "latency threshold" in capsys.readouterr().err
+    assert main(base + ["--out", str(tmp_path / "b")]) == 2  # the default 8 s cap
+    assert not (tmp_path / "b" / "allocation.json").exists()
+    assert main(["solve", str(tfg), "--config", str(sys_path), "--objective", "energy",
+                 "--lthr", "500ms", "--out", str(tmp_path / "c")]) == 3
+
+
+def test_time_limit_without_incumbent(tmp_path, capsys):
+    tfg = tmp_path / "serial.json"
+    save_task_graph(serial_200_graph(), tfg)
+    common = [str(tfg), "--config", "C1", "--objective", "energy", "--time-limit", "0.05"]
+    assert main(["solve", *common, "--out", str(tmp_path / "s")]) == 4
+    assert "time limit reached without an incumbent" in capsys.readouterr().out
+    allocation = read_json(tmp_path / "s" / "allocation.json")
+    assert allocation["status"] == "incumbent-with-gap"
+    assert allocation["assignment"] is None and allocation["gap"] is None
+    assert read_json(tmp_path / "s" / "solver_stats.json")["gap"] is None
+
+    assert main(["baseline", *common, "--out", str(tmp_path / "b")]) == 0
+    assert "O_E:            -  UNKNOWN (time limit reached without an incumbent)" in capsys.readouterr().out
+    o_e = next(c for c in read_json(tmp_path / "b" / "baseline.json") if c["case"] == "O_E")
+    assert o_e["feasible"] is None and o_e["assignment"] is None
+    assert o_e["detail"] == "time limit reached without an incumbent"

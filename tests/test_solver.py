@@ -10,8 +10,10 @@ from conftest import (
     make_device,
     random_oracle_instance,
     random_tree_instance,
+    serial_200_graph,
     simple_task,
     two_task_chain,
+    uav_forest_without_budgets,
     unbudgeted_system,
 )
 from ehcopt import presets
@@ -211,3 +213,30 @@ def test_solve_config_validation():
         SolveConfig(threads=0)
     with pytest.raises(ValueError):
         SolveConfig(time_limit=0)
+
+
+def test_forced_tree_dp_rejects_a_latency_cap():
+    # tree DP used to drop the cap and claim a proven optimum at 6.0 s
+    etfg = uav_forest_without_budgets()
+    assert tree_dp_applicable(etfg)
+    cap = Fraction(1, 2)
+    with pytest.raises(ValueError, match="latency threshold"):
+        solve(etfg, "energy", cap, method="tree-dp")
+    assert solve(etfg, "energy", cap, method="bnb").status is SolveStatus.INFEASIBLE
+    assert solve_bruteforce(etfg, "energy", cap).status is SolveStatus.INFEASIBLE
+    auto = solve(etfg, "energy", cap)
+    assert auto.status is SolveStatus.INFEASIBLE
+    assert auto.stats["solver"] == "branch-and-bound"
+    # no cap to honour: energy without one, or latency, where a cap plays no part
+    assert solve(etfg, "energy", method="tree-dp").stats["solver"] == "tree-dp"
+    assert solve(etfg, "latency", cap, method="tree-dp").stats["solver"] == "tree-dp"
+
+
+def test_time_limit_without_incumbent_has_no_gap():
+    etfg = transform(serial_200_graph(), presets.system_model("C1", "run1"))
+    result = solve_branch_and_bound(etfg, "energy", Fraction(8), SolveConfig(time_limit=0.05))
+    assert result.status is SolveStatus.FEASIBLE
+    assert result.stats["time_limit_hit"]
+    assert result.assignment is None and result.objective_value is None
+    assert result.gap is None and result.stats["gap"] is None
+    assert result.to_dict()["gap"] is None
