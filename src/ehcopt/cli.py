@@ -103,7 +103,7 @@ def cmd_solve(args) -> int:
     etfg = transform(graph, system)
     objective = Objective(args.objective)
     threshold = _threshold(args, objective)
-    config = SolveConfig(time_limit=args.time_limit, threads=args.threads)
+    config = SolveConfig(time_limit=args.time_limit)
     allocation = solve(etfg, objective, threshold, config, method=args.solver)
     out = _out_dir(args)
     (out / "allocation.json").write_text(
@@ -133,7 +133,7 @@ def cmd_baseline(args) -> int:
     etfg = transform(graph, system)
     objective = Objective(args.objective)
     threshold = _threshold(args, Objective.ENERGY)
-    config = SolveConfig(time_limit=args.time_limit, threads=args.threads)
+    config = SolveConfig(time_limit=args.time_limit)
     cases = analysis.run_baselines(etfg, objective, threshold, config)
     out = _out_dir(args)
     (out / "baseline.csv").write_text(analysis.cases_to_csv(cases))
@@ -240,7 +240,6 @@ def _add_solver_flags(parser):
     parser.add_argument("--objective", choices=["latency", "energy"], default="latency")
     parser.add_argument("--lthr", default=None, help="latency threshold, e.g. 8000ms (energy objective)")
     parser.add_argument("--time-limit", type=float, default=None, help="solver wall-time limit in seconds")
-    parser.add_argument("--threads", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:

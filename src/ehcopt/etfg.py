@@ -6,6 +6,13 @@ profiled execution latency/power and the derived energy (power x time);
 arcs carry the transfer latency and energy for the device pair, which are
 zero on the same device and routed through the intermediate device for
 pairs without a direct channel.
+
+:func:`energy_shares` is the one formula for how a transfer's energy is
+split over the devices it touches (sender tx, receiver rx, relay rx+tx);
+:func:`comm_energy` is their sum.  :func:`arc_shares` walks an expanded
+graph's arcs and returns those shares per arc, memoised per data size and
+device pair; the energy-budget rows, the search tables and the budget
+check of :func:`ehcopt.milp.evaluate` all read them from there.
 """
 
 from __future__ import annotations
@@ -61,21 +68,32 @@ def comp_energy(power, latency) -> Fraction:
     return power * latency
 
 
-def comm_energy(data_bits, k: DeviceRole, l: DeviceRole, system: SystemModel) -> Fraction:
-    """Transmit+receive energy for the data over the k->l route; zero on-device."""
+def energy_shares(
+    data_bits, k: DeviceRole, l: DeviceRole, system: SystemModel
+) -> tuple[tuple[DeviceRole, Fraction], ...]:
+    """Per-device energy of sending the data over the k->l route: the
+    sender's tx, the receiver's rx and, when relayed, the relay device's
+    rx+tx.  Empty on-device; the devices are pairwise distinct."""
     data_bits = Fraction(data_bits)
     if data_bits < 0:
         raise ValueError("data size must be >= 0")
     if k == l:
-        return Fraction(0)
+        return ()
     relayed, via = indicator(k, l, system)
     if not relayed:
         ch = system.channel(k, l)
-        return data_bits * (ch.tx_energy + ch.rx_energy)
+        return ((k, data_bits * ch.tx_energy), (l, data_bits * ch.rx_energy))
     first, second = system.channel(k, via), system.channel(via, l)
-    return data_bits * (
-        first.tx_energy + first.rx_energy + second.tx_energy + second.rx_energy
+    return (
+        (k, data_bits * first.tx_energy),
+        (via, data_bits * (first.rx_energy + second.tx_energy)),
+        (l, data_bits * second.rx_energy),
     )
+
+
+def comm_energy(data_bits, k: DeviceRole, l: DeviceRole, system: SystemModel) -> Fraction:
+    """Transmit+receive energy for the data over the k->l route; zero on-device."""
+    return sum((amount for _, amount in energy_shares(data_bits, k, l, system)), Fraction(0))
 
 
 class CandidateNode(NamedTuple):
@@ -199,6 +217,30 @@ def transform(graph: TaskGraph, system: SystemModel) -> Etfg:
         arcs_by_dep[(i, j)] = tuple(group)
 
     return Etfg(graph=graph, system=system, nodes_by_task=nodes_by_task, arcs_by_dep=arcs_by_dep)
+
+
+def arc_shares(etfg: Etfg) -> dict[tuple[int, int], tuple[tuple, ...]]:
+    """:func:`energy_shares` of every expanded arc: per dependency, one
+    entry per arc of ``arcs_by_dep[dep]``, in that order.  Entries are
+    shared per (data size, device pair), since tasks often repeat output
+    sizes.  Computed on each call and not kept on the graph: holding the
+    shares for the graph's lifetime costs memory and collector time."""
+    # shares are linear in the data size: scale the per-bit shares of each pair
+    per_bit = {(k, l): energy_shares(1, k, l, etfg.system) for k in ROLE_INDEX for l in ROLE_INDEX}
+    memo: dict[tuple[int, int], dict] = {}  # keyed by (num, den): Fraction hashing is costly
+    out = {}
+    for dep, group in etfg.arcs_by_dep.items():
+        data = etfg.graph.task(dep[0]).output_data
+        by_pair = memo.setdefault((data.numerator, data.denominator), {})
+        row = []
+        for arc in group:
+            pair = (arc[1], arc[3])
+            shares = by_pair.get(pair)
+            if shares is None:
+                shares = by_pair[pair] = tuple([(d, data * unit) for d, unit in per_bit[pair]])
+            row.append(shares)
+        out[dep] = tuple(row)
+    return out
 
 
 def etfg_to_dict(etfg: Etfg) -> dict:

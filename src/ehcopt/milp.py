@@ -26,7 +26,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
-from .etfg import Etfg, EtfgArc
+from .etfg import Etfg, arc_shares, energy_shares
 from .model import ROLES, DeviceRole
 from .units import si_number
 
@@ -78,12 +78,8 @@ class BilpModel:
         return len(self.variables)
 
 
-def _column_maps(etfg: Etfg, nodes=None, arcs=None):
+def _column_maps(nodes, arcs):
     """Canonical dense numbering: all node columns, then all arc columns."""
-    if nodes is None:
-        nodes = list(etfg.iter_nodes())
-    if arcs is None:
-        arcs = list(etfg.iter_arcs())
     offset = len(nodes)
     node_col = {(n[0], n[1]): i for i, n in enumerate(nodes)}
     arc_col = {a[:4]: offset + i for i, a in enumerate(arcs)}
@@ -94,75 +90,37 @@ def _column_maps(etfg: Etfg, nodes=None, arcs=None):
     return node_col, arc_col, variables
 
 
-def _arc_energy_parts(arc: EtfgArc, data: Fraction, system) -> tuple[tuple[DeviceRole, Fraction], ...]:
-    """Per-device energy shares of one transfer: sender tx, receiver rx,
-    and the relay device's rx+tx when the route is indirect."""
-    if arc.src_device == arc.dst_device:
-        return ()
-    k, l = arc.src_device, arc.dst_device
-    if not arc.indirect:
-        ch = system.channel(k, l)
-        return ((k, data * ch.tx_energy), (l, data * ch.rx_energy))
-    m = arc.via
-    first, second = system.channel(k, m), system.channel(m, l)
-    return (
-        (k, data * first.tx_energy),
-        (m, data * (first.rx_energy + second.tx_energy)),
-        (l, data * second.rx_energy),
-    )
+def _energy_coeffs(etfg: Etfg, devices) -> dict[DeviceRole, dict[int, Fraction]]:
+    """Energy-budget coefficients of each given device over the canonical
+    columns: execution energy of its candidate nodes plus its share of
+    every transfer it sends, receives, or relays."""
+    coeffs: dict[DeviceRole, dict[int, Fraction]] = {d: {} for d in devices}
+    col = 0
+    for node in etfg.iter_nodes():
+        row = coeffs.get(node.device)
+        if row is not None and node.energy:
+            row[col] = node.energy
+        col += 1
+    shares_by_dep = arc_shares(etfg)
+    for dep in etfg.graph.arcs:
+        for shares in shares_by_dep[dep]:
+            # a transfer touches each device at most once, so plain assignment is safe
+            for device, amount in shares:
+                row = coeffs.get(device)
+                if row is not None and amount:
+                    row[col] = amount
+            col += 1
+    return coeffs
 
 
-def _energy_parts_by_arc(etfg: Etfg) -> dict[tuple, tuple[tuple[DeviceRole, Fraction], ...]]:
-    """Energy shares per expanded arc, cached by (data, device pair):
-    benchmark tasks often repeat output sizes, so the products are shared."""
-    per_data: dict[tuple[int, int], dict] = {}  # keyed by (num, den): Fraction hashing is costly
-    out: dict[tuple, tuple] = {}
-    system = etfg.system
-    for (i, _j), group in etfg.arcs_by_dep.items():
-        data = etfg.graph.task(i).output_data
-        pair_map = per_data.setdefault((data.numerator, data.denominator), {})
-        for arc in group:
-            src_device, dst_device = arc[1], arc[3]
-            if src_device is dst_device:
-                continue
-            pair = (src_device, dst_device)
-            parts = pair_map.get(pair)
-            if parts is None:
-                parts = _arc_energy_parts(arc, data, system)
-                pair_map[pair] = parts
-            out[arc[:4]] = parts
-    return out
-
-
-def _energy_row(etfg, device, node_col, arc_col, parts_by_arc) -> ConstraintRow:
-    dev = etfg.system.device(device)
-    coeffs: dict[int, Fraction] = {}
-    for task, node_device, _lat, _pow, node_energy in etfg.iter_nodes():
-        if node_device is device and node_energy:
-            coeffs[node_col[(task, node_device)]] = node_energy
-    for arc_key, parts in parts_by_arc.items():
-        for part_device, amount in parts:
-            # a transfer touches each device at most once (src, dst, relay
-            # are pairwise distinct), so plain assignment is safe
-            if part_device is device and amount:
-                coeffs[arc_col[arc_key]] = amount
-    return ConstraintRow(f"enr_{device.value}", coeffs, "L", dev.energy_budget)
-
-
-def energy_budget_row(
-    etfg: Etfg,
-    device: DeviceRole,
-    node_col: Mapping[tuple[int, DeviceRole], int] | None = None,
-    arc_col: Mapping[tuple[int, DeviceRole, int, DeviceRole], int] | None = None,
-) -> ConstraintRow:
+def energy_budget_row(etfg: Etfg, device: DeviceRole) -> ConstraintRow:
     """Energy-budget row for one device: execution energy of its candidate
     nodes plus the energy share of every transfer it sends, receives, or
     relays."""
-    if etfg.system.device(device).energy_budget is None:
+    budget = etfg.system.device(device).energy_budget
+    if budget is None:
         raise ValueError(f"device {device.value} has no finite energy budget")
-    if node_col is None or arc_col is None:
-        node_col, arc_col, _ = _column_maps(etfg)
-    return _energy_row(etfg, device, node_col, arc_col, _energy_parts_by_arc(etfg))
+    return ConstraintRow(f"enr_{device.value}", _energy_coeffs(etfg, (device,))[device], "L", budget)
 
 
 def build_model(
@@ -176,7 +134,7 @@ def build_model(
 
     nodes_list = list(etfg.iter_nodes())
     arcs_list = list(etfg.iter_arcs())
-    node_col, arc_col, variables = _column_maps(etfg, nodes_list, arcs_list)
+    node_col, arc_col, variables = _column_maps(nodes_list, arcs_list)
     graph, system = etfg.graph, etfg.system
     arc_base = len(nodes_list)
     use_latency = objective is Objective.LATENCY
@@ -249,38 +207,10 @@ def build_model(
         append(ConstraintRow(f"sto_{role.value}", coeffs, "L", budget))
     energy_roles = [r for r in ROLES if system.device(r).energy_budget is not None]
     if energy_roles:
-        # one pass over the expanded arcs fills every budgeted device's
-        # coefficient dict (per-pair shares are cached per data size)
-        coeffs_by_role: dict[DeviceRole, dict[int, Fraction]] = {r: {} for r in energy_roles}
-        wanted = set(energy_roles)
-        col = arc_base
-        per_data: dict[tuple[int, int], dict] = {}
-        for (i, _j) in graph.arcs:
-            group = etfg.arcs_by_dep[(i, _j)]
-            data = graph.task(i).output_data
-            pair_map = per_data.setdefault((data.numerator, data.denominator), {})
-            for arc in group:
-                this_col = col
-                col += 1
-                src_device, dst_device = arc[1], arc[3]
-                if src_device is dst_device:
-                    continue
-                pair = (src_device, dst_device)
-                parts = pair_map.get(pair)
-                if parts is None:
-                    parts = _arc_energy_parts(arc, data, system)
-                    pair_map[pair] = parts
-                for part_device, amount in parts:
-                    if part_device in wanted and amount:
-                        coeffs_by_role[part_device][this_col] = amount
+        coeffs_by_role = _energy_coeffs(etfg, energy_roles)
         for role in energy_roles:
-            coeffs = coeffs_by_role[role]
-            for node_idx, node in enumerate(nodes_list):
-                if node[1] is role and node[4]:
-                    coeffs[node_idx] = node[4]
-            append(
-                ConstraintRow(f"enr_{role.value}", coeffs, "L", system.device(role).energy_budget)
-            )
+            budget = system.device(role).energy_budget
+            append(ConstraintRow(f"enr_{role.value}", coeffs_by_role[role], "L", budget))
 
     if objective is Objective.ENERGY and latency_threshold is not None:
         coeffs = {}
@@ -441,7 +371,7 @@ def evaluate(
             ch = system.channel(*hop)
             comm_latency_by[hop] += data / ch.bandwidth
             comm_energy_by[hop] += data * (ch.tx_energy + ch.rx_energy)
-        for part_device, amount in _arc_energy_parts(arc, data, system):
+        for part_device, amount in energy_shares(data, k, l, system):
             device_energy[part_device] += amount
 
     total_latency = sum(comp_latency.values(), ZERO) + total_comm_latency

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .etfg import Etfg
-from .milp import Objective, ObjectiveBreakdown, _energy_parts_by_arc, evaluate
+from .etfg import Etfg, arc_shares
+from .milp import Objective, ObjectiveBreakdown, evaluate
 from .model import ROLES, DeviceRole, topological_order
 from .units import si_number
 
@@ -49,12 +49,9 @@ class SolveStatus(str, Enum):
 @dataclass(frozen=True)
 class SolveConfig:
     time_limit: float | None = None  # seconds of wall time, None = unlimited
-    threads: int = 1  # accepted for interface stability; search is sequential
 
     def __post_init__(self):
-        if self.threads < 1:
-            raise ValueError("thread count must be >= 1")
-        if self.time_limit is not None and self.time_limit <= 0:
+        if self.time_limit is not None and not self.time_limit > 0:  # NaN included
             raise ValueError("time limit must be > 0")
 
 
@@ -391,32 +388,18 @@ def solve_tree_dp(etfg: Etfg, objective: Objective | str = Objective.LATENCY) ->
     undirected skeleton contains a cycle.
     """
     objective = Objective(objective)
+    obstacle = _tree_dp_obstacle(etfg)
+    if obstacle is not None:
+        raise ValueError(obstacle)
     graph = etfg.graph
-    for role in ROLES:
-        dev = etfg.system.device(role)
-        if any(b is not None for b in (dev.memory_budget, dev.storage_budget, dev.energy_budget)):
-            raise ValueError("tree DP requires all device budgets to be unbounded")
-
     tasks = graph.tasks
     n = len(tasks)
     pos_of = {t.id: p for p, t in enumerate(tasks)}
-
-    parent_uf = list(range(n))
-
-    def find(x):
-        while parent_uf[x] != x:
-            parent_uf[x] = parent_uf[parent_uf[x]]
-            x = parent_uf[x]
-        return x
 
     neighbors: list[list[int]] = [[] for _ in range(n)]
     arc_cost: dict[tuple[int, int], dict] = {}
     for (i, j) in graph.arcs:
         a, b = pos_of[i], pos_of[j]
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            raise ValueError("dependency skeleton is not a forest")
-        parent_uf[ra] = rb
         neighbors[a].append(b)
         neighbors[b].append(a)
         group = etfg.arcs_by_dep[(i, j)]
@@ -429,8 +412,8 @@ def solve_tree_dp(etfg: Etfg, objective: Objective | str = Objective.LATENCY) ->
 
     node_cost = [
         {
-            r: (t.latency[r] if objective is Objective.LATENCY else t.latency[r] * t.power[r])
-            for r in t.allowed
+            node.device: node.latency if objective is Objective.LATENCY else node.energy
+            for node in etfg.nodes_by_task[t.id]
         }
         for t in tasks
     ]
@@ -502,33 +485,30 @@ class _Instance:
 
         cand = [t.allowed for t in tasks]
         self.cand = cand
+        nodes = [etfg.nodes_by_task[tid] for tid in order]  # candidates in t.allowed order
         node_obj_f = [
-            [
-                (t.latency[r] if objective is Objective.LATENCY else t.latency[r] * t.power[r])
-                for r in t.allowed
-            ]
-            for t in tasks
+            [n.latency if objective is Objective.LATENCY else n.energy for n in row]
+            for row in nodes
         ]
-        node_lat_f = [[t.latency[r] for r in t.allowed] for t in tasks]
-        node_enr_f = [[t.latency[r] * t.power[r] for r in t.allowed] for t in tasks]
+        node_lat_f = [[n.latency for n in row] for row in nodes]
+        node_enr_f = [[n.energy for n in row] for row in nodes]
 
         # per-device transfer-energy shares, one shared tuple per (data size, device pair)
-        parts_by_arc = _energy_parts_by_arc(etfg)
+        shares_by_dep = arc_shares(etfg)
         arcs = []
         for (i, j) in graph.arcs:
             sp, dp = pos_of[i], pos_of[j]
-            group = etfg.arcs_by_dep[(i, j)]
             obj_tb: dict[tuple[int, int], Fraction] = {}
             lat_tb: dict[tuple[int, int], Fraction] = {}
             parts_tb: dict[tuple[int, int], tuple] = {}
             src_allowed, dst_allowed = cand[sp], cand[dp]
             src_index = {r: ci for ci, r in enumerate(src_allowed)}
             dst_index = {r: ci for ci, r in enumerate(dst_allowed)}
-            for arc in group:
+            for arc, shares in zip(etfg.arcs_by_dep[(i, j)], shares_by_dep[(i, j)]):
                 key = (src_index[arc.src_device], dst_index[arc.dst_device])
                 obj_tb[key] = arc.latency if objective is Objective.LATENCY else arc.energy
                 lat_tb[key] = arc.latency
-                parts_tb[key] = parts_by_arc.get(arc[:4], ())
+                parts_tb[key] = shares
             arcs.append((sp, dp, obj_tb, lat_tb, parts_tb))
 
         budgets = [system.device(r) for r in ROLES]
@@ -538,8 +518,9 @@ class _Instance:
         for _, _, obj_tb, lat_tb, _ in arcs:
             obj_values.extend(obj_tb.values())
             lat_values.extend(lat_tb.values())
-        for parts in {id(parts): parts for parts in parts_by_arc.values()}.values():
-            enr_values.extend(amount for _, amount in parts)
+        distinct = {id(shares): shares for row in shares_by_dep.values() for shares in row}
+        for shares in distinct.values():
+            enr_values.extend(amount for _, amount in shares)
         obj_den = _common_denominator(obj_values)
         lat_den = _common_denominator(
             lat_values + ([latency_threshold] if self.use_threshold else [])
@@ -860,15 +841,15 @@ def solve_branch_and_bound(
     )
 
 
-def tree_dp_applicable(etfg: Etfg) -> bool:
-    graph = etfg.graph
+def _tree_dp_obstacle(etfg: Etfg) -> str | None:
+    """Why :func:`solve_tree_dp` cannot take this instance, or None."""
     for role in ROLES:
         dev = etfg.system.device(role)
         if any(b is not None for b in (dev.memory_budget, dev.storage_budget, dev.energy_budget)):
-            return False
-    n = len(graph.tasks)
+            return "tree DP requires all device budgets to be unbounded"
+    graph = etfg.graph
     pos_of = {t.id: p for p, t in enumerate(graph.tasks)}
-    parent = list(range(n))
+    parent = list(range(len(graph.tasks)))
 
     def find(x):
         while parent[x] != x:
@@ -879,9 +860,13 @@ def tree_dp_applicable(etfg: Etfg) -> bool:
     for (i, j) in graph.arcs:
         ra, rb = find(pos_of[i]), find(pos_of[j])
         if ra == rb:
-            return False
+            return "dependency skeleton is not a forest"
         parent[ra] = rb
-    return True
+    return None
+
+
+def tree_dp_applicable(etfg: Etfg) -> bool:
+    return _tree_dp_obstacle(etfg) is None
 
 
 def solve(
@@ -898,6 +883,8 @@ def solve(
     if method == "auto":
         method = "tree-dp" if not use_threshold and tree_dp_applicable(etfg) else "bnb"
     if method == "bruteforce":
+        if config is not None and config.time_limit is not None:
+            raise ValueError("brute force cannot honour a time limit; use bnb")
         return solve_bruteforce(etfg, objective, latency_threshold)
     if method == "tree-dp":
         if use_threshold:

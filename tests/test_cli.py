@@ -224,3 +224,20 @@ def test_time_limit_without_incumbent(tmp_path, capsys):
     o_e = next(c for c in read_json(tmp_path / "b" / "baseline.json") if c["case"] == "O_E")
     assert o_e["feasible"] is None and o_e["assignment"] is None
     assert o_e["detail"] == "time limit reached without an incumbent"
+
+
+def test_bruteforce_with_a_time_limit_exits_2(example_tfg, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["solve", example_tfg, "--config", "C1", "--solver", "bruteforce",
+                 "--time-limit", "0.001", "--out", str(out)]) == 2
+    assert "time limit" in capsys.readouterr().err
+    assert not (out / "allocation.json").exists()
+
+
+def test_nan_time_limit_exits_2(example_tfg, tmp_path, capsys):
+    for command in ("solve", "baseline"):
+        out = tmp_path / command
+        assert main([command, example_tfg, "--config", "C1", "--time-limit", "nan",
+                     "--out", str(out)]) == 2
+        assert "time limit must be > 0" in capsys.readouterr().err
+        assert not out.exists()

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ALL, C, E, H, simple_task, two_task_chain, unbudgeted_system
+from ehcopt import presets
 from ehcopt.etfg import (
     comm_energy,
     comm_latency,
     comp_energy,
+    energy_shares,
     etfg_to_dict,
     etfg_to_dot,
     indicator,
@@ -74,6 +76,35 @@ class TestCommEnergy:
     def test_relayed_charges_both_hops(self):
         # (1.0 + 0.7 + 2.5 + 1.25) uJ/bit * 1 Mbit = 5.45 J
         assert comm_energy(10**6, E, C, SYSTEM) == Fraction(545, 100)
+
+
+class TestEnergyShares:
+    C1 = presets.system_model("C1", "run1")
+
+    def test_direct_transfer(self):
+        # 1 Mbit e->h: tx 1.0 uJ/bit on the edge, rx 0.70 uJ/bit on the hub
+        assert energy_shares(10**6, E, H, self.C1) == ((E, Fraction(1)), (H, Fraction(7, 10)))
+
+    def test_relay_charges_rx_and_tx(self):
+        # 1 Mbit e->c via h: the hub's share is rx(e->h) + tx(h->c) = 0.7 + 2.5 = 3.2 J
+        assert energy_shares(10**6, E, C, self.C1) == (
+            (E, Fraction(1)),
+            (H, Fraction(32, 10)),
+            (C, Fraction(125, 100)),
+        )
+
+    def test_same_device_has_no_shares(self):
+        assert energy_shares(10**6, C, C, self.C1) == ()
+
+    def test_negative_data_rejected(self):
+        with pytest.raises(ValueError):
+            energy_shares(-1, E, H, self.C1)
+
+    def test_comm_energy_is_the_sum_of_the_shares(self):
+        for k in ALL:
+            for l in ALL:
+                shares = energy_shares(3 * 10**6, k, l, self.C1)
+                assert comm_energy(3 * 10**6, k, l, self.C1) == sum(a for _, a in shares)
 
 
 class TestTransform:

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     ALL,
@@ -15,7 +17,7 @@ from conftest import (
     unbudgeted_system,
 )
 from ehcopt import presets
-from ehcopt.etfg import transform
+from ehcopt.etfg import arc_shares, transform
 from ehcopt.milp import (
     Objective,
     build_model,
@@ -113,6 +115,37 @@ def test_energy_budget_row_includes_relay_share():
     e_row = energy_budget_row(etfg, E)
     direct_col = model.arc_col[(1, E, 2, H)]
     assert e_row.coeffs[direct_col] == Fraction(1)  # 1 Mbit * 1.0 uJ/bit tx
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), pick=st.integers(min_value=0))
+def test_arc_shares_match_arc_energy_rows_and_evaluate(seed, pick):
+    generated, _ = random_oracle_instance(seed, max_tasks=8)
+    budgeted = make_system_model(
+        [make_device(r, energy=Fraction(1)) for r in ALL], generated.system.channels.values()
+    )
+    etfg = transform(generated.graph, budgeted)
+    shares_by_dep = arc_shares(etfg)
+    assert list(shares_by_dep) == list(etfg.graph.arcs)
+    for dep, group in etfg.arcs_by_dep.items():
+        assert len(shares_by_dep[dep]) == len(group)
+        for arc, shares in zip(group, shares_by_dep[dep]):
+            assert sum(amount for _, amount in shares) == arc.energy
+            devices = [device for device, _ in shares]
+            assert len(set(devices)) == len(devices)
+
+    model = build_model(etfg, "latency")
+    rows = {d: energy_budget_row(etfg, d) for d in ALL}
+    for d in ALL:
+        assert next(r for r in model.rows if r.label == f"enr_{d.value}") == rows[d]
+    rng = random.Random(pick)
+    for _ in range(5):
+        assignment = {t.id: rng.choice(t.allowed) for t in etfg.graph.tasks}
+        selected = [model.node_col[(t, d)] for t, d in assignment.items()]
+        selected += [model.arc_col[(i, assignment[i], j, assignment[j])] for i, j in etfg.graph.arcs]
+        breakdown = evaluate(etfg, assignment)
+        for d in ALL:
+            assert sum(rows[d].coeffs.get(col, 0) for col in selected) == breakdown.device_energy[d]
 
 
 def test_energy_budget_row_requires_finite_budget():

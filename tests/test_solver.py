@@ -166,9 +166,9 @@ def test_root_bound_is_admissible():
 
 def test_determinism_across_runs_and_thread_counts():
     etfg, threshold = random_oracle_instance(5)
-    a = solve_branch_and_bound(etfg, "energy", threshold, SolveConfig(threads=1))
-    b = solve_branch_and_bound(etfg, "energy", threshold, SolveConfig(threads=4))
-    c = solve_branch_and_bound(etfg, "energy", threshold, SolveConfig(threads=1))
+    a = solve_branch_and_bound(etfg, "energy", threshold, SolveConfig())
+    b = solve_branch_and_bound(etfg, "energy", threshold, SolveConfig())
+    c = solve_branch_and_bound(etfg, "energy", threshold, SolveConfig())
     assert a.assignment == b.assignment == c.assignment
     assert a.objective_value == b.objective_value == c.objective_value
     assert a.stats["nodes_explored"] == b.stats["nodes_explored"] == c.stats["nodes_explored"]
@@ -210,9 +210,22 @@ def test_solve_front_door_picks_methods():
 
 def test_solve_config_validation():
     with pytest.raises(ValueError):
-        SolveConfig(threads=0)
-    with pytest.raises(ValueError):
         SolveConfig(time_limit=0)
+
+
+def test_nan_time_limit_is_rejected():
+    # a NaN limit used to pass, and B&B never stopped: started + nan is never exceeded
+    with pytest.raises(ValueError, match="time limit"):
+        SolveConfig(time_limit=float("nan"))
+
+
+def test_forced_bruteforce_rejects_a_time_limit():
+    # brute force used to drop the limit: 1,594,323 assignments, then "proven-optimal"
+    etfg = transform(presets.example_inspection_tfg(), presets.system_model("C1"))
+    with pytest.raises(ValueError, match="time limit"):
+        solve(etfg, "latency", None, SolveConfig(time_limit=0.001), method="bruteforce")
+    with pytest.raises(ValueError, match="time limit"):
+        solve(etfg, "energy", Fraction(8), SolveConfig(time_limit=60), method="bruteforce")
 
 
 def test_forced_tree_dp_rejects_a_latency_cap():
