@@ -30,7 +30,7 @@ from .model import (
     TaskGraph,
     require_valid,
 )
-from .units import si_number
+from .units import si_number, without_cyclic_gc
 
 
 class TopologyError(ValueError):
@@ -153,6 +153,7 @@ class Etfg:
         return {node.key: node for node in self.iter_nodes()}
 
 
+@without_cyclic_gc
 def transform(graph: TaskGraph, system: SystemModel) -> Etfg:
     """Expand a validated task graph over its allowed devices.
 

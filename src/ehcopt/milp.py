@@ -28,7 +28,7 @@ from typing import Mapping, NamedTuple
 
 from .etfg import Etfg, arc_shares, energy_shares
 from .model import ROLES, DeviceRole
-from .units import si_number
+from .units import si_number, without_cyclic_gc
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -123,6 +123,7 @@ def energy_budget_row(etfg: Etfg, device: DeviceRole) -> ConstraintRow:
     return ConstraintRow(f"enr_{device.value}", _energy_coeffs(etfg, (device,))[device], "L", budget)
 
 
+@without_cyclic_gc
 def build_model(
     etfg: Etfg,
     objective: Objective | str = Objective.LATENCY,

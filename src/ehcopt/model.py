@@ -17,7 +17,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .units import parse_optional, parse_quantity, si_number
+from .units import parse_optional, parse_quantity, si_number, without_cyclic_gc
 
 SCHEMA_VERSION = 1
 
@@ -350,25 +350,42 @@ class SystemModel:
 # Bare numbers are SI base units; suffixed strings are converted on load.
 
 
-def _check_schema(data: Mapping, kind: str) -> None:
-    version = data.get("schema")
+def _object(value, error: type[ValueError], where: str) -> dict:
+    if not isinstance(value, dict):  # what a JSON object decodes to
+        raise error(f"{where}: expected a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _required(entry: Mapping, key: str, error: type[ValueError], where: str):
+    try:
+        return entry[key]
+    except KeyError:
+        raise error(f"{where}: missing required field {key!r}") from None
+
+
+def _check_schema(data, kind: str, error: type[ValueError]) -> None:
+    version = _object(data, error, f"{kind} file").get("schema")
     if version != SCHEMA_VERSION:
-        raise ValueError(f"{kind} file: unsupported schema {version!r} (expected {SCHEMA_VERSION})")
+        raise error(f"{kind} file: unsupported schema {version!r} (expected {SCHEMA_VERSION})")
 
 
-def task_graph_from_dict(data: Mapping) -> TaskGraph:
-    _check_schema(data, "task graph")
+@without_cyclic_gc
+def task_graph_from_dict(data: dict) -> TaskGraph:
+    err = GraphValidationError
+    _check_schema(data, "task graph", err)
     tasks = []
-    for entry in data["tasks"]:
-        allowed = tuple(role_from(r) for r in entry["allowed"])
+    for n, entry in enumerate(_required(data, "tasks", err, "task graph file")):
+        where = f"task graph file: tasks[{n}]"
+        entry = _object(entry, err, where)
+        allowed = tuple(role_from(r) for r in _required(entry, "allowed", err, where))
         latency = {role_from(r): parse_quantity(v, "time") for r, v in entry.get("latency", {}).items()}
         power = {role_from(r): parse_quantity(v, "power") for r, v in entry.get("power", {}).items()}
         tasks.append(
             Task(
-                id=int(entry["id"]),
-                memory=parse_quantity(entry["memory"], "memory"),
-                storage=parse_quantity(entry["storage"], "memory"),
-                output_data=parse_quantity(entry["output_data"], "data"),
+                id=int(_required(entry, "id", err, where)),
+                memory=parse_quantity(_required(entry, "memory", err, where), "memory"),
+                storage=parse_quantity(_required(entry, "storage", err, where), "memory"),
+                output_data=parse_quantity(_required(entry, "output_data", err, where), "data"),
                 allowed=allowed,
                 latency=latency,
                 power=power,
@@ -397,10 +414,14 @@ def task_graph_to_dict(graph: TaskGraph) -> dict:
     }
 
 
-def system_model_from_dict(data: Mapping) -> SystemModel:
-    _check_schema(data, "system model")
+def system_model_from_dict(data: dict) -> SystemModel:
+    err = SystemModelError
+    _check_schema(data, "system model", err)
     devices = {}
-    for key, entry in data["devices"].items():
+    device_entries = _required(data, "devices", err, "system model file")
+    for key, entry in _object(device_entries, err, "system model file: devices").items():
+        where = f"system model file: devices[{key!r}]"
+        entry = _object(entry, err, where)
         role = role_from(key)
         devices[role] = Device(
             role=role,
@@ -409,16 +430,18 @@ def system_model_from_dict(data: Mapping) -> SystemModel:
             storage_budget=parse_optional(entry.get("storage_budget"), "memory"),
             energy_budget=parse_optional(entry.get("energy_budget"), "energy"),
             idle_power=parse_quantity(entry.get("idle_power", 0), "power"),
-            max_power=parse_quantity(entry["max_power"], "power"),
+            max_power=parse_quantity(_required(entry, "max_power", err, where), "power"),
         )
     channels = {}
-    for entry in data["channels"]:
+    for n, entry in enumerate(_required(data, "channels", err, "system model file")):
+        where = f"system model file: channels[{n}]"
+        entry = _object(entry, err, where)
         channel = Channel(
-            src=role_from(entry["from"]),
-            dst=role_from(entry["to"]),
-            bandwidth=parse_quantity(entry["bandwidth"], "bandwidth"),
-            tx_energy=parse_quantity(entry["tx_energy"], "energy_per_bit"),
-            rx_energy=parse_quantity(entry["rx_energy"], "energy_per_bit"),
+            src=role_from(_required(entry, "from", err, where)),
+            dst=role_from(_required(entry, "to", err, where)),
+            bandwidth=parse_quantity(_required(entry, "bandwidth", err, where), "bandwidth"),
+            tx_energy=parse_quantity(_required(entry, "tx_energy", err, where), "energy_per_bit"),
+            rx_energy=parse_quantity(_required(entry, "rx_energy", err, where), "energy_per_bit"),
         )
         channels[(channel.src, channel.dst)] = channel
     relay = {}

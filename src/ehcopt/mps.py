@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .milp import BilpModel
-from .units import fmt12
+from .units import fmt12, without_cyclic_gc
 
 _SENSE_TO_MPS = {"L": "L", "E": "E", "G": "G"}
 
@@ -37,6 +37,7 @@ def _fmt12_memo():
     return fmt
 
 
+@without_cyclic_gc
 def model_to_mps(model: BilpModel, name: str = "EHCOPT") -> str:
     rows = model.rows
     fmt = _fmt12_memo()
@@ -160,6 +161,7 @@ def parse_mps(text: str) -> ParsedMps:
     return parsed
 
 
+@without_cyclic_gc
 def model_to_lp(model: BilpModel) -> str:
     """CPLEX-style LP text with the model's own row labels and names."""
     names = [v.name for v in model.variables]

@@ -31,7 +31,7 @@ from fractions import Fraction
 from .etfg import Etfg, arc_shares
 from .milp import Objective, ObjectiveBreakdown, evaluate
 from .model import ROLES, DeviceRole, topological_order
-from .units import si_number
+from .units import si_number, without_cyclic_gc
 
 BRUTE_FORCE_LIMIT = 10**7
 
@@ -469,6 +469,7 @@ def solve_tree_dp(etfg: Etfg, objective: Objective | str = Objective.LATENCY) ->
 class _Instance:
     """Integer-rescaled search tables in topological task order."""
 
+    @without_cyclic_gc
     def __init__(self, etfg: Etfg, objective: Objective, latency_threshold: Fraction | None):
         graph, system = etfg.graph, etfg.system
         self.etfg = etfg
@@ -877,18 +878,29 @@ def solve(
     method: str = "auto",
 ) -> Allocation:
     """Front door: pick a solver (``auto`` uses the tree fast path when
-    its preconditions hold, branch and bound otherwise)."""
+    its preconditions hold, branch and bound otherwise).
+
+    A time limit bounds branch and bound only.  ``auto`` still takes the
+    tree DP under a time limit, since the DP is linear-time and always
+    finishes; a forced ``bruteforce`` or ``tree-dp`` with a time limit
+    raises ValueError instead of ignoring it.
+    """
     objective = Objective(objective)
     use_threshold = objective is Objective.ENERGY and latency_threshold is not None
+    time_limited = config is not None and config.time_limit is not None
     if method == "auto":
-        method = "tree-dp" if not use_threshold and tree_dp_applicable(etfg) else "bnb"
+        if not use_threshold and tree_dp_applicable(etfg):
+            return solve_tree_dp(etfg, objective)
+        method = "bnb"
     if method == "bruteforce":
-        if config is not None and config.time_limit is not None:
+        if time_limited:
             raise ValueError("brute force cannot honour a time limit; use bnb")
         return solve_bruteforce(etfg, objective, latency_threshold)
     if method == "tree-dp":
         if use_threshold:
             raise ValueError("tree DP cannot honour a latency threshold; use bnb or bruteforce")
+        if time_limited:
+            raise ValueError("tree DP cannot honour a time limit; use bnb or auto")
         return solve_tree_dp(etfg, objective)
     if method == "bnb":
         return solve_branch_and_bound(etfg, objective, latency_threshold, config)

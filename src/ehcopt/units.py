@@ -12,6 +12,8 @@ decimal prefixes for bit rates (Mbit = 10^6, the networking convention).
 
 from __future__ import annotations
 
+import functools
+import gc
 import re
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -163,3 +165,31 @@ def si_number(value: Fraction) -> int | float:
 def fmt12(value) -> str:
     """Format a number with 12 significant digits (for MPS/LP emission)."""
     return format(float(value), ".12g")
+
+
+def without_cyclic_gc(func):
+    """Decorator: run ``func`` with CPython's cyclic garbage collector paused.
+
+    Precondition: ``func`` creates no reference cycles, so reference
+    counting alone frees everything it allocates and pausing the collector
+    cannot retain memory.  The model builders allocate hundreds of
+    thousands of tuples, dicts and Fractions that live as long as the
+    model; with the collector running, CPython repeats full passes over
+    all of them as the live heap grows (in 3.11, each time it has grown
+    by a quarter).
+
+    A collector that is already paused (a nested call, or a caller that
+    paused it) is left paused.  No collection is forced afterwards.
+    """
+
+    @functools.wraps(func)
+    def wrapper(*args, **kwargs):
+        if not gc.isenabled():
+            return func(*args, **kwargs)
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return wrapper

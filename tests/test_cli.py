@@ -6,7 +6,12 @@ import pytest
 from conftest import serial_200_graph, uav_forest_without_budgets
 from ehcopt import presets
 from ehcopt.cli import main
-from ehcopt.model import save_system_model, save_task_graph, system_model_to_dict
+from ehcopt.model import (
+    save_system_model,
+    save_task_graph,
+    system_model_to_dict,
+    task_graph_to_dict,
+)
 from ehcopt.mps import parse_mps
 
 
@@ -206,6 +211,59 @@ def test_forced_tree_dp_with_a_cap_exits_2(tmp_path, capsys):
     assert not (tmp_path / "b" / "allocation.json").exists()
     assert main(["solve", str(tfg), "--config", str(sys_path), "--objective", "energy",
                  "--lthr", "500ms", "--out", str(tmp_path / "c")]) == 3
+
+
+def test_forced_tree_dp_with_a_time_limit_exits_2(tmp_path, capsys):
+    etfg = uav_forest_without_budgets()
+    tfg, sys_path = tmp_path / "forest.json", tmp_path / "sys.json"
+    save_task_graph(etfg.graph, tfg)
+    save_system_model(etfg.system, sys_path)
+    base = ["solve", str(tfg), "--config", str(sys_path), "--time-limit", "5"]
+    assert main(base + ["--solver", "tree-dp", "--out", str(tmp_path / "a")]) == 2
+    assert "time limit" in capsys.readouterr().err
+    assert not (tmp_path / "a" / "allocation.json").exists()
+    assert main(base + ["--out", str(tmp_path / "b")]) == 0
+    assert read_json(tmp_path / "b" / "solver_stats.json")["solver"] == "tree-dp"
+
+
+def _without(document: dict, *path):
+    """Deep copy of ``document`` with the field at ``path`` removed."""
+    document = json.loads(json.dumps(document))
+    *parents, key = path
+    entry = document
+    for step in parents:
+        entry = entry[step]
+    del entry[key]
+    return document
+
+
+_APP = task_graph_to_dict(presets.example_inspection_tfg())
+_C1 = system_model_to_dict(presets.system_model("C1", "run1"))
+
+
+@pytest.mark.parametrize(
+    "tfg, config, message",
+    [
+        (_without(_APP, "tasks"), None, "task graph file: missing required field 'tasks'"),
+        ([_APP], None, "task graph file: expected a JSON object, got list"),
+        (_without(_APP, "tasks", 2, "memory"), None,
+         "task graph file: tasks[2]: missing required field 'memory'"),
+        (_APP, _without(_C1, "devices"), "system model file: missing required field 'devices'"),
+    ],
+    ids=["no-tasks", "top-level-list", "task-without-memory", "system-without-devices"],
+)
+def test_malformed_input_file_exits_2(tfg, config, message, tmp_path, capsys):
+    # each used to end in a KeyError or AttributeError traceback and exit 1
+    tfg_path = tmp_path / "tfg.json"
+    tfg_path.write_text(json.dumps(tfg))
+    args = ["solve", str(tfg_path), "--out", str(tmp_path / "o")]
+    if config is not None:
+        sys_path = tmp_path / "sys.json"
+        sys_path.write_text(json.dumps(config))
+        args += ["--config", str(sys_path)]
+    assert main(args) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_time_limit_without_incumbent(tmp_path, capsys):

@@ -1,0 +1,73 @@
+"""The model builders run with the cyclic garbage collector paused."""
+
+import gc
+from fractions import Fraction
+
+import pytest
+
+from ehcopt import presets
+from ehcopt.etfg import transform
+from ehcopt.generator import GenSpec, default_param_spec, generate_tfg, synthesize_params
+from ehcopt.milp import Objective, build_model
+from ehcopt.model import task_graph_from_dict, task_graph_to_dict
+from ehcopt.mps import model_to_lp, model_to_mps
+from ehcopt.solver import _Instance
+from ehcopt.units import without_cyclic_gc
+
+
+@without_cyclic_gc
+def _collector_state(fail=False):
+    if fail:
+        raise RuntimeError("builder failed")
+    return gc.isenabled()
+
+
+def test_an_enabled_collector_is_paused_and_reenabled():
+    assert gc.isenabled()
+    assert _collector_state() is False
+    assert gc.isenabled()
+    with pytest.raises(RuntimeError, match="builder failed"):
+        _collector_state(fail=True)
+    assert gc.isenabled()
+
+
+def test_a_disabled_collector_stays_disabled():
+    gc.disable()
+    try:
+        assert _collector_state() is False
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_nested_calls_keep_the_collector_paused_until_the_outermost_returns():
+    @without_cyclic_gc
+    def outer():
+        inner = _collector_state()
+        return inner, gc.isenabled()
+
+    assert outer() == (False, False)
+    assert gc.isenabled()
+
+
+def test_the_wrapped_builders_leave_no_cyclic_garbage():
+    # the precondition of without_cyclic_gc: pausing the collector around
+    # these builders cannot retain memory, because they create no cycles
+    system = presets.system_model("C1", "run1")
+    spec = GenSpec("mixed", 200, 4, 4, Fraction(5, 100), Fraction(2, 100), seed=1)
+    graph = synthesize_params(generate_tfg(spec), default_param_spec("C1"), system, spec.seed)
+    document = task_graph_to_dict(graph)
+    cap = presets.DEFAULT_LATENCY_THRESHOLD
+    gc.collect()
+    gc.disable()
+    try:
+        etfg = transform(task_graph_from_dict(document), system)
+        model = build_model(etfg, Objective.ENERGY, cap)
+        kinds = {row.label.split("_")[0] for row in model.rows}
+        assert {"enr", "lthr"} <= kinds  # every row builder ran
+        exports = model_to_mps(model), model_to_lp(model)
+        tables = _Instance(etfg, Objective.ENERGY, cap)
+        del etfg, model, exports, tables
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

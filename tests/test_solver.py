@@ -245,6 +245,18 @@ def test_forced_tree_dp_rejects_a_latency_cap():
     assert solve(etfg, "latency", cap, method="tree-dp").stats["solver"] == "tree-dp"
 
 
+def test_forced_tree_dp_rejects_a_time_limit():
+    # tree DP used to drop the limit and claim a proven optimum
+    tree = random_tree_instance(3)
+    limit = SolveConfig(time_limit=1e-9)
+    with pytest.raises(ValueError, match="time limit"):
+        solve(tree, "latency", None, limit, method="tree-dp")
+    # auto still takes the linear-time DP, which always finishes
+    auto = solve(tree, "latency", None, limit)
+    assert auto.status is SolveStatus.OPTIMAL
+    assert auto.stats["solver"] == "tree-dp"
+
+
 def test_time_limit_without_incumbent_has_no_gap():
     etfg = transform(serial_200_graph(), presets.system_model("C1", "run1"))
     result = solve_branch_and_bound(etfg, "energy", Fraction(8), SolveConfig(time_limit=0.05))
