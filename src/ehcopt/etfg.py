@@ -20,11 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
 from .model import (
     ROLE_INDEX,
+    ROLES,
     DeviceRole,
     SystemModel,
     TaskGraph,
@@ -65,6 +67,11 @@ def comp_energy(power, latency) -> Fraction:
     power, latency = Fraction(power), Fraction(latency)
     if power < 0 or latency < 0:
         raise ValueError("power and latency must be >= 0")
+    return _comp_energy(power, latency)
+
+
+def _comp_energy(power: Fraction, latency: Fraction) -> Fraction:
+    """:func:`comp_energy` of already checked rationals."""
     return power * latency
 
 
@@ -160,62 +167,49 @@ def transform(graph: TaskGraph, system: SystemModel) -> Etfg:
     Deterministic: candidate nodes are ordered e, h, c within each task
     and arcs follow the (source device, destination device) order, so
     downstream variable numbering and serialization are reproducible.
+    An arc's costs are its device pair's per-bit costs scaled by the
+    source task's output size, computed once per distinct size and pair.
     """
     require_valid(graph)
 
     nodes_by_task: dict[int, tuple[CandidateNode, ...]] = {}
     for task in graph.tasks:
-        group = []
-        for role in task.allowed:  # Task.allowed is canonically ordered
-            latency = task.latency[role]
-            power = task.power[role]
-            group.append(
-                CandidateNode(
-                    task=task.id,
-                    device=role,
-                    latency=latency,
-                    power=power,
-                    energy=comp_energy(power, latency),
-                )
-            )
-        nodes_by_task[task.id] = tuple(group)
+        latency, power = task.latency, task.power
+        nodes_by_task[task.id] = tuple(
+            CandidateNode(task.id, role, latency[role], power[role], _comp_energy(power[role], latency[role]))
+            for role in task.allowed  # Task.allowed is canonically ordered
+        )
 
-    # cache per-pair unit costs; arcs reuse them for every data size
-    unit_latency: dict[tuple[DeviceRole, DeviceRole], Fraction] = {}
-    unit_energy: dict[tuple[DeviceRole, DeviceRole], Fraction] = {}
-    routes: dict[tuple[DeviceRole, DeviceRole], tuple[int, DeviceRole | None]] = {}
-    for k in ROLE_INDEX:
-        for l in ROLE_INDEX:
-            routes[(k, l)] = indicator(k, l, system)
-            unit_latency[(k, l)] = comm_latency(1, k, l, system)
-            unit_energy[(k, l)] = comm_energy(1, k, l, system)
+    # per pair: (latency per bit, energy per bit, indirect, via); on-device pairs cost nothing
+    zero = Fraction(0)
+    on_device = {(k, k): (zero, zero, False, None) for k in ROLES}
+    per_bit = {}
+    for k, l in product(ROLES, ROLES):
+        if k != l:
+            relayed, via = indicator(k, l, system)
+            per_bit[(k, l)] = (comm_latency(1, k, l, system), comm_energy(1, k, l, system), bool(relayed), via)
 
+    task_map = graph.task_map
+    scaled: dict[tuple[int, int], dict] = {}  # per data size, keyed by (num, den): Fraction hashing is costly
     arcs_by_dep: dict[tuple[int, int], tuple[EtfgArc, ...]] = {}
-    cost_cache: dict[tuple, tuple[Fraction, Fraction]] = {}
-    for i, j in graph.arcs:
-        data = graph.task(i).output_data
+    for dep in graph.arcs:
+        i, j = dep
+        data = task_map[i].output_data
+        size = (data.numerator, data.denominator)
+        costs = scaled.get(size)
+        if costs is None:
+            costs = scaled[size] = dict(on_device)
         group = []
         for src in nodes_by_task[i]:
+            k = src.device
             for dst in nodes_by_task[j]:
-                pair = (src.device, dst.device)
-                relayed, via = routes[pair]
-                cached = cost_cache.get((data, pair))
-                if cached is None:
-                    cached = (data * unit_latency[pair], data * unit_energy[pair])
-                    cost_cache[(data, pair)] = cached
-                group.append(
-                    EtfgArc(
-                        i,
-                        src.device,
-                        j,
-                        dst.device,
-                        cached[0],
-                        cached[1],
-                        bool(relayed),
-                        via,
-                    )
-                )
-        arcs_by_dep[(i, j)] = tuple(group)
+                pair = (k, dst.device)
+                cost = costs.get(pair)
+                if cost is None:
+                    latency, energy, indirect, via = per_bit[pair]
+                    cost = costs[pair] = (data * latency, data * energy, indirect, via)
+                group.append(EtfgArc(i, k, j, pair[1], *cost))
+        arcs_by_dep[dep] = tuple(group)
 
     return Etfg(graph=graph, system=system, nodes_by_task=nodes_by_task, arcs_by_dep=arcs_by_dep)
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 from typing import Mapping
 
@@ -29,7 +28,7 @@ from .model import (
     TaskGraph,
     topological_order,
 )
-from .units import parse_quantity
+from .units import decimal_fraction, parse_quantity
 
 STRUCTURES = ("parallel", "serial", "mixed")
 
@@ -88,7 +87,7 @@ class GenSpec:
 
 def _fraction(value) -> Fraction:
     if isinstance(value, float):
-        return Fraction(Decimal(repr(value)))
+        return decimal_fraction(value)
     return Fraction(value)
 
 

@@ -33,12 +33,13 @@ class DeviceRole(str, Enum):
 
 ROLES: tuple[DeviceRole, ...] = (DeviceRole.EDGE, DeviceRole.HUB, DeviceRole.CLOUD)
 ROLE_INDEX = {role: i for i, role in enumerate(ROLES)}
+_ROLE_OF = {role.value: role for role in ROLES}
 
 
 def role_from(value) -> DeviceRole:
     try:
-        return DeviceRole(value)
-    except ValueError:
+        return _ROLE_OF[value]
+    except (KeyError, TypeError):  # TypeError: unhashable, e.g. a JSON array
         raise ValueError(f"unknown device role {value!r}; expected one of e, h, c") from None
 
 
@@ -67,8 +68,8 @@ class Task:
     power: Mapping[DeviceRole, Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
-        ordered = tuple(r for r in ROLES if r in set(self.allowed))
-        object.__setattr__(self, "allowed", ordered)
+        allowed = set(self.allowed)
+        object.__setattr__(self, "allowed", tuple([r for r in ROLES if r in allowed]))
 
     @property
     def fixed(self) -> bool:
@@ -77,6 +78,13 @@ class Task:
 
 @dataclass(frozen=True)
 class TaskGraph:
+    """Tasks and dependency arcs (i, j): task j consumes task i's output.
+
+    A graph is immutable after construction (its tasks' profile mappings
+    included), so the derived tables below and the validation report are
+    computed once, on first use, and kept.
+    """
+
     tasks: tuple[Task, ...]
     arcs: tuple[tuple[int, int], ...]
 
@@ -97,6 +105,10 @@ class TaskGraph:
             if i in out:
                 out[i].append(j)
         return {i: tuple(js) for i, js in out.items()}
+
+    @cached_property
+    def validation(self) -> "ValidationReport":
+        return _scan_task_graph(self)
 
     @cached_property
     def predecessors(self) -> dict[int, tuple[int, ...]]:
@@ -129,7 +141,14 @@ class ValidationReport:
 
 
 def validate_task_graph(graph: TaskGraph) -> ValidationReport:
-    """Collect every invariant violation instead of failing on the first."""
+    """Collect every invariant violation instead of failing on the first.
+
+    The graph is scanned once; later calls return the same report
+    (:attr:`TaskGraph.validation`)."""
+    return graph.validation
+
+
+def _scan_task_graph(graph: TaskGraph) -> ValidationReport:
     issues: list[str] = []
     ids = [t.id for t in graph.tasks]
     seen = set()
@@ -356,6 +375,22 @@ def _object(value, error: type[ValueError], where: str) -> dict:
     return value
 
 
+def _array(value, error: type[ValueError], where: str) -> list:
+    if not isinstance(value, list):  # what a JSON array decodes to
+        raise error(f"{where}: expected a JSON array, got {type(value).__name__}")
+    return value
+
+
+def _wrong_type(entry: dict, error: type[ValueError], where: str, exc: Exception) -> ValueError:
+    """The error for a task entry whose parsing raised a TypeError or
+    AttributeError: a field holds the wrong kind of JSON value."""
+    for key, kind, name in (("allowed", list, "array"), ("latency", dict, "object"), ("power", dict, "object")):
+        if key in entry and not isinstance(entry[key], kind):
+            got = type(entry[key]).__name__
+            return error(f"{where}: field {key!r}: expected a JSON {name}, got {got}")
+    return error(f"{where}: a field has the wrong JSON type ({exc})")
+
+
 def _required(entry: Mapping, key: str, error: type[ValueError], where: str):
     try:
         return entry[key]
@@ -373,25 +408,34 @@ def _check_schema(data, kind: str, error: type[ValueError]) -> None:
 def task_graph_from_dict(data: dict) -> TaskGraph:
     err = GraphValidationError
     _check_schema(data, "task graph", err)
+    entries = _required(data, "tasks", err, "task graph file")
     tasks = []
-    for n, entry in enumerate(_required(data, "tasks", err, "task graph file")):
+    # types are checked per document and entry, not per field: a field of
+    # the wrong JSON type surfaces as a TypeError/AttributeError of its entry
+    for n, entry in enumerate(_array(entries, err, "task graph file: tasks")):
         where = f"task graph file: tasks[{n}]"
         entry = _object(entry, err, where)
-        allowed = tuple(role_from(r) for r in _required(entry, "allowed", err, where))
-        latency = {role_from(r): parse_quantity(v, "time") for r, v in entry.get("latency", {}).items()}
-        power = {role_from(r): parse_quantity(v, "power") for r, v in entry.get("power", {}).items()}
-        tasks.append(
-            Task(
-                id=int(_required(entry, "id", err, where)),
-                memory=parse_quantity(_required(entry, "memory", err, where), "memory"),
-                storage=parse_quantity(_required(entry, "storage", err, where), "memory"),
-                output_data=parse_quantity(_required(entry, "output_data", err, where), "data"),
-                allowed=allowed,
-                latency=latency,
-                power=power,
+        try:
+            allowed = tuple([role_from(r) for r in _required(entry, "allowed", err, where)])
+            latency = {role_from(r): parse_quantity(v, "time") for r, v in entry.get("latency", {}).items()}
+            power = {role_from(r): parse_quantity(v, "power") for r, v in entry.get("power", {}).items()}
+            tasks.append(
+                Task(
+                    id=int(_required(entry, "id", err, where)),
+                    memory=parse_quantity(_required(entry, "memory", err, where), "memory"),
+                    storage=parse_quantity(_required(entry, "storage", err, where), "memory"),
+                    output_data=parse_quantity(_required(entry, "output_data", err, where), "data"),
+                    allowed=allowed,
+                    latency=latency,
+                    power=power,
+                )
             )
-        )
-    arcs = tuple((int(i), int(j)) for i, j in data.get("arcs", []))
+        except (TypeError, AttributeError) as exc:
+            raise _wrong_type(entry, err, where, exc) from None
+    try:
+        arcs = tuple([(int(i), int(j)) for i, j in data.get("arcs", [])])
+    except (TypeError, ValueError):
+        raise err("task graph file: arcs: expected a JSON array of [from, to] task id pairs") from None
     return TaskGraph(tasks=tuple(tasks), arcs=arcs)
 
 
@@ -433,7 +477,8 @@ def system_model_from_dict(data: dict) -> SystemModel:
             max_power=parse_quantity(_required(entry, "max_power", err, where), "power"),
         )
     channels = {}
-    for n, entry in enumerate(_required(data, "channels", err, "system model file")):
+    channel_entries = _required(data, "channels", err, "system model file")
+    for n, entry in enumerate(_array(channel_entries, err, "system model file: channels")):
         where = f"system model file: channels[{n}]"
         entry = _object(entry, err, where)
         channel = Channel(
@@ -445,7 +490,7 @@ def system_model_from_dict(data: dict) -> SystemModel:
         )
         channels[(channel.src, channel.dst)] = channel
     relay = {}
-    for key, via in data.get("relay", {}).items():
+    for key, via in _object(data.get("relay", {}), err, "system model file: relay").items():
         k_str, _, l_str = key.partition("->")
         relay[(role_from(k_str.strip()), role_from(l_str.strip()))] = role_from(via)
     return SystemModel(devices=devices, channels=channels, relay=relay)

@@ -111,14 +111,17 @@ def parse_quantity(value, dimension: str) -> Fraction:
     except KeyError:
         raise UnitError(f"unknown dimension {dimension!r}") from None
 
+    # the JSON cases first; isinstance(value, Fraction) is an ABC check
+    if type(value) is int:  # bool is an int subclass and is rejected below
+        return Fraction(value)
+    if isinstance(value, float):
+        return decimal_fraction(value)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise UnitError(f"expected a quantity, got {value!r}")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(Decimal(repr(value)))
     if not isinstance(value, str):
         raise UnitError(f"expected a number or string, got {type(value).__name__}")
 
@@ -127,7 +130,7 @@ def parse_quantity(value, dimension: str) -> Fraction:
         raise UnitError(f"cannot parse quantity {value!r}")
     number, suffix = match.groups()
     try:
-        magnitude = Fraction(Decimal(number))
+        magnitude = Fraction(*Decimal(number).as_integer_ratio())
     except InvalidOperation:
         raise UnitError(f"bad number in quantity {value!r}") from None
 
@@ -138,6 +141,15 @@ def parse_quantity(value, dimension: str) -> Fraction:
     if suffix == _BASE_UNIT[dimension]:
         return magnitude
     raise UnitError(f"unit {suffix!r} not valid for {dimension} in {value!r}")
+
+
+def decimal_fraction(value: float) -> Fraction:
+    """The rational that a float's shortest repr spells exactly: 0.1 gives
+    1/10, not the binary value of the double nearest to it."""
+    try:
+        return Fraction(*Decimal(repr(value)).as_integer_ratio())
+    except (ValueError, OverflowError):  # nan, inf
+        raise UnitError(f"expected a finite quantity, got {value!r}") from None
 
 
 def parse_optional(value, dimension: str) -> Fraction | None:

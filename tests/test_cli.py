@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from conftest import serial_200_graph, uav_forest_without_budgets
+import ehcopt.model
 from ehcopt import presets
 from ehcopt.cli import main
 from ehcopt.model import (
@@ -237,6 +238,17 @@ def _without(document: dict, *path):
     return document
 
 
+def _with(document: dict, value, *path):
+    """Deep copy of ``document`` with the field at ``path`` set to ``value``."""
+    document = json.loads(json.dumps(document))
+    *parents, key = path
+    entry = document
+    for step in parents:
+        entry = entry[step]
+    entry[key] = value
+    return document
+
+
 _APP = task_graph_to_dict(presets.example_inspection_tfg())
 _C1 = system_model_to_dict(presets.system_model("C1", "run1"))
 
@@ -249,11 +261,21 @@ _C1 = system_model_to_dict(presets.system_model("C1", "run1"))
         (_without(_APP, "tasks", 2, "memory"), None,
          "task graph file: tasks[2]: missing required field 'memory'"),
         (_APP, _without(_C1, "devices"), "system model file: missing required field 'devices'"),
+        (_with(_APP, [5], "arcs"), None,
+         "task graph file: arcs: expected a JSON array of [from, to] task id pairs"),
+        (_with(_APP, 5, "tasks"), None, "task graph file: tasks: expected a JSON array, got int"),
+        (_with(_APP, 3, "tasks", 1, "allowed"), None,
+         "task graph file: tasks[1]: field 'allowed': expected a JSON array, got int"),
+        (_with(_APP, ["e"], "tasks", 0, "latency"), None,
+         "task graph file: tasks[0]: field 'latency': expected a JSON object, got list"),
     ],
-    ids=["no-tasks", "top-level-list", "task-without-memory", "system-without-devices"],
+    ids=[
+        "no-tasks", "top-level-list", "task-without-memory", "system-without-devices",
+        "arc-not-a-pair", "tasks-not-an-array", "allowed-not-an-array", "latency-not-an-object",
+    ],
 )
 def test_malformed_input_file_exits_2(tfg, config, message, tmp_path, capsys):
-    # each used to end in a KeyError or AttributeError traceback and exit 1
+    # each used to end in a KeyError, TypeError or AttributeError traceback and exit 1
     tfg_path = tmp_path / "tfg.json"
     tfg_path.write_text(json.dumps(tfg))
     args = ["solve", str(tfg_path), "--out", str(tmp_path / "o")]
@@ -264,6 +286,15 @@ def test_malformed_input_file_exits_2(tfg, config, message, tmp_path, capsys):
     assert main(args) == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_solve_scans_the_graph_once(tmp_path, monkeypatch):
+    scans = []
+    scan = ehcopt.model._scan_task_graph
+    monkeypatch.setattr(ehcopt.model, "_scan_task_graph", lambda graph: scans.append(graph) or scan(graph))
+    app = Path(ehcopt.model.__file__).parent / "data" / "uav_inspection_15.json"
+    assert main(["solve", str(app), "--config", "C1", "--out", str(tmp_path / "o")]) == 0
+    assert len(scans) == 1
 
 
 def test_time_limit_without_incumbent(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -17,7 +18,8 @@ from ehcopt.etfg import (
     indicator,
     transform,
 )
-from ehcopt.model import GraphValidationError, TaskGraph
+from ehcopt.generator import STRUCTURES, GenSpec, default_param_spec, generate_tfg, synthesize_params
+from ehcopt.model import GraphValidationError, TaskGraph, validate_task_graph
 
 SYSTEM = unbudgeted_system("run1")
 
@@ -152,6 +154,10 @@ class TestTransform:
         g = TaskGraph(tasks=(simple_task(1), simple_task(2)), arcs=((1, 2), (2, 1)))
         with pytest.raises(GraphValidationError):
             transform(g, SYSTEM)
+        # the report is kept on the graph; the kept report still rejects it
+        assert not validate_task_graph(g).ok
+        with pytest.raises(GraphValidationError, match="cycle"):
+            transform(g, SYSTEM)
 
     def test_deterministic_and_canonically_ordered(self):
         g = two_task_chain()
@@ -175,6 +181,42 @@ def test_size_law(data):
     sizes = {t.id: len(t.allowed) for t in tasks}
     assert etfg.node_count == sum(sizes.values())
     assert etfg.arc_count == sum(sizes[i] * sizes[j] for i, j in arcs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(STRUCTURES),
+    st.integers(min_value=2, max_value=12),
+    st.integers(min_value=0, max_value=2**16),
+    st.sampled_from([(c, p) for c in ("C1", "C2", "C3") for p in ("run1", "run2")]),
+    st.lists(st.fractions(min_value=0, max_value=10**7, max_denominator=1000), min_size=1, max_size=3),
+    st.data(),
+)
+def test_expansion_matches_the_public_formulas(family, n, seed, config, sizes, data):
+    system = presets.system_model(*config)
+    graph = generate_tfg(GenSpec(family, n, 3, 3, seed=seed))
+    graph = synthesize_params(graph, default_param_spec(config[0]), system, seed)
+    # tasks 1 and 2 and any others drawn share output sizes, so costs made
+    # for one task's size are reused by another's arcs
+    picks = [0, 0] + data.draw(st.lists(st.integers(-1, len(sizes) - 1), min_size=n - 2, max_size=n - 2))
+    tasks = tuple(
+        dataclasses.replace(task, output_data=sizes[pick]) if pick >= 0 else task
+        for task, pick in zip(graph.tasks, picks)
+    )
+    graph = TaskGraph(tasks=tasks, arcs=graph.arcs)
+    etfg = transform(graph, system)
+
+    for node in etfg.iter_nodes():
+        task = graph.task(node.task)
+        assert node.energy == comp_energy(task.power[node.device], task.latency[node.device])
+    for arc in etfg.iter_arcs():
+        bits, k, l = graph.task(arc.src_task).output_data, arc.src_device, arc.dst_device
+        relayed, via = indicator(k, l, system)
+        assert arc.latency == comm_latency(bits, k, l, system)
+        assert arc.energy == comm_energy(bits, k, l, system)
+        assert (arc.indirect, arc.via) == (bool(relayed), via)
+    # every task may run anywhere, so edge->cloud arcs are relayed through the hub
+    assert any(arc.indirect for arc in etfg.iter_arcs()) == bool(graph.arcs)
 
 
 @given(st.integers(min_value=0, max_value=10**9))

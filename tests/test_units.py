@@ -1,9 +1,11 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ehcopt.model import role_from
 from ehcopt.units import UnitError, fmt12, parse_optional, parse_quantity, si_number
 
 
@@ -50,6 +52,22 @@ def test_rejects_wrong_units():
         parse_quantity("1s", "nonsense")
     with pytest.raises(UnitError):
         parse_quantity(True, "time")
+
+
+@given(st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers()))
+def test_numbers_convert_as_the_decimal_repr(value):
+    expected = Fraction(Decimal(repr(value))) if isinstance(value, float) else Fraction(value)
+    got = parse_quantity(value, "data")
+    assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
+
+
+def test_rejects_booleans_non_finite_numbers_and_unknown_roles():
+    for value in (True, False, float("nan"), float("inf")):
+        with pytest.raises(UnitError):
+            parse_quantity(value, "time")
+    for role in ("x", "E", ["e"], None):
+        with pytest.raises(ValueError, match=r"^unknown device role .*; expected one of e, h, c$"):
+            role_from(role)
 
 
 def test_optional_budgets():
