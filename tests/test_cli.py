@@ -268,10 +268,13 @@ _C1 = system_model_to_dict(presets.system_model("C1", "run1"))
          "task graph file: tasks[1]: field 'allowed': expected a JSON array, got int"),
         (_with(_APP, ["e"], "tasks", 0, "latency"), None,
          "task graph file: tasks[0]: field 'latency': expected a JSON object, got list"),
+        (_APP, _with(_C1, 5, "channels"), "system model file: channels: expected a JSON array, got int"),
+        (_APP, _with(_C1, ["h"], "relay"), "system model file: relay: expected a JSON object, got list"),
     ],
     ids=[
         "no-tasks", "top-level-list", "task-without-memory", "system-without-devices",
         "arc-not-a-pair", "tasks-not-an-array", "allowed-not-an-array", "latency-not-an-object",
+        "channels-not-an-array", "relay-not-an-object",
     ],
 )
 def test_malformed_input_file_exits_2(tfg, config, message, tmp_path, capsys):
