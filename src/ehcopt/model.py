@@ -391,6 +391,10 @@ def _wrong_type(entry: dict, error: type[ValueError], where: str, exc: Exception
     return error(f"{where}: a field has the wrong JSON type ({exc})")
 
 
+def _not_a_task_id(value, error: type[ValueError], where: str) -> ValueError:
+    return error(f"{where}: expected a JSON integer task id, got {type(value).__name__}")
+
+
 def _required(entry: Mapping, key: str, error: type[ValueError], where: str):
     try:
         return entry[key]
@@ -419,9 +423,12 @@ def task_graph_from_dict(data: dict) -> TaskGraph:
             allowed = tuple([role_from(r) for r in _required(entry, "allowed", err, where)])
             latency = {role_from(r): parse_quantity(v, "time") for r, v in entry.get("latency", {}).items()}
             power = {role_from(r): parse_quantity(v, "power") for r, v in entry.get("power", {}).items()}
+            task_id = _required(entry, "id", err, where)
+            if type(task_id) is not int:  # JSON integers only: not floats, booleans or strings
+                raise _not_a_task_id(task_id, err, f"{where}: field 'id'")
             tasks.append(
                 Task(
-                    id=int(_required(entry, "id", err, where)),
+                    id=task_id,
                     memory=parse_quantity(_required(entry, "memory", err, where), "memory"),
                     storage=parse_quantity(_required(entry, "storage", err, where), "memory"),
                     output_data=parse_quantity(_required(entry, "output_data", err, where), "data"),
@@ -433,9 +440,13 @@ def task_graph_from_dict(data: dict) -> TaskGraph:
         except (TypeError, AttributeError) as exc:
             raise _wrong_type(entry, err, where, exc) from None
     try:
-        arcs = tuple([(int(i), int(j)) for i, j in data.get("arcs", [])])
+        arcs = tuple([(i, j) for i, j in data.get("arcs", [])])
     except (TypeError, ValueError):
         raise err("task graph file: arcs: expected a JSON array of [from, to] task id pairs") from None
+    for n, arc in enumerate(arcs):
+        for end in arc:
+            if type(end) is not int:
+                raise _not_a_task_id(end, err, f"task graph file: arcs[{n}]")
     return TaskGraph(tasks=tuple(tasks), arcs=arcs)
 
 

@@ -13,11 +13,17 @@ Three routes to a provably optimal assignment:
   (assigned cost + per-task minima + per-arc minima consistent with the
   partial assignment) plus budget and latency-threshold pruning.
 
+The two fast solvers read one integer kernel, :class:`_Kernel`: the
+expanded graph's node and arc costs, demands, budgets and latency cap,
+rescaled exactly to integers once per (graph, objective, cap).  Branch
+and bound derives its bounds from it.  The oracle does not read it, so
+that a fault in the kernel shows up as a disagreement with the oracle.
+
 All arithmetic runs on integers after exact rescaling of the rational
 inputs, so equal objective values compare equal regardless of the path
 that produced them, and tie-breaking is reproducible: among equally good
-assignments the one that is lexicographically smallest by (task id,
-device order e < h < c) wins.
+assignments branch and bound and the oracle return the one that is
+lexicographically smallest by (task id, device order e < h < c).
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from fractions import Fraction
 
 from .etfg import Etfg, arc_shares
 from .milp import Objective, ObjectiveBreakdown, evaluate
-from .model import ROLES, DeviceRole, topological_order
+from .model import ROLE_INDEX, ROLES, DeviceRole, topological_order
 from .units import si_number, without_cyclic_gc
 
 BRUTE_FORCE_LIMIT = 10**7
@@ -97,18 +103,13 @@ def _as_int(value: Fraction, den: int) -> int:
     return value.numerator * (den // value.denominator)  # exact: den is a multiple of it
 
 
-def _finish(etfg, objective, assignment_roles, value, latency_threshold, stats, status, gap=None):
-    threshold = latency_threshold if Objective(objective) is Objective.ENERGY else None
-    breakdown = evaluate(etfg, assignment_roles, threshold)
-    return Allocation(
-        status=status,
-        objective_kind=Objective(objective),
-        assignment=assignment_roles,
-        objective_value=value,
-        breakdown=breakdown,
-        gap=gap,
-        stats=stats,
-    )
+def _finish(etfg, objective, assignment, value, latency_threshold, stats, status, gap=None):
+    """Every solver's result; without an assignment there is no value or breakdown."""
+    breakdown = None
+    if assignment is not None:
+        threshold = latency_threshold if objective is Objective.ENERGY else None
+        breakdown = evaluate(etfg, assignment, threshold)
+    return Allocation(status, objective, assignment, value, breakdown, gap, stats)
 
 
 # --- exhaustive oracle ----------------------------------------------------
@@ -364,17 +365,89 @@ def solve_bruteforce(
 
     stats = {"assignments_enumerated": leaves, "solver": "bruteforce"}
     if best_value is None:
-        return Allocation(
-            status=SolveStatus.INFEASIBLE,
-            objective_kind=objective,
-            assignment=None,
-            objective_value=None,
-            breakdown=None,
-            stats=stats,
-        )
+        return _finish(etfg, objective, None, None, latency_threshold, stats, SolveStatus.INFEASIBLE)
     assignment = {tasks[p].id: cand_roles[p][c] for p, c in enumerate(best_choice)}
     value = Fraction(best_value, obj_den)
     return _finish(etfg, objective, assignment, value, latency_threshold, stats, SolveStatus.OPTIMAL)
+
+
+# --- the integer kernel -----------------------------------------------------
+
+
+class _Kernel:
+    """The instance's costs as integers, in topological task order.
+
+    Per task ``p``: ``role_of[p]`` lists its candidates' indices into
+    ROLES in ``Task.allowed`` order, which the candidate index ``ci``
+    follows everywhere; ``node_obj``/``node_lat``/``node_enr`` hold their
+    costs and ``mem``/``sto`` the task's demand.  Per dependency, in
+    ``graph.arcs`` order, ``arcs`` holds ``(src, dst, obj, lat, parts)``:
+    flat lists indexed ``src_ci * width + dst_ci``, where ``width`` is the
+    number of candidates of ``dst`` (the order of ``Etfg.arcs_by_dep``),
+    ``parts`` holding each arc's (role index, energy) shares.  Latency,
+    energy, memory and storage each have one fixed denominator, shared by
+    their budgets and the latency cap; the objective is latency or energy
+    on that quantity's denominator, ``obj_den``.
+    """
+
+    @without_cyclic_gc
+    def __init__(self, etfg: Etfg, objective: Objective, latency_threshold: Fraction | None):
+        graph = etfg.graph
+        order = topological_order(graph)
+        pos_of = {tid: p for p, tid in enumerate(order)}
+        self.tasks = tasks = [graph.task(tid) for tid in order]
+        self.n = len(order)
+        nodes = [etfg.nodes_by_task[tid] for tid in order]  # candidates in Task.allowed order
+        self.role_of = [[ROLE_INDEX[node.device] for node in row] for row in nodes]
+        groups = etfg.arcs_by_dep
+        shares_by_dep = arc_shares(etfg)
+        distinct = {id(shares): shares for row in shares_by_dep.values() for shares in row}
+        budgets = [etfg.system.device(r) for r in ROLES]
+        cap = latency_threshold if objective is Objective.ENERGY else None
+
+        lat_den = _common_denominator(
+            [node.latency for row in nodes for node in row]
+            + [arc.latency for group in groups.values() for arc in group]
+            + ([] if cap is None else [cap])
+        )
+        enr_den = _common_denominator(
+            [node.energy for row in nodes for node in row]
+            + [amount for shares in distinct.values() for _, amount in shares]
+            + [d.energy_budget for d in budgets if d.energy_budget is not None]
+        )
+        mem_den = _common_denominator(
+            [t.memory for t in tasks] + [d.memory_budget for d in budgets if d.memory_budget is not None]
+        )
+        sto_den = _common_denominator(
+            [t.storage for t in tasks] + [d.storage_budget for d in budgets if d.storage_budget is not None]
+        )
+
+        self.node_lat = [[_as_int(node.latency, lat_den) for node in row] for row in nodes]
+        self.node_enr = [[_as_int(node.energy, enr_den) for node in row] for row in nodes]
+        self.mem = [_as_int(t.memory, mem_den) for t in tasks]
+        self.sto = [_as_int(t.storage, sto_den) for t in tasks]
+        self.mem_bgt = [None if d.memory_budget is None else _as_int(d.memory_budget, mem_den) for d in budgets]
+        self.sto_bgt = [None if d.storage_budget is None else _as_int(d.storage_budget, sto_den) for d in budgets]
+        self.enr_bgt = [None if d.energy_budget is None else _as_int(d.energy_budget, enr_den) for d in budgets]
+        self.lat_thr = None if cap is None else _as_int(cap, lat_den)
+
+        latency = objective is Objective.LATENCY
+        parts_of = {  # each shared tuple converted once
+            key: tuple([(ROLE_INDEX[r], _as_int(amount, enr_den)) for r, amount in shares])
+            for key, shares in distinct.items()
+        }
+        self.arcs = []
+        for dep, group in groups.items():
+            lat = [_as_int(arc.latency, lat_den) for arc in group]
+            obj = lat if latency else [_as_int(arc.energy, enr_den) for arc in group]
+            parts = [parts_of[id(shares)] for shares in shares_by_dep[dep]]
+            self.arcs.append((pos_of[dep[0]], pos_of[dep[1]], obj, lat, parts))
+        self.node_obj = self.node_lat if latency else self.node_enr
+        self.obj_den = lat_den if latency else enr_den
+
+    def assignment(self, choice) -> dict[int, DeviceRole]:
+        """The task -> device map of one candidate index per position."""
+        return {self.tasks[p].id: ROLES[self.role_of[p][ci]] for p, ci in enumerate(choice)}
 
 
 # --- tree-structured fast path ---------------------------------------------
@@ -385,222 +458,60 @@ def solve_tree_dp(etfg: Etfg, objective: Objective | str = Objective.LATENCY) ->
 
     Requires every device budget to be unbounded (node and arc costs then
     decompose over the tree).  Raises ValueError otherwise or when the
-    undirected skeleton contains a cycle.
+    undirected skeleton contains a cycle.  Each tree is rooted at its
+    smallest task id and walked breadth-first, neighbours by task id;
+    among equal costs the device earliest in e < h < c wins.
     """
     objective = Objective(objective)
     obstacle = _tree_dp_obstacle(etfg)
     if obstacle is not None:
         raise ValueError(obstacle)
-    graph = etfg.graph
-    tasks = graph.tasks
-    n = len(tasks)
-    pos_of = {t.id: p for p, t in enumerate(tasks)}
+    kernel = _Kernel(etfg, objective, None)
+    n = kernel.n
+    task_id = [t.id for t in kernel.tasks]
 
-    neighbors: list[list[int]] = [[] for _ in range(n)]
-    arc_cost: dict[tuple[int, int], dict] = {}
-    for (i, j) in graph.arcs:
-        a, b = pos_of[i], pos_of[j]
-        neighbors[a].append(b)
-        neighbors[b].append(a)
-        group = etfg.arcs_by_dep[(i, j)]
-        arc_cost[(a, b)] = {
-            (arc.src_device, arc.dst_device): (
-                arc.latency if objective is Objective.LATENCY else arc.energy
-            )
-            for arc in group
-        }
+    # per task: (neighbour, arc costs, own stride, neighbour's stride)
+    links: list[list[tuple]] = [[] for _ in range(n)]
+    for src, dst, obj, _lat, _parts in kernel.arcs:
+        width = len(kernel.role_of[dst])
+        links[src].append((dst, obj, width, 1))
+        links[dst].append((src, obj, 1, width))
+    for row in links:
+        row.sort(key=lambda link: task_id[link[0]])
 
-    node_cost = [
-        {
-            node.device: node.latency if objective is Objective.LATENCY else node.energy
-            for node in etfg.nodes_by_task[t.id]
-        }
-        for t in tasks
-    ]
-
-    def edge_cost(u: int, v: int, ru: DeviceRole, rv: DeviceRole) -> Fraction:
-        if (u, v) in arc_cost:
-            return arc_cost[(u, v)][(ru, rv)]
-        return arc_cost[(v, u)][(rv, ru)]
-
+    cost = [list(row) for row in kernel.node_obj]
+    chosen = [0] * n
     visited = [False] * n
-    cost: list[dict[DeviceRole, Fraction]] = [dict(node_cost[p]) for p in range(n)]
-    chosen: dict[int, DeviceRole] = {}
-    total = Fraction(0)
-
-    for root in range(n):
+    total = 0
+    for root in sorted(range(n), key=task_id.__getitem__):
         if visited[root]:
             continue
-        # BFS layering rooted at the smallest unvisited task id
-        bfs = [root]
         visited[root] = True
-        parent = {root: None}
-        for u in bfs:
-            for v in sorted(neighbors[u]):
-                if not visited[v]:
-                    visited[v] = True
-                    parent[v] = u
-                    bfs.append(v)
+        bfs = [(root, None)]  # (task, (parent, link from the parent))
+        for u, _ in bfs:
+            for link in links[u]:
+                if not visited[link[0]]:
+                    visited[link[0]] = True
+                    bfs.append((link[0], (u, link)))
         # leaves upward: fold each child's best response into its parent
-        for v in reversed(bfs[1:]):
-            u = parent[v]
-            for ru in cost[u]:
-                cost[u][ru] += min(cost[v][rv] + edge_cost(u, v, ru, rv) for rv in cost[v])
-        best_root = min(cost[root], key=lambda r: (cost[root][r], ROLES.index(r)))
-        total += cost[root][best_root]
-        chosen[tasks[root].id] = best_root
+        for v, (u, (_, obj, us, vs)) in reversed(bfs[1:]):
+            child, below = cost[v], range(len(cost[v]))
+            for cu in range(len(cost[u])):
+                cost[u][cu] += min(child[cv] + obj[cu * us + cv * vs] for cv in below)
+        # min keeps the first minimum: the device earliest in e < h < c
+        chosen[root] = min(range(len(cost[root])), key=cost[root].__getitem__)
+        total += cost[root][chosen[root]]
         # downward pass fixes each child given its parent's device
-        for v in bfs[1:]:
-            u = parent[v]
-            ru = chosen[tasks[u].id]
-            best = min(
-                cost[v],
-                key=lambda rv: (cost[v][rv] + edge_cost(u, v, ru, rv), ROLES.index(rv)),
-            )
-            chosen[tasks[v].id] = best
+        for v, (u, (_, obj, us, vs)) in bfs[1:]:
+            base = chosen[u] * us
+            chosen[v] = min(range(len(cost[v])), key=lambda cv: cost[v][cv] + obj[base + cv * vs])
 
     stats = {"solver": "tree-dp"}
-    return _finish(etfg, objective, chosen, total, None, stats, SolveStatus.OPTIMAL)
+    value = Fraction(total, kernel.obj_den)
+    return _finish(etfg, objective, kernel.assignment(chosen), value, None, stats, SolveStatus.OPTIMAL)
 
 
 # --- branch and bound -------------------------------------------------------
-
-
-class _Instance:
-    """Integer-rescaled search tables in topological task order."""
-
-    @without_cyclic_gc
-    def __init__(self, etfg: Etfg, objective: Objective, latency_threshold: Fraction | None):
-        graph, system = etfg.graph, etfg.system
-        self.etfg = etfg
-        self.objective = objective
-        order = topological_order(graph)
-        self.order = order
-        self.n = len(order)
-        pos_of = {tid: p for p, tid in enumerate(order)}
-        tasks = [graph.task(tid) for tid in order]
-        self.tasks = tasks
-        role_idx = {r: i for i, r in enumerate(ROLES)}
-
-        self.use_threshold = objective is Objective.ENERGY and latency_threshold is not None
-
-        cand = [t.allowed for t in tasks]
-        self.cand = cand
-        nodes = [etfg.nodes_by_task[tid] for tid in order]  # candidates in t.allowed order
-        node_obj_f = [
-            [n.latency if objective is Objective.LATENCY else n.energy for n in row]
-            for row in nodes
-        ]
-        node_lat_f = [[n.latency for n in row] for row in nodes]
-        node_enr_f = [[n.energy for n in row] for row in nodes]
-
-        # per-device transfer-energy shares, one shared tuple per (data size, device pair)
-        shares_by_dep = arc_shares(etfg)
-        arcs = []
-        for (i, j) in graph.arcs:
-            sp, dp = pos_of[i], pos_of[j]
-            obj_tb: dict[tuple[int, int], Fraction] = {}
-            lat_tb: dict[tuple[int, int], Fraction] = {}
-            parts_tb: dict[tuple[int, int], tuple] = {}
-            src_allowed, dst_allowed = cand[sp], cand[dp]
-            src_index = {r: ci for ci, r in enumerate(src_allowed)}
-            dst_index = {r: ci for ci, r in enumerate(dst_allowed)}
-            for arc, shares in zip(etfg.arcs_by_dep[(i, j)], shares_by_dep[(i, j)]):
-                key = (src_index[arc.src_device], dst_index[arc.dst_device])
-                obj_tb[key] = arc.latency if objective is Objective.LATENCY else arc.energy
-                lat_tb[key] = arc.latency
-                parts_tb[key] = shares
-            arcs.append((sp, dp, obj_tb, lat_tb, parts_tb))
-
-        budgets = [system.device(r) for r in ROLES]
-        obj_values = [c for row in node_obj_f for c in row]
-        lat_values = [c for row in node_lat_f for c in row]
-        enr_values = [c for row in node_enr_f for c in row]
-        for _, _, obj_tb, lat_tb, _ in arcs:
-            obj_values.extend(obj_tb.values())
-            lat_values.extend(lat_tb.values())
-        distinct = {id(shares): shares for row in shares_by_dep.values() for shares in row}
-        for shares in distinct.values():
-            enr_values.extend(amount for _, amount in shares)
-        obj_den = _common_denominator(obj_values)
-        lat_den = _common_denominator(
-            lat_values + ([latency_threshold] if self.use_threshold else [])
-        )
-        enr_den = _common_denominator(
-            enr_values + [d.energy_budget for d in budgets if d.energy_budget is not None]
-        )
-        mem_den = _common_denominator(
-            [t.memory for t in tasks]
-            + [d.memory_budget for d in budgets if d.memory_budget is not None]
-        )
-        sto_den = _common_denominator(
-            [t.storage for t in tasks]
-            + [d.storage_budget for d in budgets if d.storage_budget is not None]
-        )
-        self.obj_den = obj_den
-
-        self.node_obj = [[_as_int(c, obj_den) for c in row] for row in node_obj_f]
-        self.node_lat = [[_as_int(c, lat_den) for c in row] for row in node_lat_f]
-        self.node_enr = [[_as_int(c, enr_den) for c in row] for row in node_enr_f]
-        self.mem = [_as_int(t.memory, mem_den) for t in tasks]
-        self.sto = [_as_int(t.storage, sto_den) for t in tasks]
-        self.mem_bgt = [
-            None if d.memory_budget is None else _as_int(d.memory_budget, mem_den) for d in budgets
-        ]
-        self.sto_bgt = [
-            None if d.storage_budget is None else _as_int(d.storage_budget, sto_den)
-            for d in budgets
-        ]
-        self.enr_bgt = [
-            None if d.energy_budget is None else _as_int(d.energy_budget, enr_den) for d in budgets
-        ]
-        self.lat_thr = _as_int(latency_threshold, lat_den) if self.use_threshold else None
-        self.role_of = [[role_idx[r] for r in row] for row in cand]
-
-        self.arcs = []
-        self.in_arcs: list[list[int]] = [[] for _ in range(self.n)]
-        self.out_arcs: list[list[int]] = [[] for _ in range(self.n)]
-        parts_int: dict[int, tuple] = {}  # each shared tuple converted once, keyed by id()
-        for aidx, (sp, dp, obj_tb, lat_tb, parts_tb) in enumerate(arcs):
-            obj_i = {k: _as_int(v, obj_den) for k, v in obj_tb.items()}
-            lat_i = {k: _as_int(v, lat_den) for k, v in lat_tb.items()}
-            parts_i = {}
-            for k, parts in parts_tb.items():
-                if id(parts) not in parts_int:
-                    parts_int[id(parts)] = tuple((role_idx[r], _as_int(a, enr_den)) for r, a in parts)
-                parts_i[k] = parts_int[id(parts)]
-            min_pair = min(obj_i.values())
-            n_src = len(cand[sp])
-            min_src = [
-                min(v for (ks, _), v in obj_i.items() if ks == ci) for ci in range(n_src)
-            ]
-            lat_min_pair = min(lat_i.values())
-            lat_min_src = [
-                min(v for (ks, _), v in lat_i.items() if ks == ci) for ci in range(n_src)
-            ]
-            self.arcs.append(
-                {
-                    "src": sp,
-                    "dst": dp,
-                    "obj": obj_i,
-                    "lat": lat_i,
-                    "parts": parts_i,
-                    "min_pair": min_pair,
-                    "min_src": min_src,
-                    "lat_min_pair": lat_min_pair,
-                    "lat_min_src": lat_min_src,
-                }
-            )
-            self.in_arcs[dp].append(aidx)
-            self.out_arcs[sp].append(aidx)
-
-        self.min_node = [min(row) for row in self.node_obj]
-        self.lat_min_node = [min(row) for row in self.node_lat]
-        # branch devices cheapest-first; ties by canonical device order
-        self.branch = [
-            tuple(sorted(range(len(cand[p])), key=lambda ci: (self.node_obj[p][ci], self.role_of[p][ci])))
-            for p in range(self.n)
-        ]
 
 
 def solve_branch_and_bound(
@@ -614,26 +525,50 @@ def solve_branch_and_bound(
     Proves optimality when the search completes; under a time limit it
     returns the incumbent with a relative gap computed against the best
     open lower bound, or no assignment and a gap of None when no incumbent
-    was found.  Deterministic for fixed inputs and configuration.
+    was found.  The time limit counts from the start of the table build.
+    Deterministic for fixed inputs and configuration.
     """
     objective = Objective(objective)
     config = config or SolveConfig()
-    inst = _Instance(etfg, objective, latency_threshold)
-    n = inst.n
     started = time.monotonic()
     deadline = None if config.time_limit is None else started + config.time_limit
-
+    kernel = _Kernel(etfg, objective, latency_threshold)
+    n = kernel.n
     if n == 0:
         raise ValueError("empty task graph")
+    role_of, node_obj, node_lat, node_enr = kernel.role_of, kernel.node_obj, kernel.node_lat, kernel.node_enr
+    mem, sto = kernel.mem, kernel.sto
+    mem_bgt, sto_bgt, enr_bgt, lat_thr = kernel.mem_bgt, kernel.sto_bgt, kernel.enr_bgt, kernel.lat_thr
+    use_threshold = lat_thr is not None
+
+    # additive bounds: per-task minima, and per-arc minima over all pairs
+    # or, once the source is placed, over its row
+    min_node = [min(row) for row in node_obj]
+    lat_min_node = [min(row) for row in node_lat]
+    in_arcs: list[list[tuple]] = [[] for _ in range(n)]
+    out_arcs: list[list[tuple]] = [[] for _ in range(n)]
+    rem_arc = lat_rem_arc = 0
+    for src, dst, obj, lat, parts in kernel.arcs:
+        width = len(role_of[dst])
+        min_src = [min(obj[s : s + width]) for s in range(0, len(obj), width)]
+        lat_min_src = [min(lat[s : s + width]) for s in range(0, len(lat), width)]
+        min_pair, lat_min_pair = min(min_src), min(lat_min_src)
+        rem_arc += min_pair
+        lat_rem_arc += lat_min_pair
+        in_arcs[dst].append((src, width, obj, lat, parts, min_src, lat_min_src))
+        out_arcs[src].append((min_src, min_pair, lat_min_src, lat_min_pair))
+    # branch devices cheapest-first; ties by canonical device order
+    branch = [
+        tuple(sorted(range(len(role_of[p])), key=lambda ci: (node_obj[p][ci], role_of[p][ci])))
+        for p in range(n)
+    ]
 
     # mutable search state
     choice = [-1] * n
     acc = 0
-    rem_node = sum(inst.min_node)
-    rem_arc = sum(a["min_pair"] for a in inst.arcs)
+    rem_node = sum(min_node)
     lat_acc = 0
-    lat_rem_node = sum(inst.lat_min_node) if inst.use_threshold else 0
-    lat_rem_arc = sum(a["lat_min_pair"] for a in inst.arcs) if inst.use_threshold else 0
+    lat_rem_node = sum(lat_min_node)
     mem_use = [0, 0, 0]
     sto_use = [0, 0, 0]
     enr_use = [0, 0, 0]
@@ -641,11 +576,11 @@ def solve_branch_and_bound(
     forced_sto = [0, 0, 0]
     forced_enr = [0, 0, 0]
     for p in range(n):
-        if len(inst.cand[p]) == 1:
-            r = inst.role_of[p][0]
-            forced_mem[r] += inst.mem[p]
-            forced_sto[r] += inst.sto[p]
-            forced_enr[r] += inst.node_enr[p][0]
+        if len(role_of[p]) == 1:
+            r = role_of[p][0]
+            forced_mem[r] += mem[p]
+            forced_sto[r] += sto[p]
+            forced_enr[r] += node_enr[p][0]
 
     best_value = None
     best_choice = None
@@ -655,39 +590,36 @@ def solve_branch_and_bound(
     pruned_threshold = 0
     hit_time_limit = False
 
-    arcs = inst.arcs
-
     def apply(p: int, ci: int):
         nonlocal acc, rem_node, rem_arc, lat_acc, lat_rem_node, lat_rem_arc
-        r = inst.role_of[p][ci]
-        d_acc = inst.node_obj[p][ci]
-        d_rem_node = inst.min_node[p]
+        r = role_of[p][ci]
+        d_acc = node_obj[p][ci]
+        d_rem_node = min_node[p]
         d_rem_arc = 0
-        d_lat_acc = inst.node_lat[p][ci] if inst.use_threshold else 0
-        d_lat_rem_node = inst.lat_min_node[p] if inst.use_threshold else 0
+        d_lat_acc = node_lat[p][ci] if use_threshold else 0
+        d_lat_rem_node = lat_min_node[p] if use_threshold else 0
         d_lat_rem_arc = 0
-        usage = [(r, inst.mem[p], inst.sto[p], inst.node_enr[p][ci])]
-        for aidx in inst.in_arcs[p]:
-            a = arcs[aidx]
-            key = (choice[a["src"]], ci)
-            d_acc += a["obj"][key]
-            d_rem_arc += a["min_src"][key[0]]
-            if inst.use_threshold:
-                d_lat_acc += a["lat"][key]
-                d_lat_rem_arc += a["lat_min_src"][key[0]]
-            for pr, amount in a["parts"][key]:
+        usage = [(r, mem[p], sto[p], node_enr[p][ci])]
+        for src, width, obj, lat, parts, min_src, lat_min_src in in_arcs[p]:
+            s = choice[src]
+            idx = s * width + ci
+            d_acc += obj[idx]
+            d_rem_arc += min_src[s]
+            if use_threshold:
+                d_lat_acc += lat[idx]
+                d_lat_rem_arc += lat_min_src[s]
+            for pr, amount in parts[idx]:
                 usage.append((pr, 0, 0, amount))
-        for aidx in inst.out_arcs[p]:
-            a = arcs[aidx]
-            d_rem_arc -= a["min_src"][ci] - a["min_pair"]
-            if inst.use_threshold:
-                d_lat_rem_arc -= a["lat_min_src"][ci] - a["lat_min_pair"]
+        for min_src, min_pair, lat_min_src, lat_min_pair in out_arcs[p]:
+            d_rem_arc -= min_src[ci] - min_pair
+            if use_threshold:
+                d_lat_rem_arc -= lat_min_src[ci] - lat_min_pair
         forced = None
-        if len(inst.cand[p]) == 1:
-            forced = (r, inst.mem[p], inst.sto[p], inst.node_enr[p][0])
-            forced_mem[r] -= inst.mem[p]
-            forced_sto[r] -= inst.sto[p]
-            forced_enr[r] -= inst.node_enr[p][0]
+        if len(role_of[p]) == 1:
+            forced = (r, mem[p], sto[p], node_enr[p][0])
+            forced_mem[r] -= mem[p]
+            forced_sto[r] -= sto[p]
+            forced_enr[r] -= node_enr[p][0]
         acc += d_acc
         rem_node -= d_rem_node
         rem_arc -= d_rem_arc
@@ -723,21 +655,22 @@ def solve_branch_and_bound(
 
     def violates_budget() -> bool:
         for r in range(3):
-            if inst.mem_bgt[r] is not None and mem_use[r] + forced_mem[r] > inst.mem_bgt[r]:
+            if mem_bgt[r] is not None and mem_use[r] + forced_mem[r] > mem_bgt[r]:
                 return True
-            if inst.sto_bgt[r] is not None and sto_use[r] + forced_sto[r] > inst.sto_bgt[r]:
+            if sto_bgt[r] is not None and sto_use[r] + forced_sto[r] > sto_bgt[r]:
                 return True
-            if inst.enr_bgt[r] is not None and enr_use[r] + forced_enr[r] > inst.enr_bgt[r]:
+            if enr_bgt[r] is not None and enr_use[r] + forced_enr[r] > enr_bgt[r]:
                 return True
         return False
 
-    by_id = sorted(range(n), key=lambda p: inst.tasks[p].id)
+    by_id = sorted(range(n), key=lambda p: kernel.tasks[p].id)
 
     def id_ordered(choice_vec) -> tuple[int, ...]:
-        return tuple(inst.role_of[p][choice_vec[p]] for p in by_id)
+        return tuple(role_of[p][choice_vec[p]] for p in by_id)
 
+    search_started = time.monotonic()
     # frames: [pos, device list, next index, undo record or None, entry bound]
-    frames: list[list] = [[0, inst.branch[0], 0, None, acc + rem_node + rem_arc]]
+    frames: list[list] = [[0, branch[0], 0, None, acc + rem_node + rem_arc]]
     while frames:
         nodes += 1
         if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
@@ -758,7 +691,7 @@ def solve_branch_and_bound(
             pruned_budget += 1
             undo(p, rec)
             continue
-        if inst.use_threshold and lat_acc + lat_rem_node + lat_rem_arc > inst.lat_thr:
+        if use_threshold and lat_acc + lat_rem_node + lat_rem_arc > lat_thr:
             pruned_threshold += 1
             undo(p, rec)
             continue
@@ -779,67 +712,35 @@ def solve_branch_and_bound(
             undo(p, rec)
             continue
         f[3] = rec
-        frames.append([p + 1, inst.branch[p + 1], 0, None, acc + rem_node + rem_arc])
+        frames.append([p + 1, branch[p + 1], 0, None, acc + rem_node + rem_arc])
 
-    wall = time.monotonic() - started
+    ended = time.monotonic()
     stats = {
         "solver": "branch-and-bound",
         "nodes_explored": nodes,
         "pruned_by_bound": pruned_bound,
         "pruned_by_budget": pruned_budget,
         "pruned_by_threshold": pruned_threshold,
-        "wall_time_s": wall,
+        "tables_s": search_started - started,
+        "wall_time_s": ended - search_started,  # the search alone
         "time_limit_hit": hit_time_limit,
     }
 
+    gap = None
     if not hit_time_limit:
-        if best_value is None:
-            return Allocation(
-                status=SolveStatus.INFEASIBLE,
-                objective_kind=objective,
-                assignment=None,
-                objective_value=None,
-                breakdown=None,
-                stats=stats,
-            )
-        assignment = {
-            inst.tasks[p].id: ROLES[inst.role_of[p][ci]] for p, ci in enumerate(best_choice[1])
-        }
-        value = Fraction(best_value, inst.obj_den)
-        return _finish(
-            etfg, objective, assignment, value, latency_threshold, stats, SolveStatus.OPTIMAL
-        )
-
-    # timed out: report the incumbent with its optimality gap
-    open_bounds = [f[4] for f in frames if f[2] <= len(f[1])]
-    lower = min(open_bounds) if open_bounds else best_value
-    if best_value is None:  # no incumbent, so no gap either
-        stats["gap"] = None
-        return Allocation(
-            status=SolveStatus.FEASIBLE,
-            objective_kind=objective,
-            assignment=None,
-            objective_value=None,
-            breakdown=None,
-            stats=stats,
-        )
-    gap = 0.0 if best_value == 0 else float(Fraction(best_value - lower, best_value))
-    gap = max(gap, 0.0)
-    stats["gap"] = gap
-    assignment = {
-        inst.tasks[p].id: ROLES[inst.role_of[p][ci]] for p, ci in enumerate(best_choice[1])
-    }
-    value = Fraction(best_value, inst.obj_den)
-    return _finish(
-        etfg,
-        objective,
-        assignment,
-        value,
-        latency_threshold,
-        stats,
-        SolveStatus.FEASIBLE,
-        gap=gap,
-    )
+        status = SolveStatus.INFEASIBLE if best_value is None else SolveStatus.OPTIMAL
+    else:
+        # timed out: the incumbent's gap to the best open bound, or none without one
+        status = SolveStatus.FEASIBLE
+        if best_value is not None:
+            open_bounds = [f[4] for f in frames if f[2] <= len(f[1])]
+            lower = min(open_bounds) if open_bounds else best_value
+            gap = 0.0 if best_value == 0 else float(Fraction(best_value - lower, best_value))
+            gap = max(gap, 0.0)
+        stats["gap"] = gap
+    assignment = None if best_choice is None else kernel.assignment(best_choice[1])
+    value = None if best_value is None else Fraction(best_value, kernel.obj_den)
+    return _finish(etfg, objective, assignment, value, latency_threshold, stats, status, gap)
 
 
 def _tree_dp_obstacle(etfg: Etfg) -> str | None:

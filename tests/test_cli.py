@@ -270,11 +270,15 @@ _C1 = system_model_to_dict(presets.system_model("C1", "run1"))
          "task graph file: tasks[0]: field 'latency': expected a JSON object, got list"),
         (_APP, _with(_C1, 5, "channels"), "system model file: channels: expected a JSON array, got int"),
         (_APP, _with(_C1, ["h"], "relay"), "system model file: relay: expected a JSON object, got list"),
+        (_with(_APP, [[1.9, 2.2]] + _APP["arcs"][1:], "arcs"), None,
+         "task graph file: arcs[0]: expected a JSON integer task id, got float"),
+        (_with(_APP, "3", "tasks", 2, "id"), None,
+         "task graph file: tasks[2]: field 'id': expected a JSON integer task id, got str"),
     ],
     ids=[
         "no-tasks", "top-level-list", "task-without-memory", "system-without-devices",
         "arc-not-a-pair", "tasks-not-an-array", "allowed-not-an-array", "latency-not-an-object",
-        "channels-not-an-array", "relay-not-an-object",
+        "channels-not-an-array", "relay-not-an-object", "arc-endpoint-not-an-integer", "id-not-an-integer",
     ],
 )
 def test_malformed_input_file_exits_2(tfg, config, message, tmp_path, capsys):

@@ -11,7 +11,7 @@ from ehcopt.generator import GenSpec, default_param_spec, generate_tfg, synthesi
 from ehcopt.milp import Objective, build_model
 from ehcopt.model import task_graph_from_dict, task_graph_to_dict
 from ehcopt.mps import model_to_lp, model_to_mps
-from ehcopt.solver import _Instance
+from ehcopt.solver import _Kernel
 from ehcopt.units import without_cyclic_gc
 
 
@@ -66,7 +66,7 @@ def test_the_wrapped_builders_leave_no_cyclic_garbage():
         kinds = {row.label.split("_")[0] for row in model.rows}
         assert {"enr", "lthr"} <= kinds  # every row builder ran
         exports = model_to_mps(model), model_to_lp(model)
-        tables = _Instance(etfg, Objective.ENERGY, cap)
+        tables = _Kernel(etfg, Objective.ENERGY, cap)
         del etfg, model, exports, tables
         assert gc.collect() == 0
     finally:

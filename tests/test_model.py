@@ -135,6 +135,19 @@ def test_task_graph_schema_with_units():
     assert task.latency[E] == Fraction(12, 100)
 
 
+@pytest.mark.parametrize("bad", [1.9, 2.0, True, "2"], ids=["float", "integral-float", "bool", "str"])
+def test_task_ids_and_arc_ends_must_be_json_integers(bad):
+    # a float id or arc end used to be truncated by int(): [1.9, 2.2] became arc 1->2
+    document = task_graph_to_dict(two_task_chain())
+    document["arcs"] = [[1, bad]]
+    with pytest.raises(GraphValidationError, match=r"arcs\[0\]: expected a JSON integer task id"):
+        task_graph_from_dict(document)
+    document = task_graph_to_dict(two_task_chain())
+    document["tasks"][1]["id"] = bad
+    with pytest.raises(GraphValidationError, match=r"tasks\[1\]: field 'id': expected a JSON integer"):
+        task_graph_from_dict(document)
+
+
 def test_schema_version_required():
     with pytest.raises(ValueError, match="schema"):
         task_graph_from_dict({"tasks": [], "arcs": []})

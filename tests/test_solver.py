@@ -1,3 +1,7 @@
+import hashlib
+import json
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,7 +20,7 @@ from conftest import (
     uav_forest_without_budgets,
     unbudgeted_system,
 )
-from ehcopt import presets
+from ehcopt import presets, solver
 from ehcopt.etfg import transform
 from ehcopt.model import TaskGraph, make_system_model
 from ehcopt.solver import (
@@ -56,7 +60,8 @@ def test_degenerate_tie_breaks_lexicographically():
     etfg = transform(g, PLAIN)
     bf = solve_bruteforce(etfg, "latency")
     bb = solve_branch_and_bound(etfg, "latency")
-    assert bf.assignment == bb.assignment == {1: E, 2: E}
+    dp = solve_tree_dp(etfg, "latency")
+    assert bf.assignment == bb.assignment == dp.assignment == {1: E, 2: E}
 
 
 def test_chain_optimum_matches_enumeration():
@@ -96,6 +101,35 @@ def test_bruteforce_guard():
         solve_bruteforce(etfg, "latency")
 
 
+TREE_DP_TIE_DIGEST = "b7d23e8ba4085b9216b7d897ab990bba239a607f68b78b0b89ae18a25046b586"
+
+
+def _tie_rich_forest(seed: int):
+    """Unbudgeted random forest with small integer profiles and mostly
+    zero or repeated output sizes, so that equal-cost optima abound."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 9)
+    subsets = (ALL, ALL, (E, H), (H, C), (E, C), (E,), (C,))
+    tasks = []
+    for tid in range(1, n + 1):
+        allowed = rng.choice(subsets)
+        tasks.append(
+            simple_task(
+                tid,
+                allowed,
+                latency={r: rng.randint(0, 2) for r in allowed},
+                power={r: rng.randint(1, 2) for r in allowed},
+                data=rng.choice((0, 0, 10**5, 2 * 10**5)),
+            )
+        )
+    arcs = []
+    for tid in range(2, n + 1):
+        if rng.random() < 0.8:
+            other = rng.randint(1, tid - 1)
+            arcs.append((other, tid) if rng.random() < 0.6 else (tid, other))
+    return transform(TaskGraph(tasks=tuple(tasks), arcs=tuple(arcs)), PLAIN)
+
+
 class TestTreeDp:
     def test_chain_of_three_matches_bruteforce(self):
         etfg = random_tree_instance(101)
@@ -128,6 +162,18 @@ class TestTreeDp:
         etfg = transform(TaskGraph(tasks=tasks, arcs=arcs), PLAIN)
         with pytest.raises(ValueError, match="forest"):
             solve_tree_dp(etfg, "latency")
+
+    def test_tie_breaks_match_the_golden_digest(self):
+        # the DP roots each tree at its smallest task id, visits neighbours
+        # by task id and breaks ties by e < h < c; the digest pins the
+        # assignments that rule picks among equal-cost optima
+        digest = hashlib.sha256()
+        for seed in range(300):
+            etfg = _tie_rich_forest(seed)
+            for objective in ("latency", "energy"):
+                assignment = solve_tree_dp(etfg, objective).to_dict()["assignment"]
+                digest.update(json.dumps([seed, objective, assignment]).encode())
+        assert digest.hexdigest() == TREE_DP_TIE_DIGEST
 
     def test_applicability_probe(self):
         assert tree_dp_applicable(transform(two_task_chain(), PLAIN))
@@ -265,3 +311,20 @@ def test_time_limit_without_incumbent_has_no_gap():
     assert result.assignment is None and result.objective_value is None
     assert result.gap is None and result.stats["gap"] is None
     assert result.to_dict()["gap"] is None
+
+
+def test_time_limit_counts_the_table_build(monkeypatch):
+    # the limit used to start after the tables were built, so a slow build
+    # was not counted and the search ran for the full limit on top of it
+    build = solver._Kernel.__init__
+
+    def slow_build(self, *args):
+        build(self, *args)
+        time.sleep(0.1)
+
+    monkeypatch.setattr(solver._Kernel, "__init__", slow_build)
+    etfg = transform(serial_200_graph(), presets.system_model("C1", "run1"))
+    result = solve_branch_and_bound(etfg, "energy", Fraction(8), SolveConfig(time_limit=0.05))
+    assert result.stats["time_limit_hit"]
+    assert result.stats["nodes_explored"] <= 1024
+    assert result.stats["tables_s"] >= 0.1
