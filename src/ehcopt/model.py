@@ -169,16 +169,18 @@ def _scan_task_graph(graph: TaskGraph) -> ValidationReport:
             (task.storage, "storage"),
             (task.output_data, "output data"),
         ):
-            if quantity < 0:
+            # signs are read off the numerator (int and Fraction both have
+            # one): a Fraction comparison with 0 costs a rich-compare call
+            if quantity.numerator < 0:
                 issues.append(f"task {task.id}: negative {label}")
         for role in task.allowed:
             if role not in task.latency:
                 issues.append(f"task {task.id}: missing profile entry (latency on {role.value})")
-            elif task.latency[role] < 0:
+            elif task.latency[role].numerator < 0:
                 issues.append(f"task {task.id}: negative latency on {role.value}")
             if role not in task.power:
                 issues.append(f"task {task.id}: missing profile entry (power on {role.value})")
-            elif task.power[role] < 0:
+            elif task.power[role].numerator < 0:
                 issues.append(f"task {task.id}: negative power on {role.value}")
         for role in set(task.latency) | set(task.power):
             if role not in task.allowed:

@@ -5,9 +5,12 @@ Three routes to a provably optimal assignment:
 * :func:`solve_bruteforce` enumerates every assignment.  It is the
   reference oracle for the other solvers, so it extracts its costs from
   the expanded graph independently and keeps no shared pruning logic.
-* :func:`solve_tree_dp` is a fast path for instances whose undirected
-  dependency skeleton is a forest and that carry no budgets: a bottom-up
-  dynamic program over (task, device) states.
+* :func:`solve_tree_dp` is the exact path for instances without budgets:
+  the cost is then a sum of per-task and per-dependency terms, so
+  eliminating tasks along a min-fill order of the undirected dependency
+  skeleton (bucket elimination) is exact.  Its work is the order's state
+  count, which must not exceed ``DP_STATE_LIMIT``; forests are its
+  width-1 case.
 * :func:`solve_branch_and_bound` handles the general case: depth-first
   search over tasks in topological order with an additive lower bound
   (assigned cost + per-task minima + per-arc minima consistent with the
@@ -23,16 +26,23 @@ All arithmetic runs on integers after exact rescaling of the rational
 inputs, so equal objective values compare equal regardless of the path
 that produced them, and tie-breaking is reproducible: among equally good
 assignments branch and bound and the oracle return the one that is
-lexicographically smallest by (task id, device order e < h < c).
+lexicographically smallest by (task id, device order e < h < c).  The DP
+takes the device earliest in e < h < c at each step of its
+back-substitution; on a forest that roots each tree at its smallest task
+id, and elsewhere its ties may differ from that order.  Values never do.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import chain, repeat
+from operator import add
+from typing import NamedTuple
 
 from .etfg import Etfg, arc_shares
 from .milp import Objective, ObjectiveBreakdown, evaluate
@@ -40,6 +50,13 @@ from .model import ROLE_INDEX, ROLES, DeviceRole, topological_order
 from .units import si_number, without_cyclic_gc
 
 BRUTE_FORCE_LIMIT = 10**7
+# The elimination DP's work bound.  The DP takes about 0.2-0.35 us per
+# state on a 2-core 2.0 GHz Xeon (CPython 3.11; 0.17 s for the 430k states
+# of the serial 1000-task benchmark graph, 0.28 s and 70 MB peak for the
+# 797k of a 12-task clique), so the largest DP allowed costs about as much
+# as a short branch-and-bound run.
+DP_STATE_LIMIT = 10**6
+_LAYOUT_CACHE_ENTRIES = 3**8  # larger index layouts are rebuilt, not kept
 
 
 class InstanceTooLarge(ValueError):
@@ -384,7 +401,8 @@ class _Kernel:
     ``graph.arcs`` order, ``arcs`` holds ``(src, dst, obj, lat, parts)``:
     flat lists indexed ``src_ci * width + dst_ci``, where ``width`` is the
     number of candidates of ``dst`` (the order of ``Etfg.arcs_by_dep``),
-    ``parts`` holding each arc's (role index, energy) shares.  Latency,
+    ``parts`` holding each arc's (role index, energy) shares, or none when
+    no device has an energy budget, since only that row reads them.  Latency,
     energy, memory and storage each have one fixed denominator, shared by
     their budgets and the latency cap; the objective is latency or energy
     on that quantity's denominator, ``obj_den``.
@@ -400,10 +418,15 @@ class _Kernel:
         nodes = [etfg.nodes_by_task[tid] for tid in order]  # candidates in Task.allowed order
         self.role_of = [[ROLE_INDEX[node.device] for node in row] for row in nodes]
         groups = etfg.arcs_by_dep
-        shares_by_dep = arc_shares(etfg)
-        distinct = {id(shares): shares for row in shares_by_dep.values() for shares in row}
         budgets = [etfg.system.device(r) for r in ROLES]
         cap = latency_threshold if objective is Objective.ENERGY else None
+        latency = objective is Objective.LATENCY
+        # only an energy-budget row reads the shares; an arc's energy is
+        # their sum, so their denominators cover its own
+        shares_by_dep = arc_shares(etfg) if any(d.energy_budget is not None for d in budgets) else None
+        distinct = {} if shares_by_dep is None else {
+            id(shares): shares for row in shares_by_dep.values() for shares in row
+        }
 
         lat_den = _common_denominator(
             [node.latency for row in nodes for node in row]
@@ -413,6 +436,7 @@ class _Kernel:
         enr_den = _common_denominator(
             [node.energy for row in nodes for node in row]
             + [amount for shares in distinct.values() for _, amount in shares]
+            + ([] if latency or shares_by_dep is not None else [arc.energy for group in groups.values() for arc in group])
             + [d.energy_budget for d in budgets if d.energy_budget is not None]
         )
         mem_den = _common_denominator(
@@ -431,7 +455,6 @@ class _Kernel:
         self.enr_bgt = [None if d.energy_budget is None else _as_int(d.energy_budget, enr_den) for d in budgets]
         self.lat_thr = None if cap is None else _as_int(cap, lat_den)
 
-        latency = objective is Objective.LATENCY
         parts_of = {  # each shared tuple converted once
             key: tuple([(ROLE_INDEX[r], _as_int(amount, enr_den)) for r, amount in shares])
             for key, shares in distinct.items()
@@ -440,7 +463,10 @@ class _Kernel:
         for dep, group in groups.items():
             lat = [_as_int(arc.latency, lat_den) for arc in group]
             obj = lat if latency else [_as_int(arc.energy, enr_den) for arc in group]
-            parts = [parts_of[id(shares)] for shares in shares_by_dep[dep]]
+            if shares_by_dep is None:
+                parts = [()] * len(group)
+            else:
+                parts = [parts_of[id(shares)] for shares in shares_by_dep[dep]]
             self.arcs.append((pos_of[dep[0]], pos_of[dep[1]], obj, lat, parts))
         self.node_obj = self.node_lat if latency else self.node_enr
         self.obj_den = lat_den if latency else enr_den
@@ -450,65 +476,185 @@ class _Kernel:
         return {self.tasks[p].id: ROLES[self.role_of[p][ci]] for p, ci in enumerate(choice)}
 
 
-# --- tree-structured fast path ---------------------------------------------
+# --- bounded-treewidth elimination DP ----------------------------------------
+
+
+class _EliminationPlan(NamedTuple):
+    """A min-fill elimination order of the dependency skeleton (task ids,
+    first eliminated first), its induced width, and the DP's state count:
+    the sum over tasks of the candidate combinations of the task and of
+    the neighbours it still has when it is eliminated."""
+
+    order: tuple[int, ...]
+    width: int
+    states: int
+
+
+def _elimination_plan(graph) -> _EliminationPlan | None:
+    """Min-fill order of the undirected skeleton, or None once the DP would
+    need more than ``DP_STATE_LIMIT`` states.
+
+    Each step eliminates the task whose neighbours miss the fewest edges
+    among themselves (its fill), then the one of smaller degree, then the
+    larger task id.  A task's fill is C(degree, 2) minus the edges among
+    its neighbours, which are counted incrementally, so that a step
+    re-scores only the tasks whose neighbourhood it changed.  On a forest
+    this removes leaves, largest id first, so each tree keeps its smallest
+    task id to the end.
+    """
+    domain = {t.id: len(t.allowed) for t in graph.tasks}
+    adj: dict[int, set[int]] = {tid: set() for tid in domain}
+    for i, j in graph.arcs:
+        adj[i].add(j)
+        adj[j].add(i)
+    inner = dict.fromkeys(domain, 0)  # per task: edges among its neighbours
+    for a, neighbours in adj.items():
+        for b in neighbours:
+            if a < b:
+                for w in neighbours & adj[b]:
+                    inner[w] += 1
+
+    def score(v):
+        d = len(adj[v])
+        return (d * (d - 1) // 2 - inner[v], d, -v)
+
+    current = {v: score(v) for v in domain}
+    heap = list(current.values())
+    heapq.heapify(heap)
+    order = []
+    width = states = 0
+    while heap:
+        entry = heapq.heappop(heap)
+        v = -entry[2]
+        if current.get(v) != entry:
+            continue  # eliminated, or re-scored since it was pushed
+        del current[v]
+        neighbours = adj.pop(v)
+        size = domain[v]
+        for u in neighbours:
+            size *= domain[u]
+        states += size
+        if states > DP_STATE_LIMIT:
+            return None
+        width = max(width, len(neighbours))
+        order.append(v)
+        touched = set(neighbours)
+        for u in neighbours:
+            adj[u].discard(v)
+            inner[u] -= len(adj[u] & neighbours)
+        for a in neighbours:  # the neighbours become a clique
+            for b in neighbours:
+                if a < b and b not in adj[a]:
+                    common = adj[a] & adj[b]
+                    inner[a] += len(common)
+                    inner[b] += len(common)
+                    for w in common:
+                        inner[w] += 1
+                    touched |= common
+                    adj[a].add(b)
+                    adj[b].add(a)
+        for u in touched:
+            current[u] = score(u)
+            heapq.heappush(heap, current[u])
+    return _EliminationPlan(tuple(order), width, states)
+
+
+def _eliminate(etfg: Etfg, objective: Objective, plan: _EliminationPlan) -> Allocation:
+    """Bucket elimination along ``plan`` over the kernel's costs.
+
+    Every cost table (one per task, one per dependency) is a flat list,
+    row-major over its scope, and sits in the bucket of its first
+    eliminated task.  Eliminating ``v`` sums its bucket over the scope
+    plus ``v``, keeps the minimum over ``v``'s candidates as a new table
+    for a later bucket, and keeps the first minimising candidate per
+    scope assignment.  Back-substitution runs in reverse order.
+    """
+    kernel = _Kernel(etfg, objective, None)
+    n = kernel.n
+    pos_of = {t.id: p for p, t in enumerate(kernel.tasks)}
+    order = [pos_of[tid] for tid in plan.order]
+    rank = [0] * n
+    for r, p in enumerate(order):
+        rank[p] = r
+    domain = [len(roles) for roles in kernel.role_of]
+    buckets: list[list[tuple]] = [[((p,), kernel.node_obj[p])] for p in range(n)]
+    for src, dst, obj, _lat, _parts in kernel.arcs:  # obj is row-major over (src, dst)
+        buckets[min(src, dst, key=rank.__getitem__)].append(((src, dst), obj))
+
+    total = 0
+    steps = []  # per eliminated task: (task, scope, first minimiser per scope assignment)
+    layouts: dict[tuple, list[int]] = {}  # small tables' indices into their full scope, by shape
+    for v in order:
+        tables, buckets[v] = buckets[v], []
+        scope = sorted({u for s, _ in tables for u in s if u != v}, key=rank.__getitem__)
+        axes = [v] + scope  # the summed table is row-major over these, v outermost
+        axis_of = {u: a for a, u in enumerate(axes)}
+        ending = [[] for _ in axes]  # each table is added once its last axis is in
+        for s, table in tables:
+            ending[max(axis_of[u] for u in s)].append((s, table))
+        summed = [0]
+        for a, u in enumerate(axes):
+            if domain[u] > 1:  # the next axis: repeat each entry once per candidate
+                summed = list(chain.from_iterable(zip(*[summed] * domain[u])))
+            for s, table in ending[a]:
+                stride, step = {}, 1
+                for w in reversed(s):
+                    stride[w] = step
+                    step *= domain[w]
+                shape = tuple([(domain[w], stride.get(w, 0)) for w in axes[: a + 1]])
+                index = layouts.get(shape)
+                if index is None:
+                    index = [0]
+                    for size, step in shape:  # each axis in turn becomes the innermost
+                        shifted = [map(add, index, repeat(c * step)) for c in range(size)]
+                        index = list(chain.from_iterable(zip(*shifted)))
+                    if len(index) <= _LAYOUT_CACHE_ENTRIES:
+                        layouts[shape] = index
+                summed = list(map(add, summed, map(table.__getitem__, index)))
+        block = len(summed) // domain[v]
+        columns = [summed[c * block : (c + 1) * block] for c in range(domain[v])]  # one per candidate of v
+        best = list(map(min, zip(*columns)))
+        steps.append((v, scope, bytes(map(tuple.index, zip(*columns), best))))  # first minimum: e < h < c
+        if scope:
+            buckets[scope[0]].append((tuple(scope), best))
+        else:
+            total += best[0]
+
+    chosen = [0] * n
+    for v, scope, argmin in reversed(steps):
+        at = 0
+        for u in scope:
+            at = at * domain[u] + chosen[u]
+        chosen[v] = argmin[at]
+    stats = {"solver": "tree-dp", "treewidth": plan.width, "dp_states": plan.states}
+    value = Fraction(total, kernel.obj_den)
+    return _finish(etfg, objective, kernel.assignment(chosen), value, None, stats, SolveStatus.OPTIMAL)
+
+
+def _has_budgets(etfg: Etfg) -> bool:
+    devices = [etfg.system.device(role) for role in ROLES]
+    return any(b is not None for d in devices for b in (d.memory_budget, d.storage_budget, d.energy_budget))
 
 
 def solve_tree_dp(etfg: Etfg, objective: Objective | str = Objective.LATENCY) -> Allocation:
-    """Dynamic program over a forest-shaped dependency skeleton.
+    """Exact dynamic program over a tree decomposition of the dependency
+    skeleton, for instances without budgets.
 
-    Requires every device budget to be unbounded (node and arc costs then
-    decompose over the tree).  Raises ValueError otherwise or when the
-    undirected skeleton contains a cycle.  Each tree is rooted at its
-    smallest task id and walked breadth-first, neighbours by task id;
-    among equal costs the device earliest in e < h < c wins.
+    Without budgets the cost is a sum of per-task and per-dependency
+    terms, so eliminating tasks along a min-fill order is exact.  Raises
+    ValueError when a device has a budget or when the order needs more
+    than ``DP_STATE_LIMIT`` states.  Among equal costs the last task
+    eliminated takes the device earliest in e < h < c and every other
+    task the earliest given the tasks eliminated after it; on a forest
+    that is each tree rooted at its smallest task id.
     """
     objective = Objective(objective)
-    obstacle = _tree_dp_obstacle(etfg)
-    if obstacle is not None:
-        raise ValueError(obstacle)
-    kernel = _Kernel(etfg, objective, None)
-    n = kernel.n
-    task_id = [t.id for t in kernel.tasks]
-
-    # per task: (neighbour, arc costs, own stride, neighbour's stride)
-    links: list[list[tuple]] = [[] for _ in range(n)]
-    for src, dst, obj, _lat, _parts in kernel.arcs:
-        width = len(kernel.role_of[dst])
-        links[src].append((dst, obj, width, 1))
-        links[dst].append((src, obj, 1, width))
-    for row in links:
-        row.sort(key=lambda link: task_id[link[0]])
-
-    cost = [list(row) for row in kernel.node_obj]
-    chosen = [0] * n
-    visited = [False] * n
-    total = 0
-    for root in sorted(range(n), key=task_id.__getitem__):
-        if visited[root]:
-            continue
-        visited[root] = True
-        bfs = [(root, None)]  # (task, (parent, link from the parent))
-        for u, _ in bfs:
-            for link in links[u]:
-                if not visited[link[0]]:
-                    visited[link[0]] = True
-                    bfs.append((link[0], (u, link)))
-        # leaves upward: fold each child's best response into its parent
-        for v, (u, (_, obj, us, vs)) in reversed(bfs[1:]):
-            child, below = cost[v], range(len(cost[v]))
-            for cu in range(len(cost[u])):
-                cost[u][cu] += min(child[cv] + obj[cu * us + cv * vs] for cv in below)
-        # min keeps the first minimum: the device earliest in e < h < c
-        chosen[root] = min(range(len(cost[root])), key=cost[root].__getitem__)
-        total += cost[root][chosen[root]]
-        # downward pass fixes each child given its parent's device
-        for v, (u, (_, obj, us, vs)) in bfs[1:]:
-            base = chosen[u] * us
-            chosen[v] = min(range(len(cost[v])), key=lambda cv: cost[v][cv] + obj[base + cv * vs])
-
-    stats = {"solver": "tree-dp"}
-    value = Fraction(total, kernel.obj_den)
-    return _finish(etfg, objective, kernel.assignment(chosen), value, None, stats, SolveStatus.OPTIMAL)
+    if _has_budgets(etfg):
+        raise ValueError("tree DP requires all device budgets to be unbounded")
+    plan = _elimination_plan(etfg.graph)
+    if plan is None:
+        raise ValueError(f"tree DP needs more than {DP_STATE_LIMIT} states here; use bnb")
+    return _eliminate(etfg, objective, plan)
 
 
 # --- branch and bound -------------------------------------------------------
@@ -743,32 +889,8 @@ def solve_branch_and_bound(
     return _finish(etfg, objective, assignment, value, latency_threshold, stats, status, gap)
 
 
-def _tree_dp_obstacle(etfg: Etfg) -> str | None:
-    """Why :func:`solve_tree_dp` cannot take this instance, or None."""
-    for role in ROLES:
-        dev = etfg.system.device(role)
-        if any(b is not None for b in (dev.memory_budget, dev.storage_budget, dev.energy_budget)):
-            return "tree DP requires all device budgets to be unbounded"
-    graph = etfg.graph
-    pos_of = {t.id: p for p, t in enumerate(graph.tasks)}
-    parent = list(range(len(graph.tasks)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (i, j) in graph.arcs:
-        ra, rb = find(pos_of[i]), find(pos_of[j])
-        if ra == rb:
-            return "dependency skeleton is not a forest"
-        parent[ra] = rb
-    return None
-
-
 def tree_dp_applicable(etfg: Etfg) -> bool:
-    return _tree_dp_obstacle(etfg) is None
+    return not _has_budgets(etfg) and _elimination_plan(etfg.graph) is not None
 
 
 def solve(
@@ -778,20 +900,23 @@ def solve(
     config: SolveConfig | None = None,
     method: str = "auto",
 ) -> Allocation:
-    """Front door: pick a solver (``auto`` uses the tree fast path when
-    its preconditions hold, branch and bound otherwise).
+    """Front door: pick a solver (``auto`` takes the elimination DP when
+    no device has a budget and its state count is within
+    ``DP_STATE_LIMIT``, branch and bound otherwise).
 
     A time limit bounds branch and bound only.  ``auto`` still takes the
-    tree DP under a time limit, since the DP is linear-time and always
-    finishes; a forced ``bruteforce`` or ``tree-dp`` with a time limit
-    raises ValueError instead of ignoring it.
+    DP under a time limit, since its work is bounded by
+    ``DP_STATE_LIMIT`` and it always finishes; a forced ``bruteforce`` or
+    ``tree-dp`` with a time limit raises ValueError instead of ignoring it.
     """
     objective = Objective(objective)
     use_threshold = objective is Objective.ENERGY and latency_threshold is not None
     time_limited = config is not None and config.time_limit is not None
     if method == "auto":
-        if not use_threshold and tree_dp_applicable(etfg):
-            return solve_tree_dp(etfg, objective)
+        if not use_threshold and not _has_budgets(etfg):
+            plan = _elimination_plan(etfg.graph)
+            if plan is not None:
+                return _eliminate(etfg, objective, plan)
         method = "bnb"
     if method == "bruteforce":
         if time_limited:

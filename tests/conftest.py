@@ -69,6 +69,14 @@ def two_task_chain(allowed_first=ALL, allowed_second=ALL, data=10**6) -> TaskGra
     return TaskGraph(tasks=(t1, t2), arcs=((1, 2),))
 
 
+def complete_dag(n: int) -> TaskGraph:
+    """Arcs between every pair of n tasks, which prefer e, h, c in that
+    order and send no data: treewidth n - 1, and one optimum, all on e."""
+    tasks = tuple(simple_task(i, ALL, latency={E: 1, H: 2, C: 3}) for i in range(1, n + 1))
+    arcs = tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
+    return TaskGraph(tasks=tasks, arcs=arcs)
+
+
 @pytest.fixture(scope="session")
 def example_app():
     graph = presets.example_inspection_tfg()

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import serial_200_graph, uav_forest_without_budgets
+from conftest import complete_dag, serial_200_graph, uav_forest_without_budgets, unbudgeted_system
 import ehcopt.model
 from ehcopt import presets
 from ehcopt.cli import main
@@ -225,6 +225,19 @@ def test_forced_tree_dp_with_a_time_limit_exits_2(tmp_path, capsys):
     assert not (tmp_path / "a" / "allocation.json").exists()
     assert main(base + ["--out", str(tmp_path / "b")]) == 0
     assert read_json(tmp_path / "b" / "solver_stats.json")["solver"] == "tree-dp"
+
+
+def test_forced_tree_dp_over_the_state_limit_exits_2(tmp_path, capsys):
+    # a 15-task clique without budgets: the DP would need over 3^15 states
+    tfg, sys_path = tmp_path / "clique.json", tmp_path / "sys.json"
+    save_task_graph(complete_dag(15), tfg)
+    save_system_model(unbudgeted_system(), sys_path)
+    base = ["solve", str(tfg), "--config", str(sys_path)]
+    assert main(base + ["--solver", "tree-dp", "--out", str(tmp_path / "a")]) == 2
+    assert "states" in capsys.readouterr().err
+    assert not (tmp_path / "a" / "allocation.json").exists()
+    assert main(base + ["--out", str(tmp_path / "b")]) == 0
+    assert read_json(tmp_path / "b" / "solver_stats.json")["solver"] == "branch-and-bound"
 
 
 def _without(document: dict, *path):

@@ -11,6 +11,7 @@ from conftest import (
     C,
     E,
     H,
+    complete_dag,
     make_device,
     random_oracle_instance,
     random_tree_instance,
@@ -22,6 +23,7 @@ from conftest import (
 )
 from ehcopt import presets, solver
 from ehcopt.etfg import transform
+from ehcopt.milp import evaluate, objective_value
 from ehcopt.model import TaskGraph, make_system_model
 from ehcopt.solver import (
     InstanceTooLarge,
@@ -156,12 +158,16 @@ class TestTreeDp:
         with pytest.raises(ValueError, match="budget"):
             solve_tree_dp(etfg, "latency")
 
-    def test_rejects_non_forest(self):
+    def test_solves_a_triangle_like_brute_force(self):
         tasks = tuple(simple_task(i, data=10**4) for i in range(1, 4))
         arcs = ((1, 2), (1, 3), (2, 3))  # undirected triangle
         etfg = transform(TaskGraph(tasks=tasks, arcs=arcs), PLAIN)
-        with pytest.raises(ValueError, match="forest"):
-            solve_tree_dp(etfg, "latency")
+        for objective in ("latency", "energy"):
+            dp = solve_tree_dp(etfg, objective)
+            bf = solve_bruteforce(etfg, objective)
+            assert dp.status is SolveStatus.OPTIMAL
+            assert dp.objective_value == bf.objective_value
+            assert dp.stats["treewidth"] == 2
 
     def test_tie_breaks_match_the_golden_digest(self):
         # the DP roots each tree at its smallest task id, visits neighbours
@@ -179,6 +185,72 @@ class TestTreeDp:
         assert tree_dp_applicable(transform(two_task_chain(), PLAIN))
         budgeted = transform(two_task_chain(), presets.system_model("C1"))
         assert not tree_dp_applicable(budgeted)
+
+
+def _random_k_tree(seed: int, width: int):
+    """Unbudgeted random k-tree of the given width (treewidth exactly
+    ``width``) on up to 9 tasks, arcs from smaller to larger task id."""
+    rng = random.Random(seed)
+    n = rng.randint(width + 1, 9)
+    cliques = [tuple(range(1, width + 2))]
+    edges = {(a, b) for a in cliques[0] for b in cliques[0] if a < b}
+    for tid in range(width + 2, n + 1):
+        base = rng.choice(cliques)
+        keep = tuple(sorted(rng.sample(base, width)))
+        edges |= {(u, tid) for u in keep}
+        cliques.append(keep + (tid,))
+    subsets = (ALL, ALL, ALL, (E, H), (H, C), (E, C), (E,), (C,))
+    tasks = []
+    for tid in range(1, n + 1):
+        allowed = rng.choice(subsets)
+        tasks.append(
+            simple_task(
+                tid,
+                allowed,
+                latency={r: rng.randint(0, 5) for r in allowed},
+                power={r: rng.randint(1, 3) for r in allowed},
+                data=rng.choice((0, 10**5, 3 * 10**5, 10**6)),
+            )
+        )
+    return transform(TaskGraph(tasks=tuple(tasks), arcs=tuple(sorted(edges))), PLAIN)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+@pytest.mark.parametrize("objective", ["latency", "energy"])
+def test_elimination_dp_matches_bruteforce(width, objective):
+    for seed in range(25):
+        etfg = _random_k_tree(1000 * width + seed, width)
+        dp = solve_tree_dp(etfg, objective)
+        bf = solve_bruteforce(etfg, objective)
+        assert dp.status is SolveStatus.OPTIMAL, f"seed {seed}"
+        assert dp.stats["treewidth"] == width, f"seed {seed}"
+        assert dp.objective_value == bf.objective_value, f"seed {seed}"
+        breakdown = evaluate(etfg, dp.assignment)
+        assert objective_value(breakdown, objective) == dp.objective_value, f"seed {seed}"
+
+
+def test_auto_routes_an_unbudgeted_triangle_to_the_dp():
+    tasks = tuple(simple_task(i, data=10**4) for i in range(1, 4))
+    etfg = transform(TaskGraph(tasks=tasks, arcs=((1, 2), (1, 3), (2, 3))), PLAIN)
+    assert tree_dp_applicable(etfg)
+    result = solve(etfg, "latency")
+    assert result.stats == {"solver": "tree-dp", "treewidth": 2, "dp_states": 27 + 9 + 3}
+    assert result.status is SolveStatus.OPTIMAL
+
+
+def test_dp_over_the_state_limit_is_refused():
+    # a 15-task clique: eliminating its first task alone needs 3^15 states
+    etfg = transform(complete_dag(15), PLAIN)
+    assert 3**15 > solver.DP_STATE_LIMIT
+    assert not tree_dp_applicable(etfg)
+    with pytest.raises(ValueError, match="states"):
+        solve_tree_dp(etfg, "latency")
+    with pytest.raises(ValueError, match="states"):
+        solve(etfg, "latency", method="tree-dp")
+    auto = solve(etfg, "latency")
+    assert auto.stats["solver"] == "branch-and-bound"
+    assert auto.status is SolveStatus.OPTIMAL
+    assert set(auto.assignment.values()) == {E}
 
 
 @pytest.mark.parametrize("objective", ["latency", "energy"])
@@ -297,7 +369,7 @@ def test_forced_tree_dp_rejects_a_time_limit():
     limit = SolveConfig(time_limit=1e-9)
     with pytest.raises(ValueError, match="time limit"):
         solve(tree, "latency", None, limit, method="tree-dp")
-    # auto still takes the linear-time DP, which always finishes
+    # auto still takes the DP, whose work is bounded and which always finishes
     auto = solve(tree, "latency", None, limit)
     assert auto.status is SolveStatus.OPTIMAL
     assert auto.stats["solver"] == "tree-dp"
