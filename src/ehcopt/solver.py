@@ -422,11 +422,14 @@ class _Kernel:
         cap = latency_threshold if objective is Objective.ENERGY else None
         latency = objective is Objective.LATENCY
         # only an energy-budget row reads the shares; an arc's energy is
-        # their sum, so their denominators cover its own
+        # their sum, so without them its own denominator joins enr_den
         shares_by_dep = arc_shares(etfg) if any(d.energy_budget is not None for d in budgets) else None
         distinct = {} if shares_by_dep is None else {
             id(shares): shares for row in shares_by_dep.values() for shares in row
         }
+        arc_energies = [] if latency or shares_by_dep is not None else [
+            arc.energy for group in groups.values() for arc in group
+        ]
 
         lat_den = _common_denominator(
             [node.latency for row in nodes for node in row]
@@ -436,7 +439,7 @@ class _Kernel:
         enr_den = _common_denominator(
             [node.energy for row in nodes for node in row]
             + [amount for shares in distinct.values() for _, amount in shares]
-            + ([] if latency or shares_by_dep is not None else [arc.energy for group in groups.values() for arc in group])
+            + arc_energies
             + [d.energy_budget for d in budgets if d.energy_budget is not None]
         )
         mem_den = _common_denominator(
