@@ -72,11 +72,13 @@ def _load_graph(path: str):
 
 
 def _threshold(args, objective: Objective) -> Fraction | None:
-    if getattr(args, "lthr", None) is not None:
-        return parse_quantity(args.lthr, "time")
-    if objective is Objective.ENERGY:
-        return presets.DEFAULT_LATENCY_THRESHOLD
-    return None
+    """The latency cap, which only the energy objective has: ``--lthr``
+    or the default.  ``--lthr`` with the latency objective is an error."""
+    if args.lthr is None:
+        return presets.DEFAULT_LATENCY_THRESHOLD if objective is Objective.ENERGY else None
+    if objective is not Objective.ENERGY:
+        raise CliError("--lthr caps latency under --objective energy; it has no meaning with --objective latency")
+    return parse_quantity(args.lthr, "time")
 
 
 def _out_dir(args) -> Path:
@@ -160,7 +162,7 @@ def cmd_generate(args) -> int:
     )
     system = _load_system(args.config, args.channel_profile)
     if args.params is not None:
-        pspec = ParamSpec.from_dict(json.loads(Path(args.params).read_text()))
+        pspec = ParamSpec.from_dict(json.loads(Path(args.params).read_text()), f"params file {args.params}")
     else:
         config_name = args.config if args.config in presets.CONFIGURATIONS else "C1"
         pspec = default_param_spec(config_name)

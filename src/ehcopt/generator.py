@@ -294,26 +294,41 @@ class ParamSpec:
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping) -> "ParamSpec":
-        def pair(key, dimension):
-            lo, hi = data[key]
-            return (parse_quantity(lo, dimension), parse_quantity(hi, dimension))
+    def from_dict(cls, data: Mapping, source: str = "params") -> "ParamSpec":
+        """The spec a params document describes.  Malformed input raises
+        GenerationError naming ``source`` and the field at fault."""
+        if not isinstance(data, Mapping):
+            raise GenerationError(f"{source}: expected a JSON object, got {type(data).__name__}")
 
-        ratios = {DeviceRole(r): _fraction(v) for r, v in data["perf_ratios"].items()}
-        alpha = data.get("clamp_alpha")
-        return cls(
+        def read(key, parse):
+            if key not in data:
+                raise GenerationError(f"{source}: missing required field {key!r}")
+            try:
+                return parse(data[key])
+            except (TypeError, ValueError, AttributeError) as exc:
+                raise GenerationError(f"{source}: field {key!r}: {exc}") from None
+
+        def pair(key, dimension):
+            def parse(value):
+                lo, hi = value
+                return (parse_quantity(lo, dimension), parse_quantity(hi, dimension))
+
+            return read(key, parse)
+
+        fields = dict(
             reference_latency=pair("reference_latency", "time"),
             reference_power=pair("reference_power", "power"),
             memory_range=pair("memory_range", "memory"),
             storage_range=pair("storage_range", "memory"),
             data_range=pair("data_range", "data"),
-            perf_ratios=ratios,
-            clamp_alpha=(
-                (_fraction(alpha[0]), _fraction(alpha[1]))
-                if alpha
-                else (Fraction(1, 1000), Fraction(5, 1000))
-            ),
+            perf_ratios=read("perf_ratios", lambda v: {DeviceRole(r): _fraction(x) for r, x in v.items()}),
         )
+        if data.get("clamp_alpha"):
+            fields["clamp_alpha"] = read("clamp_alpha", lambda v: (_fraction(v[0]), _fraction(v[1])))
+        try:
+            return cls(**fields)
+        except GenerationError as exc:  # a range or ratio out of bounds
+            raise GenerationError(f"{source}: {exc}") from None
 
 
 def default_param_spec(configuration: str = "C1") -> ParamSpec:

@@ -12,9 +12,12 @@ Three routes to a provably optimal assignment:
   count, which must not exceed ``DP_STATE_LIMIT``; forests are its
   width-1 case.
 * :func:`solve_branch_and_bound` handles the general case: depth-first
-  search over tasks in topological order with an additive lower bound
-  (assigned cost + per-task minima + per-arc minima consistent with the
-  partial assignment) plus budget and latency-threshold pruning.
+  search over tasks in topological order with budget and latency-threshold
+  pruning and an additive lower bound, kept as one running sum per
+  quantity.  It starts at the root bound, per-task minima plus per-arc
+  minima, and placing a task adds how far each term it settles lies above
+  the minimum it replaced.  A time-limited run reports its gap against
+  the root bound.
 
 The two fast solvers read one integer kernel, :class:`_Kernel`: the
 expanded graph's node and arc costs, demands, budgets and latency cap,
@@ -671,11 +674,16 @@ def solve_branch_and_bound(
 ) -> Allocation:
     """Depth-first branch and bound over task->device assignments.
 
-    Proves optimality when the search completes; under a time limit it
-    returns the incumbent with a relative gap computed against the best
-    open lower bound, or no assignment and a gap of None when no incumbent
-    was found.  The time limit counts from the start of the table build.
-    Deterministic for fixed inputs and configuration.
+    The lower bound is one running sum per quantity (the objective, and
+    latency under a cap).  It starts at the root bound, the per-task
+    minima plus the per-arc minima, and placing a task adds how far each
+    term it settles lies above the minimum it replaced, so at a leaf it
+    is the assignment's cost.  Fixed tasks' demands are charged to their
+    devices before the search.  Proves optimality when the search
+    completes; under a time limit it returns the incumbent with its
+    relative gap to the root bound, or no assignment and a gap of None
+    when no incumbent was found.  The time limit counts from the start
+    of the table build.  Deterministic for fixed inputs and configuration.
     """
     objective = Objective(objective)
     config = config or SolveConfig()
@@ -687,49 +695,54 @@ def solve_branch_and_bound(
         raise ValueError("empty task graph")
     role_of, node_obj, node_lat, node_enr = kernel.role_of, kernel.node_obj, kernel.node_lat, kernel.node_enr
     mem, sto = kernel.mem, kernel.sto
-    mem_bgt, sto_bgt, enr_bgt, lat_thr = kernel.mem_bgt, kernel.sto_bgt, kernel.enr_bgt, kernel.lat_thr
+    lat_thr = kernel.lat_thr
     use_threshold = lat_thr is not None
 
-    # additive bounds: per-task minima, and per-arc minima over all pairs
-    # or, once the source is placed, over its row
+    # the running bounds start at the root: per-task minima, and per-arc
+    # minima over all pairs (lo) or, once the source is placed, over its row
     min_node = [min(row) for row in node_obj]
-    lat_min_node = [min(row) for row in node_lat]
+    lat_min_node = [min(row) for row in node_lat] if use_threshold else None
+    bound = sum(min_node)
+    lat_bound = sum(lat_min_node) if use_threshold else 0
     in_arcs: list[list[tuple]] = [[] for _ in range(n)]
     out_arcs: list[list[tuple]] = [[] for _ in range(n)]
-    rem_arc = lat_rem_arc = 0
     for src, dst, obj, lat, parts in kernel.arcs:
         width = len(role_of[dst])
-        min_src = [min(obj[s : s + width]) for s in range(0, len(obj), width)]
-        lat_min_src = [min(lat[s : s + width]) for s in range(0, len(lat), width)]
-        min_pair, lat_min_pair = min(min_src), min(lat_min_src)
-        rem_arc += min_pair
-        lat_rem_arc += lat_min_pair
-        in_arcs[dst].append((src, width, obj, lat, parts, min_src, lat_min_src))
-        out_arcs[src].append((min_src, min_pair, lat_min_src, lat_min_pair))
+        mins = list(map(min, zip(*[iter(obj)] * width)))  # per source candidate: its row's minimum
+        lo = min(mins)
+        bound += lo
+        if use_threshold:
+            lat_mins = list(map(min, zip(*[iter(lat)] * width)))
+            lat_lo = min(lat_mins)
+            lat_bound += lat_lo
+        else:
+            lat_mins = lat_lo = None
+        in_arcs[dst].append((src, obj, lat, parts, mins, lat_mins))
+        out_arcs[src].append((mins, lo, lat_mins, lat_lo))
+    root = bound
     # branch devices cheapest-first; ties by canonical device order
     branch = [
         tuple(sorted(range(len(role_of[p])), key=lambda ci: (node_obj[p][ci], role_of[p][ci])))
         for p in range(n)
     ]
 
-    # mutable search state
+    # mutable search state; fixed tasks are charged up front
     choice = [-1] * n
-    acc = 0
-    rem_node = sum(min_node)
-    lat_acc = 0
-    lat_rem_node = sum(lat_min_node)
     mem_use = [0, 0, 0]
     sto_use = [0, 0, 0]
     enr_use = [0, 0, 0]
-    forced_mem = [0, 0, 0]
-    forced_sto = [0, 0, 0]
-    forced_enr = [0, 0, 0]
     for p in range(n):
         if len(role_of[p]) == 1:
             r = role_of[p][0]
-            forced_mem[r] += mem[p]
-            forced_sto[r] += sto[p]
-            forced_enr[r] += node_enr[p][0]
+            mem_use[r] += mem[p]
+            sto_use[r] += sto[p]
+            enr_use[r] += node_enr[p][0]
+    limits = [
+        (use, r, cap)
+        for use, caps in ((mem_use, kernel.mem_bgt), (sto_use, kernel.sto_bgt), (enr_use, kernel.enr_bgt))
+        for r, cap in enumerate(caps)
+        if cap is not None
+    ]
 
     best_value = None
     best_choice = None
@@ -740,75 +753,45 @@ def solve_branch_and_bound(
     hit_time_limit = False
 
     def apply(p: int, ci: int):
-        nonlocal acc, rem_node, rem_arc, lat_acc, lat_rem_node, lat_rem_arc
-        r = role_of[p][ci]
-        d_acc = node_obj[p][ci]
-        d_rem_node = min_node[p]
-        d_rem_arc = 0
-        d_lat_acc = node_lat[p][ci] if use_threshold else 0
-        d_lat_rem_node = lat_min_node[p] if use_threshold else 0
-        d_lat_rem_arc = 0
-        usage = [(r, mem[p], sto[p], node_enr[p][ci])]
-        for src, width, obj, lat, parts, min_src, lat_min_src in in_arcs[p]:
+        nonlocal bound, lat_bound
+        width = len(role_of[p])
+        d = node_obj[p][ci] - min_node[p]
+        d_lat = node_lat[p][ci] - lat_min_node[p] if use_threshold else 0
+        usage = [] if width == 1 else [(role_of[p][ci], mem[p], sto[p], node_enr[p][ci])]
+        for src, obj, lat, parts, mins, lat_mins in in_arcs[p]:
             s = choice[src]
             idx = s * width + ci
-            d_acc += obj[idx]
-            d_rem_arc += min_src[s]
+            d += obj[idx] - mins[s]
             if use_threshold:
-                d_lat_acc += lat[idx]
-                d_lat_rem_arc += lat_min_src[s]
+                d_lat += lat[idx] - lat_mins[s]
             for pr, amount in parts[idx]:
                 usage.append((pr, 0, 0, amount))
-        for min_src, min_pair, lat_min_src, lat_min_pair in out_arcs[p]:
-            d_rem_arc -= min_src[ci] - min_pair
+        for mins, lo, lat_mins, lat_lo in out_arcs[p]:
+            d += mins[ci] - lo
             if use_threshold:
-                d_lat_rem_arc -= lat_min_src[ci] - lat_min_pair
-        forced = None
-        if len(role_of[p]) == 1:
-            forced = (r, mem[p], sto[p], node_enr[p][0])
-            forced_mem[r] -= mem[p]
-            forced_sto[r] -= sto[p]
-            forced_enr[r] -= node_enr[p][0]
-        acc += d_acc
-        rem_node -= d_rem_node
-        rem_arc -= d_rem_arc
-        lat_acc += d_lat_acc
-        lat_rem_node -= d_lat_rem_node
-        lat_rem_arc -= d_lat_rem_arc
+                d_lat += lat_mins[ci] - lat_lo
+        bound += d
+        lat_bound += d_lat
         for pr, dm, ds, de in usage:
             mem_use[pr] += dm
             sto_use[pr] += ds
             enr_use[pr] += de
         choice[p] = ci
-        return (d_acc, d_rem_node, d_rem_arc, d_lat_acc, d_lat_rem_node, d_lat_rem_arc, usage, forced)
+        return d, d_lat, usage
 
-    def undo(p: int, rec):
-        nonlocal acc, rem_node, rem_arc, lat_acc, lat_rem_node, lat_rem_arc
-        d_acc, d_rem_node, d_rem_arc, d_lat_acc, d_lat_rem_node, d_lat_rem_arc, usage, forced = rec
-        acc -= d_acc
-        rem_node += d_rem_node
-        rem_arc += d_rem_arc
-        lat_acc -= d_lat_acc
-        lat_rem_node += d_lat_rem_node
-        lat_rem_arc += d_lat_rem_arc
+    def undo(rec):
+        nonlocal bound, lat_bound
+        d, d_lat, usage = rec
+        bound -= d
+        lat_bound -= d_lat
         for pr, dm, ds, de in usage:
             mem_use[pr] -= dm
             sto_use[pr] -= ds
             enr_use[pr] -= de
-        if forced is not None:
-            r, fm, fs, fe = forced
-            forced_mem[r] += fm
-            forced_sto[r] += fs
-            forced_enr[r] += fe
-        choice[p] = -1
 
     def violates_budget() -> bool:
-        for r in range(3):
-            if mem_bgt[r] is not None and mem_use[r] + forced_mem[r] > mem_bgt[r]:
-                return True
-            if sto_bgt[r] is not None and sto_use[r] + forced_sto[r] > sto_bgt[r]:
-                return True
-            if enr_bgt[r] is not None and enr_use[r] + forced_enr[r] > enr_bgt[r]:
+        for use, r, cap in limits:
+            if use[r] > cap:
                 return True
         return False
 
@@ -818,50 +801,48 @@ def solve_branch_and_bound(
         return tuple(role_of[p][choice_vec[p]] for p in by_id)
 
     search_started = time.monotonic()
-    # frames: [pos, device list, next index, undo record or None, entry bound]
-    frames: list[list] = [[0, branch[0], 0, None, acc + rem_node + rem_arc]]
+    # frames: one per depth p, [next index into branch[p], undo record of p's device or None]
+    frames: list[list] = [[0, None]]
     while frames:
         nodes += 1
         if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
             hit_time_limit = True
             break
+        p = len(frames) - 1
         f = frames[-1]
-        if f[3] is not None:
-            undo(f[0], f[3])
-            f[3] = None
-        if f[2] == len(f[1]):
+        if f[1] is not None:
+            undo(f[1])
+            f[1] = None
+        if f[0] == len(branch[p]):
             frames.pop()
             continue
-        ci = f[1][f[2]]
-        f[2] += 1
-        p = f[0]
+        ci = branch[p][f[0]]
+        f[0] += 1
         rec = apply(p, ci)
         if violates_budget():
             pruned_budget += 1
-            undo(p, rec)
+            undo(rec)
             continue
-        if use_threshold and lat_acc + lat_rem_node + lat_rem_arc > lat_thr:
+        if use_threshold and lat_bound > lat_thr:
             pruned_threshold += 1
-            undo(p, rec)
+            undo(rec)
             continue
-        bound = acc + rem_node + rem_arc
         if best_value is not None and bound > best_value:
             pruned_bound += 1
-            undo(p, rec)
+            undo(rec)
             continue
-        if p == n - 1:
-            value = acc
-            if best_value is None or value < best_value:
-                best_value = value
+        if p == n - 1:  # the bound is now the assignment's cost
+            if best_value is None or bound < best_value:
+                best_value = bound
                 best_choice = (id_ordered(choice), tuple(choice))
-            elif value == best_value:
+            elif bound == best_value:
                 vec = id_ordered(choice)
                 if vec < best_choice[0]:
                     best_choice = (vec, tuple(choice))
-            undo(p, rec)
+            undo(rec)
             continue
-        f[3] = rec
-        frames.append([p + 1, branch[p + 1], 0, None, acc + rem_node + rem_arc])
+        f[1] = rec
+        frames.append([0, None])
 
     ended = time.monotonic()
     stats = {
@@ -879,13 +860,10 @@ def solve_branch_and_bound(
     if not hit_time_limit:
         status = SolveStatus.INFEASIBLE if best_value is None else SolveStatus.OPTIMAL
     else:
-        # timed out: the incumbent's gap to the best open bound, or none without one
+        # timed out: the incumbent's gap to the root bound, or none without one
         status = SolveStatus.FEASIBLE
         if best_value is not None:
-            open_bounds = [f[4] for f in frames if f[2] <= len(f[1])]
-            lower = min(open_bounds) if open_bounds else best_value
-            gap = 0.0 if best_value == 0 else float(Fraction(best_value - lower, best_value))
-            gap = max(gap, 0.0)
+            gap = 0.0 if best_value == 0 else float(Fraction(best_value - root, best_value))
         stats["gap"] = gap
     assignment = None if best_choice is None else kernel.assignment(best_choice[1])
     value = None if best_value is None else Fraction(best_value, kernel.obj_den)

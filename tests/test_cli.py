@@ -7,6 +7,7 @@ from conftest import complete_dag, serial_200_graph, uav_forest_without_budgets,
 import ehcopt.model
 from ehcopt import presets
 from ehcopt.cli import main
+from ehcopt.generator import default_param_spec
 from ehcopt.model import (
     save_system_model,
     save_task_graph,
@@ -350,3 +351,40 @@ def test_nan_time_limit_exits_2(example_tfg, tmp_path, capsys):
                      "--out", str(out)]) == 2
         assert "time limit must be > 0" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_lthr_with_the_latency_objective_exits_2(example_tfg, tmp_path, capsys):
+    # the cap used to be dropped: solve wrote a 1.79 s allocation as
+    # proven-optimal, export wrote no lthr row, stats reported no threshold
+    for command in ("solve", "export", "stats"):
+        out = tmp_path / command
+        assert main([command, example_tfg, "--objective", "latency", "--lthr", "100ms",
+                     "--out", str(out)]) == 2
+        assert "--lthr" in capsys.readouterr().err
+        assert not out.exists()
+    # baseline keeps it: the cap applies to its energy-optimal case O_E
+    assert main(["baseline", example_tfg, "--objective", "latency", "--lthr", "100ms",
+                 "--out", str(tmp_path / "b")]) == 0
+
+
+_PARAMS = default_param_spec("C1").to_dict()
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ({}, "missing required field 'reference_latency'"),
+        (_without(_PARAMS, "perf_ratios"), "missing required field 'perf_ratios'"),
+        ([1, 2], "expected a JSON object, got list"),
+    ],
+    ids=["empty-object", "no-perf-ratios", "top-level-list"],
+)
+def test_malformed_params_file_exits_2(params, message, tmp_path, capsys):
+    # each used to end in a KeyError or TypeError traceback and exit 1
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(params))
+    out = tmp_path / "g"
+    assert main(["generate", "--structure", "serial", "--nodes", "6", "--params", str(path),
+                 "--out", str(out)]) == 2
+    assert f"error: params file {path}: {message}" in capsys.readouterr().err
+    assert not out.exists()

@@ -303,6 +303,11 @@ def test_time_limit_returns_incumbent_with_gap():
     assert result.assignment is not None
     assert result.gap is not None and 0 <= result.gap <= 1
     assert result.stats["time_limit_hit"]
+    # the gap is measured against the additive root bound
+    node_min = sum(min(n.latency for n in group) for group in etfg.nodes_by_task.values())
+    arc_min = sum(min(a.latency for a in group) for group in etfg.arcs_by_dep.values())
+    value = result.objective_value
+    assert result.gap == float((value - (node_min + arc_min)) / value)
 
 
 def test_energy_solutions_respect_threshold():
@@ -321,7 +326,8 @@ def test_solve_front_door_picks_methods():
     assert solve(tree, "latency").stats["solver"] == "tree-dp"
     budgeted = transform(presets.example_inspection_tfg(), presets.system_model("C1"))
     assert solve(budgeted, "latency").stats["solver"] == "branch-and-bound"
-    assert solve(budgeted, "latency", method="bruteforce").stats["solver"] == "bruteforce"
+    small, _ = random_oracle_instance(3, max_tasks=6)  # budgeted, 4 tasks
+    assert solve(small, "latency", method="bruteforce").stats["solver"] == "bruteforce"
     with pytest.raises(ValueError):
         solve(budgeted, "latency", method="magic")
 
