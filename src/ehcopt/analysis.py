@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .etfg import Etfg
-from .milp import Objective, ObjectiveBreakdown, evaluate
+from .milp import Objective, ObjectiveBreakdown, evaluate, objective_value
 from .model import ROLES, DeviceRole
 from .solver import Allocation, SolveConfig, SolveStatus, solve
 from .units import si_number
@@ -94,16 +94,13 @@ def run_baselines(
         detail = "; ".join(breakdown.violations) if breakdown.violations else None
         if breakdown.latency_ok is False:
             detail = (detail + "; " if detail else "") + "latency threshold exceeded"
-        value = (
-            breakdown.total_latency if objective is Objective.LATENCY else breakdown.total_energy
-        )
         cases.append(
             BaselineCase(
                 kind=kind,
                 assignment=assignment,
                 breakdown=breakdown,
                 feasible=breakdown.feasible,
-                objective_value=value,
+                objective_value=objective_value(breakdown, objective),
                 detail=detail,
             )
         )
@@ -139,37 +136,6 @@ def _case_from_allocation(kind: str, allocation: Allocation) -> BaselineCase:
         objective_value=allocation.objective_value,
         detail=detail,
     )
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Side-by-side optima under the two objectives."""
-
-    latency_case: BaselineCase
-    energy_case: BaselineCase
-    same_allocation: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "O_L": self.latency_case.to_dict(),
-            "O_E": self.energy_case.to_dict(),
-            "same_allocation": self.same_allocation,
-        }
-
-
-def compare_objectives(
-    etfg: Etfg,
-    latency_threshold: Fraction | None = None,
-    config: SolveConfig | None = None,
-) -> ComparisonReport:
-    o_l = _case_from_allocation("O_L", solve(etfg, Objective.LATENCY, None, config))
-    o_e = _case_from_allocation("O_E", solve(etfg, Objective.ENERGY, latency_threshold, config))
-    same = (
-        o_l.assignment is not None
-        and o_e.assignment is not None
-        and o_l.assignment == o_e.assignment
-    )
-    return ComparisonReport(latency_case=o_l, energy_case=o_e, same_allocation=same)
 
 
 # --- report emission -------------------------------------------------------

@@ -33,8 +33,8 @@ from .model import (
     SystemModelError,
     load_system_model,
     load_task_graph,
+    make_system_model,
     save_task_graph,
-    validate_task_graph,
 )
 from .mps import model_to_lp, model_to_mps
 from .solver import SolveConfig, SolveStatus, solve
@@ -57,28 +57,33 @@ def _load_system(config: str, profile: str | None):
         return presets.system_model(config, profile or "run1")
     system = load_system_model(config)
     if profile is not None:
-        from .model import make_system_model
-
         system = make_system_model(list(system.devices.values()), presets.channels(profile))
     return system
 
 
-def _load_graph(path: str):
-    graph = load_task_graph(path)
-    report = validate_task_graph(graph)
-    if not report.ok:
-        raise CliError(f"invalid task graph: {report}", EXIT_VALIDATION)
-    return graph
+def _load_etfg(args):
+    """The task graph ``args.tfg`` expanded on the ``--config`` system;
+    ``transform`` refuses an invalid graph."""
+    graph = load_task_graph(args.tfg)
+    system = _load_system(args.config, args.channel_profile)
+    try:
+        return transform(graph, system)
+    except GraphValidationError as exc:
+        raise CliError(f"invalid task graph: {exc}") from None
 
 
 def _threshold(args, objective: Objective) -> Fraction | None:
     """The latency cap, which only the energy objective has: ``--lthr``
-    or the default.  ``--lthr`` with the latency objective is an error."""
+    or the default.  ``--lthr`` with the latency objective, or not above
+    zero, is an error."""
     if args.lthr is None:
         return presets.DEFAULT_LATENCY_THRESHOLD if objective is Objective.ENERGY else None
     if objective is not Objective.ENERGY:
         raise CliError("--lthr caps latency under --objective energy; it has no meaning with --objective latency")
-    return parse_quantity(args.lthr, "time")
+    threshold = parse_quantity(args.lthr, "time")
+    if threshold <= 0:
+        raise CliError(f"--lthr must be > 0, got {args.lthr}")
+    return threshold
 
 
 def _out_dir(args) -> Path:
@@ -88,21 +93,17 @@ def _out_dir(args) -> Path:
 
 
 def cmd_transform(args) -> int:
-    graph = _load_graph(args.tfg)
-    system = _load_system(args.config, args.channel_profile)
-    etfg = transform(graph, system)
+    etfg = _load_etfg(args)
     out = _out_dir(args)
     save_etfg(etfg, out / "etfg.json", out / "etfg.dot")
-    print(f"expanded {len(graph.tasks)} tasks / {len(graph.arcs)} arcs "
+    print(f"expanded {len(etfg.graph.tasks)} tasks / {len(etfg.graph.arcs)} arcs "
           f"-> {etfg.node_count} candidate nodes / {etfg.arc_count} arcs")
     print(f"wrote {out / 'etfg.json'} and {out / 'etfg.dot'}")
     return EXIT_OK
 
 
 def cmd_solve(args) -> int:
-    graph = _load_graph(args.tfg)
-    system = _load_system(args.config, args.channel_profile)
-    etfg = transform(graph, system)
+    etfg = _load_etfg(args)
     objective = Objective(args.objective)
     threshold = _threshold(args, objective)
     config = SolveConfig(time_limit=args.time_limit)
@@ -130,9 +131,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    graph = _load_graph(args.tfg)
-    system = _load_system(args.config, args.channel_profile)
-    etfg = transform(graph, system)
+    etfg = _load_etfg(args)
     objective = Objective(args.objective)
     threshold = _threshold(args, Objective.ENERGY)
     config = SolveConfig(time_limit=args.time_limit)
@@ -185,9 +184,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_export(args) -> int:
-    graph = _load_graph(args.tfg)
-    system = _load_system(args.config, args.channel_profile)
-    etfg = transform(graph, system)
+    etfg = _load_etfg(args)
     objective = Objective(args.objective)
     model = build_model(etfg, objective, _threshold(args, objective))
     out = _out_dir(args)
@@ -207,9 +204,7 @@ def cmd_export(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    graph = _load_graph(args.tfg)
-    system = _load_system(args.config, args.channel_profile)
-    etfg = transform(graph, system)
+    etfg = _load_etfg(args)
     objective = Objective(args.objective)
     model = build_model(etfg, objective, _threshold(args, objective))
     stats = model_stats(model)

@@ -90,6 +90,15 @@ def _column_maps(nodes, arcs):
     return node_col, arc_col, variables
 
 
+def _column_costs(nodes, arcs, latency: bool) -> dict[int, Fraction]:
+    """Latency (or energy) of each canonical column where it is nonzero:
+    the objective under that quantity, and the ``lthr`` row's coefficients."""
+    node_field, arc_field = (2, 4) if latency else (4, 5)  # CandidateNode / EtfgArc fields
+    costs = [node[node_field] for node in nodes]
+    costs += [arc[arc_field] for arc in arcs]
+    return {col: cost for col, cost in enumerate(costs) if cost}
+
+
 def _energy_coeffs(etfg: Etfg, devices) -> dict[DeviceRole, dict[int, Fraction]]:
     """Energy-budget coefficients of each given device over the canonical
     columns: execution energy of its candidate nodes plus its share of
@@ -138,20 +147,8 @@ def build_model(
     node_col, arc_col, variables = _column_maps(nodes_list, arcs_list)
     graph, system = etfg.graph, etfg.system
     arc_base = len(nodes_list)
-    use_latency = objective is Objective.LATENCY
 
-    obj: dict[int, Fraction] = {}
-    col = 0
-    for _task, _device, node_latency, _power, node_energy in nodes_list:
-        cost = node_latency if use_latency else node_energy
-        if cost:
-            obj[col] = cost
-        col += 1
-    for arc in arcs_list:
-        cost = arc[4] if use_latency else arc[5]  # latency / energy fields
-        if cost:
-            obj[col] = cost
-        col += 1
+    obj = _column_costs(nodes_list, arcs_list, objective is Objective.LATENCY)
 
     rows: list[ConstraintRow] = []
     append = rows.append
@@ -188,24 +185,17 @@ def build_model(
         append(ConstraintRow("lnkdst_" + tag, {a: ONE, d: minus_one}, "L", ZERO))
         append(ConstraintRow("lnkand_" + tag, {a: minus_one, s: ONE, d: ONE}, "L", ONE))
 
-    for role in ROLES:
-        budget = system.device(role).memory_budget
-        if budget is None:
-            continue
-        coeffs = {}
-        for task in graph.tasks:
-            if role in task.allowed and task.memory:
-                coeffs[node_col[(task.id, role)]] = task.memory
-        append(ConstraintRow(f"mem_{role.value}", coeffs, "L", budget))
-    for role in ROLES:
-        budget = system.device(role).storage_budget
-        if budget is None:
-            continue
-        coeffs = {}
-        for task in graph.tasks:
-            if role in task.allowed and task.storage:
-                coeffs[node_col[(task.id, role)]] = task.storage
-        append(ConstraintRow(f"sto_{role.value}", coeffs, "L", budget))
+    for family, quantity in (("mem", "memory"), ("sto", "storage")):
+        for role in ROLES:
+            budget = getattr(system.device(role), f"{quantity}_budget")
+            if budget is None:
+                continue
+            coeffs = {}
+            for task in graph.tasks:
+                amount = getattr(task, quantity)
+                if role in task.allowed and amount:
+                    coeffs[node_col[(task.id, role)]] = amount
+            append(ConstraintRow(f"{family}_{role.value}", coeffs, "L", budget))
     energy_roles = [r for r in ROLES if system.device(r).energy_budget is not None]
     if energy_roles:
         coeffs_by_role = _energy_coeffs(etfg, energy_roles)
@@ -214,17 +204,7 @@ def build_model(
             append(ConstraintRow(f"enr_{role.value}", coeffs_by_role[role], "L", budget))
 
     if objective is Objective.ENERGY and latency_threshold is not None:
-        coeffs = {}
-        col = 0
-        for _task, _device, node_latency, _pow, _enr in nodes_list:
-            if node_latency:
-                coeffs[col] = node_latency
-            col += 1
-        for arc in arcs_list:
-            if arc[4]:
-                coeffs[col] = arc[4]
-            col += 1
-        append(ConstraintRow("lthr", coeffs, "L", latency_threshold))
+        append(ConstraintRow("lthr", _column_costs(nodes_list, arcs_list, True), "L", latency_threshold))
 
     return BilpModel(
         objective_kind=objective,
@@ -291,7 +271,6 @@ class ObjectiveBreakdown:
     device_energy: dict[DeviceRole, Fraction]  # comp + tx + rx + relayed
     memory_use: dict[DeviceRole, Fraction]
     storage_use: dict[DeviceRole, Fraction]
-    energy_use: dict[DeviceRole, Fraction]  # alias of device_energy, vs budget
     violations: tuple[str, ...]
     latency_ok: bool | None  # None when no threshold applies
 
@@ -400,7 +379,6 @@ def evaluate(
         device_energy=device_energy,
         memory_use=memory_use,
         storage_use=storage_use,
-        energy_use=device_energy,
         violations=tuple(violations),
         latency_ok=latency_ok,
     )

@@ -9,6 +9,7 @@ construction and safe to share across threads.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, field
 from enum import Enum
@@ -111,6 +112,29 @@ class TaskGraph:
         return _scan_task_graph(self)
 
     @cached_property
+    def kahn_order(self) -> tuple[int, ...]:
+        """Kahn's walk over the arcs between two distinct tasks, smallest
+        ready task id first.  It stops short of every task on or after a
+        cycle, so it misses some task id exactly when those arcs have one."""
+        indeg = dict.fromkeys(self.task_map, 0)
+        out: dict[int, list[int]] = {tid: [] for tid in indeg}
+        for i, j in self.arcs:
+            if i != j and i in indeg and j in indeg:
+                out[i].append(j)
+                indeg[j] += 1
+        heap = [tid for tid, d in indeg.items() if d == 0]
+        heapq.heapify(heap)
+        order: list[int] = []
+        while heap:
+            tid = heapq.heappop(heap)
+            order.append(tid)
+            for succ in out[tid]:
+                indeg[succ] -= 1
+                if indeg[succ] == 0:
+                    heapq.heappush(heap, succ)
+        return tuple(order)
+
+    @cached_property
     def predecessors(self) -> dict[int, tuple[int, ...]]:
         inc: dict[int, list[int]] = {t.id: [] for t in self.tasks}
         for i, j in self.arcs:
@@ -198,29 +222,10 @@ def _scan_task_graph(graph: TaskGraph) -> ValidationReport:
             if endpoint not in seen:
                 issues.append(f"dangling arc endpoint {endpoint} in arc {i}->{j}")
 
-    if _find_cycle(seen, arc_seen):
+    if len(graph.kahn_order) != len(seen):
         issues.append("cycle detected among arcs")
 
     return ValidationReport(tuple(issues))
-
-
-def _find_cycle(nodes: set[int], arcs: set[tuple[int, int]]) -> bool:
-    out: dict[int, list[int]] = {n: [] for n in nodes}
-    indeg = {n: 0 for n in nodes}
-    for i, j in arcs:
-        if i in out and j in indeg:
-            out[i].append(j)
-            indeg[j] += 1
-    ready = [n for n, d in indeg.items() if d == 0]
-    visited = 0
-    while ready:
-        n = ready.pop()
-        visited += 1
-        for m in out[n]:
-            indeg[m] -= 1
-            if indeg[m] == 0:
-                ready.append(m)
-    return visited != len(nodes)
 
 
 def require_valid(graph: TaskGraph) -> None:
@@ -238,22 +243,10 @@ def out_degree(graph: TaskGraph, task_id: int) -> int:
 
 def topological_order(graph: TaskGraph) -> tuple[int, ...]:
     """Deterministic topological order (smallest task id first among ready)."""
-    import heapq
-
-    indeg = {t.id: len(graph.predecessors[t.id]) for t in graph.tasks}
-    heap = [tid for tid, d in indeg.items() if d == 0]
-    heapq.heapify(heap)
-    order: list[int] = []
-    while heap:
-        tid = heapq.heappop(heap)
-        order.append(tid)
-        for succ in graph.successors[tid]:
-            indeg[succ] -= 1
-            if indeg[succ] == 0:
-                heapq.heappush(heap, succ)
-    if len(order) != len(graph.tasks):
+    order = graph.kahn_order
+    if len(order) != len(graph.tasks) or any(i == j for i, j in graph.arcs):
         raise GraphValidationError("cycle detected among arcs")
-    return tuple(order)
+    return order
 
 
 @dataclass(frozen=True)

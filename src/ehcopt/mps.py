@@ -19,8 +19,6 @@ from dataclasses import dataclass, field
 from .milp import BilpModel
 from .units import fmt12, without_cyclic_gc
 
-_SENSE_TO_MPS = {"L": "L", "E": "E", "G": "G"}
-
 
 def _fmt12_memo():
     """``fmt12`` that formats each distinct value once, keyed by
@@ -45,7 +43,7 @@ def model_to_mps(model: BilpModel, name: str = "EHCOPT") -> str:
     out.append("ROWS")
     out.append(" N  OBJ")
     for idx, row in enumerate(rows):
-        out.append(f" {_SENSE_TO_MPS[row.sense]}  R{idx + 1}")
+        out.append(f" {row.sense}  R{idx + 1}")
 
     # transpose: per-column "row value" fields, objective first, then rows in order
     per_column: list[list[str] | None] = [[] for _ in model.variables]

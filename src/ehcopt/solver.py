@@ -888,9 +888,12 @@ def solve(
     A time limit bounds branch and bound only.  ``auto`` still takes the
     DP under a time limit, since its work is bounded by
     ``DP_STATE_LIMIT`` and it always finishes; a forced ``bruteforce`` or
-    ``tree-dp`` with a time limit raises ValueError instead of ignoring it.
+    ``tree-dp`` with a time limit raises ValueError instead of ignoring it,
+    and so does a latency threshold that is not above zero.
     """
     objective = Objective(objective)
+    if latency_threshold is not None and latency_threshold <= 0:
+        raise ValueError("latency threshold must be > 0")
     use_threshold = objective is Objective.ENERGY and latency_threshold is not None
     time_limited = config is not None and config.time_limit is not None
     if method == "auto":

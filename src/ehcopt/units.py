@@ -85,16 +85,6 @@ _DIMENSIONS: dict[str, dict[str, int | Fraction]] = {
     "energy_per_bit": _PER_BIT_UNITS,
 }
 
-_BASE_UNIT = {
-    "time": "s",
-    "power": "W",
-    "energy": "J",
-    "data": "bit",
-    "memory": "B",
-    "bandwidth": "bit/s",
-    "energy_per_bit": "J/bit",
-}
-
 _QUANTITY_RE = re.compile(
     r"^\s*([+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)\s*([A-Za-zµ/]*)\s*$"
 )
@@ -138,8 +128,6 @@ def parse_quantity(value, dimension: str) -> Fraction:
         return magnitude
     if suffix in units:
         return magnitude * units[suffix]
-    if suffix == _BASE_UNIT[dimension]:
-        return magnitude
     raise UnitError(f"unit {suffix!r} not valid for {dimension} in {value!r}")
 
 

@@ -21,7 +21,6 @@ from ehcopt.analysis import (
     CASE_ORDER,
     cases_to_csv,
     cases_to_json,
-    compare_objectives,
     extreme_assignment,
     run_baselines,
 )
@@ -78,12 +77,12 @@ def test_optimum_dominates_feasible_extremes(example_cases):
             assert optimum.breakdown.total_latency <= case.breakdown.total_latency
 
 
-def test_cross_objective_report(example_app):
-    report = compare_objectives(example_app, Fraction(8))
-    o_l, o_e = report.latency_case, report.energy_case
+def test_cross_objective_report(example_cases):
+    by_kind = {c.kind: c for c in example_cases}
+    o_l, o_e = by_kind["O_L"], by_kind["O_E"]
     assert o_l.breakdown.total_latency <= o_e.breakdown.total_latency
     assert o_e.breakdown.total_energy <= o_l.breakdown.total_energy
-    assert report.same_allocation == (o_l.assignment == o_e.assignment)
+    assert o_l.assignment is not None and o_e.assignment is not None
     # with the default threshold the energy optimum still meets it
     assert o_e.breakdown.total_latency <= 8
 
@@ -163,8 +162,8 @@ def test_energy_optimum_consolidates_when_communication_dominates():
         simple_task(2, ALL, latency={E: 5, H: 5, C: Fraction(1, 20)}, power=2),
     )
     etfg = transform(TaskGraph(tasks=tasks, arcs=((1, 2),)), unbudgeted_system("run1"))
-    report = compare_objectives(etfg)
-    o_l, o_e = report.latency_case, report.energy_case
+    by_kind = {c.kind: c for c in run_baselines(etfg)}
+    o_l, o_e = by_kind["O_L"], by_kind["O_E"]
     # the latency optimum splits across devices despite the transfer...
     assert len(set(o_l.assignment.values())) == 2
     # ...while the energy optimum pays computation to avoid the radios

@@ -57,6 +57,18 @@ def test_transform_rejects_cyclic_graph(tmp_path, capsys):
     assert "cycle" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["transform", "solve", "baseline", "export", "stats"])
+def test_invalid_graph_exits_2_in_every_command(command, tmp_path, capsys):
+    graph = task_graph_to_dict(presets.example_inspection_tfg())
+    graph["arcs"].append([15, 1])  # closes a cycle through the whole app
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(graph))
+    out = tmp_path / "o"
+    assert main([command, str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: invalid task graph: cycle detected among arcs\n"
+    assert not out.exists()
+
+
 def test_solve_command_deterministic(example_tfg, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["solve", example_tfg, "--config", "C1", "--objective", "latency",
@@ -177,6 +189,17 @@ def test_channel_profile_changes_only_channels(example_tfg, tmp_path):
     assert a["nodes"] == b["nodes"]  # computation side untouched
     assert a["arcs"] != b["arcs"]  # transfer costs differ
     assert len(a["arcs"]) == len(b["arcs"])
+
+
+def test_channel_profile_applies_to_a_system_file(example_tfg, tmp_path):
+    system = tmp_path / "c1.json"
+    save_system_model(presets.system_model("C1", "run1"), system)
+    out1, out2 = tmp_path / "file", tmp_path / "preset"
+    assert main(["solve", example_tfg, "--config", str(system), "--channel-profile", "run2",
+                 "--out", str(out1)]) == 0
+    assert main(["solve", example_tfg, "--config", "C1", "--channel-profile", "run2",
+                 "--out", str(out2)]) == 0
+    assert (out1 / "allocation.json").read_bytes() == (out2 / "allocation.json").read_bytes()
 
 
 def test_unknown_config_fails_cleanly(example_tfg, tmp_path, capsys):
@@ -387,4 +410,16 @@ def test_malformed_params_file_exits_2(params, message, tmp_path, capsys):
     assert main(["generate", "--structure", "serial", "--nodes", "6", "--params", str(path),
                  "--out", str(out)]) == 2
     assert f"error: params file {path}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lthr", ["0", "-5s"])
+@pytest.mark.parametrize("command", ["solve", "baseline", "export", "stats"])
+def test_lthr_not_above_zero_exits_2(command, lthr, example_tfg, tmp_path, capsys):
+    # solve used to exit 3 (infeasible) and baseline 0 with O_E reported
+    # infeasible; export and stats failed later, in build_model
+    out = tmp_path / "o"
+    assert main([command, example_tfg, "--objective", "energy", f"--lthr={lthr}",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --lthr must be > 0, got {lthr}\n"
     assert not out.exists()

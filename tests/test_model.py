@@ -64,6 +64,26 @@ def test_missing_profile_entry_detected():
     assert "missing profile entry" in issues
 
 
+@pytest.mark.parametrize(
+    "tasks, issue",
+    [
+        ((simple_task(1), simple_task(1)), "duplicate task id 1"),
+        ((), "graph has no tasks"),
+        ((simple_task(1, memory=-1),), "task 1: negative memory"),
+        ((simple_task(1, storage=-1),), "task 1: negative storage"),
+        ((simple_task(1, data=-1),), "task 1: negative output data"),
+        ((simple_task(1, latency={E: -1, H: 1, C: 1}),), "task 1: negative latency on e"),
+        ((simple_task(1, power={E: 1, H: -1, C: 1}),), "task 1: negative power on h"),
+        ((simple_task(1, power={E: 1, H: 1}),), "task 1: missing profile entry (power on c)"),
+        ((simple_task(1, (E, H), latency={E: 1, H: 1, C: 1}),), "task 1: profile entry for disallowed device c"),
+    ],
+    ids=["duplicate-id", "no-tasks", "memory", "storage", "output-data", "latency", "power",
+         "missing-power", "disallowed-device"],
+)
+def test_each_task_issue_is_reported(tasks, issue):
+    assert issue in validate_task_graph(TaskGraph(tasks=tasks, arcs=())).issues
+
+
 def test_ids_must_be_dense():
     g = TaskGraph(tasks=(simple_task(1), simple_task(3)), arcs=())
     assert any("dense" in issue for issue in validate_task_graph(g).issues)
@@ -176,6 +196,27 @@ def test_system_requires_relay_coverage():
     channels = {(c.src, c.dst): c for c in presets.channels("run1")}
     with pytest.raises(SystemModelError, match="neither"):
         SystemModel(devices=devices, channels=channels, relay={(E, C): H})  # c->e missing
+
+
+def _system_error(devices=ALL, swap=None, drop=None, relay=None):
+    """SystemModel over the run1 channels, with one thing broken."""
+    channels = {(c.src, c.dst): c for c in presets.channels("run1")}
+    if swap is not None:  # store the reverse channel under this pair's key
+        channels[swap] = channels[swap[::-1]]
+    channels.pop(drop, None)
+    relay = {(E, C): H, (C, E): H} if relay is None else relay
+    with pytest.raises(SystemModelError) as info:
+        SystemModel(devices={r: make_device(r) for r in devices}, channels=channels, relay=relay)
+    return str(info.value)
+
+
+def test_each_system_model_error_is_raised():
+    # "neither a channel nor a relay entry": test_system_requires_relay_coverage
+    assert _system_error(devices=(E, H)) == "system model needs exactly one device per role e, h, c"
+    assert _system_error(swap=(E, H)) == "channel stored under wrong key e->h"
+    assert _system_error(relay={(E, C): H, (C, E): H, (E, H): C}) == "pair e->h is both directly connected and relayed"
+    assert _system_error(relay={(E, C): E, (C, E): H}) == "relay for e->c must be a third device"
+    assert _system_error(drop=(H, C)) == "relay e->h->c requires both direct hops"
 
 
 def test_default_relay_routes_through_hub():

@@ -229,6 +229,51 @@ def test_elimination_dp_matches_bruteforce(width, objective):
         assert objective_value(breakdown, objective) == dp.objective_value, f"seed {seed}"
 
 
+def _fill_edges(graph, order) -> int:
+    """Edges that eliminating the tasks in ``order`` adds to the skeleton."""
+    adj = {t.id: set() for t in graph.tasks}
+    for i, j in graph.arcs:
+        adj[i].add(j)
+        adj[j].add(i)
+    fill = 0
+    for v in order:
+        neighbours = adj.pop(v)
+        for a in neighbours:
+            adj[a].discard(v)
+            for b in neighbours:
+                if a < b and b not in adj[a]:
+                    adj[a].add(b)
+                    adj[b].add(a)
+                    fill += 1
+    return fill
+
+
+def _dp_matches_bruteforce(etfg, objective):
+    dp = solve_tree_dp(etfg, objective)
+    bf = solve_bruteforce(etfg, objective)
+    assert dp.status is SolveStatus.OPTIMAL
+    assert dp.objective_value == bf.objective_value
+    assert objective_value(evaluate(etfg, dp.assignment), objective) == dp.objective_value
+    return dp
+
+
+@pytest.mark.parametrize("objective", ["latency", "energy"])
+def test_elimination_dp_with_fill_edges_matches_bruteforce(objective):
+    # k-trees, forests and complete DAGs are chordal: their plans add no fill
+    diamond = tuple(simple_task(i, latency={E: i, H: 2, C: 3}, data=10**5) for i in range(1, 5))
+    etfg = transform(TaskGraph(tasks=diamond, arcs=((1, 2), (1, 3), (2, 4), (3, 4))), PLAIN)
+    assert _fill_edges(etfg.graph, solver._elimination_plan(etfg.graph).order) == 1
+    # the fill edge 2-3 leaves a triangle after the first step: 27 + 27 + 9 + 3 states
+    assert _dp_matches_bruteforce(etfg, objective).stats == {"solver": "tree-dp", "treewidth": 2, "dp_states": 66}
+    filled = 0
+    for seed in range(40):
+        graph = random_oracle_instance(seed)[0].graph
+        etfg = transform(graph, PLAIN)
+        filled += _fill_edges(graph, solver._elimination_plan(graph).order) > 0
+        _dp_matches_bruteforce(etfg, objective)
+    assert filled >= 10
+
+
 def test_auto_routes_an_unbudgeted_triangle_to_the_dp():
     tasks = tuple(simple_task(i, data=10**4) for i in range(1, 4))
     etfg = transform(TaskGraph(tasks=tasks, arcs=((1, 2), (1, 3), (2, 3))), PLAIN)
@@ -330,6 +375,28 @@ def test_solve_front_door_picks_methods():
     assert solve(small, "latency", method="bruteforce").stats["solver"] == "bruteforce"
     with pytest.raises(ValueError):
         solve(budgeted, "latency", method="magic")
+
+
+def test_branch_and_bound_replaces_an_incumbent_on_a_tie():
+    # cheapest-first branching finds (h, e) at 3 s first, then (e, e) at
+    # 3 s; the tie goes to the smaller assignment by task id, as in the oracle
+    tasks = (
+        simple_task(1, latency={E: 2, H: 1, C: 5}, data=20 * 10**6),
+        simple_task(2, latency={E: 1, H: 5, C: 5}),
+    )
+    etfg = transform(TaskGraph(tasks=tasks, arcs=((1, 2),)), PLAIN)
+    bb = solve_branch_and_bound(etfg, "latency")
+    bf = solve_bruteforce(etfg, "latency")
+    assert bb.objective_value == bf.objective_value == 3
+    assert bb.assignment == bf.assignment == {1: E, 2: E}
+
+
+def test_a_latency_cap_not_above_zero_is_rejected():
+    # a zero cap used to yield a proven "infeasible"
+    etfg = transform(two_task_chain(), PLAIN)
+    for cap in (Fraction(0), Fraction(-5)):
+        with pytest.raises(ValueError, match="latency threshold must be > 0"):
+            solve(etfg, "energy", cap)
 
 
 def test_solve_config_validation():
