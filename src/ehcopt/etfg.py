@@ -35,11 +35,6 @@ from .model import (
 from .units import si_number, without_cyclic_gc
 
 
-def indicator(k: DeviceRole, l: DeviceRole, system: SystemModel) -> tuple[int, DeviceRole | None]:
-    """Whether k->l traffic is relayed, and through which device."""
-    return system.route(k, l)
-
-
 def comm_latency(data_bits, k: DeviceRole, l: DeviceRole, system: SystemModel) -> Fraction:
     """Transfer time for the data over the k->l route; zero on-device."""
     data_bits = Fraction(data_bits)
@@ -47,7 +42,7 @@ def comm_latency(data_bits, k: DeviceRole, l: DeviceRole, system: SystemModel) -
         raise ValueError("data size must be >= 0")
     if k == l:
         return Fraction(0)
-    relayed, via = indicator(k, l, system)
+    relayed, via = system.route(k, l)
     if not relayed:
         return data_bits / system.channel(k, l).bandwidth
     return data_bits * (
@@ -60,11 +55,6 @@ def comp_energy(power, latency) -> Fraction:
     power, latency = Fraction(power), Fraction(latency)
     if power < 0 or latency < 0:
         raise ValueError("power and latency must be >= 0")
-    return _comp_energy(power, latency)
-
-
-def _comp_energy(power: Fraction, latency: Fraction) -> Fraction:
-    """:func:`comp_energy` of already checked rationals."""
     return power * latency
 
 
@@ -79,7 +69,7 @@ def energy_shares(
         raise ValueError("data size must be >= 0")
     if k == l:
         return ()
-    relayed, via = indicator(k, l, system)
+    relayed, via = system.route(k, l)
     if not relayed:
         ch = system.channel(k, l)
         return ((k, data_bits * ch.tx_energy), (l, data_bits * ch.rx_energy))
@@ -169,7 +159,7 @@ def transform(graph: TaskGraph, system: SystemModel) -> Etfg:
     for task in graph.tasks:
         latency, power = task.latency, task.power
         nodes_by_task[task.id] = tuple(
-            CandidateNode(task.id, role, latency[role], power[role], _comp_energy(power[role], latency[role]))
+            CandidateNode(task.id, role, latency[role], power[role], power[role] * latency[role])
             for role in task.allowed  # Task.allowed is canonically ordered
         )
 
@@ -179,7 +169,7 @@ def transform(graph: TaskGraph, system: SystemModel) -> Etfg:
     per_bit = {}
     for k, l in product(ROLES, ROLES):
         if k != l:
-            relayed, via = indicator(k, l, system)
+            relayed, via = system.route(k, l)
             per_bit[(k, l)] = (comm_latency(1, k, l, system), comm_energy(1, k, l, system), bool(relayed), via)
 
     task_map = graph.task_map

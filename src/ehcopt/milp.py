@@ -132,6 +132,14 @@ def energy_budget_row(etfg: Etfg, device: DeviceRole) -> ConstraintRow:
     return ConstraintRow(f"enr_{device.value}", _energy_coeffs(etfg, (device,))[device], "L", budget)
 
 
+def check_latency_threshold(objective: Objective, latency_threshold: Fraction | None) -> None:
+    """A latency cap must be above zero, and only the energy objective has one."""
+    if latency_threshold is not None and latency_threshold <= 0:
+        raise ValueError("latency threshold must be > 0")
+    if latency_threshold is not None and objective is not Objective.ENERGY:
+        raise ValueError("a latency threshold caps the energy objective; the latency objective has none")
+
+
 @without_cyclic_gc
 def build_model(
     etfg: Etfg,
@@ -139,8 +147,7 @@ def build_model(
     latency_threshold: Fraction | None = None,
 ) -> BilpModel:
     objective = Objective(objective)
-    if latency_threshold is not None and latency_threshold <= 0:
-        raise ValueError("latency threshold must be > 0")
+    check_latency_threshold(objective, latency_threshold)
 
     nodes_list = list(etfg.iter_nodes())
     arcs_list = list(etfg.iter_arcs())
@@ -203,12 +210,12 @@ def build_model(
             budget = system.device(role).energy_budget
             append(ConstraintRow(f"enr_{role.value}", coeffs_by_role[role], "L", budget))
 
-    if objective is Objective.ENERGY and latency_threshold is not None:
+    if latency_threshold is not None:
         append(ConstraintRow("lthr", _column_costs(nodes_list, arcs_list, True), "L", latency_threshold))
 
     return BilpModel(
         objective_kind=objective,
-        latency_threshold=latency_threshold if objective is Objective.ENERGY else None,
+        latency_threshold=latency_threshold,
         variables=variables,
         objective=obj,
         rows=rows,

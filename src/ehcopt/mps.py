@@ -36,10 +36,10 @@ def _fmt12_memo():
 
 
 @without_cyclic_gc
-def model_to_mps(model: BilpModel, name: str = "EHCOPT") -> str:
+def model_to_mps(model: BilpModel) -> str:
     rows = model.rows
     fmt = _fmt12_memo()
-    out: list[str] = [f"NAME          {name}"]
+    out: list[str] = ["NAME          EHCOPT"]
     out.append("ROWS")
     out.append(" N  OBJ")
     for idx, row in enumerate(rows):

@@ -8,7 +8,10 @@ Three routes to a provably optimal assignment:
 * :func:`solve_tree_dp` is the exact path for instances without budgets:
   the cost is then a sum of per-task and per-dependency terms, so
   eliminating tasks along a min-fill order of the undirected dependency
-  skeleton (bucket elimination) is exact.  Its work is the order's state
+  skeleton (bucket elimination) is exact.  The min-fill walk compiles
+  the elimination into a schedule once per graph (each bucket's scope
+  and the index layouts of its tables), and one cost pass runs that
+  schedule over the kernel's tables.  Its work is the order's state
   count, which must not exceed ``DP_STATE_LIMIT``; forests are its
   width-1 case.
 * :func:`solve_branch_and_bound` handles the general case: depth-first
@@ -43,12 +46,12 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from operator import add
 from typing import NamedTuple
 
 from .etfg import Etfg, arc_shares
-from .milp import Objective, ObjectiveBreakdown, evaluate
+from .milp import Objective, ObjectiveBreakdown, check_latency_threshold, evaluate
 from .model import ROLE_INDEX, ROLES, DeviceRole, topological_order
 from .units import si_number, without_cyclic_gc
 
@@ -59,7 +62,6 @@ BRUTE_FORCE_LIMIT = 10**7
 # 797k of a 12-task clique), so the largest DP allowed costs about as much
 # as a short branch-and-bound run.
 DP_STATE_LIMIT = 10**6
-_LAYOUT_CACHE_ENTRIES = 3**8  # larger index layouts are rebuilt, not kept
 
 
 class InstanceTooLarge(ValueError):
@@ -125,10 +127,7 @@ def _as_int(value: Fraction, den: int) -> int:
 
 def _finish(etfg, objective, assignment, value, latency_threshold, stats, status, gap=None):
     """Every solver's result; without an assignment there is no value or breakdown."""
-    breakdown = None
-    if assignment is not None:
-        threshold = latency_threshold if objective is Objective.ENERGY else None
-        breakdown = evaluate(etfg, assignment, threshold)
+    breakdown = None if assignment is None else evaluate(etfg, assignment, latency_threshold)
     return Allocation(status, objective, assignment, value, breakdown, gap, stats)
 
 
@@ -142,11 +141,11 @@ def solve_bruteforce(
 ) -> Allocation:
     """Enumerate every assignment; keep the best feasible one.
 
-    The latency threshold participates only under the energy objective,
-    matching the optimization model.  Guarded to ``BRUTE_FORCE_LIMIT``
-    assignments.
+    The latency threshold caps the energy objective only, as in the
+    optimization model.  Guarded to ``BRUTE_FORCE_LIMIT`` assignments.
     """
     objective = Objective(objective)
+    check_latency_threshold(objective, latency_threshold)
     graph, system = etfg.graph, etfg.system
     tasks = graph.tasks
     n = len(tasks)
@@ -158,7 +157,6 @@ def solve_bruteforce(
                 f"assignment space exceeds {BRUTE_FORCE_LIMIT}; use branch and bound"
             )
 
-    use_threshold = objective is Objective.ENERGY and latency_threshold is not None
     role_idx = {r: i for i, r in enumerate(ROLES)}
     pos_of = {t.id: p for p, t in enumerate(tasks)}
 
@@ -211,7 +209,7 @@ def solve_bruteforce(
     lat_den = _common_denominator(
         [c for row in node_lat_f for c in row]
         + [t[0] for _, _, tb in arc_specs for t in tb.values()]
-        + ([latency_threshold] if use_threshold else [])
+        + ([] if latency_threshold is None else [latency_threshold])
     )
     enr_values = [c for row in node_enr_f for c in row]
     for _, _, tb in arc_specs:
@@ -236,7 +234,7 @@ def solve_bruteforce(
     mem_bgt = [None if d.memory_budget is None else _as_int(d.memory_budget, mem_den) for d in budgets]
     sto_bgt = [None if d.storage_budget is None else _as_int(d.storage_budget, sto_den) for d in budgets]
     enr_bgt = [None if d.energy_budget is None else _as_int(d.energy_budget, enr_den) for d in budgets]
-    thr = _as_int(latency_threshold, lat_den) if use_threshold else None
+    thr = None if latency_threshold is None else _as_int(latency_threshold, lat_den)
 
     # flat per-level tables: arc cost indexed by earlier_choice * width + ci
     arcs_at: list[list[tuple]] = [[] for _ in range(n)]
@@ -422,7 +420,6 @@ class _Kernel:
         self.role_of = [[ROLE_INDEX[node.device] for node in row] for row in nodes]
         groups = etfg.arcs_by_dep
         budgets = [etfg.system.device(r) for r in ROLES]
-        cap = latency_threshold if objective is Objective.ENERGY else None
         latency = objective is Objective.LATENCY
         # only an energy-budget row reads the shares; an arc's energy is
         # their sum, so without them its own denominator joins enr_den
@@ -437,7 +434,7 @@ class _Kernel:
         lat_den = _common_denominator(
             [node.latency for row in nodes for node in row]
             + [arc.latency for group in groups.values() for arc in group]
-            + ([] if cap is None else [cap])
+            + ([] if latency_threshold is None else [latency_threshold])
         )
         enr_den = _common_denominator(
             [node.energy for row in nodes for node in row]
@@ -459,7 +456,7 @@ class _Kernel:
         self.mem_bgt = [None if d.memory_budget is None else _as_int(d.memory_budget, mem_den) for d in budgets]
         self.sto_bgt = [None if d.storage_budget is None else _as_int(d.storage_budget, sto_den) for d in budgets]
         self.enr_bgt = [None if d.energy_budget is None else _as_int(d.energy_budget, enr_den) for d in budgets]
-        self.lat_thr = None if cap is None else _as_int(cap, lat_den)
+        self.lat_thr = None if latency_threshold is None else _as_int(latency_threshold, lat_den)
 
         parts_of = {  # each shared tuple converted once
             key: tuple([(ROLE_INDEX[r], _as_int(amount, enr_den)) for r, amount in shares])
@@ -485,20 +482,25 @@ class _Kernel:
 # --- bounded-treewidth elimination DP ----------------------------------------
 
 
-class _EliminationPlan(NamedTuple):
-    """A min-fill elimination order of the dependency skeleton (task ids,
-    first eliminated first), its induced width, and the DP's state count:
-    the sum over tasks of the candidate combinations of the task and of
-    the neighbours it still has when it is eliminated."""
+class _Schedule(NamedTuple):
+    """The DP for one skeleton: the min-fill order (task ids), its width
+    and state count (summed candidate combinations of each task and the
+    neighbours it has left), and per step the task's kernel position, its
+    scope (those neighbours, in elimination order) and, per bucket axis
+    (the task, then the scope), its candidate count and the (table number,
+    index layout) pairs to add.  Tables are numbered node tables by
+    position, arc tables in ``graph.arcs`` order, then messages."""
 
     order: tuple[int, ...]
     width: int
     states: int
+    steps: tuple[tuple[int, tuple[int, ...], tuple], ...]
 
 
-def _elimination_plan(graph) -> _EliminationPlan | None:
-    """Min-fill order of the undirected skeleton, or None once the DP would
-    need more than ``DP_STATE_LIMIT`` states.
+def _schedule(graph) -> _Schedule | None:
+    """The min-fill order of the undirected skeleton compiled into the
+    DP's steps, or None once the DP would need more than
+    ``DP_STATE_LIMIT`` states.
 
     Each step eliminates the task whose neighbours miss the fewest edges
     among themselves (its fill), then the one of smaller degree, then the
@@ -506,15 +508,18 @@ def _elimination_plan(graph) -> _EliminationPlan | None:
     its neighbours, which are counted incrementally, so that a step
     re-scores only the tasks whose neighbourhood it changed.  On a forest
     this removes leaves, largest id first, so each tree keeps its smallest
-    task id to the end.
-    """
-    domain = {t.id: len(t.allowed) for t in graph.tasks}
-    adj: dict[int, set[int]] = {tid: set() for tid in domain}
-    for i, j in graph.arcs:
+    task id to the end.  A table sits in its first eliminated task's
+    bucket; an index layout is built once per shape."""
+    ids = topological_order(graph)  # the kernel's positions
+    pos_of = {tid: p for p, tid in enumerate(ids)}
+    domain = [len(graph.task(tid).allowed) for tid in ids]
+    arcs = [(pos_of[i], pos_of[j]) for i, j in graph.arcs]
+    adj = [set() for _ in ids]
+    for i, j in arcs:
         adj[i].add(j)
         adj[j].add(i)
-    inner = dict.fromkeys(domain, 0)  # per task: edges among its neighbours
-    for a, neighbours in adj.items():
+    inner = [0] * len(ids)  # per task: edges among its neighbours
+    for a, neighbours in enumerate(adj):
         for b in neighbours:
             if a < b:
                 for w in neighbours & adj[b]:
@@ -522,28 +527,26 @@ def _elimination_plan(graph) -> _EliminationPlan | None:
 
     def score(v):
         d = len(adj[v])
-        return (d * (d - 1) // 2 - inner[v], d, -v)
+        return (d * (d - 1) // 2 - inner[v], d, -ids[v], v)
 
-    current = {v: score(v) for v in domain}
+    current = {v: score(v) for v in range(len(ids))}
     heap = list(current.values())
     heapq.heapify(heap)
-    order = []
-    width = states = 0
+    walk = []  # per step: (task, its neighbours)
+    rank = [0] * len(ids)
+    states = 0
     while heap:
         entry = heapq.heappop(heap)
-        v = -entry[2]
+        v = entry[3]
         if current.get(v) != entry:
             continue  # eliminated, or re-scored since it was pushed
         del current[v]
-        neighbours = adj.pop(v)
-        size = domain[v]
-        for u in neighbours:
-            size *= domain[u]
-        states += size
+        neighbours, adj[v] = adj[v], set()
+        states += domain[v] * math.prod([domain[u] for u in neighbours])
         if states > DP_STATE_LIMIT:
             return None
-        width = max(width, len(neighbours))
-        order.append(v)
+        rank[v] = len(walk)
+        walk.append((v, neighbours))
         touched = set(neighbours)
         for u in neighbours:
             adj[u].discard(v)
@@ -562,79 +565,81 @@ def _elimination_plan(graph) -> _EliminationPlan | None:
         for u in touched:
             current[u] = score(u)
             heapq.heappush(heap, current[u])
-    return _EliminationPlan(tuple(order), width, states)
 
-
-def _eliminate(etfg: Etfg, objective: Objective, plan: _EliminationPlan) -> Allocation:
-    """Bucket elimination along ``plan`` over the kernel's costs.
-
-    Every cost table (one per task, one per dependency) is a flat list,
-    row-major over its scope, and sits in the bucket of its first
-    eliminated task.  Eliminating ``v`` sums its bucket over the scope
-    plus ``v``, keeps the minimum over ``v``'s candidates as a new table
-    for a later bucket, and keeps the first minimising candidate per
-    scope assignment.  Back-substitution runs in reverse order.
-    """
-    kernel = _Kernel(etfg, objective, None)
-    n = kernel.n
-    pos_of = {t.id: p for p, t in enumerate(kernel.tasks)}
-    order = [pos_of[tid] for tid in plan.order]
-    rank = [0] * n
-    for r, p in enumerate(order):
-        rank[p] = r
-    domain = [len(roles) for roles in kernel.role_of]
-    buckets: list[list[tuple]] = [[((p,), kernel.node_obj[p])] for p in range(n)]
-    for src, dst, obj, _lat, _parts in kernel.arcs:  # obj is row-major over (src, dst)
-        buckets[min(src, dst, key=rank.__getitem__)].append(((src, dst), obj))
-
-    total = 0
-    steps = []  # per eliminated task: (task, scope, first minimiser per scope assignment)
-    layouts: dict[tuple, list[int]] = {}  # small tables' indices into their full scope, by shape
-    for v in order:
-        tables, buckets[v] = buckets[v], []
-        scope = sorted({u for s, _ in tables for u in s if u != v}, key=rank.__getitem__)
-        axes = [v] + scope  # the summed table is row-major over these, v outermost
-        axis_of = {u: a for a, u in enumerate(axes)}
-        ending = [[] for _ in axes]  # each table is added once its last axis is in
-        for s, table in tables:
-            ending[max(axis_of[u] for u in s)].append((s, table))
-        summed = [0]
-        for a, u in enumerate(axes):
-            if domain[u] > 1:  # the next axis: repeat each entry once per candidate
-                summed = list(chain.from_iterable(zip(*[summed] * domain[u])))
-            for s, table in ending[a]:
-                stride, step = {}, 1
-                for w in reversed(s):
-                    stride[w] = step
-                    step *= domain[w]
-                shape = tuple([(domain[w], stride.get(w, 0)) for w in axes[: a + 1]])
-                index = layouts.get(shape)
-                if index is None:
-                    index = [0]
-                    for size, step in shape:  # each axis in turn becomes the innermost
-                        shifted = [map(add, index, repeat(c * step)) for c in range(size)]
-                        index = list(chain.from_iterable(zip(*shifted)))
-                    if len(index) <= _LAYOUT_CACHE_ENTRIES:
-                        layouts[shape] = index
-                summed = list(map(add, summed, map(table.__getitem__, index)))
-        block = len(summed) // domain[v]
-        columns = [summed[c * block : (c + 1) * block] for c in range(domain[v])]  # one per candidate of v
-        best = list(map(min, zip(*columns)))
-        steps.append((v, scope, bytes(map(tuple.index, zip(*columns), best))))  # first minimum: e < h < c
+    buckets = [[(p, (p,))] for p in range(len(ids))]
+    for t, scope in enumerate(arcs, len(ids)):  # arc tables are row-major over (src, dst)
+        buckets[min(scope, key=rank.__getitem__)].append((t, scope))
+    message = count(len(ids) + len(arcs))
+    layouts: dict[tuple, list[int]] = {}  # by shape: per axis, (candidates, stride in the table)
+    steps = []
+    for v, neighbours in walk:
+        scope = tuple(sorted(neighbours, key=rank.__getitem__))
+        axes = (v,) + scope  # the summed table is row-major over these, v outermost
+        adds = [[] for _ in axes]
+        for t, s in buckets[v]:
+            stride = {w: math.prod([domain[x] for x in s[k + 1 :]]) for k, w in enumerate(s)}
+            last = max(map(axes.index, s))  # added once its last axis is in
+            shape = tuple([(domain[w], stride.get(w, 0)) for w in axes[: last + 1]])
+            index = layouts.get(shape)
+            if index is None:
+                index = [0]
+                for size, step in shape:  # each axis in turn becomes the innermost
+                    shifted = [map(add, index, repeat(c * step)) for c in range(size)]
+                    index = list(chain.from_iterable(zip(*shifted)))
+                layouts[shape] = index
+            adds[last].append((t, index))
+        steps.append((v, scope, tuple(zip([domain[u] for u in axes], adds))))
         if scope:
-            buckets[scope[0]].append((tuple(scope), best))
+            buckets[scope[0]].append((next(message), scope))
+    width = max([len(scope) for _, scope, _ in steps], default=0)
+    return _Schedule(tuple(ids[v] for v, _ in walk), width, states, tuple(steps))
+
+
+def _eliminate(schedule: _Schedule, tables) -> tuple[int, list[int]]:
+    """One pass of ``schedule`` over integer cost tables, numbered as it
+    numbers them (flat lists, row-major over their scope): the minimum
+    total cost, and one candidate index per kernel position reaching it.
+
+    Eliminating a task sums its bucket axis by axis, keeps the minimum
+    over the task's candidates as its message, and keeps the first
+    minimising candidate (e < h < c) per scope assignment.
+    Back-substitution runs in reverse order.
+    """
+    tables = list(tables)
+    total = 0
+    argmins = []
+    for _v, scope, axes in schedule.steps:
+        summed = [0]
+        for size, adds in axes:
+            if size > 1:  # the next axis: repeat each entry once per candidate
+                summed = list(chain.from_iterable(zip(*[summed] * size)))
+            for t, index in adds:
+                summed = list(map(add, summed, map(tables[t].__getitem__, index)))
+        block = len(summed) // axes[0][0]
+        columns = [summed[c : c + block] for c in range(0, len(summed), block)]  # one per candidate
+        best = list(map(min, zip(*columns)))
+        argmins.append(bytes(map(tuple.index, zip(*columns), best)))
+        if scope:
+            tables.append(best)
         else:
             total += best[0]
 
-    chosen = [0] * n
-    for v, scope, argmin in reversed(steps):
+    chosen = [0] * len(argmins)
+    for (v, scope, axes), argmin in zip(reversed(schedule.steps), reversed(argmins)):
         at = 0
-        for u in scope:
-            at = at * domain[u] + chosen[u]
+        for u, (size, _) in zip(scope, axes[1:]):
+            at = at * size + chosen[u]
         chosen[v] = argmin[at]
-    stats = {"solver": "tree-dp", "treewidth": plan.width, "dp_states": plan.states}
-    value = Fraction(total, kernel.obj_den)
-    return _finish(etfg, objective, kernel.assignment(chosen), value, None, stats, SolveStatus.OPTIMAL)
+    return total, chosen
+
+
+def _tree_dp(etfg: Etfg, objective: Objective, schedule: _Schedule) -> Allocation:
+    """The DP's allocation: one pass of ``schedule`` over the kernel's costs."""
+    kernel = _Kernel(etfg, objective, None)
+    total, chosen = _eliminate(schedule, kernel.node_obj + [obj for _, _, obj, _, _ in kernel.arcs])
+    stats = {"solver": "tree-dp", "treewidth": schedule.width, "dp_states": schedule.states}
+    assignment, value = kernel.assignment(chosen), Fraction(total, kernel.obj_den)
+    return _finish(etfg, objective, assignment, value, None, stats, SolveStatus.OPTIMAL)
 
 
 def _has_budgets(etfg: Etfg) -> bool:
@@ -657,10 +662,10 @@ def solve_tree_dp(etfg: Etfg, objective: Objective | str = Objective.LATENCY) ->
     objective = Objective(objective)
     if _has_budgets(etfg):
         raise ValueError("tree DP requires all device budgets to be unbounded")
-    plan = _elimination_plan(etfg.graph)
-    if plan is None:
+    schedule = _schedule(etfg.graph)
+    if schedule is None:
         raise ValueError(f"tree DP needs more than {DP_STATE_LIMIT} states here; use bnb")
-    return _eliminate(etfg, objective, plan)
+    return _tree_dp(etfg, objective, schedule)
 
 
 # --- branch and bound -------------------------------------------------------
@@ -686,6 +691,7 @@ def solve_branch_and_bound(
     of the table build.  Deterministic for fixed inputs and configuration.
     """
     objective = Objective(objective)
+    check_latency_threshold(objective, latency_threshold)
     config = config or SolveConfig()
     started = time.monotonic()
     deadline = None if config.time_limit is None else started + config.time_limit
@@ -870,10 +876,6 @@ def solve_branch_and_bound(
     return _finish(etfg, objective, assignment, value, latency_threshold, stats, status, gap)
 
 
-def tree_dp_applicable(etfg: Etfg) -> bool:
-    return not _has_budgets(etfg) and _elimination_plan(etfg.graph) is not None
-
-
 def solve(
     etfg: Etfg,
     objective: Objective | str = Objective.LATENCY,
@@ -889,25 +891,23 @@ def solve(
     DP under a time limit, since its work is bounded by
     ``DP_STATE_LIMIT`` and it always finishes; a forced ``bruteforce`` or
     ``tree-dp`` with a time limit raises ValueError instead of ignoring it,
-    and so does a latency threshold that is not above zero.
+    and so does a latency threshold that is not above zero or comes
+    without the energy objective.
     """
     objective = Objective(objective)
-    if latency_threshold is not None and latency_threshold <= 0:
-        raise ValueError("latency threshold must be > 0")
-    use_threshold = objective is Objective.ENERGY and latency_threshold is not None
+    check_latency_threshold(objective, latency_threshold)
     time_limited = config is not None and config.time_limit is not None
     if method == "auto":
-        if not use_threshold and not _has_budgets(etfg):
-            plan = _elimination_plan(etfg.graph)
-            if plan is not None:
-                return _eliminate(etfg, objective, plan)
+        schedule = None if latency_threshold is not None or _has_budgets(etfg) else _schedule(etfg.graph)
+        if schedule is not None:
+            return _tree_dp(etfg, objective, schedule)
         method = "bnb"
     if method == "bruteforce":
         if time_limited:
             raise ValueError("brute force cannot honour a time limit; use bnb")
         return solve_bruteforce(etfg, objective, latency_threshold)
     if method == "tree-dp":
-        if use_threshold:
+        if latency_threshold is not None:
             raise ValueError("tree DP cannot honour a latency threshold; use bnb or bruteforce")
         if time_limited:
             raise ValueError("tree DP cannot honour a time limit; use bnb or auto")

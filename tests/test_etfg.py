@@ -15,7 +15,6 @@ from ehcopt.etfg import (
     energy_shares,
     etfg_to_dict,
     etfg_to_dot,
-    indicator,
     transform,
 )
 from ehcopt.generator import STRUCTURES, GenSpec, default_param_spec, generate_tfg, synthesize_params
@@ -26,15 +25,15 @@ SYSTEM = unbudgeted_system("run1")
 
 class TestIndicator:
     def test_edge_cloud_is_relayed_through_hub(self):
-        assert indicator(E, C, SYSTEM) == (1, H)
-        assert indicator(C, E, SYSTEM) == (1, H)
+        assert SYSTEM.route(E, C) == (1, H)
+        assert SYSTEM.route(C, E) == (1, H)
 
     def test_direct_pairs(self):
-        assert indicator(E, H, SYSTEM) == (0, None)
-        assert indicator(H, C, SYSTEM) == (0, None)
+        assert SYSTEM.route(E, H) == (0, None)
+        assert SYSTEM.route(H, C) == (0, None)
 
     def test_same_device(self):
-        assert indicator(H, H, SYSTEM) == (0, None)
+        assert SYSTEM.route(H, H) == (0, None)
 
 
 class TestCommLatency:
@@ -211,7 +210,7 @@ def test_expansion_matches_the_public_formulas(family, n, seed, config, sizes, d
         assert node.energy == comp_energy(task.power[node.device], task.latency[node.device])
     for arc in etfg.iter_arcs():
         bits, k, l = graph.task(arc.src_task).output_data, arc.src_device, arc.dst_device
-        relayed, via = indicator(k, l, system)
+        relayed, via = system.route(k, l)
         assert arc.latency == comm_latency(bits, k, l, system)
         assert arc.energy == comm_energy(bits, k, l, system)
         assert (arc.indirect, arc.via) == (bool(relayed), via)

@@ -99,6 +99,12 @@ def test_threshold_row_only_for_energy_objective():
         build_model(etfg, "energy", Fraction(0))
 
 
+def test_a_latency_cap_under_the_latency_objective_is_rejected(example_app):
+    # the cap used to be dropped: no lthr row and latency_threshold None
+    with pytest.raises(ValueError, match="energy objective"):
+        build_model(example_app, "latency", Fraction(1, 100))
+
+
 def test_energy_budget_row_includes_relay_share():
     # data flows 1 -> 2; if task 1 sits on e and task 2 on c, the hub relays
     g = two_task_chain(data=10**6)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 import time
@@ -24,7 +25,7 @@ from conftest import (
 from ehcopt import presets, solver
 from ehcopt.etfg import transform
 from ehcopt.milp import evaluate, objective_value
-from ehcopt.model import TaskGraph, make_system_model
+from ehcopt.model import TaskGraph, make_system_model, topological_order
 from ehcopt.solver import (
     InstanceTooLarge,
     SolveConfig,
@@ -33,7 +34,6 @@ from ehcopt.solver import (
     solve_branch_and_bound,
     solve_bruteforce,
     solve_tree_dp,
-    tree_dp_applicable,
 )
 
 PLAIN = unbudgeted_system("run1")
@@ -182,9 +182,9 @@ class TestTreeDp:
         assert digest.hexdigest() == TREE_DP_TIE_DIGEST
 
     def test_applicability_probe(self):
-        assert tree_dp_applicable(transform(two_task_chain(), PLAIN))
+        assert solve(transform(two_task_chain(), PLAIN), "latency").stats["solver"] == "tree-dp"
         budgeted = transform(two_task_chain(), presets.system_model("C1"))
-        assert not tree_dp_applicable(budgeted)
+        assert solve(budgeted, "latency").stats["solver"] == "branch-and-bound"
 
 
 def _random_k_tree(seed: int, width: int):
@@ -229,6 +229,11 @@ def test_elimination_dp_matches_bruteforce(width, objective):
         assert objective_value(breakdown, objective) == dp.objective_value, f"seed {seed}"
 
 
+def _diamond():
+    tasks = tuple(simple_task(i, latency={E: i, H: 2, C: 3}, data=10**5) for i in range(1, 5))
+    return TaskGraph(tasks=tasks, arcs=((1, 2), (1, 3), (2, 4), (3, 4)))
+
+
 def _fill_edges(graph, order) -> int:
     """Edges that eliminating the tasks in ``order`` adds to the skeleton."""
     adj = {t.id: set() for t in graph.tasks}
@@ -259,25 +264,57 @@ def _dp_matches_bruteforce(etfg, objective):
 
 @pytest.mark.parametrize("objective", ["latency", "energy"])
 def test_elimination_dp_with_fill_edges_matches_bruteforce(objective):
-    # k-trees, forests and complete DAGs are chordal: their plans add no fill
-    diamond = tuple(simple_task(i, latency={E: i, H: 2, C: 3}, data=10**5) for i in range(1, 5))
-    etfg = transform(TaskGraph(tasks=diamond, arcs=((1, 2), (1, 3), (2, 4), (3, 4))), PLAIN)
-    assert _fill_edges(etfg.graph, solver._elimination_plan(etfg.graph).order) == 1
+    # k-trees, forests and complete DAGs are chordal: their orders add no fill
+    etfg = transform(_diamond(), PLAIN)
+    assert _fill_edges(etfg.graph, solver._schedule(etfg.graph).order) == 1
     # the fill edge 2-3 leaves a triangle after the first step: 27 + 27 + 9 + 3 states
     assert _dp_matches_bruteforce(etfg, objective).stats == {"solver": "tree-dp", "treewidth": 2, "dp_states": 66}
     filled = 0
     for seed in range(40):
         graph = random_oracle_instance(seed)[0].graph
         etfg = transform(graph, PLAIN)
-        filled += _fill_edges(graph, solver._elimination_plan(graph).order) > 0
+        filled += _fill_edges(graph, solver._schedule(graph).order) > 0
         _dp_matches_bruteforce(etfg, objective)
     assert filled >= 10
+
+
+def test_one_schedule_runs_both_objectives_tables():
+    for etfg in [transform(_diamond(), PLAIN)] + [_random_k_tree(7000 + seed, 3) for seed in range(5)]:
+        schedule = solver._schedule(etfg.graph)
+        for objective in ("latency", "energy"):
+            kernel = solver._Kernel(etfg, solver.Objective(objective), None)
+            tables = kernel.node_obj + [obj for _, _, obj, _, _ in kernel.arcs]
+            total, chosen = solver._eliminate(schedule, tables)
+            dp = solve_tree_dp(etfg, objective)
+            assert Fraction(total, kernel.obj_den) == dp.objective_value
+            assert kernel.assignment(chosen) == dp.assignment
+
+
+def test_the_pass_minimises_any_tables():
+    rng = random.Random(11)
+    graphs = [_diamond()] + [random_oracle_instance(seed)[0].graph for seed in range(40)]
+    for graph in graphs:
+        schedule = solver._schedule(graph)
+        tasks = [graph.task(tid) for tid in topological_order(graph)]
+        pos_of = {t.id: p for p, t in enumerate(tasks)}
+        sizes = [len(t.allowed) for t in tasks]
+        arcs = [(pos_of[i], pos_of[j]) for i, j in graph.arcs]
+        nodes = [[rng.randint(0, 9) for _ in range(size)] for size in sizes]
+        tables = nodes + [[rng.randint(0, 9) for _ in range(sizes[a] * sizes[b])] for a, b in arcs]
+
+        def cost(choice):
+            arc_costs = (tables[k][choice[a] * sizes[b] + choice[b]] for k, (a, b) in enumerate(arcs, len(nodes)))
+            return sum(row[c] for row, c in zip(nodes, choice)) + sum(arc_costs)
+
+        total, chosen = solver._eliminate(schedule, tables)
+        assert total == min(map(cost, itertools.product(*map(range, sizes))))
+        assert cost(chosen) == total
 
 
 def test_auto_routes_an_unbudgeted_triangle_to_the_dp():
     tasks = tuple(simple_task(i, data=10**4) for i in range(1, 4))
     etfg = transform(TaskGraph(tasks=tasks, arcs=((1, 2), (1, 3), (2, 3))), PLAIN)
-    assert tree_dp_applicable(etfg)
+    assert solver._schedule(etfg.graph) is not None
     result = solve(etfg, "latency")
     assert result.stats == {"solver": "tree-dp", "treewidth": 2, "dp_states": 27 + 9 + 3}
     assert result.status is SolveStatus.OPTIMAL
@@ -287,7 +324,7 @@ def test_dp_over_the_state_limit_is_refused():
     # a 15-task clique: eliminating its first task alone needs 3^15 states
     etfg = transform(complete_dag(15), PLAIN)
     assert 3**15 > solver.DP_STATE_LIMIT
-    assert not tree_dp_applicable(etfg)
+    assert solver._schedule(etfg.graph) is None
     with pytest.raises(ValueError, match="states"):
         solve_tree_dp(etfg, "latency")
     with pytest.raises(ValueError, match="states"):
@@ -399,6 +436,18 @@ def test_a_latency_cap_not_above_zero_is_rejected():
             solve(etfg, "energy", cap)
 
 
+def test_a_latency_cap_under_the_latency_objective_is_rejected(example_app):
+    # the cap used to be dropped: "proven-optimal" at 1.793 s on the bundled app
+    cap = Fraction(1, 100)
+    with pytest.raises(ValueError, match="energy objective"):
+        solve(example_app, "latency", cap)
+    with pytest.raises(ValueError, match="energy objective"):
+        solve_branch_and_bound(example_app, "latency", cap)
+    with pytest.raises(ValueError, match="energy objective"):
+        solve_bruteforce(example_app, "latency", cap)
+    assert solve(example_app, "energy", cap).status is SolveStatus.INFEASIBLE
+
+
 def test_solve_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(time_limit=0)
@@ -422,7 +471,7 @@ def test_forced_bruteforce_rejects_a_time_limit():
 def test_forced_tree_dp_rejects_a_latency_cap():
     # tree DP used to drop the cap and claim a proven optimum at 6.0 s
     etfg = uav_forest_without_budgets()
-    assert tree_dp_applicable(etfg)
+    assert solve(etfg, "energy").stats["solver"] == "tree-dp"
     cap = Fraction(1, 2)
     with pytest.raises(ValueError, match="latency threshold"):
         solve(etfg, "energy", cap, method="tree-dp")
@@ -431,9 +480,10 @@ def test_forced_tree_dp_rejects_a_latency_cap():
     auto = solve(etfg, "energy", cap)
     assert auto.status is SolveStatus.INFEASIBLE
     assert auto.stats["solver"] == "branch-and-bound"
-    # no cap to honour: energy without one, or latency, where a cap plays no part
+    # no cap to honour: energy without one; the latency objective takes no cap at all
     assert solve(etfg, "energy", method="tree-dp").stats["solver"] == "tree-dp"
-    assert solve(etfg, "latency", cap, method="tree-dp").stats["solver"] == "tree-dp"
+    with pytest.raises(ValueError):
+        solve(etfg, "latency", cap, method="tree-dp")
 
 
 def test_forced_tree_dp_rejects_a_time_limit():
