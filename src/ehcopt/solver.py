@@ -20,7 +20,10 @@ Three routes to a provably optimal assignment:
   quantity.  It starts at the root bound, per-task minima plus per-arc
   minima, and placing a task adds how far each term it settles lies above
   the minimum it replaced.  A time-limited run reports its gap against
-  the root bound.
+  the elimination DP's optimum with every budget and the latency cap
+  dropped (the Lagrangian relaxation at multipliers 0), computed within
+  the limit on the same kernel, or against the additive root when the DP
+  exceeds ``DP_STATE_LIMIT``.
 
 The two fast solvers read one integer kernel, :class:`_Kernel`: the
 expanded graph's node and arc costs, demands, budgets and latency cap,
@@ -478,6 +481,11 @@ class _Kernel:
         """The task -> device map of one candidate index per position."""
         return {self.tasks[p].id: ROLES[self.role_of[p][ci]] for p, ci in enumerate(choice)}
 
+    def objective_tables(self) -> list[list[int]]:
+        """The objective's cost tables as the elimination DP numbers them:
+        node tables by position, then arc tables in ``graph.arcs`` order."""
+        return self.node_obj + [obj for _, _, obj, _, _ in self.arcs]
+
 
 # --- bounded-treewidth elimination DP ----------------------------------------
 
@@ -636,7 +644,7 @@ def _eliminate(schedule: _Schedule, tables) -> tuple[int, list[int]]:
 def _tree_dp(etfg: Etfg, objective: Objective, schedule: _Schedule) -> Allocation:
     """The DP's allocation: one pass of ``schedule`` over the kernel's costs."""
     kernel = _Kernel(etfg, objective, None)
-    total, chosen = _eliminate(schedule, kernel.node_obj + [obj for _, _, obj, _, _ in kernel.arcs])
+    total, chosen = _eliminate(schedule, kernel.objective_tables())
     stats = {"solver": "tree-dp", "treewidth": schedule.width, "dp_states": schedule.states}
     assignment, value = kernel.assignment(chosen), Fraction(total, kernel.obj_den)
     return _finish(etfg, objective, assignment, value, None, stats, SolveStatus.OPTIMAL)
@@ -671,41 +679,17 @@ def solve_tree_dp(etfg: Etfg, objective: Objective | str = Objective.LATENCY) ->
 # --- branch and bound -------------------------------------------------------
 
 
-def solve_branch_and_bound(
-    etfg: Etfg,
-    objective: Objective | str = Objective.LATENCY,
-    latency_threshold: Fraction | None = None,
-    config: SolveConfig | None = None,
-) -> Allocation:
-    """Depth-first branch and bound over task->device assignments.
+@without_cyclic_gc
+def _search_tables(kernel: _Kernel):
+    """Branch and bound's additive bound and branching order.
 
-    The lower bound is one running sum per quantity (the objective, and
-    latency under a cap).  It starts at the root bound, the per-task
-    minima plus the per-arc minima, and placing a task adds how far each
-    term it settles lies above the minimum it replaced, so at a leaf it
-    is the assignment's cost.  Fixed tasks' demands are charged to their
-    devices before the search.  Proves optimality when the search
-    completes; under a time limit it returns the incumbent with its
-    relative gap to the root bound, or no assignment and a gap of None
-    when no incumbent was found.  The time limit counts from the start
-    of the table build.  Deterministic for fixed inputs and configuration.
+    The running bounds start at the root: per-task minima, and per-arc
+    minima over all pairs (``lo``) or, once the source is placed, over its
+    row (``mins``); latency's only under a cap.  Devices are
+    branched cheapest-first, ties by canonical device order.
     """
-    objective = Objective(objective)
-    check_latency_threshold(objective, latency_threshold)
-    config = config or SolveConfig()
-    started = time.monotonic()
-    deadline = None if config.time_limit is None else started + config.time_limit
-    kernel = _Kernel(etfg, objective, latency_threshold)
-    n = kernel.n
-    if n == 0:
-        raise ValueError("empty task graph")
-    role_of, node_obj, node_lat, node_enr = kernel.role_of, kernel.node_obj, kernel.node_lat, kernel.node_enr
-    mem, sto = kernel.mem, kernel.sto
-    lat_thr = kernel.lat_thr
-    use_threshold = lat_thr is not None
-
-    # the running bounds start at the root: per-task minima, and per-arc
-    # minima over all pairs (lo) or, once the source is placed, over its row
+    n, role_of, node_obj, node_lat = kernel.n, kernel.role_of, kernel.node_obj, kernel.node_lat
+    use_threshold = kernel.lat_thr is not None
     min_node = [min(row) for row in node_obj]
     lat_min_node = [min(row) for row in node_lat] if use_threshold else None
     bound = sum(min_node)
@@ -725,12 +709,80 @@ def solve_branch_and_bound(
             lat_mins = lat_lo = None
         in_arcs[dst].append((src, obj, lat, parts, mins, lat_mins))
         out_arcs[src].append((mins, lo, lat_mins, lat_lo))
-    root = bound
-    # branch devices cheapest-first; ties by canonical device order
     branch = [
         tuple(sorted(range(len(role_of[p])), key=lambda ci: (node_obj[p][ci], role_of[p][ci])))
         for p in range(n)
     ]
+    return min_node, lat_min_node, bound, lat_bound, in_arcs, out_arcs, branch
+
+
+@without_cyclic_gc
+def _root_bound(graph, kernel: _Kernel, additive: int, deadline: float) -> tuple[int, dict]:
+    """The bound a timed-out search's gap is measured against, and the
+    stats naming it.
+
+    That is the elimination DP's optimum over the kernel's objective
+    tables with every budget and the latency cap dropped: the Lagrangian
+    relaxation at multipliers 0, so no feasible assignment costs less.  It
+    is never below the ``additive`` root, since each term is at least its
+    minimum.  The additive root stays when the schedule exceeds
+    ``DP_STATE_LIMIT`` or the deadline has passed once it is built.
+    """
+    started = time.monotonic()
+    schedule = _schedule(graph)
+    root, stats = additive, {"root_bound": "additive"}
+    if schedule is not None and time.monotonic() <= deadline:
+        root, _ = _eliminate(schedule, kernel.objective_tables())
+        stats = {"root_bound": "elimination-dp", "treewidth": schedule.width, "dp_states": schedule.states}
+    stats["lower_bound"] = float(Fraction(root, kernel.obj_den))
+    stats["bound_s"] = time.monotonic() - started
+    return root, stats
+
+
+def solve_branch_and_bound(
+    etfg: Etfg,
+    objective: Objective | str = Objective.LATENCY,
+    latency_threshold: Fraction | None = None,
+    config: SolveConfig | None = None,
+) -> Allocation:
+    """Depth-first branch and bound over task->device assignments.
+
+    The lower bound is one running sum per quantity (the objective, and
+    latency under a cap).  It starts at the root bound, the per-task
+    minima plus the per-arc minima, and placing a task adds how far each
+    term it settles lies above the minimum it replaced, so at a leaf it
+    is the assignment's cost.  Fixed tasks' demands are charged to their
+    devices before the search.  Proves optimality when the search
+    completes; under a time limit it returns the incumbent with its
+    relative gap to the elimination DP's optimum with every budget and the
+    cap dropped (the additive root when the DP exceeds ``DP_STATE_LIMIT``
+    or no time is left for it), or no assignment and a gap of None when no
+    incumbent was found.  The stats name that bound (``root_bound``,
+    ``lower_bound``, ``bound_s``, and ``treewidth``/``dp_states`` when
+    the DP ran).  The time limit counts from the start of the table build
+    and covers the DP.  Only the reported gap reads the DP bound; the
+    search, its pruning and its branching order do not.  Deterministic
+    for fixed inputs and configuration.
+    """
+    objective = Objective(objective)
+    check_latency_threshold(objective, latency_threshold)
+    config = config or SolveConfig()
+    started = time.monotonic()
+    deadline = None if config.time_limit is None else started + config.time_limit
+    kernel = _Kernel(etfg, objective, latency_threshold)
+    n = kernel.n
+    if n == 0:
+        raise ValueError("empty task graph")
+    role_of, node_obj, node_lat, node_enr = kernel.role_of, kernel.node_obj, kernel.node_lat, kernel.node_enr
+    mem, sto = kernel.mem, kernel.sto
+    lat_thr = kernel.lat_thr
+    use_threshold = lat_thr is not None
+    min_node, lat_min_node, bound, lat_bound, in_arcs, out_arcs, branch = _search_tables(kernel)
+    # the bound a timed-out run's gap is measured against; only a time
+    # limit reads it, since a run without one always ends in a proof
+    root, bound_stats = bound, {}
+    if deadline is not None:
+        root, bound_stats = _root_bound(etfg.graph, kernel, bound, deadline)
 
     # mutable search state; fixed tasks are charged up front
     choice = [-1] * n
@@ -860,6 +912,7 @@ def solve_branch_and_bound(
         "tables_s": search_started - started,
         "wall_time_s": ended - search_started,  # the search alone
         "time_limit_hit": hit_time_limit,
+        **bound_stats,
     }
 
     gap = None
@@ -887,7 +940,8 @@ def solve(
     no device has a budget and its state count is within
     ``DP_STATE_LIMIT``, branch and bound otherwise).
 
-    A time limit bounds branch and bound only.  ``auto`` still takes the
+    A time limit bounds branch and bound only, its table build and the
+    DP bound of its gap included.  ``auto`` still takes the
     DP under a time limit, since its work is bounded by
     ``DP_STATE_LIMIT`` and it always finishes; a forced ``bruteforce`` or
     ``tree-dp`` with a time limit raises ValueError instead of ignoring it,

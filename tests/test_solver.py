@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import itertools
 import json
+import operator
 import random
 import time
 from fractions import Fraction
@@ -350,18 +352,20 @@ def test_oracle_equivalence_sample(objective):
             assert bf.assignment == bb.assignment, f"seed {seed}"
 
 
+def _additive_root(etfg, objective):
+    """Per-task minima plus per-arc minima of the objective, in SI units."""
+    cost = operator.attrgetter(objective)  # candidate nodes and arcs both carry .latency and .energy
+    groups = itertools.chain(etfg.nodes_by_task.values(), etfg.arcs_by_dep.values())
+    return sum(min(map(cost, group)) for group in groups)
+
+
 def test_root_bound_is_admissible():
     for seed in (3, 7, 21):
         etfg, _ = random_oracle_instance(seed, max_tasks=6)
         bf = solve_bruteforce(etfg, "latency")
         if bf.status is not SolveStatus.OPTIMAL:
             continue
-        # the additive root bound: per-task minima plus per-arc minima
-        node_min = sum(
-            min(n.latency for n in group) for group in etfg.nodes_by_task.values()
-        )
-        arc_min = sum(min(a.latency for a in group) for group in etfg.arcs_by_dep.values())
-        assert node_min + arc_min <= bf.objective_value
+        assert _additive_root(etfg, "latency") <= bf.objective_value
 
 
 def test_determinism_across_runs_and_thread_counts():
@@ -385,11 +389,10 @@ def test_time_limit_returns_incumbent_with_gap():
     assert result.assignment is not None
     assert result.gap is not None and 0 <= result.gap <= 1
     assert result.stats["time_limit_hit"]
-    # the gap is measured against the additive root bound
-    node_min = sum(min(n.latency for n in group) for group in etfg.nodes_by_task.values())
-    arc_min = sum(min(a.latency for a in group) for group in etfg.arcs_by_dep.values())
+    # without budgets the DP bound the gap is measured against is the optimum
+    assert result.stats["root_bound"] == "elimination-dp"
     value = result.objective_value
-    assert result.gap == float((value - (node_min + arc_min)) / value)
+    assert result.gap == float((value - solve_tree_dp(etfg, "latency").objective_value) / value)
 
 
 def test_energy_solutions_respect_threshold():
@@ -523,3 +526,66 @@ def test_time_limit_counts_the_table_build(monkeypatch):
     assert result.stats["time_limit_hit"]
     assert result.stats["nodes_explored"] <= 1024
     assert result.stats["tables_s"] >= 0.1
+
+
+def _without_budgets(system):
+    unbounded = dict(memory_budget=None, storage_budget=None, energy_budget=None)
+    devices = [dataclasses.replace(d, **unbounded) for d in system.devices.values()]
+    return make_system_model(devices, system.channels.values())
+
+
+@pytest.mark.parametrize("objective, cap", [("latency", None), ("energy", Fraction(8))])
+def test_timed_out_gap_is_measured_against_the_relaxation_dp(objective, cap):
+    system = presets.system_model("C1", "run1")
+    etfg = transform(serial_200_graph(), system)
+    result = solve_branch_and_bound(etfg, objective, cap, SolveConfig(time_limit=0.3))
+    assert result.stats["time_limit_hit"]
+    assert result.stats["root_bound"] == "elimination-dp"
+    assert result.stats["dp_states"] > 0 and result.stats["treewidth"] >= 1
+    assert 0 <= result.stats["bound_s"] <= result.stats["tables_s"]
+    relaxed = solve_tree_dp(transform(etfg.graph, _without_budgets(system)), objective).objective_value
+    bound = result.stats["lower_bound"]
+    assert bound == float(relaxed)
+    assert bound >= float(_additive_root(etfg, objective))
+    if result.gap is None:  # no incumbent: energy under the 8 s cap is infeasible here
+        assert objective == "energy" and result.assignment is None
+    else:
+        assert float(result.objective_value) * (1 - result.gap) == pytest.approx(bound, rel=1e-12)
+
+
+def test_relaxation_dp_bounds_the_oracle():
+    for seed in range(40):
+        etfg, threshold = random_oracle_instance(seed)
+        schedule = solver._schedule(etfg.graph)
+        for objective, cap in [("latency", None), ("energy", None), ("energy", threshold)]:
+            kernel = solver._Kernel(etfg, solver.Objective(objective), cap)
+            total, _ = solver._eliminate(schedule, kernel.objective_tables())
+            best = solve_bruteforce(etfg, objective, cap)
+            if best.status is SolveStatus.OPTIMAL:
+                assert Fraction(total, kernel.obj_den) <= best.objective_value, f"seed {seed}"
+
+
+def test_additive_root_stays_when_the_dp_is_over_its_limit(monkeypatch):
+    monkeypatch.setattr(solver, "DP_STATE_LIMIT", 0)
+    etfg = transform(serial_200_graph(), _without_budgets(presets.system_model("C1", "run1")))
+    result = solve_branch_and_bound(etfg, "latency", config=SolveConfig(time_limit=0.3))
+    assert result.stats["time_limit_hit"]
+    assert result.stats["root_bound"] == "additive"
+    assert "dp_states" not in result.stats and "treewidth" not in result.stats
+    root = _additive_root(etfg, "latency")
+    value = result.objective_value
+    assert result.stats["lower_bound"] == float(root)
+    assert result.gap == float((value - root) / value)
+
+
+def test_no_dp_bound_once_the_deadline_has_passed():
+    etfg = transform(serial_200_graph(), presets.system_model("C1", "run1"))
+    result = solve_branch_and_bound(etfg, "latency", config=SolveConfig(time_limit=1e-6))
+    assert result.stats["root_bound"] == "additive"
+    assert "dp_states" not in result.stats
+
+
+def test_a_run_without_a_time_limit_builds_no_dp_bound():
+    etfg, _ = random_oracle_instance(5)
+    stats = solve_branch_and_bound(etfg, "latency").stats
+    assert not {"root_bound", "lower_bound", "bound_s", "dp_states"} & stats.keys()
