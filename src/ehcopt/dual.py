@@ -1,0 +1,234 @@
+"""The Lagrangian dual of the budget rows and the latency cap, searched by
+the elimination DP, and the worker process that runs it beside branch and
+bound under a time limit.
+
+Only a time-limited branch and bound imports this module.  The worker is a
+``multiprocessing`` "spawn" process: it imports the caller's main module
+again, so a script that calls a time-limited solve at top level needs an
+``if __name__ == "__main__":`` guard.
+"""
+
+from __future__ import annotations
+
+import threading
+import time
+from fractions import Fraction
+from itertools import chain
+from typing import NamedTuple
+
+from .solver import _compile, _eliminate, _Kernel, _total
+from .units import without_cyclic_gc
+
+
+class Report(NamedTuple):
+    """One pass of the dual search: its bound on the optimum, its
+    assignment (one candidate index per position) and the assignment's
+    objective value when it meets every row, else None, the multipliers
+    by row label, the passes run so far and the rows the pass's assignment
+    breaks."""
+
+    bound: int
+    chosen: list[int] | None
+    value: int | None
+    multipliers: dict[str, int]
+    passes: int
+    broken: tuple[str, ...]
+
+
+class _Unreachable(Exception):
+    """The dual search found a row that no assignment meets."""
+
+
+class _Point(NamedTuple):
+    multipliers: tuple[int, ...]
+    bound: int
+    excess: list[int]  # per row: its use minus its budget
+
+
+def _penalised(tables, rows, multipliers, n):
+    """The objective tables with each row's coefficients added at its multiplier."""
+    tables = list(tables)
+    for row, weight in zip(rows, multipliers):
+        if weight:
+            for t, coefficients in chain(enumerate(row.node), enumerate(row.arc or (), n)):
+                tables[t] = [c + weight * x for c, x in zip(tables[t], coefficients)]
+    return tables
+
+
+def search(skeleton, kernel: _Kernel, seconds: float, send) -> None:
+    """Lagrangian bounds and feasible assignments from the elimination DP,
+    for ``seconds`` of wall time; each is passed to ``send`` as a
+    :class:`Report`.
+
+    Every finite budget row and the latency cap gets an integer multiplier
+    λ >= 0.  A pass runs the DP over the objective tables plus λ times each
+    row's coefficients; its total minus the sum of λ times each budget is a
+    lower bound on every feasible assignment's cost, for any λ (Fisher,
+    "The Lagrangian relaxation method for solving integer programming
+    problems", Management Science 1981).  The search starts at λ = 0 and
+    then raises one multiplier at a time, that of the most violated row
+    (relative to its budget): from L0 / (10 x its excess), where L0 is the
+    λ = 0 total, fourfold until the pass's assignment meets the row, then
+    at the intersection of the two supporting lines of the bracket's ends
+    (Kelley's cutting planes, J. SIAM 1960) until the bracket is one wide
+    or those lines promise nothing better.  It continues from the best
+    point of that line on whichever row its assignment breaks.  A pass is
+    reported when it raises the bound or yields a cheaper assignment that
+    meets every row (the first pass always).  The search ends once the
+    cheapest such assignment meets the bound, once no row is broken or
+    every broken row's line is exhausted, once a row stays broken at a
+    multiplier above the spread of every other cost (then no assignment
+    meets it), or when the next pass would not finish within the time.
+    """
+    deadline = time.monotonic() + seconds
+    schedule = _compile(*skeleton)
+    if schedule is None:
+        return
+    rows = kernel.rows()
+    tables = kernel.objective_tables()
+    labels = [row.label for row in rows]
+    best_bound = best_value = None
+    passes = 0
+    pass_s = 0.0
+
+    def run(multipliers) -> _Point:
+        nonlocal best_bound, best_value, passes, pass_s
+        if time.monotonic() + pass_s > deadline:
+            raise TimeoutError
+        started = time.monotonic()
+        total, chosen = _eliminate(schedule, _penalised(tables, rows, multipliers, kernel.n))
+        pass_s = time.monotonic() - started
+        passes += 1
+        use = [_total(row.node, row.arc, chosen, skeleton) for row in rows]
+        bound = total - sum([weight * row.budget for weight, row in zip(multipliers, rows)])
+        value = total - sum([weight * u for weight, u in zip(multipliers, use)])
+        broken = tuple([row.label for row, u in zip(rows, use) if u > row.budget])
+        cheaper = not broken and (best_value is None or value < best_value)
+        if cheaper or best_bound is None or bound > best_bound:
+            best_bound = bound if best_bound is None else max(best_bound, bound)
+            if cheaper:
+                best_value = value
+            send(Report(
+                bound, chosen if cheaper else None, value if cheaper else None,
+                dict(zip(labels, multipliers)), passes, broken,
+            ))
+        return _Point(tuple(multipliers), bound, [u - row.budget for u, row in zip(use, rows)])
+
+    def line(i: int, start: _Point) -> _Point:
+        """The best point on row ``i``'s line from ``start``, which breaks it."""
+
+        def at(weight):
+            return run(start.multipliers[:i] + (weight,) + start.multipliers[i + 1 :])
+
+        lo = start
+        weight = 4 * lo.multipliers[i] or max(1, scale // (10 * lo.excess[i]))
+        hi = at(weight)
+        spread = None
+        while hi.excess[i] > 0:
+            if spread is None:  # above the spread of every other cost, a pass minimises the row's use
+                others = start.multipliers[:i] + (0,) + start.multipliers[i + 1 :]
+                spread = sum([max(table) - min(table) for table in _penalised(tables, rows, others, kernel.n)])
+            if hi.multipliers[i] > spread:
+                raise _Unreachable  # no assignment meets the row
+            lo, hi = hi, at(4 * hi.multipliers[i])
+        while hi.multipliers[i] - lo.multipliers[i] > 1:
+            (t_lo, g_lo), (t_hi, g_hi) = (lo.multipliers[i], lo.excess[i]), (hi.multipliers[i], hi.excess[i])
+            t = (hi.bound - lo.bound + g_lo * t_lo - g_hi * t_hi) // (g_lo - g_hi)
+            t = min(max(t, t_lo + 1), t_hi - 1)
+            if min(lo.bound + g_lo * (t - t_lo), hi.bound + g_hi * (t - t_hi)) <= max(lo.bound, hi.bound):
+                break  # the cutting-plane model promises nothing better on this line
+            point = at(t)
+            if point.excess[i] > 0:
+                lo = point
+            else:
+                hi = point
+        return max((start, lo, hi), key=lambda p: p.bound)  # ties keep the start
+
+    try:
+        point = run((0,) * len(rows))
+        scale = point.bound
+        exhausted = set()  # rows whose line from ``point`` gained nothing
+        while best_value is None or best_value > best_bound:
+            broken = [i for i, excess in enumerate(point.excess) if excess > 0 and i not in exhausted]
+            if not broken:
+                return
+            i = max(broken, key=lambda i: Fraction(point.excess[i], rows[i].budget or 1))
+            better = line(i, point)
+            if better is point:
+                exhausted.add(i)
+            else:
+                point, exhausted = better, {i}
+    except (TimeoutError, _Unreachable):
+        return
+
+
+@without_cyclic_gc
+def _worker(conn) -> None:
+    """The dual process: one job from ``conn``, its reports back to it."""
+    try:
+        skeleton, kernel, seconds = conn.recv()
+        search(skeleton, kernel, seconds, conn.send)
+    except (EOFError, OSError):  # branch and bound ended first
+        return
+
+
+def _send(conn, job) -> None:
+    try:
+        conn.send(job)
+    except OSError:  # the worker was stopped before it read its job
+        pass
+
+
+class Worker:
+    """Branch and bound's side of the dual process (:func:`search`
+    in a spawned daemon process, on its own core).  ``overhead_s`` is the
+    time branch and bound spends starting, feeding and stopping it.  A
+    daemonic process (a ``multiprocessing`` pool's worker, say) may not
+    start one, so there the dual never reports."""
+
+    def __init__(self):
+        started = time.monotonic()
+        import multiprocessing  # only a time-limited solve needs it
+
+        self.process = self.sender = None
+        self.listening = not multiprocessing.current_process().daemon
+        if self.listening:
+            context = multiprocessing.get_context("spawn")
+            self.conn, child = context.Pipe()
+            self.process = context.Process(target=_worker, args=(child,), daemon=True)
+            self.process.start()
+            child.close()
+        self.overhead_s = time.monotonic() - started
+
+    def send(self, skeleton, kernel: _Kernel, seconds: float) -> None:
+        """Hand the worker its job from a thread, so that the search need
+        not wait for the worker to be ready to read it."""
+        if self.process is None:
+            return
+        started = time.monotonic()
+        self.sender = threading.Thread(target=_send, args=(self.conn, (skeleton, kernel, seconds)), daemon=True)
+        self.sender.start()
+        self.overhead_s += time.monotonic() - started
+
+    def reports(self):
+        """The reports waiting in the pipe."""
+        while self.listening and self.conn.poll():
+            try:
+                yield self.conn.recv()
+            except (EOFError, OSError):  # the worker has finished
+                self.listening = False
+
+    def close(self) -> None:
+        """Stop the worker and wait for it; a second call does nothing."""
+        if self.process is None:
+            return
+        started = time.monotonic()
+        self.listening = False
+        self.process.kill()
+        self.process.join()
+        self.process.close()
+        self.process = None
+        if self.sender is not None:
+            self.sender.join()
+        self.conn.close()
+        self.overhead_s += time.monotonic() - started

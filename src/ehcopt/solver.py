@@ -19,11 +19,12 @@ Three routes to a provably optimal assignment:
   pruning and an additive lower bound, kept as one running sum per
   quantity.  It starts at the root bound, per-task minima plus per-arc
   minima, and placing a task adds how far each term it settles lies above
-  the minimum it replaced.  A time-limited run reports its gap against
-  the elimination DP's optimum with every budget and the latency cap
-  dropped (the Lagrangian relaxation at multipliers 0), computed within
-  the limit on the same kernel, or against the additive root when the DP
-  exceeds ``DP_STATE_LIMIT``.
+  the minimum it replaced.  Under a time limit a second process runs a
+  Lagrangian multiplier search over the budget rows and the latency cap
+  on the same kernel, each pass one run of the elimination DP
+  (:mod:`ehcopt.dual`).  Branch and bound takes its bounds for the gap
+  and adopts its feasible assignments, which tighten pruning, and stops
+  as proven optimal once the incumbent meets the bound.
 
 The two fast solvers read one integer kernel, :class:`_Kernel`: the
 expanded graph's node and arc costs, demands, budgets and latency cap,
@@ -35,7 +36,9 @@ All arithmetic runs on integers after exact rescaling of the rational
 inputs, so equal objective values compare equal regardless of the path
 that produced them, and tie-breaking is reproducible: among equally good
 assignments branch and bound and the oracle return the one that is
-lexicographically smallest by (task id, device order e < h < c).  The DP
+lexicographically smallest by (task id, device order e < h < c), except
+that a time-limited branch and bound ended by the dual's bound returns
+the optimum it holds at that moment.  The DP
 takes the device earliest in e < h < c at each step of its
 back-substitution; on a forest that roots each tree at its smallest task
 id, and elsewhere its ties may differ from that order.  Values never do.
@@ -395,6 +398,28 @@ def solve_bruteforce(
 # --- the integer kernel -----------------------------------------------------
 
 
+class _Row(NamedTuple):
+    """A budget row or the latency cap: per position its candidates'
+    coefficients, per arc (in ``graph.arcs`` order) its flat coefficient
+    table or None when no arc adds to the row, the right-hand side and the
+    model's label for the row (``mem_h``, ``enr_e``, ``lthr``, ...)."""
+
+    label: str
+    node: list[list[int]]
+    arc: list[list[int]] | None
+    budget: int
+
+
+def _total(node, arc, chosen, skeleton) -> int:
+    """One assignment's sum over per-position tables ``node`` and, unless
+    ``arc`` is None, per-arc tables, for one candidate index per position."""
+    total = sum(map(list.__getitem__, node, chosen))
+    if arc is not None:
+        domain, arcs = skeleton[1], skeleton[2]
+        total += sum([table[chosen[s] * domain[d] + chosen[d]] for table, (s, d) in zip(arc, arcs)])
+    return total
+
+
 class _Kernel:
     """The instance's costs as integers, in topological task order.
 
@@ -486,6 +511,37 @@ class _Kernel:
         node tables by position, then arc tables in ``graph.arcs`` order."""
         return self.node_obj + [obj for _, _, obj, _, _ in self.arcs]
 
+    def rows(self) -> list[_Row]:
+        """Every finite memory, storage and energy budget row (devices
+        e, h, c in turn), then the latency cap, with its coefficients
+        numbered as :meth:`objective_tables` numbers the costs."""
+        rows = []
+        for kind, demand, caps in (("mem", self.mem, self.mem_bgt), ("sto", self.sto, self.sto_bgt)):
+            for r, cap in enumerate(caps):
+                if cap is not None:
+                    node = [[d if role == r else 0 for role in roles] for d, roles in zip(demand, self.role_of)]
+                    rows.append(_Row(f"{kind}_{ROLES[r].value}", node, None, cap))
+        for r, cap in enumerate(self.enr_bgt):
+            if cap is not None:
+                node = [
+                    [e if role == r else 0 for e, role in zip(costs, roles)]
+                    for costs, roles in zip(self.node_enr, self.role_of)
+                ]
+                share = {}  # by parts tuple, which arcs share
+                for _, _, _, _, parts in self.arcs:
+                    for shares in parts:
+                        if id(shares) not in share:
+                            share[id(shares)] = sum([amount for pr, amount in shares if pr == r])
+                arc = [[share[id(shares)] for shares in parts] for _, _, _, _, parts in self.arcs]
+                rows.append(_Row(f"enr_{ROLES[r].value}", node, arc, cap))
+        if self.lat_thr is not None:
+            rows.append(_Row("lthr", self.node_lat, [lat for _, _, _, lat, _ in self.arcs], self.lat_thr))
+        return rows
+
+    def __getstate__(self):
+        """The dual process's copy: everything but the task objects."""
+        return {key: value for key, value in self.__dict__.items() if key != "tasks"}
+
 
 # --- bounded-treewidth elimination DP ----------------------------------------
 
@@ -505,9 +561,26 @@ class _Schedule(NamedTuple):
     steps: tuple[tuple[int, tuple[int, ...], tuple], ...]
 
 
+def _skeleton(graph) -> tuple[list[int], list[int], list[tuple[int, int]]]:
+    """The undirected skeleton the DP is compiled from, numbered as the
+    kernel numbers tasks: task ids in topological order, each task's
+    candidate count, and each dependency (in ``graph.arcs`` order) as a
+    pair of positions."""
+    ids = topological_order(graph)
+    pos_of = {tid: p for p, tid in enumerate(ids)}
+    return ids, [len(graph.task(tid).allowed) for tid in ids], [(pos_of[i], pos_of[j]) for i, j in graph.arcs]
+
+
 def _schedule(graph) -> _Schedule | None:
-    """The min-fill order of the undirected skeleton compiled into the
-    DP's steps, or None once the DP would need more than
+    """The min-fill order of ``graph``'s skeleton compiled into the DP's
+    steps, or None once the DP would need more than ``DP_STATE_LIMIT``
+    states."""
+    return _compile(*_skeleton(graph))
+
+
+def _compile(ids, domain, arcs) -> _Schedule | None:
+    """The min-fill order of a skeleton (see :func:`_skeleton`) compiled
+    into the DP's steps, or None once the DP would need more than
     ``DP_STATE_LIMIT`` states.
 
     Each step eliminates the task whose neighbours miss the fewest edges
@@ -518,10 +591,6 @@ def _schedule(graph) -> _Schedule | None:
     this removes leaves, largest id first, so each tree keeps its smallest
     task id to the end.  A table sits in its first eliminated task's
     bucket; an index layout is built once per shape."""
-    ids = topological_order(graph)  # the kernel's positions
-    pos_of = {tid: p for p, tid in enumerate(ids)}
-    domain = [len(graph.task(tid).allowed) for tid in ids]
-    arcs = [(pos_of[i], pos_of[j]) for i, j in graph.arcs]
     adj = [set() for _ in ids]
     for i, j in arcs:
         adj[i].add(j)
@@ -716,29 +785,6 @@ def _search_tables(kernel: _Kernel):
     return min_node, lat_min_node, bound, lat_bound, in_arcs, out_arcs, branch
 
 
-@without_cyclic_gc
-def _root_bound(graph, kernel: _Kernel, additive: int, deadline: float) -> tuple[int, dict]:
-    """The bound a timed-out search's gap is measured against, and the
-    stats naming it.
-
-    That is the elimination DP's optimum over the kernel's objective
-    tables with every budget and the latency cap dropped: the Lagrangian
-    relaxation at multipliers 0, so no feasible assignment costs less.  It
-    is never below the ``additive`` root, since each term is at least its
-    minimum.  The additive root stays when the schedule exceeds
-    ``DP_STATE_LIMIT`` or the deadline has passed once it is built.
-    """
-    started = time.monotonic()
-    schedule = _schedule(graph)
-    root, stats = additive, {"root_bound": "additive"}
-    if schedule is not None and time.monotonic() <= deadline:
-        root, _ = _eliminate(schedule, kernel.objective_tables())
-        stats = {"root_bound": "elimination-dp", "treewidth": schedule.width, "dp_states": schedule.states}
-    stats["lower_bound"] = float(Fraction(root, kernel.obj_den))
-    stats["bound_s"] = time.monotonic() - started
-    return root, stats
-
-
 def solve_branch_and_bound(
     etfg: Etfg,
     objective: Objective | str = Objective.LATENCY,
@@ -753,22 +799,47 @@ def solve_branch_and_bound(
     term it settles lies above the minimum it replaced, so at a leaf it
     is the assignment's cost.  Fixed tasks' demands are charged to their
     devices before the search.  Proves optimality when the search
-    completes; under a time limit it returns the incumbent with its
-    relative gap to the elimination DP's optimum with every budget and the
-    cap dropped (the additive root when the DP exceeds ``DP_STATE_LIMIT``
-    or no time is left for it), or no assignment and a gap of None when no
-    incumbent was found.  The stats name that bound (``root_bound``,
-    ``lower_bound``, ``bound_s``, and ``treewidth``/``dp_states`` when
-    the DP ran).  The time limit counts from the start of the table build
-    and covers the DP.  Only the reported gap reads the DP bound; the
-    search, its pruning and its branching order do not.  Deterministic
-    for fixed inputs and configuration.
+    completes.  Deterministic for fixed inputs without a time limit.
+
+    Under a time limit a second process runs the Lagrangian dual search
+    (:func:`ehcopt.dual.search`) on the same kernel while the search runs, so
+    the solve uses about twice the CPU time for the window.  Branch and
+    bound reads its reports every 1024 nodes.  It keeps the highest bound,
+    and it adopts each assignment that its own kernel confirms meets every
+    row, if it is cheaper than the incumbent (or as cheap and smaller by
+    task id), which also tightens pruning.  It returns proven optimal as
+    soon as the incumbent's cost equals the bound; the assignment is then
+    the first optimum found, not necessarily the smallest by task id.  At
+    the limit it returns the incumbent with its relative gap to the bound,
+    or no assignment and a gap of None.  Before the dual reports, the
+    bound is the additive root.  The time limit counts from the worker's
+    start.  The stats add ``root_bound`` (``lagrangian``,
+    ``elimination-dp`` for the λ = 0 pass alone, or ``additive``),
+    ``lower_bound`` (its value in s or J), ``dual_passes``,
+    ``multipliers`` (by row label, in kernel units, at the best bound),
+    ``binding_rows`` (the rows the λ = 0 optimum breaks),
+    ``incumbent_source`` (``dual`` or ``search``) and ``dual_overhead_s``
+    (the time spent starting, feeding and stopping the worker).  A
+    solve without a time limit starts no process.
     """
     objective = Objective(objective)
     check_latency_threshold(objective, latency_threshold)
     config = config or SolveConfig()
+    if config.time_limit is None:
+        return _branch_and_bound(etfg, objective, latency_threshold, None, None)
+    from .dual import Worker  # only a time-limited solve needs it
+
+    deadline = time.monotonic() + config.time_limit
+    dual = Worker()
+    try:
+        return _branch_and_bound(etfg, objective, latency_threshold, deadline, dual)
+    finally:
+        dual.close()
+
+
+def _branch_and_bound(etfg, objective, latency_threshold, deadline: float | None, dual) -> Allocation:
+    """:func:`solve_branch_and_bound` once its worker, if any, is started."""
     started = time.monotonic()
-    deadline = None if config.time_limit is None else started + config.time_limit
     kernel = _Kernel(etfg, objective, latency_threshold)
     n = kernel.n
     if n == 0:
@@ -778,11 +849,15 @@ def solve_branch_and_bound(
     lat_thr = kernel.lat_thr
     use_threshold = lat_thr is not None
     min_node, lat_min_node, bound, lat_bound, in_arcs, out_arcs, branch = _search_tables(kernel)
-    # the bound a timed-out run's gap is measured against; only a time
-    # limit reads it, since a run without one always ends in a proof
-    root, bound_stats = bound, {}
-    if deadline is not None:
-        root, bound_stats = _root_bound(etfg.graph, kernel, bound, deadline)
+    # the bound a timed-out run's gap is measured against: the additive
+    # root until the dual reports a higher one; a run without a time limit
+    # always ends in a proof
+    root = bound
+    if dual is not None:
+        skeleton = _skeleton(etfg.graph)
+        arc_obj = [obj for _, _, obj, _, _ in kernel.arcs]
+        if time.monotonic() < deadline:
+            dual.send(skeleton, kernel, deadline - time.monotonic())
 
     # mutable search state; fixed tasks are charged up front
     choice = [-1] * n
@@ -804,6 +879,9 @@ def solve_branch_and_bound(
 
     best_value = None
     best_choice = None
+    source = None  # of the incumbent: "search" or "dual"
+    first = best_heard = None  # the dual's first report, and the one with the highest bound
+    passes = 0  # the dual's, at its last report
     nodes = 0
     pruned_bound = 0
     pruned_budget = 0
@@ -858,14 +936,42 @@ def solve_branch_and_bound(
     def id_ordered(choice_vec) -> tuple[int, ...]:
         return tuple(role_of[p][choice_vec[p]] for p in by_id)
 
+    rows = None
+
+    def hear() -> bool:
+        """Take the dual's reports; True once the incumbent meets the bound."""
+        nonlocal best_value, best_choice, source, first, best_heard, passes, root, rows
+        for report in dual.reports():
+            first, passes = first or report, report.passes
+            if best_heard is None or report.bound > best_heard.bound:
+                best_heard = report
+                root = max(root, report.bound)
+            if report.chosen is None:
+                continue
+            if rows is None:
+                rows = kernel.rows()
+            if _total(node_obj, arc_obj, report.chosen, skeleton) != report.value or any(
+                _total(row.node, row.arc, report.chosen, skeleton) > row.budget for row in rows
+            ):
+                continue  # not what the worker claims: never adopted
+            vec = id_ordered(report.chosen)
+            if best_value is None or (report.value, vec) < (best_value, best_choice[0]):
+                best_value, best_choice, source = report.value, (vec, tuple(report.chosen)), "dual"
+        return best_value is not None and best_value <= root
+
     search_started = time.monotonic()
+    proven = False  # by the dual's bound
     # frames: one per depth p, [next index into branch[p], undo record of p's device or None]
     frames: list[list] = [[0, None]]
     while frames:
         nodes += 1
-        if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
-            hit_time_limit = True
-            break
+        if deadline is not None and nodes % 1024 == 0:
+            if hear():
+                proven = True
+                break
+            if time.monotonic() > deadline:
+                hit_time_limit = True
+                break
         p = len(frames) - 1
         f = frames[-1]
         if f[1] is not None:
@@ -893,10 +999,12 @@ def solve_branch_and_bound(
             if best_value is None or bound < best_value:
                 best_value = bound
                 best_choice = (id_ordered(choice), tuple(choice))
+                source = "search"
             elif bound == best_value:
                 vec = id_ordered(choice)
                 if vec < best_choice[0]:
                     best_choice = (vec, tuple(choice))
+                    source = "search"
             undo(rec)
             continue
         f[1] = rec
@@ -912,11 +1020,25 @@ def solve_branch_and_bound(
         "tables_s": search_started - started,
         "wall_time_s": ended - search_started,  # the search alone
         "time_limit_hit": hit_time_limit,
-        **bound_stats,
     }
+    if dual is not None:
+        proven = hear() or proven  # what arrived since the last look
+        dual.close()
+        lagrangian = best_heard is not None and any(best_heard.multipliers.values())
+        stats.update({
+            "root_bound": "additive" if best_heard is None else "lagrangian" if lagrangian else "elimination-dp",
+            "lower_bound": float(Fraction(root, kernel.obj_den)),
+            "dual_passes": passes,
+            "multipliers": {} if best_heard is None else best_heard.multipliers,
+            "binding_rows": [] if first is None else list(first.broken),
+            "incumbent_source": source,
+            "dual_overhead_s": dual.overhead_s,
+        })
 
     gap = None
-    if not hit_time_limit:
+    if proven:
+        status = SolveStatus.OPTIMAL
+    elif not hit_time_limit:
         status = SolveStatus.INFEASIBLE if best_value is None else SolveStatus.OPTIMAL
     else:
         # timed out: the incumbent's gap to the root bound, or none without one
@@ -940,8 +1062,9 @@ def solve(
     no device has a budget and its state count is within
     ``DP_STATE_LIMIT``, branch and bound otherwise).
 
-    A time limit bounds branch and bound only, its table build and the
-    DP bound of its gap included.  ``auto`` still takes the
+    A time limit bounds branch and bound only, its table build included;
+    there a second process runs the Lagrangian dual search alongside the
+    search (see :func:`solve_branch_and_bound`).  ``auto`` still takes the
     DP under a time limit, since its work is bounded by
     ``DP_STATE_LIMIT`` and it always finishes; a forced ``bruteforce`` or
     ``tree-dp`` with a time limit raises ValueError instead of ignoring it,

@@ -5,6 +5,7 @@ import json
 import operator
 import random
 import time
+import types
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ from conftest import (
     uav_forest_without_budgets,
     unbudgeted_system,
 )
-from ehcopt import presets, solver
+from ehcopt import dual, presets, solver
 from ehcopt.etfg import transform
 from ehcopt.milp import evaluate, objective_value
 from ehcopt.model import TaskGraph, make_system_model, topological_order
@@ -368,7 +369,7 @@ def test_root_bound_is_admissible():
         assert _additive_root(etfg, "latency") <= bf.objective_value
 
 
-def test_determinism_across_runs_and_thread_counts():
+def test_determinism_across_runs():
     etfg, threshold = random_oracle_instance(5)
     a = solve_branch_and_bound(etfg, "energy", threshold, SolveConfig())
     b = solve_branch_and_bound(etfg, "energy", threshold, SolveConfig())
@@ -378,21 +379,28 @@ def test_determinism_across_runs_and_thread_counts():
     assert a.stats["nodes_explored"] == b.stats["nodes_explored"] == c.stats["nodes_explored"]
 
 
-def test_time_limit_returns_incumbent_with_gap():
+def _unbudgeted_300():
     from ehcopt.generator import GenSpec, generate_tfg, synthesize_params, default_param_spec
 
     spec = GenSpec("mixed", 300, 4, 4, Fraction(1, 20), Fraction(1, 50), seed=9)
     graph = synthesize_params(generate_tfg(spec), default_param_spec("C1"), PLAIN, 9)
-    etfg = transform(graph, PLAIN)
-    result = solve_branch_and_bound(etfg, "latency", config=SolveConfig(time_limit=0.3))
-    assert result.status is SolveStatus.FEASIBLE
-    assert result.assignment is not None
-    assert result.gap is not None and 0 <= result.gap <= 1
-    assert result.stats["time_limit_hit"]
-    # without budgets the DP bound the gap is measured against is the optimum
+    return transform(graph, PLAIN)
+
+
+def test_time_limit_proves_an_unbudgeted_optimum_through_the_dual():
+    # the search alone used to time out on this graph with a gap of 0.02;
+    # without budgets the dual's first pass is the optimum, and its
+    # assignment meets every row
+    etfg = _unbudgeted_300()
+    # the proof takes about 0.3 s; the limit leaves room for a slow worker start
+    result = solve_branch_and_bound(etfg, "latency", config=SolveConfig(time_limit=10))
+    assert result.status is SolveStatus.OPTIMAL
+    assert result.gap is None and not result.stats["time_limit_hit"]
+    assert result.objective_value == solve_tree_dp(etfg, "latency").objective_value
+    assert result.stats["incumbent_source"] == "dual"
     assert result.stats["root_bound"] == "elimination-dp"
-    value = result.objective_value
-    assert result.gap == float((value - solve_tree_dp(etfg, "latency").objective_value) / value)
+    assert result.stats["binding_rows"] == [] and result.stats["multipliers"] == {}
+    assert result.breakdown.feasible
 
 
 def test_energy_solutions_respect_threshold():
@@ -538,18 +546,28 @@ def _without_budgets(system):
 def test_timed_out_gap_is_measured_against_the_relaxation_dp(objective, cap):
     system = presets.system_model("C1", "run1")
     etfg = transform(serial_200_graph(), system)
-    result = solve_branch_and_bound(etfg, objective, cap, SolveConfig(time_limit=0.3))
-    assert result.stats["time_limit_hit"]
-    assert result.stats["root_bound"] == "elimination-dp"
-    assert result.stats["dp_states"] > 0 and result.stats["treewidth"] >= 1
-    assert 0 <= result.stats["bound_s"] <= result.stats["tables_s"]
     relaxed = solve_tree_dp(transform(etfg.graph, _without_budgets(system)), objective).objective_value
+    # the dual's first pass is the relaxation
+    kernel = solver._Kernel(etfg, solver.Objective(objective), cap)
+    reports = []
+    dual.search(solver._skeleton(etfg.graph), kernel, 1.0, reports.append)
+    assert Fraction(reports[0].bound, kernel.obj_den) == relaxed
+    # the energy search proves the instance infeasible in about 1 s, which
+    # may come before the worker's first report; the latency search runs
+    # the whole limit, well past it
+    result = solve_branch_and_bound(etfg, objective, cap, SolveConfig(time_limit=3 if cap is None else 1.5))
     bound = result.stats["lower_bound"]
-    assert bound == float(relaxed)
     assert bound >= float(_additive_root(etfg, objective))
-    if result.gap is None:  # no incumbent: energy under the 8 s cap is infeasible here
-        assert objective == "energy" and result.assignment is None
+    if objective == "latency":
+        assert result.stats["root_bound"] in ("elimination-dp", "lagrangian")
+        assert result.stats["dual_passes"] >= 1 and result.stats["binding_rows"] == ["mem_h"]
+        assert bound >= float(relaxed)
+    if result.status is SolveStatus.OPTIMAL:  # proven by the dual's bound
+        assert float(result.objective_value) == pytest.approx(bound, rel=1e-12)
+    elif result.assignment is None:  # energy under the 8 s cap is infeasible here
+        assert objective == "energy" and result.gap is None
     else:
+        assert result.stats["time_limit_hit"]
         assert float(result.objective_value) * (1 - result.gap) == pytest.approx(bound, rel=1e-12)
 
 
@@ -566,12 +584,19 @@ def test_relaxation_dp_bounds_the_oracle():
 
 
 def test_additive_root_stays_when_the_dp_is_over_its_limit(monkeypatch):
-    monkeypatch.setattr(solver, "DP_STATE_LIMIT", 0)
     etfg = transform(serial_200_graph(), _without_budgets(presets.system_model("C1", "run1")))
+    kernel = solver._Kernel(etfg, solver.Objective.LATENCY, None)
+    monkeypatch.setattr(solver, "DP_STATE_LIMIT", 0)
+    reports = []
+    dual.search(solver._skeleton(etfg.graph), kernel, 10.0, reports.append)
+    assert reports == []  # the dual has no schedule to run
+    # a worker that never reports (the patched limit does not reach the
+    # spawned process, so it is never given its job here) leaves the additive root
+    monkeypatch.setattr(dual.Worker, "send", lambda self, *job: None)
     result = solve_branch_and_bound(etfg, "latency", config=SolveConfig(time_limit=0.3))
     assert result.stats["time_limit_hit"]
     assert result.stats["root_bound"] == "additive"
-    assert "dp_states" not in result.stats and "treewidth" not in result.stats
+    assert result.stats["dual_passes"] == 0 and result.stats["incumbent_source"] == "search"
     root = _additive_root(etfg, "latency")
     value = result.objective_value
     assert result.stats["lower_bound"] == float(root)
@@ -582,10 +607,97 @@ def test_no_dp_bound_once_the_deadline_has_passed():
     etfg = transform(serial_200_graph(), presets.system_model("C1", "run1"))
     result = solve_branch_and_bound(etfg, "latency", config=SolveConfig(time_limit=1e-6))
     assert result.stats["root_bound"] == "additive"
-    assert "dp_states" not in result.stats
+    assert result.stats["dual_passes"] == 0 and result.stats["binding_rows"] == []
 
 
 def test_a_run_without_a_time_limit_builds_no_dp_bound():
     etfg, _ = random_oracle_instance(5)
     stats = solve_branch_and_bound(etfg, "latency").stats
-    assert not {"root_bound", "lower_bound", "bound_s", "dp_states"} & stats.keys()
+    assert not {"root_bound", "lower_bound", "dual_passes", "incumbent_source", "dual_overhead_s"} & stats.keys()
+
+
+def test_an_untimed_solve_starts_no_process(monkeypatch):
+    import multiprocessing
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(multiprocessing, "get_context", refuse)
+    etfg = transform(presets.example_inspection_tfg(), presets.system_model("C1"))
+    assert solve_branch_and_bound(etfg, "energy", Fraction(8)).status is SolveStatus.OPTIMAL
+    assert solve(etfg, "latency").stats["solver"] == "branch-and-bound"
+    with pytest.raises(AssertionError, match="process was started"):  # the patch does reach a timed solve
+        solve_branch_and_bound(etfg, "latency", config=SolveConfig(time_limit=0.1))
+
+
+def test_a_daemonic_process_solves_without_the_dual(monkeypatch):
+    # a daemonic process may not start children; a pool's worker is one
+    import multiprocessing
+
+    monkeypatch.setattr(multiprocessing, "current_process", lambda: types.SimpleNamespace(daemon=True))
+    etfg = transform(serial_200_graph(), presets.system_model("C1", "run1"))
+    result = solve_branch_and_bound(etfg, "latency", config=SolveConfig(time_limit=0.2))
+    assert result.stats["time_limit_hit"] and result.assignment is not None
+    assert result.stats["root_bound"] == "additive" and result.stats["dual_passes"] == 0
+    assert multiprocessing.active_children() == []
+
+
+_SEARCH_TABLES = solver._search_tables
+
+
+class _FailingBranch(tuple):
+    def __len__(self):
+        raise RuntimeError("the search failed")
+
+
+def _failing_search_tables(kernel):
+    """The search tables with a branching order that fails at depth 5."""
+    *tables, branch = _SEARCH_TABLES(kernel)
+    return (*tables, branch[:5] + [_FailingBranch()] + branch[6:])
+
+
+@pytest.mark.parametrize("case", ["timed-out", "proven", "no-time-left", "search-raises"])
+def test_no_process_outlives_a_time_limited_solve(case, monkeypatch):
+    import multiprocessing
+
+    etfg = transform(serial_200_graph(), presets.system_model("C1", "run1"))
+    if case == "timed-out":
+        result = solve_branch_and_bound(etfg, "energy", Fraction(8), SolveConfig(time_limit=0.5))
+        assert result.stats["time_limit_hit"]
+    elif case == "proven":
+        result = solve_branch_and_bound(_unbudgeted_300(), "latency", config=SolveConfig(time_limit=10))
+        assert result.status is SolveStatus.OPTIMAL and not result.stats["time_limit_hit"]
+    elif case == "no-time-left":
+        result = solve_branch_and_bound(etfg, "latency", config=SolveConfig(time_limit=1e-6))
+        assert result.stats["time_limit_hit"]
+    else:
+        monkeypatch.setattr(solver, "_search_tables", _failing_search_tables)
+        with pytest.raises(RuntimeError, match="the search failed"):
+            solve_branch_and_bound(etfg, "latency", config=SolveConfig(time_limit=2))
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("objective, capped", [("latency", False), ("energy", False), ("energy", True)])
+def test_the_dual_search_bounds_the_oracle(objective, capped):
+    """Every bound the dual reports is at most the optimum, and every
+    assignment it reports is feasible at the value it claims."""
+    reported = 0
+    for seed in range(40):
+        etfg, threshold = random_oracle_instance(seed)
+        cap = threshold if capped else None
+        kernel = solver._Kernel(etfg, solver.Objective(objective), cap)
+        reports = []
+        dual.search(solver._skeleton(etfg.graph), kernel, 10.0, reports.append)
+        assert reports, f"seed {seed}"  # the first pass is always reported
+        best = solve_bruteforce(etfg, objective, cap)
+        for report in reports:
+            if best.status is SolveStatus.OPTIMAL:
+                assert Fraction(report.bound, kernel.obj_den) <= best.objective_value, f"seed {seed}"
+            if report.chosen is not None:
+                reported += 1
+                breakdown = evaluate(etfg, kernel.assignment(report.chosen), cap)
+                assert breakdown.feasible, f"seed {seed}"
+                assert objective_value(breakdown, objective) == Fraction(report.value, kernel.obj_den), f"seed {seed}"
+        assert reports[0].multipliers == dict.fromkeys(reports[0].multipliers, 0)
+        assert all(a.bound < b.bound or b.chosen is not None for a, b in zip(reports, reports[1:]))
+    assert reported >= 20
