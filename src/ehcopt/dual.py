@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import threading
 import time
+import warnings
 from fractions import Fraction
 from itertools import chain
 from typing import NamedTuple
@@ -184,7 +185,10 @@ class Worker:
     in a spawned daemon process, on its own core).  ``overhead_s`` is the
     time branch and bound spends starting, feeding and stopping it.  A
     daemonic process (a ``multiprocessing`` pool's worker, say) may not
-    start one, so there the dual never reports."""
+    start one, so there the dual never reports.  A worker that failed
+    before its first report (as one does when the main module has no
+    ``if __name__ == "__main__":`` guard) raises a ``RuntimeWarning`` on
+    :meth:`close`; the solve goes on without the dual either way."""
 
     def __init__(self):
         started = time.monotonic()
@@ -192,6 +196,7 @@ class Worker:
 
         self.process = self.sender = None
         self.listening = not multiprocessing.current_process().daemon
+        self.heard = False  # a report has arrived
         if self.listening:
             context = multiprocessing.get_context("spawn")
             self.conn, child = context.Pipe()
@@ -214,9 +219,12 @@ class Worker:
         """The reports waiting in the pipe."""
         while self.listening and self.conn.poll():
             try:
-                yield self.conn.recv()
+                report = self.conn.recv()
             except (EOFError, OSError):  # the worker has finished
                 self.listening = False
+            else:
+                self.heard = True
+                yield report
 
     def close(self) -> None:
         """Stop the worker and wait for it; a second call does nothing."""
@@ -224,6 +232,16 @@ class Worker:
             return
         started = time.monotonic()
         self.listening = False
+        exitcode = self.process.exitcode  # None while it runs
+        if exitcode and not self.heard:
+            warnings.warn(
+                f"the dual worker process exited with code {exitcode} before its first report, "
+                "so this solve ran without the Lagrangian bound; a script that calls a "
+                "time-limited solve needs an 'if __name__ == \"__main__\":' guard, because "
+                "the worker imports the main module again",
+                RuntimeWarning,
+                stacklevel=2,
+            )
         self.process.kill()
         self.process.join()
         self.process.close()

@@ -79,13 +79,20 @@ class BilpModel:
 
 
 def _column_maps(nodes, arcs):
-    """Canonical dense numbering: all node columns, then all arc columns."""
+    """Canonical dense numbering: all node columns, then all arc columns.
+    The variables share their small tuples: one ``(task,)`` per task, one
+    ``(device,)`` per device, one pair per dependency and per device pair."""
     offset = len(nodes)
     node_col = {(n[0], n[1]): i for i, n in enumerate(nodes)}
     arc_col = {a[:4]: offset + i for i, a in enumerate(arcs)}
-    variables = [Variable("node", i, (n[0],), (n[1],)) for i, n in enumerate(nodes)]
+    shared: dict[tuple, tuple] = {}
+
+    def share(key: tuple) -> tuple:
+        return shared.setdefault(key, key)
+
+    variables = [Variable("node", i, share((n[0],)), share((n[1],))) for i, n in enumerate(nodes)]
     variables += [
-        Variable("arc", offset + i, (a[0], a[2]), (a[1], a[3])) for i, a in enumerate(arcs)
+        Variable("arc", offset + i, share((a[0], a[2])), share((a[1], a[3]))) for i, a in enumerate(arcs)
     ]
     return node_col, arc_col, variables
 

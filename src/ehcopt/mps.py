@@ -7,71 +7,108 @@ The MPS writer uses classic fixed columns with short generated names
 the LP writer keeps the human-readable row labels and variable names.
 All numbers are written with 12 significant digits by ``units.fmt12``,
 and emission order is canonical, so identical models produce
-byte-identical files.  A model repeats a few thousand distinct
-coefficients across hundreds of thousands of nonzeros, so each writer
-formats every distinct value once, memoised by (numerator, denominator).
+byte-identical files.
+
+A model repeats a few tens of thousands of coefficient objects, and fewer
+distinct values, across hundreds of thousands of nonzeros.  Each writer
+call formats every distinct value once, keyed by (numerator,
+denominator), and looks up every later sight of an object by its ``id``
+(:func:`_text_memo`).  Each writer joins its lines into strings of many
+lines first and builds the full text from those once: the MPS writer
+transposes the rows into per-column lists of shared row-field and value
+strings and joins each column into one string, and the LP writer joins
+its rows in blocks.  A writer's peak memory is about 2-3 times its text.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 
 from .milp import BilpModel
 from .units import fmt12, without_cyclic_gc
 
+_LP_BLOCK = 2048  # constraint rows per joined string of the LP text
 
-def _fmt12_memo():
-    """``fmt12`` that formats each distinct value once, keyed by
-    (numerator, denominator): hashing a Fraction itself is slower."""
-    text: dict[tuple[int, int], str] = {}
 
-    def fmt(value) -> str:
+def _text_memo(make=fmt12):
+    """A memo of ``make(value)`` over the coefficient objects of one model,
+    for one writer call: ``(by_id, text)``, where the text of ``value`` is
+    ``by_id.get(id(value)) or text(value)``.
+
+    ``text`` makes each distinct value's text once, keyed by (numerator,
+    denominator), and files it under ``id(value)`` as well, so that every
+    later sight of the same object costs one lookup instead of two
+    ``Fraction`` property calls.  An id is reused once its object is
+    freed, so only objects the model holds until the writer returns may
+    be passed (never a temporary such as ``-value``), and the memo must
+    not outlive the call.
+    """
+    by_id: dict[int, str] = {}
+    by_value: dict[tuple[int, int], str] = {}
+
+    def text(value) -> str:
         key = (value.numerator, value.denominator)
-        line = text.get(key)
-        if line is None:
-            line = text[key] = fmt12(value)
-        return line
+        made = by_value.get(key)
+        if made is None:
+            made = by_value[key] = make(value)
+        by_id[id(value)] = made
+        return made
 
-    return fmt
+    return by_id, text
+
+
+def _joined(lines: list[str]) -> list[str]:
+    """``lines`` as one string, or no string when there are no lines."""
+    return ["\n".join(lines)] if lines else []
 
 
 @without_cyclic_gc
 def model_to_mps(model: BilpModel) -> str:
-    rows = model.rows
-    fmt = _fmt12_memo()
-    out: list[str] = ["NAME          EHCOPT"]
-    out.append("ROWS")
-    out.append(" N  OBJ")
-    for idx, row in enumerate(rows):
-        out.append(f" {row.sense}  R{idx + 1}")
+    return "\n".join(_mps_sections(model))
 
-    # transpose: per-column "row value" fields, objective first, then rows in order
+
+def _mps_sections(model: BilpModel) -> list[str]:
+    """The MPS text as a list of strings of one line or many (a block of
+    lines, a column), then ``""`` for the final newline.  The memo and the
+    per-column lists are freed on return, before the caller builds the
+    full text."""
+    rows = model.rows
+    by_id, text = _text_memo()
+    out = ["NAME          EHCOPT", "ROWS", " N  OBJ"]
+    out += _joined([f" {row.sense}  R{idx}" for idx, row in enumerate(rows, 1)])
+
+    # transpose: per column, its (row field, value text) pairs, objective
+    # first, then rows in order; both are shared strings, not new ones
     per_column: list[list[str] | None] = [[] for _ in model.variables]
     for col, coeff in model.objective.items():
-        per_column[col].append("OBJ       " + fmt(coeff))
-    for idx, row in enumerate(rows):
-        row_name = f"{f'R{idx + 1}':<10}"
+        per_column[col].extend(("OBJ       ", by_id.get(id(coeff)) or text(coeff)))
+    for idx, row in enumerate(rows, 1):
+        row_field = f"{f'R{idx}':<10}"
         for col, coeff in row.coeffs.items():
-            per_column[col].append(row_name + fmt(coeff))
+            per_column[col].extend((row_field, by_id.get(id(coeff)) or text(coeff)))
 
     out.append("COLUMNS")
     out.append("    MARKER                 'MARKER'                 'INTORG'")
-    for col, fields in enumerate(per_column):
-        prefix = f"    {f'X{col + 1}':<10}"
-        out.extend([prefix + entry for entry in fields])
-        per_column[col] = None  # release the column once its lines are made
+    for col, fields in enumerate(per_column, 1):
+        if fields:
+            prefix = f"    {f'X{col}':<10}"
+            pairs = iter(fields)
+            # one string per column: its "row value" fields live only while it is joined
+            out.append(prefix + ("\n" + prefix).join(map(add, pairs, pairs)))
+        per_column[col - 1] = None  # release the column's list once it is joined
     out.append("    MARKER                 'MARKER'                 'INTEND'")
 
     out.append("RHS")
-    for idx, row in enumerate(rows):
-        if row.rhs != 0:
-            out.append(f"    RHS       {f'R{idx + 1}':<10}{fmt(row.rhs)}")
-
+    out += _joined([
+        f"    RHS       {f'R{idx}':<10}{by_id.get(id(row.rhs)) or text(row.rhs)}"
+        for idx, row in enumerate(rows, 1)
+        if row.rhs
+    ])
     out.append("BOUNDS")
-    for col in range(len(model.variables)):
-        out.append(f" BV BND       X{col + 1}")
-    out.append("ENDATA")
-    return "\n".join(out) + "\n"
+    out += _joined([f" BV BND       X{col}" for col in range(1, len(per_column) + 1)])
+    out += ["ENDATA", ""]
+    return out
 
 
 @dataclass
@@ -162,34 +199,52 @@ def parse_mps(text: str) -> ParsedMps:
 @without_cyclic_gc
 def model_to_lp(model: BilpModel) -> str:
     """CPLEX-style LP text with the model's own row labels and names."""
-    names = [v.name for v in model.variables]
-    fmt = _fmt12_memo()
-    # signed term text per distinct value: (leading "-m"/"m", following "- m"/"+ m")
-    terms: dict[tuple[int, int], tuple[str, str]] = {}
+    return "\n".join(_lp_sections(model))
 
-    def expr(coeffs: dict) -> str:
-        parts = []
+
+def _lp_sections(model: BilpModel) -> list[str]:
+    """The LP text as a list of strings of one line or many (a block of
+    rows, the binaries), then ``""`` for the final newline.  The memos and
+    the names are freed on return, before the caller builds the full
+    text."""
+    names = [v.name for v in model.variables]
+    by_id, text = _text_memo()
+    # signed term text per distinct value: the following "+ m"/"- m" by
+    # coefficient object, and from it the leading "m"/"-m"
+    leading: dict[str, str] = {}
+
+    def signed(value) -> str:
+        lead = fmt12(value)
+        follow = "- " + lead[1:] if lead[0] == "-" else "+ " + lead
+        leading[follow] = lead
+        return follow
+
+    term_by_id, term = _text_memo(signed)
+
+    def line(head: str, coeffs: dict, *tail: str) -> str:
+        """``head``, the terms of ``coeffs`` by column and ``tail``, one space apart."""
+        parts = [head]
         for col in sorted(coeffs):
             coeff = coeffs[col]
-            key = (coeff.numerator, coeff.denominator)
-            term = terms.get(key)
-            if term is None:
-                if key[0] < 0:  # the sign comes from the numerator
-                    magnitude = fmt12(-coeff)
-                    term = terms[key] = ("-" + magnitude, "- " + magnitude)
-                else:
-                    magnitude = fmt12(coeff)
-                    term = terms[key] = (magnitude, "+ " + magnitude)
-            parts.append(f"{term[1] if parts else term[0]} {names[col]}")
-        return " ".join(parts) if parts else "0 " + names[0]
+            parts.extend((term_by_id.get(id(coeff)) or term(coeff), names[col]))
+        if len(parts) == 1:
+            parts += ("0", names[0])  # an empty sum
+        else:
+            parts[1] = leading[parts[1]]
+        parts += tail
+        return " ".join(parts)
 
     sense_text = {"L": "<=", "E": "=", "G": ">="}
-    out = [f"\\ objective: {model.objective_kind.value}", "Minimize", f" obj: {expr(model.objective)}"]
+    out = [f"\\ objective: {model.objective_kind.value}", "Minimize", line(" obj:", model.objective)]
     out.append("Subject To")
-    for row in model.rows:
-        out.append(f" {row.label}: {expr(row.coeffs)} {sense_text[row.sense]} {fmt(row.rhs)}")
+    rows = model.rows
+    for start in range(0, len(rows), _LP_BLOCK):
+        # one string per block of rows: its lines live only while it is joined
+        out.append("\n".join([
+            line(f" {row.label}:", row.coeffs, sense_text[row.sense], by_id.get(id(row.rhs)) or text(row.rhs))
+            for row in rows[start : start + _LP_BLOCK]
+        ]))
     out.append("Binary")
-    for name in names:
-        out.append(f" {name}")
-    out.append("End")
-    return "\n".join(out) + "\n"
+    out.append(" " + "\n ".join(names))
+    out += ["End", ""]
+    return out

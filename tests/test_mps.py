@@ -1,19 +1,22 @@
+import gc
 import hashlib
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import E, serial_200_graph, simple_task, two_task_chain
+from conftest import C, E, H, serial_200_graph, simple_task, two_task_chain
 from ehcopt import presets
 from ehcopt.etfg import transform
-from ehcopt.milp import build_model
+from ehcopt.milp import BilpModel, ConstraintRow, Objective, Variable, build_model
 from ehcopt.model import TaskGraph
 from ehcopt.mps import MpsFormatError, model_to_lp, model_to_mps, parse_mps
 from ehcopt.solver import _as_int, solve_branch_and_bound
+from ehcopt.units import fmt12
 
 C1 = presets.system_model("C1", "run1")
 
@@ -98,6 +101,99 @@ def test_lp_export():
 def test_lp_deterministic():
     model = build_model(transform(two_task_chain(), C1), "latency")
     assert model_to_lp(model) == model_to_lp(model)
+
+
+# --- the writers against plain per-value formatting --------------------------
+
+
+def plain_mps(model) -> str:
+    """The MPS text with every value formatted by ``fmt12`` where it is written."""
+    lines = ["NAME          EHCOPT", "ROWS", " N  OBJ"]
+    lines += [f" {row.sense}  R{i}" for i, row in enumerate(model.rows, 1)]
+    lines += ["COLUMNS", "    MARKER                 'MARKER'                 'INTORG'"]
+    for col in range(model.num_variables):
+        if col in model.objective:
+            lines.append(f"    {f'X{col + 1}':<10}{'OBJ':<10}{fmt12(model.objective[col])}")
+        for i, row in enumerate(model.rows, 1):
+            if col in row.coeffs:
+                lines.append(f"    {f'X{col + 1}':<10}{f'R{i}':<10}{fmt12(row.coeffs[col])}")
+    lines += ["    MARKER                 'MARKER'                 'INTEND'", "RHS"]
+    lines += [f"    RHS       {f'R{i}':<10}{fmt12(row.rhs)}" for i, row in enumerate(model.rows, 1) if row.rhs != 0]
+    lines += ["BOUNDS"] + [f" BV BND       X{col + 1}" for col in range(model.num_variables)] + ["ENDATA"]
+    return "".join(line + "\n" for line in lines)
+
+
+def plain_lp(model) -> str:
+    """The LP text with every value formatted by ``fmt12`` where it is written."""
+    names = [v.name for v in model.variables]
+
+    def expr(coeffs):
+        terms = []
+        for col in sorted(coeffs):
+            text = fmt12(coeffs[col])
+            if terms:
+                text = "- " + text[1:] if text.startswith("-") else "+ " + text
+            terms.append(f"{text} {names[col]}")
+        return " ".join(terms) or f"0 {names[0]}"
+
+    sense = {"L": "<=", "E": "=", "G": ">="}
+    lines = [f"\\ objective: {model.objective_kind.value}", "Minimize", f" obj: {expr(model.objective)}", "Subject To"]
+    lines += [f" {row.label}: {expr(row.coeffs)} {sense[row.sense]} {fmt12(row.rhs)}" for row in model.rows]
+    lines += ["Binary"] + [f" {name}" for name in names] + ["End"]
+    return "".join(line + "\n" for line in lines)
+
+
+def hand_built_model(shift: int) -> BilpModel:
+    """Equal values held by distinct objects, one object in many places,
+    and negative, zero and non-integer coefficients, on unsorted rows;
+    ``shift`` moves most values."""
+    variables = [Variable("node", i, (i // 3 + 1,), (role,)) for i, role in enumerate((E, H, C) * 4)]
+    n = len(variables)
+    shared = Fraction(-7, 3)
+    rows = [
+        ConstraintRow(f"r_{k}", {(5 * k + j) % n: Fraction((-1) ** j * (k + j + shift), 1 + j % 4) for j in range(6)}, "L", Fraction(k - 3, 2))
+        for k in range(8)
+    ]
+    rows += [
+        ConstraintRow("dup", {11: Fraction(3, 7), 2: Fraction(3, 7), 7: Fraction(6, 14), 0: shared}, "E", Fraction(3, 7)),
+        ConstraintRow("zero", {4: Fraction(0), 9: shared, 1: Fraction(-1, 10**13)}, "G", Fraction(0)),
+        ConstraintRow("empty", {}, "L", Fraction(-5, 4)),
+        ConstraintRow("big", {3: Fraction(10**20, 3), 6: Fraction(-(10**20), 7), 8: shared}, "L", Fraction(10**15, 9)),
+    ]
+    objective = {col: Fraction(shift - col % 5, 3) + Fraction(1, 7) for col in range(0, n, 2)}
+    objective[1] = Fraction(3, 7)
+    return BilpModel(Objective.ENERGY, None, variables, objective, rows, {}, {}, etfg=None)
+
+
+def test_writers_format_every_value_as_fmt12_does():
+    # a second model reuses the ids of the first one's freed objects,
+    # so a text kept from an earlier call would show up here
+    for shift in (0, 5):
+        model = hand_built_model(shift)
+        assert model_to_mps(model) == plain_mps(model)
+        assert model_to_lp(model) == plain_lp(model)
+        del model
+    # no rows and no objective (empty sections, a column without entries),
+    # and a built model
+    bare = BilpModel(Objective.LATENCY, None, [Variable("node", 0, (1,), (E,))], {}, [], {}, {}, etfg=None)
+    built = build_model(transform(two_task_chain(data=10**6), C1), "energy", Fraction(8))
+    for model in (bare, built):
+        assert model_to_mps(model) == plain_mps(model)
+        assert model_to_lp(model) == plain_lp(model)
+
+
+@pytest.mark.parametrize("objective, threshold", [("latency", None), ("energy", Fraction(8))])
+def test_writers_peak_memory_is_a_small_multiple_of_their_text(objective, threshold):
+    model = build_model(transform(serial_200_graph(), C1), objective, threshold)
+    for writer, limit in ((model_to_mps, 4.0), (model_to_lp, 4.5)):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            text = writer(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit * len(text), (writer.__name__, peak / len(text))
 
 
 # --- golden outputs ---------------------------------------------------------

@@ -3,10 +3,14 @@ import hashlib
 import itertools
 import json
 import operator
+import os
 import random
+import subprocess
+import sys
 import time
 import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -640,6 +644,42 @@ def test_a_daemonic_process_solves_without_the_dual(monkeypatch):
     assert result.stats["time_limit_hit"] and result.assignment is not None
     assert result.stats["root_bound"] == "additive" and result.stats["dual_passes"] == 0
     assert multiprocessing.active_children() == []
+
+
+_GUARDLESS_SCRIPT = """
+import json
+from fractions import Fraction
+
+from ehcopt import presets
+from ehcopt.etfg import transform
+from ehcopt.generator import GenSpec, default_param_spec, generate_tfg, synthesize_params
+from ehcopt.solver import SolveConfig, solve_branch_and_bound
+
+system = presets.system_model("C1", "run1")
+spec = GenSpec("serial", 200, 4, 4, Fraction(5, 100), Fraction(2, 100), seed=1)
+graph = synthesize_params(generate_tfg(spec), default_param_spec("C1"), system, spec.seed)
+result = solve_branch_and_bound(transform(graph, system), "latency", config=SolveConfig(time_limit=5))
+print(json.dumps(result.stats))
+"""
+
+
+def test_a_worker_that_dies_before_reporting_warns_once(tmp_path):
+    # without a __main__ guard the spawned worker runs the script's top
+    # level again and dies when its own solve tries to start a second
+    # worker during bootstrapping; the solve goes on with the additive root
+    script = tmp_path / "guardless.py"
+    script.write_text(_GUARDLESS_SCRIPT)
+    src = Path(solver.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, str(script)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stderr.count("RuntimeWarning: the dual worker process exited with code 1") == 1
+    assert 'if __name__ == "__main__":' in run.stderr
+    stats = json.loads(run.stdout)
+    assert stats["root_bound"] == "additive" and stats["dual_passes"] == 0
+    assert stats["time_limit_hit"] and stats["incumbent_source"] == "search"
 
 
 _SEARCH_TABLES = solver._search_tables
