@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -149,14 +150,20 @@ def cmd_baseline(args) -> int:
     return EXIT_OK
 
 
+def _fraction_flag(value: float, flag: str) -> Fraction:
+    if not math.isfinite(value):
+        raise CliError(f"{flag} must be a finite number, got {value}")
+    return Fraction(value).limit_denominator(10**6)
+
+
 def cmd_generate(args) -> int:
     spec = GenSpec(
         structure=args.structure,
         node_count=args.nodes,
         max_in_degree=args.max_in_degree,
         max_out_degree=args.max_out_degree,
-        fixed_edge_fraction=Fraction(args.fixed_edge).limit_denominator(10**6),
-        fixed_hub_fraction=Fraction(args.fixed_hub).limit_denominator(10**6),
+        fixed_edge_fraction=_fraction_flag(args.fixed_edge, "--fixed-edge"),
+        fixed_hub_fraction=_fraction_flag(args.fixed_hub, "--fixed-hub"),
         seed=args.seed,
     )
     system = _load_system(args.config, args.channel_profile)

@@ -85,7 +85,7 @@ def search(skeleton, kernel: _Kernel, seconds: float, send) -> None:
     schedule = _compile(*skeleton)
     if schedule is None:
         return
-    rows = kernel.rows()
+    rows = kernel.rows
     tables = kernel.objective_tables()
     labels = [row.label for row in rows]
     best_bound = best_value = None

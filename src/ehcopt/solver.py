@@ -15,22 +15,25 @@ Three routes to a provably optimal assignment:
   count, which must not exceed ``DP_STATE_LIMIT``; forests are its
   width-1 case.
 * :func:`solve_branch_and_bound` handles the general case: depth-first
-  search over tasks in topological order with budget and latency-threshold
-  pruning and an additive lower bound, kept as one running sum per
-  quantity.  It starts at the root bound, per-task minima plus per-arc
-  minima, and placing a task adds how far each term it settles lies above
-  the minimum it replaced.  Under a time limit a second process runs a
-  Lagrangian multiplier search over the budget rows and the latency cap
-  on the same kernel, each pass one run of the elimination DP
+  search over tasks in topological order with one additive lower bound
+  per quantity, the objective and each of the kernel's rows.  Each starts
+  at its root bound, per-task minima plus per-arc minima, and placing a
+  task adds how far each term it settles lies above the minimum it
+  replaced.  It prunes on the first row over its budget, then on the
+  objective against the incumbent.  Under a time limit a second process
+  runs a Lagrangian multiplier search over the same rows, on the same
+  kernel, each pass one run of the elimination DP
   (:mod:`ehcopt.dual`).  Branch and bound takes its bounds for the gap
   and adopts its feasible assignments, which tighten pruning, and stops
   as proven optimal once the incumbent meets the bound.
 
 The two fast solvers read one integer kernel, :class:`_Kernel`: the
-expanded graph's node and arc costs, demands, budgets and latency cap,
-rescaled exactly to integers once per (graph, objective, cap).  Branch
-and bound derives its bounds from it.  The oracle does not read it, so
-that a fault in the kernel shows up as a disagreement with the oracle.
+expanded graph's objective costs and its side constraints, each budget
+and the latency cap as one linear row (:class:`_Row`), rescaled exactly
+to integers once per (graph, objective, cap).  Branch and bound derives
+its bounds from it, and the dual penalises its rows.  The oracle does not
+read it, so that a fault in the kernel shows up as a disagreement with
+the oracle.
 
 All arithmetic runs on integers after exact rescaling of the rational
 inputs, so equal objective values compare equal regardless of the path
@@ -52,8 +55,8 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, count, repeat
-from operator import add
+from itertools import accumulate, chain, count, repeat
+from operator import add, gt, sub
 from typing import NamedTuple
 
 from .etfg import Etfg, arc_shares
@@ -421,20 +424,22 @@ def _total(node, arc, chosen, skeleton) -> int:
 
 
 class _Kernel:
-    """The instance's costs as integers, in topological task order.
+    """The instance's costs and constraints as integers, in topological
+    task order.
 
     Per task ``p``: ``role_of[p]`` lists its candidates' indices into
     ROLES in ``Task.allowed`` order, which the candidate index ``ci``
-    follows everywhere; ``node_obj``/``node_lat``/``node_enr`` hold their
-    costs and ``mem``/``sto`` the task's demand.  Per dependency, in
-    ``graph.arcs`` order, ``arcs`` holds ``(src, dst, obj, lat, parts)``:
-    flat lists indexed ``src_ci * width + dst_ci``, where ``width`` is the
-    number of candidates of ``dst`` (the order of ``Etfg.arcs_by_dep``),
-    ``parts`` holding each arc's (role index, energy) shares, or none when
-    no device has an energy budget, since only that row reads them.  Latency,
-    energy, memory and storage each have one fixed denominator, shared by
-    their budgets and the latency cap; the objective is latency or energy
-    on that quantity's denominator, ``obj_den``.
+    follows everywhere, and ``node_obj[p]`` their objective costs.  Per
+    dependency, in ``graph.arcs`` order, ``arcs`` holds ``(src, dst,
+    obj)``: the objective's flat table indexed ``src_ci * width + dst_ci``,
+    where ``width`` is the number of candidates of ``dst`` (the order of
+    ``Etfg.arcs_by_dep``).  ``rows`` holds every side constraint as a
+    :class:`_Row`: each finite memory, storage and energy budget (devices
+    e, h, c in turn), then the latency cap, numbered as
+    :meth:`objective_tables` numbers the costs.  Latency, energy, memory
+    and storage each have one fixed denominator, shared by their budgets
+    and the latency cap; the objective is latency or energy on that
+    quantity's denominator, ``obj_den``.
     """
 
     @without_cyclic_gc
@@ -445,7 +450,7 @@ class _Kernel:
         self.tasks = tasks = [graph.task(tid) for tid in order]
         self.n = len(order)
         nodes = [etfg.nodes_by_task[tid] for tid in order]  # candidates in Task.allowed order
-        self.role_of = [[ROLE_INDEX[node.device] for node in row] for row in nodes]
+        self.role_of = role_of = [[ROLE_INDEX[node.device] for node in row] for row in nodes]
         groups = etfg.arcs_by_dep
         budgets = [etfg.system.device(r) for r in ROLES]
         latency = objective is Objective.LATENCY
@@ -470,37 +475,38 @@ class _Kernel:
             + arc_energies
             + [d.energy_budget for d in budgets if d.energy_budget is not None]
         )
-        mem_den = _common_denominator(
-            [t.memory for t in tasks] + [d.memory_budget for d in budgets if d.memory_budget is not None]
-        )
-        sto_den = _common_denominator(
-            [t.storage for t in tasks] + [d.storage_budget for d in budgets if d.storage_budget is not None]
-        )
-
-        self.node_lat = [[_as_int(node.latency, lat_den) for node in row] for row in nodes]
-        self.node_enr = [[_as_int(node.energy, enr_den) for node in row] for row in nodes]
-        self.mem = [_as_int(t.memory, mem_den) for t in tasks]
-        self.sto = [_as_int(t.storage, sto_den) for t in tasks]
-        self.mem_bgt = [None if d.memory_budget is None else _as_int(d.memory_budget, mem_den) for d in budgets]
-        self.sto_bgt = [None if d.storage_budget is None else _as_int(d.storage_budget, sto_den) for d in budgets]
-        self.enr_bgt = [None if d.energy_budget is None else _as_int(d.energy_budget, enr_den) for d in budgets]
-        self.lat_thr = None if latency_threshold is None else _as_int(latency_threshold, lat_den)
-
-        parts_of = {  # each shared tuple converted once
-            key: tuple([(ROLE_INDEX[r], _as_int(amount, enr_den)) for r, amount in shares])
-            for key, shares in distinct.items()
-        }
-        self.arcs = []
-        for dep, group in groups.items():
-            lat = [_as_int(arc.latency, lat_den) for arc in group]
-            obj = lat if latency else [_as_int(arc.energy, enr_den) for arc in group]
-            if shares_by_dep is None:
-                parts = [()] * len(group)
-            else:
-                parts = [parts_of[id(shares)] for shares in shares_by_dep[dep]]
-            self.arcs.append((pos_of[dep[0]], pos_of[dep[1]], obj, lat, parts))
-        self.node_obj = self.node_lat if latency else self.node_enr
+        node_lat = [[_as_int(node.latency, lat_den) for node in row] for row in nodes]
+        node_enr = [[_as_int(node.energy, enr_den) for node in row] for row in nodes]
+        arc_lat = [[_as_int(arc.latency, lat_den) for arc in group] for group in groups.values()]
+        arc_obj = arc_lat if latency else [
+            [_as_int(arc.energy, enr_den) for arc in group] for group in groups.values()
+        ]
+        self.arcs = [(pos_of[i], pos_of[j], obj) for (i, j), obj in zip(groups, arc_obj)]
+        self.node_obj = node_lat if latency else node_enr
         self.obj_den = lat_den if latency else enr_den
+
+        self.rows = rows = []
+        for kind, quantity in (("mem", "memory"), ("sto", "storage")):
+            caps = [getattr(d, f"{quantity}_budget") for d in budgets]
+            demand = [getattr(t, quantity) for t in tasks]
+            den = _common_denominator(demand + [c for c in caps if c is not None])
+            demand = [_as_int(amount, den) for amount in demand]
+            for r, cap in enumerate(caps):
+                if cap is not None:
+                    node = [[a if role == r else 0 for role in roles] for a, roles in zip(demand, role_of)]
+                    rows.append(_Row(f"{kind}_{ROLES[r].value}", node, None, _as_int(cap, den)))
+        split = {}  # per shared share tuple: its energy on each device
+        for key, shares in distinct.items():
+            split[key] = per_device = [0, 0, 0]
+            for device, amount in shares:
+                per_device[ROLE_INDEX[device]] += _as_int(amount, enr_den)
+        for r, d in enumerate(budgets):
+            if d.energy_budget is not None:
+                node = [[e if role == r else 0 for e, role in zip(*pair)] for pair in zip(node_enr, role_of)]
+                arc = [[split[id(shares)][r] for shares in row] for row in shares_by_dep.values()]
+                rows.append(_Row(f"enr_{ROLES[r].value}", node, arc, _as_int(d.energy_budget, enr_den)))
+        if latency_threshold is not None:
+            rows.append(_Row("lthr", node_lat, arc_lat, _as_int(latency_threshold, lat_den)))
 
     def assignment(self, choice) -> dict[int, DeviceRole]:
         """The task -> device map of one candidate index per position."""
@@ -509,34 +515,7 @@ class _Kernel:
     def objective_tables(self) -> list[list[int]]:
         """The objective's cost tables as the elimination DP numbers them:
         node tables by position, then arc tables in ``graph.arcs`` order."""
-        return self.node_obj + [obj for _, _, obj, _, _ in self.arcs]
-
-    def rows(self) -> list[_Row]:
-        """Every finite memory, storage and energy budget row (devices
-        e, h, c in turn), then the latency cap, with its coefficients
-        numbered as :meth:`objective_tables` numbers the costs."""
-        rows = []
-        for kind, demand, caps in (("mem", self.mem, self.mem_bgt), ("sto", self.sto, self.sto_bgt)):
-            for r, cap in enumerate(caps):
-                if cap is not None:
-                    node = [[d if role == r else 0 for role in roles] for d, roles in zip(demand, self.role_of)]
-                    rows.append(_Row(f"{kind}_{ROLES[r].value}", node, None, cap))
-        for r, cap in enumerate(self.enr_bgt):
-            if cap is not None:
-                node = [
-                    [e if role == r else 0 for e, role in zip(costs, roles)]
-                    for costs, roles in zip(self.node_enr, self.role_of)
-                ]
-                share = {}  # by parts tuple, which arcs share
-                for _, _, _, _, parts in self.arcs:
-                    for shares in parts:
-                        if id(shares) not in share:
-                            share[id(shares)] = sum([amount for pr, amount in shares if pr == r])
-                arc = [[share[id(shares)] for shares in parts] for _, _, _, _, parts in self.arcs]
-                rows.append(_Row(f"enr_{ROLES[r].value}", node, arc, cap))
-        if self.lat_thr is not None:
-            rows.append(_Row("lthr", self.node_lat, [lat for _, _, _, lat, _ in self.arcs], self.lat_thr))
-        return rows
+        return self.node_obj + [obj for _, _, obj in self.arcs]
 
     def __getstate__(self):
         """The dual process's copy: everything but the task objects."""
@@ -748,41 +727,64 @@ def solve_tree_dp(etfg: Etfg, objective: Objective | str = Objective.LATENCY) ->
 # --- branch and bound -------------------------------------------------------
 
 
+def _breakable(row: _Row) -> bool:
+    """Whether some assignment breaks ``row``: its largest use exceeds its budget."""
+    most = sum(map(max, row.node))
+    return most > row.budget or row.arc is not None and most + sum(map(max, row.arc)) > row.budget
+
+
 @without_cyclic_gc
 def _search_tables(kernel: _Kernel):
-    """Branch and bound's additive bound and branching order.
+    """Branch and bound's additive bounds and branching order.
 
-    The running bounds start at the root: per-task minima, and per-arc
-    minima over all pairs (``lo``) or, once the source is placed, over its
-    row (``mins``); latency's only under a cap.  Devices are
-    branched cheapest-first, ties by canonical device order.
+    One running bound per quantity, each built the same way: quantity 0
+    is the objective and quantity ``q > 0`` is ``rows[q - 1]``, the
+    kernel's rows that some assignment breaks (a row that none can break
+    prunes nothing).  The root is the per-task minima plus the per-arc
+    minima over all pairs (``lo``).  Placing task ``p`` on candidate
+    ``ci`` adds the vector ``step[p][ci]``: how far the candidate's cost
+    lies above the task's minimum plus, per arc out of ``p``, how far the
+    minimum of that arc's row ``ci`` (``mins[ci]``) lies above ``lo``.
+    Per arc into ``p`` from a source on candidate ``s``, each quantity
+    with arc costs adds ``table[s * width + ci] - mins[s]``.  At a leaf
+    each bound is the assignment's exact sum.  Devices are branched
+    cheapest-first, ties by canonical device order.
     """
-    n, role_of, node_obj, node_lat = kernel.n, kernel.role_of, kernel.node_obj, kernel.node_lat
-    use_threshold = kernel.lat_thr is not None
-    min_node = [min(row) for row in node_obj]
-    lat_min_node = [min(row) for row in node_lat] if use_threshold else None
-    bound = sum(min_node)
-    lat_bound = sum(lat_min_node) if use_threshold else 0
+    n, role_of = kernel.n, kernel.role_of
+    rows = [row for row in kernel.rows if _breakable(row)]
+    quantities = [(kernel.node_obj, [obj for _, _, obj in kernel.arcs])]
+    quantities += [(row.node, row.arc) for row in rows]
+    widths = [len(roles) for roles in role_of]
+    offset = list(accumulate(widths, initial=0))  # of each position's candidates, flattened
+    root = []
+    steps = []  # per quantity, flat over (position, candidate)
+    for node, _ in quantities:
+        mins = list(map(min, node))
+        root.append(sum(mins))
+        each = chain.from_iterable(map(repeat, mins, widths))  # the task's minimum, once per candidate
+        steps.append(list(map(sub, chain.from_iterable(node), each)))
+    with_arcs = [(q, arc, steps[q]) for q, (_, arc) in enumerate(quantities) if arc is not None]
     in_arcs: list[list[tuple]] = [[] for _ in range(n)]
-    out_arcs: list[list[tuple]] = [[] for _ in range(n)]
-    for src, dst, obj, lat, parts in kernel.arcs:
-        width = len(role_of[dst])
-        mins = list(map(min, zip(*[iter(obj)] * width)))  # per source candidate: its row's minimum
-        lo = min(mins)
-        bound += lo
-        if use_threshold:
-            lat_mins = list(map(min, zip(*[iter(lat)] * width)))
-            lat_lo = min(lat_mins)
-            lat_bound += lat_lo
-        else:
-            lat_mins = lat_lo = None
-        in_arcs[dst].append((src, obj, lat, parts, mins, lat_mins))
-        out_arcs[src].append((mins, lo, lat_mins, lat_lo))
+    for a, (src, dst, _) in enumerate(kernel.arcs):
+        width = widths[dst]
+        terms = []  # per quantity with arc costs
+        for q, arc, q_steps in with_arcs:
+            table = arc[a]
+            mins = list(map(min, zip(*[iter(table)] * width)))  # per source candidate: its row's minimum
+            lo = min(mins)
+            root[q] += lo
+            for at, m in enumerate(mins, offset[src]):
+                q_steps[at] += m - lo
+            terms.append((q, table, mins))
+        in_arcs[dst].append((src, width, terms))
+    flat = list(zip(*steps))
+    step = [flat[offset[p] : offset[p + 1]] for p in range(n)]
+    node_obj = kernel.node_obj
     branch = [
         tuple(sorted(range(len(role_of[p])), key=lambda ci: (node_obj[p][ci], role_of[p][ci])))
         for p in range(n)
     ]
-    return min_node, lat_min_node, bound, lat_bound, in_arcs, out_arcs, branch
+    return rows, root, step, in_arcs, branch
 
 
 def solve_branch_and_bound(
@@ -793,12 +795,15 @@ def solve_branch_and_bound(
 ) -> Allocation:
     """Depth-first branch and bound over task->device assignments.
 
-    The lower bound is one running sum per quantity (the objective, and
-    latency under a cap).  It starts at the root bound, the per-task
-    minima plus the per-arc minima, and placing a task adds how far each
-    term it settles lies above the minimum it replaced, so at a leaf it
-    is the assignment's cost.  Fixed tasks' demands are charged to their
-    devices before the search.  Proves optimality when the search
+    The lower bound is one running sum per quantity: the objective and
+    each of the kernel's rows (see :func:`_search_tables`).  It starts at
+    the root bound, the per-task minima plus the per-arc minima, and
+    placing a task adds how far each term it settles lies above the
+    minimum it replaced, so at a leaf it is the assignment's sum.  A
+    placement is pruned when the first row over its budget is the
+    latency cap (``pruned_by_threshold``) or another row
+    (``pruned_by_budget``), else when the objective's bound exceeds the
+    incumbent (``pruned_by_bound``).  Proves optimality when the search
     completes.  Deterministic for fixed inputs without a time limit.
 
     Under a time limit a second process runs the Lagrangian dual search
@@ -844,103 +849,40 @@ def _branch_and_bound(etfg, objective, latency_threshold, deadline: float | None
     n = kernel.n
     if n == 0:
         raise ValueError("empty task graph")
-    role_of, node_obj, node_lat, node_enr = kernel.role_of, kernel.node_obj, kernel.node_lat, kernel.node_enr
-    mem, sto = kernel.mem, kernel.sto
-    lat_thr = kernel.lat_thr
-    use_threshold = lat_thr is not None
-    min_node, lat_min_node, bound, lat_bound, in_arcs, out_arcs, branch = _search_tables(kernel)
+    if dual is not None:  # the worker starts on the kernel while the search tables are built
+        skeleton = _skeleton(etfg.graph)
+        arc_obj = [obj for _, _, obj in kernel.arcs]
+        if time.monotonic() < deadline:
+            dual.send(skeleton, kernel, deadline - time.monotonic())
+    role_of = kernel.role_of
+    rows, roots, step, in_arcs, branch = _search_tables(kernel)
+    # per quantity, the bound that prunes and the count it adds to: the
+    # incumbent's value, then each row's budget
+    caps = [math.inf] + [row.budget for row in rows]
+    cause = ["bound"] + ["threshold" if row.label == "lthr" else "budget" for row in rows]
     # the bound a timed-out run's gap is measured against: the additive
     # root until the dual reports a higher one; a run without a time limit
     # always ends in a proof
-    root = bound
-    if dual is not None:
-        skeleton = _skeleton(etfg.graph)
-        arc_obj = [obj for _, _, obj, _, _ in kernel.arcs]
-        if time.monotonic() < deadline:
-            dual.send(skeleton, kernel, deadline - time.monotonic())
+    root = roots[0]
 
-    # mutable search state; fixed tasks are charged up front
     choice = [-1] * n
-    mem_use = [0, 0, 0]
-    sto_use = [0, 0, 0]
-    enr_use = [0, 0, 0]
-    for p in range(n):
-        if len(role_of[p]) == 1:
-            r = role_of[p][0]
-            mem_use[r] += mem[p]
-            sto_use[r] += sto[p]
-            enr_use[r] += node_enr[p][0]
-    limits = [
-        (use, r, cap)
-        for use, caps in ((mem_use, kernel.mem_bgt), (sto_use, kernel.sto_bgt), (enr_use, kernel.enr_bgt))
-        for r, cap in enumerate(caps)
-        if cap is not None
-    ]
-
     best_value = None
     best_choice = None
     source = None  # of the incumbent: "search" or "dual"
     first = best_heard = None  # the dual's first report, and the one with the highest bound
     passes = 0  # the dual's, at its last report
     nodes = 0
-    pruned_bound = 0
-    pruned_budget = 0
-    pruned_threshold = 0
+    pruned = dict.fromkeys(("bound", "budget", "threshold"), 0)
     hit_time_limit = False
-
-    def apply(p: int, ci: int):
-        nonlocal bound, lat_bound
-        width = len(role_of[p])
-        d = node_obj[p][ci] - min_node[p]
-        d_lat = node_lat[p][ci] - lat_min_node[p] if use_threshold else 0
-        usage = [] if width == 1 else [(role_of[p][ci], mem[p], sto[p], node_enr[p][ci])]
-        for src, obj, lat, parts, mins, lat_mins in in_arcs[p]:
-            s = choice[src]
-            idx = s * width + ci
-            d += obj[idx] - mins[s]
-            if use_threshold:
-                d_lat += lat[idx] - lat_mins[s]
-            for pr, amount in parts[idx]:
-                usage.append((pr, 0, 0, amount))
-        for mins, lo, lat_mins, lat_lo in out_arcs[p]:
-            d += mins[ci] - lo
-            if use_threshold:
-                d_lat += lat_mins[ci] - lat_lo
-        bound += d
-        lat_bound += d_lat
-        for pr, dm, ds, de in usage:
-            mem_use[pr] += dm
-            sto_use[pr] += ds
-            enr_use[pr] += de
-        choice[p] = ci
-        return d, d_lat, usage
-
-    def undo(rec):
-        nonlocal bound, lat_bound
-        d, d_lat, usage = rec
-        bound -= d
-        lat_bound -= d_lat
-        for pr, dm, ds, de in usage:
-            mem_use[pr] -= dm
-            sto_use[pr] -= ds
-            enr_use[pr] -= de
-
-    def violates_budget() -> bool:
-        for use, r, cap in limits:
-            if use[r] > cap:
-                return True
-        return False
 
     by_id = sorted(range(n), key=lambda p: kernel.tasks[p].id)
 
     def id_ordered(choice_vec) -> tuple[int, ...]:
         return tuple(role_of[p][choice_vec[p]] for p in by_id)
 
-    rows = None
-
     def hear() -> bool:
         """Take the dual's reports; True once the incumbent meets the bound."""
-        nonlocal best_value, best_choice, source, first, best_heard, passes, root, rows
+        nonlocal best_value, best_choice, source, first, best_heard, passes, root
         for report in dual.reports():
             first, passes = first or report, report.passes
             if best_heard is None or report.bound > best_heard.bound:
@@ -948,21 +890,20 @@ def _branch_and_bound(etfg, objective, latency_threshold, deadline: float | None
                 root = max(root, report.bound)
             if report.chosen is None:
                 continue
-            if rows is None:
-                rows = kernel.rows()
-            if _total(node_obj, arc_obj, report.chosen, skeleton) != report.value or any(
-                _total(row.node, row.arc, report.chosen, skeleton) > row.budget for row in rows
+            if _total(kernel.node_obj, arc_obj, report.chosen, skeleton) != report.value or any(
+                _total(row.node, row.arc, report.chosen, skeleton) > row.budget for row in kernel.rows
             ):
                 continue  # not what the worker claims: never adopted
             vec = id_ordered(report.chosen)
             if best_value is None or (report.value, vec) < (best_value, best_choice[0]):
                 best_value, best_choice, source = report.value, (vec, tuple(report.chosen)), "dual"
+                caps[0] = best_value
         return best_value is not None and best_value <= root
 
     search_started = time.monotonic()
     proven = False  # by the dual's bound
-    # frames: one per depth p, [next index into branch[p], undo record of p's device or None]
-    frames: list[list] = [[0, None]]
+    # frames: one per depth p, [next index into branch[p], the bounds of the tasks placed before p]
+    frames: list[list] = [[0, roots]]
     while frames:
         nodes += 1
         if deadline is not None and nodes % 1024 == 0:
@@ -974,49 +915,42 @@ def _branch_and_bound(etfg, objective, latency_threshold, deadline: float | None
                 break
         p = len(frames) - 1
         f = frames[-1]
-        if f[1] is not None:
-            undo(f[1])
-            f[1] = None
         if f[0] == len(branch[p]):
             frames.pop()
             continue
         ci = branch[p][f[0]]
         f[0] += 1
-        rec = apply(p, ci)
-        if violates_budget():
-            pruned_budget += 1
-            undo(rec)
+        choice[p] = ci
+        bounds = list(map(add, f[1], step[p][ci]))
+        for src, width, terms in in_arcs[p]:
+            s = choice[src]
+            for q, table, mins in terms:
+                bounds[q] += table[s * width + ci] - mins[s]
+        over = list(map(gt, bounds, caps))
+        if True in over:  # by the first row over its budget, else by the objective
+            pruned[cause[over.index(True, 1) if True in over[1:] else 0]] += 1
             continue
-        if use_threshold and lat_bound > lat_thr:
-            pruned_threshold += 1
-            undo(rec)
-            continue
-        if best_value is not None and bound > best_value:
-            pruned_bound += 1
-            undo(rec)
-            continue
-        if p == n - 1:  # the bound is now the assignment's cost
-            if best_value is None or bound < best_value:
-                best_value = bound
+        if p == n - 1:  # the bounds are now the assignment's sums
+            value = bounds[0]
+            if best_value is None or value < best_value:
+                best_value = caps[0] = value
                 best_choice = (id_ordered(choice), tuple(choice))
                 source = "search"
-            elif bound == best_value:
+            elif value == best_value:
                 vec = id_ordered(choice)
                 if vec < best_choice[0]:
                     best_choice = (vec, tuple(choice))
                     source = "search"
-            undo(rec)
             continue
-        f[1] = rec
-        frames.append([0, None])
+        frames.append([0, bounds])
 
     ended = time.monotonic()
     stats = {
         "solver": "branch-and-bound",
         "nodes_explored": nodes,
-        "pruned_by_bound": pruned_bound,
-        "pruned_by_budget": pruned_budget,
-        "pruned_by_threshold": pruned_threshold,
+        "pruned_by_bound": pruned["bound"],
+        "pruned_by_budget": pruned["budget"],
+        "pruned_by_threshold": pruned["threshold"],
         "tables_s": search_started - started,
         "wall_time_s": ended - search_started,  # the search alone
         "time_limit_hit": hit_time_limit,

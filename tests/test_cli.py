@@ -376,6 +376,17 @@ def test_nan_time_limit_exits_2(example_tfg, tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--fixed-edge", "inf"), ("--fixed-edge", "1e400"), ("--fixed-hub", "inf"), ("--fixed-hub", "nan"),
+])
+def test_non_finite_fixed_fraction_exits_2(flag, value, tmp_path, capsys):
+    # an infinite fraction used to end in an OverflowError traceback and exit 1
+    out = tmp_path / "o"
+    assert main(["generate", "--structure", "serial", "--nodes", "6", flag, value, "--out", str(out)]) == 2
+    assert f"{flag} must be a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_lthr_with_the_latency_objective_exits_2(example_tfg, tmp_path, capsys):
     # the cap used to be dropped: solve wrote a 1.79 s allocation as
     # proven-optimal, export wrote no lthr row, stats reported no threshold

@@ -31,7 +31,7 @@ from conftest import (
 )
 from ehcopt import dual, presets, solver
 from ehcopt.etfg import transform
-from ehcopt.milp import evaluate, objective_value
+from ehcopt.milp import build_model, evaluate, objective_value
 from ehcopt.model import TaskGraph, make_system_model, topological_order
 from ehcopt.solver import (
     InstanceTooLarge,
@@ -290,7 +290,7 @@ def test_one_schedule_runs_both_objectives_tables():
         schedule = solver._schedule(etfg.graph)
         for objective in ("latency", "energy"):
             kernel = solver._Kernel(etfg, solver.Objective(objective), None)
-            tables = kernel.node_obj + [obj for _, _, obj, _, _ in kernel.arcs]
+            tables = kernel.objective_tables()
             total, chosen = solver._eliminate(schedule, tables)
             dp = solve_tree_dp(etfg, objective)
             assert Fraction(total, kernel.obj_den) == dp.objective_value
@@ -701,8 +701,8 @@ def test_no_process_outlives_a_time_limited_solve(case, monkeypatch):
     import multiprocessing
 
     etfg = transform(serial_200_graph(), presets.system_model("C1", "run1"))
-    if case == "timed-out":
-        result = solve_branch_and_bound(etfg, "energy", Fraction(8), SolveConfig(time_limit=0.5))
+    if case == "timed-out":  # the latency search on this graph cannot finish
+        result = solve_branch_and_bound(etfg, "latency", config=SolveConfig(time_limit=0.5))
         assert result.stats["time_limit_hit"]
     elif case == "proven":
         result = solve_branch_and_bound(_unbudgeted_300(), "latency", config=SolveConfig(time_limit=10))
@@ -715,6 +715,38 @@ def test_no_process_outlives_a_time_limited_solve(case, monkeypatch):
         with pytest.raises(RuntimeError, match="the search failed"):
             solve_branch_and_bound(etfg, "latency", config=SolveConfig(time_limit=2))
     assert multiprocessing.active_children() == []
+
+
+_ROW_KIND = {"memory": "mem", "storage": "sto", "energy": "enr"}
+
+
+def test_kernel_rows_are_the_models_side_constraints():
+    """The kernel's rows are build_model's budget and cap rows, in order, and
+    a row is over its budget exactly when evaluate reports it broken, so
+    branch and bound, which prunes on these rows alone, prunes on nothing else."""
+    rng = random.Random(15)
+    broken_rows = 0
+    for seed in range(40):
+        etfg, threshold = random_oracle_instance(seed)
+        kernel = solver._Kernel(etfg, solver.Objective.ENERGY, threshold)
+        labels = [row.label for row in build_model(etfg, "energy", threshold).rows]
+        assert [row.label for row in kernel.rows] == [
+            label for label in labels if label.startswith(("mem_", "sto_", "enr_")) or label == "lthr"
+        ], f"seed {seed}"
+        skeleton = solver._skeleton(etfg.graph)
+        for _ in range(20):
+            chosen = [rng.randrange(len(roles)) for roles in kernel.role_of]
+            broken = {
+                row.label for row in kernel.rows if solver._total(row.node, row.arc, chosen, skeleton) > row.budget
+            }
+            breakdown = evaluate(etfg, kernel.assignment(chosen), threshold)
+            # each violation reads "<quantity> budget exceeded on <device>"
+            expected = {f"{_ROW_KIND[v.split()[0]]}_{v.split()[-1]}" for v in breakdown.violations}
+            if breakdown.latency_ok is False:
+                expected.add("lthr")
+            assert broken == expected, f"seed {seed}"
+            broken_rows += len(broken)
+    assert broken_rows >= 100
 
 
 @pytest.mark.parametrize("objective, capped", [("latency", False), ("energy", False), ("energy", True)])
