@@ -1,18 +1,14 @@
 """The Lagrangian dual of the budget rows and the latency cap, searched by
-the elimination DP, and the worker process that runs it beside branch and
-bound under a time limit.
+the elimination DP.
 
-Only a time-limited branch and bound imports this module.  The worker is a
-``multiprocessing`` "spawn" process: it imports the caller's main module
-again, so a script that calls a time-limited solve at top level needs an
-``if __name__ == "__main__":`` guard.
+Only a time-limited branch and bound imports this module.  It runs
+:func:`search` in the solving process, between its table build and its
+depth-first search.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-import warnings
 from fractions import Fraction
 from itertools import chain
 from typing import NamedTuple
@@ -56,6 +52,7 @@ def _penalised(tables, rows, multipliers, n):
     return tables
 
 
+@without_cyclic_gc
 def search(skeleton, kernel: _Kernel, seconds: float, send) -> None:
     """Lagrangian bounds and feasible assignments from the elimination DP,
     for ``seconds`` of wall time; each is passed to ``send`` as a
@@ -162,91 +159,3 @@ def search(skeleton, kernel: _Kernel, seconds: float, send) -> None:
     except (TimeoutError, _Unreachable):
         return
 
-
-@without_cyclic_gc
-def _worker(conn) -> None:
-    """The dual process: one job from ``conn``, its reports back to it."""
-    try:
-        skeleton, kernel, seconds = conn.recv()
-        search(skeleton, kernel, seconds, conn.send)
-    except (EOFError, OSError):  # branch and bound ended first
-        return
-
-
-def _send(conn, job) -> None:
-    try:
-        conn.send(job)
-    except OSError:  # the worker was stopped before it read its job
-        pass
-
-
-class Worker:
-    """Branch and bound's side of the dual process (:func:`search`
-    in a spawned daemon process, on its own core).  ``overhead_s`` is the
-    time branch and bound spends starting, feeding and stopping it.  A
-    daemonic process (a ``multiprocessing`` pool's worker, say) may not
-    start one, so there the dual never reports.  A worker that failed
-    before its first report (as one does when the main module has no
-    ``if __name__ == "__main__":`` guard) raises a ``RuntimeWarning`` on
-    :meth:`close`; the solve goes on without the dual either way."""
-
-    def __init__(self):
-        started = time.monotonic()
-        import multiprocessing  # only a time-limited solve needs it
-
-        self.process = self.sender = None
-        self.listening = not multiprocessing.current_process().daemon
-        self.heard = False  # a report has arrived
-        if self.listening:
-            context = multiprocessing.get_context("spawn")
-            self.conn, child = context.Pipe()
-            self.process = context.Process(target=_worker, args=(child,), daemon=True)
-            self.process.start()
-            child.close()
-        self.overhead_s = time.monotonic() - started
-
-    def send(self, skeleton, kernel: _Kernel, seconds: float) -> None:
-        """Hand the worker its job from a thread, so that the search need
-        not wait for the worker to be ready to read it."""
-        if self.process is None:
-            return
-        started = time.monotonic()
-        self.sender = threading.Thread(target=_send, args=(self.conn, (skeleton, kernel, seconds)), daemon=True)
-        self.sender.start()
-        self.overhead_s += time.monotonic() - started
-
-    def reports(self):
-        """The reports waiting in the pipe."""
-        while self.listening and self.conn.poll():
-            try:
-                report = self.conn.recv()
-            except (EOFError, OSError):  # the worker has finished
-                self.listening = False
-            else:
-                self.heard = True
-                yield report
-
-    def close(self) -> None:
-        """Stop the worker and wait for it; a second call does nothing."""
-        if self.process is None:
-            return
-        started = time.monotonic()
-        self.listening = False
-        exitcode = self.process.exitcode  # None while it runs
-        if exitcode and not self.heard:
-            warnings.warn(
-                f"the dual worker process exited with code {exitcode} before its first report, "
-                "so this solve ran without the Lagrangian bound; a script that calls a "
-                "time-limited solve needs an 'if __name__ == \"__main__\":' guard, because "
-                "the worker imports the main module again",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        self.process.kill()
-        self.process.join()
-        self.process.close()
-        self.process = None
-        if self.sender is not None:
-            self.sender.join()
-        self.conn.close()
-        self.overhead_s += time.monotonic() - started

@@ -20,12 +20,12 @@ Three routes to a provably optimal assignment:
   at its root bound, per-task minima plus per-arc minima, and placing a
   task adds how far each term it settles lies above the minimum it
   replaced.  It prunes on the first row over its budget, then on the
-  objective against the incumbent.  Under a time limit a second process
-  runs a Lagrangian multiplier search over the same rows, on the same
-  kernel, each pass one run of the elimination DP
-  (:mod:`ehcopt.dual`).  Branch and bound takes its bounds for the gap
-  and adopts its feasible assignments, which tighten pruning, and stops
-  as proven optimal once the incumbent meets the bound.
+  objective against the incumbent.  Under a time limit a Lagrangian
+  multiplier search over the same rows, on the same kernel, each pass one
+  run of the elimination DP (:mod:`ehcopt.dual`), runs first.  Branch and
+  bound takes its best bound for the gap and starts from its best feasible
+  assignment, which tightens pruning, and stops as proven optimal once the
+  incumbent meets the bound.
 
 The two fast solvers read one integer kernel, :class:`_Kernel`: the
 expanded graph's objective costs and its side constraints, each budget
@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, chain, count, repeat
-from operator import add, gt, sub
+from operator import add, gt, le, sub
 from typing import NamedTuple
 
 from .etfg import Etfg, arc_shares
@@ -517,10 +517,6 @@ class _Kernel:
         node tables by position, then arc tables in ``graph.arcs`` order."""
         return self.node_obj + [obj for _, _, obj in self.arcs]
 
-    def __getstate__(self):
-        """The dual process's copy: everything but the task objects."""
-        return {key: value for key, value in self.__dict__.items() if key != "tasks"}
-
 
 # --- bounded-treewidth elimination DP ----------------------------------------
 
@@ -806,54 +802,40 @@ def solve_branch_and_bound(
     incumbent (``pruned_by_bound``).  Proves optimality when the search
     completes.  Deterministic for fixed inputs without a time limit.
 
-    Under a time limit a second process runs the Lagrangian dual search
-    (:func:`ehcopt.dual.search`) on the same kernel while the search runs, so
-    the solve uses about twice the CPU time for the window.  Branch and
-    bound reads its reports every 1024 nodes.  It keeps the highest bound,
-    and it adopts each assignment that its own kernel confirms meets every
-    row, if it is cheaper than the incumbent (or as cheap and smaller by
-    task id), which also tightens pruning.  It returns proven optimal as
-    soon as the incumbent's cost equals the bound; the assignment is then
-    the first optimum found, not necessarily the smallest by task id.  At
-    the limit it returns the incumbent with its relative gap to the bound,
-    or no assignment and a gap of None.  Before the dual reports, the
-    bound is the additive root.  The time limit counts from the worker's
-    start.  The stats add ``root_bound`` (``lagrangian``,
-    ``elimination-dp`` for the λ = 0 pass alone, or ``additive``),
-    ``lower_bound`` (its value in s or J), ``dual_passes``,
+    Under a time limit, which counts from the solve's start, the
+    Lagrangian dual search (:func:`ehcopt.dual.search`) runs on the same
+    kernel once the search tables are built, unless the root bounds
+    already break a row.  Branch and bound keeps the dual's highest
+    bound, and adopts each assignment that its own kernel confirms meets
+    every row, if it is cheaper than the incumbent (or as cheap and
+    smaller by task id).  The search starts from that incumbent and gets
+    whatever time the dual leaves; it looks at the clock every 1024
+    nodes, so it always runs its first 1023.  The solve returns proven
+    optimal as soon as the incumbent's cost meets the bound (the search
+    checks at the same points, and before the search when the dual has
+    proven it); the assignment is then the first optimum found, not
+    necessarily the smallest by task id.  At the limit it returns the
+    incumbent with its relative gap to the bound, or no assignment and a
+    gap of None.  Without a dual bound, the bound is the additive root.
+    ``wall_time_s`` is the time after the table build (``tables_s``): the
+    dual, then the search.  The stats add ``root_bound``
+    (``lagrangian``, ``elimination-dp`` for the λ = 0 pass alone, or
+    ``additive``), ``lower_bound`` (its value in s or J), ``dual_passes``,
     ``multipliers`` (by row label, in kernel units, at the best bound),
     ``binding_rows`` (the rows the λ = 0 optimum breaks),
-    ``incumbent_source`` (``dual`` or ``search``) and ``dual_overhead_s``
-    (the time spent starting, feeding and stopping the worker).  A
-    solve without a time limit starts no process.
+    ``incumbent_source`` (``dual`` or ``search``) and ``dual_s`` (the
+    dual's share of ``wall_time_s``).  A solve without a time limit never
+    runs the dual.
     """
     objective = Objective(objective)
     check_latency_threshold(objective, latency_threshold)
     config = config or SolveConfig()
-    if config.time_limit is None:
-        return _branch_and_bound(etfg, objective, latency_threshold, None, None)
-    from .dual import Worker  # only a time-limited solve needs it
-
-    deadline = time.monotonic() + config.time_limit
-    dual = Worker()
-    try:
-        return _branch_and_bound(etfg, objective, latency_threshold, deadline, dual)
-    finally:
-        dual.close()
-
-
-def _branch_and_bound(etfg, objective, latency_threshold, deadline: float | None, dual) -> Allocation:
-    """:func:`solve_branch_and_bound` once its worker, if any, is started."""
     started = time.monotonic()
+    deadline = None if config.time_limit is None else started + config.time_limit
     kernel = _Kernel(etfg, objective, latency_threshold)
     n = kernel.n
     if n == 0:
         raise ValueError("empty task graph")
-    if dual is not None:  # the worker starts on the kernel while the search tables are built
-        skeleton = _skeleton(etfg.graph)
-        arc_obj = [obj for _, _, obj in kernel.arcs]
-        if time.monotonic() < deadline:
-            dual.send(skeleton, kernel, deadline - time.monotonic())
     role_of = kernel.role_of
     rows, roots, step, in_arcs, branch = _search_tables(kernel)
     # per quantity, the bound that prunes and the count it adds to: the
@@ -861,7 +843,7 @@ def _branch_and_bound(etfg, objective, latency_threshold, deadline: float | None
     caps = [math.inf] + [row.budget for row in rows]
     cause = ["bound"] + ["threshold" if row.label == "lthr" else "budget" for row in rows]
     # the bound a timed-out run's gap is measured against: the additive
-    # root until the dual reports a higher one; a run without a time limit
+    # root unless the dual finds a higher one; a run without a time limit
     # always ends in a proof
     root = roots[0]
 
@@ -880,34 +862,42 @@ def _branch_and_bound(etfg, objective, latency_threshold, deadline: float | None
     def id_ordered(choice_vec) -> tuple[int, ...]:
         return tuple(role_of[p][choice_vec[p]] for p in by_id)
 
-    def hear() -> bool:
-        """Take the dual's reports; True once the incumbent meets the bound."""
+    def hear(report) -> None:
+        """Take one of the dual's reports."""
         nonlocal best_value, best_choice, source, first, best_heard, passes, root
-        for report in dual.reports():
-            first, passes = first or report, report.passes
-            if best_heard is None or report.bound > best_heard.bound:
-                best_heard = report
-                root = max(root, report.bound)
-            if report.chosen is None:
-                continue
-            if _total(kernel.node_obj, arc_obj, report.chosen, skeleton) != report.value or any(
-                _total(row.node, row.arc, report.chosen, skeleton) > row.budget for row in kernel.rows
-            ):
-                continue  # not what the worker claims: never adopted
-            vec = id_ordered(report.chosen)
-            if best_value is None or (report.value, vec) < (best_value, best_choice[0]):
-                best_value, best_choice, source = report.value, (vec, tuple(report.chosen)), "dual"
-                caps[0] = best_value
-        return best_value is not None and best_value <= root
+        first, passes = first or report, report.passes
+        if best_heard is None or report.bound > best_heard.bound:
+            best_heard = report
+            root = max(root, report.bound)
+        if report.chosen is None:
+            return
+        if _total(kernel.node_obj, arc_obj, report.chosen, skeleton) != report.value or any(
+            _total(row.node, row.arc, report.chosen, skeleton) > row.budget for row in kernel.rows
+        ):
+            return  # not what the dual claims: never adopted
+        vec = id_ordered(report.chosen)
+        if best_value is None or (report.value, vec) < (best_value, best_choice[0]):
+            best_value, best_choice, source = report.value, (vec, tuple(report.chosen)), "dual"
+            caps[0] = best_value
 
-    search_started = time.monotonic()
-    proven = False  # by the dual's bound
+    tables_built = time.monotonic()
+    # not when the root already breaks a row: the search then prunes every
+    # placement at once, and the dual could only delay that proof
+    if deadline is not None and tables_built < deadline and all(map(le, roots[1:], caps[1:])):
+        from . import dual  # only a time-limited solve needs it
+
+        skeleton = _skeleton(etfg.graph)
+        arc_obj = [obj for _, _, obj in kernel.arcs]
+        dual.search(skeleton, kernel, deadline - tables_built, hear)
+    dual_ended = time.monotonic()
+
+    proven = best_value is not None and best_value <= root  # by the dual's bound
     # frames: one per depth p, [next index into branch[p], the bounds of the tasks placed before p]
-    frames: list[list] = [[0, roots]]
+    frames: list[list] = [] if proven else [[0, roots]]
     while frames:
         nodes += 1
         if deadline is not None and nodes % 1024 == 0:
-            if hear():
+            if best_value is not None and best_value <= root:
                 proven = True
                 break
             if time.monotonic() > deadline:
@@ -944,20 +934,17 @@ def _branch_and_bound(etfg, objective, latency_threshold, deadline: float | None
             continue
         frames.append([0, bounds])
 
-    ended = time.monotonic()
     stats = {
         "solver": "branch-and-bound",
         "nodes_explored": nodes,
         "pruned_by_bound": pruned["bound"],
         "pruned_by_budget": pruned["budget"],
         "pruned_by_threshold": pruned["threshold"],
-        "tables_s": search_started - started,
-        "wall_time_s": ended - search_started,  # the search alone
+        "tables_s": tables_built - started,
+        "wall_time_s": time.monotonic() - tables_built,  # the dual, then the search
         "time_limit_hit": hit_time_limit,
     }
-    if dual is not None:
-        proven = hear() or proven  # what arrived since the last look
-        dual.close()
+    if deadline is not None:
         lagrangian = best_heard is not None and any(best_heard.multipliers.values())
         stats.update({
             "root_bound": "additive" if best_heard is None else "lagrangian" if lagrangian else "elimination-dp",
@@ -966,7 +953,7 @@ def _branch_and_bound(etfg, objective, latency_threshold, deadline: float | None
             "multipliers": {} if best_heard is None else best_heard.multipliers,
             "binding_rows": [] if first is None else list(first.broken),
             "incumbent_source": source,
-            "dual_overhead_s": dual.overhead_s,
+            "dual_s": dual_ended - tables_built,
         })
 
     gap = None
@@ -996,9 +983,10 @@ def solve(
     no device has a budget and its state count is within
     ``DP_STATE_LIMIT``, branch and bound otherwise).
 
-    A time limit bounds branch and bound only, its table build included;
-    there a second process runs the Lagrangian dual search alongside the
-    search (see :func:`solve_branch_and_bound`).  ``auto`` still takes the
+    A time limit bounds branch and bound only, counted from the solve's
+    start, so its table build and the Lagrangian dual search that runs
+    before the search are inside it (see :func:`solve_branch_and_bound`).
+    ``auto`` still takes the
     DP under a time limit, since its work is bounded by
     ``DP_STATE_LIMIT`` and it always finishes; a forced ``bruteforce`` or
     ``tree-dp`` with a time limit raises ValueError instead of ignoring it,

@@ -8,7 +8,6 @@ import random
 import subprocess
 import sys
 import time
-import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -396,8 +395,8 @@ def test_time_limit_proves_an_unbudgeted_optimum_through_the_dual():
     # without budgets the dual's first pass is the optimum, and its
     # assignment meets every row
     etfg = _unbudgeted_300()
-    # the proof takes about 0.3 s; the limit leaves room for a slow worker start
-    result = solve_branch_and_bound(etfg, "latency", config=SolveConfig(time_limit=10))
+    # the proof takes about 0.3 s
+    result = solve_branch_and_bound(etfg, "latency", config=SolveConfig(time_limit=2))
     assert result.status is SolveStatus.OPTIMAL
     assert result.gap is None and not result.stats["time_limit_hit"]
     assert result.objective_value == solve_tree_dp(etfg, "latency").objective_value
@@ -556,15 +555,15 @@ def test_timed_out_gap_is_measured_against_the_relaxation_dp(objective, cap):
     reports = []
     dual.search(solver._skeleton(etfg.graph), kernel, 1.0, reports.append)
     assert Fraction(reports[0].bound, kernel.obj_den) == relaxed
-    # the energy search proves the instance infeasible in about 1 s, which
-    # may come before the worker's first report; the latency search runs
-    # the whole limit, well past it
+    # the energy search proves the instance infeasible once the dual has
+    # run; the latency search runs the whole limit
     result = solve_branch_and_bound(etfg, objective, cap, SolveConfig(time_limit=3 if cap is None else 1.5))
     bound = result.stats["lower_bound"]
     assert bound >= float(_additive_root(etfg, objective))
+    assert result.stats["dual_passes"] >= 1
     if objective == "latency":
         assert result.stats["root_bound"] in ("elimination-dp", "lagrangian")
-        assert result.stats["dual_passes"] >= 1 and result.stats["binding_rows"] == ["mem_h"]
+        assert result.stats["binding_rows"] == ["mem_h"]
         assert bound >= float(relaxed)
     if result.status is SolveStatus.OPTIMAL:  # proven by the dual's bound
         assert float(result.objective_value) == pytest.approx(bound, rel=1e-12)
@@ -594,9 +593,6 @@ def test_additive_root_stays_when_the_dp_is_over_its_limit(monkeypatch):
     reports = []
     dual.search(solver._skeleton(etfg.graph), kernel, 10.0, reports.append)
     assert reports == []  # the dual has no schedule to run
-    # a worker that never reports (the patched limit does not reach the
-    # spawned process, so it is never given its job here) leaves the additive root
-    monkeypatch.setattr(dual.Worker, "send", lambda self, *job: None)
     result = solve_branch_and_bound(etfg, "latency", config=SolveConfig(time_limit=0.3))
     assert result.stats["time_limit_hit"]
     assert result.stats["root_bound"] == "additive"
@@ -617,33 +613,53 @@ def test_no_dp_bound_once_the_deadline_has_passed():
 def test_a_run_without_a_time_limit_builds_no_dp_bound():
     etfg, _ = random_oracle_instance(5)
     stats = solve_branch_and_bound(etfg, "latency").stats
-    assert not {"root_bound", "lower_bound", "dual_passes", "incumbent_source", "dual_overhead_s"} & stats.keys()
+    assert not {"root_bound", "lower_bound", "dual_passes", "incumbent_source", "dual_s"} & stats.keys()
 
 
-def test_an_untimed_solve_starts_no_process(monkeypatch):
+def test_no_solve_starts_a_process_or_leaves_a_thread(monkeypatch):
     import multiprocessing
+    import threading
 
     def refuse(*args, **kwargs):
         raise AssertionError("a process was started")
 
     monkeypatch.setattr(multiprocessing, "get_context", refuse)
+    threads = set(threading.enumerate())
     etfg = transform(presets.example_inspection_tfg(), presets.system_model("C1"))
     assert solve_branch_and_bound(etfg, "energy", Fraction(8)).status is SolveStatus.OPTIMAL
     assert solve(etfg, "latency").stats["solver"] == "branch-and-bound"
-    with pytest.raises(AssertionError, match="process was started"):  # the patch does reach a timed solve
-        solve_branch_and_bound(etfg, "latency", config=SolveConfig(time_limit=0.1))
+    assert solve(etfg, "latency", config=SolveConfig(time_limit=5)).status is SolveStatus.OPTIMAL
+    serial = transform(serial_200_graph(), presets.system_model("C1", "run1"))
+    timed = solve_branch_and_bound(serial, "latency", config=SolveConfig(time_limit=0.5))
+    assert timed.stats["dual_passes"] >= 1
+    assert set(threading.enumerate()) == threads
 
 
-def test_a_daemonic_process_solves_without_the_dual(monkeypatch):
+def _daemonic_solve(conn):
+    import multiprocessing
+
+    etfg = transform(serial_200_graph(), presets.system_model("C1", "run1"))
+    result = solve_branch_and_bound(etfg, "latency", config=SolveConfig(time_limit=1))
+    conn.send((multiprocessing.current_process().daemon, result.stats))
+    conn.close()
+
+
+def test_a_daemonic_process_gets_the_lagrangian_bound():
     # a daemonic process may not start children; a pool's worker is one
     import multiprocessing
 
-    monkeypatch.setattr(multiprocessing, "current_process", lambda: types.SimpleNamespace(daemon=True))
-    etfg = transform(serial_200_graph(), presets.system_model("C1", "run1"))
-    result = solve_branch_and_bound(etfg, "latency", config=SolveConfig(time_limit=0.2))
-    assert result.stats["time_limit_hit"] and result.assignment is not None
-    assert result.stats["root_bound"] == "additive" and result.stats["dual_passes"] == 0
-    assert multiprocessing.active_children() == []
+    context = multiprocessing.get_context("spawn")
+    conn, child = context.Pipe()
+    process = context.Process(target=_daemonic_solve, args=(child,), daemon=True)
+    process.start()
+    child.close()
+    with conn:
+        assert conn.poll(60), "the daemonic process sent nothing"
+        daemon, stats = conn.recv()
+    process.join(60)
+    assert daemon and process.exitcode == 0
+    assert stats["root_bound"] == "lagrangian" and stats["dual_passes"] >= 1
+    assert stats["multipliers"]["mem_h"] > 0
 
 
 _GUARDLESS_SCRIPT = """
@@ -658,28 +674,47 @@ from ehcopt.solver import SolveConfig, solve_branch_and_bound
 system = presets.system_model("C1", "run1")
 spec = GenSpec("serial", 200, 4, 4, Fraction(5, 100), Fraction(2, 100), seed=1)
 graph = synthesize_params(generate_tfg(spec), default_param_spec("C1"), system, spec.seed)
-result = solve_branch_and_bound(transform(graph, system), "latency", config=SolveConfig(time_limit=5))
+result = solve_branch_and_bound(transform(graph, system), "latency", config=SolveConfig(time_limit=1))
 print(json.dumps(result.stats))
 """
 
 
-def test_a_worker_that_dies_before_reporting_warns_once(tmp_path):
-    # without a __main__ guard the spawned worker runs the script's top
-    # level again and dies when its own solve tries to start a second
-    # worker during bootstrapping; the solve goes on with the additive root
+def test_a_guardless_script_gets_the_dual_without_a_warning(tmp_path):
+    # a time-limited solve at a script's top level, without an
+    # 'if __name__ == "__main__":' guard, runs the dual like any other
     script = tmp_path / "guardless.py"
     script.write_text(_GUARDLESS_SCRIPT)
     src = Path(solver.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     run = subprocess.run(
-        [sys.executable, str(script)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-W", "always", str(script)], cwd=tmp_path, env=env, capture_output=True, text=True,
+        timeout=60,
     )
     assert run.returncode == 0, run.stderr
-    assert run.stderr.count("RuntimeWarning: the dual worker process exited with code 1") == 1
-    assert 'if __name__ == "__main__":' in run.stderr
+    assert "RuntimeWarning" not in run.stderr
     stats = json.loads(run.stdout)
-    assert stats["root_bound"] == "additive" and stats["dual_passes"] == 0
-    assert stats["time_limit_hit"] and stats["incumbent_source"] == "search"
+    assert stats["dual_passes"] >= 1 and stats["root_bound"] in ("elimination-dp", "lagrangian")
+
+
+def test_a_time_limited_solve_keeps_its_limit():
+    etfg = transform(serial_200_graph(), presets.system_model("C1", "run1"))
+    started = time.perf_counter()
+    result = solve_branch_and_bound(etfg, "latency", config=SolveConfig(time_limit=0.5))
+    elapsed = time.perf_counter() - started
+    stats = result.stats
+    assert stats["time_limit_hit"] and result.assignment is not None
+    assert elapsed < 0.5 + 1.0  # the limit plus one dual pass, 1024 nodes and evaluate, generously
+    assert 0 <= stats["dual_s"] <= stats["wall_time_s"]
+
+
+def test_a_root_that_breaks_a_row_skips_the_dual():
+    # the latency row's additive root is over a 1 us cap, so the search
+    # prunes every placement at once; the dual would only delay that proof
+    etfg = transform(serial_200_graph(), presets.system_model("C1", "run1"))
+    result = solve_branch_and_bound(etfg, "energy", Fraction(1, 10**6), SolveConfig(time_limit=5))
+    assert result.status is SolveStatus.INFEASIBLE
+    assert result.stats["dual_passes"] == 0 and result.stats["root_bound"] == "additive"
+    assert not result.stats["time_limit_hit"]
 
 
 _SEARCH_TABLES = solver._search_tables
@@ -699,6 +734,9 @@ def _failing_search_tables(kernel):
 @pytest.mark.parametrize("case", ["timed-out", "proven", "no-time-left", "search-raises"])
 def test_no_process_outlives_a_time_limited_solve(case, monkeypatch):
     import multiprocessing
+    import threading
+
+    threads = set(threading.enumerate())
 
     etfg = transform(serial_200_graph(), presets.system_model("C1", "run1"))
     if case == "timed-out":  # the latency search on this graph cannot finish
@@ -715,6 +753,7 @@ def test_no_process_outlives_a_time_limited_solve(case, monkeypatch):
         with pytest.raises(RuntimeError, match="the search failed"):
             solve_branch_and_bound(etfg, "latency", config=SolveConfig(time_limit=2))
     assert multiprocessing.active_children() == []
+    assert set(threading.enumerate()) == threads
 
 
 _ROW_KIND = {"memory": "mem", "storage": "sto", "energy": "enr"}
