@@ -1,9 +1,9 @@
 """The Lagrangian dual of the budget rows and the latency cap, searched by
 the elimination DP.
 
-Only a time-limited branch and bound imports this module.  It runs
-:func:`search` in the solving process, between its table build and its
-depth-first search.
+Only a time-limited branch and bound imports this module.  It calls
+:func:`search` once, between its table build and its depth-first search,
+and reads the one :class:`Result` it returns.
 """
 
 from __future__ import annotations
@@ -13,21 +13,21 @@ from fractions import Fraction
 from itertools import chain
 from typing import NamedTuple
 
-from .solver import _compile, _eliminate, _Kernel, _total
+from .solver import _compile, _eliminate, _Kernel
 from .units import without_cyclic_gc
 
 
-class Report(NamedTuple):
-    """One pass of the dual search: its bound on the optimum, its
-    assignment (one candidate index per position) and the assignment's
-    objective value when it meets every row, else None, the multipliers
-    by row label, the passes run so far and the rows the pass's assignment
-    breaks."""
+class Result(NamedTuple):
+    """What the dual search found: its highest bound on the optimum and the
+    multipliers by row label of the first pass that reached it, the
+    cheapest assignment that meets every row (one candidate index per
+    position) and its objective value, or None for both, the passes run
+    and the rows the λ = 0 pass's assignment breaks."""
 
     bound: int
+    multipliers: dict[str, int]
     chosen: list[int] | None
     value: int | None
-    multipliers: dict[str, int]
     passes: int
     broken: tuple[str, ...]
 
@@ -53,10 +53,11 @@ def _penalised(tables, rows, multipliers, n):
 
 
 @without_cyclic_gc
-def search(skeleton, kernel: _Kernel, seconds: float, send) -> None:
+def search(kernel: _Kernel, deadline: float) -> Result | None:
     """Lagrangian bounds and feasible assignments from the elimination DP,
-    for ``seconds`` of wall time; each is passed to ``send`` as a
-    :class:`Report`.
+    until ``deadline`` (a :func:`time.monotonic` reading): the best of
+    them as one :class:`Result`, or None when no pass ran (the deadline
+    has passed, or the DP needs more than ``DP_STATE_LIMIT`` states).
 
     Every finite budget row and the latency cap gets an integer multiplier
     λ >= 0.  A pass runs the DP over the objective tables plus λ times each
@@ -70,47 +71,43 @@ def search(skeleton, kernel: _Kernel, seconds: float, send) -> None:
     at the intersection of the two supporting lines of the bracket's ends
     (Kelley's cutting planes, J. SIAM 1960) until the bracket is one wide
     or those lines promise nothing better.  It continues from the best
-    point of that line on whichever row its assignment breaks.  A pass is
-    reported when it raises the bound or yields a cheaper assignment that
-    meets every row (the first pass always).  The search ends once the
-    cheapest such assignment meets the bound, once no row is broken or
-    every broken row's line is exhausted, once a row stays broken at a
+    point of that line on whichever row its assignment breaks.  It keeps
+    the first pass with the highest bound and the first assignment found
+    at the lowest value among those that meet every row.  The search ends
+    once that assignment meets the bound, once no row is broken or every
+    broken row's line is exhausted, once a row stays broken at a
     multiplier above the spread of every other cost (then no assignment
-    meets it), or when the next pass would not finish within the time.
+    meets it), or when the next pass would not finish by the deadline.
     """
-    deadline = time.monotonic() + seconds
-    schedule = _compile(*skeleton)
+    if time.monotonic() >= deadline:
+        return None
+    schedule = _compile(*kernel.skeleton)
     if schedule is None:
-        return
+        return None
     rows = kernel.rows
     tables = kernel.objective_tables()
-    labels = [row.label for row in rows]
-    best_bound = best_value = None
+    best_bound = best_multipliers = best_value = best_chosen = None
     passes = 0
     pass_s = 0.0
 
     def run(multipliers) -> _Point:
-        nonlocal best_bound, best_value, passes, pass_s
+        nonlocal best_bound, best_multipliers, best_value, best_chosen, passes, pass_s
         if time.monotonic() + pass_s > deadline:
             raise TimeoutError
         started = time.monotonic()
         total, chosen = _eliminate(schedule, _penalised(tables, rows, multipliers, kernel.n))
         pass_s = time.monotonic() - started
         passes += 1
-        use = [_total(row.node, row.arc, chosen, skeleton) for row in rows]
+        use = [kernel.total(row.node, row.arc, chosen) for row in rows]
         bound = total - sum([weight * row.budget for weight, row in zip(multipliers, rows)])
-        value = total - sum([weight * u for weight, u in zip(multipliers, use)])
-        broken = tuple([row.label for row, u in zip(rows, use) if u > row.budget])
-        cheaper = not broken and (best_value is None or value < best_value)
-        if cheaper or best_bound is None or bound > best_bound:
-            best_bound = bound if best_bound is None else max(best_bound, bound)
-            if cheaper:
-                best_value = value
-            send(Report(
-                bound, chosen if cheaper else None, value if cheaper else None,
-                dict(zip(labels, multipliers)), passes, broken,
-            ))
-        return _Point(tuple(multipliers), bound, [u - row.budget for u, row in zip(use, rows)])
+        excess = [u - row.budget for u, row in zip(use, rows)]
+        if best_bound is None or bound > best_bound:
+            best_bound, best_multipliers = bound, multipliers
+        if max(excess, default=0) <= 0:
+            value = total - sum([weight * u for weight, u in zip(multipliers, use)])
+            if best_value is None or value < best_value:
+                best_value, best_chosen = value, chosen
+        return _Point(multipliers, bound, excess)
 
     def line(i: int, start: _Point) -> _Point:
         """The best point on row ``i``'s line from ``start``, which breaks it."""
@@ -143,13 +140,13 @@ def search(skeleton, kernel: _Kernel, seconds: float, send) -> None:
         return max((start, lo, hi), key=lambda p: p.bound)  # ties keep the start
 
     try:
-        point = run((0,) * len(rows))
+        point = zero = run((0,) * len(rows))
         scale = point.bound
         exhausted = set()  # rows whose line from ``point`` gained nothing
         while best_value is None or best_value > best_bound:
             broken = [i for i, excess in enumerate(point.excess) if excess > 0 and i not in exhausted]
             if not broken:
-                return
+                break
             i = max(broken, key=lambda i: Fraction(point.excess[i], rows[i].budget or 1))
             better = line(i, point)
             if better is point:
@@ -157,5 +154,9 @@ def search(skeleton, kernel: _Kernel, seconds: float, send) -> None:
             else:
                 point, exhausted = better, {i}
     except (TimeoutError, _Unreachable):
-        return
-
+        pass
+    if not passes:
+        return None
+    multipliers = dict(zip([row.label for row in rows], best_multipliers))
+    broken = tuple([row.label for row, excess in zip(rows, zero.excess) if excess > 0])
+    return Result(best_bound, multipliers, best_chosen, best_value, passes, broken)

@@ -22,10 +22,10 @@ Three routes to a provably optimal assignment:
   replaced.  It prunes on the first row over its budget, then on the
   objective against the incumbent.  Under a time limit a Lagrangian
   multiplier search over the same rows, on the same kernel, each pass one
-  run of the elimination DP (:mod:`ehcopt.dual`), runs first.  Branch and
-  bound takes its best bound for the gap and starts from its best feasible
-  assignment, which tightens pruning, and stops as proven optimal once the
-  incumbent meets the bound.
+  run of the elimination DP (:mod:`ehcopt.dual`), runs first and returns
+  its best bound and its best feasible assignment.  Branch and bound takes
+  the bound for the gap and starts from the assignment, which tightens
+  pruning, and stops as proven optimal once the incumbent meets the bound.
 
 The two fast solvers read one integer kernel, :class:`_Kernel`: the
 expanded graph's objective costs and its side constraints, each budget
@@ -413,14 +413,14 @@ class _Row(NamedTuple):
     budget: int
 
 
-def _total(node, arc, chosen, skeleton) -> int:
-    """One assignment's sum over per-position tables ``node`` and, unless
-    ``arc`` is None, per-arc tables, for one candidate index per position."""
-    total = sum(map(list.__getitem__, node, chosen))
-    if arc is not None:
-        domain, arcs = skeleton[1], skeleton[2]
-        total += sum([table[chosen[s] * domain[d] + chosen[d]] for table, (s, d) in zip(arc, arcs)])
-    return total
+def _skeleton(graph) -> tuple[list[int], list[int], list[tuple[int, int]]]:
+    """The undirected skeleton the DP is compiled from, numbered as the
+    kernel numbers tasks: task ids in topological order, each task's
+    candidate count, and each dependency (in ``graph.arcs`` order) as a
+    pair of positions."""
+    ids = topological_order(graph)
+    pos_of = {tid: p for p, tid in enumerate(ids)}
+    return ids, [len(graph.task(tid).allowed) for tid in ids], [(pos_of[i], pos_of[j]) for i, j in graph.arcs]
 
 
 class _Kernel:
@@ -429,14 +429,16 @@ class _Kernel:
 
     Per task ``p``: ``role_of[p]`` lists its candidates' indices into
     ROLES in ``Task.allowed`` order, which the candidate index ``ci``
-    follows everywhere, and ``node_obj[p]`` their objective costs.  Per
-    dependency, in ``graph.arcs`` order, ``arcs`` holds ``(src, dst,
-    obj)``: the objective's flat table indexed ``src_ci * width + dst_ci``,
-    where ``width`` is the number of candidates of ``dst`` (the order of
-    ``Etfg.arcs_by_dep``).  ``rows`` holds every side constraint as a
-    :class:`_Row`: each finite memory, storage and energy budget (devices
-    e, h, c in turn), then the latency cap, numbered as
-    :meth:`objective_tables` numbers the costs.  Latency, energy, memory
+    follows everywhere, and ``node_obj[p]`` their objective costs.
+    ``skeleton`` is the graph's :func:`_skeleton`: the task ids by
+    position, each position's candidate count and each dependency (in
+    ``graph.arcs`` order) as a ``(src, dst)`` pair of positions.  Per
+    dependency, ``arc_obj`` holds the objective's flat table indexed
+    ``src_ci * width + dst_ci``, where ``width`` is the number of
+    candidates of ``dst`` (the order of ``Etfg.arcs_by_dep``).  ``rows``
+    holds every side constraint as a :class:`_Row`: each finite memory,
+    storage and energy budget (devices e, h, c in turn), then the latency
+    cap, numbered as :meth:`objective_tables` numbers the costs.  Latency, energy, memory
     and storage each have one fixed denominator, shared by their budgets
     and the latency cap; the objective is latency or energy on that
     quantity's denominator, ``obj_den``.
@@ -445,8 +447,8 @@ class _Kernel:
     @without_cyclic_gc
     def __init__(self, etfg: Etfg, objective: Objective, latency_threshold: Fraction | None):
         graph = etfg.graph
-        order = topological_order(graph)
-        pos_of = {tid: p for p, tid in enumerate(order)}
+        self.skeleton = _skeleton(graph)
+        order = self.skeleton[0]
         self.tasks = tasks = [graph.task(tid) for tid in order]
         self.n = len(order)
         nodes = [etfg.nodes_by_task[tid] for tid in order]  # candidates in Task.allowed order
@@ -478,10 +480,9 @@ class _Kernel:
         node_lat = [[_as_int(node.latency, lat_den) for node in row] for row in nodes]
         node_enr = [[_as_int(node.energy, enr_den) for node in row] for row in nodes]
         arc_lat = [[_as_int(arc.latency, lat_den) for arc in group] for group in groups.values()]
-        arc_obj = arc_lat if latency else [
+        self.arc_obj = arc_lat if latency else [
             [_as_int(arc.energy, enr_den) for arc in group] for group in groups.values()
         ]
-        self.arcs = [(pos_of[i], pos_of[j], obj) for (i, j), obj in zip(groups, arc_obj)]
         self.node_obj = node_lat if latency else node_enr
         self.obj_den = lat_den if latency else enr_den
 
@@ -515,7 +516,16 @@ class _Kernel:
     def objective_tables(self) -> list[list[int]]:
         """The objective's cost tables as the elimination DP numbers them:
         node tables by position, then arc tables in ``graph.arcs`` order."""
-        return self.node_obj + [obj for _, _, obj in self.arcs]
+        return self.node_obj + self.arc_obj
+
+    def total(self, node, arc, chosen) -> int:
+        """One assignment's sum over per-position tables ``node`` and, unless
+        ``arc`` is None, per-arc tables, for one candidate index per position."""
+        total = sum(map(list.__getitem__, node, chosen))
+        if arc is not None:
+            _, domain, arcs = self.skeleton
+            total += sum([table[chosen[s] * domain[d] + chosen[d]] for table, (s, d) in zip(arc, arcs)])
+        return total
 
 
 # --- bounded-treewidth elimination DP ----------------------------------------
@@ -534,16 +544,6 @@ class _Schedule(NamedTuple):
     width: int
     states: int
     steps: tuple[tuple[int, tuple[int, ...], tuple], ...]
-
-
-def _skeleton(graph) -> tuple[list[int], list[int], list[tuple[int, int]]]:
-    """The undirected skeleton the DP is compiled from, numbered as the
-    kernel numbers tasks: task ids in topological order, each task's
-    candidate count, and each dependency (in ``graph.arcs`` order) as a
-    pair of positions."""
-    ids = topological_order(graph)
-    pos_of = {tid: p for p, tid in enumerate(ids)}
-    return ids, [len(graph.task(tid).allowed) for tid in ids], [(pos_of[i], pos_of[j]) for i, j in graph.arcs]
 
 
 def _schedule(graph) -> _Schedule | None:
@@ -748,7 +748,7 @@ def _search_tables(kernel: _Kernel):
     """
     n, role_of = kernel.n, kernel.role_of
     rows = [row for row in kernel.rows if _breakable(row)]
-    quantities = [(kernel.node_obj, [obj for _, _, obj in kernel.arcs])]
+    quantities = [(kernel.node_obj, kernel.arc_obj)]
     quantities += [(row.node, row.arc) for row in rows]
     widths = [len(roles) for roles in role_of]
     offset = list(accumulate(widths, initial=0))  # of each position's candidates, flattened
@@ -761,7 +761,7 @@ def _search_tables(kernel: _Kernel):
         steps.append(list(map(sub, chain.from_iterable(node), each)))
     with_arcs = [(q, arc, steps[q]) for q, (_, arc) in enumerate(quantities) if arc is not None]
     in_arcs: list[list[tuple]] = [[] for _ in range(n)]
-    for a, (src, dst, _) in enumerate(kernel.arcs):
+    for a, (src, dst) in enumerate(kernel.skeleton[2]):
         width = widths[dst]
         terms = []  # per quantity with arc costs
         for q, arc, q_steps in with_arcs:
@@ -803,26 +803,27 @@ def solve_branch_and_bound(
     completes.  Deterministic for fixed inputs without a time limit.
 
     Under a time limit, which counts from the solve's start, the
-    Lagrangian dual search (:func:`ehcopt.dual.search`) runs on the same
-    kernel once the search tables are built, unless the root bounds
-    already break a row.  Branch and bound keeps the dual's highest
-    bound, and adopts each assignment that its own kernel confirms meets
-    every row, if it is cheaper than the incumbent (or as cheap and
-    smaller by task id).  The search starts from that incumbent and gets
-    whatever time the dual leaves; it looks at the clock every 1024
-    nodes, so it always runs its first 1023.  The solve returns proven
-    optimal as soon as the incumbent's cost meets the bound (the search
-    checks at the same points, and before the search when the dual has
-    proven it); the assignment is then the first optimum found, not
-    necessarily the smallest by task id.  At the limit it returns the
+    Lagrangian dual search (:func:`ehcopt.dual.search`) runs once on the
+    same kernel after the search tables are built, unless the root bounds
+    already break a row, and returns one result.  Branch and bound keeps
+    its highest bound, and adopts its cheapest assignment that meets every
+    row as the first incumbent, once its own kernel confirms the
+    assignment's value and every row.  The search starts from that
+    incumbent and gets whatever time the dual leaves; it looks at the
+    clock every 1024 nodes, so it always runs its first 1023.  The solve
+    returns proven optimal as soon as the incumbent's cost meets the bound
+    (the search checks at the same points, and before the search when the
+    dual has proven it); the assignment is then the first optimum found,
+    not necessarily the smallest by task id.  At the limit it returns the
     incumbent with its relative gap to the bound, or no assignment and a
     gap of None.  Without a dual bound, the bound is the additive root.
     ``wall_time_s`` is the time after the table build (``tables_s``): the
     dual, then the search.  The stats add ``root_bound``
     (``lagrangian``, ``elimination-dp`` for the λ = 0 pass alone, or
-    ``additive``), ``lower_bound`` (its value in s or J), ``dual_passes``,
-    ``multipliers`` (by row label, in kernel units, at the best bound),
-    ``binding_rows`` (the rows the λ = 0 optimum breaks),
+    ``additive``), ``lower_bound`` (its value in s or J), ``dual_passes``
+    (every pass the dual ran), ``multipliers`` (by row label, in kernel
+    units, at the best bound), ``binding_rows`` (the rows the λ = 0
+    optimum breaks),
     ``incumbent_source`` (``dual`` or ``search``) and ``dual_s`` (the
     dual's share of ``wall_time_s``).  A solve without a time limit never
     runs the dual.
@@ -842,17 +843,11 @@ def solve_branch_and_bound(
     # incumbent's value, then each row's budget
     caps = [math.inf] + [row.budget for row in rows]
     cause = ["bound"] + ["threshold" if row.label == "lthr" else "budget" for row in rows]
-    # the bound a timed-out run's gap is measured against: the additive
-    # root unless the dual finds a higher one; a run without a time limit
-    # always ends in a proof
-    root = roots[0]
 
     choice = [-1] * n
     best_value = None
     best_choice = None
     source = None  # of the incumbent: "search" or "dual"
-    first = best_heard = None  # the dual's first report, and the one with the highest bound
-    passes = 0  # the dual's, at its last report
     nodes = 0
     pruned = dict.fromkeys(("bound", "budget", "threshold"), 0)
     hit_time_limit = False
@@ -862,34 +857,25 @@ def solve_branch_and_bound(
     def id_ordered(choice_vec) -> tuple[int, ...]:
         return tuple(role_of[p][choice_vec[p]] for p in by_id)
 
-    def hear(report) -> None:
-        """Take one of the dual's reports."""
-        nonlocal best_value, best_choice, source, first, best_heard, passes, root
-        first, passes = first or report, report.passes
-        if best_heard is None or report.bound > best_heard.bound:
-            best_heard = report
-            root = max(root, report.bound)
-        if report.chosen is None:
-            return
-        if _total(kernel.node_obj, arc_obj, report.chosen, skeleton) != report.value or any(
-            _total(row.node, row.arc, report.chosen, skeleton) > row.budget for row in kernel.rows
-        ):
-            return  # not what the dual claims: never adopted
-        vec = id_ordered(report.chosen)
-        if best_value is None or (report.value, vec) < (best_value, best_choice[0]):
-            best_value, best_choice, source = report.value, (vec, tuple(report.chosen)), "dual"
-            caps[0] = best_value
-
     tables_built = time.monotonic()
+    found = None  # the dual's result
     # not when the root already breaks a row: the search then prunes every
     # placement at once, and the dual could only delay that proof
-    if deadline is not None and tables_built < deadline and all(map(le, roots[1:], caps[1:])):
+    if deadline is not None and all(map(le, roots[1:], caps[1:])):
         from . import dual  # only a time-limited solve needs it
 
-        skeleton = _skeleton(etfg.graph)
-        arc_obj = [obj for _, _, obj in kernel.arcs]
-        dual.search(skeleton, kernel, deadline - tables_built, hear)
+        found = dual.search(kernel, deadline)
     dual_ended = time.monotonic()
+    # the bound a timed-out run's gap is measured against: the additive
+    # root unless the dual found a higher one; a run without a time limit
+    # always ends in a proof
+    root = roots[0] if found is None else max(roots[0], found.bound)
+    chosen = None if found is None else found.chosen
+    if chosen is not None and kernel.total(kernel.node_obj, kernel.arc_obj, chosen) == found.value and all(
+        kernel.total(row.node, row.arc, chosen) <= row.budget for row in kernel.rows
+    ):  # adopted only once the kernel confirms what the dual claims
+        best_value = caps[0] = found.value
+        best_choice, source = (id_ordered(chosen), tuple(chosen)), "dual"
 
     proven = best_value is not None and best_value <= root  # by the dual's bound
     # frames: one per depth p, [next index into branch[p], the bounds of the tasks placed before p]
@@ -945,13 +931,13 @@ def solve_branch_and_bound(
         "time_limit_hit": hit_time_limit,
     }
     if deadline is not None:
-        lagrangian = best_heard is not None and any(best_heard.multipliers.values())
+        lagrangian = found is not None and any(found.multipliers.values())
         stats.update({
-            "root_bound": "additive" if best_heard is None else "lagrangian" if lagrangian else "elimination-dp",
+            "root_bound": "additive" if found is None else "lagrangian" if lagrangian else "elimination-dp",
             "lower_bound": float(Fraction(root, kernel.obj_den)),
-            "dual_passes": passes,
-            "multipliers": {} if best_heard is None else best_heard.multipliers,
-            "binding_rows": [] if first is None else list(first.broken),
+            "dual_passes": 0 if found is None else found.passes,
+            "multipliers": {} if found is None else found.multipliers,
+            "binding_rows": [] if found is None else list(found.broken),
             "incumbent_source": source,
             "dual_s": dual_ended - tables_built,
         })

@@ -550,11 +550,11 @@ def test_timed_out_gap_is_measured_against_the_relaxation_dp(objective, cap):
     system = presets.system_model("C1", "run1")
     etfg = transform(serial_200_graph(), system)
     relaxed = solve_tree_dp(transform(etfg.graph, _without_budgets(system)), objective).objective_value
-    # the dual's first pass is the relaxation
+    # the dual's λ = 0 pass is the relaxation, and its bound is at least that
     kernel = solver._Kernel(etfg, solver.Objective(objective), cap)
-    reports = []
-    dual.search(solver._skeleton(etfg.graph), kernel, 1.0, reports.append)
-    assert Fraction(reports[0].bound, kernel.obj_den) == relaxed
+    total, _ = solver._eliminate(solver._compile(*kernel.skeleton), kernel.objective_tables())
+    assert Fraction(total, kernel.obj_den) == relaxed
+    assert dual.search(kernel, time.monotonic() + 1.0).bound >= total
     # the energy search proves the instance infeasible once the dual has
     # run; the latency search runs the whole limit
     result = solve_branch_and_bound(etfg, objective, cap, SolveConfig(time_limit=3 if cap is None else 1.5))
@@ -590,9 +590,7 @@ def test_additive_root_stays_when_the_dp_is_over_its_limit(monkeypatch):
     etfg = transform(serial_200_graph(), _without_budgets(presets.system_model("C1", "run1")))
     kernel = solver._Kernel(etfg, solver.Objective.LATENCY, None)
     monkeypatch.setattr(solver, "DP_STATE_LIMIT", 0)
-    reports = []
-    dual.search(solver._skeleton(etfg.graph), kernel, 10.0, reports.append)
-    assert reports == []  # the dual has no schedule to run
+    assert dual.search(kernel, time.monotonic() + 10.0) is None  # the dual has no schedule to run
     result = solve_branch_and_bound(etfg, "latency", config=SolveConfig(time_limit=0.3))
     assert result.stats["time_limit_hit"]
     assert result.stats["root_bound"] == "additive"
@@ -772,12 +770,9 @@ def test_kernel_rows_are_the_models_side_constraints():
         assert [row.label for row in kernel.rows] == [
             label for label in labels if label.startswith(("mem_", "sto_", "enr_")) or label == "lthr"
         ], f"seed {seed}"
-        skeleton = solver._skeleton(etfg.graph)
         for _ in range(20):
             chosen = [rng.randrange(len(roles)) for roles in kernel.role_of]
-            broken = {
-                row.label for row in kernel.rows if solver._total(row.node, row.arc, chosen, skeleton) > row.budget
-            }
+            broken = {row.label for row in kernel.rows if kernel.total(row.node, row.arc, chosen) > row.budget}
             breakdown = evaluate(etfg, kernel.assignment(chosen), threshold)
             # each violation reads "<quantity> budget exceeded on <device>"
             expected = {f"{_ROW_KIND[v.split()[0]]}_{v.split()[-1]}" for v in breakdown.violations}
@@ -790,25 +785,49 @@ def test_kernel_rows_are_the_models_side_constraints():
 
 @pytest.mark.parametrize("objective, capped", [("latency", False), ("energy", False), ("energy", True)])
 def test_the_dual_search_bounds_the_oracle(objective, capped):
-    """Every bound the dual reports is at most the optimum, and every
-    assignment it reports is feasible at the value it claims."""
-    reported = 0
+    """The dual's highest bound is at most the optimum, so every bound it
+    reached is; its assignment is feasible at the value it claims; and its
+    broken rows are those the λ = 0 pass's assignment breaks."""
+    found = binding = 0
     for seed in range(40):
         etfg, threshold = random_oracle_instance(seed)
         cap = threshold if capped else None
         kernel = solver._Kernel(etfg, solver.Objective(objective), cap)
-        reports = []
-        dual.search(solver._skeleton(etfg.graph), kernel, 10.0, reports.append)
-        assert reports, f"seed {seed}"  # the first pass is always reported
+        result = dual.search(kernel, time.monotonic() + 10.0)
+        assert result is not None and result.passes >= 1, f"seed {seed}"
+        assert list(result.multipliers) == [row.label for row in kernel.rows], f"seed {seed}"
         best = solve_bruteforce(etfg, objective, cap)
-        for report in reports:
-            if best.status is SolveStatus.OPTIMAL:
-                assert Fraction(report.bound, kernel.obj_den) <= best.objective_value, f"seed {seed}"
-            if report.chosen is not None:
-                reported += 1
-                breakdown = evaluate(etfg, kernel.assignment(report.chosen), cap)
-                assert breakdown.feasible, f"seed {seed}"
-                assert objective_value(breakdown, objective) == Fraction(report.value, kernel.obj_den), f"seed {seed}"
-        assert reports[0].multipliers == dict.fromkeys(reports[0].multipliers, 0)
-        assert all(a.bound < b.bound or b.chosen is not None for a, b in zip(reports, reports[1:]))
-    assert reported >= 20
+        if best.status is SolveStatus.OPTIMAL:
+            assert Fraction(result.bound, kernel.obj_den) <= best.objective_value, f"seed {seed}"
+        assert (result.chosen is None) == (result.value is None), f"seed {seed}"
+        if result.chosen is not None:
+            found += 1
+            breakdown = evaluate(etfg, kernel.assignment(result.chosen), cap)
+            assert breakdown.feasible, f"seed {seed}"
+            assert objective_value(breakdown, objective) == Fraction(result.value, kernel.obj_den), f"seed {seed}"
+        _, chosen = solver._eliminate(solver._compile(*kernel.skeleton), kernel.objective_tables())
+        broken = tuple(row.label for row in kernel.rows if kernel.total(row.node, row.arc, chosen) > row.budget)
+        assert result.broken == broken, f"seed {seed}"
+        binding += bool(broken)
+    assert found >= 20 and binding >= 5
+
+
+@pytest.mark.parametrize("objective, capped", [("latency", False), ("energy", True)])
+def test_dual_passes_counts_every_pass(monkeypatch, objective, capped):
+    """``dual_passes`` is the number of DP passes the dual ran, including
+    those that neither raised its bound nor found a cheaper assignment."""
+    calls = []
+
+    def eliminate(*args):
+        calls.append(None)
+        return solver._eliminate(*args)
+
+    monkeypatch.setattr(dual, "_eliminate", eliminate)
+    several = 0
+    for seed in range(60):
+        etfg, threshold = random_oracle_instance(seed)
+        calls.clear()
+        result = solve_branch_and_bound(etfg, objective, threshold if capped else None, SolveConfig(time_limit=10))
+        assert result.stats["dual_passes"] == len(calls), f"seed {seed}"
+        several += len(calls) > 1
+    assert several >= 10
