@@ -140,14 +140,6 @@ def _case_from_allocation(kind: str, allocation: Allocation) -> BaselineCase:
 
 # --- report emission -------------------------------------------------------
 
-_CHANNEL_COLUMNS = (
-    (DeviceRole.EDGE, DeviceRole.HUB),
-    (DeviceRole.HUB, DeviceRole.EDGE),
-    (DeviceRole.HUB, DeviceRole.CLOUD),
-    (DeviceRole.CLOUD, DeviceRole.HUB),
-)
-
-
 def cases_to_rows(cases: list[BaselineCase]) -> list[dict]:
     rows = []
     for case in cases:
@@ -161,9 +153,10 @@ def cases_to_rows(cases: list[BaselineCase]) -> list[dict]:
         row["total_energy_J"] = float(b.total_energy)
         for role in ROLES:
             row[f"comp_latency_{role.value}_s"] = float(b.comp_latency[role])
-        for pair in _CHANNEL_COLUMNS:
-            value = b.comm_latency.get(pair, Fraction(0))
-            row[f"comm_latency_{pair[0].value}{pair[1].value}_s"] = float(value)
+        for k in ROLES:  # every channel of the system, in e < h < c order
+            for l in ROLES:
+                if (k, l) in b.comm_latency:
+                    row[f"comm_latency_{k.value}{l.value}_s"] = float(b.comm_latency[(k, l)])
         for role in ROLES:
             row[f"device_energy_{role.value}_J"] = float(b.device_energy[role])
         for role in ROLES:

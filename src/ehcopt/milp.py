@@ -129,16 +129,6 @@ def _energy_coeffs(etfg: Etfg, devices) -> dict[DeviceRole, dict[int, Fraction]]
     return coeffs
 
 
-def energy_budget_row(etfg: Etfg, device: DeviceRole) -> ConstraintRow:
-    """Energy-budget row for one device: execution energy of its candidate
-    nodes plus the energy share of every transfer it sends, receives, or
-    relays."""
-    budget = etfg.system.device(device).energy_budget
-    if budget is None:
-        raise ValueError(f"device {device.value} has no finite energy budget")
-    return ConstraintRow(f"enr_{device.value}", _energy_coeffs(etfg, (device,))[device], "L", budget)
-
-
 def check_latency_threshold(objective: Objective, latency_threshold: Fraction | None) -> None:
     """A latency cap must be above zero, and only the energy objective has one."""
     if latency_threshold is not None and latency_threshold <= 0:
@@ -349,26 +339,20 @@ def evaluate(
         memory_use[node.device] += task.memory
         storage_use[node.device] += task.storage
 
-    total_comm_latency = ZERO
     for (i, j) in graph.arcs:
         k, l = chosen[i], chosen[j]
         if k == l:
             continue
         data = graph.task(i).output_data
-        arc = next(a for a in etfg.arcs_by_dep[(i, j)] if a.src_device == k and a.dst_device == l)
-        total_comm_latency += arc.latency
-        if not arc.indirect:
-            hops = [(k, l)]
-        else:
-            hops = [(k, arc.via), (arc.via, l)]
-        for hop in hops:
+        relayed, via = system.route(k, l)
+        for hop in ((k, via), (via, l)) if relayed else ((k, l),):
             ch = system.channel(*hop)
             comm_latency_by[hop] += data / ch.bandwidth
             comm_energy_by[hop] += data * (ch.tx_energy + ch.rx_energy)
         for part_device, amount in energy_shares(data, k, l, system):
             device_energy[part_device] += amount
 
-    total_latency = sum(comp_latency.values(), ZERO) + total_comm_latency
+    total_latency = sum(comp_latency.values(), ZERO) + sum(comm_latency_by.values(), ZERO)
     total_energy = sum(comp_energy_by.values(), ZERO) + sum(comm_energy_by.values(), ZERO)
 
     violations = []

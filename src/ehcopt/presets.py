@@ -1,4 +1,5 @@
-"""Shipped configuration data: devices, channel profiles, performance ratios.
+"""Shipped configuration data: devices, channel profiles, performance
+ratios, and the bundled example application (packaged data).
 
 Device budgets and channel parameters mirror the measured values for the
 hardware the default configurations are modeled on.  Idle/max power draw
@@ -10,16 +11,18 @@ records the ranges it was built from.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
+from importlib.resources import files
 
 from .model import (
     Channel,
     Device,
     DeviceRole,
     SystemModel,
-    Task,
     TaskGraph,
     make_system_model,
+    task_graph_from_dict,
 )
 from .units import parse_quantity
 
@@ -151,7 +154,8 @@ def performance_ratios(configuration: str = "C1") -> dict[DeviceRole, Fraction]:
 
 
 def example_inspection_tfg() -> TaskGraph:
-    """15-task aerial-inspection pipeline used as the bundled demo input.
+    """15-task aerial-inspection pipeline used as the bundled demo input,
+    read from the packaged ``data/uav_inspection_15.json``.
 
     Camera capture is pinned to the edge device and the operator display
     to the hub; a preprocessing+line-detection chain and a tower-detection
@@ -159,43 +163,5 @@ def example_inspection_tfg() -> TaskGraph:
     image pipeline (hundreds of ms on the edge, an order of magnitude
     faster but hungrier on the hub and cloud).
     """
-    # (id, devices, per-device latency, per-device power, memory, storage, data out)
-    rows = [
-        (1, "e", ("150ms",), ("3.1W",), "48MiB", "4MiB", "6Mbit"),
-        (2, "ehc", ("240ms", "33.1ms", "15.9ms"), ("3.4W", "24.7W", "40.8W"), "96MiB", "8MiB", "6Mbit"),
-        (3, "ehc", ("180ms", "24.8ms", "11.9ms"), ("3.2W", "23.2W", "38.4W"), "64MiB", "6MiB", "5Mbit"),
-        (4, "ehc", ("210ms", "29.0ms", "13.9ms"), ("3.3W", "23.9W", "39.6W"), "72MiB", "6MiB", "5Mbit"),
-        (5, "ehc", ("160ms", "22.1ms", "10.6ms"), ("3.0W", "21.8W", "36.0W"), "56MiB", "4MiB", "4Mbit"),
-        (6, "ehc", ("520ms", "71.7ms", "34.5ms"), ("3.9W", "28.3W", "46.8W"), "128MiB", "12MiB", "2Mbit"),
-        (7, "ehc", ("460ms", "63.4ms", "30.5ms"), ("3.8W", "27.6W", "45.6W"), "112MiB", "10MiB", "2Mbit"),
-        (8, "ehc", ("380ms", "52.4ms", "25.2ms"), ("3.6W", "26.1W", "43.2W"), "96MiB", "8MiB", "1Mbit"),
-        (9, "ehc", ("290ms", "40.0ms", "19.2ms"), ("3.5W", "25.4W", "42.0W"), "80MiB", "8MiB", "0.5Mbit"),
-        (10, "ehc", ("900ms", "124ms", "59.7ms"), ("4.2W", "30.5W", "50.4W"), "192MiB", "24MiB", "3Mbit"),
-        (11, "ehc", ("780ms", "108ms", "51.7ms"), ("4.1W", "29.7W", "49.2W"), "176MiB", "20MiB", "2Mbit"),
-        (12, "ehc", ("640ms", "88.2ms", "42.4ms"), ("4.0W", "29.0W", "48.0W"), "160MiB", "16MiB", "1.5Mbit"),
-        (13, "ehc", ("560ms", "77.2ms", "37.1ms"), ("3.9W", "28.3W", "46.8W"), "144MiB", "14MiB", "1Mbit"),
-        (14, "ehc", ("410ms", "56.5ms", "27.2ms"), ("3.7W", "26.8W", "44.4W"), "128MiB", "12MiB", "0.5Mbit"),
-        (15, "h", ("90ms",), ("6.0W",), "32MiB", "2MiB", "0.1Mbit"),
-    ]
-    roles = {"e": E, "h": H, "c": C}
-    tasks = []
-    for tid, devices, lats, powers, mem, sto, data in rows:
-        allowed = tuple(roles[ch] for ch in devices)
-        tasks.append(
-            Task(
-                id=tid,
-                memory=_q(mem, "memory"),
-                storage=_q(sto, "memory"),
-                output_data=_q(data, "data"),
-                allowed=allowed,
-                latency={r: _q(v, "time") for r, v in zip(allowed, lats)},
-                power={r: _q(v, "power") for r, v in zip(allowed, powers)},
-            )
-        )
-    arcs = (
-        (1, 2), (1, 10),
-        (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (8, 9),
-        (10, 11), (11, 12), (12, 13), (13, 14),
-        (9, 15), (14, 15),
-    )
-    return TaskGraph(tasks=tuple(tasks), arcs=arcs)
+    text = (files(__package__) / "data" / "uav_inspection_15.json").read_text()
+    return task_graph_from_dict(json.loads(text))

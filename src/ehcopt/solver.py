@@ -457,14 +457,13 @@ class _Kernel:
         budgets = [etfg.system.device(r) for r in ROLES]
         latency = objective is Objective.LATENCY
         # only an energy-budget row reads the shares; an arc's energy is
-        # their sum, so without them its own denominator joins enr_den
+        # their sum, so its denominator divides theirs and counts only
+        # when no row reads them
         shares_by_dep = arc_shares(etfg) if any(d.energy_budget is not None for d in budgets) else None
         distinct = {} if shares_by_dep is None else {
             id(shares): shares for row in shares_by_dep.values() for shares in row
         }
-        arc_energies = [] if latency or shares_by_dep is not None else [
-            arc.energy for group in groups.values() for arc in group
-        ]
+        arc_energies = [] if latency else [arc.energy for group in groups.values() for arc in group]
 
         lat_den = _common_denominator(
             [node.latency for row in nodes for node in row]
@@ -544,13 +543,6 @@ class _Schedule(NamedTuple):
     width: int
     states: int
     steps: tuple[tuple[int, tuple[int, ...], tuple], ...]
-
-
-def _schedule(graph) -> _Schedule | None:
-    """The min-fill order of ``graph``'s skeleton compiled into the DP's
-    steps, or None once the DP would need more than ``DP_STATE_LIMIT``
-    states."""
-    return _compile(*_skeleton(graph))
 
 
 def _compile(ids, domain, arcs) -> _Schedule | None:
@@ -685,9 +677,14 @@ def _eliminate(schedule: _Schedule, tables) -> tuple[int, list[int]]:
     return total, chosen
 
 
-def _tree_dp(etfg: Etfg, objective: Objective, schedule: _Schedule) -> Allocation:
-    """The DP's allocation: one pass of ``schedule`` over the kernel's costs."""
+def _tree_dp(etfg: Etfg, objective: Objective) -> Allocation | None:
+    """The DP's allocation: one pass of the kernel skeleton's schedule over
+    the kernel's costs, or None when it needs more than ``DP_STATE_LIMIT``
+    states."""
     kernel = _Kernel(etfg, objective, None)
+    schedule = _compile(*kernel.skeleton)
+    if schedule is None:
+        return None
     total, chosen = _eliminate(schedule, kernel.objective_tables())
     stats = {"solver": "tree-dp", "treewidth": schedule.width, "dp_states": schedule.states}
     assignment, value = kernel.assignment(chosen), Fraction(total, kernel.obj_den)
@@ -705,19 +702,20 @@ def solve_tree_dp(etfg: Etfg, objective: Objective | str = Objective.LATENCY) ->
 
     Without budgets the cost is a sum of per-task and per-dependency
     terms, so eliminating tasks along a min-fill order is exact.  Raises
-    ValueError when a device has a budget or when the order needs more
-    than ``DP_STATE_LIMIT`` states.  Among equal costs the last task
-    eliminated takes the device earliest in e < h < c and every other
-    task the earliest given the tasks eliminated after it; on a forest
-    that is each tree rooted at its smallest task id.
+    ValueError when a device has a budget or when the DP route returns
+    None, the order needing more than ``DP_STATE_LIMIT`` states.  Among
+    equal costs the last task eliminated takes the device earliest in
+    e < h < c and every other task the earliest given the tasks
+    eliminated after it; on a forest that is each tree rooted at its
+    smallest task id.
     """
     objective = Objective(objective)
     if _has_budgets(etfg):
         raise ValueError("tree DP requires all device budgets to be unbounded")
-    schedule = _schedule(etfg.graph)
-    if schedule is None:
+    allocation = _tree_dp(etfg, objective)
+    if allocation is None:
         raise ValueError(f"tree DP needs more than {DP_STATE_LIMIT} states here; use bnb")
-    return _tree_dp(etfg, objective, schedule)
+    return allocation
 
 
 # --- branch and bound -------------------------------------------------------
@@ -966,8 +964,8 @@ def solve(
     method: str = "auto",
 ) -> Allocation:
     """Front door: pick a solver (``auto`` takes the elimination DP when
-    no device has a budget and its state count is within
-    ``DP_STATE_LIMIT``, branch and bound otherwise).
+    no device has a budget, and branch and bound when one has or when the
+    DP route returns None, its state count being over ``DP_STATE_LIMIT``).
 
     A time limit bounds branch and bound only, counted from the solve's
     start, so its table build and the Lagrangian dual search that runs
@@ -983,9 +981,10 @@ def solve(
     check_latency_threshold(objective, latency_threshold)
     time_limited = config is not None and config.time_limit is not None
     if method == "auto":
-        schedule = None if latency_threshold is not None or _has_budgets(etfg) else _schedule(etfg.graph)
-        if schedule is not None:
-            return _tree_dp(etfg, objective, schedule)
+        if latency_threshold is None and not _has_budgets(etfg):
+            allocation = _tree_dp(etfg, objective)
+            if allocation is not None:
+                return allocation
         method = "bnb"
     if method == "bruteforce":
         if time_limited:

@@ -18,6 +18,7 @@ from ehcopt.etfg import transform
 from ehcopt.generator import GenSpec, ParamSpec, default_param_spec, generate_tfg, synthesize_params
 from ehcopt.milp import evaluate
 from ehcopt.model import (
+    Channel,
     Device,
     DeviceRole,
     SystemModel,
@@ -58,6 +59,13 @@ def simple_task(tid, allowed=ALL, latency=1, power=1, memory=0, storage=0, data=
         latency={r: Fraction(v) for r, v in lat.items()},
         power={r: Fraction(v) for r, v in pw.items()},
     )
+
+
+def with_direct_edge_cloud(system: SystemModel) -> SystemModel:
+    """``system`` plus direct e->c and c->e channels (1 Mbit/s, 1 uJ/bit
+    tx and rx), so that no pair is relayed."""
+    direct = [Channel(k, l, Fraction(10**6), Fraction(1, 10**6), Fraction(1, 10**6)) for k, l in ((E, C), (C, E))]
+    return make_system_model(system.devices.values(), [*system.channels.values(), *direct])
 
 
 def two_task_chain(allowed_first=ALL, allowed_second=ALL, data=10**6) -> TaskGraph:

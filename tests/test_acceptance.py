@@ -26,7 +26,7 @@ from ehcopt import presets
 from ehcopt.analysis import run_baselines
 from ehcopt.etfg import transform
 from ehcopt.generator import GenSpec, default_param_spec, generate_tfg, synthesize_params
-from ehcopt.milp import build_model, energy_budget_row, evaluate
+from ehcopt.milp import build_model, evaluate
 from ehcopt.model import TaskGraph
 from ehcopt.mps import model_to_mps, parse_mps
 from ehcopt.solver import (
@@ -225,8 +225,9 @@ def test_criterion_7_energy_budget_row_fidelity():
     graph = TaskGraph(tasks=tasks, arcs=((1, 2), (2, 3)))
     etfg = transform(graph, C1)
     model = build_model(etfg, "latency")
+    rows = {row.label: row for row in model.rows}
 
-    row_h = energy_budget_row(etfg, H)
+    row_h = rows["enr_h"]
     # relay share for task 1's output crossing e->c via the hub:
     # D1 * (rx(e->h) + tx(h->c)) = 2 Mbit * (0.70 + 2.5) uJ/bit = 6.4 J
     col = model.arc_col[(1, E, 2, C)]
@@ -235,7 +236,7 @@ def test_criterion_7_energy_budget_row_fidelity():
     col2 = model.arc_col[(2, E, 3, C)]
     assert row_h.coeffs[col2] == data2 * (Fraction(7, 10**7) + Fraction(25, 10**7))
 
-    row_e = energy_budget_row(etfg, E)
+    row_e = rows["enr_e"]
     assert row_e.coeffs[col] == Fraction(2)  # tx share 2 Mbit * 1.0 uJ/bit
 
     # evaluator agrees with the same arithmetic at a concrete point

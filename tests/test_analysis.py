@@ -15,6 +15,7 @@ from conftest import (
     simple_task,
     two_task_chain,
     unbudgeted_system,
+    with_direct_edge_cloud,
 )
 from ehcopt import presets
 from ehcopt.analysis import (
@@ -142,6 +143,21 @@ def test_csv_emission(example_cases):
     assert float(numeric["total_latency_s"]) > 0
     assert "comm_latency_eh_s" in numeric
     assert "device_energy_h_J" in numeric
+
+
+def test_csv_has_a_column_per_channel_and_rows_add_up():
+    # direct e->c and c->e channels: every channel gets a comm-latency
+    # column, so each row's compute and comm columns sum to its total
+    system = with_direct_edge_cloud(presets.system_model("C1", "run1"))
+    etfg = transform(presets.example_inspection_tfg(), system)
+    cases = run_baselines(etfg, "latency")
+    assert cases[2].breakdown.comm_latency[(E, C)] > 0
+    rows = list(csv.DictReader(io.StringIO(cases_to_csv(cases))))
+    comm = [key for key in rows[0] if key.startswith("comm_latency_")]
+    assert comm == [f"comm_latency_{pair}_s" for pair in ("eh", "ec", "he", "hc", "ce", "ch")]
+    for row in rows:
+        parts = [float(row[f"comp_latency_{d.value}_s"]) for d in ALL] + [float(row[key]) for key in comm]
+        assert sum(parts) == pytest.approx(float(row["total_latency_s"]), rel=1e-12)
 
 
 def test_json_emission(example_cases):

@@ -15,13 +15,13 @@ from conftest import (
     simple_task,
     two_task_chain,
     unbudgeted_system,
+    with_direct_edge_cloud,
 )
 from ehcopt import presets
 from ehcopt.etfg import arc_shares, transform
 from ehcopt.milp import (
     Objective,
     build_model,
-    energy_budget_row,
     evaluate,
     model_stats,
     objective_value,
@@ -109,8 +109,9 @@ def test_energy_budget_row_includes_relay_share():
     # data flows 1 -> 2; if task 1 sits on e and task 2 on c, the hub relays
     g = two_task_chain(data=10**6)
     etfg = transform(g, C1)
-    row = energy_budget_row(etfg, H)
     model = build_model(etfg, "latency")
+    rows = {r.label: r for r in model.rows}
+    row = rows["enr_h"]
     relay_col = model.arc_col[(1, E, 2, C)]
     # relay share: D * (rx of e->h + tx of h->c) = 1 Mbit * (0.7 + 2.5) uJ/bit
     assert row.coeffs[relay_col] == Fraction(32, 10)
@@ -118,7 +119,7 @@ def test_energy_budget_row_includes_relay_share():
     node_col = model.node_col[(2, H)]
     assert row.coeffs[node_col] == etfg.node_map[(2, H)].energy
     # sender/receiver shares for a direct arc
-    e_row = energy_budget_row(etfg, E)
+    e_row = rows["enr_e"]
     direct_col = model.arc_col[(1, E, 2, H)]
     assert e_row.coeffs[direct_col] == Fraction(1)  # 1 Mbit * 1.0 uJ/bit tx
 
@@ -141,9 +142,7 @@ def test_arc_shares_match_arc_energy_rows_and_evaluate(seed, pick):
             assert len(set(devices)) == len(devices)
 
     model = build_model(etfg, "latency")
-    rows = {d: energy_budget_row(etfg, d) for d in ALL}
-    for d in ALL:
-        assert next(r for r in model.rows if r.label == f"enr_{d.value}") == rows[d]
+    rows = {d: next(r for r in model.rows if r.label == f"enr_{d.value}") for d in ALL}
     rng = random.Random(pick)
     for _ in range(5):
         assignment = {t.id: rng.choice(t.allowed) for t in etfg.graph.tasks}
@@ -154,16 +153,43 @@ def test_arc_shares_match_arc_energy_rows_and_evaluate(seed, pick):
             assert sum(rows[d].coeffs.get(col, 0) for col in selected) == breakdown.device_energy[d]
 
 
+def test_evaluate_totals_are_the_selected_nodes_and_arcs():
+    # evaluate sums per channel; this sums the expanded graph's own node
+    # and arc costs, over relayed and (with e<->c channels) direct pairs
+    apps = [
+        transform(presets.example_inspection_tfg(), presets.system_model(config, profile))
+        for config in ("C1", "C2", "C3")
+        for profile in ("run1", "run2")
+    ]
+    instances = apps + [random_oracle_instance(seed, max_tasks=9)[0] for seed in range(30)]
+    instances += [transform(e.graph, with_direct_edge_cloud(e.system)) for e in instances]
+    rng = random.Random(5)
+    relayed = direct = 0
+    for etfg in instances:
+        arcs = {arc.key: arc for arc in etfg.iter_arcs()}
+        for _ in range(5):
+            assignment = {t.id: rng.choice(t.allowed) for t in etfg.graph.tasks}
+            nodes = [etfg.node_map[item] for item in assignment.items()]
+            chosen = [arcs[(i, assignment[i], j, assignment[j])] for i, j in etfg.graph.arcs]
+            b = evaluate(etfg, assignment)
+            assert b.total_latency == sum(n.latency for n in nodes) + sum(a.latency for a in chosen)
+            assert b.total_energy == sum(n.energy for n in nodes) + sum(a.energy for a in chosen)
+            relayed += sum(a.indirect for a in chosen)
+            direct += sum(not a.indirect and {a.src_device, a.dst_device} == {E, C} for a in chosen)
+    assert relayed > 0 and direct > 0
+
+
 def test_energy_budget_row_requires_finite_budget():
-    etfg = transform(two_task_chain(), C1)
-    with pytest.raises(ValueError):
-        energy_budget_row(etfg, C)
+    # C1's cloud has no energy budget
+    assert C1.device(C).energy_budget is None
+    labels = [r.label for r in build_model(transform(two_task_chain(), C1), "latency").rows]
+    assert "enr_c" not in labels and "enr_e" in labels
 
 
 def test_single_fixed_task_energy_row_has_only_its_node():
     g = TaskGraph(tasks=(simple_task(1, (E,), latency=2, power=3),), arcs=())
     etfg = transform(g, C1)
-    row = energy_budget_row(etfg, E)
+    row = next(r for r in build_model(etfg, "latency").rows if r.label == "enr_e")
     assert row.coeffs == {0: Fraction(6)}
 
 

@@ -260,13 +260,11 @@ def test_configuration_presets_match_published_budgets():
 def test_bundled_data_files_match_presets():
     from importlib.resources import files
 
-    from ehcopt.model import load_system_model, load_task_graph
+    from ehcopt.model import load_system_model
 
     data = files("ehcopt.data")
     for name in ("C1", "C2", "C3"):
         assert load_system_model(str(data / f"{name}.json")) == presets.system_model(name, "run1")
-    bundled = load_task_graph(str(data / "uav_inspection_15.json"))
-    assert bundled == presets.example_inspection_tfg()
 
 
 def test_channel_profiles_complete_tables():

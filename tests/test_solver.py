@@ -272,21 +272,21 @@ def _dp_matches_bruteforce(etfg, objective):
 def test_elimination_dp_with_fill_edges_matches_bruteforce(objective):
     # k-trees, forests and complete DAGs are chordal: their orders add no fill
     etfg = transform(_diamond(), PLAIN)
-    assert _fill_edges(etfg.graph, solver._schedule(etfg.graph).order) == 1
+    assert _fill_edges(etfg.graph, solver._compile(*solver._skeleton(etfg.graph)).order) == 1
     # the fill edge 2-3 leaves a triangle after the first step: 27 + 27 + 9 + 3 states
     assert _dp_matches_bruteforce(etfg, objective).stats == {"solver": "tree-dp", "treewidth": 2, "dp_states": 66}
     filled = 0
     for seed in range(40):
         graph = random_oracle_instance(seed)[0].graph
         etfg = transform(graph, PLAIN)
-        filled += _fill_edges(graph, solver._schedule(graph).order) > 0
+        filled += _fill_edges(graph, solver._compile(*solver._skeleton(graph)).order) > 0
         _dp_matches_bruteforce(etfg, objective)
     assert filled >= 10
 
 
 def test_one_schedule_runs_both_objectives_tables():
     for etfg in [transform(_diamond(), PLAIN)] + [_random_k_tree(7000 + seed, 3) for seed in range(5)]:
-        schedule = solver._schedule(etfg.graph)
+        schedule = solver._compile(*solver._skeleton(etfg.graph))
         for objective in ("latency", "energy"):
             kernel = solver._Kernel(etfg, solver.Objective(objective), None)
             tables = kernel.objective_tables()
@@ -300,7 +300,7 @@ def test_the_pass_minimises_any_tables():
     rng = random.Random(11)
     graphs = [_diamond()] + [random_oracle_instance(seed)[0].graph for seed in range(40)]
     for graph in graphs:
-        schedule = solver._schedule(graph)
+        schedule = solver._compile(*solver._skeleton(graph))
         tasks = [graph.task(tid) for tid in topological_order(graph)]
         pos_of = {t.id: p for p, t in enumerate(tasks)}
         sizes = [len(t.allowed) for t in tasks]
@@ -320,7 +320,7 @@ def test_the_pass_minimises_any_tables():
 def test_auto_routes_an_unbudgeted_triangle_to_the_dp():
     tasks = tuple(simple_task(i, data=10**4) for i in range(1, 4))
     etfg = transform(TaskGraph(tasks=tasks, arcs=((1, 2), (1, 3), (2, 3))), PLAIN)
-    assert solver._schedule(etfg.graph) is not None
+    assert solver._compile(*solver._skeleton(etfg.graph)) is not None
     result = solve(etfg, "latency")
     assert result.stats == {"solver": "tree-dp", "treewidth": 2, "dp_states": 27 + 9 + 3}
     assert result.status is SolveStatus.OPTIMAL
@@ -330,7 +330,8 @@ def test_dp_over_the_state_limit_is_refused():
     # a 15-task clique: eliminating its first task alone needs 3^15 states
     etfg = transform(complete_dag(15), PLAIN)
     assert 3**15 > solver.DP_STATE_LIMIT
-    assert solver._schedule(etfg.graph) is None
+    assert solver._compile(*solver._skeleton(etfg.graph)) is None
+    assert solver._tree_dp(etfg, solver.Objective.LATENCY) is None
     with pytest.raises(ValueError, match="states"):
         solve_tree_dp(etfg, "latency")
     with pytest.raises(ValueError, match="states"):
@@ -577,7 +578,7 @@ def test_timed_out_gap_is_measured_against_the_relaxation_dp(objective, cap):
 def test_relaxation_dp_bounds_the_oracle():
     for seed in range(40):
         etfg, threshold = random_oracle_instance(seed)
-        schedule = solver._schedule(etfg.graph)
+        schedule = solver._compile(*solver._skeleton(etfg.graph))
         for objective, cap in [("latency", None), ("energy", None), ("energy", threshold)]:
             kernel = solver._Kernel(etfg, solver.Objective(objective), cap)
             total, _ = solver._eliminate(schedule, kernel.objective_tables())
