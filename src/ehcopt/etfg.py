@@ -11,9 +11,11 @@ pairs without a direct channel.
 split over the devices it touches (sender tx, receiver rx, relay rx+tx);
 :func:`comm_energy` is their sum.  :func:`arc_shares` walks an expanded
 graph's arcs and returns those shares per arc, memoised per data size and
-device pair; the energy-budget rows and the solvers' integer kernel read
-them from there.  The budget check of :func:`ehcopt.milp.evaluate` calls
-:func:`energy_shares` for each selected arc.
+device pair; the model's energy-budget rows read them from there.  The
+solvers' integer kernel scales each device pair's :func:`energy_shares`
+of one bit by the data sizes in integers, and the budget check of
+:func:`ehcopt.milp.evaluate` calls :func:`energy_shares` for each
+selected arc.
 """
 
 from __future__ import annotations

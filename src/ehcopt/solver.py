@@ -19,7 +19,9 @@ Three routes to a provably optimal assignment:
   per quantity, the objective and each of the kernel's rows.  Each starts
   at its root bound, per-task minima plus per-arc minima, and placing a
   task adds how far each term it settles lies above the minimum it
-  replaced.  It prunes on the first row over its budget, then on the
+  replaced.  The bounds sit side by side in one integer, so one addition
+  updates all of them and one mask test compares them all with their
+  caps.  It prunes on the first row over its budget, then on the
   objective against the incumbent.  Under a time limit a Lagrangian
   multiplier search over the same rows, on the same kernel, each pass one
   run of the elimination DP (:mod:`ehcopt.dual`), runs first and returns
@@ -55,11 +57,11 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate, chain, count, repeat
-from operator import add, gt, le, sub
+from itertools import accumulate, chain, count, product, repeat
+from operator import add, lshift, sub
 from typing import NamedTuple
 
-from .etfg import Etfg, arc_shares
+from .etfg import Etfg, energy_shares
 from .milp import Objective, ObjectiveBreakdown, check_latency_threshold, evaluate
 from .model import ROLE_INDEX, ROLES, DeviceRole, topological_order
 from .units import si_number, without_cyclic_gc
@@ -124,10 +126,7 @@ class Allocation:
 
 
 def _common_denominator(values) -> int:
-    den = 1
-    for v in values:
-        den = math.lcm(den, v.denominator)
-    return den
+    return math.lcm(*[v.denominator for v in values])
 
 
 def _as_int(value: Fraction, den: int) -> int:
@@ -446,42 +445,69 @@ class _Kernel:
 
     @without_cyclic_gc
     def __init__(self, etfg: Etfg, objective: Objective, latency_threshold: Fraction | None):
-        graph = etfg.graph
+        graph, system = etfg.graph, etfg.system
         self.skeleton = _skeleton(graph)
         order = self.skeleton[0]
         self.tasks = tasks = [graph.task(tid) for tid in order]
         self.n = len(order)
         nodes = [etfg.nodes_by_task[tid] for tid in order]  # candidates in Task.allowed order
         self.role_of = role_of = [[ROLE_INDEX[node.device] for node in row] for row in nodes]
-        groups = etfg.arcs_by_dep
-        budgets = [etfg.system.device(r) for r in ROLES]
+        groups = etfg.arcs_by_dep.values()
+        budgets = [system.device(r) for r in ROLES]
         latency = objective is Objective.LATENCY
-        # only an energy-budget row reads the shares; an arc's energy is
-        # their sum, so its denominator divides theirs and counts only
-        # when no row reads them
-        shares_by_dep = arc_shares(etfg) if any(d.energy_budget is not None for d in budgets) else None
-        distinct = {} if shares_by_dep is None else {
-            id(shares): shares for row in shares_by_dep.values() for shares in row
-        }
-        arc_energies = [] if latency else [arc.energy for group in groups.values() for arc in group]
+        metered = any(d.energy_budget is not None for d in budgets)
 
-        lat_den = _common_denominator(
-            [node.latency for row in nodes for node in row]
-            + [arc.latency for group in groups.values() for arc in group]
-            + ([] if latency_threshold is None else [latency_threshold])
+        # An arc's energy shares are its source's output size times its
+        # device pair's per-bit shares.  Only an energy-budget row reads
+        # them, so only then is each (size, pair) an arc uses a key.  Per
+        # pair, g = gcd(size numerators) / lcm(size denominators) divides
+        # every size and is an integer combination of them, so an integer
+        # makes every size times a share integral exactly when it makes g
+        # times that share integral: the least common denominator of the
+        # pair's shares is that of g times its per-bit shares.
+        per_bit = {pair: energy_shares(1, *pair, system) for pair in product(ROLES, ROLES)}
+        arc_keys = []  # per dependency, per arc: ((numerator, denominator) of the size, src, dst)
+        if metered:
+            task_map = graph.task_map
+            for (i, _), group in etfg.arcs_by_dep.items():
+                data = task_map[i].output_data
+                size = (data.numerator, data.denominator)
+                arc_keys.append([(size, arc[1], arc[3]) for arc in group])
+        shares = dict.fromkeys(chain.from_iterable(arc_keys))
+        sizes_of: dict[tuple, list] = {}  # per device pair: the sizes of the arcs that use it
+        for size, k, l in shares:
+            sizes_of.setdefault((k, l), []).append(size)
+        share_dens = []
+        for pair, sizes in sizes_of.items():
+            numerators, denominators = zip(*sizes)
+            g = Fraction(math.gcd(*numerators), math.lcm(*denominators))
+            share_dens += [(g * unit).denominator for _, unit in per_bit[pair]]
+        # arcs share their cost objects per (size, pair): each is converted once
+        arc_lat_of = {id(arc.latency): arc.latency for group in groups for arc in group}
+        # an arc's energy is the sum of its shares, so its denominator
+        # divides theirs and counts only when no row reads them
+        arc_enr_of = {} if latency else {id(arc.energy): arc.energy for group in groups for arc in group}
+
+        lat_den = math.lcm(
+            *[node.latency.denominator for row in nodes for node in row],
+            *[x.denominator for x in arc_lat_of.values()],
+            *([] if latency_threshold is None else [latency_threshold.denominator]),
         )
-        enr_den = _common_denominator(
-            [node.energy for row in nodes for node in row]
-            + [amount for shares in distinct.values() for _, amount in shares]
-            + arc_energies
-            + [d.energy_budget for d in budgets if d.energy_budget is not None]
+        enr_den = math.lcm(
+            *[node.energy.denominator for row in nodes for node in row],
+            *share_dens,
+            *[x.denominator for x in arc_enr_of.values()],
+            *[d.energy_budget.denominator for d in budgets if d.energy_budget is not None],
         )
         node_lat = [[_as_int(node.latency, lat_den) for node in row] for row in nodes]
         node_enr = [[_as_int(node.energy, enr_den) for node in row] for row in nodes]
-        arc_lat = [[_as_int(arc.latency, lat_den) for arc in group] for group in groups.values()]
-        self.arc_obj = arc_lat if latency else [
-            [_as_int(arc.energy, enr_den) for arc in group] for group in groups.values()
-        ]
+        lat_of = {key: _as_int(x, lat_den) for key, x in arc_lat_of.items()}
+        arc_lat = [[lat_of[id(arc.latency)] for arc in group] for group in groups]
+        if latency:
+            self.arc_obj = arc_lat
+        else:
+            enr_of = {key: _as_int(x, enr_den) for key, x in arc_enr_of.items()}
+            self.arc_obj = [[enr_of[id(arc.energy)] for arc in group] for group in groups]
         self.node_obj = node_lat if latency else node_enr
         self.obj_den = lat_den if latency else enr_den
 
@@ -495,15 +521,20 @@ class _Kernel:
                 if cap is not None:
                     node = [[a if role == r else 0 for role in roles] for a, roles in zip(demand, role_of)]
                     rows.append(_Row(f"{kind}_{ROLES[r].value}", node, None, _as_int(cap, den)))
-        split = {}  # per shared share tuple: its energy on each device
-        for key, shares in distinct.items():
-            split[key] = per_device = [0, 0, 0]
-            for device, amount in shares:
-                per_device[ROLE_INDEX[device]] += _as_int(amount, enr_den)
+        scaled = {  # per device pair, per share: (device, numerator * enr_den, denominator)
+            pair: [(ROLE_INDEX[device], unit.numerator * enr_den, unit.denominator) for device, unit in units]
+            for pair, units in per_bit.items()
+        }
+        for key in shares:  # its energy on each device, in units of 1 / enr_den
+            (a, b), k, l = key
+            shares[key] = per_device = [0, 0, 0]
+            for r, numerator, denominator in scaled[(k, l)]:
+                per_device[r] = a * numerator // (b * denominator)  # exact: enr_den clears the share
+        split = [[shares[key] for key in keys] for keys in arc_keys]  # per dependency, per arc
         for r, d in enumerate(budgets):
             if d.energy_budget is not None:
                 node = [[e if role == r else 0 for e, role in zip(*pair)] for pair in zip(node_enr, role_of)]
-                arc = [[split[id(shares)][r] for shares in row] for row in shares_by_dep.values()]
+                arc = [[per_device[r] for per_device in row] for row in split]
                 rows.append(_Row(f"enr_{ROLES[r].value}", node, arc, _as_int(d.energy_budget, enr_den)))
         if latency_threshold is not None:
             rows.append(_Row("lthr", node_lat, arc_lat, _as_int(latency_threshold, lat_den)))
@@ -721,64 +752,88 @@ def solve_tree_dp(etfg: Etfg, objective: Objective | str = Objective.LATENCY) ->
 # --- branch and bound -------------------------------------------------------
 
 
-def _breakable(row: _Row) -> bool:
-    """Whether some assignment breaks ``row``: its largest use exceeds its budget."""
-    most = sum(map(max, row.node))
-    return most > row.budget or row.arc is not None and most + sum(map(max, row.arc)) > row.budget
+def _largest(node, arc) -> int:
+    """The sum of the maxima of per-position tables ``node`` and, unless
+    ``arc`` is None, per-arc tables: no assignment's sum exceeds it."""
+    return sum(map(max, node)) + (0 if arc is None else sum(map(max, arc)))
 
 
 @without_cyclic_gc
 def _search_tables(kernel: _Kernel):
-    """Branch and bound's additive bounds and branching order.
+    """Branch and bound's additive bounds, packed into integers, and its
+    branching order.
 
     One running bound per quantity, each built the same way: quantity 0
     is the objective and quantity ``q > 0`` is ``rows[q - 1]``, the
-    kernel's rows that some assignment breaks (a row that none can break
-    prunes nothing).  The root is the per-task minima plus the per-arc
-    minima over all pairs (``lo``).  Placing task ``p`` on candidate
-    ``ci`` adds the vector ``step[p][ci]``: how far the candidate's cost
-    lies above the task's minimum plus, per arc out of ``p``, how far the
-    minimum of that arc's row ``ci`` (``mins[ci]``) lies above ``lo``.
-    Per arc into ``p`` from a source on candidate ``s``, each quantity
-    with arc costs adds ``table[s * width + ci] - mins[s]``.  At a leaf
-    each bound is the assignment's exact sum.  Devices are branched
-    cheapest-first, ties by canonical device order.
+    kernel's rows whose tables' maxima sum to more than their budget (a
+    row that no assignment can break prunes nothing).  The root is the
+    per-task minima plus the per-arc minima over all pairs (``lo``).
+    Placing task ``p`` on candidate ``ci`` adds ``step[p][ci]``: how far
+    the candidate's cost lies above the task's minimum plus, per arc out
+    of ``p``, how far the minimum of that arc's row ``ci`` (``mins[ci]``)
+    lies above ``lo``.  Per arc into ``p`` from a source on candidate
+    ``s``, each quantity with arc costs adds ``table[s * width + ci] -
+    mins[s]``.  At a leaf each bound is the assignment's exact sum.
+    Devices are branched cheapest-first, ties by canonical device order.
+
+    The quantities sit side by side in one integer, the "multiple byte
+    processing" of Lamport (CACM 18(8), 1975): quantity ``q`` in the
+    ``bits + 1`` bits from ``q * (bits + 1)`` up, where ``bits`` is the bit
+    length of the largest sum of table maxima, which is above every kept
+    row's budget.  Every step and arc term is at least 0 and no bound
+    exceeds its sum of maxima, so one integer addition updates every
+    quantity, no field carries into the next, and each field's top bit is
+    free for the prune test of :func:`solve_branch_and_bound`.  The root
+    and each ``step[p][ci]`` are packed integers; ``in_arcs[p]`` holds per
+    arc into ``p`` its source, ``width`` (the candidates of ``p``) and its
+    packed terms, indexed ``s * width + ci``.
     """
     n, role_of = kernel.n, kernel.role_of
-    rows = [row for row in kernel.rows if _breakable(row)]
     quantities = [(kernel.node_obj, kernel.arc_obj)]
-    quantities += [(row.node, row.arc) for row in rows]
+    largest = [_largest(kernel.node_obj, kernel.arc_obj)]
+    rows = []
+    for row in kernel.rows:
+        most = _largest(row.node, row.arc)
+        if most > row.budget:
+            rows.append(row)
+            quantities.append((row.node, row.arc))
+            largest.append(most)
+    bits = max(largest).bit_length()
+    field = bits + 1
     widths = [len(roles) for roles in role_of]
     offset = list(accumulate(widths, initial=0))  # of each position's candidates, flattened
-    root = []
+    root = 0
     steps = []  # per quantity, flat over (position, candidate)
-    for node, _ in quantities:
+    for q, (node, _) in enumerate(quantities):
         mins = list(map(min, node))
-        root.append(sum(mins))
+        root += sum(mins) << (q * field)
         each = chain.from_iterable(map(repeat, mins, widths))  # the task's minimum, once per candidate
         steps.append(list(map(sub, chain.from_iterable(node), each)))
-    with_arcs = [(q, arc, steps[q]) for q, (_, arc) in enumerate(quantities) if arc is not None]
+    with_arcs = [(q * field, arc, steps[q]) for q, (_, arc) in enumerate(quantities) if arc is not None]
     in_arcs: list[list[tuple]] = [[] for _ in range(n)]
     for a, (src, dst) in enumerate(kernel.skeleton[2]):
         width = widths[dst]
-        terms = []  # per quantity with arc costs
-        for q, arc, q_steps in with_arcs:
+        packed = None  # the objective's terms first, at shift 0
+        for shift, arc, q_steps in with_arcs:
             table = arc[a]
             mins = list(map(min, zip(*[iter(table)] * width)))  # per source candidate: its row's minimum
             lo = min(mins)
-            root[q] += lo
+            root += lo << shift
             for at, m in enumerate(mins, offset[src]):
                 q_steps[at] += m - lo
-            terms.append((q, table, mins))
-        in_arcs[dst].append((src, width, terms))
-    flat = list(zip(*steps))
+            terms = map(sub, table, chain.from_iterable(map(repeat, mins, repeat(width))))
+            packed = list(terms) if packed is None else list(map(add, packed, map(lshift, terms, repeat(shift))))
+        in_arcs[dst].append((src, width, packed))
+    flat = steps[-1]
+    for q_steps in reversed(steps[:-1]):
+        flat = list(map(add, map(lshift, flat, repeat(field)), q_steps))
     step = [flat[offset[p] : offset[p + 1]] for p in range(n)]
     node_obj = kernel.node_obj
     branch = [
         tuple(sorted(range(len(role_of[p])), key=lambda ci: (node_obj[p][ci], role_of[p][ci])))
         for p in range(n)
     ]
-    return rows, root, step, in_arcs, branch
+    return rows, bits, root, step, in_arcs, branch
 
 
 def solve_branch_and_bound(
@@ -797,8 +852,12 @@ def solve_branch_and_bound(
     placement is pruned when the first row over its budget is the
     latency cap (``pruned_by_threshold``) or another row
     (``pruned_by_budget``), else when the objective's bound exceeds the
-    incumbent (``pruned_by_bound``).  Proves optimality when the search
-    completes.  Deterministic for fixed inputs without a time limit.
+    incumbent (``pruned_by_bound``).  The sums are packed into one
+    integer per depth, so a placement is one addition per term it
+    settles and one test of the fields' top bits after adding each
+    field's distance to its cap; only a prune looks up which row it was.
+    Proves optimality when the search completes.  Deterministic for
+    fixed inputs without a time limit.
 
     Under a time limit, which counts from the solve's start, the
     Lagrangian dual search (:func:`ehcopt.dual.search`) runs once on the
@@ -836,11 +895,19 @@ def solve_branch_and_bound(
     if n == 0:
         raise ValueError("empty task graph")
     role_of = kernel.role_of
-    rows, roots, step, in_arcs, branch = _search_tables(kernel)
-    # per quantity, the bound that prunes and the count it adds to: the
-    # incumbent's value, then each row's budget
-    caps = [math.inf] + [row.budget for row in rows]
-    cause = ["bound"] + ["threshold" if row.label == "lthr" else "budget" for row in rows]
+    rows, bits, roots, step, in_arcs, branch = _search_tables(kernel)
+    # A field over its cap sets its top bit in ``bounds + offsets``: each
+    # row's offset is ``top - budget``, the objective's ``top - incumbent``
+    # once there is an incumbent and 0 before.  ``cause`` maps each row's
+    # top bit to the count its prunes add to.
+    field = bits + 1
+    top = (1 << bits) - 1  # a field's largest value
+    cause = {
+        1 << (q * field + bits): "threshold" if row.label == "lthr" else "budget" for q, row in enumerate(rows, 1)
+    }
+    row_guards = sum(cause)
+    guards = row_guards | (1 << bits)
+    row_offsets = offsets = sum([(top - row.budget) << (q * field) for q, row in enumerate(rows, 1)])
 
     choice = [-1] * n
     best_value = None
@@ -859,7 +926,7 @@ def solve_branch_and_bound(
     found = None  # the dual's result
     # not when the root already breaks a row: the search then prunes every
     # placement at once, and the dual could only delay that proof
-    if deadline is not None and all(map(le, roots[1:], caps[1:])):
+    if deadline is not None and not (roots + row_offsets) & row_guards:
         from . import dual  # only a time-limited solve needs it
 
         found = dual.search(kernel, deadline)
@@ -867,18 +934,23 @@ def solve_branch_and_bound(
     # the bound a timed-out run's gap is measured against: the additive
     # root unless the dual found a higher one; a run without a time limit
     # always ends in a proof
-    root = roots[0] if found is None else max(roots[0], found.bound)
+    root = roots & top if found is None else max(roots & top, found.bound)
     chosen = None if found is None else found.chosen
     if chosen is not None and kernel.total(kernel.node_obj, kernel.arc_obj, chosen) == found.value and all(
         kernel.total(row.node, row.arc, chosen) <= row.budget for row in kernel.rows
     ):  # adopted only once the kernel confirms what the dual claims
-        best_value = caps[0] = found.value
+        best_value = found.value
+        offsets = row_offsets + top - best_value
         best_choice, source = (id_ordered(chosen), tuple(chosen)), "dual"
 
     proven = best_value is not None and best_value <= root  # by the dual's bound
-    # frames: one per depth p, [next index into branch[p], the bounds of the tasks placed before p]
-    frames: list[list] = [] if proven else [[0, roots]]
-    while frames:
+    # per depth p: the next index into branch[p], and the packed bounds of
+    # the tasks placed before p
+    at = [0] * n
+    below = [roots] * n
+    p = -1 if proven else 0
+    last = n - 1
+    while p >= 0:
         nodes += 1
         if deadline is not None and nodes % 1024 == 0:
             if best_value is not None and best_value <= root:
@@ -887,27 +959,25 @@ def solve_branch_and_bound(
             if time.monotonic() > deadline:
                 hit_time_limit = True
                 break
-        p = len(frames) - 1
-        f = frames[-1]
-        if f[0] == len(branch[p]):
-            frames.pop()
+        k = at[p]
+        if k == len(branch[p]):
+            p -= 1
             continue
-        ci = branch[p][f[0]]
-        f[0] += 1
-        choice[p] = ci
-        bounds = list(map(add, f[1], step[p][ci]))
+        at[p] = k + 1
+        choice[p] = ci = branch[p][k]
+        bounds = below[p] + step[p][ci]
         for src, width, terms in in_arcs[p]:
-            s = choice[src]
-            for q, table, mins in terms:
-                bounds[q] += table[s * width + ci] - mins[s]
-        over = list(map(gt, bounds, caps))
-        if True in over:  # by the first row over its budget, else by the objective
-            pruned[cause[over.index(True, 1) if True in over[1:] else 0]] += 1
+            bounds += terms[choice[src] * width + ci]
+        over = (bounds + offsets) & guards
+        if over:  # by the first row over its budget, else by the objective
+            over &= row_guards
+            pruned[cause[over & -over] if over else "bound"] += 1
             continue
-        if p == n - 1:  # the bounds are now the assignment's sums
-            value = bounds[0]
+        if p == last:  # the bounds are now the assignment's sums
+            value = bounds & top
             if best_value is None or value < best_value:
-                best_value = caps[0] = value
+                best_value = value
+                offsets = row_offsets + top - value
                 best_choice = (id_ordered(choice), tuple(choice))
                 source = "search"
             elif value == best_value:
@@ -916,7 +986,9 @@ def solve_branch_and_bound(
                     best_choice = (vec, tuple(choice))
                     source = "search"
             continue
-        frames.append([0, bounds])
+        p += 1
+        at[p] = 0
+        below[p] = bounds
 
     stats = {
         "solver": "branch-and-bound",

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import operator
 import os
 import random
@@ -27,11 +28,12 @@ from conftest import (
     two_task_chain,
     uav_forest_without_budgets,
     unbudgeted_system,
+    with_direct_edge_cloud,
 )
 from ehcopt import dual, presets, solver
 from ehcopt.etfg import transform
 from ehcopt.milp import build_model, evaluate, objective_value
-from ehcopt.model import TaskGraph, make_system_model, topological_order
+from ehcopt.model import ROLES, TaskGraph, make_system_model, topological_order
 from ehcopt.solver import (
     InstanceTooLarge,
     SolveConfig,
@@ -431,16 +433,23 @@ def test_solve_front_door_picks_methods():
 
 def test_branch_and_bound_replaces_an_incumbent_on_a_tie():
     # cheapest-first branching finds (h, e) at 3 s first, then (e, e) at
-    # 3 s; the tie goes to the smaller assignment by task id, as in the oracle
+    # 3 s; the tie goes to the smaller assignment by task id, as in the
+    # oracle, also when memory rows share the packed bound with the
+    # objective: a leaf equal to the incumbent is not pruned
     tasks = (
-        simple_task(1, latency={E: 2, H: 1, C: 5}, data=20 * 10**6),
-        simple_task(2, latency={E: 1, H: 5, C: 5}),
+        simple_task(1, latency={E: 2, H: 1, C: 5}, memory=1, data=20 * 10**6),
+        simple_task(2, latency={E: 1, H: 5, C: 5}, memory=1),
     )
-    etfg = transform(TaskGraph(tasks=tasks, arcs=((1, 2),)), PLAIN)
-    bb = solve_branch_and_bound(etfg, "latency")
-    bf = solve_bruteforce(etfg, "latency")
-    assert bb.objective_value == bf.objective_value == 3
-    assert bb.assignment == bf.assignment == {1: E, 2: E}
+    devices = [make_device(E), make_device(H, memory=1), make_device(C, memory=1)]
+    budgeted = make_system_model(devices, PLAIN.channels.values())
+    for system, labels in ((PLAIN, []), (budgeted, ["mem_h", "mem_c"])):
+        etfg = transform(TaskGraph(tasks=tasks, arcs=((1, 2),)), system)
+        kernel = solver._Kernel(etfg, solver.Objective.LATENCY, None)
+        assert [row.label for row in solver._search_tables(kernel)[0]] == labels
+        bb = solve_branch_and_bound(etfg, "latency")
+        bf = solve_bruteforce(etfg, "latency")
+        assert bb.objective_value == bf.objective_value == 3
+        assert bb.assignment == bf.assignment == {1: E, 2: E}
 
 
 def test_a_latency_cap_not_above_zero_is_rejected():
@@ -832,3 +841,166 @@ def test_dual_passes_counts_every_pass(monkeypatch, objective, capped):
         assert result.stats["dual_passes"] == len(calls), f"seed {seed}"
         several += len(calls) > 1
     assert several >= 10
+
+
+# --- the packed bound ---------------------------------------------------------
+
+
+def _edge_memory_instance(budget):
+    """Tasks 1 and 2 (5/3 memory units each) prefer the edge, task 3 (1/3)
+    the cloud; the edge's memory budget is ``budget``.  The optimum without
+    it, (e, e, c), uses 10/3 of the edge's memory, and (e, e, e) uses more."""
+    tasks = (
+        simple_task(1, latency={E: 1, H: 2, C: 3}, memory=Fraction(5, 3)),
+        simple_task(2, latency={E: 1, H: 2, C: 3}, memory=Fraction(5, 3)),
+        simple_task(3, latency={E: 5, H: 5, C: 1}, memory=Fraction(1, 3)),
+    )
+    devices = [make_device(E, memory=budget), make_device(H), make_device(C)]
+    return transform(TaskGraph(tasks=tasks, arcs=()), make_system_model(devices, PLAIN.channels.values()))
+
+
+def _latency_cap_instance():
+    """A chain whose energy optimum is not its latency optimum, and that
+    optimum's total latency."""
+    first = {E: Fraction(3, 7), H: Fraction(1, 7), C: Fraction(1, 9)}
+    second = {E: Fraction(2, 7), H: Fraction(1, 5), C: Fraction(1, 11)}
+    tasks = (
+        simple_task(1, latency=first, power={E: 1, H: 3, C: 9}, data=Fraction(10**6, 3)),
+        simple_task(2, latency=second, power={E: 1, H: 4, C: 8}),
+    )
+    etfg = transform(TaskGraph(tasks=tasks, arcs=((1, 2),)), PLAIN)
+    return etfg, solve_bruteforce(etfg, "energy").breakdown.total_latency
+
+
+@pytest.mark.parametrize("over", [0, 1])
+@pytest.mark.parametrize("label", ["mem_e", "lthr"])
+def test_a_row_at_its_budget_is_not_pruned_and_one_unit_over_is(label, over):
+    """Branch and bound keeps a placement whose row use equals the row's
+    budget and prunes it once the budget is one kernel unit smaller."""
+    if label == "mem_e":
+        # the kernel's memory denominator is 3: one unit is 1/3
+        etfg, cap = _edge_memory_instance(Fraction(10, 3) - over * Fraction(1, 3)), None
+        objective, free = "latency", _edge_memory_instance(None)
+    else:
+        free, used = _latency_cap_instance()
+        objective, etfg = "energy", free
+        # one unit of the kernel's latency denominator: the cap over its integer form
+        unit = used / solver._Kernel(free, solver.Objective.ENERGY, used).rows[0].budget
+        cap = used - over * unit
+    kernel = solver._Kernel(etfg, solver.Objective(objective), cap)
+    rows = solver._search_tables(kernel)[0]
+    (row,) = [row for row in rows if row.label == label]  # some assignment breaks it
+    unconstrained = solve_bruteforce(free, objective)
+    chosen = [kernel.tasks[p].allowed.index(unconstrained.assignment[kernel.tasks[p].id]) for p in range(kernel.n)]
+    assert kernel.total(row.node, row.arc, chosen) == row.budget + over
+
+    result = solve_branch_and_bound(etfg, objective, cap)
+    oracle = solve_bruteforce(etfg, objective, cap)
+    assert (result.objective_value, result.assignment) == (oracle.objective_value, oracle.assignment)
+    assert (result.assignment == unconstrained.assignment) is (over == 0)
+
+
+@pytest.mark.parametrize("budgets, counts", [
+    (False, {"pruned_by_bound": 1, "pruned_by_budget": 0, "pruned_by_threshold": 1}),
+    (True, {"pruned_by_bound": 1, "pruned_by_budget": 1, "pruned_by_threshold": 0}),
+])
+def test_the_first_row_over_its_budget_takes_the_prune(budgets, counts):
+    """One task, branched h, c, e: h is the incumbent, c is over it, and e
+    is over it and over the latency cap and, with budgets, over the edge's
+    memory and energy budgets too.  A prune counts against the first row
+    over its budget in kernel order (budgets before the cap), and against
+    the objective only when no row is over."""
+    task = simple_task(1, latency={E: 10, H: 1, C: 2}, power={E: Fraction(3, 10), H: 1, C: 1}, memory=10)
+    devices = [make_device(E, memory=5, energy=2) if budgets else make_device(E), make_device(H), make_device(C)]
+    etfg = transform(TaskGraph(tasks=(task,), arcs=()), make_system_model(devices, PLAIN.channels.values()))
+    kernel = solver._Kernel(etfg, solver.Objective.ENERGY, Fraction(5))
+    labels = ["mem_e", "enr_e", "lthr"] if budgets else ["lthr"]
+    assert [row.label for row in solver._search_tables(kernel)[0]] == labels
+    assert solver._search_tables(kernel)[-1] == [(1, 2, 0)]  # h, c, e
+    result = solve_branch_and_bound(etfg, "energy", Fraction(5))
+    assert result.assignment == {1: H}
+    assert {key: result.stats[key] for key in counts} == counts
+    assert result.stats["nodes_explored"] == 4  # three placements and the frame's exhaustion
+
+
+# Mersenne primes: per-bit energies over them make the kernel's energy
+# denominator, and so its packed fields, hundreds of bits wide
+_LARGE_PRIMES = (2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1)
+
+
+def test_fields_wider_than_128_bits_match_the_oracle():
+    wide = 0
+    for seed in range(40):
+        generated, threshold = random_oracle_instance(seed)
+        channels = [
+            dataclasses.replace(
+                channel,
+                tx_energy=channel.tx_energy + Fraction(1, _LARGE_PRIMES[k % 4]),
+                rx_energy=channel.rx_energy + Fraction(1, _LARGE_PRIMES[(k + 1) % 4]),
+            )
+            for k, channel in enumerate(generated.system.channels.values())
+        ]
+        etfg = transform(generated.graph, make_system_model(generated.system.devices.values(), channels))
+        kernel = solver._Kernel(etfg, solver.Objective.ENERGY, threshold)
+        if etfg.graph.arcs:
+            assert solver._search_tables(kernel)[1] > 128, f"seed {seed}"
+            wide += 1
+        bb = solve_branch_and_bound(etfg, "energy", threshold)
+        bf = solve_bruteforce(etfg, "energy", threshold)
+        assert bb.status is bf.status, f"seed {seed}"
+        assert (bb.objective_value, bb.assignment) == (bf.objective_value, bf.assignment), f"seed {seed}"
+    assert wide >= 30
+
+
+def _scaled(coeffs, den, columns):
+    """Per group of model columns, their coefficients times ``den``."""
+    return [[coeffs.get(col, 0) * den for col in group] for group in columns]
+
+
+def _least_denominator(rows) -> int:
+    """The least common denominator of model rows' coefficients and right-hand sides."""
+    return math.lcm(*[x.denominator for row in rows for x in [*row.coeffs.values(), row.rhs]])
+
+
+@pytest.mark.parametrize("direct", [False, True], ids=["relayed", "direct"])
+def test_kernel_tables_are_the_models_rows_times_least_denominators(direct):
+    """With non-integer output sizes and every device's energy metered, the
+    kernel's objective and its energy and latency-cap rows are the model's
+    rows times one denominator per quantity, and that denominator is the
+    least common one of the model's coefficients and right-hand sides."""
+    rng = random.Random(20)
+    for seed in range(30):
+        generated, threshold = random_oracle_instance(seed, max_tasks=8)
+        tasks = tuple(
+            dataclasses.replace(t, output_data=t.output_data * Fraction(rng.randint(1, 99), rng.choice((3, 7, 1024))))
+            for t in generated.graph.tasks
+        )  # non-integer output sizes
+        devices = [make_device(r, energy=Fraction(rng.randint(1, 99), rng.choice((1, 3, 7)))) for r in ALL]
+        system = make_system_model(devices, generated.system.channels.values())
+        if direct:
+            system = with_direct_edge_cloud(system)
+        etfg = transform(TaskGraph(tasks=tasks, arcs=generated.graph.arcs), system)
+        for objective, cap in (("latency", None), ("energy", threshold or Fraction(8))):
+            kernel = solver._Kernel(etfg, solver.Objective(objective), cap)
+            model = build_model(etfg, objective, cap)
+            columns = [
+                [model.node_col[(tid, ROLES[r])] for r in roles]
+                for tid, roles in zip(kernel.skeleton[0], kernel.role_of)
+            ]
+            columns += [[model.arc_col[arc.key] for arc in etfg.arcs_by_dep[dep]] for dep in etfg.graph.arcs]
+            model_rows = {row.label: row for row in model.rows}
+            dens = {}
+            for row in kernel.rows:
+                expected = model_rows[row.label]
+                den = dens[row.label] = row.budget / expected.rhs
+                assert den.denominator == 1, f"seed {seed} {row.label}"
+                assert row.node + row.arc == _scaled(expected.coeffs, den, columns), f"seed {seed} {row.label}"
+            assert list(dens)[:3] == ["enr_e", "enr_h", "enr_c"], f"seed {seed}"
+            energy_den = _least_denominator([model_rows[label] for label in ("enr_e", "enr_h", "enr_c")])
+            assert dens["enr_e"] == dens["enr_h"] == dens["enr_c"] == energy_den, f"seed {seed}"
+            assert kernel.objective_tables() == _scaled(model.objective, kernel.obj_den, columns), f"seed {seed}"
+            if objective == "latency":
+                assert kernel.obj_den == math.lcm(*[x.denominator for x in model.objective.values()]), seed
+            else:
+                assert kernel.obj_den == energy_den, f"seed {seed}"
+                assert dens["lthr"] == _least_denominator([model_rows["lthr"]]), f"seed {seed}"
