@@ -9,13 +9,17 @@ pairs without a direct channel.
 
 :func:`energy_shares` is the one formula for how a transfer's energy is
 split over the devices it touches (sender tx, receiver rx, relay rx+tx);
-:func:`comm_energy` is their sum.  :func:`arc_shares` walks an expanded
-graph's arcs and returns those shares per arc, memoised per data size and
-device pair; the model's energy-budget rows read them from there.  The
-solvers' integer kernel scales each device pair's :func:`energy_shares`
-of one bit by the data sizes in integers, and the budget check of
-:func:`ehcopt.milp.evaluate` calls :func:`energy_shares` for each
-selected arc.
+:func:`comm_energy` is their sum.  Every transfer cost is linear in the
+data size, so :attr:`Etfg.per_bit` evaluates these formulas once per
+ordered device pair, for one bit.  The arc expansion, :func:`arc_shares`
+(the model's energy-budget rows) and the solvers' integer kernel scale
+that table by data sizes; :func:`ehcopt.milp.evaluate` applies the
+formulas to the data each device pair carries.
+
+:func:`transform` builds the candidate nodes only.  The arcs are
+expanded on the first read of :attr:`Etfg.arcs_by_dep` (the model
+builder and the ``transform``/``export`` outputs read them); the
+solvers' kernel and :func:`ehcopt.milp.evaluate` never do.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from pathlib import Path
 from typing import Iterator, NamedTuple
 
 from .model import (
-    ROLE_INDEX,
     ROLES,
     DeviceRole,
     SystemModel,
@@ -89,6 +92,17 @@ def comm_energy(data_bits, k: DeviceRole, l: DeviceRole, system: SystemModel) ->
     return sum((amount for _, amount in energy_shares(data_bits, k, l, system)), Fraction(0))
 
 
+class PairCost(NamedTuple):
+    """One bit sent over a device pair's route: its transfer latency and
+    energy, the energy's :func:`energy_shares`, and the relay device."""
+
+    latency: Fraction
+    energy: Fraction
+    shares: tuple[tuple[DeviceRole, Fraction], ...]
+    indirect: bool
+    via: DeviceRole | None
+
+
 class CandidateNode(NamedTuple):
     task: int
     device: DeviceRole
@@ -118,12 +132,12 @@ class EtfgArc(NamedTuple):
 
 @dataclass(frozen=True)
 class Etfg:
-    """The expanded graph plus back-references to its inputs."""
+    """The expanded graph plus back-references to its inputs.  The arcs
+    are expanded on the first read of :attr:`arcs_by_dep`."""
 
     graph: TaskGraph
     system: SystemModel
     nodes_by_task: dict[int, tuple[CandidateNode, ...]]
-    arcs_by_dep: dict[tuple[int, int], tuple[EtfgArc, ...]]
 
     @property
     def node_count(self) -> int:
@@ -131,30 +145,76 @@ class Etfg:
 
     @property
     def arc_count(self) -> int:
-        return sum(len(group) for group in self.arcs_by_dep.values())
+        """One arc per dependency and pair of its ends' candidates; counted
+        without expanding them."""
+        nodes = self.nodes_by_task
+        return sum(len(nodes[i]) * len(nodes[j]) for i, j in self.graph.arcs)
 
     def iter_nodes(self) -> Iterator[CandidateNode]:
         for task in self.graph.tasks:
             yield from self.nodes_by_task[task.id]
 
     def iter_arcs(self) -> Iterator[EtfgArc]:
+        arcs_by_dep = self.arcs_by_dep
         for dep in self.graph.arcs:
-            yield from self.arcs_by_dep[dep]
+            yield from arcs_by_dep[dep]
 
     @cached_property
     def node_map(self) -> dict[tuple[int, DeviceRole], CandidateNode]:
         return {node.key: node for node in self.iter_nodes()}
+
+    @cached_property
+    def per_bit(self) -> dict[tuple[DeviceRole, DeviceRole], PairCost]:
+        """:class:`PairCost` of every ordered device pair, in
+        ``product(ROLES, ROLES)`` order; on-device pairs cost nothing."""
+        system = self.system
+        table = {}
+        for k, l in product(ROLES, ROLES):
+            relayed, via = system.route(k, l)
+            cost = comm_latency(1, k, l, system), comm_energy(1, k, l, system), energy_shares(1, k, l, system)
+            table[(k, l)] = PairCost(*cost, bool(relayed), via)
+        return table
+
+    @cached_property
+    @without_cyclic_gc
+    def arcs_by_dep(self) -> dict[tuple[int, int], tuple[EtfgArc, ...]]:
+        """Per dependency, in ``graph.arcs`` order, one arc per (source
+        candidate, destination candidate), in that order, so downstream
+        variable numbering and serialization are reproducible.  An arc's
+        costs are its device pair's per-bit costs scaled by the source
+        task's output size, computed once per distinct size and pair."""
+        nodes_by_task, task_map, per_bit = self.nodes_by_task, self.graph.task_map, self.per_bit
+        on_device = {(k, l): (c.latency, c.energy, c.indirect, c.via) for (k, l), c in per_bit.items() if k == l}
+        scaled: dict[tuple[int, int], dict] = {}  # per data size, keyed by (num, den): Fraction hashing is costly
+        arcs_by_dep: dict[tuple[int, int], tuple[EtfgArc, ...]] = {}
+        for dep in self.graph.arcs:
+            i, j = dep
+            data = task_map[i].output_data
+            size = (data.numerator, data.denominator)
+            costs = scaled.get(size)
+            if costs is None:
+                costs = scaled[size] = dict(on_device)
+            group = []
+            for src in nodes_by_task[i]:
+                k = src.device
+                for dst in nodes_by_task[j]:
+                    pair = (k, dst.device)
+                    cost = costs.get(pair)
+                    if cost is None:
+                        unit = per_bit[pair]
+                        cost = costs[pair] = (data * unit.latency, data * unit.energy, unit.indirect, unit.via)
+                    group.append(EtfgArc(i, k, j, pair[1], *cost))
+            arcs_by_dep[dep] = tuple(group)
+        return arcs_by_dep
 
 
 @without_cyclic_gc
 def transform(graph: TaskGraph, system: SystemModel) -> Etfg:
     """Expand a validated task graph over its allowed devices.
 
-    Deterministic: candidate nodes are ordered e, h, c within each task
-    and arcs follow the (source device, destination device) order, so
-    downstream variable numbering and serialization are reproducible.
-    An arc's costs are its device pair's per-bit costs scaled by the
-    source task's output size, computed once per distinct size and pair.
+    Deterministic: candidate nodes are ordered e, h, c within each task.
+    Builds the candidate nodes only; the arcs follow on the first read of
+    :attr:`Etfg.arcs_by_dep`.
     """
     require_valid(graph)
 
@@ -165,39 +225,7 @@ def transform(graph: TaskGraph, system: SystemModel) -> Etfg:
             CandidateNode(task.id, role, latency[role], power[role], power[role] * latency[role])
             for role in task.allowed  # Task.allowed is canonically ordered
         )
-
-    # per pair: (latency per bit, energy per bit, indirect, via); on-device pairs cost nothing
-    zero = Fraction(0)
-    on_device = {(k, k): (zero, zero, False, None) for k in ROLES}
-    per_bit = {}
-    for k, l in product(ROLES, ROLES):
-        if k != l:
-            relayed, via = system.route(k, l)
-            per_bit[(k, l)] = (comm_latency(1, k, l, system), comm_energy(1, k, l, system), bool(relayed), via)
-
-    task_map = graph.task_map
-    scaled: dict[tuple[int, int], dict] = {}  # per data size, keyed by (num, den): Fraction hashing is costly
-    arcs_by_dep: dict[tuple[int, int], tuple[EtfgArc, ...]] = {}
-    for dep in graph.arcs:
-        i, j = dep
-        data = task_map[i].output_data
-        size = (data.numerator, data.denominator)
-        costs = scaled.get(size)
-        if costs is None:
-            costs = scaled[size] = dict(on_device)
-        group = []
-        for src in nodes_by_task[i]:
-            k = src.device
-            for dst in nodes_by_task[j]:
-                pair = (k, dst.device)
-                cost = costs.get(pair)
-                if cost is None:
-                    latency, energy, indirect, via = per_bit[pair]
-                    cost = costs[pair] = (data * latency, data * energy, indirect, via)
-                group.append(EtfgArc(i, k, j, pair[1], *cost))
-        arcs_by_dep[dep] = tuple(group)
-
-    return Etfg(graph=graph, system=system, nodes_by_task=nodes_by_task, arcs_by_dep=arcs_by_dep)
+    return Etfg(graph=graph, system=system, nodes_by_task=nodes_by_task)
 
 
 def arc_shares(etfg: Etfg) -> dict[tuple[int, int], tuple[tuple, ...]]:
@@ -207,7 +235,7 @@ def arc_shares(etfg: Etfg) -> dict[tuple[int, int], tuple[tuple, ...]]:
     sizes.  Computed on each call and not kept on the graph: holding the
     shares for the graph's lifetime costs memory and collector time."""
     # shares are linear in the data size: scale the per-bit shares of each pair
-    per_bit = {(k, l): energy_shares(1, k, l, etfg.system) for k in ROLE_INDEX for l in ROLE_INDEX}
+    per_bit = {pair: cost.shares for pair, cost in etfg.per_bit.items()}
     memo: dict[tuple[int, int], dict] = {}  # keyed by (num, den): Fraction hashing is costly
     out = {}
     for dep, group in etfg.arcs_by_dep.items():

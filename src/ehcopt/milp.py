@@ -21,6 +21,7 @@ Row families, in emission order:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -304,56 +305,75 @@ class ObjectiveBreakdown:
         }
 
 
+def _exact_sum(values: list[Fraction]) -> Fraction:
+    """The exact sum of Fractions, added as integers over their least
+    common denominator."""
+    if len(values) < 2:
+        return values[0] if values else ZERO
+    dens = [value.denominator for value in values]
+    den = math.lcm(*dens)
+    return Fraction(sum([value.numerator * (den // d) for value, d in zip(values, dens)]), den)
+
+
 def evaluate(
     etfg: Etfg,
     assignment: Mapping[int, DeviceRole],
     latency_threshold: Fraction | None = None,
 ) -> ObjectiveBreakdown:
     """Totals, per-device/per-channel attribution and budget checks for a
-    complete task->device assignment."""
-    graph, system = etfg.graph, etfg.system
+    complete task->device assignment.
+
+    Transfer costs are linear in the data size, so the data each device
+    pair carries is summed first.  Each channel then takes ``data /
+    bandwidth`` and ``data * (tx + rx)`` of the data routed over it, and
+    each pair's devices take :func:`~ehcopt.etfg.energy_shares` of the
+    pair's sum.  The sums are exact, so the breakdown is the sum over the
+    selected arcs, and node costs are likewise summed per device.
+    """
+    graph, system, nodes_by_task = etfg.graph, etfg.system, etfg.nodes_by_task
     chosen: dict[int, DeviceRole] = {}
+    placed: dict[DeviceRole, list] = {r: [] for r in ROLES}  # per device: (task, candidate node)
     for task in graph.tasks:
         try:
             device = assignment[task.id]
         except KeyError:
             raise ValueError(f"assignment missing task {task.id}") from None
         device = DeviceRole(device)
-        if device not in task.allowed:
-            raise ValueError(f"task {task.id} may not run on device {device.value}")
+        try:
+            node = nodes_by_task[task.id][task.allowed.index(device)]
+        except ValueError:
+            raise ValueError(f"task {task.id} may not run on device {device.value}") from None
         chosen[task.id] = device
+        placed[device].append((task, node))
+    comp_latency = {r: _exact_sum([node.latency for _, node in placed[r]]) for r in ROLES}
+    comp_energy_by = {r: _exact_sum([node.energy for _, node in placed[r]]) for r in ROLES}
+    memory_use = {r: _exact_sum([task.memory for task, _ in placed[r]]) for r in ROLES}
+    storage_use = {r: _exact_sum([task.storage for task, _ in placed[r]]) for r in ROLES}
 
-    comp_latency = {r: ZERO for r in ROLES}
-    comp_energy_by = {r: ZERO for r in ROLES}
-    device_energy = {r: ZERO for r in ROLES}
-    memory_use = {r: ZERO for r in ROLES}
-    storage_use = {r: ZERO for r in ROLES}
-    comm_latency_by = {pair: ZERO for pair in system.channels}
-    comm_energy_by = {pair: ZERO for pair in system.channels}
-
-    for task in graph.tasks:
-        node = etfg.node_map[(task.id, chosen[task.id])]
-        comp_latency[node.device] += node.latency
-        comp_energy_by[node.device] += node.energy
-        device_energy[node.device] += node.energy
-        memory_use[node.device] += task.memory
-        storage_use[node.device] += task.storage
-
+    sent: dict[tuple[DeviceRole, DeviceRole], list] = {}  # per device pair k != l: the data sizes
+    task_map = graph.task_map
     for (i, j) in graph.arcs:
-        k, l = chosen[i], chosen[j]
-        if k == l:
-            continue
-        data = graph.task(i).output_data
+        pair = (chosen[i], chosen[j])
+        if pair[0] != pair[1]:
+            sent.setdefault(pair, []).append(task_map[i].output_data)
+    carried = {hop: [] for hop in system.channels}  # per channel: the data of each pair routed over it
+    spent = {r: [comp_energy_by[r]] for r in ROLES}  # per device: execution, tx, rx and relay energy
+    for (k, l), sizes in sent.items():
+        data = _exact_sum(sizes)
         relayed, via = system.route(k, l)
         for hop in ((k, via), (via, l)) if relayed else ((k, l),):
-            ch = system.channel(*hop)
-            comm_latency_by[hop] += data / ch.bandwidth
-            comm_energy_by[hop] += data * (ch.tx_energy + ch.rx_energy)
-        for part_device, amount in energy_shares(data, k, l, system):
-            device_energy[part_device] += amount
+            carried[hop].append(data)
+        for device, amount in energy_shares(data, k, l, system):
+            spent[device].append(amount)
+    comm_latency_by, comm_energy_by = {}, {}
+    for hop, amounts in carried.items():
+        ch, data = system.channel(*hop), _exact_sum(amounts)
+        comm_latency_by[hop] = data / ch.bandwidth
+        comm_energy_by[hop] = data * (ch.tx_energy + ch.rx_energy)
+    device_energy = {r: _exact_sum(spent[r]) for r in ROLES}
 
-    total_latency = sum(comp_latency.values(), ZERO) + sum(comm_latency_by.values(), ZERO)
-    total_energy = sum(comp_energy_by.values(), ZERO) + sum(comm_energy_by.values(), ZERO)
+    total_latency = _exact_sum([*comp_latency.values(), *comm_latency_by.values()])
+    total_energy = _exact_sum([*comp_energy_by.values(), *comm_energy_by.values()])
 
     violations = []
     for role in ROLES:

@@ -57,11 +57,11 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate, chain, count, product, repeat
+from itertools import accumulate, chain, count, repeat
 from operator import add, lshift, sub
 from typing import NamedTuple
 
-from .etfg import Etfg, energy_shares
+from .etfg import Etfg
 from .milp import Objective, ObjectiveBreakdown, check_latency_threshold, evaluate
 from .model import ROLE_INDEX, ROLES, DeviceRole, topological_order
 from .units import si_number, without_cyclic_gc
@@ -441,6 +441,11 @@ class _Kernel:
     and storage each have one fixed denominator, shared by their budgets
     and the latency cap; the objective is latency or energy on that
     quantity's denominator, ``obj_den``.
+
+    The kernel reads the expanded graph's candidate nodes and its one-bit
+    pair costs (``Etfg.per_bit``), never its arcs: an arc's costs are the
+    source's output size times its device pair's one-bit costs, computed
+    in integers once per distinct size and pair.
     """
 
     @without_cyclic_gc
@@ -452,64 +457,86 @@ class _Kernel:
         self.n = len(order)
         nodes = [etfg.nodes_by_task[tid] for tid in order]  # candidates in Task.allowed order
         self.role_of = role_of = [[ROLE_INDEX[node.device] for node in row] for row in nodes]
-        groups = etfg.arcs_by_dep.values()
         budgets = [system.device(r) for r in ROLES]
         latency = objective is Objective.LATENCY
-        metered = any(d.energy_budget is not None for d in budgets)
+        metered = [r for r, d in enumerate(budgets) if d.energy_budget is not None]
 
-        # An arc's energy shares are its source's output size times its
-        # device pair's per-bit shares.  Only an energy-budget row reads
-        # them, so only then is each (size, pair) an arc uses a key.  Per
-        # pair, g = gcd(size numerators) / lcm(size denominators) divides
-        # every size and is an integer combination of them, so an integer
-        # makes every size times a share integral exactly when it makes g
-        # times that share integral: the least common denominator of the
-        # pair's shares is that of g times its per-bit shares.
-        per_bit = {pair: energy_shares(1, *pair, system) for pair in product(ROLES, ROLES)}
-        arc_keys = []  # per dependency, per arc: ((numerator, denominator) of the size, src, dst)
-        if metered:
-            task_map = graph.task_map
-            for (i, _), group in etfg.arcs_by_dep.items():
-                data = task_map[i].output_data
-                size = (data.numerator, data.denominator)
-                arc_keys.append([(size, arc[1], arc[3]) for arc in group])
-        shares = dict.fromkeys(chain.from_iterable(arc_keys))
-        sizes_of: dict[tuple, list] = {}  # per device pair: the sizes of the arcs that use it
-        for size, k, l in shares:
-            sizes_of.setdefault((k, l), []).append(size)
-        share_dens = []
-        for pair, sizes in sizes_of.items():
-            numerators, denominators = zip(*sizes)
-            g = Fraction(math.gcd(*numerators), math.lcm(*denominators))
-            share_dens += [(g * unit).denominator for _, unit in per_bit[pair]]
-        # arcs share their cost objects per (size, pair): each is converted once
-        arc_lat_of = {id(arc.latency): arc.latency for group in groups for arc in group}
-        # an arc's energy is the sum of its shares, so its denominator
-        # divides theirs and counts only when no row reads them
-        arc_enr_of = {} if latency else {id(arc.energy): arc.energy for group in groups for arc in group}
+        # A transfer's costs are its source's output size times its device
+        # pair's one-bit costs (``Etfg.per_bit``, pair k -> l numbered
+        # k * 3 + l).  Dependencies with the same size and the same
+        # candidates at both ends have the same tables, so each table is
+        # built once per (size numerator, size denominator, candidates).
+        # Per pair, g = gcd(size numerators) / lcm(size denominators) over
+        # the sizes that use it divides every such size and is an integer
+        # combination of them, so an integer makes every size times a
+        # one-bit cost integral exactly when it makes g times that cost
+        # integral: the least common denominator of the pair's costs is
+        # that of g times its one-bit cost.
+        candidates = [tuple(roles) for roles in role_of]
+        sizes = [(t.output_data.numerator, t.output_data.denominator) for t in tasks]
+        keys = [(*sizes[s], candidates[s], candidates[d]) for s, d in self.skeleton[2]]
+        distinct = dict.fromkeys(keys)
+        cells = {}  # per candidates at both ends: the table's device pairs, in table order
+        used = {}  # per size: the device pairs of its dependencies' tables
+        for a, b, src, dst in distinct:
+            pairs = cells.get((src, dst))
+            if pairs is None:
+                pairs = cells[src, dst] = [k * 3 + l for k in src for l in dst]
+            used.setdefault((a, b), set()).update(pairs)
+        gcd_num, lcm_den = [0] * 9, [1] * 9
+        for (a, b), pairs in used.items():
+            for p in pairs:
+                gcd_num[p] = math.gcd(gcd_num[p], a)
+                lcm_den[p] = math.lcm(lcm_den[p], b)
 
-        lat_den = math.lcm(
-            *[node.latency.denominator for row in nodes for node in row],
-            *[x.denominator for x in arc_lat_of.values()],
-            *([] if latency_threshold is None else [latency_threshold.denominator]),
-        )
-        enr_den = math.lcm(
-            *[node.energy.denominator for row in nodes for node in row],
-            *share_dens,
-            *[x.denominator for x in arc_enr_of.values()],
-            *[d.energy_budget.denominator for d in budgets if d.energy_budget is not None],
-        )
-        node_lat = [[_as_int(node.latency, lat_den) for node in row] for row in nodes]
-        node_enr = [[_as_int(node.energy, enr_den) for node in row] for row in nodes]
-        lat_of = {key: _as_int(x, lat_den) for key, x in arc_lat_of.items()}
-        arc_lat = [[lat_of[id(arc.latency)] for arc in group] for group in groups]
+        def least(values) -> list[int]:
+            """Per pair: the least common denominator of its sizes times its one-bit value."""
+            return [
+                m * v.denominator // math.gcd(g * v.numerator, m * v.denominator)
+                for g, m, v in zip(gcd_num, lcm_den, values)
+            ]
+
+        def tables(values, den: int) -> list[list[int]]:
+            """Per dependency, its flat table of size times one-bit value, in units of 1 / den."""
+            scale = [(v.numerator * den, v.denominator) for v in values]
+            at_size = {}
+            for (a, b), pairs in used.items():
+                at_size[a, b] = row = [0] * 9
+                for p in pairs:
+                    c, d = scale[p]
+                    row[p] = a * c // (b * d)  # exact: den clears the size times the value
+            table = {}
+            for key in distinct:
+                row = at_size[key[:2]]
+                table[key] = [row[p] for p in cells[key[2:]]]
+            return [table[key] for key in keys]
+
+        units = list(etfg.per_bit.values())  # in product(ROLES, ROLES) order
+        unit_lat = [unit.latency for unit in units]
+        unit_enr = [unit.energy for unit in units]
+        unit_share = [[dict(unit.shares).get(role, Fraction(0)) for unit in units] for role in ROLES]
+
+        if latency or latency_threshold is not None:
+            lat_den = math.lcm(
+                *[node.latency.denominator for row in nodes for node in row],
+                *least(unit_lat),
+                *([] if latency_threshold is None else [latency_threshold.denominator]),
+            )
+            node_lat = [[_as_int(node.latency, lat_den) for node in row] for row in nodes]
+            arc_lat = tables(unit_lat, lat_den)
+        if not latency or metered:
+            # an arc's energy is the sum of its shares, so its denominator
+            # divides theirs and counts only when no row reads them
+            enr_den = math.lcm(
+                *[node.energy.denominator for row in nodes for node in row],
+                *(chain.from_iterable(map(least, unit_share)) if metered else least(unit_enr)),
+                *[d.energy_budget.denominator for d in budgets if d.energy_budget is not None],
+            )
+            node_enr = [[_as_int(node.energy, enr_den) for node in row] for row in nodes]
         if latency:
-            self.arc_obj = arc_lat
+            self.node_obj, self.arc_obj, self.obj_den = node_lat, arc_lat, lat_den
         else:
-            enr_of = {key: _as_int(x, enr_den) for key, x in arc_enr_of.items()}
-            self.arc_obj = [[enr_of[id(arc.energy)] for arc in group] for group in groups]
-        self.node_obj = node_lat if latency else node_enr
-        self.obj_den = lat_den if latency else enr_den
+            self.node_obj, self.arc_obj, self.obj_den = node_enr, tables(unit_enr, enr_den), enr_den
 
         self.rows = rows = []
         for kind, quantity in (("mem", "memory"), ("sto", "storage")):
@@ -521,21 +548,10 @@ class _Kernel:
                 if cap is not None:
                     node = [[a if role == r else 0 for role in roles] for a, roles in zip(demand, role_of)]
                     rows.append(_Row(f"{kind}_{ROLES[r].value}", node, None, _as_int(cap, den)))
-        scaled = {  # per device pair, per share: (device, numerator * enr_den, denominator)
-            pair: [(ROLE_INDEX[device], unit.numerator * enr_den, unit.denominator) for device, unit in units]
-            for pair, units in per_bit.items()
-        }
-        for key in shares:  # its energy on each device, in units of 1 / enr_den
-            (a, b), k, l = key
-            shares[key] = per_device = [0, 0, 0]
-            for r, numerator, denominator in scaled[(k, l)]:
-                per_device[r] = a * numerator // (b * denominator)  # exact: enr_den clears the share
-        split = [[shares[key] for key in keys] for keys in arc_keys]  # per dependency, per arc
-        for r, d in enumerate(budgets):
-            if d.energy_budget is not None:
-                node = [[e if role == r else 0 for e, role in zip(*pair)] for pair in zip(node_enr, role_of)]
-                arc = [[per_device[r] for per_device in row] for row in split]
-                rows.append(_Row(f"enr_{ROLES[r].value}", node, arc, _as_int(d.energy_budget, enr_den)))
+        for r in metered:
+            node = [[e if role == r else 0 for e, role in zip(*pair)] for pair in zip(node_enr, role_of)]
+            budget = _as_int(budgets[r].energy_budget, enr_den)
+            rows.append(_Row(f"enr_{ROLES[r].value}", node, tables(unit_share[r], enr_den), budget))
         if latency_threshold is not None:
             rows.append(_Row("lthr", node_lat, arc_lat, _as_int(latency_threshold, lat_den)))
 

@@ -6,9 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ALL, C, E, H, simple_task, two_task_chain, unbudgeted_system
+from conftest import (
+    ALL,
+    C,
+    E,
+    H,
+    random_oracle_instance,
+    simple_task,
+    two_task_chain,
+    uav_forest_without_budgets,
+    unbudgeted_system,
+    with_direct_edge_cloud,
+)
 from ehcopt import presets
+from ehcopt.analysis import run_baselines
 from ehcopt.etfg import (
+    EtfgArc,
     comm_energy,
     comm_latency,
     comp_energy,
@@ -18,7 +31,9 @@ from ehcopt.etfg import (
     transform,
 )
 from ehcopt.generator import STRUCTURES, GenSpec, default_param_spec, generate_tfg, synthesize_params
+from ehcopt.milp import Objective, build_model, evaluate
 from ehcopt.model import GraphValidationError, TaskGraph, validate_task_graph
+from ehcopt.solver import SolveConfig, _Kernel, solve
 
 SYSTEM = unbudgeted_system("run1")
 
@@ -244,3 +259,72 @@ def test_json_export_fields():
     relayed = [a for a in data["arcs"] if a["indirect"]]
     assert all(a["via"] == "h" for a in relayed)
     assert all(set(n) >= {"task", "device", "latency", "power", "energy"} for n in data["nodes"])
+
+
+def _eager_arcs(etfg):
+    """Every arc as the expansion defines it, built in full: per dependency
+    in ``graph.arcs`` order, one arc per (source candidate, destination
+    candidate), costed by the public formulas."""
+    graph, system = etfg.graph, etfg.system
+    arcs = {}
+    for i, j in graph.arcs:
+        bits = graph.task(i).output_data
+        group = []
+        for src in etfg.nodes_by_task[i]:
+            for dst in etfg.nodes_by_task[j]:
+                k, l = src.device, dst.device
+                relayed, via = system.route(k, l)
+                cost = comm_latency(bits, k, l, system), comm_energy(bits, k, l, system)
+                group.append(EtfgArc(i, k, j, l, *cost, bool(relayed), via))
+        arcs[(i, j)] = tuple(group)
+    return arcs
+
+
+def _lazy_instances():
+    """Fresh expansions: the bundled app on every system, random budgeted
+    instances with non-integer output sizes, relayed and direct, and an
+    unbudgeted forest (the DP's route)."""
+    yield from (
+        (presets.example_inspection_tfg(), presets.system_model(config, profile), presets.DEFAULT_LATENCY_THRESHOLD)
+        for config in ("C1", "C2", "C3")
+        for profile in ("run1", "run2")
+    )
+    for seed in range(6):
+        generated, threshold = random_oracle_instance(seed, max_tasks=7)
+        tasks = tuple(dataclasses.replace(t, output_data=t.output_data / 7) for t in generated.graph.tasks)
+        system = with_direct_edge_cloud(generated.system) if seed % 2 else generated.system
+        yield TaskGraph(tasks=tasks, arcs=generated.graph.arcs), system, threshold
+    forest = uav_forest_without_budgets()
+    yield forest.graph, forest.system, None
+
+
+def test_solves_baselines_kernels_and_counts_never_expand_the_arcs():
+    for graph, system, threshold in _lazy_instances():
+        etfg = transform(graph, system)
+        assignment = {t.id: t.allowed[-1] for t in graph.tasks}
+        for method in ("auto", "bnb"):
+            for config in (None, SolveConfig(time_limit=5)):
+                solve(etfg, "latency", None, config, method=method)
+                solve(etfg, "energy", threshold, config, method=method)
+        run_baselines(etfg, "latency", threshold)
+        run_baselines(etfg, "energy", threshold)
+        _Kernel(etfg, Objective.ENERGY, threshold)
+        evaluate(etfg, assignment, threshold)
+        counts = etfg.node_count, etfg.arc_count
+        assert "arcs_by_dep" not in etfg.__dict__
+        assert counts[1] == sum(map(len, etfg.arcs_by_dep.values())) == len(list(etfg.iter_arcs()))
+
+
+def test_the_arcs_on_first_read_are_the_eager_expansion():
+    for graph, system, threshold in _lazy_instances():
+        for first_read in ("build_model", "iter_arcs"):
+            etfg = transform(graph, system)
+            if first_read == "build_model":
+                build_model(etfg, "energy", threshold)
+            else:
+                next(etfg.iter_arcs(), None)
+            assert "arcs_by_dep" in etfg.__dict__
+            eager = _eager_arcs(etfg)
+            assert list(etfg.arcs_by_dep) == list(eager) == list(graph.arcs)
+            assert list(etfg.arcs_by_dep.values()) == list(eager.values())
+            assert list(etfg.iter_arcs()) == [arc for group in eager.values() for arc in group]

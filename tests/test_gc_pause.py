@@ -62,12 +62,14 @@ def test_the_wrapped_builders_leave_no_cyclic_garbage():
     gc.disable()
     try:
         etfg = transform(task_graph_from_dict(document), system)
+        arcs = etfg.arcs_by_dep  # the lazy expansion, outside build_model
+        assert len(arcs) == len(graph.arcs)
         model = build_model(etfg, Objective.ENERGY, cap)
         kinds = {row.label.split("_")[0] for row in model.rows}
         assert {"enr", "lthr"} <= kinds  # every row builder ran
         exports = model_to_mps(model), model_to_lp(model)
         tables = _Kernel(etfg, Objective.ENERGY, cap)
-        del etfg, model, exports, tables
+        del etfg, arcs, model, exports, tables
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import random
 from fractions import Fraction
 
@@ -18,15 +20,16 @@ from conftest import (
     with_direct_edge_cloud,
 )
 from ehcopt import presets
-from ehcopt.etfg import arc_shares, transform
+from ehcopt.etfg import arc_shares, energy_shares, transform
 from ehcopt.milp import (
     Objective,
+    ObjectiveBreakdown,
     build_model,
     evaluate,
     model_stats,
     objective_value,
 )
-from ehcopt.model import TaskGraph, make_system_model
+from ehcopt.model import ROLES, TaskGraph, make_system_model
 
 C1 = presets.system_model("C1", "run1")
 
@@ -177,6 +180,88 @@ def test_evaluate_totals_are_the_selected_nodes_and_arcs():
             relayed += sum(a.indirect for a in chosen)
             direct += sum(not a.indirect and {a.src_device, a.dst_device} == {E, C} for a in chosen)
     assert relayed > 0 and direct > 0
+
+
+def _evaluate_per_arc(etfg, assignment, latency_threshold):
+    """The breakdown summed arc by arc: each selected arc adds its hops'
+    latency and energy to their channels and its energy shares to their
+    devices, each task adds its node to its device."""
+    graph, system = etfg.graph, etfg.system
+    zero = Fraction(0)
+    comp_latency, comp_energy, device_energy, memory, storage = ({r: zero for r in ROLES} for _ in range(5))
+    comm_latency, comm_energy = ({pair: zero for pair in system.channels} for _ in range(2))
+    for task in graph.tasks:
+        node = etfg.node_map[(task.id, assignment[task.id])]
+        comp_latency[node.device] += node.latency
+        comp_energy[node.device] += node.energy
+        device_energy[node.device] += node.energy
+        memory[node.device] += task.memory
+        storage[node.device] += task.storage
+    for i, j in graph.arcs:
+        k, l = assignment[i], assignment[j]
+        if k == l:
+            continue
+        data = graph.task(i).output_data
+        relayed, via = system.route(k, l)
+        for hop in ((k, via), (via, l)) if relayed else ((k, l),):
+            ch = system.channel(*hop)
+            comm_latency[hop] += data / ch.bandwidth
+            comm_energy[hop] += data * (ch.tx_energy + ch.rx_energy)
+        for device, amount in energy_shares(data, k, l, system):
+            device_energy[device] += amount
+    total_latency = sum(comp_latency.values(), zero) + sum(comm_latency.values(), zero)
+    violations = []
+    for role in ROLES:
+        dev = system.device(role)
+        for use, budget, kind in (
+            (memory, dev.memory_budget, "memory"),
+            (storage, dev.storage_budget, "storage"),
+            (device_energy, dev.energy_budget, "energy"),
+        ):
+            if budget is not None and use[role] > budget:
+                violations.append(f"{kind} budget exceeded on {role.value}")
+    return ObjectiveBreakdown(
+        assignment=dict(assignment),
+        total_latency=total_latency,
+        total_energy=sum(comp_energy.values(), zero) + sum(comm_energy.values(), zero),
+        comp_latency=comp_latency,
+        comm_latency=comm_latency,
+        comp_energy=comp_energy,
+        comm_energy=comm_energy,
+        device_energy=device_energy,
+        memory_use=memory,
+        storage_use=storage,
+        violations=tuple(violations),
+        latency_ok=None if latency_threshold is None else total_latency <= latency_threshold,
+    )
+
+
+@pytest.mark.parametrize("direct", [False, True], ids=["relayed", "direct"])
+def test_evaluate_equals_the_per_arc_sums(direct):
+    """evaluate sums the data per device pair before costing it; with
+    non-integer output sizes, metered devices and a latency cap, its
+    breakdown is the per-arc one, to the last bit and in the same order."""
+    rng = random.Random(21)
+    crossed = feasible = infeasible = 0
+    for seed in range(40):
+        generated, threshold = random_oracle_instance(seed, max_tasks=9)
+        tasks = tuple(
+            dataclasses.replace(t, output_data=t.output_data * Fraction(rng.randint(1, 99), rng.choice((3, 7, 1024))))
+            for t in generated.graph.tasks
+        )
+        system = with_direct_edge_cloud(generated.system) if direct else generated.system
+        etfg = transform(TaskGraph(tasks=tasks, arcs=generated.graph.arcs), system)
+        cap = threshold or Fraction(1)
+        for _ in range(6):
+            assignment = {t.id: rng.choice(t.allowed) for t in tasks}
+            expected = _evaluate_per_arc(etfg, assignment, cap)
+            breakdown = evaluate(etfg, assignment, cap)
+            assert breakdown == expected, f"seed {seed}"
+            assert json.dumps(breakdown.to_dict()) == json.dumps(expected.to_dict()), f"seed {seed}"
+            crossed += sum(assignment[i] != assignment[j] for i, j in etfg.graph.arcs)
+            feasible += breakdown.feasible
+            infeasible += not breakdown.feasible
+    assert crossed > 100 and feasible > 0 and infeasible > 0
 
 
 def test_energy_budget_row_requires_finite_budget():
