@@ -240,9 +240,13 @@ def _add_common(parser, tfg=True):
     )
 
 
-def _add_solver_flags(parser):
+def _add_model_flags(parser):
     parser.add_argument("--objective", choices=["latency", "energy"], default="latency")
     parser.add_argument("--lthr", default=None, help="latency threshold, e.g. 8000ms (energy objective)")
+
+
+def _add_solver_flags(parser):
+    _add_model_flags(parser)
     parser.add_argument("--time-limit", type=float, default=None, help="solver wall-time limit in seconds")
 
 
@@ -286,16 +290,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="write the allocation model as MPS/LP")
     _add_common(p)
-    p.add_argument("--objective", choices=["latency", "energy"], default="latency")
-    p.add_argument("--lthr", default=None)
+    _add_model_flags(p)
     p.add_argument("--format", choices=["mps", "lp", "both"], default="both")
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("stats", help="model size statistics")
     _add_common(p)
-    p.add_argument("--objective", choices=["latency", "energy"], default="latency")
-    p.add_argument("--lthr", default=None)
+    _add_model_flags(p)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_stats)
 

@@ -3,18 +3,17 @@
 Every task becomes one candidate node per device it may run on, and every
 dependency becomes one arc per device pair.  Candidate nodes carry the
 profiled execution latency/power and the derived energy (power x time);
-arcs carry the transfer latency and energy for the device pair, which are
-zero on the same device and routed through the intermediate device for
-pairs without a direct channel.
+arcs carry the transfer latency and energy for the device pair and the
+energy's per-device shares, which are zero on the same device and routed
+through the intermediate device for pairs without a direct channel.
 
 :func:`energy_shares` is the one formula for how a transfer's energy is
 split over the devices it touches (sender tx, receiver rx, relay rx+tx);
 :func:`comm_energy` is their sum.  Every transfer cost is linear in the
 data size, so :attr:`Etfg.per_bit` evaluates these formulas once per
-ordered device pair, for one bit.  The arc expansion, :func:`arc_shares`
-(the model's energy-budget rows) and the solvers' integer kernel scale
-that table by data sizes; :func:`ehcopt.milp.evaluate` applies the
-formulas to the data each device pair carries.
+ordered device pair, for one bit, and nothing else calls them: the arc
+expansion, the solvers' integer kernel and :func:`ehcopt.milp.evaluate`
+scale that table by data sizes.
 
 :func:`transform` builds the candidate nodes only.  The arcs are
 expanded on the first read of :attr:`Etfg.arcs_by_dep` (the model
@@ -94,13 +93,17 @@ def comm_energy(data_bits, k: DeviceRole, l: DeviceRole, system: SystemModel) ->
 
 class PairCost(NamedTuple):
     """One bit sent over a device pair's route: its transfer latency and
-    energy, the energy's :func:`energy_shares`, and the relay device."""
+    energy, the energy's :func:`energy_shares`, and the relay device
+    (``None`` on-device and over a direct channel)."""
 
     latency: Fraction
     energy: Fraction
     shares: tuple[tuple[DeviceRole, Fraction], ...]
-    indirect: bool
     via: DeviceRole | None
+
+    @property
+    def indirect(self) -> bool:
+        return self.via is not None
 
 
 class CandidateNode(NamedTuple):
@@ -116,14 +119,21 @@ class CandidateNode(NamedTuple):
 
 
 class EtfgArc(NamedTuple):
+    """One dependency's transfer between two candidates: its device pair's
+    :class:`PairCost` scaled by the source task's output size."""
+
     src_task: int
     src_device: DeviceRole
     dst_task: int
     dst_device: DeviceRole
     latency: Fraction  # transfer seconds
     energy: Fraction  # transfer joules
-    indirect: bool
-    via: DeviceRole | None
+    shares: tuple[tuple[DeviceRole, Fraction], ...]  # energy per device: tx, rx, relay rx+tx
+    via: DeviceRole | None  # the relay device, when routed through one
+
+    @property
+    def indirect(self) -> bool:
+        return self.via is not None
 
     @property
     def key(self) -> tuple[int, DeviceRole, int, DeviceRole]:
@@ -166,13 +176,15 @@ class Etfg:
     @cached_property
     def per_bit(self) -> dict[tuple[DeviceRole, DeviceRole], PairCost]:
         """:class:`PairCost` of every ordered device pair, in
-        ``product(ROLES, ROLES)`` order; on-device pairs cost nothing."""
+        ``product(ROLES, ROLES)`` order; on-device pairs cost nothing.
+        The only caller of the transfer formulas and of
+        :meth:`SystemModel.route`; the exhaustive oracle keeps its own
+        extraction."""
         system = self.system
         table = {}
         for k, l in product(ROLES, ROLES):
-            relayed, via = system.route(k, l)
             cost = comm_latency(1, k, l, system), comm_energy(1, k, l, system), energy_shares(1, k, l, system)
-            table[(k, l)] = PairCost(*cost, bool(relayed), via)
+            table[(k, l)] = PairCost(*cost, system.route(k, l)[1])
         return table
 
     @cached_property
@@ -181,10 +193,11 @@ class Etfg:
         """Per dependency, in ``graph.arcs`` order, one arc per (source
         candidate, destination candidate), in that order, so downstream
         variable numbering and serialization are reproducible.  An arc's
-        costs are its device pair's per-bit costs scaled by the source
-        task's output size, computed once per distinct size and pair."""
+        costs and energy shares are its device pair's per-bit ones scaled
+        by the source task's output size, computed once per distinct size
+        and pair and shared by the arcs that repeat them."""
         nodes_by_task, task_map, per_bit = self.nodes_by_task, self.graph.task_map, self.per_bit
-        on_device = {(k, l): (c.latency, c.energy, c.indirect, c.via) for (k, l), c in per_bit.items() if k == l}
+        on_device = {pair: cost for pair, cost in per_bit.items() if pair[0] == pair[1]}
         scaled: dict[tuple[int, int], dict] = {}  # per data size, keyed by (num, den): Fraction hashing is costly
         arcs_by_dep: dict[tuple[int, int], tuple[EtfgArc, ...]] = {}
         for dep in self.graph.arcs:
@@ -202,7 +215,8 @@ class Etfg:
                     cost = costs.get(pair)
                     if cost is None:
                         unit = per_bit[pair]
-                        cost = costs[pair] = (data * unit.latency, data * unit.energy, unit.indirect, unit.via)
+                        shares = tuple([(device, data * amount) for device, amount in unit.shares])
+                        cost = costs[pair] = (data * unit.latency, data * unit.energy, shares, unit.via)
                     group.append(EtfgArc(i, k, j, pair[1], *cost))
             arcs_by_dep[dep] = tuple(group)
         return arcs_by_dep
@@ -226,30 +240,6 @@ def transform(graph: TaskGraph, system: SystemModel) -> Etfg:
             for role in task.allowed  # Task.allowed is canonically ordered
         )
     return Etfg(graph=graph, system=system, nodes_by_task=nodes_by_task)
-
-
-def arc_shares(etfg: Etfg) -> dict[tuple[int, int], tuple[tuple, ...]]:
-    """:func:`energy_shares` of every expanded arc: per dependency, one
-    entry per arc of ``arcs_by_dep[dep]``, in that order.  Entries are
-    shared per (data size, device pair), since tasks often repeat output
-    sizes.  Computed on each call and not kept on the graph: holding the
-    shares for the graph's lifetime costs memory and collector time."""
-    # shares are linear in the data size: scale the per-bit shares of each pair
-    per_bit = {pair: cost.shares for pair, cost in etfg.per_bit.items()}
-    memo: dict[tuple[int, int], dict] = {}  # keyed by (num, den): Fraction hashing is costly
-    out = {}
-    for dep, group in etfg.arcs_by_dep.items():
-        data = etfg.graph.task(dep[0]).output_data
-        by_pair = memo.setdefault((data.numerator, data.denominator), {})
-        row = []
-        for arc in group:
-            pair = (arc[1], arc[3])
-            shares = by_pair.get(pair)
-            if shares is None:
-                shares = by_pair[pair] = tuple([(d, data * unit) for d, unit in per_bit[pair]])
-            row.append(shares)
-        out[dep] = tuple(row)
-    return out
 
 
 def etfg_to_dict(etfg: Etfg) -> dict:

@@ -27,7 +27,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
-from .etfg import Etfg, arc_shares, energy_shares
+from .etfg import Etfg
 from .model import ROLES, DeviceRole
 from .units import si_number, without_cyclic_gc
 
@@ -107,26 +107,21 @@ def _column_costs(nodes, arcs, latency: bool) -> dict[int, Fraction]:
     return {col: cost for col, cost in enumerate(costs) if cost}
 
 
-def _energy_coeffs(etfg: Etfg, devices) -> dict[DeviceRole, dict[int, Fraction]]:
+def _energy_coeffs(nodes, arcs, devices) -> dict[DeviceRole, dict[int, Fraction]]:
     """Energy-budget coefficients of each given device over the canonical
     columns: execution energy of its candidate nodes plus its share of
     every transfer it sends, receives, or relays."""
     coeffs: dict[DeviceRole, dict[int, Fraction]] = {d: {} for d in devices}
-    col = 0
-    for node in etfg.iter_nodes():
+    for col, node in enumerate(nodes):
         row = coeffs.get(node.device)
         if row is not None and node.energy:
             row[col] = node.energy
-        col += 1
-    shares_by_dep = arc_shares(etfg)
-    for dep in etfg.graph.arcs:
-        for shares in shares_by_dep[dep]:
-            # a transfer touches each device at most once, so plain assignment is safe
-            for device, amount in shares:
-                row = coeffs.get(device)
-                if row is not None and amount:
-                    row[col] = amount
-            col += 1
+    for col, arc in enumerate(arcs, len(nodes)):
+        # a transfer touches each device at most once, so plain assignment is safe
+        for device, amount in arc.shares:
+            row = coeffs.get(device)
+            if row is not None and amount:
+                row[col] = amount
     return coeffs
 
 
@@ -180,7 +175,7 @@ def build_model(
     minus_one = -ONE
     char = {role: role.value for role in ROLES}
     col = arc_base
-    for src_task, src_device, dst_task, dst_device, _l, _e, _ind, _via in arcs_list:
+    for src_task, src_device, dst_task, dst_device, _l, _e, _shares, _via in arcs_list:
         a = col
         col += 1
         s = node_col[(src_task, src_device)]
@@ -203,7 +198,7 @@ def build_model(
             append(ConstraintRow(f"{family}_{role.value}", coeffs, "L", budget))
     energy_roles = [r for r in ROLES if system.device(r).energy_budget is not None]
     if energy_roles:
-        coeffs_by_role = _energy_coeffs(etfg, energy_roles)
+        coeffs_by_role = _energy_coeffs(nodes_list, arcs_list, energy_roles)
         for role in energy_roles:
             budget = system.device(role).energy_budget
             append(ConstraintRow(f"enr_{role.value}", coeffs_by_role[role], "L", budget))
@@ -324,11 +319,12 @@ def evaluate(
     complete task->device assignment.
 
     Transfer costs are linear in the data size, so the data each device
-    pair carries is summed first.  Each channel then takes ``data /
-    bandwidth`` and ``data * (tx + rx)`` of the data routed over it, and
-    each pair's devices take :func:`~ehcopt.etfg.energy_shares` of the
-    pair's sum.  The sums are exact, so the breakdown is the sum over the
-    selected arcs, and node costs are likewise summed per device.
+    pair carries is summed first.  Each channel then takes the data
+    routed over it times its one-bit latency and energy, and each pair's
+    devices take the data times their one-bit shares, all read from
+    :attr:`~ehcopt.etfg.Etfg.per_bit`.  The sums are exact, so the
+    breakdown is the sum over the selected arcs, and node costs are
+    likewise summed per device.
     """
     graph, system, nodes_by_task = etfg.graph, etfg.system, etfg.nodes_by_task
     chosen: dict[int, DeviceRole] = {}
@@ -356,20 +352,21 @@ def evaluate(
         pair = (chosen[i], chosen[j])
         if pair[0] != pair[1]:
             sent.setdefault(pair, []).append(task_map[i].output_data)
+    per_bit = etfg.per_bit
     carried = {hop: [] for hop in system.channels}  # per channel: the data of each pair routed over it
     spent = {r: [comp_energy_by[r]] for r in ROLES}  # per device: execution, tx, rx and relay energy
     for (k, l), sizes in sent.items():
         data = _exact_sum(sizes)
-        relayed, via = system.route(k, l)
-        for hop in ((k, via), (via, l)) if relayed else ((k, l),):
+        unit = per_bit[(k, l)]
+        for hop in ((k, unit.via), (unit.via, l)) if unit.indirect else ((k, l),):
             carried[hop].append(data)
-        for device, amount in energy_shares(data, k, l, system):
-            spent[device].append(amount)
+        for device, amount in unit.shares:
+            spent[device].append(data * amount)
     comm_latency_by, comm_energy_by = {}, {}
     for hop, amounts in carried.items():
-        ch, data = system.channel(*hop), _exact_sum(amounts)
-        comm_latency_by[hop] = data / ch.bandwidth
-        comm_energy_by[hop] = data * (ch.tx_energy + ch.rx_energy)
+        unit, data = per_bit[hop], _exact_sum(amounts)
+        comm_latency_by[hop] = data * unit.latency
+        comm_energy_by[hop] = data * unit.energy
     device_energy = {r: _exact_sum(spent[r]) for r in ROLES}
 
     total_latency = _exact_sum([*comp_latency.values(), *comm_latency_by.values()])

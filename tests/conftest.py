@@ -68,6 +68,13 @@ def with_direct_edge_cloud(system: SystemModel) -> SystemModel:
     return make_system_model(system.devices.values(), [*system.channels.values(), *direct])
 
 
+def with_cloud_relay(system: SystemModel) -> SystemModel:
+    """``system`` with e<->h relayed through the cloud: its e<->h channels
+    give way to the direct e<->c ones of :func:`with_direct_edge_cloud`."""
+    channels = [ch for pair, ch in with_direct_edge_cloud(system).channels.items() if set(pair) != {E, H}]
+    return make_system_model(system.devices.values(), channels, relay={(E, H): C, (H, E): C})
+
+
 def two_task_chain(allowed_first=ALL, allowed_second=ALL, data=10**6) -> TaskGraph:
     # profiles picked so every device is distinct but unremarkable
     lat1 = {r: Fraction(12, 100) * (i + 1) for i, r in enumerate(allowed_first)}

@@ -6,7 +6,7 @@ import pytest
 from conftest import complete_dag, serial_200_graph, uav_forest_without_budgets, unbudgeted_system
 import ehcopt.model
 from ehcopt import presets
-from ehcopt.cli import main
+from ehcopt.cli import build_parser, main
 from ehcopt.generator import default_param_spec
 from ehcopt.model import (
     save_system_model,
@@ -399,6 +399,23 @@ def test_lthr_with_the_latency_objective_exits_2(example_tfg, tmp_path, capsys):
     # baseline keeps it: the cap applies to its energy-optimal case O_E
     assert main(["baseline", example_tfg, "--objective", "latency", "--lthr", "100ms",
                  "--out", str(tmp_path / "b")]) == 0
+
+
+def test_every_model_command_declares_the_same_model_flags():
+    # export and stats used to declare --objective and --lthr by hand, without help
+    (commands,) = [action for action in build_parser()._actions if action.dest == "command"]
+
+    def model_flags(command):
+        return [
+            (action.option_strings, action.choices, action.default, action.help)
+            for action in commands.choices[command]._actions
+            if action.dest in ("objective", "lthr", "time_limit")
+        ]
+
+    solve = model_flags("solve")
+    assert [flags for flags, *_ in solve] == [["--objective"], ["--lthr"], ["--time-limit"]]
+    assert model_flags("baseline") == solve
+    assert model_flags("export") == model_flags("stats") == solve[:2]  # neither has a time limit to honour
 
 
 _PARAMS = default_param_spec("C1").to_dict()

@@ -228,7 +228,9 @@ def test_expansion_matches_the_public_formulas(family, n, seed, config, sizes, d
         relayed, via = system.route(k, l)
         assert arc.latency == comm_latency(bits, k, l, system)
         assert arc.energy == comm_energy(bits, k, l, system)
+        assert arc.shares == energy_shares(bits, k, l, system)
         assert (arc.indirect, arc.via) == (bool(relayed), via)
+        assert arc.indirect == (arc.via is not None)
     # every task may run anywhere, so edge->cloud arcs are relayed through the hub
     assert any(arc.indirect for arc in etfg.iter_arcs()) == bool(graph.arcs)
 
@@ -273,9 +275,8 @@ def _eager_arcs(etfg):
         for src in etfg.nodes_by_task[i]:
             for dst in etfg.nodes_by_task[j]:
                 k, l = src.device, dst.device
-                relayed, via = system.route(k, l)
                 cost = comm_latency(bits, k, l, system), comm_energy(bits, k, l, system)
-                group.append(EtfgArc(i, k, j, l, *cost, bool(relayed), via))
+                group.append(EtfgArc(i, k, j, l, *cost, energy_shares(bits, k, l, system), system.route(k, l)[1]))
         arcs[(i, j)] = tuple(group)
     return arcs
 

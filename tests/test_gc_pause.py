@@ -1,11 +1,13 @@
 """The model builders run with the cyclic garbage collector paused."""
 
 import gc
+import importlib
+import math
 from fractions import Fraction
 
 import pytest
 
-from ehcopt import presets
+from ehcopt import dual, presets, solver
 from ehcopt.etfg import transform
 from ehcopt.generator import GenSpec, default_param_spec, generate_tfg, synthesize_params
 from ehcopt.milp import Objective, build_model
@@ -73,3 +75,51 @@ def test_the_wrapped_builders_leave_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# each builder, and a callee it calls itself, outside any other builder
+_CALLEES = {
+    "task_graph_from_dict": "ehcopt.model._check_schema",
+    "transform": "ehcopt.etfg.require_valid",
+    "Etfg.arcs_by_dep": "ehcopt.etfg.EtfgArc",
+    "build_model": "ehcopt.milp._column_maps",
+    "model_to_mps": "ehcopt.mps._mps_sections",
+    "model_to_lp": "ehcopt.mps._lp_sections",
+    "_Kernel.__init__": "ehcopt.solver._skeleton",
+    "_search_tables": "ehcopt.solver._largest",
+    "dual.search": "ehcopt.dual._compile",
+}
+
+
+@pytest.mark.parametrize("builder", list(_CALLEES))
+def test_each_builder_runs_with_the_collector_paused(builder, monkeypatch):
+    system = presets.system_model("C1", "run1")
+    document = task_graph_to_dict(presets.example_inspection_tfg())
+    cap = presets.DEFAULT_LATENCY_THRESHOLD
+    expanded = transform(task_graph_from_dict(document), system)
+    bilp = build_model(expanded, Objective.ENERGY, cap)
+    kernel = _Kernel(expanded, Objective.ENERGY, cap)
+    unexpanded = transform(expanded.graph, system)
+    call = {
+        "task_graph_from_dict": lambda: task_graph_from_dict(document),
+        "transform": lambda: transform(expanded.graph, system),
+        "Etfg.arcs_by_dep": lambda: unexpanded.arcs_by_dep,
+        "build_model": lambda: build_model(expanded, Objective.ENERGY, cap),
+        "model_to_mps": lambda: model_to_mps(bilp),
+        "model_to_lp": lambda: model_to_lp(bilp),
+        "_Kernel.__init__": lambda: _Kernel(expanded, Objective.ENERGY, cap),
+        "_search_tables": lambda: solver._search_tables(kernel),
+        "dual.search": lambda: dual.search(kernel, math.inf),
+    }[builder]
+    module, name = _CALLEES[builder].rsplit(".", 1)
+    callee, states = getattr(importlib.import_module(module), name), []
+
+    def recorded(*args, **kwargs):
+        states.append(gc.isenabled())
+        return callee(*args, **kwargs)
+
+    monkeypatch.setattr(_CALLEES[builder], recorded)
+    assert gc.isenabled()
+    call()
+    assert states and not any(states), f"{builder} ran with the collector enabled"
+    assert gc.isenabled()

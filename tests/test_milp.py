@@ -17,10 +17,11 @@ from conftest import (
     simple_task,
     two_task_chain,
     unbudgeted_system,
+    with_cloud_relay,
     with_direct_edge_cloud,
 )
 from ehcopt import presets
-from ehcopt.etfg import arc_shares, energy_shares, transform
+from ehcopt.etfg import energy_shares, transform
 from ehcopt.milp import (
     Objective,
     ObjectiveBreakdown,
@@ -134,26 +135,26 @@ def test_arc_shares_match_arc_energy_rows_and_evaluate(seed, pick):
     budgeted = make_system_model(
         [make_device(r, energy=Fraction(1)) for r in ALL], generated.system.channels.values()
     )
-    etfg = transform(generated.graph, budgeted)
-    shares_by_dep = arc_shares(etfg)
-    assert list(shares_by_dep) == list(etfg.graph.arcs)
-    for dep, group in etfg.arcs_by_dep.items():
-        assert len(shares_by_dep[dep]) == len(group)
-        for arc, shares in zip(group, shares_by_dep[dep]):
-            assert sum(amount for _, amount in shares) == arc.energy
-            devices = [device for device, _ in shares]
-            assert len(set(devices)) == len(devices)
-
-    model = build_model(etfg, "latency")
-    rows = {d: next(r for r in model.rows if r.label == f"enr_{d.value}") for d in ALL}
     rng = random.Random(pick)
-    for _ in range(5):
-        assignment = {t.id: rng.choice(t.allowed) for t in etfg.graph.tasks}
-        selected = [model.node_col[(t, d)] for t, d in assignment.items()]
-        selected += [model.arc_col[(i, assignment[i], j, assignment[j])] for i, j in etfg.graph.arcs]
-        breakdown = evaluate(etfg, assignment)
-        for d in ALL:
-            assert sum(rows[d].coeffs.get(col, 0) for col in selected) == breakdown.device_energy[d]
+    # relayed through the hub, and e<->h relayed through the cloud
+    for system in (budgeted, with_cloud_relay(budgeted)):
+        etfg = transform(generated.graph, system)
+        for arc in etfg.iter_arcs():
+            assert sum(amount for _, amount in arc.shares) == arc.energy
+            devices = [device for device, _ in arc.shares]
+            assert len(set(devices)) == len(devices)
+            ends = () if arc.src_device == arc.dst_device else (arc.src_device, arc.via, arc.dst_device)
+            assert devices == [device for device in ends if device is not None]
+
+        model = build_model(etfg, "latency")
+        rows = {d: next(r for r in model.rows if r.label == f"enr_{d.value}") for d in ALL}
+        for _ in range(5):
+            assignment = {t.id: rng.choice(t.allowed) for t in etfg.graph.tasks}
+            selected = [model.node_col[(t, d)] for t, d in assignment.items()]
+            selected += [model.arc_col[(i, assignment[i], j, assignment[j])] for i, j in etfg.graph.arcs]
+            breakdown = evaluate(etfg, assignment)
+            for d in ALL:
+                assert sum(rows[d].coeffs.get(col, 0) for col in selected) == breakdown.device_energy[d]
 
 
 def test_evaluate_totals_are_the_selected_nodes_and_arcs():
@@ -236,8 +237,10 @@ def _evaluate_per_arc(etfg, assignment, latency_threshold):
     )
 
 
-@pytest.mark.parametrize("direct", [False, True], ids=["relayed", "direct"])
-def test_evaluate_equals_the_per_arc_sums(direct):
+@pytest.mark.parametrize(
+    "route", [lambda system: system, with_direct_edge_cloud, with_cloud_relay], ids=["relayed", "direct", "cloud-relay"]
+)
+def test_evaluate_equals_the_per_arc_sums(route):
     """evaluate sums the data per device pair before costing it; with
     non-integer output sizes, metered devices and a latency cap, its
     breakdown is the per-arc one, to the last bit and in the same order."""
@@ -249,8 +252,7 @@ def test_evaluate_equals_the_per_arc_sums(direct):
             dataclasses.replace(t, output_data=t.output_data * Fraction(rng.randint(1, 99), rng.choice((3, 7, 1024))))
             for t in generated.graph.tasks
         )
-        system = with_direct_edge_cloud(generated.system) if direct else generated.system
-        etfg = transform(TaskGraph(tasks=tasks, arcs=generated.graph.arcs), system)
+        etfg = transform(TaskGraph(tasks=tasks, arcs=generated.graph.arcs), route(generated.system))
         cap = threshold or Fraction(1)
         for _ in range(6):
             assignment = {t.id: rng.choice(t.allowed) for t in tasks}

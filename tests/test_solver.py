@@ -28,6 +28,7 @@ from conftest import (
     two_task_chain,
     uav_forest_without_budgets,
     unbudgeted_system,
+    with_cloud_relay,
     with_direct_edge_cloud,
 )
 from ehcopt import dual, presets, solver
@@ -357,6 +358,27 @@ def test_oracle_equivalence_sample(objective):
         if bf.status is SolveStatus.OPTIMAL:
             assert bf.objective_value == bb.objective_value, f"seed {seed}"
             assert bf.assignment == bb.assignment, f"seed {seed}"
+
+
+def test_solves_match_the_oracle_when_the_cloud_relays():
+    """On systems that relay e<->h through the cloud, every solve route
+    agrees with exhaustive enumeration, which reads the system's channels
+    and relays itself."""
+    through_cloud = 0
+    for seed in range(6):
+        generated, threshold = random_oracle_instance(seed, max_tasks=7)
+        etfg = transform(generated.graph, with_cloud_relay(generated.system))
+        for objective, thr in (("latency", None), ("energy", threshold)):
+            bf = solve_bruteforce(etfg, objective, thr)
+            for method in ("auto", "bnb"):
+                got = solve(etfg, objective, thr, method=method)
+                assert got.status == bf.status, f"seed {seed} {objective} {method}"
+                if bf.status is SolveStatus.OPTIMAL:
+                    assert (got.objective_value, got.assignment) == (bf.objective_value, bf.assignment), f"seed {seed}"
+            if bf.status is SolveStatus.OPTIMAL:
+                a = bf.assignment
+                through_cloud += any({a[i], a[j]} == {E, H} for i, j in etfg.graph.arcs)
+    assert through_cloud > 0
 
 
 def _additive_root(etfg, objective):
