@@ -24,13 +24,9 @@ from .model import (
     make_system_model,
     task_graph_from_dict,
 )
-from .units import parse_quantity
+from .units import parse_optional, parse_quantity
 
 E, H, C = DeviceRole.EDGE, DeviceRole.HUB, DeviceRole.CLOUD
-
-
-def _q(text: str, dimension: str) -> Fraction:
-    return parse_quantity(text, dimension)
 
 
 # budgets per device; cloud has no energy cap. idle/max power are synthetic.
@@ -113,11 +109,11 @@ def device(key: str) -> Device:
     return Device(
         role=spec["role"],
         name=spec["name"],
-        memory_budget=_q(spec["memory"], "memory"),
-        storage_budget=_q(spec["storage"], "memory"),
-        energy_budget=None if spec["energy"] is None else _q(spec["energy"], "energy"),
-        idle_power=_q(spec["idle"], "power"),
-        max_power=_q(spec["max"], "power"),
+        memory_budget=parse_quantity(spec["memory"], "memory"),
+        storage_budget=parse_quantity(spec["storage"], "memory"),
+        energy_budget=parse_optional(spec["energy"], "energy"),
+        idle_power=parse_quantity(spec["idle"], "power"),
+        max_power=parse_quantity(spec["max"], "power"),
     )
 
 
@@ -130,9 +126,9 @@ def channels(profile: str = "run1") -> list[Channel]:
         Channel(
             src=k,
             dst=l,
-            bandwidth=_q(bw, "bandwidth"),
-            tx_energy=_q(tx, "energy_per_bit"),
-            rx_energy=_q(rx, "energy_per_bit"),
+            bandwidth=parse_quantity(bw, "bandwidth"),
+            tx_energy=parse_quantity(tx, "energy_per_bit"),
+            rx_energy=parse_quantity(rx, "energy_per_bit"),
         )
         for (k, l), (bw, tx, rx) in table.items()
     ]

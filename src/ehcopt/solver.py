@@ -32,10 +32,14 @@ Three routes to a provably optimal assignment:
 The two fast solvers read one integer kernel, :class:`_Kernel`: the
 expanded graph's objective costs and its side constraints, each budget
 and the latency cap as one linear row (:class:`_Row`), rescaled exactly
-to integers once per (graph, objective, cap).  Branch and bound derives
-its bounds from it, and the dual penalises its rows.  The oracle does not
-read it, so that a fault in the kernel shows up as a disagreement with
-the oracle.
+to integers once per (graph, objective, cap).  :func:`solve` is the one
+front door: it validates the request, starts the time-limit clock, builds
+the kernel once and picks the route, the DP when the kernel has no rows
+and its schedule fits ``DP_STATE_LIMIT``, else branch and bound on the
+same kernel; the per-method functions are :func:`solve` with a fixed
+method.  Branch and bound derives its bounds from the kernel, and the
+dual penalises its rows.  The oracle does not read it, so that a fault in
+the kernel shows up as a disagreement with the oracle.
 
 All arithmetic runs on integers after exact rescaling of the rational
 inputs, so equal objective values compare equal regardless of the path
@@ -103,10 +107,6 @@ class Allocation:
     breakdown: ObjectiveBreakdown | None
     gap: float | None = None
     stats: dict = field(default_factory=dict)
-
-    @property
-    def optimal(self) -> bool:
-        return self.status is SolveStatus.OPTIMAL
 
     def to_dict(self) -> dict:
         return {
@@ -440,7 +440,8 @@ class _Kernel:
     cap, numbered as :meth:`objective_tables` numbers the costs.  Latency, energy, memory
     and storage each have one fixed denominator, shared by their budgets
     and the latency cap; the objective is latency or energy on that
-    quantity's denominator, ``obj_den``.
+    quantity's denominator, ``obj_den``.  ``objective`` and
+    ``latency_threshold`` record the request it was built for.
 
     The kernel reads the expanded graph's candidate nodes and its one-bit
     pair costs (``Etfg.per_bit``), never its arcs: an arc's costs are the
@@ -451,6 +452,7 @@ class _Kernel:
     @without_cyclic_gc
     def __init__(self, etfg: Etfg, objective: Objective, latency_threshold: Fraction | None):
         graph, system = etfg.graph, etfg.system
+        self.objective, self.latency_threshold = objective, latency_threshold
         self.skeleton = _skeleton(graph)
         order = self.skeleton[0]
         self.tasks = tasks = [graph.task(tid) for tid in order]
@@ -724,28 +726,23 @@ def _eliminate(schedule: _Schedule, tables) -> tuple[int, list[int]]:
     return total, chosen
 
 
-def _tree_dp(etfg: Etfg, objective: Objective) -> Allocation | None:
+def _tree_dp(etfg: Etfg, kernel: _Kernel) -> Allocation | None:
     """The DP's allocation: one pass of the kernel skeleton's schedule over
     the kernel's costs, or None when it needs more than ``DP_STATE_LIMIT``
     states."""
-    kernel = _Kernel(etfg, objective, None)
     schedule = _compile(*kernel.skeleton)
     if schedule is None:
         return None
     total, chosen = _eliminate(schedule, kernel.objective_tables())
     stats = {"solver": "tree-dp", "treewidth": schedule.width, "dp_states": schedule.states}
     assignment, value = kernel.assignment(chosen), Fraction(total, kernel.obj_den)
-    return _finish(etfg, objective, assignment, value, None, stats, SolveStatus.OPTIMAL)
-
-
-def _has_budgets(etfg: Etfg) -> bool:
-    devices = [etfg.system.device(role) for role in ROLES]
-    return any(b is not None for d in devices for b in (d.memory_budget, d.storage_budget, d.energy_budget))
+    return _finish(etfg, kernel.objective, assignment, value, None, stats, SolveStatus.OPTIMAL)
 
 
 def solve_tree_dp(etfg: Etfg, objective: Objective | str = Objective.LATENCY) -> Allocation:
     """Exact dynamic program over a tree decomposition of the dependency
-    skeleton, for instances without budgets.
+    skeleton, for instances without budgets: :func:`solve` with
+    ``method="tree-dp"``.
 
     Without budgets the cost is a sum of per-task and per-dependency
     terms, so eliminating tasks along a min-fill order is exact.  Raises
@@ -756,13 +753,7 @@ def solve_tree_dp(etfg: Etfg, objective: Objective | str = Objective.LATENCY) ->
     eliminated after it; on a forest that is each tree rooted at its
     smallest task id.
     """
-    objective = Objective(objective)
-    if _has_budgets(etfg):
-        raise ValueError("tree DP requires all device budgets to be unbounded")
-    allocation = _tree_dp(etfg, objective)
-    if allocation is None:
-        raise ValueError(f"tree DP needs more than {DP_STATE_LIMIT} states here; use bnb")
-    return allocation
+    return solve(etfg, objective, method="tree-dp")
 
 
 # --- branch and bound -------------------------------------------------------
@@ -899,14 +890,16 @@ def solve_branch_and_bound(
     optimum breaks),
     ``incumbent_source`` (``dual`` or ``search``) and ``dual_s`` (the
     dual's share of ``wall_time_s``).  A solve without a time limit never
-    runs the dual.
+    runs the dual.  This is :func:`solve` with ``method="bnb"``.
     """
-    objective = Objective(objective)
-    check_latency_threshold(objective, latency_threshold)
-    config = config or SolveConfig()
-    started = time.monotonic()
-    deadline = None if config.time_limit is None else started + config.time_limit
-    kernel = _Kernel(etfg, objective, latency_threshold)
+    return solve(etfg, objective, latency_threshold, config, method="bnb")
+
+
+def _branch_and_bound(etfg: Etfg, kernel: _Kernel, started: float, deadline: float | None) -> Allocation:
+    """:func:`solve_branch_and_bound` over a built kernel: ``tables_s``
+    counts from ``started``, and the dual and the search stop at
+    ``deadline`` (both :func:`time.monotonic` readings; no deadline, no
+    time limit)."""
     n = kernel.n
     if n == 0:
         raise ValueError("empty task graph")
@@ -943,7 +936,7 @@ def solve_branch_and_bound(
     # not when the root already breaks a row: the search then prunes every
     # placement at once, and the dual could only delay that proof
     if deadline is not None and not (roots + row_offsets) & row_guards:
-        from . import dual  # only a time-limited solve needs it
+        from . import dual  # here, not at the top: dual imports the DP from this module
 
         found = dual.search(kernel, deadline)
     dual_ended = time.monotonic()
@@ -1041,7 +1034,7 @@ def solve_branch_and_bound(
         stats["gap"] = gap
     assignment = None if best_choice is None else kernel.assignment(best_choice[1])
     value = None if best_value is None else Fraction(best_value, kernel.obj_den)
-    return _finish(etfg, objective, assignment, value, latency_threshold, stats, status, gap)
+    return _finish(etfg, kernel.objective, assignment, value, kernel.latency_threshold, stats, status, gap)
 
 
 def solve(
@@ -1051,14 +1044,19 @@ def solve(
     config: SolveConfig | None = None,
     method: str = "auto",
 ) -> Allocation:
-    """Front door: pick a solver (``auto`` takes the elimination DP when
-    no device has a budget, and branch and bound when one has or when the
-    DP route returns None, its state count being over ``DP_STATE_LIMIT``).
+    """Front door: validate the request, start the clock, build the one
+    :class:`_Kernel` and pick a solver.  ``auto`` takes the elimination
+    DP when the kernel has no rows (no device has a budget and there is
+    no latency cap), and branch and bound on the same kernel when it has
+    rows or when the DP route returns None, its state count being over
+    ``DP_STATE_LIMIT``.  :func:`solve_tree_dp` and
+    :func:`solve_branch_and_bound` are this function with a fixed method;
+    ``bruteforce`` runs the oracle, which never reads the kernel.
 
     A time limit bounds branch and bound only, counted from the solve's
-    start, so its table build and the Lagrangian dual search that runs
-    before the search are inside it (see :func:`solve_branch_and_bound`).
-    ``auto`` still takes the
+    start, so the kernel build, the search-table build and the Lagrangian
+    dual search that runs before the search are inside it (see
+    :func:`solve_branch_and_bound`).  ``auto`` still takes the
     DP under a time limit, since its work is bounded by
     ``DP_STATE_LIMIT`` and it always finishes; a forced ``bruteforce`` or
     ``tree-dp`` with a time limit raises ValueError instead of ignoring it,
@@ -1067,23 +1065,26 @@ def solve(
     """
     objective = Objective(objective)
     check_latency_threshold(objective, latency_threshold)
-    time_limited = config is not None and config.time_limit is not None
-    if method == "auto":
-        if latency_threshold is None and not _has_budgets(etfg):
-            allocation = _tree_dp(etfg, objective)
-            if allocation is not None:
-                return allocation
-        method = "bnb"
+    time_limit = None if config is None else config.time_limit
     if method == "bruteforce":
-        if time_limited:
+        if time_limit is not None:
             raise ValueError("brute force cannot honour a time limit; use bnb")
         return solve_bruteforce(etfg, objective, latency_threshold)
     if method == "tree-dp":
         if latency_threshold is not None:
             raise ValueError("tree DP cannot honour a latency threshold; use bnb or bruteforce")
-        if time_limited:
+        if time_limit is not None:
             raise ValueError("tree DP cannot honour a time limit; use bnb or auto")
-        return solve_tree_dp(etfg, objective)
-    if method == "bnb":
-        return solve_branch_and_bound(etfg, objective, latency_threshold, config)
-    raise ValueError(f"unknown solver method {method!r}")
+    elif method not in ("auto", "bnb"):
+        raise ValueError(f"unknown solver method {method!r}")
+    started = time.monotonic()
+    kernel = _Kernel(etfg, objective, latency_threshold)
+    if method == "tree-dp" and kernel.rows:
+        raise ValueError("tree DP requires all device budgets to be unbounded")
+    if method != "bnb" and not kernel.rows:
+        allocation = _tree_dp(etfg, kernel)
+        if allocation is not None:
+            return allocation
+        if method == "tree-dp":
+            raise ValueError(f"tree DP needs more than {DP_STATE_LIMIT} states here; use bnb")
+    return _branch_and_bound(etfg, kernel, started, None if time_limit is None else started + time_limit)

@@ -334,7 +334,7 @@ def test_dp_over_the_state_limit_is_refused():
     etfg = transform(complete_dag(15), PLAIN)
     assert 3**15 > solver.DP_STATE_LIMIT
     assert solver._compile(*solver._skeleton(etfg.graph)) is None
-    assert solver._tree_dp(etfg, solver.Objective.LATENCY) is None
+    assert solver._tree_dp(etfg, solver._Kernel(etfg, solver.Objective.LATENCY, None)) is None
     with pytest.raises(ValueError, match="states"):
         solve_tree_dp(etfg, "latency")
     with pytest.raises(ValueError, match="states"):
@@ -497,6 +497,37 @@ def test_a_latency_cap_under_the_latency_objective_is_rejected(example_app):
 def test_solve_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(time_limit=0)
+
+
+def test_every_route_builds_one_kernel(monkeypatch):
+    # an unbudgeted graph over the DP's state limit used to build a second
+    # kernel when auto fell back to branch and bound
+    build = solver._Kernel.__init__
+    built = []
+
+    def counted_build(self, *args):
+        built.append(args)
+        build(self, *args)
+
+    monkeypatch.setattr(solver._Kernel, "__init__", counted_build)
+    budgeted, cap = random_oracle_instance(1)
+    free = uav_forest_without_budgets()
+    clique = transform(complete_dag(15), PLAIN)
+    routes = [
+        (lambda: solve(budgeted, "energy", cap), "branch-and-bound"),
+        (lambda: solve(free, "latency"), "tree-dp"),
+        (lambda: solve(clique, "latency"), "branch-and-bound"),
+        (lambda: solve(budgeted, "latency", method="bnb"), "branch-and-bound"),
+        (lambda: solve(budgeted, "latency", None, SolveConfig(time_limit=5), method="bnb"), "branch-and-bound"),
+        (lambda: solve(free, "energy", method="tree-dp"), "tree-dp"),
+    ]
+    for run, route in routes:
+        built.clear()
+        assert run().stats["solver"] == route
+        assert len(built) == 1
+    built.clear()
+    assert solve(budgeted, "latency", method="bruteforce").stats["solver"] == "bruteforce"
+    assert built == []
 
 
 def test_nan_time_limit_is_rejected():
