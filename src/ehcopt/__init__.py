@@ -29,9 +29,7 @@ from .solver import (
     SolveConfig,
     SolveStatus,
     solve,
-    solve_branch_and_bound,
     solve_bruteforce,
-    solve_tree_dp,
 )
 
 __version__ = "0.1.0"
@@ -57,9 +55,7 @@ __all__ = [
     "save_system_model",
     "save_task_graph",
     "solve",
-    "solve_branch_and_bound",
     "solve_bruteforce",
-    "solve_tree_dp",
     "transform",
     "validate_task_graph",
 ]

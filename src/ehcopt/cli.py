@@ -265,7 +265,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="compute an optimal allocation")
     _add_common(p)
     _add_solver_flags(p)
-    p.add_argument("--solver", choices=["auto", "bruteforce", "tree-dp", "bnb"], default="auto")
+    p.add_argument(
+        "--solver",
+        choices=["auto", "bruteforce", "bnb"],
+        default="auto",
+        help="auto: the elimination DP without budgets or a cap, else branch and bound; "
+        "bnb: always branch and bound; "
+        "bruteforce: enumerate every assignment (small graphs, no time limit)",
+    )
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_solve)
 

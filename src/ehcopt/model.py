@@ -386,6 +386,13 @@ def _wrong_type(entry: dict, error: type[ValueError], where: str, exc: Exception
     return error(f"{where}: a field has the wrong JSON type ({exc})")
 
 
+def _unparsed(exc: ValueError, error: type[ValueError], where: str) -> ValueError:
+    """The error for an entry whose parsing raised ``exc``: an ``error``
+    already names the entry, while a quantity or device role that does not
+    parse raises a ValueError that does not, so it gets ``where``."""
+    return exc if isinstance(exc, error) else error(f"{where}: {exc}")
+
+
 def _not_a_task_id(value, error: type[ValueError], where: str) -> ValueError:
     return error(f"{where}: expected a JSON integer task id, got {type(value).__name__}")
 
@@ -434,6 +441,8 @@ def task_graph_from_dict(data: dict) -> TaskGraph:
             )
         except (TypeError, AttributeError) as exc:
             raise _wrong_type(entry, err, where, exc) from None
+        except ValueError as exc:
+            raise _unparsed(exc, err, where) from None
     try:
         arcs = tuple([(i, j) for i, j in data.get("arcs", [])])
     except (TypeError, ValueError):
@@ -472,33 +481,42 @@ def system_model_from_dict(data: dict) -> SystemModel:
     for key, entry in _object(device_entries, err, "system model file: devices").items():
         where = f"system model file: devices[{key!r}]"
         entry = _object(entry, err, where)
-        role = role_from(key)
-        devices[role] = Device(
-            role=role,
-            name=str(entry.get("name", role.value)),
-            memory_budget=parse_optional(entry.get("memory_budget"), "memory"),
-            storage_budget=parse_optional(entry.get("storage_budget"), "memory"),
-            energy_budget=parse_optional(entry.get("energy_budget"), "energy"),
-            idle_power=parse_quantity(entry.get("idle_power", 0), "power"),
-            max_power=parse_quantity(_required(entry, "max_power", err, where), "power"),
-        )
+        try:
+            role = role_from(key)
+            devices[role] = Device(
+                role=role,
+                name=str(entry.get("name", role.value)),
+                memory_budget=parse_optional(entry.get("memory_budget"), "memory"),
+                storage_budget=parse_optional(entry.get("storage_budget"), "memory"),
+                energy_budget=parse_optional(entry.get("energy_budget"), "energy"),
+                idle_power=parse_quantity(entry.get("idle_power", 0), "power"),
+                max_power=parse_quantity(_required(entry, "max_power", err, where), "power"),
+            )
+        except ValueError as exc:
+            raise _unparsed(exc, err, where) from None
     channels = {}
     channel_entries = _required(data, "channels", err, "system model file")
     for n, entry in enumerate(_array(channel_entries, err, "system model file: channels")):
         where = f"system model file: channels[{n}]"
         entry = _object(entry, err, where)
-        channel = Channel(
-            src=role_from(_required(entry, "from", err, where)),
-            dst=role_from(_required(entry, "to", err, where)),
-            bandwidth=parse_quantity(_required(entry, "bandwidth", err, where), "bandwidth"),
-            tx_energy=parse_quantity(_required(entry, "tx_energy", err, where), "energy_per_bit"),
-            rx_energy=parse_quantity(_required(entry, "rx_energy", err, where), "energy_per_bit"),
-        )
+        try:
+            channel = Channel(
+                src=role_from(_required(entry, "from", err, where)),
+                dst=role_from(_required(entry, "to", err, where)),
+                bandwidth=parse_quantity(_required(entry, "bandwidth", err, where), "bandwidth"),
+                tx_energy=parse_quantity(_required(entry, "tx_energy", err, where), "energy_per_bit"),
+                rx_energy=parse_quantity(_required(entry, "rx_energy", err, where), "energy_per_bit"),
+            )
+        except ValueError as exc:
+            raise _unparsed(exc, err, where) from None
         channels[(channel.src, channel.dst)] = channel
     relay = {}
     for key, via in _object(data.get("relay", {}), err, "system model file: relay").items():
         k_str, _, l_str = key.partition("->")
-        relay[(role_from(k_str.strip()), role_from(l_str.strip()))] = role_from(via)
+        try:
+            relay[(role_from(k_str.strip()), role_from(l_str.strip()))] = role_from(via)
+        except ValueError as exc:
+            raise _unparsed(exc, err, f"system model file: relay[{key!r}]") from None
     return SystemModel(devices=devices, channels=channels, relay=relay)
 
 

@@ -1,45 +1,45 @@
 """Exact solvers for the task-allocation problem.
 
-Three routes to a provably optimal assignment:
+:func:`solve` is the one front door.  It validates the request, starts
+the time-limit clock, builds the integer kernel once and picks one of
+three routes to a provably optimal assignment by its ``method``:
 
-* :func:`solve_bruteforce` enumerates every assignment.  It is the
-  reference oracle for the other solvers, so it extracts its costs from
-  the expanded graph independently and keeps no shared pruning logic.
-* :func:`solve_tree_dp` is the exact path for instances without budgets:
-  the cost is then a sum of per-task and per-dependency terms, so
-  eliminating tasks along a min-fill order of the undirected dependency
-  skeleton (bucket elimination) is exact.  The min-fill walk compiles
-  the elimination into a schedule once per graph (each bucket's scope
-  and the index layouts of its tables), and one cost pass runs that
-  schedule over the kernel's tables.  Its work is the order's state
-  count, which must not exceed ``DP_STATE_LIMIT``; forests are its
-  width-1 case.
-* :func:`solve_branch_and_bound` handles the general case: depth-first
-  search over tasks in topological order with one additive lower bound
-  per quantity, the objective and each of the kernel's rows.  Each starts
-  at its root bound, per-task minima plus per-arc minima, and placing a
-  task adds how far each term it settles lies above the minimum it
-  replaced.  The bounds sit side by side in one integer, so one addition
-  updates all of them and one mask test compares them all with their
-  caps.  It prunes on the first row over its budget, then on the
-  objective against the incumbent.  Under a time limit a Lagrangian
-  multiplier search over the same rows, on the same kernel, each pass one
-  run of the elimination DP (:mod:`ehcopt.dual`), runs first and returns
-  its best bound and its best feasible assignment.  Branch and bound takes
-  the bound for the gap and starts from the assignment, which tightens
+* ``auto`` takes the elimination DP when the kernel has no rows (no
+  budget and no latency cap): the cost is then a sum of per-task and
+  per-dependency terms, so eliminating tasks along a min-fill order of
+  the undirected dependency skeleton (bucket elimination) is exact.  The
+  min-fill walk compiles the elimination into a schedule once per graph
+  (each bucket's scope and the index layouts of its tables), and one
+  cost pass runs that schedule over the kernel's tables.  Its work is
+  the order's state count, which must not exceed ``DP_STATE_LIMIT``;
+  forests are its width-1 case.  Otherwise ``auto`` takes branch and
+  bound on the same kernel.
+* ``bnb`` is branch and bound: depth-first search over tasks in
+  topological order with one additive lower bound per quantity, the
+  objective and each of the kernel's rows.  Each starts at its root
+  bound, per-task minima plus per-arc minima, and placing a task adds
+  how far each term it settles lies above the minimum it replaced.  The
+  bounds sit side by side in one integer, so one addition updates all
+  of them and one mask test compares them all with their caps.  It
+  prunes on the first row over its budget, then on the objective against
+  the incumbent.  Under a time limit a Lagrangian multiplier search over
+  the same rows, on the same kernel, each pass one run of the
+  elimination DP (:mod:`ehcopt.dual`), runs first and returns its best
+  bound and its best feasible assignment.  Branch and bound takes the
+  bound for the gap and starts from the assignment, which tightens
   pruning, and stops as proven optimal once the incumbent meets the bound.
+* ``bruteforce`` runs :func:`solve_bruteforce`, which enumerates every
+  assignment.  It is the reference oracle for the other routes, so it
+  extracts its costs from the expanded graph independently and keeps no
+  shared pruning logic.
 
-The two fast solvers read one integer kernel, :class:`_Kernel`: the
-expanded graph's objective costs and its side constraints, each budget
-and the latency cap as one linear row (:class:`_Row`), rescaled exactly
-to integers once per (graph, objective, cap).  :func:`solve` is the one
-front door: it validates the request, starts the time-limit clock, builds
-the kernel once and picks the route, the DP when the kernel has no rows
-and its schedule fits ``DP_STATE_LIMIT``, else branch and bound on the
-same kernel; the per-method functions are :func:`solve` with a fixed
-method.  Branch and bound derives its bounds from the kernel, and the
-dual penalises its rows.  The oracle does not read it, so that a fault in
-the kernel shows up as a disagreement with the oracle.
+The DP and branch and bound read one integer kernel, :class:`_Kernel`:
+the expanded graph's objective costs and its side constraints, each
+budget and the latency cap as one linear row (:class:`_Row`), rescaled
+exactly to integers once per (graph, objective, cap).  Branch and bound
+derives its bounds from the kernel, and the dual penalises its rows.
+The oracle does not read it, so that a fault in the kernel shows up as a
+disagreement with the oracle.
 
 All arithmetic runs on integers after exact rescaling of the rational
 inputs, so equal objective values compare equal regardless of the path
@@ -47,10 +47,10 @@ that produced them, and tie-breaking is reproducible: among equally good
 assignments branch and bound and the oracle return the one that is
 lexicographically smallest by (task id, device order e < h < c), except
 that a time-limited branch and bound ended by the dual's bound returns
-the optimum it holds at that moment.  The DP
-takes the device earliest in e < h < c at each step of its
-back-substitution; on a forest that roots each tree at its smallest task
-id, and elsewhere its ties may differ from that order.  Values never do.
+the optimum it holds at that moment.  The DP takes the device earliest
+in e < h < c at each step of its back-substitution; on a forest that
+roots each tree at its smallest task id, and elsewhere its ties may
+differ from that order.  Values never do.
 """
 
 from __future__ import annotations
@@ -739,23 +739,6 @@ def _tree_dp(etfg: Etfg, kernel: _Kernel) -> Allocation | None:
     return _finish(etfg, kernel.objective, assignment, value, None, stats, SolveStatus.OPTIMAL)
 
 
-def solve_tree_dp(etfg: Etfg, objective: Objective | str = Objective.LATENCY) -> Allocation:
-    """Exact dynamic program over a tree decomposition of the dependency
-    skeleton, for instances without budgets: :func:`solve` with
-    ``method="tree-dp"``.
-
-    Without budgets the cost is a sum of per-task and per-dependency
-    terms, so eliminating tasks along a min-fill order is exact.  Raises
-    ValueError when a device has a budget or when the DP route returns
-    None, the order needing more than ``DP_STATE_LIMIT`` states.  Among
-    equal costs the last task eliminated takes the device earliest in
-    e < h < c and every other task the earliest given the tasks
-    eliminated after it; on a forest that is each tree rooted at its
-    smallest task id.
-    """
-    return solve(etfg, objective, method="tree-dp")
-
-
 # --- branch and bound -------------------------------------------------------
 
 
@@ -790,7 +773,7 @@ def _search_tables(kernel: _Kernel):
     row's budget.  Every step and arc term is at least 0 and no bound
     exceeds its sum of maxima, so one integer addition updates every
     quantity, no field carries into the next, and each field's top bit is
-    free for the prune test of :func:`solve_branch_and_bound`.  The root
+    free for the prune test of :func:`_branch_and_bound`.  The root
     and each ``step[p][ci]`` are packed integers; ``in_arcs[p]`` holds per
     arc into ``p`` its source, ``width`` (the candidates of ``p``) and its
     packed terms, indexed ``s * width + ci``.
@@ -843,12 +826,7 @@ def _search_tables(kernel: _Kernel):
     return rows, bits, root, step, in_arcs, branch
 
 
-def solve_branch_and_bound(
-    etfg: Etfg,
-    objective: Objective | str = Objective.LATENCY,
-    latency_threshold: Fraction | None = None,
-    config: SolveConfig | None = None,
-) -> Allocation:
+def _branch_and_bound(etfg: Etfg, kernel: _Kernel, started: float, deadline: float | None) -> Allocation:
     """Depth-first branch and bound over task->device assignments.
 
     The lower bound is one running sum per quantity: the objective and
@@ -887,19 +865,14 @@ def solve_branch_and_bound(
     ``additive``), ``lower_bound`` (its value in s or J), ``dual_passes``
     (every pass the dual ran), ``multipliers`` (by row label, in kernel
     units, at the best bound), ``binding_rows`` (the rows the λ = 0
-    optimum breaks),
-    ``incumbent_source`` (``dual`` or ``search``) and ``dual_s`` (the
-    dual's share of ``wall_time_s``).  A solve without a time limit never
-    runs the dual.  This is :func:`solve` with ``method="bnb"``.
+    optimum breaks), ``incumbent_source`` (``dual`` or ``search``) and
+    ``dual_s`` (the dual's share of ``wall_time_s``).  A solve without a
+    time limit never runs the dual.
+
+    Runs over a built kernel: ``tables_s`` counts from ``started``, and
+    the dual and the search stop at ``deadline`` (both
+    :func:`time.monotonic` readings; no deadline, no time limit).
     """
-    return solve(etfg, objective, latency_threshold, config, method="bnb")
-
-
-def _branch_and_bound(etfg: Etfg, kernel: _Kernel, started: float, deadline: float | None) -> Allocation:
-    """:func:`solve_branch_and_bound` over a built kernel: ``tables_s``
-    counts from ``started``, and the dual and the search stop at
-    ``deadline`` (both :func:`time.monotonic` readings; no deadline, no
-    time limit)."""
     n = kernel.n
     if n == 0:
         raise ValueError("empty task graph")
@@ -1045,23 +1018,21 @@ def solve(
     method: str = "auto",
 ) -> Allocation:
     """Front door: validate the request, start the clock, build the one
-    :class:`_Kernel` and pick a solver.  ``auto`` takes the elimination
-    DP when the kernel has no rows (no device has a budget and there is
-    no latency cap), and branch and bound on the same kernel when it has
-    rows or when the DP route returns None, its state count being over
-    ``DP_STATE_LIMIT``.  :func:`solve_tree_dp` and
-    :func:`solve_branch_and_bound` are this function with a fixed method;
-    ``bruteforce`` runs the oracle, which never reads the kernel.
+    :class:`_Kernel` and run the route ``method`` names (see the module
+    docstring): ``auto`` takes the elimination DP when the kernel has no
+    rows and the DP fits ``DP_STATE_LIMIT``, else branch and bound on the
+    same kernel; ``bnb`` always takes branch and bound; ``bruteforce``
+    runs the oracle, which never reads the kernel.  Any other method
+    raises ValueError.
 
     A time limit bounds branch and bound only, counted from the solve's
     start, so the kernel build, the search-table build and the Lagrangian
     dual search that runs before the search are inside it (see
-    :func:`solve_branch_and_bound`).  ``auto`` still takes the
-    DP under a time limit, since its work is bounded by
-    ``DP_STATE_LIMIT`` and it always finishes; a forced ``bruteforce`` or
-    ``tree-dp`` with a time limit raises ValueError instead of ignoring it,
-    and so does a latency threshold that is not above zero or comes
-    without the energy objective.
+    :func:`_branch_and_bound`).  ``auto`` still takes the DP under a time
+    limit, since its work is bounded by ``DP_STATE_LIMIT`` and it always
+    finishes; ``bruteforce`` with a time limit raises ValueError instead
+    of ignoring it, and so does a latency threshold that is not above
+    zero or comes without the energy objective.
     """
     objective = Objective(objective)
     check_latency_threshold(objective, latency_threshold)
@@ -1070,21 +1041,12 @@ def solve(
         if time_limit is not None:
             raise ValueError("brute force cannot honour a time limit; use bnb")
         return solve_bruteforce(etfg, objective, latency_threshold)
-    if method == "tree-dp":
-        if latency_threshold is not None:
-            raise ValueError("tree DP cannot honour a latency threshold; use bnb or bruteforce")
-        if time_limit is not None:
-            raise ValueError("tree DP cannot honour a time limit; use bnb or auto")
-    elif method not in ("auto", "bnb"):
+    if method not in ("auto", "bnb"):
         raise ValueError(f"unknown solver method {method!r}")
     started = time.monotonic()
     kernel = _Kernel(etfg, objective, latency_threshold)
-    if method == "tree-dp" and kernel.rows:
-        raise ValueError("tree DP requires all device budgets to be unbounded")
-    if method != "bnb" and not kernel.rows:
+    if method == "auto" and not kernel.rows:
         allocation = _tree_dp(etfg, kernel)
         if allocation is not None:
             return allocation
-        if method == "tree-dp":
-            raise ValueError(f"tree DP needs more than {DP_STATE_LIMIT} states here; use bnb")
     return _branch_and_bound(etfg, kernel, started, None if time_limit is None else started + time_limit)

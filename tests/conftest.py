@@ -26,6 +26,7 @@ from ehcopt.model import (
     TaskGraph,
     make_system_model,
 )
+from ehcopt.solver import solve
 
 E, H, C = DeviceRole.EDGE, DeviceRole.HUB, DeviceRole.CLOUD
 ALL = (E, H, C)
@@ -90,6 +91,15 @@ def complete_dag(n: int) -> TaskGraph:
     tasks = tuple(simple_task(i, ALL, latency={E: 1, H: 2, C: 3}) for i in range(1, n + 1))
     arcs = tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
     return TaskGraph(tasks=tasks, arcs=arcs)
+
+
+def solve_dp(etfg, objective="latency"):
+    """``solve`` on an instance that the elimination DP must answer:
+    ``auto`` falls back to branch and bound without a word, so this
+    checks that the DP took it."""
+    result = solve(etfg, objective)
+    assert result.stats["solver"] == "tree-dp"
+    return result
 
 
 @pytest.fixture(scope="session")

@@ -20,6 +20,7 @@ from conftest import (
     random_tree_instance,
     simple_task,
     sized_task_graph,
+    solve_dp,
     two_task_chain,
 )
 from ehcopt import presets
@@ -33,9 +34,7 @@ from ehcopt.solver import (
     SolveConfig,
     SolveStatus,
     solve,
-    solve_branch_and_bound,
     solve_bruteforce,
-    solve_tree_dp,
 )
 
 C1 = presets.system_model("C1", "run1")
@@ -123,7 +122,7 @@ def test_criterion_3_oracle_equivalence():
         objective = ("latency", "energy")[seed % 2]
         thr = threshold if objective == "energy" else None
         bf = solve_bruteforce(etfg, objective, thr)
-        bb = solve_branch_and_bound(etfg, objective, thr)
+        bb = solve(etfg, objective, thr, method="bnb")
         assert bf.status == bb.status, f"seed {seed}: {bf.status} != {bb.status}"
         if bf.status is SolveStatus.INFEASIBLE:
             infeasible_seen += 1
@@ -145,7 +144,7 @@ def test_criterion_4_tree_dp_equivalence():
     for seed in range(200):
         etfg = random_tree_instance(seed, max_tasks=12)
         objective = ("latency", "energy")[seed % 2]
-        dp = solve_tree_dp(etfg, objective)
+        dp = solve_dp(etfg, objective)
         bf = solve_bruteforce(etfg, objective)
         assert dp.objective_value == bf.objective_value, f"seed {seed}"
         assert dp.status is bf.status is SolveStatus.OPTIMAL
@@ -274,7 +273,7 @@ def test_criterion_8_scalability():
     assert build_time < 5.0, f"transform+build took {build_time:.2f}s"
     assert model.num_variables == etfg.node_count + etfg.arc_count
 
-    result = solve_branch_and_bound(etfg, "latency", config=SolveConfig(time_limit=60))
+    result = solve(etfg, "latency", config=SolveConfig(time_limit=60), method="bnb")
     assert result.status in (SolveStatus.FEASIBLE, SolveStatus.OPTIMAL)
     assert result.assignment is not None
     if result.status is SolveStatus.FEASIBLE:

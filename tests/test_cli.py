@@ -224,18 +224,26 @@ def test_generate_with_custom_param_ranges(tmp_path):
     assert meta["paramspec"]["data_range"] == [1000.0, 2000.0]
 
 
+def _refuses_tree_dp(argv, out, capsys):
+    """``--solver tree-dp`` is no method: argparse exits 2 before anything is written."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--solver", "tree-dp", "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'tree-dp'" in capsys.readouterr().err
+    assert not (out / "allocation.json").exists()
+
+
 def test_forced_tree_dp_with_a_cap_exits_2(tmp_path, capsys):
     etfg = uav_forest_without_budgets()
     tfg, sys_path = tmp_path / "forest.json", tmp_path / "sys.json"
     save_task_graph(etfg.graph, tfg)
     save_system_model(etfg.system, sys_path)
-    base = ["solve", str(tfg), "--config", str(sys_path), "--solver", "tree-dp", "--objective", "energy"]
-    assert main(base + ["--lthr", "500ms", "--out", str(tmp_path / "a")]) == 2
-    assert "latency threshold" in capsys.readouterr().err
-    assert main(base + ["--out", str(tmp_path / "b")]) == 2  # the default 8 s cap
-    assert not (tmp_path / "b" / "allocation.json").exists()
-    assert main(["solve", str(tfg), "--config", str(sys_path), "--objective", "energy",
-                 "--lthr", "500ms", "--out", str(tmp_path / "c")]) == 3
+    base = ["solve", str(tfg), "--config", str(sys_path), "--objective", "energy"]
+    _refuses_tree_dp(base + ["--lthr", "500ms"], tmp_path / "a", capsys)
+    _refuses_tree_dp(base, tmp_path / "b", capsys)  # the default 8 s cap
+    # auto honours the cap: branch and bound proves it infeasible
+    assert main(base + ["--lthr", "500ms", "--out", str(tmp_path / "c")]) == 3
+    assert read_json(tmp_path / "c" / "solver_stats.json")["solver"] == "branch-and-bound"
 
 
 def test_forced_tree_dp_with_a_time_limit_exits_2(tmp_path, capsys):
@@ -244,9 +252,7 @@ def test_forced_tree_dp_with_a_time_limit_exits_2(tmp_path, capsys):
     save_task_graph(etfg.graph, tfg)
     save_system_model(etfg.system, sys_path)
     base = ["solve", str(tfg), "--config", str(sys_path), "--time-limit", "5"]
-    assert main(base + ["--solver", "tree-dp", "--out", str(tmp_path / "a")]) == 2
-    assert "time limit" in capsys.readouterr().err
-    assert not (tmp_path / "a" / "allocation.json").exists()
+    _refuses_tree_dp(base, tmp_path / "a", capsys)
     assert main(base + ["--out", str(tmp_path / "b")]) == 0
     assert read_json(tmp_path / "b" / "solver_stats.json")["solver"] == "tree-dp"
 
@@ -257,9 +263,7 @@ def test_forced_tree_dp_over_the_state_limit_exits_2(tmp_path, capsys):
     save_task_graph(complete_dag(15), tfg)
     save_system_model(unbudgeted_system(), sys_path)
     base = ["solve", str(tfg), "--config", str(sys_path)]
-    assert main(base + ["--solver", "tree-dp", "--out", str(tmp_path / "a")]) == 2
-    assert "states" in capsys.readouterr().err
-    assert not (tmp_path / "a" / "allocation.json").exists()
+    _refuses_tree_dp(base, tmp_path / "a", capsys)
     assert main(base + ["--out", str(tmp_path / "b")]) == 0
     assert read_json(tmp_path / "b" / "solver_stats.json")["solver"] == "branch-and-bound"
 
@@ -311,11 +315,21 @@ _C1 = system_model_to_dict(presets.system_model("C1", "run1"))
          "task graph file: arcs[0]: expected a JSON integer task id, got float"),
         (_with(_APP, "3", "tasks", 2, "id"), None,
          "task graph file: tasks[2]: field 'id': expected a JSON integer task id, got str"),
+        (_with(_APP, {"e": [1]}, "tasks", 0, "latency"), None,
+         "task graph file: tasks[0]: expected a number or string, got list"),
+        (_APP, _with(_C1, [15], "devices", "e", "max_power"),
+         "system model file: devices['e']: expected a number or string, got list"),
+        (_APP, _with(_C1, "15 parsecs", "channels", 0, "bandwidth"),
+         "system model file: channels[0]: unit 'parsecs' not valid for bandwidth in '15 parsecs'"),
+        (_APP, _with(_C1, "x", "relay", "e->c"),
+         "system model file: relay['e->c']: unknown device role 'x'; expected one of e, h, c"),
     ],
     ids=[
         "no-tasks", "top-level-list", "task-without-memory", "system-without-devices",
         "arc-not-a-pair", "tasks-not-an-array", "allowed-not-an-array", "latency-not-an-object",
         "channels-not-an-array", "relay-not-an-object", "arc-endpoint-not-an-integer", "id-not-an-integer",
+        "latency-value-not-a-quantity", "max-power-not-a-quantity", "bandwidth-in-a-wrong-unit",
+        "relay-via-not-a-role",
     ],
 )
 def test_malformed_input_file_exits_2(tfg, config, message, tmp_path, capsys):

@@ -15,7 +15,7 @@ from ehcopt.etfg import transform
 from ehcopt.milp import BilpModel, ConstraintRow, Objective, Variable, build_model
 from ehcopt.model import TaskGraph
 from ehcopt.mps import MpsFormatError, model_to_lp, model_to_mps, parse_mps
-from ehcopt.solver import _as_int, solve_branch_and_bound
+from ehcopt.solver import _as_int, solve
 from ehcopt.units import fmt12
 
 C1 = presets.system_model("C1", "run1")
@@ -242,7 +242,7 @@ def test_golden_exports_and_allocations(name):
         assert _sha256(model_to_lp(model)) == lp_sha, (name, objective)
         if solved is None:
             continue
-        allocation = solve_branch_and_bound(etfg, objective, threshold)
+        allocation = solve(etfg, objective, threshold, method="bnb")
         stats = allocation.stats
         assert (
             allocation.status.value,

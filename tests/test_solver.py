@@ -25,6 +25,7 @@ from conftest import (
     random_tree_instance,
     serial_200_graph,
     simple_task,
+    solve_dp,
     two_task_chain,
     uav_forest_without_budgets,
     unbudgeted_system,
@@ -40,9 +41,7 @@ from ehcopt.solver import (
     SolveConfig,
     SolveStatus,
     solve,
-    solve_branch_and_bound,
     solve_bruteforce,
-    solve_tree_dp,
 )
 
 PLAIN = unbudgeted_system("run1")
@@ -54,8 +53,7 @@ def test_single_task_argmin():
         arcs=(),
     )
     etfg = transform(g, PLAIN)
-    for solver in (solve_bruteforce, solve_branch_and_bound, solve_tree_dp):
-        result = solver(etfg, "latency")
+    for result in (solve_bruteforce(etfg), solve(etfg, method="bnb"), solve_dp(etfg)):
         assert result.status is SolveStatus.OPTIMAL
         assert result.assignment == {1: C}
         assert result.objective_value == 1
@@ -70,8 +68,8 @@ def test_degenerate_tie_breaks_lexicographically():
     )
     etfg = transform(g, PLAIN)
     bf = solve_bruteforce(etfg, "latency")
-    bb = solve_branch_and_bound(etfg, "latency")
-    dp = solve_tree_dp(etfg, "latency")
+    bb = solve(etfg, "latency", method="bnb")
+    dp = solve_dp(etfg, "latency")
     assert bf.assignment == bb.assignment == dp.assignment == {1: E, 2: E}
 
 
@@ -86,7 +84,7 @@ def test_chain_optimum_matches_enumeration():
     )
     etfg = transform(g, PLAIN)
     bf = solve_bruteforce(etfg, "latency")
-    bb = solve_branch_and_bound(etfg, "latency")
+    bb = solve(etfg, "latency", method="bnb")
     assert bf.objective_value == bb.objective_value
     assert bf.assignment == bb.assignment
     # optimum must beat staying on one device
@@ -102,7 +100,7 @@ def test_budget_infeasible_instance():
     )
     etfg = transform(g, system)
     assert solve_bruteforce(etfg, "latency").status is SolveStatus.INFEASIBLE
-    assert solve_branch_and_bound(etfg, "latency").status is SolveStatus.INFEASIBLE
+    assert solve(etfg, "latency", method="bnb").status is SolveStatus.INFEASIBLE
 
 
 def test_bruteforce_guard():
@@ -144,7 +142,7 @@ def _tie_rich_forest(seed: int):
 class TestTreeDp:
     def test_chain_of_three_matches_bruteforce(self):
         etfg = random_tree_instance(101)
-        dp = solve_tree_dp(etfg, "latency")
+        dp = solve_dp(etfg, "latency")
         bf = solve_bruteforce(etfg, "latency")
         assert dp.objective_value == bf.objective_value
 
@@ -154,7 +152,7 @@ class TestTreeDp:
         )
         arcs = tuple((1, j) for j in range(2, 6))
         etfg = transform(TaskGraph(tasks=tasks, arcs=arcs), PLAIN)
-        dp = solve_tree_dp(etfg, "energy")
+        dp = solve_dp(etfg, "energy")
         bf = solve_bruteforce(etfg, "energy")
         assert dp.objective_value == bf.objective_value
 
@@ -164,15 +162,18 @@ class TestTreeDp:
             presets.channels("run1"),
         )
         etfg = transform(two_task_chain(), system)
-        with pytest.raises(ValueError, match="budget"):
-            solve_tree_dp(etfg, "latency")
+        # the DP cannot honour a budget: auto takes branch and bound, and
+        # there is no method that forces the DP
+        assert solve(etfg, "latency").stats["solver"] == "branch-and-bound"
+        with pytest.raises(ValueError, match="unknown solver method 'tree-dp'"):
+            solve(etfg, "latency", method="tree-dp")
 
     def test_solves_a_triangle_like_brute_force(self):
         tasks = tuple(simple_task(i, data=10**4) for i in range(1, 4))
         arcs = ((1, 2), (1, 3), (2, 3))  # undirected triangle
         etfg = transform(TaskGraph(tasks=tasks, arcs=arcs), PLAIN)
         for objective in ("latency", "energy"):
-            dp = solve_tree_dp(etfg, objective)
+            dp = solve_dp(etfg, objective)
             bf = solve_bruteforce(etfg, objective)
             assert dp.status is SolveStatus.OPTIMAL
             assert dp.objective_value == bf.objective_value
@@ -186,7 +187,7 @@ class TestTreeDp:
         for seed in range(300):
             etfg = _tie_rich_forest(seed)
             for objective in ("latency", "energy"):
-                assignment = solve_tree_dp(etfg, objective).to_dict()["assignment"]
+                assignment = solve_dp(etfg, objective).to_dict()["assignment"]
                 digest.update(json.dumps([seed, objective, assignment]).encode())
         assert digest.hexdigest() == TREE_DP_TIE_DIGEST
 
@@ -229,7 +230,7 @@ def _random_k_tree(seed: int, width: int):
 def test_elimination_dp_matches_bruteforce(width, objective):
     for seed in range(25):
         etfg = _random_k_tree(1000 * width + seed, width)
-        dp = solve_tree_dp(etfg, objective)
+        dp = solve_dp(etfg, objective)
         bf = solve_bruteforce(etfg, objective)
         assert dp.status is SolveStatus.OPTIMAL, f"seed {seed}"
         assert dp.stats["treewidth"] == width, f"seed {seed}"
@@ -263,7 +264,7 @@ def _fill_edges(graph, order) -> int:
 
 
 def _dp_matches_bruteforce(etfg, objective):
-    dp = solve_tree_dp(etfg, objective)
+    dp = solve_dp(etfg, objective)
     bf = solve_bruteforce(etfg, objective)
     assert dp.status is SolveStatus.OPTIMAL
     assert dp.objective_value == bf.objective_value
@@ -294,7 +295,7 @@ def test_one_schedule_runs_both_objectives_tables():
             kernel = solver._Kernel(etfg, solver.Objective(objective), None)
             tables = kernel.objective_tables()
             total, chosen = solver._eliminate(schedule, tables)
-            dp = solve_tree_dp(etfg, objective)
+            dp = solve_dp(etfg, objective)
             assert Fraction(total, kernel.obj_den) == dp.objective_value
             assert kernel.assignment(chosen) == dp.assignment
 
@@ -335,9 +336,7 @@ def test_dp_over_the_state_limit_is_refused():
     assert 3**15 > solver.DP_STATE_LIMIT
     assert solver._compile(*solver._skeleton(etfg.graph)) is None
     assert solver._tree_dp(etfg, solver._Kernel(etfg, solver.Objective.LATENCY, None)) is None
-    with pytest.raises(ValueError, match="states"):
-        solve_tree_dp(etfg, "latency")
-    with pytest.raises(ValueError, match="states"):
+    with pytest.raises(ValueError, match="unknown solver method 'tree-dp'"):
         solve(etfg, "latency", method="tree-dp")
     auto = solve(etfg, "latency")
     assert auto.stats["solver"] == "branch-and-bound"
@@ -353,7 +352,7 @@ def test_oracle_equivalence_sample(objective):
         etfg, threshold = random_oracle_instance(seed, max_tasks=8)
         thr = threshold if objective == "energy" else None
         bf = solve_bruteforce(etfg, objective, thr)
-        bb = solve_branch_and_bound(etfg, objective, thr)
+        bb = solve(etfg, objective, thr, method="bnb")
         assert bf.status == bb.status, f"seed {seed}"
         if bf.status is SolveStatus.OPTIMAL:
             assert bf.objective_value == bb.objective_value, f"seed {seed}"
@@ -399,9 +398,9 @@ def test_root_bound_is_admissible():
 
 def test_determinism_across_runs():
     etfg, threshold = random_oracle_instance(5)
-    a = solve_branch_and_bound(etfg, "energy", threshold, SolveConfig())
-    b = solve_branch_and_bound(etfg, "energy", threshold, SolveConfig())
-    c = solve_branch_and_bound(etfg, "energy", threshold, SolveConfig())
+    a = solve(etfg, "energy", threshold, SolveConfig(), method="bnb")
+    b = solve(etfg, "energy", threshold, SolveConfig(), method="bnb")
+    c = solve(etfg, "energy", threshold, SolveConfig(), method="bnb")
     assert a.assignment == b.assignment == c.assignment
     assert a.objective_value == b.objective_value == c.objective_value
     assert a.stats["nodes_explored"] == b.stats["nodes_explored"] == c.stats["nodes_explored"]
@@ -421,10 +420,10 @@ def test_time_limit_proves_an_unbudgeted_optimum_through_the_dual():
     # assignment meets every row
     etfg = _unbudgeted_300()
     # the proof takes about 0.3 s
-    result = solve_branch_and_bound(etfg, "latency", config=SolveConfig(time_limit=2))
+    result = solve(etfg, "latency", config=SolveConfig(time_limit=2), method="bnb")
     assert result.status is SolveStatus.OPTIMAL
     assert result.gap is None and not result.stats["time_limit_hit"]
-    assert result.objective_value == solve_tree_dp(etfg, "latency").objective_value
+    assert result.objective_value == solve_dp(etfg, "latency").objective_value
     assert result.stats["incumbent_source"] == "dual"
     assert result.stats["root_bound"] == "elimination-dp"
     assert result.stats["binding_rows"] == [] and result.stats["multipliers"] == {}
@@ -468,7 +467,7 @@ def test_branch_and_bound_replaces_an_incumbent_on_a_tie():
         etfg = transform(TaskGraph(tasks=tasks, arcs=((1, 2),)), system)
         kernel = solver._Kernel(etfg, solver.Objective.LATENCY, None)
         assert [row.label for row in solver._search_tables(kernel)[0]] == labels
-        bb = solve_branch_and_bound(etfg, "latency")
+        bb = solve(etfg, "latency", method="bnb")
         bf = solve_bruteforce(etfg, "latency")
         assert bb.objective_value == bf.objective_value == 3
         assert bb.assignment == bf.assignment == {1: E, 2: E}
@@ -488,7 +487,7 @@ def test_a_latency_cap_under_the_latency_objective_is_rejected(example_app):
     with pytest.raises(ValueError, match="energy objective"):
         solve(example_app, "latency", cap)
     with pytest.raises(ValueError, match="energy objective"):
-        solve_branch_and_bound(example_app, "latency", cap)
+        solve(example_app, "latency", cap, method="bnb")
     with pytest.raises(ValueError, match="energy objective"):
         solve_bruteforce(example_app, "latency", cap)
     assert solve(example_app, "energy", cap).status is SolveStatus.INFEASIBLE
@@ -519,7 +518,7 @@ def test_every_route_builds_one_kernel(monkeypatch):
         (lambda: solve(clique, "latency"), "branch-and-bound"),
         (lambda: solve(budgeted, "latency", method="bnb"), "branch-and-bound"),
         (lambda: solve(budgeted, "latency", None, SolveConfig(time_limit=5), method="bnb"), "branch-and-bound"),
-        (lambda: solve(free, "energy", method="tree-dp"), "tree-dp"),
+        (lambda: solve(free, "energy"), "tree-dp"),
     ]
     for run, route in routes:
         built.clear()
@@ -527,6 +526,8 @@ def test_every_route_builds_one_kernel(monkeypatch):
         assert len(built) == 1
     built.clear()
     assert solve(budgeted, "latency", method="bruteforce").stats["solver"] == "bruteforce"
+    with pytest.raises(ValueError, match="unknown solver method 'tree-dp'"):
+        solve(free, "energy", method="tree-dp")
     assert built == []
 
 
@@ -546,28 +547,31 @@ def test_forced_bruteforce_rejects_a_time_limit():
 
 
 def test_forced_tree_dp_rejects_a_latency_cap():
-    # tree DP used to drop the cap and claim a proven optimum at 6.0 s
+    # a forced tree DP used to drop the cap and claim a proven optimum at
+    # 6.0 s; there is no such method now, and auto honours the cap
     etfg = uav_forest_without_budgets()
     assert solve(etfg, "energy").stats["solver"] == "tree-dp"
     cap = Fraction(1, 2)
-    with pytest.raises(ValueError, match="latency threshold"):
+    with pytest.raises(ValueError, match="unknown solver method 'tree-dp'"):
         solve(etfg, "energy", cap, method="tree-dp")
     assert solve(etfg, "energy", cap, method="bnb").status is SolveStatus.INFEASIBLE
     assert solve_bruteforce(etfg, "energy", cap).status is SolveStatus.INFEASIBLE
     auto = solve(etfg, "energy", cap)
     assert auto.status is SolveStatus.INFEASIBLE
     assert auto.stats["solver"] == "branch-and-bound"
-    # no cap to honour: energy without one; the latency objective takes no cap at all
-    assert solve(etfg, "energy", method="tree-dp").stats["solver"] == "tree-dp"
+    # refused without a cap too; under the latency objective the cap is refused first
+    with pytest.raises(ValueError, match="unknown solver method 'tree-dp'"):
+        solve(etfg, "energy", method="tree-dp")
     with pytest.raises(ValueError):
         solve(etfg, "latency", cap, method="tree-dp")
 
 
 def test_forced_tree_dp_rejects_a_time_limit():
-    # tree DP used to drop the limit and claim a proven optimum
+    # a forced tree DP used to drop the limit and claim a proven optimum;
+    # there is no such method now
     tree = random_tree_instance(3)
     limit = SolveConfig(time_limit=1e-9)
-    with pytest.raises(ValueError, match="time limit"):
+    with pytest.raises(ValueError, match="unknown solver method 'tree-dp'"):
         solve(tree, "latency", None, limit, method="tree-dp")
     # auto still takes the DP, whose work is bounded and which always finishes
     auto = solve(tree, "latency", None, limit)
@@ -577,7 +581,7 @@ def test_forced_tree_dp_rejects_a_time_limit():
 
 def test_time_limit_without_incumbent_has_no_gap():
     etfg = transform(serial_200_graph(), presets.system_model("C1", "run1"))
-    result = solve_branch_and_bound(etfg, "energy", Fraction(8), SolveConfig(time_limit=0.05))
+    result = solve(etfg, "energy", Fraction(8), SolveConfig(time_limit=0.05), method="bnb")
     assert result.status is SolveStatus.FEASIBLE
     assert result.stats["time_limit_hit"]
     assert result.assignment is None and result.objective_value is None
@@ -596,7 +600,7 @@ def test_time_limit_counts_the_table_build(monkeypatch):
 
     monkeypatch.setattr(solver._Kernel, "__init__", slow_build)
     etfg = transform(serial_200_graph(), presets.system_model("C1", "run1"))
-    result = solve_branch_and_bound(etfg, "energy", Fraction(8), SolveConfig(time_limit=0.05))
+    result = solve(etfg, "energy", Fraction(8), SolveConfig(time_limit=0.05), method="bnb")
     assert result.stats["time_limit_hit"]
     assert result.stats["nodes_explored"] <= 1024
     assert result.stats["tables_s"] >= 0.1
@@ -612,7 +616,7 @@ def _without_budgets(system):
 def test_timed_out_gap_is_measured_against_the_relaxation_dp(objective, cap):
     system = presets.system_model("C1", "run1")
     etfg = transform(serial_200_graph(), system)
-    relaxed = solve_tree_dp(transform(etfg.graph, _without_budgets(system)), objective).objective_value
+    relaxed = solve_dp(transform(etfg.graph, _without_budgets(system)), objective).objective_value
     # the dual's λ = 0 pass is the relaxation, and its bound is at least that
     kernel = solver._Kernel(etfg, solver.Objective(objective), cap)
     total, _ = solver._eliminate(solver._compile(*kernel.skeleton), kernel.objective_tables())
@@ -620,7 +624,7 @@ def test_timed_out_gap_is_measured_against_the_relaxation_dp(objective, cap):
     assert dual.search(kernel, time.monotonic() + 1.0).bound >= total
     # the energy search proves the instance infeasible once the dual has
     # run; the latency search runs the whole limit
-    result = solve_branch_and_bound(etfg, objective, cap, SolveConfig(time_limit=3 if cap is None else 1.5))
+    result = solve(etfg, objective, cap, SolveConfig(time_limit=3 if cap is None else 1.5), method="bnb")
     bound = result.stats["lower_bound"]
     assert bound >= float(_additive_root(etfg, objective))
     assert result.stats["dual_passes"] >= 1
@@ -654,7 +658,7 @@ def test_additive_root_stays_when_the_dp_is_over_its_limit(monkeypatch):
     kernel = solver._Kernel(etfg, solver.Objective.LATENCY, None)
     monkeypatch.setattr(solver, "DP_STATE_LIMIT", 0)
     assert dual.search(kernel, time.monotonic() + 10.0) is None  # the dual has no schedule to run
-    result = solve_branch_and_bound(etfg, "latency", config=SolveConfig(time_limit=0.3))
+    result = solve(etfg, "latency", config=SolveConfig(time_limit=0.3), method="bnb")
     assert result.stats["time_limit_hit"]
     assert result.stats["root_bound"] == "additive"
     assert result.stats["dual_passes"] == 0 and result.stats["incumbent_source"] == "search"
@@ -666,14 +670,14 @@ def test_additive_root_stays_when_the_dp_is_over_its_limit(monkeypatch):
 
 def test_no_dp_bound_once_the_deadline_has_passed():
     etfg = transform(serial_200_graph(), presets.system_model("C1", "run1"))
-    result = solve_branch_and_bound(etfg, "latency", config=SolveConfig(time_limit=1e-6))
+    result = solve(etfg, "latency", config=SolveConfig(time_limit=1e-6), method="bnb")
     assert result.stats["root_bound"] == "additive"
     assert result.stats["dual_passes"] == 0 and result.stats["binding_rows"] == []
 
 
 def test_a_run_without_a_time_limit_builds_no_dp_bound():
     etfg, _ = random_oracle_instance(5)
-    stats = solve_branch_and_bound(etfg, "latency").stats
+    stats = solve(etfg, "latency", method="bnb").stats
     assert not {"root_bound", "lower_bound", "dual_passes", "incumbent_source", "dual_s"} & stats.keys()
 
 
@@ -687,11 +691,11 @@ def test_no_solve_starts_a_process_or_leaves_a_thread(monkeypatch):
     monkeypatch.setattr(multiprocessing, "get_context", refuse)
     threads = set(threading.enumerate())
     etfg = transform(presets.example_inspection_tfg(), presets.system_model("C1"))
-    assert solve_branch_and_bound(etfg, "energy", Fraction(8)).status is SolveStatus.OPTIMAL
+    assert solve(etfg, "energy", Fraction(8), method="bnb").status is SolveStatus.OPTIMAL
     assert solve(etfg, "latency").stats["solver"] == "branch-and-bound"
     assert solve(etfg, "latency", config=SolveConfig(time_limit=5)).status is SolveStatus.OPTIMAL
     serial = transform(serial_200_graph(), presets.system_model("C1", "run1"))
-    timed = solve_branch_and_bound(serial, "latency", config=SolveConfig(time_limit=0.5))
+    timed = solve(serial, "latency", config=SolveConfig(time_limit=0.5), method="bnb")
     assert timed.stats["dual_passes"] >= 1
     assert set(threading.enumerate()) == threads
 
@@ -700,7 +704,7 @@ def _daemonic_solve(conn):
     import multiprocessing
 
     etfg = transform(serial_200_graph(), presets.system_model("C1", "run1"))
-    result = solve_branch_and_bound(etfg, "latency", config=SolveConfig(time_limit=1))
+    result = solve(etfg, "latency", config=SolveConfig(time_limit=1), method="bnb")
     conn.send((multiprocessing.current_process().daemon, result.stats))
     conn.close()
 
@@ -730,12 +734,12 @@ from fractions import Fraction
 from ehcopt import presets
 from ehcopt.etfg import transform
 from ehcopt.generator import GenSpec, default_param_spec, generate_tfg, synthesize_params
-from ehcopt.solver import SolveConfig, solve_branch_and_bound
+from ehcopt.solver import SolveConfig, solve
 
 system = presets.system_model("C1", "run1")
 spec = GenSpec("serial", 200, 4, 4, Fraction(5, 100), Fraction(2, 100), seed=1)
 graph = synthesize_params(generate_tfg(spec), default_param_spec("C1"), system, spec.seed)
-result = solve_branch_and_bound(transform(graph, system), "latency", config=SolveConfig(time_limit=1))
+result = solve(transform(graph, system), "latency", config=SolveConfig(time_limit=1), method="bnb")
 print(json.dumps(result.stats))
 """
 
@@ -760,7 +764,7 @@ def test_a_guardless_script_gets_the_dual_without_a_warning(tmp_path):
 def test_a_time_limited_solve_keeps_its_limit():
     etfg = transform(serial_200_graph(), presets.system_model("C1", "run1"))
     started = time.perf_counter()
-    result = solve_branch_and_bound(etfg, "latency", config=SolveConfig(time_limit=0.5))
+    result = solve(etfg, "latency", config=SolveConfig(time_limit=0.5), method="bnb")
     elapsed = time.perf_counter() - started
     stats = result.stats
     assert stats["time_limit_hit"] and result.assignment is not None
@@ -772,7 +776,7 @@ def test_a_root_that_breaks_a_row_skips_the_dual():
     # the latency row's additive root is over a 1 us cap, so the search
     # prunes every placement at once; the dual would only delay that proof
     etfg = transform(serial_200_graph(), presets.system_model("C1", "run1"))
-    result = solve_branch_and_bound(etfg, "energy", Fraction(1, 10**6), SolveConfig(time_limit=5))
+    result = solve(etfg, "energy", Fraction(1, 10**6), SolveConfig(time_limit=5), method="bnb")
     assert result.status is SolveStatus.INFEASIBLE
     assert result.stats["dual_passes"] == 0 and result.stats["root_bound"] == "additive"
     assert not result.stats["time_limit_hit"]
@@ -801,18 +805,18 @@ def test_no_process_outlives_a_time_limited_solve(case, monkeypatch):
 
     etfg = transform(serial_200_graph(), presets.system_model("C1", "run1"))
     if case == "timed-out":  # the latency search on this graph cannot finish
-        result = solve_branch_and_bound(etfg, "latency", config=SolveConfig(time_limit=0.5))
+        result = solve(etfg, "latency", config=SolveConfig(time_limit=0.5), method="bnb")
         assert result.stats["time_limit_hit"]
     elif case == "proven":
-        result = solve_branch_and_bound(_unbudgeted_300(), "latency", config=SolveConfig(time_limit=10))
+        result = solve(_unbudgeted_300(), "latency", config=SolveConfig(time_limit=10), method="bnb")
         assert result.status is SolveStatus.OPTIMAL and not result.stats["time_limit_hit"]
     elif case == "no-time-left":
-        result = solve_branch_and_bound(etfg, "latency", config=SolveConfig(time_limit=1e-6))
+        result = solve(etfg, "latency", config=SolveConfig(time_limit=1e-6), method="bnb")
         assert result.stats["time_limit_hit"]
     else:
         monkeypatch.setattr(solver, "_search_tables", _failing_search_tables)
         with pytest.raises(RuntimeError, match="the search failed"):
-            solve_branch_and_bound(etfg, "latency", config=SolveConfig(time_limit=2))
+            solve(etfg, "latency", config=SolveConfig(time_limit=2), method="bnb")
     assert multiprocessing.active_children() == []
     assert set(threading.enumerate()) == threads
 
@@ -890,7 +894,7 @@ def test_dual_passes_counts_every_pass(monkeypatch, objective, capped):
     for seed in range(60):
         etfg, threshold = random_oracle_instance(seed)
         calls.clear()
-        result = solve_branch_and_bound(etfg, objective, threshold if capped else None, SolveConfig(time_limit=10))
+        result = solve(etfg, objective, threshold if capped else None, SolveConfig(time_limit=10), method="bnb")
         assert result.stats["dual_passes"] == len(calls), f"seed {seed}"
         several += len(calls) > 1
     assert several >= 10
@@ -947,7 +951,7 @@ def test_a_row_at_its_budget_is_not_pruned_and_one_unit_over_is(label, over):
     chosen = [kernel.tasks[p].allowed.index(unconstrained.assignment[kernel.tasks[p].id]) for p in range(kernel.n)]
     assert kernel.total(row.node, row.arc, chosen) == row.budget + over
 
-    result = solve_branch_and_bound(etfg, objective, cap)
+    result = solve(etfg, objective, cap, method="bnb")
     oracle = solve_bruteforce(etfg, objective, cap)
     assert (result.objective_value, result.assignment) == (oracle.objective_value, oracle.assignment)
     assert (result.assignment == unconstrained.assignment) is (over == 0)
@@ -970,7 +974,7 @@ def test_the_first_row_over_its_budget_takes_the_prune(budgets, counts):
     labels = ["mem_e", "enr_e", "lthr"] if budgets else ["lthr"]
     assert [row.label for row in solver._search_tables(kernel)[0]] == labels
     assert solver._search_tables(kernel)[-1] == [(1, 2, 0)]  # h, c, e
-    result = solve_branch_and_bound(etfg, "energy", Fraction(5))
+    result = solve(etfg, "energy", Fraction(5), method="bnb")
     assert result.assignment == {1: H}
     assert {key: result.stats[key] for key in counts} == counts
     assert result.stats["nodes_explored"] == 4  # three placements and the frame's exhaustion
@@ -998,7 +1002,7 @@ def test_fields_wider_than_128_bits_match_the_oracle():
         if etfg.graph.arcs:
             assert solver._search_tables(kernel)[1] > 128, f"seed {seed}"
             wide += 1
-        bb = solve_branch_and_bound(etfg, "energy", threshold)
+        bb = solve(etfg, "energy", threshold, method="bnb")
         bf = solve_bruteforce(etfg, "energy", threshold)
         assert bb.status is bf.status, f"seed {seed}"
         assert (bb.objective_value, bb.assignment) == (bf.objective_value, bf.assignment), f"seed {seed}"
