@@ -313,7 +313,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a bad argument and 0 after --help
+        return exc.code
     try:
         return args.func(args)
     except CliError as exc:

@@ -10,8 +10,9 @@ Row families, in emission order:
   odeg     one per non-sink task: selected outgoing arcs match the
            task's child count (vacuous for sinks, so skipped).
   lnksrc/  three per expanded arc: the arc variable equals the logical
-  lnkdst/  AND of its endpoint node variables.
-  lnkand
+  lnkdst/  AND of its endpoint node variables.  They are kept as one
+  lnkand   (arc, source, destination, tag) record per arc and made by
+           :func:`link_rows` only when a row is read (:class:`Rows`).
   mem/sto  one per device with a finite memory/storage budget.
   enr      one per device with a finite energy budget; charges executed
            tasks plus all traffic sent, received, or relayed by the device.
@@ -22,6 +23,8 @@ Row families, in emission order:
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -33,6 +36,7 @@ from .units import si_number, without_cyclic_gc
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+MINUS_ONE = Fraction(-1)
 
 
 class Objective(str, Enum):
@@ -63,16 +67,76 @@ class ConstraintRow(NamedTuple):
     rhs: Fraction
 
 
+def link_rows(a: int, s: int, d: int, tag: str) -> tuple[ConstraintRow, ConstraintRow, ConstraintRow]:
+    """The three rows that make arc column ``a`` the AND of node columns
+    ``s`` and ``d``: ``y <= x_s``, ``y <= x_d`` and ``x_s + x_d - y <= 1``.
+    Their coefficients and right-hand sides are the module's constants, so
+    rows made at different times share their value objects."""
+    return (
+        ConstraintRow("lnksrc_" + tag, {a: ONE, s: MINUS_ONE}, "L", ZERO),
+        ConstraintRow("lnkdst_" + tag, {a: ONE, d: MINUS_ONE}, "L", ZERO),
+        ConstraintRow("lnkand_" + tag, {a: MINUS_ONE, s: ONE, d: ONE}, "L", ONE),
+    )
+
+
+LINK_NONZEROS = sum(len(row.coeffs) for row in link_rows(0, 1, 2, ""))
+
+
+class Rows(Sequence[ConstraintRow]):
+    """A model's rows in emission order: the explicit ``head`` rows, three
+    rows per record of ``links`` (``(arc, source, destination, tag)`` in
+    arc-column order, made by :func:`link_rows` when read), then the
+    explicit ``tail`` rows."""
+
+    __slots__ = ("head", "links", "tail")
+
+    def __init__(
+        self,
+        head: Sequence[ConstraintRow],
+        links: Sequence[tuple[int, int, int, str]] = (),
+        tail: Sequence[ConstraintRow] = (),
+    ):
+        self.head, self.links, self.tail = head, links, tail
+
+    def __len__(self) -> int:
+        return len(self.head) + 3 * len(self.links) + len(self.tail)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        index = operator.index(index)
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("row index out of range")
+        if index < len(self.head):
+            return self.head[index]
+        link, which = divmod(index - len(self.head), 3)
+        if link < len(self.links):
+            return link_rows(*self.links[link])[which]
+        return self.tail[index - len(self.head) - 3 * len(self.links)]
+
+    def __iter__(self):
+        yield from self.head
+        for link in self.links:
+            yield from link_rows(*link)
+        yield from self.tail
+
+
 @dataclass
 class BilpModel:
     objective_kind: Objective
     latency_threshold: Fraction | None
     variables: list[Variable]
     objective: dict[int, Fraction]
-    rows: list[ConstraintRow]
+    rows: Sequence[ConstraintRow]  # a plain sequence is taken as all head rows
     node_col: dict[tuple[int, DeviceRole], int]
     arc_col: dict[tuple[int, DeviceRole, int, DeviceRole], int]
     etfg: Etfg = field(repr=False)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.rows, Rows):
+            self.rows = Rows(self.rows)
 
     @property
     def num_variables(self) -> int:
@@ -150,8 +214,8 @@ def build_model(
 
     obj = _column_costs(nodes_list, arcs_list, objective is Objective.LATENCY)
 
-    rows: list[ConstraintRow] = []
-    append = rows.append
+    head: list[ConstraintRow] = []
+    append = head.append
 
     for task in graph.tasks:
         coeffs = {node_col[(task.id, role)]: ONE for role in task.allowed}
@@ -172,19 +236,20 @@ def build_model(
         coeffs = {c: ONE for j in children for c in dep_cols[(task.id, j)]}
         append(ConstraintRow(f"odeg_{task.id}", coeffs, "E", Fraction(len(children))))
 
-    minus_one = -ONE
+    # the link rows: one record per arc, in arc-column order (see link_rows)
     char = {role: role.value for role in ROLES}
-    col = arc_base
-    for src_task, src_device, dst_task, dst_device, _l, _e, _shares, _via in arcs_list:
-        a = col
-        col += 1
-        s = node_col[(src_task, src_device)]
-        d = node_col[(dst_task, dst_device)]
-        tag = f"{src_task}{char[src_device]}_{dst_task}{char[dst_device]}"
-        append(ConstraintRow("lnksrc_" + tag, {a: ONE, s: minus_one}, "L", ZERO))
-        append(ConstraintRow("lnkdst_" + tag, {a: ONE, d: minus_one}, "L", ZERO))
-        append(ConstraintRow("lnkand_" + tag, {a: minus_one, s: ONE, d: ONE}, "L", ONE))
+    links = [
+        (
+            a,
+            node_col[(src_task, src_device)],
+            node_col[(dst_task, dst_device)],
+            f"{src_task}{char[src_device]}_{dst_task}{char[dst_device]}",
+        )
+        for a, (src_task, src_device, dst_task, dst_device, _l, _e, _s, _v) in enumerate(arcs_list, arc_base)
+    ]
 
+    tail: list[ConstraintRow] = []
+    append = tail.append
     for family, quantity in (("mem", "memory"), ("sto", "storage")):
         for role in ROLES:
             budget = getattr(system.device(role), f"{quantity}_budget")
@@ -211,7 +276,7 @@ def build_model(
         latency_threshold=latency_threshold,
         variables=variables,
         objective=obj,
-        rows=rows,
+        rows=Rows(head, links, tail),
         node_col=node_col,
         arc_col=arc_col,
         etfg=etfg,
@@ -232,9 +297,9 @@ def model_stats(model: BilpModel) -> dict:
     n_tasks = len(graph.tasks)
     non_sink = sum(1 for t in graph.tasks if graph.successors[t.id])
     n_arcs = model.etfg.arc_count
-    finite_budget_rows = sum(
-        1 for row in model.rows if row.label.startswith(("mem_", "sto_", "enr_"))
-    )
+    rows = model.rows
+    explicit = [*rows.head, *rows.tail]  # the link rows are counted from their records
+    finite_budget_rows = sum(1 for row in explicit if row.label.startswith(("mem_", "sto_", "enr_")))
     threshold_rows = 1 if model.latency_threshold is not None else 0
     logical = n_tasks + non_sink + n_arcs + finite_budget_rows + threshold_rows
     logical_all = n_tasks + non_sink + n_arcs + 3 * len(ROLES) + threshold_rows
@@ -243,10 +308,10 @@ def model_stats(model: BilpModel) -> dict:
         "binary_variables": model.num_variables,
         "node_variables": model.etfg.node_count,
         "arc_variables": n_arcs,
-        "algebraic_rows": len(model.rows),
+        "algebraic_rows": len(rows),
         "logical_constraints": logical,
         "logical_constraints_all_budgets": logical_all,
-        "nonzeros": sum(len(row.coeffs) for row in model.rows),
+        "nonzeros": sum(len(row.coeffs) for row in explicit) + LINK_NONZEROS * len(rows.links),
         "objective": model.objective_kind.value,
         "latency_threshold": (
             None if model.latency_threshold is None else si_number(model.latency_threshold)

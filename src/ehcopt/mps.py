@@ -18,6 +18,15 @@ lines first and builds the full text from those once: the MPS writer
 transposes the rows into per-column lists of shared row-field and value
 strings and joins each column into one string, and the LP writer joins
 its rows in blocks.  A writer's peak memory is about 2-3 times its text.
+
+Most rows of a large model are the AND-link rows, three per arc, which
+the model keeps as one record per arc (:class:`~ehcopt.milp.Rows`).  The
+writers emit that block straight from the records, without making the
+rows: the MPS writer adds each arc's seven column entries with the shared
+texts of 1 and -1 and an RHS of 1 on each ``lnkand`` row, and the LP
+writer makes each arc's three lines in one string, with their terms in
+the order the generic rows would have them.  The explicit rows before and
+after the block take the generic path.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import add
 
-from .milp import BilpModel
+from .milp import MINUS_ONE, ONE, ZERO, BilpModel
 from .units import fmt12, without_cyclic_gc
 
 _LP_BLOCK = 2048  # constraint rows per joined string of the LP text
@@ -74,19 +83,38 @@ def _mps_sections(model: BilpModel) -> list[str]:
     per-column lists are freed on return, before the caller builds the
     full text."""
     rows = model.rows
+    head, links, tail = rows.head, rows.links, rows.tail
+    first_link = len(head) + 1  # the number of the first link row
+    first_tail = first_link + 3 * len(links)
     by_id, text = _text_memo()
+    one, minus_one = text(ONE), text(MINUS_ONE)
     out = ["NAME          EHCOPT", "ROWS", " N  OBJ"]
-    out += _joined([f" {row.sense}  R{idx}" for idx, row in enumerate(rows, 1)])
+    out += _joined([
+        *[f" {row.sense}  R{idx}" for idx, row in enumerate(head, 1)],
+        *[f" L  R{idx}" for idx in range(first_link, first_tail)],
+        *[f" {row.sense}  R{idx}" for idx, row in enumerate(tail, first_tail)],
+    ])
 
     # transpose: per column, its (row field, value text) pairs, objective
     # first, then rows in order; both are shared strings, not new ones
     per_column: list[list[str] | None] = [[] for _ in model.variables]
     for col, coeff in model.objective.items():
         per_column[col].extend(("OBJ       ", by_id.get(id(coeff)) or text(coeff)))
-    for idx, row in enumerate(rows, 1):
-        row_field = f"{f'R{idx}':<10}"
-        for col, coeff in row.coeffs.items():
-            per_column[col].extend((row_field, by_id.get(id(coeff)) or text(coeff)))
+
+    def transpose(numbered) -> None:
+        for idx, row in numbered:
+            row_field = f"{f'R{idx}':<10}"
+            for col, coeff in row.coeffs.items():
+                per_column[col].extend((row_field, by_id.get(id(coeff)) or text(coeff)))
+
+    transpose(enumerate(head, 1))
+    # each arc's three link rows (lnksrc, lnkdst, lnkand) as link_rows makes them
+    link_fields = iter([f"{f'R{idx}':<10}" for idx in range(first_link, first_tail)])
+    for (a, s, d, _tag), src, dst, both in zip(links, link_fields, link_fields, link_fields):
+        per_column[a] += (src, one, dst, one, both, minus_one)
+        per_column[s] += (src, minus_one, both, one)
+        per_column[d] += (dst, minus_one, both, one)
+    transpose(enumerate(tail, first_tail))
 
     out.append("COLUMNS")
     out.append("    MARKER                 'MARKER'                 'INTORG'")
@@ -99,11 +127,18 @@ def _mps_sections(model: BilpModel) -> list[str]:
         per_column[col - 1] = None  # release the column's list once it is joined
     out.append("    MARKER                 'MARKER'                 'INTEND'")
 
+    def rhs(numbered) -> list[str]:
+        return [
+            f"    RHS       {f'R{idx}':<10}{by_id.get(id(row.rhs)) or text(row.rhs)}"
+            for idx, row in numbered
+            if row.rhs
+        ]
+
     out.append("RHS")
     out += _joined([
-        f"    RHS       {f'R{idx}':<10}{by_id.get(id(row.rhs)) or text(row.rhs)}"
-        for idx, row in enumerate(rows, 1)
-        if row.rhs
+        *rhs(enumerate(head, 1)),
+        *[f"    RHS       {f'R{idx}':<10}{one}" for idx in range(first_link + 2, first_tail, 3)],  # lnkand
+        *rhs(enumerate(tail, first_tail)),
     ])
     out.append("BOUNDS")
     out += _joined([f" BV BND       X{col}" for col in range(1, len(per_column) + 1)])
@@ -237,13 +272,38 @@ def _lp_sections(model: BilpModel) -> list[str]:
     sense_text = {"L": "<=", "E": "=", "G": ">="}
     out = [f"\\ objective: {model.objective_kind.value}", "Minimize", line(" obj:", model.objective)]
     out.append("Subject To")
-    rows = model.rows
-    for start in range(0, len(rows), _LP_BLOCK):
+
+    def blocks(rows) -> list[str]:
         # one string per block of rows: its lines live only while it is joined
-        out.append("\n".join([
-            line(f" {row.label}:", row.coeffs, sense_text[row.sense], by_id.get(id(row.rhs)) or text(row.rhs))
-            for row in rows[start : start + _LP_BLOCK]
-        ]))
+        return [
+            "\n".join([
+                line(f" {row.label}:", row.coeffs, sense_text[row.sense], by_id.get(id(row.rhs)) or text(row.rhs))
+                for row in rows[start : start + _LP_BLOCK]
+            ])
+            for start in range(0, len(rows), _LP_BLOCK)
+        ]
+
+    def link_blocks(links) -> list[str]:
+        # the three rows link_rows makes per arc, one string per block of
+        # arcs, written as line() writes them: terms by column, so the node
+        # columns come before the arc column
+        plus, minus = term(ONE), term(MINUS_ONE)
+        one, negative, zero = leading[plus], leading[minus], text(ZERO)
+        per_block = _LP_BLOCK // 3
+        return [
+            "\n".join([
+                f" lnksrc_{tag}: {negative} {names[s]} {plus} {names[a]} <= {zero}\n"
+                f" lnkdst_{tag}: {negative} {names[d]} {plus} {names[a]} <= {zero}\n"
+                f" lnkand_{tag}: {one} {names[min(s, d)]} {plus} {names[max(s, d)]} {minus} {names[a]} <= {one}"
+                for a, s, d, tag in links[start : start + per_block]
+            ])
+            for start in range(0, len(links), per_block)
+        ]
+
+    rows = model.rows
+    out += blocks(rows.head)
+    out += link_blocks(rows.links)
+    out += blocks(rows.tail)
     out.append("Binary")
     out.append(" " + "\n ".join(names))
     out += ["End", ""]

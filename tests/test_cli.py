@@ -69,6 +69,14 @@ def test_invalid_graph_exits_2_in_every_command(command, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_argument_errors_and_help_return_argparse_codes(capsys):
+    # in process, main returns the code argparse exits with instead of raising it
+    assert main(["solve", "app.json", "--objective", "speed"]) == 2
+    assert "invalid choice: 'speed'" in capsys.readouterr().err
+    assert main(["export", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: ")
+
+
 def test_solve_command_deterministic(example_tfg, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["solve", example_tfg, "--config", "C1", "--objective", "latency",
@@ -225,10 +233,8 @@ def test_generate_with_custom_param_ranges(tmp_path):
 
 
 def _refuses_tree_dp(argv, out, capsys):
-    """``--solver tree-dp`` is no method: argparse exits 2 before anything is written."""
-    with pytest.raises(SystemExit) as exit_info:
-        main(argv + ["--solver", "tree-dp", "--out", str(out)])
-    assert exit_info.value.code == 2
+    """``--solver tree-dp`` is no method: argparse refuses it with code 2 before anything is written."""
+    assert main(argv + ["--solver", "tree-dp", "--out", str(out)]) == 2
     assert "invalid choice: 'tree-dp'" in capsys.readouterr().err
     assert not (out / "allocation.json").exists()
 

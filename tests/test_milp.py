@@ -14,6 +14,7 @@ from conftest import (
     H,
     make_device,
     random_oracle_instance,
+    serial_200_graph,
     simple_task,
     two_task_chain,
     unbudgeted_system,
@@ -23,6 +24,11 @@ from conftest import (
 from ehcopt import presets
 from ehcopt.etfg import energy_shares, transform
 from ehcopt.milp import (
+    MINUS_ONE,
+    ONE,
+    ZERO,
+    BilpModel,
+    ConstraintRow,
     Objective,
     ObjectiveBreakdown,
     build_model,
@@ -414,6 +420,61 @@ def test_stats_on_bundled_example(example_app):
     assert lat["logical_constraints"] == 148
     assert lat["algebraic_rows"] == 15 + 14 + 3 * 111 + 8
     assert lat["nonzeros"] == sum(len(r.coeffs) for r in build_model(example_app, "latency").rows)
+
+
+def test_stats_count_rows_and_nonzeros_as_the_rows_do(example_app):
+    serial = transform(serial_200_graph(), C1)
+    for etfg in (example_app, serial):
+        for objective, threshold in (("latency", None), ("energy", Fraction(8))):
+            model = build_model(etfg, objective, threshold)
+            stats = model_stats(model)
+            rows = list(model.rows)
+            assert stats["algebraic_rows"] == len(rows)
+            assert stats["nonzeros"] == sum(len(row.coeffs) for row in rows)
+
+
+def explicit_link_rows(model):
+    """Each arc's three AND-link rows, written out one by one."""
+    rows = []
+    for src_task, src_device, dst_task, dst_device, *_ in model.etfg.iter_arcs():
+        a = model.arc_col[(src_task, src_device, dst_task, dst_device)]
+        s, d = model.node_col[(src_task, src_device)], model.node_col[(dst_task, dst_device)]
+        tag = f"{src_task}{src_device.value}_{dst_task}{dst_device.value}"
+        rows += [
+            ConstraintRow(f"lnksrc_{tag}", {a: Fraction(1), s: Fraction(-1)}, "L", Fraction(0)),
+            ConstraintRow(f"lnkdst_{tag}", {a: Fraction(1), d: Fraction(-1)}, "L", Fraction(0)),
+            ConstraintRow(f"lnkand_{tag}", {a: Fraction(-1), s: Fraction(1), d: Fraction(1)}, "L", Fraction(1)),
+        ]
+    return rows
+
+
+def test_rows_are_a_sequence_that_makes_link_rows_on_access(example_app):
+    model = build_model(example_app, "energy", Fraction(8))
+    rows = model.rows
+    links = explicit_link_rows(model)
+    expected = [*rows.head, *links, *rows.tail]
+    assert {row.label.split("_")[0] for row in rows.head} == {"asg", "odeg"}
+    assert [row.label for row in rows.tail] == [
+        "mem_e", "mem_h", "mem_c", "sto_e", "sto_h", "sto_c", "enr_e", "enr_h", "lthr"
+    ]
+    assert len(rows) == len(expected) == 15 + 14 + 3 * 111 + 9
+    assert list(rows) == expected
+    assert [rows[i] for i in range(len(rows))] == expected
+    assert [rows[-i] for i in range(1, len(rows) + 1)] == expected[::-1]
+    for part in (slice(None), slice(20, 40), slice(None, None, -7), slice(-50, -2, 3), slice(400, 500), slice(5, 5)):
+        assert rows[part] == expected[part], part
+    for index in (len(rows), -len(rows) - 1):
+        with pytest.raises(IndexError):
+            rows[index]
+    # the link rows' values are shared objects, so the writers' memo by id holds
+    start = len(rows.head)
+    for row in rows[start : start + len(links)]:
+        assert all(value is ONE or value is MINUS_ONE for value in row.coeffs.values())
+        assert row.rhs is (ONE if row.label.startswith("lnkand_") else ZERO)
+    # a plain list of rows is all head rows
+    plain = BilpModel(Objective.LATENCY, None, model.variables, {}, expected, {}, {}, etfg=None)
+    assert (len(plain.rows.head), len(plain.rows.links), len(plain.rows.tail)) == (len(expected), 0, 0)
+    assert list(plain.rows) == expected
 
 
 def test_stats_on_serial_chain_with_shortcuts():

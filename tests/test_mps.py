@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import C, E, H, serial_200_graph, simple_task, two_task_chain
-from ehcopt import presets
+from conftest import C, E, H, random_oracle_instance, serial_200_graph, simple_task, two_task_chain
+from ehcopt import milp, presets
 from ehcopt.etfg import transform
-from ehcopt.milp import BilpModel, ConstraintRow, Objective, Variable, build_model
+from ehcopt.milp import BilpModel, ConstraintRow, Objective, Variable, build_model, model_stats
 from ehcopt.model import TaskGraph
 from ehcopt.mps import MpsFormatError, model_to_lp, model_to_mps, parse_mps
 from ehcopt.solver import _as_int, solve
@@ -107,18 +107,22 @@ def test_lp_deterministic():
 
 
 def plain_mps(model) -> str:
-    """The MPS text with every value formatted by ``fmt12`` where it is written."""
+    """The MPS text with every value formatted by ``fmt12`` where it is
+    written, from the model's rows read one by one."""
+    rows = list(model.rows)
+    entries = [[] for _ in range(model.num_variables)]  # per column: (row name, value), rows in order
+    for col, value in model.objective.items():
+        entries[col].append(("OBJ", value))
+    for i, row in enumerate(rows, 1):
+        for col, value in row.coeffs.items():
+            entries[col].append((f"R{i}", value))
     lines = ["NAME          EHCOPT", "ROWS", " N  OBJ"]
-    lines += [f" {row.sense}  R{i}" for i, row in enumerate(model.rows, 1)]
+    lines += [f" {row.sense}  R{i}" for i, row in enumerate(rows, 1)]
     lines += ["COLUMNS", "    MARKER                 'MARKER'                 'INTORG'"]
-    for col in range(model.num_variables):
-        if col in model.objective:
-            lines.append(f"    {f'X{col + 1}':<10}{'OBJ':<10}{fmt12(model.objective[col])}")
-        for i, row in enumerate(model.rows, 1):
-            if col in row.coeffs:
-                lines.append(f"    {f'X{col + 1}':<10}{f'R{i}':<10}{fmt12(row.coeffs[col])}")
+    for col, column in enumerate(entries, 1):
+        lines += [f"    {f'X{col}':<10}{name:<10}{fmt12(value)}" for name, value in column]
     lines += ["    MARKER                 'MARKER'                 'INTEND'", "RHS"]
-    lines += [f"    RHS       {f'R{i}':<10}{fmt12(row.rhs)}" for i, row in enumerate(model.rows, 1) if row.rhs != 0]
+    lines += [f"    RHS       {f'R{i}':<10}{fmt12(row.rhs)}" for i, row in enumerate(rows, 1) if row.rhs != 0]
     lines += ["BOUNDS"] + [f" BV BND       X{col + 1}" for col in range(model.num_variables)] + ["ENDATA"]
     return "".join(line + "\n" for line in lines)
 
@@ -180,6 +184,44 @@ def test_writers_format_every_value_as_fmt12_does():
     for model in (bare, built):
         assert model_to_mps(model) == plain_mps(model)
         assert model_to_lp(model) == plain_lp(model)
+    # the writers emit the link rows from their per-arc records; the plain
+    # writers read the rows that link_rows makes, one by one
+    for model in built_models():
+        assert model_to_mps(model) == plain_mps(model)
+        assert model_to_lp(model) == plain_lp(model)
+
+
+def built_models():
+    """The 200-task serial graph under latency and under energy at 8 s, 20
+    random budgeted instances under both objectives, a graph that lists
+    every task after its successors (each arc's source column comes after
+    its destination's), and a graph without dependencies (no link rows)."""
+    serial = transform(serial_200_graph(), C1)
+    yield build_model(serial, "latency")
+    yield build_model(serial, "energy", Fraction(8))
+    for seed in range(20):
+        etfg, threshold = random_oracle_instance(seed)
+        yield build_model(etfg, "latency")
+        yield build_model(etfg, "energy", threshold)
+    tasks = tuple(simple_task(i, data=10**5 * i) for i in range(1, 5))
+    backwards = TaskGraph(tasks=tasks, arcs=((4, 1), (3, 1), (4, 2), (2, 1)))
+    yield build_model(transform(backwards, C1), "energy", Fraction(8))
+    unlinked = TaskGraph(tasks=(simple_task(1, (E, H)), simple_task(2), simple_task(3, (C,))), arcs=())
+    yield build_model(transform(unlinked, C1), "energy", Fraction(8))
+
+
+def test_writers_make_no_link_row(monkeypatch):
+    model = build_model(transform(serial_200_graph(), C1), "energy", Fraction(8))
+    expected = model_to_mps(model), model_to_lp(model)
+
+    def refuse(*record):
+        raise AssertionError(f"link row made for {record}")
+
+    monkeypatch.setattr(milp, "link_rows", refuse)
+    assert (model_to_mps(model), model_to_lp(model)) == expected
+    assert model_stats(model) == model_stats(build_model(model.etfg, "energy", Fraction(8)))
+    with pytest.raises(AssertionError, match="link row made"):
+        model.rows[len(model.rows.head)]
 
 
 @pytest.mark.parametrize("objective, threshold", [("latency", None), ("energy", Fraction(8))])
