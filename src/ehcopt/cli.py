@@ -21,6 +21,7 @@ from pathlib import Path
 from . import analysis, presets
 from .etfg import save_etfg, transform
 from .generator import (
+    GenerationError,
     GenSpec,
     ParamSpec,
     default_param_spec,
@@ -35,6 +36,7 @@ from .model import (
     load_system_model,
     load_task_graph,
     make_system_model,
+    read_json,
     save_task_graph,
 )
 from .mps import model_to_lp, model_to_mps
@@ -168,7 +170,8 @@ def cmd_generate(args) -> int:
     )
     system = _load_system(args.config, args.channel_profile)
     if args.params is not None:
-        pspec = ParamSpec.from_dict(json.loads(Path(args.params).read_text()), f"params file {args.params}")
+        document = read_json(args.params, "params", GenerationError)
+        pspec = ParamSpec.from_dict(document, f"params file {args.params}")
     else:
         config_name = args.config if args.config in presets.CONFIGURATIONS else "C1"
         pspec = default_param_spec(config_name)

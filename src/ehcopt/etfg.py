@@ -195,15 +195,29 @@ class Etfg:
         variable numbering and serialization are reproducible.  An arc's
         costs and energy shares are its device pair's per-bit ones scaled
         by the source task's output size, computed once per distinct size
-        and pair and shared by the arcs that repeat them."""
+        and pair and shared by the arcs that repeat them.  Each product is
+        made as one ``Fraction`` of the numerators' and denominators'
+        products, which ``Fraction`` reduces to the same value that
+        ``size * unit`` gives, without ``Fraction.__mul__``'s dispatch and
+        its two gcds."""
         nodes_by_task, task_map, per_bit = self.nodes_by_task, self.graph.task_map, self.per_bit
         on_device = {pair: cost for pair, cost in per_bit.items() if pair[0] == pair[1]}
+        # per pair: the per-bit latency, energy and shares as (numerator, denominator)
+        ratios = {
+            pair: (
+                (unit.latency.numerator, unit.latency.denominator),
+                (unit.energy.numerator, unit.energy.denominator),
+                tuple([(device, amount.numerator, amount.denominator) for device, amount in unit.shares]),
+                unit.via,
+            )
+            for pair, unit in per_bit.items()
+        }
         scaled: dict[tuple[int, int], dict] = {}  # per data size, keyed by (num, den): Fraction hashing is costly
         arcs_by_dep: dict[tuple[int, int], tuple[EtfgArc, ...]] = {}
         for dep in self.graph.arcs:
             i, j = dep
             data = task_map[i].output_data
-            size = (data.numerator, data.denominator)
+            num, den = size = (data.numerator, data.denominator)
             costs = scaled.get(size)
             if costs is None:
                 costs = scaled[size] = dict(on_device)
@@ -214,9 +228,13 @@ class Etfg:
                     pair = (k, dst.device)
                     cost = costs.get(pair)
                     if cost is None:
-                        unit = per_bit[pair]
-                        shares = tuple([(device, data * amount) for device, amount in unit.shares])
-                        cost = costs[pair] = (data * unit.latency, data * unit.energy, shares, unit.via)
+                        (lat_num, lat_den), (en_num, en_den), shares, via = ratios[pair]
+                        cost = costs[pair] = (
+                            Fraction(num * lat_num, den * lat_den),
+                            Fraction(num * en_num, den * en_den),
+                            tuple([(device, Fraction(num * n, den * d)) for device, n, d in shares]),
+                            via,
+                        )
                     group.append(EtfgArc(i, k, j, pair[1], *cost))
             arcs_by_dep[dep] = tuple(group)
         return arcs_by_dep

@@ -3,7 +3,11 @@
 Decision columns are one binary per candidate node (run task i on device
 k) and one per expanded arc (both endpoint choices selected).  The model
 is solver-neutral: sparse rows with exact rational coefficients, exported
-through :mod:`ehcopt.mps`.
+through :mod:`ehcopt.mps`.  :func:`build_model` numbers the node columns
+(``node_col``) and keeps one link record per arc; the column
+:class:`Variable` tuples and the arc-column map are made from those on
+their first read (:class:`Columns`, :class:`ArcColumns`), which the
+writers never do: they need only the column count and names.
 
 Row families, in emission order:
   asg      one per task: exactly one device is chosen.
@@ -24,11 +28,11 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from .etfg import Etfg
 from .model import ROLES, DeviceRole
@@ -44,6 +48,20 @@ class Objective(str, Enum):
     ENERGY = "energy"
 
 
+_CHAR = {role: role.value for role in ROLES}  # Enum.value is a property call
+
+
+def node_name(task: int, device: DeviceRole) -> str:
+    """The name of the node column that runs ``task`` on ``device``."""
+    return f"x_{task}_{_CHAR[device]}"
+
+
+def arc_tag(src_task: int, src_device: DeviceRole, dst_task: int, dst_device: DeviceRole) -> str:
+    """An arc as its column's name (``"y_" + tag``) and its link rows'
+    labels spell it."""
+    return f"{src_task}{_CHAR[src_device]}_{dst_task}{_CHAR[dst_device]}"
+
+
 class Variable(NamedTuple):
     kind: str  # "node" or "arc"
     column: int
@@ -53,11 +71,8 @@ class Variable(NamedTuple):
     @property
     def name(self) -> str:
         if self.kind == "node":
-            return f"x_{self.tasks[0]}_{self.devices[0].value}"
-        return (
-            f"y_{self.tasks[0]}{self.devices[0].value}"
-            f"_{self.tasks[1]}{self.devices[1].value}"
-        )
+            return node_name(self.tasks[0], self.devices[0])
+        return "y_" + arc_tag(self.tasks[0], self.devices[0], self.tasks[1], self.devices[1])
 
 
 class ConstraintRow(NamedTuple):
@@ -123,16 +138,102 @@ class Rows(Sequence[ConstraintRow]):
         yield from self.tail
 
 
+class _MadeOnFirstRead:
+    """A read-only container over a built model's node keys (``node_col``)
+    and link records (``links``, see :class:`Rows`), whose contents
+    :meth:`_contents` makes, with the collector paused, on the first read."""
+
+    __slots__ = ("node_col", "links", "_made")
+
+    def __init__(self, node_col: dict[tuple[int, DeviceRole], int], links: Sequence[tuple[int, int, int, str]]):
+        self.node_col, self.links, self._made = node_col, links, None
+
+    def __getitem__(self, key):
+        made = self._made
+        return (self._make() if made is None else made)[key]
+
+    def __iter__(self):
+        made = self._made
+        return iter(self._make() if made is None else made)
+
+    @without_cyclic_gc
+    def _make(self):
+        self._made = self._contents()
+        return self._made
+
+
+class Columns(_MadeOnFirstRead, Sequence[Variable]):
+    """A built model's columns: one per candidate node, in ``node_col``'s
+    order, then one per link record's arc column.  Their count and their
+    names (:meth:`BilpModel.column_names`) need no :class:`Variable`; the
+    variables are made on the first read of one (:func:`_variables`)."""
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        return len(self.node_col) + len(self.links)
+
+    def _contents(self) -> list[Variable]:
+        return _variables(self.node_col, self.links)
+
+
+class ArcColumns(_MadeOnFirstRead, Mapping):
+    """A built model's arc columns by ``(src_task, src_device, dst_task,
+    dst_device)``; the dict is made on the first read (:func:`_arc_columns`)."""
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        return len(self.links)
+
+    def _contents(self) -> dict[tuple[int, DeviceRole, int, DeviceRole], int]:
+        return _arc_columns(self.node_col, self.links)
+
+
+def _variables(node_col, links) -> list[Variable]:
+    """The canonical columns as :class:`Variable` tuples.  They share their
+    small tuples: one ``(task,)`` per task, one ``(device,)`` per device,
+    one pair per dependency and per device pair."""
+    keys = list(node_col)
+    shared: dict[tuple, tuple] = {}
+
+    def share(key: tuple) -> tuple:
+        return shared.setdefault(key, key)
+
+    variables = [Variable("node", i, share((task,)), share((device,))) for i, (task, device) in enumerate(keys)]
+    variables += [
+        Variable("arc", a, share((keys[s][0], keys[d][0])), share((keys[s][1], keys[d][1])))
+        for a, s, d, _tag in links
+    ]
+    return variables
+
+
+def _arc_columns(node_col, links) -> dict[tuple[int, DeviceRole, int, DeviceRole], int]:
+    """Each arc column by its ends' node keys, in column order."""
+    keys = list(node_col)
+    return {keys[s] + keys[d]: a for a, s, d, _tag in links}
+
+
 @dataclass
 class BilpModel:
+    """A 0/1 program: columns, objective and rows.
+
+    :func:`build_model` makes ``variables`` a :class:`Columns` and
+    ``arc_col`` an :class:`ArcColumns`, both read-only and made on first
+    read; hand-built models may pass a plain list and dict.  The writers
+    keep the text of every value object the model holds on the model
+    (``texts``, by ``id``), so a model is not changed once written.
+    """
+
     objective_kind: Objective
     latency_threshold: Fraction | None
-    variables: list[Variable]
+    variables: Sequence[Variable]
     objective: dict[int, Fraction]
     rows: Sequence[ConstraintRow]  # a plain sequence is taken as all head rows
     node_col: dict[tuple[int, DeviceRole], int]
-    arc_col: dict[tuple[int, DeviceRole, int, DeviceRole], int]
+    arc_col: Mapping[tuple[int, DeviceRole, int, DeviceRole], int]
     etfg: Etfg = field(repr=False)
+    texts: dict[int, str] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.rows, Rows):
@@ -142,24 +243,13 @@ class BilpModel:
     def num_variables(self) -> int:
         return len(self.variables)
 
-
-def _column_maps(nodes, arcs):
-    """Canonical dense numbering: all node columns, then all arc columns.
-    The variables share their small tuples: one ``(task,)`` per task, one
-    ``(device,)`` per device, one pair per dependency and per device pair."""
-    offset = len(nodes)
-    node_col = {(n[0], n[1]): i for i, n in enumerate(nodes)}
-    arc_col = {a[:4]: offset + i for i, a in enumerate(arcs)}
-    shared: dict[tuple, tuple] = {}
-
-    def share(key: tuple) -> tuple:
-        return shared.setdefault(key, key)
-
-    variables = [Variable("node", i, share((n[0],)), share((n[1],))) for i, n in enumerate(nodes)]
-    variables += [
-        Variable("arc", offset + i, share((a[0], a[2])), share((a[1], a[3]))) for i, a in enumerate(arcs)
-    ]
-    return node_col, arc_col, variables
+    def column_names(self) -> list[str]:
+        """Each column's name, by column.  A built model's come from its
+        node keys and its arcs' link tags, without making a variable."""
+        variables = self.variables
+        if isinstance(variables, Columns):
+            return [node_name(*key) for key in variables.node_col] + ["y_" + link[3] for link in variables.links]
+        return [v.name for v in variables]
 
 
 def _column_costs(nodes, arcs, latency: bool) -> dict[int, Fraction]:
@@ -208,7 +298,7 @@ def build_model(
 
     nodes_list = list(etfg.iter_nodes())
     arcs_list = list(etfg.iter_arcs())
-    node_col, arc_col, variables = _column_maps(nodes_list, arcs_list)
+    node_col = {(node[0], node[1]): i for i, node in enumerate(nodes_list)}
     graph, system = etfg.graph, etfg.system
     arc_base = len(nodes_list)
 
@@ -237,13 +327,12 @@ def build_model(
         append(ConstraintRow(f"odeg_{task.id}", coeffs, "E", Fraction(len(children))))
 
     # the link rows: one record per arc, in arc-column order (see link_rows)
-    char = {role: role.value for role in ROLES}
     links = [
         (
             a,
             node_col[(src_task, src_device)],
             node_col[(dst_task, dst_device)],
-            f"{src_task}{char[src_device]}_{dst_task}{char[dst_device]}",
+            arc_tag(src_task, src_device, dst_task, dst_device),
         )
         for a, (src_task, src_device, dst_task, dst_device, _l, _e, _s, _v) in enumerate(arcs_list, arc_base)
     ]
@@ -274,11 +363,11 @@ def build_model(
     return BilpModel(
         objective_kind=objective,
         latency_threshold=latency_threshold,
-        variables=variables,
+        variables=Columns(node_col, links),
         objective=obj,
         rows=Rows(head, links, tail),
         node_col=node_col,
-        arc_col=arc_col,
+        arc_col=ArcColumns(node_col, links),
         etfg=etfg,
     )
 

@@ -563,12 +563,22 @@ def dump_json(data: Mapping, path: str | Path) -> None:
     Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
+def read_json(path: str | Path, kind: str, error: type[ValueError]):
+    """The JSON document in the ``kind`` file at ``path``; text that is not
+    JSON raises ``error`` naming the kind of file and its path."""
+    text = Path(path).read_text()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{kind} file {path}: not valid JSON: {exc}") from None
+
+
 def load_task_graph(path: str | Path) -> TaskGraph:
-    return task_graph_from_dict(json.loads(Path(path).read_text()))
+    return task_graph_from_dict(read_json(path, "task graph", GraphValidationError))
 
 
 def load_system_model(path: str | Path) -> SystemModel:
-    return system_model_from_dict(json.loads(Path(path).read_text()))
+    return system_model_from_dict(read_json(path, "system model", SystemModelError))
 
 
 def save_task_graph(graph: TaskGraph, path: str | Path) -> None:

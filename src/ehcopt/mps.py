@@ -9,11 +9,15 @@ All numbers are written with 12 significant digits by ``units.fmt12``,
 and emission order is canonical, so identical models produce
 byte-identical files.
 
-A model repeats a few tens of thousands of coefficient objects, and fewer
-distinct values, across hundreds of thousands of nonzeros.  Each writer
-call formats every distinct value once, keyed by (numerator,
-denominator), and looks up every later sight of an object by its ``id``
-(:func:`_text_memo`).  Each writer joins its lines into strings of many
+A model repeats a few tens of thousands of coefficient objects across
+hundreds of thousands of nonzeros.  The first writer call on a model
+formats every coefficient and right-hand side object it holds once, by
+``fmt12``, into one table by ``id`` that is kept on the model
+(:func:`value_texts`); the other writer reuses it, and every nonzero
+costs one lookup.  The LP writer derives its ``"+ t"``/``"- t"`` term
+texts from the table, once per distinct text, and takes its column names
+from the model (:meth:`~ehcopt.milp.BilpModel.column_names`) without
+making its variables.  Each writer joins its lines into strings of many
 lines first and builds the full text from those once: the MPS writer
 transposes the rows into per-column lists of shared row-field and value
 strings and joins each column into one string, and the LP writer joins
@@ -32,6 +36,7 @@ after the block take the generic path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import add
 
 from .milp import MINUS_ONE, ONE, ZERO, BilpModel
@@ -40,31 +45,27 @@ from .units import fmt12, without_cyclic_gc
 _LP_BLOCK = 2048  # constraint rows per joined string of the LP text
 
 
-def _text_memo(make=fmt12):
-    """A memo of ``make(value)`` over the coefficient objects of one model,
-    for one writer call: ``(by_id, text)``, where the text of ``value`` is
-    ``by_id.get(id(value)) or text(value)``.
-
-    ``text`` makes each distinct value's text once, keyed by (numerator,
-    denominator), and files it under ``id(value)`` as well, so that every
-    later sight of the same object costs one lookup instead of two
-    ``Fraction`` property calls.  An id is reused once its object is
-    freed, so only objects the model holds until the writer returns may
-    be passed (never a temporary such as ``-value``), and the memo must
-    not outlive the call.
-    """
-    by_id: dict[int, str] = {}
-    by_value: dict[tuple[int, int], str] = {}
-
-    def text(value) -> str:
-        key = (value.numerator, value.denominator)
-        made = by_value.get(key)
-        if made is None:
-            made = by_value[key] = make(value)
-        by_id[id(value)] = made
-        return made
-
-    return by_id, text
+@without_cyclic_gc
+def value_texts(model: BilpModel) -> dict[int, str]:
+    """``fmt12`` of every value object ``model`` holds, by ``id``: its
+    objective and explicit rows' coefficients and right-hand sides, and
+    the link rows' ``ONE``, ``MINUS_ONE`` and ``ZERO``.  Made by the first
+    call and kept on the model (``model.texts``).  An id is reused once
+    its object is freed; the model holds each of these objects as long as
+    it lives, and it is not changed once written."""
+    texts = model.texts
+    if texts is None:
+        rows = model.rows
+        explicit = [*rows.head, *rows.tail]
+        held = chain(
+            (ONE, MINUS_ONE, ZERO),
+            model.objective.values(),
+            *[row.coeffs.values() for row in explicit],
+            [row.rhs for row in explicit],
+        )
+        distinct = {id(value): value for value in held}
+        texts = model.texts = {key: fmt12(value) for key, value in distinct.items()}
+    return texts
 
 
 def _joined(lines: list[str]) -> list[str]:
@@ -79,15 +80,14 @@ def model_to_mps(model: BilpModel) -> str:
 
 def _mps_sections(model: BilpModel) -> list[str]:
     """The MPS text as a list of strings of one line or many (a block of
-    lines, a column), then ``""`` for the final newline.  The memo and the
-    per-column lists are freed on return, before the caller builds the
-    full text."""
+    lines, a column), then ``""`` for the final newline.  The per-column
+    lists are freed on return, before the caller builds the full text."""
     rows = model.rows
     head, links, tail = rows.head, rows.links, rows.tail
     first_link = len(head) + 1  # the number of the first link row
     first_tail = first_link + 3 * len(links)
-    by_id, text = _text_memo()
-    one, minus_one = text(ONE), text(MINUS_ONE)
+    texts = value_texts(model)
+    one, minus_one = texts[id(ONE)], texts[id(MINUS_ONE)]
     out = ["NAME          EHCOPT", "ROWS", " N  OBJ"]
     out += _joined([
         *[f" {row.sense}  R{idx}" for idx, row in enumerate(head, 1)],
@@ -97,15 +97,15 @@ def _mps_sections(model: BilpModel) -> list[str]:
 
     # transpose: per column, its (row field, value text) pairs, objective
     # first, then rows in order; both are shared strings, not new ones
-    per_column: list[list[str] | None] = [[] for _ in model.variables]
+    per_column: list[list[str] | None] = [[] for _ in range(len(model.variables))]
     for col, coeff in model.objective.items():
-        per_column[col].extend(("OBJ       ", by_id.get(id(coeff)) or text(coeff)))
+        per_column[col].extend(("OBJ       ", texts[id(coeff)]))
 
     def transpose(numbered) -> None:
         for idx, row in numbered:
             row_field = f"{f'R{idx}':<10}"
             for col, coeff in row.coeffs.items():
-                per_column[col].extend((row_field, by_id.get(id(coeff)) or text(coeff)))
+                per_column[col].extend((row_field, texts[id(coeff)]))
 
     transpose(enumerate(head, 1))
     # each arc's three link rows (lnksrc, lnkdst, lnkand) as link_rows makes them
@@ -129,7 +129,7 @@ def _mps_sections(model: BilpModel) -> list[str]:
 
     def rhs(numbered) -> list[str]:
         return [
-            f"    RHS       {f'R{idx}':<10}{by_id.get(id(row.rhs)) or text(row.rhs)}"
+            f"    RHS       {f'R{idx}':<10}{texts[id(row.rhs)]}"
             for idx, row in numbered
             if row.rhs
         ]
@@ -239,33 +239,26 @@ def model_to_lp(model: BilpModel) -> str:
 
 def _lp_sections(model: BilpModel) -> list[str]:
     """The LP text as a list of strings of one line or many (a block of
-    rows, the binaries), then ``""`` for the final newline.  The memos and
-    the names are freed on return, before the caller builds the full
-    text."""
-    names = [v.name for v in model.variables]
-    by_id, text = _text_memo()
-    # signed term text per distinct value: the following "+ m"/"- m" by
-    # coefficient object, and from it the leading "m"/"-m"
-    leading: dict[str, str] = {}
-
-    def signed(value) -> str:
-        lead = fmt12(value)
-        follow = "- " + lead[1:] if lead[0] == "-" else "+ " + lead
-        leading[follow] = lead
-        return follow
-
-    term_by_id, term = _text_memo(signed)
+    rows, the binaries), then ``""`` for the final newline.  The term
+    table and the names are freed on return, before the caller builds the
+    full text."""
+    names = model.column_names()
+    texts = value_texts(model)
+    # the text of a following term, "+ t" or "- t", by value object, made
+    # once per distinct text t
+    follow = {text: "- " + text[1:] if text[0] == "-" else "+ " + text for text in set(texts.values())}
+    terms = {key: follow[text] for key, text in texts.items()}
 
     def line(head: str, coeffs: dict, *tail: str) -> str:
         """``head``, the terms of ``coeffs`` by column and ``tail``, one space apart."""
         parts = [head]
-        for col in sorted(coeffs):
-            coeff = coeffs[col]
-            parts.extend((term_by_id.get(id(coeff)) or term(coeff), names[col]))
-        if len(parts) == 1:
-            parts += ("0", names[0])  # an empty sum
+        cols = sorted(coeffs)
+        for col in cols:
+            parts.extend((terms[id(coeffs[col])], names[col]))
+        if cols:
+            parts[1] = texts[id(coeffs[cols[0]])]  # the leading term's own text
         else:
-            parts[1] = leading[parts[1]]
+            parts += ("0", names[0])  # an empty sum
         parts += tail
         return " ".join(parts)
 
@@ -277,7 +270,7 @@ def _lp_sections(model: BilpModel) -> list[str]:
         # one string per block of rows: its lines live only while it is joined
         return [
             "\n".join([
-                line(f" {row.label}:", row.coeffs, sense_text[row.sense], by_id.get(id(row.rhs)) or text(row.rhs))
+                line(f" {row.label}:", row.coeffs, sense_text[row.sense], texts[id(row.rhs)])
                 for row in rows[start : start + _LP_BLOCK]
             ])
             for start in range(0, len(rows), _LP_BLOCK)
@@ -287,8 +280,8 @@ def _lp_sections(model: BilpModel) -> list[str]:
         # the three rows link_rows makes per arc, one string per block of
         # arcs, written as line() writes them: terms by column, so the node
         # columns come before the arc column
-        plus, minus = term(ONE), term(MINUS_ONE)
-        one, negative, zero = leading[plus], leading[minus], text(ZERO)
+        plus, minus = terms[id(ONE)], terms[id(MINUS_ONE)]
+        one, negative, zero = texts[id(ONE)], texts[id(MINUS_ONE)], texts[id(ZERO)]
         per_block = _LP_BLOCK // 3
         return [
             "\n".join([

@@ -163,8 +163,11 @@ def si_number(value: Fraction) -> int | float:
 
 
 def fmt12(value) -> str:
-    """Format a number with 12 significant digits (for MPS/LP emission)."""
-    return format(float(value), ".12g")
+    """Format a rational (a ``Fraction`` or an ``int``) with 12 significant
+    digits (for MPS/LP emission).  Integer true division is correctly
+    rounded, so the double is ``float(value)``'s, made without the
+    ``Fraction.__float__`` call."""
+    return format(value.numerator / value.denominator, ".12g")
 
 
 def without_cyclic_gc(func):

@@ -471,3 +471,28 @@ def test_lthr_not_above_zero_exits_2(command, lthr, example_tfg, tmp_path, capsy
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: --lthr must be > 0, got {lthr}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["task graph", "system model", "params"])
+def test_a_file_that_is_not_json_is_named(kind, tmp_path, capsys):
+    # a truncated file used to be reported by the JSON decoder alone, so a
+    # solve that reads two files did not say which one was broken
+    documents = {
+        "task graph": task_graph_to_dict(presets.example_inspection_tfg()),
+        "system model": _C1,
+        "params": _PARAMS,
+    }
+    paths = {}
+    for name, document in documents.items():
+        paths[name] = tmp_path / f"{name.replace(' ', '_')}.json"
+        text = json.dumps(document)
+        paths[name].write_text(text[: len(text) // 2] if name == kind else text)
+    out = tmp_path / "o"
+    if kind == "params":
+        args = ["generate", "--structure", "serial", "--nodes", "6", "--params", str(paths["params"])]
+    else:
+        args = ["solve", str(paths["task graph"]), "--config", str(paths["system model"])]
+    assert main(args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {kind} file {paths[kind]}: not valid JSON: "), err
+    assert not out.exists()

@@ -11,8 +11,8 @@ from ehcopt import dual, presets, solver
 from ehcopt.etfg import transform
 from ehcopt.generator import GenSpec, default_param_spec, generate_tfg, synthesize_params
 from ehcopt.milp import Objective, build_model
-from ehcopt.model import task_graph_from_dict, task_graph_to_dict
-from ehcopt.mps import model_to_lp, model_to_mps
+from ehcopt.model import DeviceRole, task_graph_from_dict, task_graph_to_dict
+from ehcopt.mps import model_to_lp, model_to_mps, value_texts
 from ehcopt.solver import _Kernel
 from ehcopt.units import without_cyclic_gc
 
@@ -70,6 +70,9 @@ def test_the_wrapped_builders_leave_no_cyclic_garbage():
         kinds = {row.label.split("_")[0] for row in model.rows}
         assert {"enr", "lthr"} <= kinds  # every row builder ran
         exports = model_to_mps(model), model_to_lp(model)
+        # the columns made on first read, after the writers (which make none)
+        assert len(list(model.variables)) == model.num_variables
+        assert len(dict(model.arc_col)) == etfg.arc_count
         tables = _Kernel(etfg, Objective.ENERGY, cap)
         del etfg, arcs, model, exports, tables
         assert gc.collect() == 0
@@ -82,7 +85,10 @@ _CALLEES = {
     "task_graph_from_dict": "ehcopt.model._check_schema",
     "transform": "ehcopt.etfg.require_valid",
     "Etfg.arcs_by_dep": "ehcopt.etfg.EtfgArc",
-    "build_model": "ehcopt.milp._column_maps",
+    "build_model": "ehcopt.milp._column_costs",
+    "BilpModel.variables": "ehcopt.milp._variables",
+    "BilpModel.arc_col": "ehcopt.milp._arc_columns",
+    "value_texts": "ehcopt.mps.fmt12",
     "model_to_mps": "ehcopt.mps._mps_sections",
     "model_to_lp": "ehcopt.mps._lp_sections",
     "_Kernel.__init__": "ehcopt.solver._skeleton",
@@ -98,6 +104,7 @@ def test_each_builder_runs_with_the_collector_paused(builder, monkeypatch):
     cap = presets.DEFAULT_LATENCY_THRESHOLD
     expanded = transform(task_graph_from_dict(document), system)
     bilp = build_model(expanded, Objective.ENERGY, cap)
+    unread = build_model(expanded, Objective.ENERGY, cap)  # its columns and texts are made here
     kernel = _Kernel(expanded, Objective.ENERGY, cap)
     unexpanded = transform(expanded.graph, system)
     call = {
@@ -105,6 +112,9 @@ def test_each_builder_runs_with_the_collector_paused(builder, monkeypatch):
         "transform": lambda: transform(expanded.graph, system),
         "Etfg.arcs_by_dep": lambda: unexpanded.arcs_by_dep,
         "build_model": lambda: build_model(expanded, Objective.ENERGY, cap),
+        "BilpModel.variables": lambda: unread.variables[0],
+        "BilpModel.arc_col": lambda: unread.arc_col[(1, DeviceRole.EDGE, 2, DeviceRole.EDGE)],
+        "value_texts": lambda: value_texts(unread),
         "model_to_mps": lambda: model_to_mps(bilp),
         "model_to_lp": lambda: model_to_lp(bilp),
         "_Kernel.__init__": lambda: _Kernel(expanded, Objective.ENERGY, cap),

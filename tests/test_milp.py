@@ -31,6 +31,7 @@ from ehcopt.milp import (
     ConstraintRow,
     Objective,
     ObjectiveBreakdown,
+    Variable,
     build_model,
     evaluate,
     model_stats,
@@ -466,7 +467,7 @@ def test_rows_are_a_sequence_that_makes_link_rows_on_access(example_app):
     for index in (len(rows), -len(rows) - 1):
         with pytest.raises(IndexError):
             rows[index]
-    # the link rows' values are shared objects, so the writers' memo by id holds
+    # the link rows' values are the module's constants, whose texts the writers' table holds by id
     start = len(rows.head)
     for row in rows[start : start + len(links)]:
         assert all(value is ONE or value is MINUS_ONE for value in row.coeffs.values())
@@ -475,6 +476,44 @@ def test_rows_are_a_sequence_that_makes_link_rows_on_access(example_app):
     plain = BilpModel(Objective.LATENCY, None, model.variables, {}, expected, {}, {}, etfg=None)
     assert (len(plain.rows.head), len(plain.rows.links), len(plain.rows.tail)) == (len(expected), 0, 0)
     assert list(plain.rows) == expected
+
+
+def eager_columns(etfg):
+    """``node_col``, ``arc_col`` and ``variables`` made at once from the
+    expanded graph, as build_model once made them: nodes, then arcs."""
+    nodes, arcs = list(etfg.iter_nodes()), list(etfg.iter_arcs())
+    offset = len(nodes)
+    node_col = {(n[0], n[1]): i for i, n in enumerate(nodes)}
+    arc_col = {a[:4]: offset + i for i, a in enumerate(arcs)}
+    variables = [Variable("node", i, (n[0],), (n[1],)) for i, n in enumerate(nodes)]
+    variables += [Variable("arc", offset + i, (a[0], a[2]), (a[1], a[3])) for i, a in enumerate(arcs)]
+    return node_col, arc_col, variables
+
+
+def test_columns_made_on_first_read_equal_the_eager_ones(example_app):
+    etfgs = [example_app, transform(serial_200_graph(), C1)]
+    etfgs += [random_oracle_instance(seed)[0] for seed in range(20)]
+    for etfg in etfgs:
+        model = build_model(etfg, "latency")
+        node_col, arc_col, variables = eager_columns(etfg)
+        assert model.node_col == node_col
+        # the lengths and the names need no variable
+        assert (len(model.variables), len(model.arc_col)) == (len(variables), len(arc_col))
+        assert model.variables._made is None and model.arc_col._made is None
+        assert model.column_names() == [v.name for v in variables]
+        assert list(model.arc_col.items()) == list(arc_col.items())  # in column order
+        assert model.arc_col == arc_col
+        assert list(model.variables) == variables
+        assert model.variables[5:-3:4] == variables[5:-3:4] and model.variables[-1] == variables[-1]
+        assert model.column_names() == [v.name for v in model.variables]
+        # one (task,) per task, one (device,) per device, one pair per dependency and per device pair
+        for part in ("tasks", "devices"):
+            made = [getattr(v, part) for v in model.variables]
+            assert len({id(t) for t in made}) == len(set(made)), part
+    with pytest.raises(TypeError):
+        model.arc_col[next(iter(arc_col))] = 0
+    with pytest.raises(TypeError):
+        model.variables[0] = variables[0]
 
 
 def test_stats_on_serial_chain_with_shortcuts():

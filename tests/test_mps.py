@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import C, E, H, random_oracle_instance, serial_200_graph, simple_task, two_task_chain
-from ehcopt import milp, presets
+from ehcopt import milp, mps, presets
 from ehcopt.etfg import transform
 from ehcopt.milp import BilpModel, ConstraintRow, Objective, Variable, build_model, model_stats
 from ehcopt.model import TaskGraph
@@ -222,6 +222,42 @@ def test_writers_make_no_link_row(monkeypatch):
     assert model_stats(model) == model_stats(build_model(model.etfg, "energy", Fraction(8)))
     with pytest.raises(AssertionError, match="link row made"):
         model.rows[len(model.rows.head)]
+
+
+def test_build_model_and_the_writers_make_no_variable_and_no_arc_column_dict(monkeypatch):
+    etfg = transform(serial_200_graph(), C1)
+    written = build_model(etfg, "energy", Fraction(8))
+    expected = model_to_mps(written), model_to_lp(written)
+
+    def refuse(*args):
+        raise AssertionError("made on read")
+
+    for name in ("Variable", "_variables", "_arc_columns"):
+        monkeypatch.setattr(milp, name, refuse)
+    model = build_model(etfg, "energy", Fraction(8))
+    assert (model_to_mps(model), model_to_lp(model)) == expected
+    assert model_stats(model)["variables"] == model.num_variables == etfg.node_count + etfg.arc_count
+    for read in (lambda: model.variables[0], lambda: model.arc_col[(1, E, 2, E)]):
+        with pytest.raises(AssertionError, match="made on read"):
+            read()
+
+
+def test_writers_format_each_value_object_once_per_model(monkeypatch):
+    formatted = []
+    monkeypatch.setattr(mps, "fmt12", lambda value: formatted.append(value) or fmt12(value))
+    for model in [hand_built_model(3), *built_models()]:
+        formatted.clear()
+        mps_text = model_to_mps(model)
+        after_mps = len(formatted)
+        lp_text = model_to_lp(model)
+        assert len(formatted) == after_mps == len(model.texts) > 0  # the second writer reuses the first one's table
+        assert len({id(value) for value in formatted}) == len(formatted)  # each object once
+        assert (mps_text, lp_text) == (plain_mps(model), plain_lp(model))
+        # in either order
+        model.texts = None
+        formatted.clear()
+        assert model_to_lp(model) == lp_text and model_to_mps(model) == mps_text
+        assert len({id(value) for value in formatted}) == len(formatted) == after_mps
 
 
 @pytest.mark.parametrize("objective, threshold", [("latency", None), ("energy", Fraction(8))])
