@@ -328,6 +328,9 @@ def main(argv=None) -> int:
     except (GraphValidationError, SystemModelError, UnitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except OverflowError as exc:  # a sum or product of in-range inputs that a double cannot hold
+        print(f"error: a value computed from the inputs is beyond the range of a double ({exc})", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

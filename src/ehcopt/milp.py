@@ -4,10 +4,11 @@ Decision columns are one binary per candidate node (run task i on device
 k) and one per expanded arc (both endpoint choices selected).  The model
 is solver-neutral: sparse rows with exact rational coefficients, exported
 through :mod:`ehcopt.mps`.  :func:`build_model` numbers the node columns
-(``node_col``) and keeps one link record per arc; the column
-:class:`Variable` tuples and the arc-column map are made from those on
-their first read (:class:`Columns`, :class:`ArcColumns`), which the
-writers never do: they need only the column count and names.
+(``node_col``) and keeps one link record per arc; the model holds those,
+its objective and its explicit rows, and derives the rest from them: the
+column count and names, and, as cached properties made on their first
+read, the column :class:`Variable` tuples and the arc-column map.  The
+writers never read the last two.
 
 Row families, in emission order:
   asg      one per task: exactly one device is chosen.
@@ -16,7 +17,7 @@ Row families, in emission order:
   lnksrc/  three per expanded arc: the arc variable equals the logical
   lnkdst/  AND of its endpoint node variables.  They are kept as one
   lnkand   (arc, source, destination, tag) record per arc and made by
-           :func:`link_rows` only when a row is read (:class:`Rows`).
+           :func:`link_rows` only when the rows are iterated (:class:`Rows`).
   mem/sto  one per device with a finite memory/storage budget.
   enr      one per device with a finite energy budget; charges executed
            tasks plus all traffic sent, received, or relayed by the device.
@@ -27,11 +28,12 @@ Row families, in emission order:
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .etfg import Etfg
@@ -97,10 +99,10 @@ def link_rows(a: int, s: int, d: int, tag: str) -> tuple[ConstraintRow, Constrai
 LINK_NONZEROS = sum(len(row.coeffs) for row in link_rows(0, 1, 2, ""))
 
 
-class Rows(Sequence[ConstraintRow]):
+class Rows:
     """A model's rows in emission order: the explicit ``head`` rows, three
     rows per record of ``links`` (``(arc, source, destination, tag)`` in
-    arc-column order, made by :func:`link_rows` when read), then the
+    arc-column order, made by :func:`link_rows` when iterated), then the
     explicit ``tail`` rows."""
 
     __slots__ = ("head", "links", "tail")
@@ -116,21 +118,6 @@ class Rows(Sequence[ConstraintRow]):
     def __len__(self) -> int:
         return len(self.head) + 3 * len(self.links) + len(self.tail)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        index = operator.index(index)
-        if index < 0:
-            index += len(self)
-        if not 0 <= index < len(self):
-            raise IndexError("row index out of range")
-        if index < len(self.head):
-            return self.head[index]
-        link, which = divmod(index - len(self.head), 3)
-        if link < len(self.links):
-            return link_rows(*self.links[link])[which]
-        return self.tail[index - len(self.head) - 3 * len(self.links)]
-
     def __iter__(self):
         yield from self.head
         for link in self.links:
@@ -138,59 +125,7 @@ class Rows(Sequence[ConstraintRow]):
         yield from self.tail
 
 
-class _MadeOnFirstRead:
-    """A read-only container over a built model's node keys (``node_col``)
-    and link records (``links``, see :class:`Rows`), whose contents
-    :meth:`_contents` makes, with the collector paused, on the first read."""
-
-    __slots__ = ("node_col", "links", "_made")
-
-    def __init__(self, node_col: dict[tuple[int, DeviceRole], int], links: Sequence[tuple[int, int, int, str]]):
-        self.node_col, self.links, self._made = node_col, links, None
-
-    def __getitem__(self, key):
-        made = self._made
-        return (self._make() if made is None else made)[key]
-
-    def __iter__(self):
-        made = self._made
-        return iter(self._make() if made is None else made)
-
-    @without_cyclic_gc
-    def _make(self):
-        self._made = self._contents()
-        return self._made
-
-
-class Columns(_MadeOnFirstRead, Sequence[Variable]):
-    """A built model's columns: one per candidate node, in ``node_col``'s
-    order, then one per link record's arc column.  Their count and their
-    names (:meth:`BilpModel.column_names`) need no :class:`Variable`; the
-    variables are made on the first read of one (:func:`_variables`)."""
-
-    __slots__ = ()
-
-    def __len__(self) -> int:
-        return len(self.node_col) + len(self.links)
-
-    def _contents(self) -> list[Variable]:
-        return _variables(self.node_col, self.links)
-
-
-class ArcColumns(_MadeOnFirstRead, Mapping):
-    """A built model's arc columns by ``(src_task, src_device, dst_task,
-    dst_device)``; the dict is made on the first read (:func:`_arc_columns`)."""
-
-    __slots__ = ()
-
-    def __len__(self) -> int:
-        return len(self.links)
-
-    def _contents(self) -> dict[tuple[int, DeviceRole, int, DeviceRole], int]:
-        return _arc_columns(self.node_col, self.links)
-
-
-def _variables(node_col, links) -> list[Variable]:
+def _variables(node_col, links) -> tuple[Variable, ...]:
     """The canonical columns as :class:`Variable` tuples.  They share their
     small tuples: one ``(task,)`` per task, one ``(device,)`` per device,
     one pair per dependency and per device pair."""
@@ -205,7 +140,7 @@ def _variables(node_col, links) -> list[Variable]:
         Variable("arc", a, share((keys[s][0], keys[d][0])), share((keys[s][1], keys[d][1])))
         for a, s, d, _tag in links
     ]
-    return variables
+    return tuple(variables)
 
 
 def _arc_columns(node_col, links) -> dict[tuple[int, DeviceRole, int, DeviceRole], int]:
@@ -216,40 +151,42 @@ def _arc_columns(node_col, links) -> dict[tuple[int, DeviceRole, int, DeviceRole
 
 @dataclass
 class BilpModel:
-    """A 0/1 program: columns, objective and rows.
+    """A 0/1 program: one column per node key of ``node_col``, in its
+    order, then one per link record of ``rows``; the objective and the rows.
 
-    :func:`build_model` makes ``variables`` a :class:`Columns` and
-    ``arc_col`` an :class:`ArcColumns`, both read-only and made on first
-    read; hand-built models may pass a plain list and dict.  The writers
-    keep the text of every value object the model holds on the model
-    (``texts``, by ``id``), so a model is not changed once written.
+    The column :class:`Variable` tuples (``variables``) and the arc columns
+    by their ends' node keys (``arc_col``) are made from ``node_col`` and
+    the link records on their first read, which the writers never do:
+    they need only the column count and names.  The writers keep the text
+    of every value object the model holds on the model (``texts``, by
+    ``id``), so a model is not changed once written.
     """
 
     objective_kind: Objective
     latency_threshold: Fraction | None
-    variables: Sequence[Variable]
     objective: dict[int, Fraction]
-    rows: Sequence[ConstraintRow]  # a plain sequence is taken as all head rows
+    rows: Rows
     node_col: dict[tuple[int, DeviceRole], int]
-    arc_col: Mapping[tuple[int, DeviceRole, int, DeviceRole], int]
     etfg: Etfg = field(repr=False)
     texts: dict[int, str] | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.rows, Rows):
-            self.rows = Rows(self.rows)
-
     @property
     def num_variables(self) -> int:
-        return len(self.variables)
+        return len(self.node_col) + len(self.rows.links)
 
     def column_names(self) -> list[str]:
-        """Each column's name, by column.  A built model's come from its
-        node keys and its arcs' link tags, without making a variable."""
-        variables = self.variables
-        if isinstance(variables, Columns):
-            return [node_name(*key) for key in variables.node_col] + ["y_" + link[3] for link in variables.links]
-        return [v.name for v in variables]
+        """Each column's name, by column, without making a variable."""
+        return [node_name(*key) for key in self.node_col] + ["y_" + link[3] for link in self.rows.links]
+
+    @cached_property
+    @without_cyclic_gc
+    def variables(self) -> tuple[Variable, ...]:
+        return _variables(self.node_col, self.rows.links)
+
+    @cached_property
+    @without_cyclic_gc
+    def arc_col(self) -> Mapping[tuple[int, DeviceRole, int, DeviceRole], int]:
+        return MappingProxyType(_arc_columns(self.node_col, self.rows.links))
 
 
 def _column_costs(nodes, arcs, latency: bool) -> dict[int, Fraction]:
@@ -363,11 +300,9 @@ def build_model(
     return BilpModel(
         objective_kind=objective,
         latency_threshold=latency_threshold,
-        variables=Columns(node_col, links),
         objective=obj,
         rows=Rows(head, links, tail),
         node_col=node_col,
-        arc_col=ArcColumns(node_col, links),
         etfg=etfg,
     )
 

@@ -1,6 +1,7 @@
 """MPS and LP text emission for the 0/1 allocation model, plus an MPS
 reader for round-trip checks and for feeding files back from external
-solvers.
+solvers; a line the reader cannot read raises :class:`MpsFormatError`
+naming it.
 
 The MPS writer uses classic fixed columns with short generated names
 (``OBJ``, ``R<n>``, ``X<n>``) so the file also parses as free format;
@@ -15,22 +16,27 @@ formats every coefficient and right-hand side object it holds once, by
 ``fmt12``, into one table by ``id`` that is kept on the model
 (:func:`value_texts`); the other writer reuses it, and every nonzero
 costs one lookup.  The LP writer derives its ``"+ t"``/``"- t"`` term
-texts from the table, once per distinct text, and takes its column names
-from the model (:meth:`~ehcopt.milp.BilpModel.column_names`) without
-making its variables.  Each writer joins its lines into strings of many
-lines first and builds the full text from those once: the MPS writer
-transposes the rows into per-column lists of shared row-field and value
-strings and joins each column into one string, and the LP writer joins
-its rows in blocks.  A writer's peak memory is about 2-3 times its text.
+texts from the table, once per distinct text.  Neither writer reads the
+model's ``variables``, whose first read makes one
+:class:`~ehcopt.milp.Variable` per column: the MPS writer takes the
+column count (``num_variables``) and the LP writer the column names
+(:meth:`~ehcopt.milp.BilpModel.column_names`), both derived from the
+node numbering and the link records.  Each writer joins its lines into
+strings of many lines first and builds the full text from those once:
+the MPS writer transposes the rows into per-column lists of shared
+row-field and value strings and joins each column into one string, and
+the LP writer joins its rows in blocks.  A writer's peak memory is about
+2-3 times its text.
 
 Most rows of a large model are the AND-link rows, three per arc, which
-the model keeps as one record per arc (:class:`~ehcopt.milp.Rows`).  The
-writers emit that block straight from the records, without making the
-rows: the MPS writer adds each arc's seven column entries with the shared
-texts of 1 and -1 and an RHS of 1 on each ``lnkand`` row, and the LP
-writer makes each arc's three lines in one string, with their terms in
-the order the generic rows would have them.  The explicit rows before and
-after the block take the generic path.
+the model keeps as one record per arc (``links`` of
+:class:`~ehcopt.milp.Rows`).  The writers emit that block straight from
+the records, without making the rows: the MPS writer adds each arc's
+seven column entries with the shared texts of 1 and -1 and an RHS of 1
+on each ``lnkand`` row, and the LP writer makes each arc's three lines
+in one string, with their terms in the order the generic rows would
+have them.  The explicit rows before and after the block take the
+generic path.
 """
 
 from __future__ import annotations
@@ -97,7 +103,7 @@ def _mps_sections(model: BilpModel) -> list[str]:
 
     # transpose: per column, its (row field, value text) pairs, objective
     # first, then rows in order; both are shared strings, not new ones
-    per_column: list[list[str] | None] = [[] for _ in range(len(model.variables))]
+    per_column: list[list[str] | None] = [[] for _ in range(model.num_variables)]
     for col, coeff in model.objective.items():
         per_column[col].extend(("OBJ       ", texts[id(coeff)]))
 
@@ -170,7 +176,20 @@ class MpsFormatError(ValueError):
     pass
 
 
+def _entries(head: list[str], raw: str) -> list[tuple[str, float]]:
+    """The (row, value) pairs that follow the first field of a COLUMNS or
+    RHS line."""
+    if len(head) < 3 or len(head) % 2 == 0:
+        raise MpsFormatError(f"expected a name and (row, value) pairs: {raw!r}")
+    try:
+        return [(row_name, float(value)) for row_name, value in zip(head[1::2], head[2::2])]
+    except ValueError:
+        raise MpsFormatError(f"bad value in {raw!r}") from None
+
+
 def parse_mps(text: str) -> ParsedMps:
+    """The sections of an MPS text; a line this reader cannot read raises
+    :class:`MpsFormatError` naming it."""
     parsed = ParsedMps()
     section = None
     in_integer_block = False
@@ -191,6 +210,8 @@ def parse_mps(text: str) -> ParsedMps:
             continue
 
         if section == "ROWS":
+            if len(head) != 2:
+                raise MpsFormatError(f"expected a sense and a row name: {raw!r}")
             sense, row_name = head[0].upper(), head[1]
             if sense == "N":
                 parsed.objective_row = row_name
@@ -214,12 +235,12 @@ def parse_mps(text: str) -> ParsedMps:
                 parsed.column_order.append(col_name)
                 if in_integer_block:
                     parsed.binaries.add(col_name)  # refined by BOUNDS below
-            for row_name, value in zip(head[1::2], head[2::2]):
-                parsed.columns[col_name][row_name] = float(value)
+            parsed.columns[col_name].update(_entries(head, raw))
         elif section == "RHS":
-            for row_name, value in zip(head[1::2], head[2::2]):
-                parsed.rhs[row_name] = float(value)
+            parsed.rhs.update(_entries(head, raw))
         elif section == "BOUNDS":
+            if len(head) < 3:
+                raise MpsFormatError(f"expected a bound kind, a bound name and a column: {raw!r}")
             kind = head[0].upper()
             if kind == "BV":
                 parsed.binaries.add(head[2])

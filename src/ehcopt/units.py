@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import gc
 import re
+import sys
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
@@ -101,8 +102,9 @@ def parse_quantity(value, dimension: str) -> Fraction:
     except KeyError:
         raise UnitError(f"unknown dimension {dimension!r}") from None
 
-    # the JSON cases first; isinstance(value, Fraction) is an ABC check
-    if type(value) is int:  # bool is an int subclass and is rejected below
+    # the JSON cases first; isinstance(value, Fraction) is an ABC check.  bool
+    # is an int subclass; it and an int beyond a double's range are rejected below
+    if type(value) is int and -_DOUBLE_MAX <= value <= _DOUBLE_MAX:
         return Fraction(value)
     if isinstance(value, float):
         return decimal_fraction(value)
@@ -111,7 +113,7 @@ def parse_quantity(value, dimension: str) -> Fraction:
     if isinstance(value, bool):
         raise UnitError(f"expected a quantity, got {value!r}")
     if isinstance(value, int):
-        return Fraction(value)
+        return Fraction(_within_double(value, value))
     if not isinstance(value, str):
         raise UnitError(f"expected a number or string, got {type(value).__name__}")
 
@@ -125,10 +127,21 @@ def parse_quantity(value, dimension: str) -> Fraction:
         raise UnitError(f"bad number in quantity {value!r}") from None
 
     if not suffix:
-        return magnitude
+        return _within_double(magnitude, value)
     if suffix in units:
-        return magnitude * units[suffix]
+        return _within_double(magnitude * units[suffix], value)
     raise UnitError(f"unit {suffix!r} not valid for {dimension} in {value!r}")
+
+
+_DOUBLE_MAX = int(sys.float_info.max)
+
+
+def _within_double(quantity, value):
+    """``quantity`` (an ``int`` or a ``Fraction``), parsed from ``value``,
+    if a double can hold it: every output writes quantities as doubles."""
+    if abs(quantity.numerator) <= _DOUBLE_MAX * quantity.denominator:  # in integers: Fraction's comparisons are slow
+        return quantity
+    raise UnitError(f"quantity {value!r} is beyond the range of a double")
 
 
 def decimal_fraction(value: float) -> Fraction:

@@ -496,3 +496,25 @@ def test_a_file_that_is_not_json_is_named(kind, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {kind} file {paths[kind]}: not valid JSON: "), err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "baseline", "export"])
+def test_a_value_beyond_double_range_exits_2(command, tmp_path, capsys):
+    # every output writes quantities as doubles; each of these used to end
+    # in an OverflowError traceback and exit 1
+    too_long = _with(_APP, "1e400s", "tasks", 1, "latency", "c")
+    path = tmp_path / "too_long.json"
+    path.write_text(json.dumps(too_long))
+    assert main([command, str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "error: task graph file: tasks[1]: quantity '1e400s' is beyond the range of a double\n"
+    )
+    # a power and a latency that a double holds, whose energy it does not;
+    # without budgets the solve must run task 1 on the edge at that energy
+    huge = _with(_with(_APP, "1e200W", "tasks", 0, "power", "e"), "1e200s", "tasks", 0, "latency", "e")
+    path.write_text(json.dumps(huge))
+    sys_path = tmp_path / "unbudgeted.json"
+    save_system_model(unbudgeted_system(), sys_path)
+    args = [command, str(path), "--config", str(sys_path), "--objective", "energy", "--lthr", "1e300s"]
+    assert main(args + ["--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: a value computed from the inputs is beyond the range of a double")

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import C, E, H, random_oracle_instance, serial_200_graph, simple_task, two_task_chain
 from ehcopt import milp, mps, presets
 from ehcopt.etfg import transform
-from ehcopt.milp import BilpModel, ConstraintRow, Objective, Variable, build_model, model_stats
+from ehcopt.milp import BilpModel, ConstraintRow, Objective, Rows, build_model, model_stats
 from ehcopt.model import TaskGraph
 from ehcopt.mps import MpsFormatError, model_to_lp, model_to_mps, parse_mps
 from ehcopt.solver import _as_int, solve
@@ -85,6 +85,15 @@ def test_parse_rejects_garbage():
         parse_mps("GARBAGE\n")
     with pytest.raises(MpsFormatError):
         parse_mps("NAME x\nRANGES\n    R1 1\n")
+    # a short line, a value that is not a number, an unpaired field: each named
+    for text, line in (
+        ("ROWS\n N\n", " N"),
+        ("BOUNDS\n BV BND\n", " BV BND"),
+        ("COLUMNS\n X1 R1 abc\n", " X1 R1 abc"),
+        ("RHS\n RHS R1\n", " RHS R1"),
+    ):
+        with pytest.raises(MpsFormatError, match=repr(line)):
+            parse_mps(text)
 
 
 def test_lp_export():
@@ -151,8 +160,8 @@ def hand_built_model(shift: int) -> BilpModel:
     """Equal values held by distinct objects, one object in many places,
     and negative, zero and non-integer coefficients, on unsorted rows;
     ``shift`` moves most values."""
-    variables = [Variable("node", i, (i // 3 + 1,), (role,)) for i, role in enumerate((E, H, C) * 4)]
-    n = len(variables)
+    node_col = {(i // 3 + 1, role): i for i, role in enumerate((E, H, C) * 4)}
+    n = len(node_col)
     shared = Fraction(-7, 3)
     rows = [
         ConstraintRow(f"r_{k}", {(5 * k + j) % n: Fraction((-1) ** j * (k + j + shift), 1 + j % 4) for j in range(6)}, "L", Fraction(k - 3, 2))
@@ -166,7 +175,7 @@ def hand_built_model(shift: int) -> BilpModel:
     ]
     objective = {col: Fraction(shift - col % 5, 3) + Fraction(1, 7) for col in range(0, n, 2)}
     objective[1] = Fraction(3, 7)
-    return BilpModel(Objective.ENERGY, None, variables, objective, rows, {}, {}, etfg=None)
+    return BilpModel(Objective.ENERGY, None, objective, Rows(rows), node_col, etfg=None)
 
 
 def test_writers_format_every_value_as_fmt12_does():
@@ -179,7 +188,7 @@ def test_writers_format_every_value_as_fmt12_does():
         del model
     # no rows and no objective (empty sections, a column without entries),
     # and a built model
-    bare = BilpModel(Objective.LATENCY, None, [Variable("node", 0, (1,), (E,))], {}, [], {}, {}, etfg=None)
+    bare = BilpModel(Objective.LATENCY, None, {}, Rows([]), {(1, E): 0}, etfg=None)
     built = build_model(transform(two_task_chain(data=10**6), C1), "energy", Fraction(8))
     for model in (bare, built):
         assert model_to_mps(model) == plain_mps(model)
@@ -221,7 +230,7 @@ def test_writers_make_no_link_row(monkeypatch):
     assert (model_to_mps(model), model_to_lp(model)) == expected
     assert model_stats(model) == model_stats(build_model(model.etfg, "energy", Fraction(8)))
     with pytest.raises(AssertionError, match="link row made"):
-        model.rows[len(model.rows.head)]
+        list(model.rows)
 
 
 def test_build_model_and_the_writers_make_no_variable_and_no_arc_column_dict(monkeypatch):

@@ -1,3 +1,4 @@
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -68,6 +69,15 @@ def test_rejects_booleans_non_finite_numbers_and_unknown_roles():
     for role in ("x", "E", ["e"], None):
         with pytest.raises(ValueError, match=r"^unknown device role .*; expected one of e, h, c$"):
             role_from(role)
+
+
+def test_rejects_quantities_beyond_double_range():
+    largest = int(sys.float_info.max)
+    assert parse_quantity(largest, "time") == largest
+    assert parse_quantity(f"-{largest}", "time") == -largest
+    for value, dimension in (("1e400s", "time"), ("1e308kWh", "energy"), (largest + 1, "time"), (-(10**400), "data")):
+        with pytest.raises(UnitError, match="beyond the range of a double"):
+            parse_quantity(value, dimension)
 
 
 def test_optional_budgets():
