@@ -32,7 +32,6 @@ from .generator import (
 from .milp import Objective, build_model, model_stats
 from .model import (
     GraphValidationError,
-    SystemModelError,
     load_system_model,
     load_task_graph,
     make_system_model,
@@ -41,7 +40,7 @@ from .model import (
 )
 from .mps import model_to_lp, model_to_mps
 from .solver import SolveConfig, SolveStatus, solve
-from .units import UnitError, parse_quantity
+from .units import parse_quantity
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -49,10 +48,8 @@ EXIT_INFEASIBLE = 3
 EXIT_TIME_LIMIT = 4
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_VALIDATION):
-        super().__init__(message)
-        self.code = code
+class CliError(ValueError):
+    """A request the command line cannot run; it exits 2 with the message."""
 
 
 def _load_system(config: str, profile: str | None):
@@ -95,6 +92,16 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _write(args, texts: dict[str, str]) -> Path:
+    """Write each named text into the ``--out`` directory.  The texts are
+    formatted before the directory is made, so an output that cannot be
+    formatted leaves no directory behind."""
+    out = _out_dir(args)
+    for name, text in texts.items():
+        (out / name).write_text(text)
+    return out
+
+
 def cmd_transform(args) -> int:
     etfg = _load_etfg(args)
     out = _out_dir(args)
@@ -111,13 +118,10 @@ def cmd_solve(args) -> int:
     threshold = _threshold(args, objective)
     config = SolveConfig(time_limit=args.time_limit)
     allocation = solve(etfg, objective, threshold, config, method=args.solver)
-    out = _out_dir(args)
-    (out / "allocation.json").write_text(
-        json.dumps(allocation.to_dict(), indent=2, sort_keys=True) + "\n"
-    )
-    (out / "solver_stats.json").write_text(
-        json.dumps(allocation.stats, indent=2, sort_keys=True, default=str) + "\n"
-    )
+    out = _write(args, {
+        "allocation.json": json.dumps(allocation.to_dict(), indent=2, sort_keys=True) + "\n",
+        "solver_stats.json": json.dumps(allocation.stats, indent=2, sort_keys=True, default=str) + "\n",
+    })
     print(f"status: {allocation.status.value}")
     if allocation.objective_value is not None:
         print(f"{objective.value}: {float(allocation.objective_value):.6g}")
@@ -139,9 +143,7 @@ def cmd_baseline(args) -> int:
     threshold = _threshold(args, Objective.ENERGY)
     config = SolveConfig(time_limit=args.time_limit)
     cases = analysis.run_baselines(etfg, objective, threshold, config)
-    out = _out_dir(args)
-    (out / "baseline.csv").write_text(analysis.cases_to_csv(cases))
-    (out / "baseline.json").write_text(analysis.cases_to_json(cases))
+    out = _write(args, {"baseline.csv": analysis.cases_to_csv(cases), "baseline.json": analysis.cases_to_json(cases)})
     for case in cases:
         value = "-" if case.objective_value is None else f"{float(case.objective_value):.6g}"
         flag = {True: "feasible", False: "INFEASIBLE", None: "UNKNOWN"}[case.feasible]
@@ -197,19 +199,15 @@ def cmd_export(args) -> int:
     etfg = _load_etfg(args)
     objective = Objective(args.objective)
     model = build_model(etfg, objective, _threshold(args, objective))
-    out = _out_dir(args)
-    written = []
+    texts = {}
     if args.format in ("mps", "both"):
-        path = out / "model.mps"
-        path.write_text(model_to_mps(model))
-        written.append(path)
+        texts["model.mps"] = model_to_mps(model)
     if args.format in ("lp", "both"):
-        path = out / "model.lp"
-        path.write_text(model_to_lp(model))
-        written.append(path)
+        texts["model.lp"] = model_to_lp(model)
+    out = _write(args, texts)
     print(f"{model.num_variables} variables, {len(model.rows)} rows")
-    for path in written:
-        print(f"wrote {path}")
+    for name in texts:
+        print(f"wrote {out / name}")
     return EXIT_OK
 
 
@@ -220,8 +218,7 @@ def cmd_stats(args) -> int:
     stats = model_stats(model)
     text = json.dumps(stats, indent=2, sort_keys=True) + "\n"
     if args.out is not None:
-        out = _out_dir(args)
-        (out / "model_stats.json").write_text(text)
+        out = _write(args, {"model_stats.json": text})
         print(f"wrote {out / 'model_stats.json'}")
     sys.stdout.write(text)
     return EXIT_OK
@@ -322,10 +319,7 @@ def main(argv=None) -> int:
         return exc.code
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (GraphValidationError, SystemModelError, UnitError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # CliError and every load error are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OverflowError as exc:  # a sum or product of in-range inputs that a double cannot hold

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import NamedTuple
 
-from .solver import _compile, _eliminate, _Kernel
+from .solver import _eliminate, _Kernel
 from .units import without_cyclic_gc
 
 
@@ -81,7 +81,7 @@ def search(kernel: _Kernel, deadline: float) -> Result | None:
     """
     if time.monotonic() >= deadline:
         return None
-    schedule = _compile(*kernel.skeleton)
+    schedule = kernel.schedule
     if schedule is None:
         return None
     rows = kernel.rows

@@ -7,13 +7,13 @@ arcs carry the transfer latency and energy for the device pair and the
 energy's per-device shares, which are zero on the same device and routed
 through the intermediate device for pairs without a direct channel.
 
-:func:`energy_shares` is the one formula for how a transfer's energy is
-split over the devices it touches (sender tx, receiver rx, relay rx+tx);
-:func:`comm_energy` is their sum.  Every transfer cost is linear in the
-data size, so :attr:`Etfg.per_bit` evaluates these formulas once per
-ordered device pair, for one bit, and nothing else calls them: the arc
+:func:`_pair_cost` is the one place that computes a transfer's latency,
+its energy and how that energy is split over the devices it touches
+(sender tx, receiver rx, relay rx+tx).  Every transfer cost is linear in
+the data size, so :attr:`Etfg.per_bit` calls it once per ordered device
+pair, for one bit, and everything else reads that table: the arc
 expansion, the solvers' integer kernel and :func:`ehcopt.milp.evaluate`
-scale that table by data sizes.
+scale it by data sizes.
 
 :func:`transform` builds the candidate nodes only.  The arcs are
 expanded on the first read of :attr:`Etfg.arcs_by_dep` (the model
@@ -40,60 +40,10 @@ from .model import (
 from .units import si_number, without_cyclic_gc
 
 
-def comm_latency(data_bits, k: DeviceRole, l: DeviceRole, system: SystemModel) -> Fraction:
-    """Transfer time for the data over the k->l route; zero on-device."""
-    data_bits = Fraction(data_bits)
-    if data_bits < 0:
-        raise ValueError("data size must be >= 0")
-    if k == l:
-        return Fraction(0)
-    relayed, via = system.route(k, l)
-    if not relayed:
-        return data_bits / system.channel(k, l).bandwidth
-    return data_bits * (
-        1 / system.channel(k, via).bandwidth + 1 / system.channel(via, l).bandwidth
-    )
-
-
-def comp_energy(power, latency) -> Fraction:
-    """Energy drawn by a task execution: power times run time."""
-    power, latency = Fraction(power), Fraction(latency)
-    if power < 0 or latency < 0:
-        raise ValueError("power and latency must be >= 0")
-    return power * latency
-
-
-def energy_shares(
-    data_bits, k: DeviceRole, l: DeviceRole, system: SystemModel
-) -> tuple[tuple[DeviceRole, Fraction], ...]:
-    """Per-device energy of sending the data over the k->l route: the
-    sender's tx, the receiver's rx and, when relayed, the relay device's
-    rx+tx.  Empty on-device; the devices are pairwise distinct."""
-    data_bits = Fraction(data_bits)
-    if data_bits < 0:
-        raise ValueError("data size must be >= 0")
-    if k == l:
-        return ()
-    relayed, via = system.route(k, l)
-    if not relayed:
-        ch = system.channel(k, l)
-        return ((k, data_bits * ch.tx_energy), (l, data_bits * ch.rx_energy))
-    first, second = system.channel(k, via), system.channel(via, l)
-    return (
-        (k, data_bits * first.tx_energy),
-        (via, data_bits * (first.rx_energy + second.tx_energy)),
-        (l, data_bits * second.rx_energy),
-    )
-
-
-def comm_energy(data_bits, k: DeviceRole, l: DeviceRole, system: SystemModel) -> Fraction:
-    """Transmit+receive energy for the data over the k->l route; zero on-device."""
-    return sum((amount for _, amount in energy_shares(data_bits, k, l, system)), Fraction(0))
-
-
 class PairCost(NamedTuple):
     """One bit sent over a device pair's route: its transfer latency and
-    energy, the energy's :func:`energy_shares`, and the relay device
+    energy, the energy's shares per device (sender tx, relay rx+tx,
+    receiver rx; pairwise distinct devices), and the relay device
     (``None`` on-device and over a direct channel)."""
 
     latency: Fraction
@@ -104,6 +54,23 @@ class PairCost(NamedTuple):
     @property
     def indirect(self) -> bool:
         return self.via is not None
+
+
+def _pair_cost(k: DeviceRole, l: DeviceRole, system: SystemModel) -> PairCost:
+    """One bit sent from k to l: free on-device, over the direct channel
+    when there is one, else over both hops through the relay device."""
+    if k == l:
+        return PairCost(Fraction(0), Fraction(0), (), None)
+    channel = system.channels.get((k, l))
+    if channel is not None:
+        latency, via = 1 / channel.bandwidth, None
+        shares = ((k, channel.tx_energy), (l, channel.rx_energy))
+    else:
+        via = system.relay[(k, l)]
+        first, second = system.channels[(k, via)], system.channels[(via, l)]
+        latency = 1 / first.bandwidth + 1 / second.bandwidth
+        shares = ((k, first.tx_energy), (via, first.rx_energy + second.tx_energy), (l, second.rx_energy))
+    return PairCost(latency, sum([amount for _, amount in shares]), shares, via)
 
 
 class CandidateNode(NamedTuple):
@@ -177,15 +144,9 @@ class Etfg:
     def per_bit(self) -> dict[tuple[DeviceRole, DeviceRole], PairCost]:
         """:class:`PairCost` of every ordered device pair, in
         ``product(ROLES, ROLES)`` order; on-device pairs cost nothing.
-        The only caller of the transfer formulas and of
-        :meth:`SystemModel.route`; the exhaustive oracle keeps its own
-        extraction."""
-        system = self.system
-        table = {}
-        for k, l in product(ROLES, ROLES):
-            cost = comm_latency(1, k, l, system), comm_energy(1, k, l, system), energy_shares(1, k, l, system)
-            table[(k, l)] = PairCost(*cost, system.route(k, l)[1])
-        return table
+        The only caller of :func:`_pair_cost`; the exhaustive oracle keeps
+        its own extraction."""
+        return {(k, l): _pair_cost(k, l, self.system) for k, l in product(ROLES, ROLES)}
 
     @cached_property
     @without_cyclic_gc

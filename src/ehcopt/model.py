@@ -333,15 +333,6 @@ class SystemModel:
     def device(self, role: DeviceRole) -> Device:
         return self.devices[role]
 
-    def channel(self, k: DeviceRole, l: DeviceRole) -> Channel:
-        return self.channels[(k, l)]
-
-    def route(self, k: DeviceRole, l: DeviceRole) -> tuple[int, DeviceRole | None]:
-        """(0, None) for same-device or direct pairs, (1, m) when relayed via m."""
-        if k == l or (k, l) in self.channels:
-            return 0, None
-        return 1, self.relay[(k, l)]
-
 
 # --- JSON serialization -------------------------------------------------
 #

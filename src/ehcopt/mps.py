@@ -176,15 +176,19 @@ class MpsFormatError(ValueError):
     pass
 
 
-def _entries(head: list[str], raw: str) -> list[tuple[str, float]]:
+def _entries(head: list[str], raw: str, parsed: ParsedMps) -> list[tuple[str, float]]:
     """The (row, value) pairs that follow the first field of a COLUMNS or
-    RHS line."""
+    RHS line, each on the objective row or a row declared in ROWS."""
     if len(head) < 3 or len(head) % 2 == 0:
         raise MpsFormatError(f"expected a name and (row, value) pairs: {raw!r}")
     try:
-        return [(row_name, float(value)) for row_name, value in zip(head[1::2], head[2::2])]
+        entries = [(row_name, float(value)) for row_name, value in zip(head[1::2], head[2::2])]
     except ValueError:
         raise MpsFormatError(f"bad value in {raw!r}") from None
+    for row_name, _ in entries:
+        if row_name not in parsed.row_sense and row_name != parsed.objective_row:
+            raise MpsFormatError(f"undeclared row {row_name!r} in {raw!r}")
+    return entries
 
 
 def parse_mps(text: str) -> ParsedMps:
@@ -235,12 +239,14 @@ def parse_mps(text: str) -> ParsedMps:
                 parsed.column_order.append(col_name)
                 if in_integer_block:
                     parsed.binaries.add(col_name)  # refined by BOUNDS below
-            parsed.columns[col_name].update(_entries(head, raw))
+            parsed.columns[col_name].update(_entries(head, raw, parsed))
         elif section == "RHS":
-            parsed.rhs.update(_entries(head, raw))
+            parsed.rhs.update(_entries(head, raw, parsed))
         elif section == "BOUNDS":
             if len(head) < 3:
                 raise MpsFormatError(f"expected a bound kind, a bound name and a column: {raw!r}")
+            if head[2] not in parsed.columns:
+                raise MpsFormatError(f"bound on undeclared column {head[2]!r} in {raw!r}")
             kind = head[0].upper()
             if kind == "BV":
                 parsed.binaries.add(head[2])

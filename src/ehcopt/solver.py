@@ -8,7 +8,7 @@ three routes to a provably optimal assignment by its ``method``:
   budget and no latency cap): the cost is then a sum of per-task and
   per-dependency terms, so eliminating tasks along a min-fill order of
   the undirected dependency skeleton (bucket elimination) is exact.  The
-  min-fill walk compiles the elimination into a schedule once per graph
+  min-fill walk compiles the elimination into a schedule once per kernel
   (each bucket's scope and the index layouts of its tables), and one
   cost pass runs that schedule over the kernel's tables.  Its work is
   the order's state count, which must not exceed ``DP_STATE_LIMIT``;
@@ -61,6 +61,7 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, chain, count, repeat
 from operator import add, lshift, sub
 from typing import NamedTuple
@@ -431,8 +432,9 @@ class _Kernel:
     follows everywhere, and ``node_obj[p]`` their objective costs.
     ``skeleton`` is the graph's :func:`_skeleton`: the task ids by
     position, each position's candidate count and each dependency (in
-    ``graph.arcs`` order) as a ``(src, dst)`` pair of positions.  Per
-    dependency, ``arc_obj`` holds the objective's flat table indexed
+    ``graph.arcs`` order) as a ``(src, dst)`` pair of positions, and
+    ``schedule`` its compiled elimination DP.  Per dependency,
+    ``arc_obj`` holds the objective's flat table indexed
     ``src_ci * width + dst_ci``, where ``width`` is the number of
     candidates of ``dst`` (the order of ``Etfg.arcs_by_dep``).  ``rows``
     holds every side constraint as a :class:`_Row`: each finite memory,
@@ -565,6 +567,14 @@ class _Kernel:
         """The objective's cost tables as the elimination DP numbers them:
         node tables by position, then arc tables in ``graph.arcs`` order."""
         return self.node_obj + self.arc_obj
+
+    @cached_property
+    @without_cyclic_gc
+    def schedule(self) -> _Schedule | None:
+        """The elimination DP compiled for ``skeleton`` (:func:`_compile`),
+        or None when it needs more than ``DP_STATE_LIMIT`` states: made on
+        the first read, so the DP route and the dual search share one."""
+        return _compile(*self.skeleton)
 
     def total(self, node, arc, chosen) -> int:
         """One assignment's sum over per-position tables ``node`` and, unless
@@ -727,10 +737,9 @@ def _eliminate(schedule: _Schedule, tables) -> tuple[int, list[int]]:
 
 
 def _tree_dp(etfg: Etfg, kernel: _Kernel) -> Allocation | None:
-    """The DP's allocation: one pass of the kernel skeleton's schedule over
-    the kernel's costs, or None when it needs more than ``DP_STATE_LIMIT``
-    states."""
-    schedule = _compile(*kernel.skeleton)
+    """The DP's allocation: one pass of the kernel's schedule over its
+    costs, or None when it needs more than ``DP_STATE_LIMIT`` states."""
+    schedule = kernel.schedule
     if schedule is None:
         return None
     total, chosen = _eliminate(schedule, kernel.objective_tables())

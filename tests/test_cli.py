@@ -509,6 +509,7 @@ def test_a_value_beyond_double_range_exits_2(command, tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: task graph file: tasks[1]: quantity '1e400s' is beyond the range of a double\n"
     )
+    assert not (tmp_path / "o").exists()
     # a power and a latency that a double holds, whose energy it does not;
     # without budgets the solve must run task 1 on the edge at that energy
     huge = _with(_with(_APP, "1e200W", "tasks", 0, "power", "e"), "1e200s", "tasks", 0, "latency", "e")
@@ -518,3 +519,5 @@ def test_a_value_beyond_double_range_exits_2(command, tmp_path, capsys):
     args = [command, str(path), "--config", str(sys_path), "--objective", "energy", "--lthr", "1e300s"]
     assert main(args + ["--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("error: a value computed from the inputs is beyond the range of a double")
+    # every output is formatted before --out is made, so none is left empty
+    assert not (tmp_path / "o").exists()

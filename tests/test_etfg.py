@@ -20,16 +20,7 @@ from conftest import (
 )
 from ehcopt import presets
 from ehcopt.analysis import run_baselines
-from ehcopt.etfg import (
-    EtfgArc,
-    comm_energy,
-    comm_latency,
-    comp_energy,
-    energy_shares,
-    etfg_to_dict,
-    etfg_to_dot,
-    transform,
-)
+from ehcopt.etfg import EtfgArc, PairCost, etfg_to_dict, etfg_to_dot, transform
 from ehcopt.generator import STRUCTURES, GenSpec, default_param_spec, generate_tfg, synthesize_params
 from ehcopt.milp import Objective, build_model, evaluate
 from ehcopt.model import GraphValidationError, TaskGraph, validate_task_graph
@@ -38,60 +29,91 @@ from ehcopt.solver import SolveConfig, _Kernel, solve
 SYSTEM = unbudgeted_system("run1")
 
 
+def per_bit(system=SYSTEM):
+    return transform(two_task_chain(), system).per_bit
+
+
+def scaled(bits, unit: PairCost) -> PairCost:
+    """The cost of sending ``bits`` over the pair that costs ``unit`` per bit."""
+    shares = tuple((device, bits * amount) for device, amount in unit.shares)
+    return PairCost(bits * unit.latency, bits * unit.energy, shares, unit.via)
+
+
+def reference_cost(bits, k, l, system) -> PairCost:
+    """Sending ``bits`` from k to l, costed hop by hop from the system's
+    channels and relays, without :attr:`Etfg.per_bit`."""
+    if k == l:
+        return PairCost(Fraction(0), Fraction(0), (), None)
+    via = system.relay.get((k, l))
+    hops = [(k, l)] if via is None else [(k, via), (via, l)]
+    channels = [system.channels[hop] for hop in hops]
+    latency = sum(bits / ch.bandwidth for ch in channels)
+    energy = sum(bits * (ch.tx_energy + ch.rx_energy) for ch in channels)
+    shares = [(k, bits * channels[0].tx_energy), (l, bits * channels[-1].rx_energy)]
+    if via is not None:
+        shares.insert(1, (via, bits * (channels[0].rx_energy + channels[1].tx_energy)))
+    return PairCost(latency, energy, tuple(shares), via)
+
+
 class TestIndicator:
     def test_edge_cloud_is_relayed_through_hub(self):
-        assert SYSTEM.route(E, C) == (1, H)
-        assert SYSTEM.route(C, E) == (1, H)
+        assert per_bit()[(E, C)].via == H
+        assert per_bit()[(C, E)].via == H
 
     def test_direct_pairs(self):
-        assert SYSTEM.route(E, H) == (0, None)
-        assert SYSTEM.route(H, C) == (0, None)
+        assert per_bit()[(E, H)].via is None
+        assert per_bit()[(H, C)].via is None
 
     def test_same_device(self):
-        assert SYSTEM.route(H, H) == (0, None)
+        assert per_bit()[(H, H)].via is None
 
 
 class TestCommLatency:
     def test_direct(self):
         # 1 Mbit over the 15 Mbit/s uplink
-        assert comm_latency(10**6, E, H, SYSTEM) == Fraction(1, 15)
+        assert 10**6 * per_bit()[(E, H)].latency == Fraction(1, 15)
 
     def test_same_device_is_free(self):
-        assert comm_latency(5 * 10**6, C, C, SYSTEM) == 0
+        assert 5 * 10**6 * per_bit()[(C, C)].latency == 0
 
     def test_relayed_adds_both_hops(self):
         # 1/15 s + 1/25 s
-        assert comm_latency(10**6, E, C, SYSTEM) == Fraction(8, 75)
-        assert abs(float(comm_latency(10**6, E, C, SYSTEM)) - 0.10667) < 5e-5
+        assert 10**6 * per_bit()[(E, C)].latency == Fraction(8, 75)
+        assert abs(float(10**6 * per_bit()[(E, C)].latency) - 0.10667) < 5e-5
 
     def test_directional(self):
-        assert comm_latency(10**6, E, H, SYSTEM) != comm_latency(10**6, H, E, SYSTEM)
+        assert per_bit()[(E, H)].latency != per_bit()[(H, E)].latency
 
     def test_negative_data_rejected(self):
-        with pytest.raises(ValueError):
-            comm_latency(-1, E, H, SYSTEM)
+        # no transfer is costed for a negative output size: the graph is refused
+        with pytest.raises(ValueError, match="negative output data"):
+            transform(two_task_chain(data=-1), SYSTEM)
 
 
 class TestCompEnergy:
     def test_zero_power(self):
-        assert comp_energy(0, 123) == 0
+        (node,) = transform(TaskGraph((simple_task(1, (E,), latency=123, power=0),), ()), SYSTEM).iter_nodes()
+        assert node.energy == 0
 
     def test_product(self):
-        assert comp_energy(5, 2) == 10
-        assert comp_energy(Fraction(45, 10), Fraction(12, 100)) == Fraction(27, 50)  # 0.54 J
+        (node,) = transform(TaskGraph((simple_task(1, (E,), latency=2, power=5),), ()), SYSTEM).iter_nodes()
+        assert node.energy == 10
+        task = simple_task(1, (H,), latency=Fraction(12, 100), power=Fraction(45, 10))
+        (node,) = transform(TaskGraph((task,), ()), SYSTEM).iter_nodes()
+        assert node.energy == Fraction(27, 50)  # 0.54 J
 
 
 class TestCommEnergy:
     def test_direct(self):
         # (1.0 + 0.70) uJ/bit * 1 Mbit = 1.7 J
-        assert comm_energy(10**6, E, H, SYSTEM) == Fraction(17, 10)
+        assert 10**6 * per_bit()[(E, H)].energy == Fraction(17, 10)
 
     def test_same_device_is_free(self):
-        assert comm_energy(10**6, E, E, SYSTEM) == 0
+        assert 10**6 * per_bit()[(E, E)].energy == 0
 
     def test_relayed_charges_both_hops(self):
         # (1.0 + 0.7 + 2.5 + 1.25) uJ/bit * 1 Mbit = 5.45 J
-        assert comm_energy(10**6, E, C, SYSTEM) == Fraction(545, 100)
+        assert 10**6 * per_bit()[(E, C)].energy == Fraction(545, 100)
 
 
 class TestEnergyShares:
@@ -99,28 +121,26 @@ class TestEnergyShares:
 
     def test_direct_transfer(self):
         # 1 Mbit e->h: tx 1.0 uJ/bit on the edge, rx 0.70 uJ/bit on the hub
-        assert energy_shares(10**6, E, H, self.C1) == ((E, Fraction(1)), (H, Fraction(7, 10)))
+        assert scaled(10**6, per_bit(self.C1)[(E, H)]).shares == ((E, Fraction(1)), (H, Fraction(7, 10)))
 
     def test_relay_charges_rx_and_tx(self):
         # 1 Mbit e->c via h: the hub's share is rx(e->h) + tx(h->c) = 0.7 + 2.5 = 3.2 J
-        assert energy_shares(10**6, E, C, self.C1) == (
+        assert scaled(10**6, per_bit(self.C1)[(E, C)]).shares == (
             (E, Fraction(1)),
             (H, Fraction(32, 10)),
             (C, Fraction(125, 100)),
         )
 
     def test_same_device_has_no_shares(self):
-        assert energy_shares(10**6, C, C, self.C1) == ()
+        assert per_bit(self.C1)[(C, C)].shares == ()
 
     def test_negative_data_rejected(self):
-        with pytest.raises(ValueError):
-            energy_shares(-1, E, H, self.C1)
+        with pytest.raises(ValueError, match="negative output data"):
+            transform(two_task_chain(data=-1), self.C1)
 
     def test_comm_energy_is_the_sum_of_the_shares(self):
-        for k in ALL:
-            for l in ALL:
-                shares = energy_shares(3 * 10**6, k, l, self.C1)
-                assert comm_energy(3 * 10**6, k, l, self.C1) == sum(a for _, a in shares)
+        for cost in per_bit(self.C1).values():
+            assert cost.energy == sum(a for _, a in cost.shares)
 
 
 class TestTransform:
@@ -161,8 +181,8 @@ class TestTransform:
         g = two_task_chain(data=3 * 10**6)
         etfg = transform(g, SYSTEM)
         for arc in etfg.iter_arcs():
-            assert arc.latency == comm_latency(3 * 10**6, arc.src_device, arc.dst_device, SYSTEM)
-            assert arc.energy == comm_energy(3 * 10**6, arc.src_device, arc.dst_device, SYSTEM)
+            cost = reference_cost(3 * 10**6, arc.src_device, arc.dst_device, SYSTEM)
+            assert (arc.latency, arc.energy) == (cost.latency, cost.energy)
 
     def test_rejects_invalid_graph(self):
         g = TaskGraph(tasks=(simple_task(1), simple_task(2)), arcs=((1, 2), (2, 1)))
@@ -222,27 +242,28 @@ def test_expansion_matches_the_public_formulas(family, n, seed, config, sizes, d
 
     for node in etfg.iter_nodes():
         task = graph.task(node.task)
-        assert node.energy == comp_energy(task.power[node.device], task.latency[node.device])
+        assert node.energy == task.power[node.device] * task.latency[node.device]
     for arc in etfg.iter_arcs():
         bits, k, l = graph.task(arc.src_task).output_data, arc.src_device, arc.dst_device
-        relayed, via = system.route(k, l)
-        assert arc.latency == comm_latency(bits, k, l, system)
-        assert arc.energy == comm_energy(bits, k, l, system)
-        assert arc.shares == energy_shares(bits, k, l, system)
-        assert (arc.indirect, arc.via) == (bool(relayed), via)
-        assert arc.indirect == (arc.via is not None)
+        cost = reference_cost(bits, k, l, system)
+        assert (arc.latency, arc.energy, arc.shares, arc.via) == cost
+        assert cost == scaled(bits, etfg.per_bit[(k, l)])
+        assert arc.indirect == (arc.via is not None) == ((k, l) in system.relay)
     # every task may run anywhere, so edge->cloud arcs are relayed through the hub
     assert any(arc.indirect for arc in etfg.iter_arcs()) == bool(graph.arcs)
 
 
 @given(st.integers(min_value=0, max_value=10**9))
 def test_cost_linearity_in_data(d):
-    for pair in ((E, H), (E, C), (H, C), (C, E)):
-        assert comm_latency(2 * d, *pair, SYSTEM) == 2 * comm_latency(d, *pair, SYSTEM)
-        assert comm_energy(2 * d, *pair, SYSTEM) == 2 * comm_energy(d, *pair, SYSTEM)
+    once = {arc.key: arc for arc in transform(two_task_chain(data=d), SYSTEM).iter_arcs()}
+    twice = {arc.key: arc for arc in transform(two_task_chain(data=2 * d), SYSTEM).iter_arcs()}
+    for k, l in ((E, H), (E, C), (H, C), (C, E)):
+        key = (1, k, 2, l)
+        assert twice[key].latency == 2 * once[key].latency
+        assert twice[key].energy == 2 * once[key].energy
     if d == 0:
-        assert comm_latency(d, E, C, SYSTEM) == 0
-        assert comm_energy(d, E, C, SYSTEM) == 0
+        assert once[(1, E, 2, C)].latency == 0
+        assert once[(1, E, 2, C)].energy == 0
 
 
 def test_dot_export_marks_indirect_arcs():
@@ -266,7 +287,7 @@ def test_json_export_fields():
 def _eager_arcs(etfg):
     """Every arc as the expansion defines it, built in full: per dependency
     in ``graph.arcs`` order, one arc per (source candidate, destination
-    candidate), costed by the public formulas."""
+    candidate), costed hop by hop by :func:`reference_cost`."""
     graph, system = etfg.graph, etfg.system
     arcs = {}
     for i, j in graph.arcs:
@@ -275,8 +296,7 @@ def _eager_arcs(etfg):
         for src in etfg.nodes_by_task[i]:
             for dst in etfg.nodes_by_task[j]:
                 k, l = src.device, dst.device
-                cost = comm_latency(bits, k, l, system), comm_energy(bits, k, l, system)
-                group.append(EtfgArc(i, k, j, l, *cost, energy_shares(bits, k, l, system), system.route(k, l)[1]))
+                group.append(EtfgArc(i, k, j, l, *reference_cost(bits, k, l, system)))
         arcs[(i, j)] = tuple(group)
     return arcs
 

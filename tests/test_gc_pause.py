@@ -92,8 +92,9 @@ _CALLEES = {
     "model_to_mps": "ehcopt.mps._mps_sections",
     "model_to_lp": "ehcopt.mps._lp_sections",
     "_Kernel.__init__": "ehcopt.solver._skeleton",
+    "_Kernel.schedule": "ehcopt.solver._compile",
     "_search_tables": "ehcopt.solver._largest",
-    "dual.search": "ehcopt.dual._compile",
+    "dual.search": "ehcopt.dual._eliminate",
 }
 
 
@@ -118,6 +119,7 @@ def test_each_builder_runs_with_the_collector_paused(builder, monkeypatch):
         "model_to_mps": lambda: model_to_mps(bilp),
         "model_to_lp": lambda: model_to_lp(bilp),
         "_Kernel.__init__": lambda: _Kernel(expanded, Objective.ENERGY, cap),
+        "_Kernel.schedule": lambda: _Kernel(expanded, Objective.ENERGY, cap).schedule,
         "_search_tables": lambda: solver._search_tables(kernel),
         "dual.search": lambda: dual.search(kernel, math.inf),
     }[builder]

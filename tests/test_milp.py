@@ -22,7 +22,7 @@ from conftest import (
     with_direct_edge_cloud,
 )
 from ehcopt import presets
-from ehcopt.etfg import energy_shares, transform
+from ehcopt.etfg import transform
 from ehcopt.milp import (
     MINUS_ONE,
     ONE,
@@ -191,8 +191,8 @@ def test_evaluate_totals_are_the_selected_nodes_and_arcs():
 
 def _evaluate_per_arc(etfg, assignment, latency_threshold):
     """The breakdown summed arc by arc: each selected arc adds its hops'
-    latency and energy to their channels and its energy shares to their
-    devices, each task adds its node to its device."""
+    latency and energy to their channels and each hop's tx and rx energy
+    to its ends, each task adds its node to its device."""
     graph, system = etfg.graph, etfg.system
     zero = Fraction(0)
     comp_latency, comp_energy, device_energy, memory, storage = ({r: zero for r in ROLES} for _ in range(5))
@@ -209,13 +209,14 @@ def _evaluate_per_arc(etfg, assignment, latency_threshold):
         if k == l:
             continue
         data = graph.task(i).output_data
-        relayed, via = system.route(k, l)
-        for hop in ((k, via), (via, l)) if relayed else ((k, l),):
-            ch = system.channel(*hop)
+        via = system.relay.get((k, l))
+        hops = ((k, l),) if via is None else ((k, via), (via, l))
+        for hop in hops:
+            ch = system.channels[hop]
             comm_latency[hop] += data / ch.bandwidth
             comm_energy[hop] += data * (ch.tx_energy + ch.rx_energy)
-        for device, amount in energy_shares(data, k, l, system):
-            device_energy[device] += amount
+            device_energy[hop[0]] += data * ch.tx_energy
+            device_energy[hop[1]] += data * ch.rx_energy
     total_latency = sum(comp_latency.values(), zero) + sum(comm_latency.values(), zero)
     violations = []
     for role in ROLES:

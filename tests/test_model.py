@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import ALL, C, E, H, make_device, simple_task, two_task_chain, unbudgeted_system
 from ehcopt import presets
+from ehcopt.etfg import transform
 from ehcopt.model import (
     Channel,
     Device,
@@ -220,17 +221,17 @@ def test_each_system_model_error_is_raised():
 
 
 def test_default_relay_routes_through_hub():
-    system = unbudgeted_system()
-    assert system.route(E, C) == (1, H)
-    assert system.route(C, E) == (1, H)
-    assert system.route(E, H) == (0, None)
-    assert system.route(H, H) == (0, None)
+    per_bit = transform(two_task_chain(), unbudgeted_system()).per_bit
+    assert per_bit[(E, C)].via == H
+    assert per_bit[(C, E)].via == H
+    assert per_bit[(E, H)].via is None
+    assert per_bit[(H, H)].via is None
 
 
 def test_channels_are_directional():
     system = presets.system_model("C1", "run1")
-    assert system.channel(E, H).bandwidth == 15 * 10**6
-    assert system.channel(H, E).bandwidth == 20 * 10**6
+    assert system.channels[(E, H)].bandwidth == 15 * 10**6
+    assert system.channels[(H, E)].bandwidth == 20 * 10**6
 
 
 def test_system_model_json_round_trip():

@@ -94,6 +94,20 @@ def test_parse_rejects_garbage():
     ):
         with pytest.raises(MpsFormatError, match=repr(line)):
             parse_mps(text)
+    # entries on rows that ROWS never declared, a bound on a column that
+    # COLUMNS never declared: each named, from the first such line on
+    rows = "ROWS\n N OBJ\n L R1\n"
+    for text, line in (
+        (rows + "COLUMNS\n X1 R9 1\nRHS\n RHS R7 2\nBOUNDS\n BV BND X5\n", " X1 R9 1"),
+        (rows + "COLUMNS\n X1 R1 1\nRHS\n RHS R7 2\nBOUNDS\n BV BND X5\n", " RHS R7 2"),
+        (rows + "COLUMNS\n X1 R1 1\nRHS\n RHS R1 2\nBOUNDS\n BV BND X5\n", " BV BND X5"),
+    ):
+        with pytest.raises(MpsFormatError, match=repr(line)):
+            parse_mps(text)
+    # the objective row is declared, in COLUMNS and in RHS
+    parsed = parse_mps(rows + "COLUMNS\n X1 OBJ 3 R1 1\nRHS\n RHS OBJ -1 R1 2\nBOUNDS\n BV BND X1\n")
+    assert parsed.columns == {"X1": {"OBJ": 3.0, "R1": 1.0}} and parsed.rhs == {"OBJ": -1.0, "R1": 2.0}
+    assert parsed.binaries == {"X1"}
 
 
 def test_lp_export():

@@ -500,30 +500,42 @@ def test_solve_config_validation():
 
 def test_every_route_builds_one_kernel(monkeypatch):
     # an unbudgeted graph over the DP's state limit used to build a second
-    # kernel when auto fell back to branch and bound
-    build = solver._Kernel.__init__
-    built = []
+    # kernel when auto fell back to branch and bound, and to compile its
+    # schedule a second time when a time limit ran the dual search
+    build, compile_schedule = solver._Kernel.__init__, solver._compile
+    built, compiled = [], []
 
     def counted_build(self, *args):
         built.append(args)
         build(self, *args)
 
+    def counted_compile(*args):
+        compiled.append(args)
+        return compile_schedule(*args)
+
     monkeypatch.setattr(solver._Kernel, "__init__", counted_build)
+    for module in (solver, dual):  # every module that binds the compiler
+        if vars(module).get("_compile") is compile_schedule:
+            monkeypatch.setattr(module, "_compile", counted_compile)
     budgeted, cap = random_oracle_instance(1)
     free = uav_forest_without_budgets()
     clique = transform(complete_dag(15), PLAIN)
-    routes = [
-        (lambda: solve(budgeted, "energy", cap), "branch-and-bound"),
-        (lambda: solve(free, "latency"), "tree-dp"),
-        (lambda: solve(clique, "latency"), "branch-and-bound"),
-        (lambda: solve(budgeted, "latency", method="bnb"), "branch-and-bound"),
-        (lambda: solve(budgeted, "latency", None, SolveConfig(time_limit=5), method="bnb"), "branch-and-bound"),
-        (lambda: solve(free, "energy"), "tree-dp"),
+    limited = SolveConfig(time_limit=5)
+    routes = [  # each run, its route and how many schedules it compiles
+        (lambda: solve(budgeted, "energy", cap), "branch-and-bound", 0),
+        (lambda: solve(free, "latency"), "tree-dp", 1),
+        (lambda: solve(clique, "latency"), "branch-and-bound", 1),
+        (lambda: solve(clique, "latency", None, limited), "branch-and-bound", 1),
+        (lambda: solve(budgeted, "latency", method="bnb"), "branch-and-bound", 0),
+        (lambda: solve(budgeted, "latency", None, limited, method="bnb"), "branch-and-bound", 1),
+        (lambda: solve(free, "energy"), "tree-dp", 1),
     ]
-    for run, route in routes:
+    for run, route, compiles in routes:
         built.clear()
+        compiled.clear()
         assert run().stats["solver"] == route
         assert len(built) == 1
+        assert len(compiled) == compiles
     built.clear()
     assert solve(budgeted, "latency", method="bruteforce").stats["solver"] == "bruteforce"
     with pytest.raises(ValueError, match="unknown solver method 'tree-dp'"):
