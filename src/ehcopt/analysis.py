@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .etfg import Etfg
 from .milp import Objective, ObjectiveBreakdown, evaluate, objective_value
-from .model import ROLES, DeviceRole
+from .model import ROLES, DeviceRole, json_text
 from .solver import Allocation, SolveConfig, SolveStatus, solve
 from .units import si_number
 
@@ -181,4 +180,4 @@ def cases_to_csv(cases: list[BaselineCase]) -> str:
 
 
 def cases_to_json(cases: list[BaselineCase]) -> str:
-    return json.dumps([c.to_dict() for c in cases], indent=2, sort_keys=True) + "\n"
+    return json_text([c.to_dict() for c in cases])

@@ -12,14 +12,13 @@ Exit codes: 0 success, 2 validation/input error, 3 proven infeasible,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from . import analysis, presets
-from .etfg import save_etfg, transform
+from .etfg import etfg_to_dict, etfg_to_dot, transform
 from .generator import (
     GenerationError,
     GenSpec,
@@ -32,11 +31,12 @@ from .generator import (
 from .milp import Objective, build_model, model_stats
 from .model import (
     GraphValidationError,
+    json_text,
     load_system_model,
     load_task_graph,
     make_system_model,
     read_json,
-    save_task_graph,
+    task_graph_to_dict,
 )
 from .mps import model_to_lp, model_to_mps
 from .solver import SolveConfig, SolveStatus, solve
@@ -86,29 +86,24 @@ def _threshold(args, objective: Objective) -> Fraction | None:
     return threshold
 
 
-def _out_dir(args) -> Path:
+def _write(args, texts: dict[str, str]) -> None:
+    """Make the ``--out`` directory, write each named text into it and
+    name each file written.  Every command formats all of its texts
+    before it calls this, so an output that cannot be formatted leaves
+    no directory behind."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write(args, texts: dict[str, str]) -> Path:
-    """Write each named text into the ``--out`` directory.  The texts are
-    formatted before the directory is made, so an output that cannot be
-    formatted leaves no directory behind."""
-    out = _out_dir(args)
     for name, text in texts.items():
         (out / name).write_text(text)
-    return out
+        print(f"wrote {out / name}")
 
 
 def cmd_transform(args) -> int:
     etfg = _load_etfg(args)
-    out = _out_dir(args)
-    save_etfg(etfg, out / "etfg.json", out / "etfg.dot")
+    texts = {"etfg.json": json_text(etfg_to_dict(etfg)), "etfg.dot": etfg_to_dot(etfg)}
     print(f"expanded {len(etfg.graph.tasks)} tasks / {len(etfg.graph.arcs)} arcs "
           f"-> {etfg.node_count} candidate nodes / {etfg.arc_count} arcs")
-    print(f"wrote {out / 'etfg.json'} and {out / 'etfg.dot'}")
+    _write(args, texts)
     return EXIT_OK
 
 
@@ -118,10 +113,7 @@ def cmd_solve(args) -> int:
     threshold = _threshold(args, objective)
     config = SolveConfig(time_limit=args.time_limit)
     allocation = solve(etfg, objective, threshold, config, method=args.solver)
-    out = _write(args, {
-        "allocation.json": json.dumps(allocation.to_dict(), indent=2, sort_keys=True) + "\n",
-        "solver_stats.json": json.dumps(allocation.stats, indent=2, sort_keys=True, default=str) + "\n",
-    })
+    texts = {"allocation.json": json_text(allocation.to_dict()), "solver_stats.json": json_text(allocation.stats)}
     print(f"status: {allocation.status.value}")
     if allocation.objective_value is not None:
         print(f"{objective.value}: {float(allocation.objective_value):.6g}")
@@ -129,7 +121,7 @@ def cmd_solve(args) -> int:
         print(f"gap: {allocation.gap:.4f}")
     elif allocation.status is SolveStatus.FEASIBLE:
         print("time limit reached without an incumbent")
-    print(f"wrote {out / 'allocation.json'}")
+    _write(args, texts)
     if allocation.status is SolveStatus.INFEASIBLE:
         return EXIT_INFEASIBLE
     if allocation.status is SolveStatus.FEASIBLE:
@@ -143,14 +135,14 @@ def cmd_baseline(args) -> int:
     threshold = _threshold(args, Objective.ENERGY)
     config = SolveConfig(time_limit=args.time_limit)
     cases = analysis.run_baselines(etfg, objective, threshold, config)
-    out = _write(args, {"baseline.csv": analysis.cases_to_csv(cases), "baseline.json": analysis.cases_to_json(cases)})
+    texts = {"baseline.csv": analysis.cases_to_csv(cases), "baseline.json": analysis.cases_to_json(cases)}
     for case in cases:
         value = "-" if case.objective_value is None else f"{float(case.objective_value):.6g}"
         flag = {True: "feasible", False: "INFEASIBLE", None: "UNKNOWN"}[case.feasible]
         if not case.feasible:
             flag += f" ({case.detail})"
         print(f"{case.kind:>4}: {value:>12}  {flag}")
-    print(f"wrote {out / 'baseline.csv'} and {out / 'baseline.json'}")
+    _write(args, texts)
     return EXIT_OK
 
 
@@ -179,19 +171,12 @@ def cmd_generate(args) -> int:
         pspec = default_param_spec(config_name)
     structure = generate_tfg(spec)
     graph = synthesize_params(structure, pspec, system, spec.seed)
-    out = _out_dir(args)
-    save_task_graph(graph, out / "tfg.json")
-    meta = {
-        "schema": 1,
-        "genspec": spec.to_dict(),
-        "paramspec": pspec.to_dict(),
-        "statistics": structure_stats(graph),
-    }
-    (out / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    stats = meta["statistics"]
+    stats = structure_stats(graph)
+    meta = {"schema": 1, "genspec": spec.to_dict(), "paramspec": pspec.to_dict(), "statistics": stats}
+    texts = {"tfg.json": json_text(task_graph_to_dict(graph)), "meta.json": json_text(meta)}
     print(f"generated {stats['nodes']} tasks / {stats['arcs']} arcs "
           f"(depth {stats['depth']}, max width {stats['max_width']})")
-    print(f"wrote {out / 'tfg.json'} and {out / 'meta.json'}")
+    _write(args, texts)
     return EXIT_OK
 
 
@@ -204,10 +189,8 @@ def cmd_export(args) -> int:
         texts["model.mps"] = model_to_mps(model)
     if args.format in ("lp", "both"):
         texts["model.lp"] = model_to_lp(model)
-    out = _write(args, texts)
     print(f"{model.num_variables} variables, {len(model.rows)} rows")
-    for name in texts:
-        print(f"wrote {out / name}")
+    _write(args, texts)
     return EXIT_OK
 
 
@@ -215,11 +198,9 @@ def cmd_stats(args) -> int:
     etfg = _load_etfg(args)
     objective = Objective(args.objective)
     model = build_model(etfg, objective, _threshold(args, objective))
-    stats = model_stats(model)
-    text = json.dumps(stats, indent=2, sort_keys=True) + "\n"
+    text = json_text(model_stats(model))
     if args.out is not None:
-        out = _write(args, {"model_stats.json": text})
-        print(f"wrote {out / 'model_stats.json'}")
+        _write(args, {"model_stats.json": text})
     sys.stdout.write(text)
     return EXIT_OK
 

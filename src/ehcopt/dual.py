@@ -14,7 +14,6 @@ from itertools import chain
 from typing import NamedTuple
 
 from .solver import _eliminate, _Kernel
-from .units import without_cyclic_gc
 
 
 class Result(NamedTuple):
@@ -52,7 +51,6 @@ def _penalised(tables, rows, multipliers, n):
     return tables
 
 
-@without_cyclic_gc
 def search(kernel: _Kernel, deadline: float) -> Result | None:
     """Lagrangian bounds and feasible assignments from the elimination DP,
     until ``deadline`` (a :func:`time.monotonic` reading): the best of

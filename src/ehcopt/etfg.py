@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from pathlib import Path
 from typing import Iterator, NamedTuple
 
 from .model import (
@@ -268,14 +267,3 @@ def etfg_to_dot(etfg: Etfg) -> str:
             lines.append(f'  "{src}" -> "{dst}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def save_etfg(etfg: Etfg, json_path: str | Path | None = None, dot_path: str | Path | None = None) -> None:
-    import json as _json
-
-    if json_path is not None:
-        Path(json_path).write_text(
-            _json.dumps(etfg_to_dict(etfg), indent=2, sort_keys=True) + "\n"
-        )
-    if dot_path is not None:
-        Path(dot_path).write_text(etfg_to_dot(etfg))

@@ -334,16 +334,8 @@ class ParamSpec:
 def default_param_spec(configuration: str = "C1") -> ParamSpec:
     from . import presets
 
-    ranges = presets.DEFAULT_PARAM_RANGES
-    return ParamSpec(
-        reference_latency=tuple(parse_quantity(v, "time") for v in ranges["reference_latency"]),
-        reference_power=tuple(parse_quantity(v, "power") for v in ranges["reference_power"]),
-        memory_range=tuple(parse_quantity(v, "memory") for v in ranges["memory"]),
-        storage_range=tuple(parse_quantity(v, "memory") for v in ranges["storage"]),
-        data_range=tuple(parse_quantity(v, "data") for v in ranges["data"]),
-        perf_ratios=presets.performance_ratios(configuration),
-        clamp_alpha=ranges["clamp_alpha"],
-    )
+    document = dict(presets.DEFAULT_PARAM_RANGES, perf_ratios=presets.performance_ratios(configuration))
+    return ParamSpec.from_dict(document, f"default parameter ranges of {configuration}")
 
 
 def _uniform_fraction(rng: random.Random, lo: Fraction, hi: Fraction, quantum: int) -> Fraction:

@@ -550,8 +550,9 @@ def system_model_to_dict(system: SystemModel) -> dict:
     }
 
 
-def dump_json(data: Mapping, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+def json_text(document) -> str:
+    """The text of every JSON file ehcopt writes: sorted keys, indented."""
+    return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
 def read_json(path: str | Path, kind: str, error: type[ValueError]):
@@ -573,11 +574,11 @@ def load_system_model(path: str | Path) -> SystemModel:
 
 
 def save_task_graph(graph: TaskGraph, path: str | Path) -> None:
-    dump_json(task_graph_to_dict(graph), path)
+    Path(path).write_text(json_text(task_graph_to_dict(graph)))
 
 
 def save_system_model(system: SystemModel, path: str | Path) -> None:
-    dump_json(system_model_to_dict(system), path)
+    Path(path).write_text(json_text(system_model_to_dict(system)))
 
 
 def make_system_model(

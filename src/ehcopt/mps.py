@@ -51,7 +51,6 @@ from .units import fmt12, without_cyclic_gc
 _LP_BLOCK = 2048  # constraint rows per joined string of the LP text
 
 
-@without_cyclic_gc
 def value_texts(model: BilpModel) -> dict[int, str]:
     """``fmt12`` of every value object ``model`` holds, by ``id``: its
     objective and explicit rows' coefficients and right-hand sides, and

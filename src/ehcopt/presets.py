@@ -97,9 +97,9 @@ DEFAULT_LATENCY_THRESHOLD = Fraction(8)  # seconds
 DEFAULT_PARAM_RANGES = {
     "reference_latency": ("50ms", "3.8s"),
     "reference_power": ("1.5W", "6.5W"),
-    "memory": ("8MiB", "128MiB"),
-    "storage": ("1MiB", "64MiB"),
-    "data": ("0.05Mbit", "4Mbit"),
+    "memory_range": ("8MiB", "128MiB"),
+    "storage_range": ("1MiB", "64MiB"),
+    "data_range": ("0.05Mbit", "4Mbit"),
     "clamp_alpha": (Fraction(1, 1000), Fraction(5, 1000)),
 }
 

@@ -451,7 +451,6 @@ class _Kernel:
     in integers once per distinct size and pair.
     """
 
-    @without_cyclic_gc
     def __init__(self, etfg: Etfg, objective: Objective, latency_threshold: Fraction | None):
         graph, system = etfg.graph, etfg.system
         self.objective, self.latency_threshold = objective, latency_threshold
@@ -569,7 +568,6 @@ class _Kernel:
         return self.node_obj + self.arc_obj
 
     @cached_property
-    @without_cyclic_gc
     def schedule(self) -> _Schedule | None:
         """The elimination DP compiled for ``skeleton`` (:func:`_compile`),
         or None when it needs more than ``DP_STATE_LIMIT`` states: made on
@@ -757,7 +755,6 @@ def _largest(node, arc) -> int:
     return sum(map(max, node)) + (0 if arc is None else sum(map(max, arc)))
 
 
-@without_cyclic_gc
 def _search_tables(kernel: _Kernel):
     """Branch and bound's additive bounds, packed into integers, and its
     branching order.
@@ -1019,6 +1016,7 @@ def _branch_and_bound(etfg: Etfg, kernel: _Kernel, started: float, deadline: flo
     return _finish(etfg, kernel.objective, assignment, value, kernel.latency_threshold, stats, status, gap)
 
 
+@without_cyclic_gc
 def solve(
     etfg: Etfg,
     objective: Objective | str = Objective.LATENCY,

@@ -167,11 +167,13 @@ def parse_optional(value, dimension: str) -> Fraction | None:
 def si_number(value: Fraction) -> int | float:
     """Render an exact rational as a JSON-friendly number.
 
-    Integers stay integers; other rationals become the nearest float
-    (re-parsing that float recovers the value to within 1 ulp).
+    Integers a double can hold stay integers; other rationals become the
+    nearest float (re-parsing that float recovers the value to within 1
+    ulp).  A value beyond a double's range raises ``OverflowError``, as
+    every output writes quantities as doubles.
     """
-    if value.denominator == 1:
-        return int(value)
+    if value.denominator == 1 and -_DOUBLE_MAX <= value.numerator <= _DOUBLE_MAX:
+        return value.numerator
     return float(value)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -498,7 +499,7 @@ def test_a_file_that_is_not_json_is_named(kind, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["solve", "baseline", "export"])
+@pytest.mark.parametrize("command", ["transform", "solve", "baseline", "export"])
 def test_a_value_beyond_double_range_exits_2(command, tmp_path, capsys):
     # every output writes quantities as doubles; each of these used to end
     # in an OverflowError traceback and exit 1
@@ -516,8 +517,47 @@ def test_a_value_beyond_double_range_exits_2(command, tmp_path, capsys):
     path.write_text(json.dumps(huge))
     sys_path = tmp_path / "unbudgeted.json"
     save_system_model(unbudgeted_system(), sys_path)
-    args = [command, str(path), "--config", str(sys_path), "--objective", "energy", "--lthr", "1e300s"]
+    args = [command, str(path), "--config", str(sys_path)]
+    if command != "transform":  # the only one of these without a model to build
+        args += ["--objective", "energy", "--lthr", "1e300s"]
     assert main(args + ["--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("error: a value computed from the inputs is beyond the range of a double")
     # every output is formatted before --out is made, so none is left empty
     assert not (tmp_path / "o").exists()
+
+
+# sha256 of every file transform and generate write, measured before both
+# moved to the one output path, cli._write
+_PINNED = {
+    "transform": {
+        "etfg.json": "8c61068c2c5d6f5a1cdc3c700089f4b4b24d7e93d1ea5fb513bb8a44a4250cba",
+        "etfg.dot": "5e129c84e8ae081cc05c0bd05b5d6c4f45f81159afcb0e7b8561bc7ee0fa2518",
+    },
+    "generate": {
+        "tfg.json": "956e1a3afb356b3ce112f139fc8abd919b15875fe7754574c3b18fdee61e37a7",
+        "meta.json": "af71be3bae5b17da32cb02b41daa5d24cb59f56997ea2ce1c09ee7c4e43a6276",
+    },
+}
+_GENERATE_200 = ["generate", "--structure", "mixed", "--nodes", "200", "--max-in-degree", "4",
+                 "--max-out-degree", "4", "--fixed-edge", "0.05", "--fixed-hub", "0.02", "--seed", "8"]
+
+
+@pytest.mark.parametrize("command", list(_PINNED))
+def test_transform_and_generate_files_are_pinned(command, example_tfg, tmp_path):
+    args = ["transform", example_tfg] if command == "transform" else _GENERATE_200
+    out = tmp_path / "o"
+    assert main(args + ["--config", "C1", "--out", str(out)]) == 0
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
+    assert digests == _PINNED[command]
+
+
+@pytest.mark.parametrize("command", ["transform", "solve", "baseline", "generate", "export", "stats"])
+def test_every_command_names_each_file_it_writes(command, example_tfg, tmp_path, capsys):
+    args = ["generate", "--structure", "serial", "--nodes", "5"] if command == "generate" else [command, example_tfg]
+    out = tmp_path / "o"
+    assert main(args + ["--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    wrote = [line.removeprefix("wrote ") for line in lines if line.startswith("wrote ")]
+    assert sorted(wrote) == sorted(str(path) for path in out.iterdir())
+    if command == "export":  # its counts line comes first
+        assert lines[0] == "152 variables, 370 rows"

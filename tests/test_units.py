@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ehcopt.model import role_from
-from ehcopt.units import UnitError, fmt12, parse_optional, parse_quantity, si_number
+from ehcopt.units import _DOUBLE_MAX, UnitError, fmt12, parse_optional, parse_quantity, si_number
 
 
 def test_memory_units():
@@ -92,6 +92,15 @@ def test_si_number_round_trip(value):
     # float -> exact rational -> float is the identity
     exact = parse_quantity(value, "time")
     assert float(si_number(exact)) == value
+
+
+def test_si_number_keeps_integers_only_within_double_range():
+    # every output writes quantities as doubles: a larger integer used to
+    # be written as a JSON integer of hundreds of digits
+    assert type(si_number(Fraction(_DOUBLE_MAX))) is int
+    assert type(si_number(Fraction(-_DOUBLE_MAX))) is int
+    with pytest.raises(OverflowError):
+        si_number(Fraction(10**400))
 
 
 def test_fmt12():
