@@ -199,9 +199,10 @@ def cmd_stats(args) -> int:
     objective = Objective(args.objective)
     model = build_model(etfg, objective, _threshold(args, objective))
     text = json_text(model_stats(model))
-    if args.out is not None:
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
         _write(args, {"model_stats.json": text})
-    sys.stdout.write(text)
     return EXIT_OK
 
 

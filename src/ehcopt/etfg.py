@@ -79,10 +79,6 @@ class CandidateNode(NamedTuple):
     power: Fraction  # watts while executing
     energy: Fraction  # joules = power * latency
 
-    @property
-    def key(self) -> tuple[int, DeviceRole]:
-        return (self.task, self.device)
-
 
 class EtfgArc(NamedTuple):
     """One dependency's transfer between two candidates: its device pair's
@@ -134,10 +130,6 @@ class Etfg:
         arcs_by_dep = self.arcs_by_dep
         for dep in self.graph.arcs:
             yield from arcs_by_dep[dep]
-
-    @cached_property
-    def node_map(self) -> dict[tuple[int, DeviceRole], CandidateNode]:
-        return {node.key: node for node in self.iter_nodes()}
 
     @cached_property
     def per_bit(self) -> dict[tuple[DeviceRole, DeviceRole], PairCost]:

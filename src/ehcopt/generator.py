@@ -72,18 +72,6 @@ class GenSpec:
             "seed": self.seed,
         }
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "GenSpec":
-        return cls(
-            structure=data["structure"],
-            node_count=int(data["node_count"]),
-            max_in_degree=int(data["max_in_degree"]),
-            max_out_degree=int(data["max_out_degree"]),
-            fixed_edge_fraction=_fraction(data.get("fixed_edge_fraction", 0)),
-            fixed_hub_fraction=_fraction(data.get("fixed_hub_fraction", 0)),
-            seed=int(data.get("seed", 0)),
-        )
-
 
 def _fraction(value) -> Fraction:
     if isinstance(value, float):

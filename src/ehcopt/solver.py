@@ -29,9 +29,14 @@ three routes to a provably optimal assignment by its ``method``:
   bound for the gap and starts from the assignment, which tightens
   pruning, and stops as proven optimal once the incumbent meets the bound.
 * ``bruteforce`` runs :func:`solve_bruteforce`, which enumerates every
-  assignment.  It is the reference oracle for the other routes, so it
-  extracts its costs from the expanded graph independently and keeps no
-  shared pruning logic.
+  assignment in one odometer walk over a list of exact integer sums:
+  the objective, each finite budget and the latency cap.  Placing a
+  task adds its candidate's and its settled arcs' amounts to their
+  sums, and backing up subtracts them; a complete assignment is kept
+  when its objective beats the incumbent and every other sum is within
+  its limit.  It is the reference oracle for the other routes, so it
+  extracts its costs from the expanded graph's task graph and system
+  model independently and keeps no shared pruning logic.
 
 The DP and branch and bound read one integer kernel, :class:`_Kernel`:
 the expanded graph's objective costs and its side constraints, each
@@ -150,251 +155,124 @@ def solve_bruteforce(
 ) -> Allocation:
     """Enumerate every assignment; keep the best feasible one.
 
-    The latency threshold caps the energy objective only, as in the
-    optimization model.  Guarded to ``BRUTE_FORCE_LIMIT`` assignments.
+    One odometer walk over the tasks keeps a list of integer sums: sum 0
+    is the objective, and each finite memory, storage and energy budget
+    (devices e, h, c in turn) and then the latency cap has a sum of its
+    own, each on its own exact integer grid with its limit.  Placing a
+    task adds its candidate's ``(sum, amount)`` pairs and those of the
+    arcs it settles; removing it subtracts them.  A complete assignment
+    becomes the incumbent when its objective is below the best so far
+    and every other sum is within its limit, so ties keep the first
+    found, the smallest by (task id, e < h < c).  The latency threshold
+    caps the energy objective only, as in the optimization model.
+    Guarded to ``BRUTE_FORCE_LIMIT`` assignments.
     """
     objective = Objective(objective)
     check_latency_threshold(objective, latency_threshold)
     graph, system = etfg.graph, etfg.system
     tasks = graph.tasks
-    n = len(tasks)
-    total = 1
-    for t in tasks:
-        total *= len(t.allowed)
-        if total > BRUTE_FORCE_LIMIT:
-            raise InstanceTooLarge(
-                f"assignment space exceeds {BRUTE_FORCE_LIMIT}; use branch and bound"
-            )
+    if math.prod(len(t.allowed) for t in tasks) > BRUTE_FORCE_LIMIT:
+        raise InstanceTooLarge(f"assignment space exceeds {BRUTE_FORCE_LIMIT}; use branch and bound")
 
-    role_idx = {r: i for i, r in enumerate(ROLES)}
-    pos_of = {t.id: p for p, t in enumerate(tasks)}
+    # side sums: each finite budget per device, then the latency cap
+    limits = [None]
+    sum_of = {}
+    for r in ROLES:
+        device = system.device(r)
+        for kind, budget in (("mem", device.memory_budget), ("sto", device.storage_budget),
+                             ("enr", device.energy_budget)):
+            if budget is not None:
+                sum_of[kind, r] = len(limits)
+                limits.append(budget)
+    if latency_threshold is not None:
+        sum_of["lat"] = len(limits)
+        limits.append(latency_threshold)
 
-    cand_roles = [t.allowed for t in tasks]
-    node_obj_f = [
-        [(t.latency[r] if objective is Objective.LATENCY else t.latency[r] * t.power[r]) for r in t.allowed]
-        for t in tasks
-    ]
-    node_enr_f = [[t.latency[r] * t.power[r] for r in t.allowed] for t in tasks]
-    node_lat_f = [[t.latency[r] for r in t.allowed] for t in tasks]
+    def pairs(latency, shares, memory=0, storage=0, role=None):
+        """(sum, amount) pairs of one candidate or one arc entry, as Fractions."""
+        energy = sum([amount for _, amount in shares])
+        found = [(0, latency if objective is Objective.LATENCY else energy), (sum_of.get("lat"), latency),
+                 (sum_of.get(("mem", role)), memory), (sum_of.get(("sto", role)), storage)]
+        found += [(sum_of.get(("enr", d)), amount) for d, amount in shares]
+        return [(k, amount) for k, amount in found if k is not None and amount]
 
-    # transfer cost and per-device energy shares for one arc, by device pair
-    def pair_costs(data, k, l):
+    def transfer(data, k, l):
+        """Latency and per-device energy of sending ``data`` bits from k to l."""
         if k == l:
-            return Fraction(0), Fraction(0), ()
-        if (k, l) in system.channels:
-            ch = system.channels[(k, l)]
-            lat = data / ch.bandwidth
-            enr = data * (ch.tx_energy + ch.rx_energy)
-            parts = ((role_idx[k], data * ch.tx_energy), (role_idx[l], data * ch.rx_energy))
-            return lat, enr, parts
+            return 0, ()
+        channel = system.channels.get((k, l))
+        if channel is not None:
+            return data / channel.bandwidth, ((k, data * channel.tx_energy), (l, data * channel.rx_energy))
         m = system.relay[(k, l)]
         first, second = system.channels[(k, m)], system.channels[(m, l)]
-        lat = data * (1 / first.bandwidth + 1 / second.bandwidth)
-        enr = data * (first.tx_energy + first.rx_energy + second.tx_energy + second.rx_energy)
-        parts = (
-            (role_idx[k], data * first.tx_energy),
-            (role_idx[m], data * (first.rx_energy + second.tx_energy)),
-            (role_idx[l], data * second.rx_energy),
-        )
-        return lat, enr, parts
+        shares = ((k, data * first.tx_energy), (m, data * (first.rx_energy + second.tx_energy)),
+                  (l, data * second.rx_energy))
+        return data * (1 / first.bandwidth + 1 / second.bandwidth), shares
 
-    arc_specs = []  # (earlier_pos, later_pos, oriented src is earlier?, tables)
-    for (i, j) in graph.arcs:
-        a, b = pos_of[i], pos_of[j]
-        earlier, later = (a, b) if a < b else (b, a)
+    roles = [t.allowed for t in tasks]
+    nodes = [[pairs(t.latency[r], ((r, t.latency[r] * t.power[r]),), t.memory, t.storage, r) for r in t.allowed]
+             for t in tasks]
+    # each arc's entries, indexed earlier choice * width + later choice, join the later task's level
+    pos_of = {t.id: p for p, t in enumerate(tasks)}
+    arcs_at = [[] for _ in tasks]
+    for i, j in graph.arcs:
+        earlier, later = sorted((pos_of[i], pos_of[j]))
         data = graph.task(i).output_data
-        table = {}
-        for ce, re_ in enumerate(cand_roles[earlier]):
-            for cl, rl in enumerate(cand_roles[later]):
-                k, l = (re_, rl) if earlier == a else (rl, re_)
-                table[(ce, cl)] = pair_costs(data, k, l)
-        arc_specs.append((earlier, later, table))
+        table = [pairs(*(transfer(data, a, b) if pos_of[i] == earlier else transfer(data, b, a)))
+                 for a in roles[earlier] for b in roles[later]]
+        arcs_at[later].append((earlier, len(roles[later]), table))
 
-    # integer grids so that equal values compare exactly
-    obj_den = _common_denominator(
-        [c for row in node_obj_f for c in row]
-        + [t[0] if objective is Objective.LATENCY else t[1] for _, _, tb in arc_specs for t in tb.values()]
-    )
-    lat_den = _common_denominator(
-        [c for row in node_lat_f for c in row]
-        + [t[0] for _, _, tb in arc_specs for t in tb.values()]
-        + ([] if latency_threshold is None else [latency_threshold])
-    )
-    enr_values = [c for row in node_enr_f for c in row]
-    for _, _, tb in arc_specs:
-        for _, _, parts in tb.values():
-            enr_values.extend(amount for _, amount in parts)
-    budgets = [system.device(r) for r in ROLES]
-    enr_den = _common_denominator(
-        enr_values + [d.energy_budget for d in budgets if d.energy_budget is not None]
-    )
-    mem_den = _common_denominator(
-        [t.memory for t in tasks] + [d.memory_budget for d in budgets if d.memory_budget is not None]
-    )
-    sto_den = _common_denominator(
-        [t.storage for t in tasks] + [d.storage_budget for d in budgets if d.storage_budget is not None]
-    )
+    # one exact integer grid per sum
+    amounts = [[limit] if limit is not None else [] for limit in limits]
+    for entries in chain(*nodes, *(table for at in arcs_at for _, _, table in at)):
+        for k, amount in entries:
+            amounts[k].append(amount)
+    dens = [_common_denominator(values) for values in amounts]
 
-    node_obj = [[_as_int(c, obj_den) for c in row] for row in node_obj_f]
-    node_enr = [[_as_int(c, enr_den) for c in row] for row in node_enr_f]
-    node_lat = [[_as_int(c, lat_den) for c in row] for row in node_lat_f]
-    mem = [_as_int(t.memory, mem_den) for t in tasks]
-    sto = [_as_int(t.storage, sto_den) for t in tasks]
-    mem_bgt = [None if d.memory_budget is None else _as_int(d.memory_budget, mem_den) for d in budgets]
-    sto_bgt = [None if d.storage_budget is None else _as_int(d.storage_budget, sto_den) for d in budgets]
-    enr_bgt = [None if d.energy_budget is None else _as_int(d.energy_budget, enr_den) for d in budgets]
-    thr = None if latency_threshold is None else _as_int(latency_threshold, lat_den)
+    def exact(entries):
+        return tuple([(k, _as_int(amount, dens[k])) for k, amount in entries])
 
-    # flat per-level tables: arc cost indexed by earlier_choice * width + ci
-    arcs_at: list[list[tuple]] = [[] for _ in range(n)]
-    for earlier, later, table in arc_specs:
-        width = len(cand_roles[later])
-        size = len(cand_roles[earlier]) * width
-        obj_flat = [0] * size
-        lat_flat = [0] * size
-        parts_flat: list[tuple] = [()] * size
-        for (ce, cl), (lat_f, enr_f, parts) in table.items():
-            idx = ce * width + cl
-            obj_flat[idx] = _as_int(lat_f if objective is Objective.LATENCY else enr_f, obj_den)
-            lat_flat[idx] = _as_int(lat_f, lat_den)
-            parts_flat[idx] = tuple((r, _as_int(amount, enr_den)) for r, amount in parts)
-        arcs_at[later].append((earlier, width, obj_flat, lat_flat, parts_flat))
+    nodes = [[exact(entries) for entries in level] for level in nodes]
+    arcs_at = [[(e, w, [exact(entries) for entries in table]) for e, w, table in at] for at in arcs_at]
+    caps = [(k, _as_int(limit, dens[k])) for k, limit in enumerate(limits) if limit is not None]
 
-    # odometer enumeration; the deepest level is unrolled for speed
-    choice = [0] * n
-    added_obj = [0] * n
-    added_lat = [0] * n
-    added_parts: list[tuple] = [()] * n
-    acc = 0
-    lat_acc = 0
-    mem_use = [0, 0, 0]
-    sto_use = [0, 0, 0]
-    enr_use = [0, 0, 0]
-
-    best_value = None
-    best_choice = None
-    leaves = 0
-
-    def apply(level: int, ci: int):
-        nonlocal acc, lat_acc
-        d_obj = node_obj[level][ci]
-        if unconstrained:
-            for earlier, width, obj_flat, _lat_flat, _parts_flat in arcs_at[level]:
-                d_obj += obj_flat[choice[earlier] * width + ci]
-            acc += d_obj
-            added_obj[level] = d_obj
-            added_lat[level] = 0
-            added_parts[level] = ()
-            choice[level] = ci
-            return
-        r = role_idx[cand_roles[level][ci]]
-        d_lat = node_lat[level][ci]
-        parts = [(r, mem[level], sto[level], node_enr[level][ci])]
-        for earlier, width, obj_flat, lat_flat, parts_flat in arcs_at[level]:
-            idx = choice[earlier] * width + ci
-            d_obj += obj_flat[idx]
-            d_lat += lat_flat[idx]
-            for pr, amount in parts_flat[idx]:
-                parts.append((pr, 0, 0, amount))
-        acc += d_obj
-        lat_acc += d_lat
-        for pr, dm, ds, de in parts:
-            mem_use[pr] += dm
-            sto_use[pr] += ds
-            enr_use[pr] += de
-        added_obj[level] = d_obj
-        added_lat[level] = d_lat
-        added_parts[level] = tuple(parts)
+    sums = [0] * len(limits)
+    last = len(tasks) - 1
+    widths = [len(r) for r in roles]
+    choice = [0] * len(tasks)
+    placed = [()] * len(tasks)
+    best_sum, best_choice, leaves = math.inf, None, 0
+    level, ci = 0, 0
+    while level >= 0:
+        if ci == widths[level]:  # every candidate of this level tried: back up one level
+            level -= 1
+            if level >= 0:
+                for k, amount in placed[level]:
+                    sums[k] -= amount
+                ci = choice[level] + 1
+            continue
+        added = nodes[level][ci]
+        for earlier, width, table in arcs_at[level]:
+            added += table[choice[earlier] * width + ci]
+        for k, amount in added:
+            sums[k] += amount
         choice[level] = ci
-
-    def undo(level: int):
-        nonlocal acc, lat_acc
-        acc -= added_obj[level]
-        lat_acc -= added_lat[level]
-        for pr, dm, ds, de in added_parts[level]:
-            mem_use[pr] -= dm
-            sto_use[pr] -= ds
-            enr_use[pr] -= de
-
-    unconstrained = (
-        thr is None
-        and all(b is None for b in mem_bgt)
-        and all(b is None for b in sto_bgt)
-        and all(b is None for b in enr_bgt)
-    )
-
-    def check_leaf(level: int, ci: int):
-        """Evaluate the final task's choice without mutating the state."""
-        nonlocal best_value, best_choice, leaves
+        if level < last:
+            placed[level] = added
+            level, ci = level + 1, 0
+            continue
         leaves += 1
-        d_obj = node_obj[level][ci]
-        if unconstrained:
-            for earlier, width, obj_flat, _lat_flat, _parts_flat in arcs_at[level]:
-                d_obj += obj_flat[choice[earlier] * width + ci]
-            value = acc + d_obj
-            if best_value is not None and value >= best_value:
-                return  # ties keep the earlier, lexicographically smaller find
-            best_value = value
-            choice[level] = ci
-            best_choice = tuple(choice)
-            return
-        r = role_idx[cand_roles[level][ci]]
-        d_lat = node_lat[level][ci]
-        d_enr = [0, 0, 0]
-        d_enr[r] = node_enr[level][ci]
-        for earlier, width, obj_flat, lat_flat, parts_flat in arcs_at[level]:
-            idx = choice[earlier] * width + ci
-            d_obj += obj_flat[idx]
-            d_lat += lat_flat[idx]
-            for pr, amount in parts_flat[idx]:
-                d_enr[pr] += amount
-        value = acc + d_obj
-        if best_value is not None and value >= best_value:
-            return
-        if thr is not None and lat_acc + d_lat > thr:
-            return
-        for x in range(3):
-            if mem_bgt[x] is not None and mem_use[x] + (mem[level] if x == r else 0) > mem_bgt[x]:
-                return
-            if sto_bgt[x] is not None and sto_use[x] + (sto[level] if x == r else 0) > sto_bgt[x]:
-                return
-            if enr_bgt[x] is not None and enr_use[x] + d_enr[x] > enr_bgt[x]:
-                return
-        best_value = value
-        choice[level] = ci
-        best_choice = tuple(choice)
-
-    last = n - 1
-    if n == 1:
-        for ci in range(len(cand_roles[0])):
-            check_leaf(0, ci)
-    else:
-        level = 0
-        ci = [0] * n
-        while True:
-            if level == last:
-                for c in range(len(cand_roles[last])):
-                    check_leaf(last, c)
-                level -= 1
-                undo(level)
-                ci[level] += 1
-                continue
-            if ci[level] == len(cand_roles[level]):
-                ci[level] = 0
-                level -= 1
-                if level < 0:
-                    break
-                undo(level)
-                ci[level] += 1
-                continue
-            apply(level, ci[level])
-            level += 1
+        if sums[0] < best_sum and all([sums[k] <= cap for k, cap in caps]):
+            best_sum, best_choice = sums[0], tuple(choice)
+        for k, amount in added:
+            sums[k] -= amount
+        ci += 1
 
     stats = {"assignments_enumerated": leaves, "solver": "bruteforce"}
-    if best_value is None:
+    if best_choice is None:
         return _finish(etfg, objective, None, None, latency_threshold, stats, SolveStatus.INFEASIBLE)
-    assignment = {tasks[p].id: cand_roles[p][c] for p, c in enumerate(best_choice)}
-    value = Fraction(best_value, obj_den)
+    assignment = {t.id: roles[p][c] for p, (t, c) in enumerate(zip(tasks, best_choice))}
+    value = Fraction(best_sum, dens[0])
     return _finish(etfg, objective, assignment, value, latency_threshold, stats, SolveStatus.OPTIMAL)
 
 

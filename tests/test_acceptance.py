@@ -244,9 +244,10 @@ def test_criterion_7_energy_budget_row_fidelity():
     assert b.device_energy[H] == expected_hub
     expected_edge = tasks[0].latency[E] * tasks[0].power[E] + Fraction(2)
     assert b.device_energy[E] == expected_edge
+    on_cloud = {node.task: node for task in (2, 3) for node in etfg.nodes_by_task[task] if node.device is C}
     expected_cloud = (
-        etfg.node_map[(2, C)].energy
-        + etfg.node_map[(3, C)].energy
+        on_cloud[2].energy
+        + on_cloud[3].energy
         + data1 * Fraction(125, 10**8)  # rx(h->c) for the relayed transfer
     )
     assert b.device_energy[C] == expected_cloud

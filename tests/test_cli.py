@@ -169,14 +169,22 @@ def test_export_command(example_tfg, tmp_path):
     assert (out / "model.lp").read_text().startswith("\\ objective: latency")
 
 
-def test_stats_command(example_tfg, tmp_path, capsys):
+def test_stats_command(example_tfg, tmp_path):
     assert main(["stats", example_tfg, "--config", "C1", "--objective", "energy",
                  "--lthr", "8000ms", "--out", str(tmp_path)]) == 0
-    printed = capsys.readouterr().out
-    data = json.loads(printed[printed.index("{"):])
+    data = read_json(tmp_path / "model_stats.json")
     assert data["variables"] == 152
     assert data["logical_constraints_all_budgets"] == 150
-    assert read_json(tmp_path / "model_stats.json") == data
+
+
+def test_stats_stdout_is_one_json_document_or_the_wrote_line(example_tfg, tmp_path, capsys):
+    assert main(["stats", example_tfg, "--config", "C1"]) == 0
+    printed = capsys.readouterr().out
+    assert json.loads(printed)["variables"] == 152  # the whole of stdout parses
+    out = tmp_path / "s"
+    assert main(["stats", example_tfg, "--config", "C1", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out / 'model_stats.json'}\n"
+    assert (out / "model_stats.json").read_text() == printed
 
 
 def test_baseline_command(example_tfg, tmp_path):

@@ -111,11 +111,6 @@ def test_generation_is_deterministic():
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
-def test_genspec_json_round_trip():
-    spec = GenSpec("parallel", 12, 2, 3, Fraction(1, 10), Fraction(0), seed=9)
-    assert GenSpec.from_dict(spec.to_dict()) == spec
-
-
 class TestSynthesis:
     system = unbudgeted_system()
 

@@ -41,6 +41,11 @@ from ehcopt.model import ROLES, TaskGraph, make_system_model
 C1 = presets.system_model("C1", "run1")
 
 
+def _node(etfg, task, device):
+    """The candidate node of ``task`` on ``device``."""
+    return next(node for node in etfg.nodes_by_task[task] if node.device is device)
+
+
 def test_two_free_task_model_shape():
     etfg = transform(two_task_chain(), C1)
     model = build_model(etfg, "latency")
@@ -127,7 +132,7 @@ def test_energy_budget_row_includes_relay_share():
     assert row.coeffs[relay_col] == Fraction(32, 10)
     # hub's own execution energy appears on its node columns
     node_col = model.node_col[(2, H)]
-    assert row.coeffs[node_col] == etfg.node_map[(2, H)].energy
+    assert row.coeffs[node_col] == _node(etfg, 2, H).energy
     # sender/receiver shares for a direct arc
     e_row = rows["enr_e"]
     direct_col = model.arc_col[(1, E, 2, H)]
@@ -179,7 +184,7 @@ def test_evaluate_totals_are_the_selected_nodes_and_arcs():
         arcs = {arc.key: arc for arc in etfg.iter_arcs()}
         for _ in range(5):
             assignment = {t.id: rng.choice(t.allowed) for t in etfg.graph.tasks}
-            nodes = [etfg.node_map[item] for item in assignment.items()]
+            nodes = [_node(etfg, *item) for item in assignment.items()]
             chosen = [arcs[(i, assignment[i], j, assignment[j])] for i, j in etfg.graph.arcs]
             b = evaluate(etfg, assignment)
             assert b.total_latency == sum(n.latency for n in nodes) + sum(a.latency for a in chosen)
@@ -198,7 +203,7 @@ def _evaluate_per_arc(etfg, assignment, latency_threshold):
     comp_latency, comp_energy, device_energy, memory, storage = ({r: zero for r in ROLES} for _ in range(5))
     comm_latency, comm_energy = ({pair: zero for pair in system.channels} for _ in range(2))
     for task in graph.tasks:
-        node = etfg.node_map[(task.id, assignment[task.id])]
+        node = _node(etfg, task.id, assignment[task.id])
         comp_latency[node.device] += node.latency
         comp_energy[node.device] += node.energy
         device_energy[node.device] += node.energy
@@ -293,15 +298,15 @@ class TestEvaluate:
         b = evaluate(etfg, {1: E, 2: E})
         assert all(v == 0 for v in b.comm_latency.values())
         assert all(v == 0 for v in b.comm_energy.values())
-        assert b.total_latency == sum(etfg.node_map[(i, E)].latency for i in (1, 2))
+        assert b.total_latency == sum(_node(etfg, i, E).latency for i in (1, 2))
 
     def test_direct_transfer_splits_energy(self):
         etfg = transform(two_task_chain(data=10**6), C1)
         b = evaluate(etfg, {1: E, 2: H})
         assert b.comm_latency[(E, H)] == Fraction(1, 15)
         assert b.comm_energy[(E, H)] == Fraction(17, 10)
-        assert b.device_energy[E] == etfg.node_map[(1, E)].energy + 1  # tx share
-        assert b.device_energy[H] == etfg.node_map[(2, H)].energy + Fraction(7, 10)
+        assert b.device_energy[E] == _node(etfg, 1, E).energy + 1  # tx share
+        assert b.device_energy[H] == _node(etfg, 2, H).energy + Fraction(7, 10)
 
     def test_relay_charges_idle_hub(self):
         etfg = transform(two_task_chain(data=10**6), C1)
@@ -310,7 +315,7 @@ class TestEvaluate:
         assert b.comp_energy[H] == 0
         assert b.device_energy[H] == Fraction(32, 10)
         assert b.total_latency == (
-            etfg.node_map[(1, E)].latency + etfg.node_map[(2, C)].latency + Fraction(8, 75)
+            _node(etfg, 1, E).latency + _node(etfg, 2, C).latency + Fraction(8, 75)
         )
         assert b.comm_latency[(E, H)] == Fraction(1, 15)
         assert b.comm_latency[(H, C)] == Fraction(1, 25)

@@ -110,6 +110,27 @@ def test_bruteforce_guard():
         solve_bruteforce(etfg, "latency")
 
 
+@pytest.mark.parametrize("objective", ["latency", "energy"])
+def test_bruteforce_is_the_first_feasible_minimum_by_evaluate(objective):
+    """The oracle against ``evaluate`` alone: every assignment in task-id
+    order (devices e < h < c) scored by the breakdown, the first strict
+    minimum among the feasible ones kept."""
+    for seed in range(30):
+        etfg, threshold = random_oracle_instance(seed, max_tasks=6)
+        cap = threshold if objective == "energy" else None
+        tasks = sorted(etfg.graph.tasks, key=lambda t: t.id)
+        best = best_value = None
+        for devices in itertools.product(*(t.allowed for t in tasks)):
+            assignment = {t.id: d for t, d in zip(tasks, devices)}
+            breakdown = evaluate(etfg, assignment, cap)
+            value = objective_value(breakdown, objective)
+            if breakdown.feasible and (best_value is None or value < best_value):
+                best, best_value = assignment, value
+        oracle = solve_bruteforce(etfg, objective, cap)
+        expected = SolveStatus.INFEASIBLE if best is None else SolveStatus.OPTIMAL
+        assert (oracle.status, oracle.objective_value, oracle.assignment) == (expected, best_value, best), seed
+
+
 TREE_DP_TIE_DIGEST = "b7d23e8ba4085b9216b7d897ab990bba239a607f68b78b0b89ae18a25046b586"
 
 
