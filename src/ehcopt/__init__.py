@@ -19,7 +19,6 @@ from .model import (
     TaskGraph,
     load_system_model,
     load_task_graph,
-    out_degree,
     save_system_model,
     save_task_graph,
     validate_task_graph,
@@ -51,7 +50,6 @@ __all__ = [
     "load_system_model",
     "load_task_graph",
     "model_stats",
-    "out_degree",
     "save_system_model",
     "save_task_graph",
     "solve",

@@ -139,7 +139,7 @@ def cmd_baseline(args) -> int:
     for case in cases:
         value = "-" if case.objective_value is None else f"{float(case.objective_value):.6g}"
         flag = {True: "feasible", False: "INFEASIBLE", None: "UNKNOWN"}[case.feasible]
-        if not case.feasible:
+        if case.detail:
             flag += f" ({case.detail})"
         print(f"{case.kind:>4}: {value:>12}  {flag}")
     _write(args, texts)

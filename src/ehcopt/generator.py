@@ -74,6 +74,8 @@ class GenSpec:
 
 
 def _fraction(value) -> Fraction:
+    if isinstance(value, bool):  # an int subclass, which Fraction takes as 0 or 1
+        raise ValueError(f"expected a number, got {value!r}")
     if isinstance(value, float):
         return decimal_fraction(value)
     return Fraction(value)
@@ -296,10 +298,15 @@ class ParamSpec:
             except (TypeError, ValueError, AttributeError) as exc:
                 raise GenerationError(f"{source}: field {key!r}: {exc}") from None
 
-        def pair(key, dimension):
+        def pair(key, dimension=None):
+            """A lower and an upper quantity of ``dimension``; plain numbers without one."""
+            one = _fraction if dimension is None else lambda value: parse_quantity(value, dimension)
+
             def parse(value):
+                if not isinstance(value, (list, tuple)):  # a string or an object would unpack
+                    raise TypeError(f"expected a [lower, upper] pair, got {type(value).__name__}")
                 lo, hi = value
-                return (parse_quantity(lo, dimension), parse_quantity(hi, dimension))
+                return (one(lo), one(hi))
 
             return read(key, parse)
 
@@ -311,8 +318,8 @@ class ParamSpec:
             data_range=pair("data_range", "data"),
             perf_ratios=read("perf_ratios", lambda v: {DeviceRole(r): _fraction(x) for r, x in v.items()}),
         )
-        if data.get("clamp_alpha"):
-            fields["clamp_alpha"] = read("clamp_alpha", lambda v: (_fraction(v[0]), _fraction(v[1])))
+        if data.get("clamp_alpha") is not None:
+            fields["clamp_alpha"] = pair("clamp_alpha")
         try:
             return cls(**fields)
         except GenerationError as exc:  # a range or ratio out of bounds

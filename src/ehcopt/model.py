@@ -157,9 +157,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.issues
 
-    def __bool__(self) -> bool:
-        return self.ok
-
     def __str__(self) -> str:
         return "valid" if self.ok else "; ".join(self.issues)
 
@@ -232,13 +229,6 @@ def require_valid(graph: TaskGraph) -> None:
     report = validate_task_graph(graph)
     if not report.ok:
         raise GraphValidationError(str(report))
-
-
-def out_degree(graph: TaskGraph, task_id: int) -> int:
-    """Number of immediate successors of the task."""
-    if task_id not in graph.task_map:
-        raise KeyError(f"no task with id {task_id}")
-    return len(graph.successors[task_id])
 
 
 def topological_order(graph: TaskGraph) -> tuple[int, ...]:

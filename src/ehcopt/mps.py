@@ -1,7 +1,5 @@
-"""MPS and LP text emission for the 0/1 allocation model, plus an MPS
-reader for round-trip checks and for feeding files back from external
-solvers; a line the reader cannot read raises :class:`MpsFormatError`
-naming it.
+"""MPS and LP text emission for the 0/1 allocation model.  ehcopt writes
+these files for an external solver and reads neither back.
 
 The MPS writer uses classic fixed columns with short generated names
 (``OBJ``, ``R<n>``, ``X<n>``) so the file also parses as free format;
@@ -41,7 +39,6 @@ generic path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain
 from operator import add
 
@@ -149,112 +146,6 @@ def _mps_sections(model: BilpModel) -> list[str]:
     out += _joined([f" BV BND       X{col}" for col in range(1, len(per_column) + 1)])
     out += ["ENDATA", ""]
     return out
-
-
-@dataclass
-class ParsedMps:
-    name: str = ""
-    objective_row: str = ""
-    row_sense: dict[str, str] = field(default_factory=dict)  # name -> L/E/G
-    row_order: list[str] = field(default_factory=list)
-    columns: dict[str, dict[str, float]] = field(default_factory=dict)
-    column_order: list[str] = field(default_factory=list)
-    rhs: dict[str, float] = field(default_factory=dict)
-    binaries: set[str] = field(default_factory=set)
-
-    @property
-    def num_rows(self) -> int:
-        return len(self.row_order)
-
-    @property
-    def num_columns(self) -> int:
-        return len(self.column_order)
-
-
-class MpsFormatError(ValueError):
-    pass
-
-
-def _entries(head: list[str], raw: str, parsed: ParsedMps) -> list[tuple[str, float]]:
-    """The (row, value) pairs that follow the first field of a COLUMNS or
-    RHS line, each on the objective row or a row declared in ROWS."""
-    if len(head) < 3 or len(head) % 2 == 0:
-        raise MpsFormatError(f"expected a name and (row, value) pairs: {raw!r}")
-    try:
-        entries = [(row_name, float(value)) for row_name, value in zip(head[1::2], head[2::2])]
-    except ValueError:
-        raise MpsFormatError(f"bad value in {raw!r}") from None
-    for row_name, _ in entries:
-        if row_name not in parsed.row_sense and row_name != parsed.objective_row:
-            raise MpsFormatError(f"undeclared row {row_name!r} in {raw!r}")
-    return entries
-
-
-def parse_mps(text: str) -> ParsedMps:
-    """The sections of an MPS text; a line this reader cannot read raises
-    :class:`MpsFormatError` naming it."""
-    parsed = ParsedMps()
-    section = None
-    in_integer_block = False
-    for raw in text.splitlines():
-        if not raw.strip() or raw.startswith("*"):
-            continue
-        head = raw.split()
-        if raw[0] not in " \t":  # section headers start in column 1
-            keyword = head[0].upper()
-            if keyword == "NAME":
-                parsed.name = head[1] if len(head) > 1 else ""
-            elif keyword == "ENDATA":
-                break
-            elif keyword in {"ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS"}:
-                section = keyword
-            else:
-                raise MpsFormatError(f"unknown section {keyword!r}")
-            continue
-
-        if section == "ROWS":
-            if len(head) != 2:
-                raise MpsFormatError(f"expected a sense and a row name: {raw!r}")
-            sense, row_name = head[0].upper(), head[1]
-            if sense == "N":
-                parsed.objective_row = row_name
-            elif sense in {"L", "E", "G"}:
-                parsed.row_sense[row_name] = sense
-                parsed.row_order.append(row_name)
-            else:
-                raise MpsFormatError(f"bad row sense {sense!r}")
-        elif section == "COLUMNS":
-            if len(head) >= 3 and head[1] == "'MARKER'":
-                if head[2] == "'INTORG'":
-                    in_integer_block = True
-                elif head[2] == "'INTEND'":
-                    in_integer_block = False
-                else:
-                    raise MpsFormatError(f"bad marker line {raw!r}")
-                continue
-            col_name = head[0]
-            if col_name not in parsed.columns:
-                parsed.columns[col_name] = {}
-                parsed.column_order.append(col_name)
-                if in_integer_block:
-                    parsed.binaries.add(col_name)  # refined by BOUNDS below
-            parsed.columns[col_name].update(_entries(head, raw, parsed))
-        elif section == "RHS":
-            parsed.rhs.update(_entries(head, raw, parsed))
-        elif section == "BOUNDS":
-            if len(head) < 3:
-                raise MpsFormatError(f"expected a bound kind, a bound name and a column: {raw!r}")
-            if head[2] not in parsed.columns:
-                raise MpsFormatError(f"bound on undeclared column {head[2]!r} in {raw!r}")
-            kind = head[0].upper()
-            if kind == "BV":
-                parsed.binaries.add(head[2])
-            # other bound kinds are accepted but not tracked further
-        elif section == "RANGES":
-            raise MpsFormatError("RANGES section not supported")
-        else:
-            raise MpsFormatError(f"data line outside any section: {raw!r}")
-    return parsed
 
 
 @without_cyclic_gc

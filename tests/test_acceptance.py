@@ -23,13 +23,14 @@ from conftest import (
     solve_dp,
     two_task_chain,
 )
+from mps_text import read_mps
 from ehcopt import presets
 from ehcopt.analysis import run_baselines
 from ehcopt.etfg import transform
 from ehcopt.generator import GenSpec, default_param_spec, generate_tfg, synthesize_params
 from ehcopt.milp import build_model, evaluate
 from ehcopt.model import TaskGraph
-from ehcopt.mps import model_to_mps, parse_mps
+from ehcopt.mps import model_to_mps
 from ehcopt.solver import (
     SolveConfig,
     SolveStatus,
@@ -286,7 +287,7 @@ def test_criterion_8_scalability():
     )
 
     text = model_to_mps(model)
-    parsed = parse_mps(text)
+    parsed = read_mps(text)
     assert parsed.num_columns == model.num_variables
     assert parsed.num_rows == len(model.rows)
     assert parsed.binaries == set(parsed.column_order)

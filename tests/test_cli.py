@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from conftest import complete_dag, serial_200_graph, uav_forest_without_budgets, unbudgeted_system
+from mps_text import read_mps
 import ehcopt.model
 from ehcopt import presets
 from ehcopt.cli import build_parser, main
@@ -15,7 +16,6 @@ from ehcopt.model import (
     system_model_to_dict,
     task_graph_to_dict,
 )
-from ehcopt.mps import parse_mps
 
 
 @pytest.fixture()
@@ -164,7 +164,7 @@ def test_export_command(example_tfg, tmp_path):
     out = tmp_path / "x"
     assert main(["export", example_tfg, "--config", "C1", "--format", "both",
                  "--out", str(out)]) == 0
-    parsed = parse_mps((out / "model.mps").read_text())
+    parsed = read_mps((out / "model.mps").read_text())
     assert parsed.num_columns == 152
     assert (out / "model.lp").read_text().startswith("\\ objective: latency")
 
@@ -388,6 +388,17 @@ def test_time_limit_without_incumbent(tmp_path, capsys):
     assert o_e["detail"] == "time limit reached without an incumbent"
 
 
+def test_baseline_prints_each_case_detail(example_tfg, tmp_path, capsys):
+    out = tmp_path / "b"
+    assert main(["baseline", example_tfg, "--config", "C1", "--time-limit", "0.000001", "--out", str(out)]) == 0
+    lines = {line.split(":")[0].strip(): line for line in capsys.readouterr().out.splitlines() if ":" in line}
+    cases = read_json(out / "baseline.json")
+    for case in cases:
+        line = lines[case["case"]]
+        assert line.endswith(f" ({case['detail']})") if case["detail"] else line.endswith("feasible"), line
+    assert any(case["feasible"] and (case["detail"] or "").startswith("incumbent with gap ") for case in cases)
+
+
 def test_bruteforce_with_a_time_limit_exits_2(example_tfg, tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["solve", example_tfg, "--config", "C1", "--solver", "bruteforce",
@@ -456,11 +467,18 @@ _PARAMS = default_param_spec("C1").to_dict()
         ({}, "missing required field 'reference_latency'"),
         (_without(_PARAMS, "perf_ratios"), "missing required field 'perf_ratios'"),
         ([1, 2], "expected a JSON object, got list"),
+        (dict(_PARAMS, clamp_alpha=[0.001]), "field 'clamp_alpha': not enough values to unpack"),
+        (dict(_PARAMS, clamp_alpha={"x": 1}), "field 'clamp_alpha': expected a [lower, upper] pair, got dict"),
+        (dict(_PARAMS, memory_range="12"), "field 'memory_range': expected a [lower, upper] pair, got str"),
+        (dict(_PARAMS, clamp_alpha=[0.001, 0.002, 0.003]), "field 'clamp_alpha': too many values to unpack"),
+        (dict(_PARAMS, clamp_alpha=[]), "field 'clamp_alpha': not enough values to unpack"),
+        (dict(_PARAMS, perf_ratios=dict(_PARAMS["perf_ratios"], e=True)), "field 'perf_ratios': expected a number, got True"),
     ],
-    ids=["empty-object", "no-perf-ratios", "top-level-list"],
+    ids=["empty-object", "no-perf-ratios", "top-level-list", "clamp-one-value", "clamp-object",
+         "range-string", "clamp-three-values", "clamp-empty", "ratio-boolean"],
 )
 def test_malformed_params_file_exits_2(params, message, tmp_path, capsys):
-    # each used to end in a KeyError or TypeError traceback and exit 1
+    # each used to end in a traceback and exit 1, or was read in part
     path = tmp_path / "params.json"
     path.write_text(json.dumps(params))
     out = tmp_path / "g"
@@ -468,6 +486,18 @@ def test_malformed_params_file_exits_2(params, message, tmp_path, capsys):
                  "--out", str(out)]) == 2
     assert f"error: params file {path}: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_absent_or_null_clamp_alpha_keeps_the_default(tmp_path):
+    metas = []
+    for name, params in (("absent", _without(_PARAMS, "clamp_alpha")), ("null", dict(_PARAMS, clamp_alpha=None))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(params))
+        out = tmp_path / name
+        assert main(["generate", "--structure", "serial", "--nodes", "6", "--params", str(path),
+                     "--out", str(out)]) == 0
+        metas.append(read_json(out / "meta.json")["paramspec"]["clamp_alpha"])
+    assert metas == [[0.001, 0.005]] * 2
 
 
 @pytest.mark.parametrize("lthr", ["0", "-5s"])

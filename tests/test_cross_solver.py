@@ -14,10 +14,11 @@ import pytest
 scipy_opt = pytest.importorskip("scipy.optimize")
 
 from conftest import random_oracle_instance
+from mps_text import read_mps
 from ehcopt import presets
 from ehcopt.etfg import transform
 from ehcopt.milp import Objective, build_model
-from ehcopt.mps import model_to_mps, parse_mps
+from ehcopt.mps import model_to_mps
 from ehcopt.solver import SolveStatus, solve_bruteforce
 
 
@@ -58,7 +59,7 @@ def test_external_solver_agrees_on_small_instances(objective):
         thr = threshold if objective == "energy" else None
         reference = solve_bruteforce(etfg, objective, thr)
         model = build_model(etfg, Objective(objective), thr)
-        parsed = parse_mps(model_to_mps(model))
+        parsed = read_mps(model_to_mps(model))
         result = solve_parsed_mps(parsed)
         if reference.status is SolveStatus.INFEASIBLE:
             assert not result.success, f"seed {seed}: external solver found a solution"
@@ -72,7 +73,7 @@ def test_external_solver_agrees_on_small_instances(objective):
 def test_external_solver_on_bundled_example():
     etfg = transform(presets.example_inspection_tfg(), presets.system_model("C1", "run1"))
     model = build_model(etfg, "latency")
-    result = solve_parsed_mps(parse_mps(model_to_mps(model)))
+    result = solve_parsed_mps(read_mps(model_to_mps(model)))
     reference = solve_bruteforce(etfg, "latency")
     assert result.success
     assert math.isclose(result.fun, float(reference.objective_value), rel_tol=1e-7)

@@ -15,7 +15,6 @@ from ehcopt.model import (
     SystemModelError,
     Task,
     TaskGraph,
-    out_degree,
     system_model_from_dict,
     system_model_to_dict,
     task_graph_from_dict,
@@ -95,14 +94,6 @@ def test_validation_is_pure():
     first = validate_task_graph(g)
     second = validate_task_graph(g)
     assert first == second == validate_task_graph(g)
-
-
-def test_out_degree():
-    g = two_task_chain()
-    assert out_degree(g, 1) == 1
-    assert out_degree(g, 2) == 0
-    with pytest.raises(KeyError):
-        out_degree(g, 9)
 
 
 def test_topological_order_chain():

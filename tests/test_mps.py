@@ -10,11 +10,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import C, E, H, random_oracle_instance, serial_200_graph, simple_task, two_task_chain
+from mps_text import read_mps
 from ehcopt import milp, mps, presets
 from ehcopt.etfg import transform
 from ehcopt.milp import BilpModel, ConstraintRow, Objective, Rows, build_model, model_stats
 from ehcopt.model import TaskGraph
-from ehcopt.mps import MpsFormatError, model_to_lp, model_to_mps, parse_mps
+from ehcopt.mps import model_to_lp, model_to_mps
 from ehcopt.solver import _as_int, solve
 from ehcopt.units import fmt12
 
@@ -23,7 +24,7 @@ C1 = presets.system_model("C1", "run1")
 
 def roundtrip_check(model):
     text = model_to_mps(model)
-    parsed = parse_mps(text)
+    parsed = read_mps(text)
     assert parsed.num_columns == model.num_variables
     assert parsed.num_rows == len(model.rows)
     assert parsed.binaries == set(parsed.column_order)
@@ -80,34 +81,29 @@ def test_mps_has_integer_markers():
     assert text.rstrip().endswith("ENDATA")
 
 
-def test_parse_rejects_garbage():
-    with pytest.raises(MpsFormatError):
-        parse_mps("GARBAGE\n")
-    with pytest.raises(MpsFormatError):
-        parse_mps("NAME x\nRANGES\n    R1 1\n")
-    # a short line, a value that is not a number, an unpaired field: each named
-    for text, line in (
-        ("ROWS\n N\n", " N"),
-        ("BOUNDS\n BV BND\n", " BV BND"),
-        ("COLUMNS\n X1 R1 abc\n", " X1 R1 abc"),
-        ("RHS\n RHS R1\n", " RHS R1"),
-    ):
-        with pytest.raises(MpsFormatError, match=repr(line)):
-            parse_mps(text)
-    # entries on rows that ROWS never declared, a bound on a column that
-    # COLUMNS never declared: each named, from the first such line on
-    rows = "ROWS\n N OBJ\n L R1\n"
-    for text, line in (
-        (rows + "COLUMNS\n X1 R9 1\nRHS\n RHS R7 2\nBOUNDS\n BV BND X5\n", " X1 R9 1"),
-        (rows + "COLUMNS\n X1 R1 1\nRHS\n RHS R7 2\nBOUNDS\n BV BND X5\n", " RHS R7 2"),
-        (rows + "COLUMNS\n X1 R1 1\nRHS\n RHS R1 2\nBOUNDS\n BV BND X5\n", " BV BND X5"),
-    ):
-        with pytest.raises(MpsFormatError, match=repr(line)):
-            parse_mps(text)
-    # the objective row is declared, in COLUMNS and in RHS
-    parsed = parse_mps(rows + "COLUMNS\n X1 OBJ 3 R1 1\nRHS\n RHS OBJ -1 R1 2\nBOUNDS\n BV BND X1\n")
-    assert parsed.columns == {"X1": {"OBJ": 3.0, "R1": 1.0}} and parsed.rhs == {"OBJ": -1.0, "R1": 2.0}
-    assert parsed.binaries == {"X1"}
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("ROWS\n", "RANGES\n"),  # an unknown section
+        ("NAME          EHCOPT\n", "NAME          EHCOPT\n X1 R1 1\n"),  # a line outside any section
+        (" N  OBJ\n", " N\n"),  # a ROWS line that is not a sense and a name
+        (" E  R1\n", " Q  R1\n"),  # a sense that is not N, L, E or G
+        (" E  R1\n", " E  R1\n E  R1\n"),  # a row declared twice
+        ("X1        R1        1\n", "X1        R1        1 R2 1\n"),  # two pairs on one line
+        ("X1        R1        1\n", "X1        R9        1\n"),  # an entry on an undeclared row
+        ("X1        R1        1\n", "X1        R1        1\n    X1        R1        1\n"),  # an entry twice
+        ("RHS       R1        1\n", "RHS       R9        1\n"),  # an RHS entry on an undeclared row
+        (" BV BND       X1\n", " UP BND       X1\n"),  # a bound that is not BV BND
+        (" BV BND       X1\n", " BV BND       X99\n"),  # a bound on an undeclared column
+        ("ENDATA\n", ""),  # no ENDATA line
+    ],
+)
+def test_read_mps_fails_on_any_other_layout(old, new):
+    text = model_to_mps(build_model(transform(two_task_chain(data=10**6), C1), "latency"))
+    read_mps(text)
+    assert old in text
+    with pytest.raises(ValueError):
+        read_mps(text.replace(old, new, 1))
 
 
 def test_lp_export():
