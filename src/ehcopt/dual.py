@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
-from itertools import chain
 from typing import NamedTuple
 
-from .solver import _eliminate, _Kernel
+from .solver import _eliminate, _Kernel, _Row
 
 
 class Result(NamedTuple):
@@ -41,12 +40,12 @@ class _Point(NamedTuple):
     excess: list[int]  # per row: its use minus its budget
 
 
-def _penalised(tables, rows, multipliers, n):
-    """The objective tables with each row's coefficients added at its multiplier."""
-    tables = list(tables)
+def _penalised(cost: _Row, rows, multipliers) -> list[list[int]]:
+    """``cost``'s tables with each row's coefficients added at its multiplier."""
+    tables = cost.node + cost.arc
     for row, weight in zip(rows, multipliers):
         if weight:
-            for t, coefficients in chain(enumerate(row.node), enumerate(row.arc or (), n)):
+            for t, coefficients in enumerate(row.node + row.arc):
                 tables[t] = [c + weight * x for c, x in zip(tables[t], coefficients)]
     return tables
 
@@ -58,7 +57,7 @@ def search(kernel: _Kernel, deadline: float) -> Result | None:
     has passed, or the DP needs more than ``DP_STATE_LIMIT`` states).
 
     Every finite budget row and the latency cap gets an integer multiplier
-    λ >= 0.  A pass runs the DP over the objective tables plus λ times each
+    λ >= 0.  A pass runs the DP over the objective's tables plus λ times each
     row's coefficients; its total minus the sum of λ times each budget is a
     lower bound on every feasible assignment's cost, for any λ (Fisher,
     "The Lagrangian relaxation method for solving integer programming
@@ -82,8 +81,7 @@ def search(kernel: _Kernel, deadline: float) -> Result | None:
     schedule = kernel.schedule
     if schedule is None:
         return None
-    rows = kernel.rows
-    tables = kernel.objective_tables()
+    cost, rows = kernel.obj, kernel.rows
     best_bound = best_multipliers = best_value = best_chosen = None
     passes = 0
     pass_s = 0.0
@@ -93,10 +91,10 @@ def search(kernel: _Kernel, deadline: float) -> Result | None:
         if time.monotonic() + pass_s > deadline:
             raise TimeoutError
         started = time.monotonic()
-        total, chosen = _eliminate(schedule, _penalised(tables, rows, multipliers, kernel.n))
+        total, chosen = _eliminate(schedule, _penalised(cost, rows, multipliers))
         pass_s = time.monotonic() - started
         passes += 1
-        use = [kernel.total(row.node, row.arc, chosen) for row in rows]
+        use = [kernel.total(row, chosen) for row in rows]
         bound = total - sum([weight * row.budget for weight, row in zip(multipliers, rows)])
         excess = [u - row.budget for u, row in zip(use, rows)]
         if best_bound is None or bound > best_bound:
@@ -120,7 +118,7 @@ def search(kernel: _Kernel, deadline: float) -> Result | None:
         while hi.excess[i] > 0:
             if spread is None:  # above the spread of every other cost, a pass minimises the row's use
                 others = start.multipliers[:i] + (0,) + start.multipliers[i + 1 :]
-                spread = sum([max(table) - min(table) for table in _penalised(tables, rows, others, kernel.n)])
+                spread = sum([max(table) - min(table) for table in _penalised(cost, rows, others)])
             if hi.multipliers[i] > spread:
                 raise _Unreachable  # no assignment meets the row
             lo, hi = hi, at(4 * hi.multipliers[i])

@@ -16,7 +16,7 @@ device's (idle, max] envelope with a small random slack.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Mapping
 
@@ -26,6 +26,7 @@ from .model import (
     SystemModel,
     Task,
     TaskGraph,
+    _fields,
     topological_order,
 )
 from .units import decimal_fraction, parse_quantity
@@ -287,8 +288,7 @@ class ParamSpec:
     def from_dict(cls, data: Mapping, source: str = "params") -> "ParamSpec":
         """The spec a params document describes.  Malformed input raises
         GenerationError naming ``source`` and the field at fault."""
-        if not isinstance(data, Mapping):
-            raise GenerationError(f"{source}: expected a JSON object, got {type(data).__name__}")
+        _fields(data, frozenset([f.name for f in fields(cls)]), GenerationError, source)
 
         def read(key, parse):
             if key not in data:
@@ -310,7 +310,7 @@ class ParamSpec:
 
             return read(key, parse)
 
-        fields = dict(
+        parsed = dict(
             reference_latency=pair("reference_latency", "time"),
             reference_power=pair("reference_power", "power"),
             memory_range=pair("memory_range", "memory"),
@@ -319,9 +319,9 @@ class ParamSpec:
             perf_ratios=read("perf_ratios", lambda v: {DeviceRole(r): _fraction(x) for r, x in v.items()}),
         )
         if data.get("clamp_alpha") is not None:
-            fields["clamp_alpha"] = pair("clamp_alpha")
+            parsed["clamp_alpha"] = pair("clamp_alpha")
         try:
-            return cls(**fields)
+            return cls(**parsed)
         except GenerationError as exc:  # a range or ratio out of bounds
             raise GenerationError(f"{source}: {exc}") from None
 

@@ -343,11 +343,26 @@ class SystemModel:
 #    "relay": {"e->c": "h", "c->e": "h"}}
 #
 # Bare numbers are SI base units; suffixed strings are converted on load.
+# A field outside these schemas is an error, not ignored.
+
+_TASK_GRAPH_FIELDS = frozenset({"schema", "tasks", "arcs"})
+_TASK_FIELDS = frozenset({"id", "memory", "storage", "output_data", "allowed", "latency", "power"})
+_SYSTEM_FIELDS = frozenset({"schema", "devices", "channels", "relay"})
+_DEVICE_FIELDS = frozenset({"name", "memory_budget", "storage_budget", "energy_budget", "idle_power", "max_power"})
+_CHANNEL_FIELDS = frozenset({"from", "to", "bandwidth", "tx_energy", "rx_energy"})
 
 
 def _object(value, error: type[ValueError], where: str) -> dict:
     if not isinstance(value, dict):  # what a JSON object decodes to
         raise error(f"{where}: expected a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _fields(value, known: frozenset, error: type[ValueError], where: str) -> dict:
+    """``value`` as a JSON object whose every field is one of ``known``."""
+    unknown = _object(value, error, where).keys() - known
+    if unknown:
+        raise error(f"{where}: unknown field {min(unknown)!r} (known: {', '.join(sorted(known))})")
     return value
 
 
@@ -360,10 +375,9 @@ def _array(value, error: type[ValueError], where: str) -> list:
 def _wrong_type(entry: dict, error: type[ValueError], where: str, exc: Exception) -> ValueError:
     """The error for a task entry whose parsing raised a TypeError or
     AttributeError: a field holds the wrong kind of JSON value."""
-    for key, kind, name in (("allowed", list, "array"), ("latency", dict, "object"), ("power", dict, "object")):
-        if key in entry and not isinstance(entry[key], kind):
-            got = type(entry[key]).__name__
-            return error(f"{where}: field {key!r}: expected a JSON {name}, got {got}")
+    for key in ("latency", "power"):
+        if key in entry and not isinstance(entry[key], dict):
+            return error(f"{where}: field {key!r}: expected a JSON object, got {type(entry[key]).__name__}")
     return error(f"{where}: a field has the wrong JSON type ({exc})")
 
 
@@ -385,8 +399,8 @@ def _required(entry: Mapping, key: str, error: type[ValueError], where: str):
         raise error(f"{where}: missing required field {key!r}") from None
 
 
-def _check_schema(data, kind: str, error: type[ValueError]) -> None:
-    version = _object(data, error, f"{kind} file").get("schema")
+def _check_schema(data, kind: str, known: frozenset, error: type[ValueError]) -> None:
+    version = _fields(data, known, error, f"{kind} file").get("schema")
     if version != SCHEMA_VERSION:
         raise error(f"{kind} file: unsupported schema {version!r} (expected {SCHEMA_VERSION})")
 
@@ -394,16 +408,17 @@ def _check_schema(data, kind: str, error: type[ValueError]) -> None:
 @without_cyclic_gc
 def task_graph_from_dict(data: dict) -> TaskGraph:
     err = GraphValidationError
-    _check_schema(data, "task graph", err)
+    _check_schema(data, "task graph", _TASK_GRAPH_FIELDS, err)
     entries = _required(data, "tasks", err, "task graph file")
     tasks = []
     # types are checked per document and entry, not per field: a field of
     # the wrong JSON type surfaces as a TypeError/AttributeError of its entry
     for n, entry in enumerate(_array(entries, err, "task graph file: tasks")):
         where = f"task graph file: tasks[{n}]"
-        entry = _object(entry, err, where)
+        entry = _fields(entry, _TASK_FIELDS, err, where)
         try:
-            allowed = tuple([role_from(r) for r in _required(entry, "allowed", err, where)])
+            allowed = _array(_required(entry, "allowed", err, where), err, f"{where}: field 'allowed'")
+            allowed = tuple([role_from(r) for r in allowed])
             latency = {role_from(r): parse_quantity(v, "time") for r, v in entry.get("latency", {}).items()}
             power = {role_from(r): parse_quantity(v, "power") for r, v in entry.get("power", {}).items()}
             task_id = _required(entry, "id", err, where)
@@ -456,12 +471,12 @@ def task_graph_to_dict(graph: TaskGraph) -> dict:
 
 def system_model_from_dict(data: dict) -> SystemModel:
     err = SystemModelError
-    _check_schema(data, "system model", err)
+    _check_schema(data, "system model", _SYSTEM_FIELDS, err)
     devices = {}
     device_entries = _required(data, "devices", err, "system model file")
     for key, entry in _object(device_entries, err, "system model file: devices").items():
         where = f"system model file: devices[{key!r}]"
-        entry = _object(entry, err, where)
+        entry = _fields(entry, _DEVICE_FIELDS, err, where)
         try:
             role = role_from(key)
             devices[role] = Device(
@@ -479,7 +494,7 @@ def system_model_from_dict(data: dict) -> SystemModel:
     channel_entries = _required(data, "channels", err, "system model file")
     for n, entry in enumerate(_array(channel_entries, err, "system model file: channels")):
         where = f"system model file: channels[{n}]"
-        entry = _object(entry, err, where)
+        entry = _fields(entry, _CHANNEL_FIELDS, err, where)
         try:
             channel = Channel(
                 src=role_from(_required(entry, "from", err, where)),
@@ -490,6 +505,8 @@ def system_model_from_dict(data: dict) -> SystemModel:
             )
         except ValueError as exc:
             raise _unparsed(exc, err, where) from None
+        if (channel.src, channel.dst) in channels:
+            raise err(f"{where}: a second channel {channel.src.value}->{channel.dst.value}")
         channels[(channel.src, channel.dst)] = channel
     relay = {}
     for key, via in _object(data.get("relay", {}), err, "system model file: relay").items():

@@ -39,8 +39,8 @@ three routes to a provably optimal assignment by its ``method``:
   model independently and keeps no shared pruning logic.
 
 The DP and branch and bound read one integer kernel, :class:`_Kernel`:
-the expanded graph's objective costs and its side constraints, each
-budget and the latency cap as one linear row (:class:`_Row`), rescaled
+the expanded graph's objective and its side constraints, each budget and
+the latency cap, each as one linear row (:class:`_Row`), rescaled
 exactly to integers once per (graph, objective, cap).  Branch and bound
 derives its bounds from the kernel, and the dual penalises its rows.
 The oracle does not read it, so that a fault in the kernel shows up as a
@@ -280,15 +280,18 @@ def solve_bruteforce(
 
 
 class _Row(NamedTuple):
-    """A budget row or the latency cap: per position its candidates'
-    coefficients, per arc (in ``graph.arcs`` order) its flat coefficient
-    table or None when no arc adds to the row, the right-hand side and the
-    model's label for the row (``mem_h``, ``enr_e``, ``lthr``, ...)."""
+    """One linear quantity over the node and arc binaries, labelled as the
+    model labels its row: the objective (``obj``, without a budget), a
+    budget row (``mem_h``, ``enr_e``, ...) or the latency cap (``lthr``).
+    ``node`` holds per position its candidates' coefficients and ``arc``
+    per arc (in ``graph.arcs`` order) its flat coefficient table, empty
+    when no arc adds to the row, so ``node + arc`` are the row's tables as
+    the elimination DP numbers them; ``budget`` is the right-hand side."""
 
     label: str
     node: list[list[int]]
-    arc: list[list[int]] | None
-    budget: int
+    arc: list[list[int]]
+    budget: int | None
 
 
 def _skeleton(graph) -> tuple[list[int], list[int], list[tuple[int, int]]]:
@@ -307,21 +310,20 @@ class _Kernel:
 
     Per task ``p``: ``role_of[p]`` lists its candidates' indices into
     ROLES in ``Task.allowed`` order, which the candidate index ``ci``
-    follows everywhere, and ``node_obj[p]`` their objective costs.
-    ``skeleton`` is the graph's :func:`_skeleton`: the task ids by
-    position, each position's candidate count and each dependency (in
-    ``graph.arcs`` order) as a ``(src, dst)`` pair of positions, and
-    ``schedule`` its compiled elimination DP.  Per dependency,
-    ``arc_obj`` holds the objective's flat table indexed
+    follows everywhere.  ``skeleton`` is the graph's :func:`_skeleton`:
+    the task ids by position, each position's candidate count and each
+    dependency (in ``graph.arcs`` order) as a ``(src, dst)`` pair of
+    positions, and ``schedule`` its compiled elimination DP.  Every
+    quantity is a :class:`_Row`, whose arc tables are indexed
     ``src_ci * width + dst_ci``, where ``width`` is the number of
-    candidates of ``dst`` (the order of ``Etfg.arcs_by_dep``).  ``rows``
-    holds every side constraint as a :class:`_Row`: each finite memory,
-    storage and energy budget (devices e, h, c in turn), then the latency
-    cap, numbered as :meth:`objective_tables` numbers the costs.  Latency, energy, memory
-    and storage each have one fixed denominator, shared by their budgets
-    and the latency cap; the objective is latency or energy on that
-    quantity's denominator, ``obj_den``.  ``objective`` and
-    ``latency_threshold`` record the request it was built for.
+    candidates of ``dst`` (the order of ``Etfg.arcs_by_dep``): ``obj`` is
+    the objective, and ``rows`` holds every side constraint, each finite
+    memory, storage and energy budget (devices e, h, c in turn), then the
+    latency cap.  Latency, energy, memory and storage each have one fixed
+    denominator, shared by their budgets and the latency cap; the
+    objective is latency or energy on that quantity's denominator,
+    ``obj_den``.  ``objective`` and ``latency_threshold`` record the
+    request it was built for.
 
     The kernel reads the expanded graph's candidate nodes and its one-bit
     pair costs (``Etfg.per_bit``), never its arcs: an arc's costs are the
@@ -415,9 +417,9 @@ class _Kernel:
             )
             node_enr = [[_as_int(node.energy, enr_den) for node in row] for row in nodes]
         if latency:
-            self.node_obj, self.arc_obj, self.obj_den = node_lat, arc_lat, lat_den
+            self.obj, self.obj_den = _Row("obj", node_lat, arc_lat, None), lat_den
         else:
-            self.node_obj, self.arc_obj, self.obj_den = node_enr, tables(unit_enr, enr_den), enr_den
+            self.obj, self.obj_den = _Row("obj", node_enr, tables(unit_enr, enr_den), None), enr_den
 
         self.rows = rows = []
         for kind, quantity in (("mem", "memory"), ("sto", "storage")):
@@ -428,7 +430,7 @@ class _Kernel:
             for r, cap in enumerate(caps):
                 if cap is not None:
                     node = [[a if role == r else 0 for role in roles] for a, roles in zip(demand, role_of)]
-                    rows.append(_Row(f"{kind}_{ROLES[r].value}", node, None, _as_int(cap, den)))
+                    rows.append(_Row(f"{kind}_{ROLES[r].value}", node, [], _as_int(cap, den)))
         for r in metered:
             node = [[e if role == r else 0 for e, role in zip(*pair)] for pair in zip(node_enr, role_of)]
             budget = _as_int(budgets[r].energy_budget, enr_den)
@@ -440,11 +442,6 @@ class _Kernel:
         """The task -> device map of one candidate index per position."""
         return {self.tasks[p].id: ROLES[self.role_of[p][ci]] for p, ci in enumerate(choice)}
 
-    def objective_tables(self) -> list[list[int]]:
-        """The objective's cost tables as the elimination DP numbers them:
-        node tables by position, then arc tables in ``graph.arcs`` order."""
-        return self.node_obj + self.arc_obj
-
     @cached_property
     def schedule(self) -> _Schedule | None:
         """The elimination DP compiled for ``skeleton`` (:func:`_compile`),
@@ -452,14 +449,11 @@ class _Kernel:
         the first read, so the DP route and the dual search share one."""
         return _compile(*self.skeleton)
 
-    def total(self, node, arc, chosen) -> int:
-        """One assignment's sum over per-position tables ``node`` and, unless
-        ``arc`` is None, per-arc tables, for one candidate index per position."""
-        total = sum(map(list.__getitem__, node, chosen))
-        if arc is not None:
-            _, domain, arcs = self.skeleton
-            total += sum([table[chosen[s] * domain[d] + chosen[d]] for table, (s, d) in zip(arc, arcs)])
-        return total
+    def total(self, row: _Row, chosen) -> int:
+        """One assignment's sum over ``row``, for one candidate index per position."""
+        _, domain, arcs = self.skeleton
+        arc = sum([table[chosen[s] * domain[d] + chosen[d]] for table, (s, d) in zip(row.arc, arcs)])
+        return sum(map(list.__getitem__, row.node, chosen)) + arc
 
 
 # --- bounded-treewidth elimination DP ----------------------------------------
@@ -618,7 +612,7 @@ def _tree_dp(etfg: Etfg, kernel: _Kernel) -> Allocation | None:
     schedule = kernel.schedule
     if schedule is None:
         return None
-    total, chosen = _eliminate(schedule, kernel.objective_tables())
+    total, chosen = _eliminate(schedule, kernel.obj.node + kernel.obj.arc)
     stats = {"solver": "tree-dp", "treewidth": schedule.width, "dp_states": schedule.states}
     assignment, value = kernel.assignment(chosen), Fraction(total, kernel.obj_den)
     return _finish(etfg, kernel.objective, assignment, value, None, stats, SolveStatus.OPTIMAL)
@@ -627,21 +621,21 @@ def _tree_dp(etfg: Etfg, kernel: _Kernel) -> Allocation | None:
 # --- branch and bound -------------------------------------------------------
 
 
-def _largest(node, arc) -> int:
-    """The sum of the maxima of per-position tables ``node`` and, unless
-    ``arc`` is None, per-arc tables: no assignment's sum exceeds it."""
-    return sum(map(max, node)) + (0 if arc is None else sum(map(max, arc)))
+def _largest(row: _Row) -> int:
+    """The sum of the maxima of ``row``'s tables: no assignment's sum exceeds it."""
+    return sum(map(max, row.node)) + sum(map(max, row.arc))
 
 
 def _search_tables(kernel: _Kernel):
     """Branch and bound's additive bounds, packed into integers, and its
     branching order.
 
-    One running bound per quantity, each built the same way: quantity 0
-    is the objective and quantity ``q > 0`` is ``rows[q - 1]``, the
-    kernel's rows whose tables' maxima sum to more than their budget (a
-    row that no assignment can break prunes nothing).  The root is the
-    per-task minima plus the per-arc minima over all pairs (``lo``).
+    One running bound per quantity, each built the same way from its
+    :class:`_Row`: quantity 0 is the objective and quantity ``q > 0`` is
+    ``rows[q - 1]``, the kernel's rows whose tables' maxima sum to more
+    than their budget (a row that no assignment can break prunes
+    nothing).  The root is the per-task minima plus the per-arc minima
+    over all pairs (``lo``).
     Placing task ``p`` on candidate ``ci`` adds ``step[p][ci]``: how far
     the candidate's cost lies above the task's minimum plus, per arc out
     of ``p``, how far the minimum of that arc's row ``ci`` (``mins[ci]``)
@@ -663,27 +657,25 @@ def _search_tables(kernel: _Kernel):
     packed terms, indexed ``s * width + ci``.
     """
     n, role_of = kernel.n, kernel.role_of
-    quantities = [(kernel.node_obj, kernel.arc_obj)]
-    largest = [_largest(kernel.node_obj, kernel.arc_obj)]
-    rows = []
+    largest, rows = [_largest(kernel.obj)], []
     for row in kernel.rows:
-        most = _largest(row.node, row.arc)
+        most = _largest(row)
         if most > row.budget:
             rows.append(row)
-            quantities.append((row.node, row.arc))
             largest.append(most)
+    quantities = [kernel.obj, *rows]
     bits = max(largest).bit_length()
     field = bits + 1
     widths = [len(roles) for roles in role_of]
     offset = list(accumulate(widths, initial=0))  # of each position's candidates, flattened
     root = 0
     steps = []  # per quantity, flat over (position, candidate)
-    for q, (node, _) in enumerate(quantities):
-        mins = list(map(min, node))
+    for q, row in enumerate(quantities):
+        mins = list(map(min, row.node))
         root += sum(mins) << (q * field)
         each = chain.from_iterable(map(repeat, mins, widths))  # the task's minimum, once per candidate
-        steps.append(list(map(sub, chain.from_iterable(node), each)))
-    with_arcs = [(q * field, arc, steps[q]) for q, (_, arc) in enumerate(quantities) if arc is not None]
+        steps.append(list(map(sub, chain.from_iterable(row.node), each)))
+    with_arcs = [(q * field, row.arc, steps[q]) for q, row in enumerate(quantities) if row.arc]
     in_arcs: list[list[tuple]] = [[] for _ in range(n)]
     for a, (src, dst) in enumerate(kernel.skeleton[2]):
         width = widths[dst]
@@ -702,11 +694,8 @@ def _search_tables(kernel: _Kernel):
     for q_steps in reversed(steps[:-1]):
         flat = list(map(add, map(lshift, flat, repeat(field)), q_steps))
     step = [flat[offset[p] : offset[p + 1]] for p in range(n)]
-    node_obj = kernel.node_obj
-    branch = [
-        tuple(sorted(range(len(role_of[p])), key=lambda ci: (node_obj[p][ci], role_of[p][ci])))
-        for p in range(n)
-    ]
+    cost = kernel.obj.node
+    branch = [tuple(sorted(range(len(role_of[p])), key=lambda ci: (cost[p][ci], role_of[p][ci]))) for p in range(n)]
     return rows, bits, root, step, in_arcs, branch
 
 
@@ -745,8 +734,8 @@ def _branch_and_bound(etfg: Etfg, kernel: _Kernel, started: float, deadline: flo
     gap of None.  Without a dual bound, the bound is the additive root.
     ``wall_time_s`` is the time after the table build (``tables_s``): the
     dual, then the search.  The stats add ``root_bound``
-    (``lagrangian``, ``elimination-dp`` for the λ = 0 pass alone, or
-    ``additive``), ``lower_bound`` (its value in s or J), ``dual_passes``
+    (``lagrangian`` whenever the dual ran, else ``additive``),
+    ``lower_bound`` (its value in s or J), ``dual_passes``
     (every pass the dual ran), ``multipliers`` (by row label, in kernel
     units, at the best bound), ``binding_rows`` (the rows the λ = 0
     optimum breaks), ``incumbent_source`` (``dual`` or ``search``) and
@@ -802,8 +791,8 @@ def _branch_and_bound(etfg: Etfg, kernel: _Kernel, started: float, deadline: flo
     # always ends in a proof
     root = roots & top if found is None else max(roots & top, found.bound)
     chosen = None if found is None else found.chosen
-    if chosen is not None and kernel.total(kernel.node_obj, kernel.arc_obj, chosen) == found.value and all(
-        kernel.total(row.node, row.arc, chosen) <= row.budget for row in kernel.rows
+    if chosen is not None and kernel.total(kernel.obj, chosen) == found.value and all(
+        kernel.total(row, chosen) <= row.budget for row in kernel.rows
     ):  # adopted only once the kernel confirms what the dual claims
         best_value = found.value
         offsets = row_offsets + top - best_value
@@ -867,9 +856,8 @@ def _branch_and_bound(etfg: Etfg, kernel: _Kernel, started: float, deadline: flo
         "time_limit_hit": hit_time_limit,
     }
     if deadline is not None:
-        lagrangian = found is not None and any(found.multipliers.values())
         stats.update({
-            "root_bound": "additive" if found is None else "lagrangian" if lagrangian else "elimination-dp",
+            "root_bound": "additive" if found is None else "lagrangian",
             "lower_bound": float(Fraction(root, kernel.obj_den)),
             "dual_passes": 0 if found is None else found.passes,
             "multipliers": {} if found is None else found.multipliers,

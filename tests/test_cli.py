@@ -338,13 +338,31 @@ _C1 = system_model_to_dict(presets.system_model("C1", "run1"))
          "system model file: channels[0]: unit 'parsecs' not valid for bandwidth in '15 parsecs'"),
         (_APP, _with(_C1, "x", "relay", "e->c"),
          "system model file: relay['e->c']: unknown device role 'x'; expected one of e, h, c"),
+        # fields a reader does not declare used to be dropped: without its
+        # arcs the app solved to 0.6198 s, without the edge's memory budget
+        # the baseline's E case was feasible
+        (_with(_without(_APP, "arcs"), _APP["arcs"], "arc"), None,
+         "task graph file: unknown field 'arc' (known: arcs, schema, tasks)\n"),
+        (_with(_APP, "64MiB", "tasks", 2, "memroy"), None, "task graph file: tasks[2]: unknown field 'memroy'"),
+        (_APP, _with(_C1, {}, "relays"), "system model file: unknown field 'relays'"),
+        (_APP, _with(_without(_C1, "devices", "e", "memory_budget"), "8GiB", "devices", "e", "memory_bugdet"),
+         "system model file: devices['e']: unknown field 'memory_bugdet'"),
+        (_APP, _with(_C1, "1uJ/bit", "channels", 0, "tx_enrgy"),
+         "system model file: channels[0]: unknown field 'tx_enrgy'"),
+        # a second e->h entry used to replace the first
+        (_APP, _with(_C1, _C1["channels"] + [dict(_C1["channels"][0], bandwidth="1bit/s")], "channels"),
+         "system model file: channels[4]: a second channel e->h\n"),
+        # a string used to be read as its characters
+        (_with(_APP, "hc", "tasks", 1, "allowed"), None,
+         "task graph file: tasks[1]: field 'allowed': expected a JSON array, got str\n"),
     ],
     ids=[
         "no-tasks", "top-level-list", "task-without-memory", "system-without-devices",
         "arc-not-a-pair", "tasks-not-an-array", "allowed-not-an-array", "latency-not-an-object",
         "channels-not-an-array", "relay-not-an-object", "arc-endpoint-not-an-integer", "id-not-an-integer",
         "latency-value-not-a-quantity", "max-power-not-a-quantity", "bandwidth-in-a-wrong-unit",
-        "relay-via-not-a-role",
+        "relay-via-not-a-role", "unknown-top-level-field", "unknown-task-field", "unknown-system-field",
+        "unknown-device-field", "unknown-channel-field", "second-channel", "allowed-a-string",
     ],
 )
 def test_malformed_input_file_exits_2(tfg, config, message, tmp_path, capsys):
@@ -473,9 +491,10 @@ _PARAMS = default_param_spec("C1").to_dict()
         (dict(_PARAMS, clamp_alpha=[0.001, 0.002, 0.003]), "field 'clamp_alpha': too many values to unpack"),
         (dict(_PARAMS, clamp_alpha=[]), "field 'clamp_alpha': not enough values to unpack"),
         (dict(_PARAMS, perf_ratios=dict(_PARAMS["perf_ratios"], e=True)), "field 'perf_ratios': expected a number, got True"),
+        (dict(_without(_PARAMS, "clamp_alpha"), clamp_alhpa=[0.002, 0.003]), "unknown field 'clamp_alhpa' (known: "),
     ],
     ids=["empty-object", "no-perf-ratios", "top-level-list", "clamp-one-value", "clamp-object",
-         "range-string", "clamp-three-values", "clamp-empty", "ratio-boolean"],
+         "range-string", "clamp-three-values", "clamp-empty", "ratio-boolean", "unknown-field"],
 )
 def test_malformed_params_file_exits_2(params, message, tmp_path, capsys):
     # each used to end in a traceback and exit 1, or was read in part

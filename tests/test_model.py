@@ -249,16 +249,6 @@ def test_configuration_presets_match_published_budgets():
     assert c1.device(E).memory_budget == 8 * 2**30
 
 
-def test_bundled_data_files_match_presets():
-    from importlib.resources import files
-
-    from ehcopt.model import load_system_model
-
-    data = files("ehcopt.data")
-    for name in ("C1", "C2", "C3"):
-        assert load_system_model(str(data / f"{name}.json")) == presets.system_model(name, "run1")
-
-
 def test_channel_profiles_complete_tables():
     run1 = {(c.src, c.dst): c for c in presets.channels("run1")}
     run2 = {(c.src, c.dst): c for c in presets.channels("run2")}

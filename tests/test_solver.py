@@ -314,7 +314,7 @@ def test_one_schedule_runs_both_objectives_tables():
         schedule = solver._compile(*solver._skeleton(etfg.graph))
         for objective in ("latency", "energy"):
             kernel = solver._Kernel(etfg, solver.Objective(objective), None)
-            tables = kernel.objective_tables()
+            tables = kernel.obj.node + kernel.obj.arc
             total, chosen = solver._eliminate(schedule, tables)
             dp = solve_dp(etfg, objective)
             assert Fraction(total, kernel.obj_den) == dp.objective_value
@@ -446,7 +446,7 @@ def test_time_limit_proves_an_unbudgeted_optimum_through_the_dual():
     assert result.gap is None and not result.stats["time_limit_hit"]
     assert result.objective_value == solve_dp(etfg, "latency").objective_value
     assert result.stats["incumbent_source"] == "dual"
-    assert result.stats["root_bound"] == "elimination-dp"
+    assert result.stats["root_bound"] == "lagrangian"
     assert result.stats["binding_rows"] == [] and result.stats["multipliers"] == {}
     assert result.breakdown.feasible
 
@@ -652,7 +652,7 @@ def test_timed_out_gap_is_measured_against_the_relaxation_dp(objective, cap):
     relaxed = solve_dp(transform(etfg.graph, _without_budgets(system)), objective).objective_value
     # the dual's λ = 0 pass is the relaxation, and its bound is at least that
     kernel = solver._Kernel(etfg, solver.Objective(objective), cap)
-    total, _ = solver._eliminate(solver._compile(*kernel.skeleton), kernel.objective_tables())
+    total, _ = solver._eliminate(solver._compile(*kernel.skeleton), kernel.obj.node + kernel.obj.arc)
     assert Fraction(total, kernel.obj_den) == relaxed
     assert dual.search(kernel, time.monotonic() + 1.0).bound >= total
     # the energy search proves the instance infeasible once the dual has
@@ -662,7 +662,7 @@ def test_timed_out_gap_is_measured_against_the_relaxation_dp(objective, cap):
     assert bound >= float(_additive_root(etfg, objective))
     assert result.stats["dual_passes"] >= 1
     if objective == "latency":
-        assert result.stats["root_bound"] in ("elimination-dp", "lagrangian")
+        assert result.stats["root_bound"] == "lagrangian"
         assert result.stats["binding_rows"] == ["mem_h"]
         assert bound >= float(relaxed)
     if result.status is SolveStatus.OPTIMAL:  # proven by the dual's bound
@@ -680,7 +680,7 @@ def test_relaxation_dp_bounds_the_oracle():
         schedule = solver._compile(*solver._skeleton(etfg.graph))
         for objective, cap in [("latency", None), ("energy", None), ("energy", threshold)]:
             kernel = solver._Kernel(etfg, solver.Objective(objective), cap)
-            total, _ = solver._eliminate(schedule, kernel.objective_tables())
+            total, _ = solver._eliminate(schedule, kernel.obj.node + kernel.obj.arc)
             best = solve_bruteforce(etfg, objective, cap)
             if best.status is SolveStatus.OPTIMAL:
                 assert Fraction(total, kernel.obj_den) <= best.objective_value, f"seed {seed}"
@@ -791,7 +791,7 @@ def test_a_guardless_script_gets_the_dual_without_a_warning(tmp_path):
     assert run.returncode == 0, run.stderr
     assert "RuntimeWarning" not in run.stderr
     stats = json.loads(run.stdout)
-    assert stats["dual_passes"] >= 1 and stats["root_bound"] in ("elimination-dp", "lagrangian")
+    assert stats["dual_passes"] >= 1 and stats["root_bound"] == "lagrangian"
 
 
 def test_a_time_limited_solve_keeps_its_limit():
@@ -872,7 +872,7 @@ def test_kernel_rows_are_the_models_side_constraints():
         ], f"seed {seed}"
         for _ in range(20):
             chosen = [rng.randrange(len(roles)) for roles in kernel.role_of]
-            broken = {row.label for row in kernel.rows if kernel.total(row.node, row.arc, chosen) > row.budget}
+            broken = {row.label for row in kernel.rows if kernel.total(row, chosen) > row.budget}
             breakdown = evaluate(etfg, kernel.assignment(chosen), threshold)
             # each violation reads "<quantity> budget exceeded on <device>"
             expected = {f"{_ROW_KIND[v.split()[0]]}_{v.split()[-1]}" for v in breakdown.violations}
@@ -905,8 +905,8 @@ def test_the_dual_search_bounds_the_oracle(objective, capped):
             breakdown = evaluate(etfg, kernel.assignment(result.chosen), cap)
             assert breakdown.feasible, f"seed {seed}"
             assert objective_value(breakdown, objective) == Fraction(result.value, kernel.obj_den), f"seed {seed}"
-        _, chosen = solver._eliminate(solver._compile(*kernel.skeleton), kernel.objective_tables())
-        broken = tuple(row.label for row in kernel.rows if kernel.total(row.node, row.arc, chosen) > row.budget)
+        _, chosen = solver._eliminate(solver._compile(*kernel.skeleton), kernel.obj.node + kernel.obj.arc)
+        broken = tuple(row.label for row in kernel.rows if kernel.total(row, chosen) > row.budget)
         assert result.broken == broken, f"seed {seed}"
         binding += bool(broken)
     assert found >= 20 and binding >= 5
@@ -982,7 +982,7 @@ def test_a_row_at_its_budget_is_not_pruned_and_one_unit_over_is(label, over):
     (row,) = [row for row in rows if row.label == label]  # some assignment breaks it
     unconstrained = solve_bruteforce(free, objective)
     chosen = [kernel.tasks[p].allowed.index(unconstrained.assignment[kernel.tasks[p].id]) for p in range(kernel.n)]
-    assert kernel.total(row.node, row.arc, chosen) == row.budget + over
+    assert kernel.total(row, chosen) == row.budget + over
 
     result = solve(etfg, objective, cap, method="bnb")
     oracle = solve_bruteforce(etfg, objective, cap)
@@ -1088,7 +1088,7 @@ def test_kernel_tables_are_the_models_rows_times_least_denominators(direct):
             assert list(dens)[:3] == ["enr_e", "enr_h", "enr_c"], f"seed {seed}"
             energy_den = _least_denominator([model_rows[label] for label in ("enr_e", "enr_h", "enr_c")])
             assert dens["enr_e"] == dens["enr_h"] == dens["enr_c"] == energy_den, f"seed {seed}"
-            assert kernel.objective_tables() == _scaled(model.objective, kernel.obj_den, columns), f"seed {seed}"
+            assert kernel.obj.node + kernel.obj.arc == _scaled(model.objective, kernel.obj_den, columns), f"seed {seed}"
             if objective == "latency":
                 assert kernel.obj_den == math.lcm(*[x.denominator for x in model.objective.values()]), seed
             else:
