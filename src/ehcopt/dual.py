@@ -3,7 +3,8 @@ the elimination DP.
 
 Only a time-limited branch and bound imports this module.  It calls
 :func:`search` once, between its table build and its depth-first search,
-and reads the one :class:`Result` it returns.
+and reads the one :class:`Result` it returns.  Its one proof that no
+assignment meets every row is a bound above the objective's largest sum.
 """
 
 from __future__ import annotations
@@ -12,11 +13,12 @@ import time
 from fractions import Fraction
 from typing import NamedTuple
 
-from .solver import _eliminate, _Kernel, _Row
+from .solver import _eliminate, _Kernel, _largest, _Row
 
 
 class Result(NamedTuple):
-    """What the dual search found: its highest bound on the optimum and the
+    """What the dual search found: its highest bound on the optimum (above
+    ``_largest(kernel.obj)`` when it proves that there is none) and the
     multipliers by row label of the first pass that reached it, the
     cheapest assignment that meets every row (one candidate index per
     position) and its objective value, or None for both, the passes run
@@ -28,10 +30,6 @@ class Result(NamedTuple):
     value: int | None
     passes: int
     broken: tuple[str, ...]
-
-
-class _Unreachable(Exception):
-    """The dual search found a row that no assignment meets."""
 
 
 class _Point(NamedTuple):
@@ -72,9 +70,9 @@ def search(kernel: _Kernel, deadline: float) -> Result | None:
     the first pass with the highest bound and the first assignment found
     at the lowest value among those that meet every row.  The search ends
     once that assignment meets the bound, once no row is broken or every
-    broken row's line is exhausted, once a row stays broken at a
-    multiplier above the spread of every other cost (then no assignment
-    meets it), or when the next pass would not finish by the deadline.
+    broken row's line is exhausted, once a bound exceeds the objective's
+    largest sum (weak duality: then no assignment meets every row), or
+    when the next pass would not finish by the deadline.
     """
     if time.monotonic() >= deadline:
         return None
@@ -82,6 +80,7 @@ def search(kernel: _Kernel, deadline: float) -> Result | None:
     if schedule is None:
         return None
     cost, rows = kernel.obj, kernel.rows
+    largest = _largest(cost)
     best_bound = best_multipliers = best_value = best_chosen = None
     passes = 0
     pass_s = 0.0
@@ -99,6 +98,8 @@ def search(kernel: _Kernel, deadline: float) -> Result | None:
         excess = [u - row.budget for u, row in zip(use, rows)]
         if best_bound is None or bound > best_bound:
             best_bound, best_multipliers = bound, multipliers
+            if bound > largest:
+                raise StopIteration  # a certificate: no assignment meets every row
         if max(excess, default=0) <= 0:
             value = total - sum([weight * u for weight, u in zip(multipliers, use)])
             if best_value is None or value < best_value:
@@ -114,13 +115,7 @@ def search(kernel: _Kernel, deadline: float) -> Result | None:
         lo = start
         weight = 4 * lo.multipliers[i] or max(1, scale // (10 * lo.excess[i]))
         hi = at(weight)
-        spread = None
         while hi.excess[i] > 0:
-            if spread is None:  # above the spread of every other cost, a pass minimises the row's use
-                others = start.multipliers[:i] + (0,) + start.multipliers[i + 1 :]
-                spread = sum([max(table) - min(table) for table in _penalised(cost, rows, others)])
-            if hi.multipliers[i] > spread:
-                raise _Unreachable  # no assignment meets the row
             lo, hi = hi, at(4 * hi.multipliers[i])
         while hi.multipliers[i] - lo.multipliers[i] > 1:
             (t_lo, g_lo), (t_hi, g_hi) = (lo.multipliers[i], lo.excess[i]), (hi.multipliers[i], hi.excess[i])
@@ -149,7 +144,7 @@ def search(kernel: _Kernel, deadline: float) -> Result | None:
                 exhausted.add(i)
             else:
                 point, exhausted = better, {i}
-    except (TimeoutError, _Unreachable):
+    except (TimeoutError, StopIteration):
         pass
     if not passes:
         return None

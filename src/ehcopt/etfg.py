@@ -97,10 +97,6 @@ class EtfgArc(NamedTuple):
     def indirect(self) -> bool:
         return self.via is not None
 
-    @property
-    def key(self) -> tuple[int, DeviceRole, int, DeviceRole]:
-        return (self.src_task, self.src_device, self.dst_task, self.dst_device)
-
 
 @dataclass(frozen=True)
 class Etfg:

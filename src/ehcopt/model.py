@@ -401,7 +401,7 @@ def _required(entry: Mapping, key: str, error: type[ValueError], where: str):
 
 def _check_schema(data, kind: str, known: frozenset, error: type[ValueError]) -> None:
     version = _fields(data, known, error, f"{kind} file").get("schema")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:  # not true or 1.0
         raise error(f"{kind} file: unsupported schema {version!r} (expected {SCHEMA_VERSION})")
 
 
@@ -479,9 +479,12 @@ def system_model_from_dict(data: dict) -> SystemModel:
         entry = _fields(entry, _DEVICE_FIELDS, err, where)
         try:
             role = role_from(key)
+            name = entry.get("name", role.value)
+            if not isinstance(name, str):
+                raise err(f"{where}: field 'name': expected a JSON string, got {type(name).__name__}")
             devices[role] = Device(
                 role=role,
-                name=str(entry.get("name", role.value)),
+                name=name,
                 memory_budget=parse_optional(entry.get("memory_budget"), "memory"),
                 storage_budget=parse_optional(entry.get("storage_budget"), "memory"),
                 energy_budget=parse_optional(entry.get("energy_budget"), "energy"),

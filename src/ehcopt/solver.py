@@ -27,7 +27,9 @@ three routes to a provably optimal assignment by its ``method``:
   elimination DP (:mod:`ehcopt.dual`), runs first and returns its best
   bound and its best feasible assignment.  Branch and bound takes the
   bound for the gap and starts from the assignment, which tightens
-  pruning, and stops as proven optimal once the incumbent meets the bound.
+  pruning, and stops as proven optimal once the incumbent meets the bound,
+  or as infeasible, without searching, once the bound exceeds the largest
+  value the objective can take.
 * ``bruteforce`` runs :func:`solve_bruteforce`, which enumerates every
   assignment in one odometer walk over a list of exact integer sums:
   the objective, each finite budget and the latency cap.  Placing a
@@ -729,9 +731,11 @@ def _branch_and_bound(etfg: Etfg, kernel: _Kernel, started: float, deadline: flo
     returns proven optimal as soon as the incumbent's cost meets the bound
     (the search checks at the same points, and before the search when the
     dual has proven it); the assignment is then the first optimum found,
-    not necessarily the smallest by task id.  At the limit it returns the
-    incumbent with its relative gap to the bound, or no assignment and a
-    gap of None.  Without a dual bound, the bound is the additive root.
+    not necessarily the smallest by task id.  It returns infeasible without
+    searching when the dual's bound exceeds ``_largest(kernel.obj)``, which
+    no assignment's cost exceeds.  At the limit it returns the incumbent
+    with its relative gap to the bound, or no assignment and a gap of
+    None.  Without a dual bound, the bound is the additive root.
     ``wall_time_s`` is the time after the table build (``tables_s``): the
     dual, then the search.  The stats add ``root_bound``
     (``lagrangian`` whenever the dual ran, else ``additive``),
@@ -800,10 +804,11 @@ def _branch_and_bound(etfg: Etfg, kernel: _Kernel, started: float, deadline: flo
 
     proven = best_value is not None and best_value <= root  # by the dual's bound
     # per depth p: the next index into branch[p], and the packed bounds of
-    # the tasks placed before p
+    # the tasks placed before p; no search once the bound proves the
+    # instance infeasible
     at = [0] * n
     below = [roots] * n
-    p = -1 if proven else 0
+    p = -1 if proven or root > _largest(kernel.obj) else 0
     last = n - 1
     while p >= 0:
         nodes += 1

@@ -355,6 +355,10 @@ _C1 = system_model_to_dict(presets.system_model("C1", "run1"))
         # a string used to be read as its characters
         (_with(_APP, "hc", "tasks", 1, "allowed"), None,
          "task graph file: tasks[1]: field 'allowed': expected a JSON array, got str\n"),
+        # true used to pass as schema 1, and a device name 5 as the name "5"
+        (_with(_APP, True, "schema"), None, "task graph file: unsupported schema True (expected 1)\n"),
+        (_APP, _with(_C1, 5, "devices", "h", "name"),
+         "system model file: devices['h']: field 'name': expected a JSON string, got int\n"),
     ],
     ids=[
         "no-tasks", "top-level-list", "task-without-memory", "system-without-devices",
@@ -363,6 +367,7 @@ _C1 = system_model_to_dict(presets.system_model("C1", "run1"))
         "latency-value-not-a-quantity", "max-power-not-a-quantity", "bandwidth-in-a-wrong-unit",
         "relay-via-not-a-role", "unknown-top-level-field", "unknown-task-field", "unknown-system-field",
         "unknown-device-field", "unknown-channel-field", "second-channel", "allowed-a-string",
+        "schema-a-boolean", "device-name-not-a-string",
     ],
 )
 def test_malformed_input_file_exits_2(tfg, config, message, tmp_path, capsys):

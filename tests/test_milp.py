@@ -97,7 +97,7 @@ def test_objective_coefficients_follow_the_metric():
     assert lat_model.objective[col] == node.latency
     assert enr_model.objective[col] == node.energy
     relayed = next(a for a in etfg.iter_arcs() if a.indirect)
-    acol = lat_model.arc_col[relayed.key]
+    acol = lat_model.arc_col[relayed[:4]]
     assert lat_model.objective[acol] == relayed.latency
     assert enr_model.objective[acol] == relayed.energy
 
@@ -181,7 +181,7 @@ def test_evaluate_totals_are_the_selected_nodes_and_arcs():
     rng = random.Random(5)
     relayed = direct = 0
     for etfg in instances:
-        arcs = {arc.key: arc for arc in etfg.iter_arcs()}
+        arcs = {arc[:4]: arc for arc in etfg.iter_arcs()}
         for _ in range(5):
             assignment = {t.id: rng.choice(t.allowed) for t in etfg.graph.tasks}
             nodes = [_node(etfg, *item) for item in assignment.items()]

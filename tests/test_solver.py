@@ -655,8 +655,8 @@ def test_timed_out_gap_is_measured_against_the_relaxation_dp(objective, cap):
     total, _ = solver._eliminate(solver._compile(*kernel.skeleton), kernel.obj.node + kernel.obj.arc)
     assert Fraction(total, kernel.obj_den) == relaxed
     assert dual.search(kernel, time.monotonic() + 1.0).bound >= total
-    # the energy search proves the instance infeasible once the dual has
-    # run; the latency search runs the whole limit
+    # under energy the dual's bound proves the instance infeasible, so no
+    # search node runs; the latency search runs the whole limit
     result = solve(etfg, objective, cap, SolveConfig(time_limit=3 if cap is None else 1.5), method="bnb")
     bound = result.stats["lower_bound"]
     assert bound >= float(_additive_root(etfg, objective))
@@ -669,6 +669,7 @@ def test_timed_out_gap_is_measured_against_the_relaxation_dp(objective, cap):
         assert float(result.objective_value) == pytest.approx(bound, rel=1e-12)
     elif result.assignment is None:  # energy under the 8 s cap is infeasible here
         assert objective == "energy" and result.gap is None
+        assert result.stats["nodes_explored"] == 0
     else:
         assert result.stats["time_limit_hit"]
         assert float(result.objective_value) * (1 - result.gap) == pytest.approx(bound, rel=1e-12)
@@ -884,21 +885,42 @@ def test_kernel_rows_are_the_models_side_constraints():
 
 
 @pytest.mark.parametrize("objective, capped", [("latency", False), ("energy", False), ("energy", True)])
-def test_the_dual_search_bounds_the_oracle(objective, capped):
+def test_the_dual_search_bounds_the_oracle(objective, capped, monkeypatch):
     """The dual's highest bound is at most the optimum, so every bound it
-    reached is; its assignment is feasible at the value it claims; and its
+    reached is; a bound above the objective's largest sum occurs only where
+    the oracle finds no feasible assignment, and only on the dual's last
+    pass; its assignment is feasible at the value it claims; and its
     broken rows are those the λ = 0 pass's assignment breaks."""
-    found = binding = 0
-    for seed in range(40):
+    penalised = dual._penalised
+    tried = []  # the multipliers of each pass
+
+    def recorded(cost, rows, weights):
+        tried.append(weights)
+        return penalised(cost, rows, weights)
+
+    monkeypatch.setattr(dual, "_penalised", recorded)
+
+    def bound(kernel, weights):
+        total, _ = solver._eliminate(kernel.schedule, penalised(kernel.obj, kernel.rows, weights))
+        return total - sum(weight * row.budget for weight, row in zip(weights, kernel.rows))
+
+    found = binding = certified = 0
+    for seed in range(42):
         etfg, threshold = random_oracle_instance(seed)
         cap = threshold if capped else None
         kernel = solver._Kernel(etfg, solver.Objective(objective), cap)
+        tried.clear()
         result = dual.search(kernel, time.monotonic() + 10.0)
         assert result is not None and result.passes >= 1, f"seed {seed}"
         assert list(result.multipliers) == [row.label for row in kernel.rows], f"seed {seed}"
         best = solve_bruteforce(etfg, objective, cap)
         if best.status is SolveStatus.OPTIMAL:
             assert Fraction(result.bound, kernel.obj_den) <= best.objective_value, f"seed {seed}"
+        largest = solver._largest(kernel.obj)
+        if result.bound > largest:  # a certificate that no assignment meets every row
+            assert best.status is SolveStatus.INFEASIBLE, f"seed {seed}"
+            assert all(bound(kernel, weights) <= largest for weights in tried[:-1]), f"seed {seed}"
+            certified += 1
         assert (result.chosen is None) == (result.value is None), f"seed {seed}"
         if result.chosen is not None:
             found += 1
@@ -909,7 +931,31 @@ def test_the_dual_search_bounds_the_oracle(objective, capped):
         broken = tuple(row.label for row in kernel.rows if kernel.total(row, chosen) > row.budget)
         assert result.broken == broken, f"seed {seed}"
         binding += bool(broken)
-    assert found >= 20 and binding >= 5
+    assert found >= 20 and binding >= 5 and certified >= 1
+
+
+@pytest.mark.parametrize("objective, capped, seed", [
+    *[("latency", False, seed) for seed in (41, 205, 246)],
+    *[("energy", True, seed) for seed in (40, 41, 68, 76, 90, 145, 221, 246)],
+])
+def test_the_dual_proves_infeasibility_before_the_search(objective, capped, seed):
+    """Where the dual's bound climbs above the objective's largest sum, the
+    dual ends, the solve returns infeasible without a search node and long
+    before its limit, ``lower_bound`` is that finite bound, and the oracle
+    agrees.  Seed 221 under energy at its cap is infeasible although each
+    row can be met on its own."""
+    etfg, threshold = random_oracle_instance(seed)
+    cap = threshold if capped else None
+    kernel = solver._Kernel(etfg, solver.Objective(objective), cap)
+    largest = solver._largest(kernel.obj)
+    started = time.monotonic()
+    result = solve(etfg, objective, cap, SolveConfig(time_limit=3), method="bnb")
+    assert time.monotonic() - started < 1.0
+    assert result.status is SolveStatus.INFEASIBLE and not result.stats["time_limit_hit"]
+    assert result.stats["nodes_explored"] == 0 and math.isfinite(result.stats["lower_bound"])
+    assert result.stats["lower_bound"] > Fraction(largest, kernel.obj_den)
+    assert solve_bruteforce(etfg, objective, cap).status is SolveStatus.INFEASIBLE
+    assert dual.search(kernel, time.monotonic() + 3600).bound > largest
 
 
 @pytest.mark.parametrize("objective, capped", [("latency", False), ("energy", True)])
@@ -1077,7 +1123,7 @@ def test_kernel_tables_are_the_models_rows_times_least_denominators(direct):
                 [model.node_col[(tid, ROLES[r])] for r in roles]
                 for tid, roles in zip(kernel.skeleton[0], kernel.role_of)
             ]
-            columns += [[model.arc_col[arc.key] for arc in etfg.arcs_by_dep[dep]] for dep in etfg.graph.arcs]
+            columns += [[model.arc_col[arc[:4]] for arc in etfg.arcs_by_dep[dep]] for dep in etfg.graph.arcs]
             model_rows = {row.label: row for row in model.rows}
             dens = {}
             for row in kernel.rows:
