@@ -249,10 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_flags(p)
     p.add_argument(
         "--solver",
-        choices=["auto", "bruteforce", "bnb"],
+        choices=["auto", "bruteforce"],
         default="auto",
-        help="auto: the elimination DP without budgets or a cap, else branch and bound; "
-        "bnb: always branch and bound; "
+        help="auto: branch and bound, after the Lagrangian dual when timed or without budgets or a cap; "
         "bruteforce: enumerate every assignment (small graphs, no time limit)",
     )
     p.add_argument("--out", default="out")

@@ -1,9 +1,10 @@
 """The Lagrangian dual of the budget rows and the latency cap, searched by
 the elimination DP.
 
-Only a time-limited branch and bound imports this module.  It calls
-:func:`search` once, between its table build and its depth-first search,
-and reads the one :class:`Result` it returns.  Its one proof that no
+Branch and bound calls :func:`search` once, before it builds its search
+tables, when the solve is time-limited or the kernel has no rows, and
+reads the one :class:`Result` it returns.  Without rows the one pass, at
+λ = 0, is exact: the DP's optimum and its argmin.  Its one proof that no
 assignment meets every row is a bound above the objective's largest sum.
 """
 

@@ -1,20 +1,10 @@
 """Exact solvers for the task-allocation problem.
 
 :func:`solve` is the one front door.  It validates the request, starts
-the time-limit clock, builds the integer kernel once and picks one of
-three routes to a provably optimal assignment by its ``method``:
+the time-limit clock, builds the integer kernel once and takes one of
+two routes to a provably optimal assignment by its ``method``:
 
-* ``auto`` takes the elimination DP when the kernel has no rows (no
-  budget and no latency cap): the cost is then a sum of per-task and
-  per-dependency terms, so eliminating tasks along a min-fill order of
-  the undirected dependency skeleton (bucket elimination) is exact.  The
-  min-fill walk compiles the elimination into a schedule once per kernel
-  (each bucket's scope and the index layouts of its tables), and one
-  cost pass runs that schedule over the kernel's tables.  Its work is
-  the order's state count, which must not exceed ``DP_STATE_LIMIT``;
-  forests are its width-1 case.  Otherwise ``auto`` takes branch and
-  bound on the same kernel.
-* ``bnb`` is branch and bound: depth-first search over tasks in
+* ``auto`` is branch and bound: depth-first search over tasks in
   topological order with one additive lower bound per quantity, the
   objective and each of the kernel's rows.  Each starts at its root
   bound, per-task minima plus per-arc minima, and placing a task adds
@@ -22,25 +12,33 @@ three routes to a provably optimal assignment by its ``method``:
   bounds sit side by side in one integer, so one addition updates all
   of them and one mask test compares them all with their caps.  It
   prunes on the first row over its budget, then on the objective against
-  the incumbent.  Under a time limit a Lagrangian multiplier search over
-  the same rows, on the same kernel, each pass one run of the
-  elimination DP (:mod:`ehcopt.dual`), runs first and returns its best
-  bound and its best feasible assignment.  Branch and bound takes the
-  bound for the gap and starts from the assignment, which tightens
-  pruning, and stops as proven optimal once the incumbent meets the bound,
-  or as infeasible, without searching, once the bound exceeds the largest
-  value the objective can take.
+  the incumbent.  Under a time limit, and on every kernel without rows
+  (no budget and no latency cap), a Lagrangian multiplier search over
+  the kernel's rows (:mod:`ehcopt.dual`) runs first.  Each of its passes
+  is one run of the elimination DP: tasks are eliminated along a
+  min-fill order of the undirected dependency skeleton (bucket
+  elimination), compiled into a schedule once per kernel, whose work is
+  the order's state count, at most ``DP_STATE_LIMIT``; forests are its
+  width-1 case.  The dual returns its best bound and its best feasible
+  assignment.  Branch and bound takes the bound for the gap and starts
+  from the assignment.  It returns that assignment as proven optimal,
+  without building its search tables, once its cost meets the bound, and
+  returns infeasible, without searching, once the bound exceeds the
+  largest value the objective can take.  On a kernel without rows the
+  dual's one pass, at λ = 0, is exact: the cost is a sum of per-task and
+  per-dependency terms, so the DP's optimum is the bound and its
+  assignment meets it.
 * ``bruteforce`` runs :func:`solve_bruteforce`, which enumerates every
   assignment in one odometer walk over a list of exact integer sums:
   the objective, each finite budget and the latency cap.  Placing a
   task adds its candidate's and its settled arcs' amounts to their
   sums, and backing up subtracts them; a complete assignment is kept
   when its objective beats the incumbent and every other sum is within
-  its limit.  It is the reference oracle for the other routes, so it
+  its limit.  It is the reference oracle for the other route, so it
   extracts its costs from the expanded graph's task graph and system
   model independently and keeps no shared pruning logic.
 
-The DP and branch and bound read one integer kernel, :class:`_Kernel`:
+The dual and branch and bound read one integer kernel, :class:`_Kernel`:
 the expanded graph's objective and its side constraints, each budget and
 the latency cap, each as one linear row (:class:`_Row`), rescaled
 exactly to integers once per (graph, objective, cap).  Branch and bound
@@ -51,13 +49,15 @@ disagreement with the oracle.
 All arithmetic runs on integers after exact rescaling of the rational
 inputs, so equal objective values compare equal regardless of the path
 that produced them, and tie-breaking is reproducible: among equally good
-assignments branch and bound and the oracle return the one that is
+assignments the search and the oracle return the one that is
 lexicographically smallest by (task id, device order e < h < c), except
-that a time-limited branch and bound ended by the dual's bound returns
-the optimum it holds at that moment.  The DP takes the device earliest
-in e < h < c at each step of its back-substitution; on a forest that
-roots each tree at its smallest task id, and elsewhere its ties may
-differ from that order.  Values never do.
+that a solve that the dual's bound ends returns the dual's assignment,
+and a time-limited search ended by that bound the optimum it holds at
+that moment.  On a kernel without rows the dual's assignment is the
+DP's: it takes the device earliest in e < h < c at each step of its
+back-substitution, which on a forest roots each tree at its smallest
+task id; elsewhere its ties may differ from that order.  Values never
+do.
 """
 
 from __future__ import annotations
@@ -448,7 +448,7 @@ class _Kernel:
     def schedule(self) -> _Schedule | None:
         """The elimination DP compiled for ``skeleton`` (:func:`_compile`),
         or None when it needs more than ``DP_STATE_LIMIT`` states: made on
-        the first read, so the DP route and the dual search share one."""
+        the first read, which the dual search makes, so its passes share one."""
         return _compile(*self.skeleton)
 
     def total(self, row: _Row, chosen) -> int:
@@ -608,24 +608,17 @@ def _eliminate(schedule: _Schedule, tables) -> tuple[int, list[int]]:
     return total, chosen
 
 
-def _tree_dp(etfg: Etfg, kernel: _Kernel) -> Allocation | None:
-    """The DP's allocation: one pass of the kernel's schedule over its
-    costs, or None when it needs more than ``DP_STATE_LIMIT`` states."""
-    schedule = kernel.schedule
-    if schedule is None:
-        return None
-    total, chosen = _eliminate(schedule, kernel.obj.node + kernel.obj.arc)
-    stats = {"solver": "tree-dp", "treewidth": schedule.width, "dp_states": schedule.states}
-    assignment, value = kernel.assignment(chosen), Fraction(total, kernel.obj_den)
-    return _finish(etfg, kernel.objective, assignment, value, None, stats, SolveStatus.OPTIMAL)
-
-
 # --- branch and bound -------------------------------------------------------
 
 
 def _largest(row: _Row) -> int:
     """The sum of the maxima of ``row``'s tables: no assignment's sum exceeds it."""
     return sum(map(max, row.node)) + sum(map(max, row.arc))
+
+
+def _smallest(row: _Row) -> int:
+    """The sum of the minima of ``row``'s tables: no assignment's sum is below it."""
+    return sum(map(min, row.node)) + sum(map(min, row.arc))
 
 
 def _search_tables(kernel: _Kernel):
@@ -702,7 +695,9 @@ def _search_tables(kernel: _Kernel):
 
 
 def _branch_and_bound(etfg: Etfg, kernel: _Kernel, started: float, deadline: float | None) -> Allocation:
-    """Depth-first branch and bound over task->device assignments.
+    """Depth-first branch and bound over task->device assignments, after
+    the Lagrangian dual when it runs: the dual, then the search tables,
+    then the search.
 
     The lower bound is one running sum per quantity: the objective and
     each of the kernel's rows (see :func:`_search_tables`).  It starts at
@@ -719,54 +714,50 @@ def _branch_and_bound(etfg: Etfg, kernel: _Kernel, started: float, deadline: flo
     Proves optimality when the search completes.  Deterministic for
     fixed inputs without a time limit.
 
-    Under a time limit, which counts from the solve's start, the
-    Lagrangian dual search (:func:`ehcopt.dual.search`) runs once on the
-    same kernel after the search tables are built, unless the root bounds
-    already break a row, and returns one result.  Branch and bound keeps
-    its highest bound, and adopts its cheapest assignment that meets every
-    row as the first incumbent, once its own kernel confirms the
-    assignment's value and every row.  The search starts from that
-    incumbent and gets whatever time the dual leaves; it looks at the
-    clock every 1024 nodes, so it always runs its first 1023.  The solve
-    returns proven optimal as soon as the incumbent's cost meets the bound
-    (the search checks at the same points, and before the search when the
-    dual has proven it); the assignment is then the first optimum found,
-    not necessarily the smallest by task id.  It returns infeasible without
-    searching when the dual's bound exceeds ``_largest(kernel.obj)``, which
-    no assignment's cost exceeds.  At the limit it returns the incumbent
-    with its relative gap to the bound, or no assignment and a gap of
-    None.  Without a dual bound, the bound is the additive root.
-    ``wall_time_s`` is the time after the table build (``tables_s``): the
-    dual, then the search.  The stats add ``root_bound``
-    (``lagrangian`` whenever the dual ran, else ``additive``),
-    ``lower_bound`` (its value in s or J), ``dual_passes``
-    (every pass the dual ran), ``multipliers`` (by row label, in kernel
-    units, at the best bound), ``binding_rows`` (the rows the λ = 0
-    optimum breaks), ``incumbent_source`` (``dual`` or ``search``) and
-    ``dual_s`` (the dual's share of ``wall_time_s``).  A solve without a
-    time limit never runs the dual.
+    The dual search (:func:`ehcopt.dual.search`) runs once when the solve
+    is time-limited or the kernel has no rows, unless the root bounds
+    already break a row.  Branch and bound keeps its highest bound, and
+    adopts its cheapest assignment that meets every row as the first
+    incumbent, once its own kernel confirms the assignment's value and
+    every row.  It returns that incumbent as proven optimal once its cost
+    meets the bound (on a kernel without rows the DP's optimum does), and
+    infeasible once the bound exceeds ``_largest(kernel.obj)``, both
+    without building the search tables.  Otherwise the search starts from
+    the incumbent, with the time the dual left.  It looks at the clock
+    every 1024 nodes, so it always runs its first 1023, and returns proven
+    optimal as soon as the incumbent meets the bound: the first optimum
+    found, not necessarily the smallest by task id.  At the limit it
+    returns the incumbent with its relative gap to the bound, or no
+    assignment and a gap of None.  Without a dual bound, the bound is the
+    additive root.
 
-    Runs over a built kernel: ``tables_s`` counts from ``started``, and
-    the dual and the search stop at ``deadline`` (both
-    :func:`time.monotonic` readings; no deadline, no time limit).
+    ``wall_time_s`` is the dual plus the search, and ``tables_s`` the rest
+    since ``started``.  A solve that may run the dual adds ``root_bound``
+    (``lagrangian`` once a pass ran, else ``additive``), ``lower_bound``
+    (in s or J), ``dual_passes``, ``multipliers`` (by row label, in kernel
+    units, at the best bound), ``binding_rows`` (those the λ = 0 optimum
+    breaks), ``incumbent_source`` (``dual`` or ``search``) and ``dual_s``
+    (the dual's share of ``wall_time_s``); once a pass ran, also the DP's
+    ``treewidth`` and ``dp_states``.
+
+    ``started`` and ``deadline`` are :func:`time.monotonic` readings: the
+    solve's start, and when the dual and the search stop (None: no limit).
     """
     n = kernel.n
     if n == 0:
         raise ValueError("empty task graph")
     role_of = kernel.role_of
-    rows, bits, roots, step, in_arcs, branch = _search_tables(kernel)
-    # A field over its cap sets its top bit in ``bounds + offsets``: each
-    # row's offset is ``top - budget``, the objective's ``top - incumbent``
-    # once there is an incumbent and 0 before.  ``cause`` maps each row's
-    # top bit to the count its prunes add to.
-    field = bits + 1
-    top = (1 << bits) - 1  # a field's largest value
-    cause = {
-        1 << (q * field + bits): "threshold" if row.label == "lthr" else "budget" for q, row in enumerate(rows, 1)
-    }
-    row_guards = sum(cause)
-    guards = row_guards | (1 << bits)
-    row_offsets = offsets = sum([(top - row.budget) << (q * field) for q, row in enumerate(rows, 1)])
+    began = time.monotonic()
+    found = None  # the dual's result
+    # untimed, only a kernel without rows runs the dual, whose one pass is
+    # the DP; not when the root already breaks a row: the search then
+    # prunes every placement at once, and the dual could only delay that proof
+    dual_runs = deadline is not None or not kernel.rows
+    if dual_runs and all(_smallest(row) <= row.budget for row in kernel.rows):
+        from . import dual  # here, not at the top: dual imports the DP from this module
+
+        found = dual.search(kernel, math.inf if deadline is None else deadline)
+    dual_ended = time.monotonic()
 
     choice = [-1] * n
     best_value = None
@@ -781,34 +772,40 @@ def _branch_and_bound(etfg: Etfg, kernel: _Kernel, started: float, deadline: flo
     def id_ordered(choice_vec) -> tuple[int, ...]:
         return tuple(role_of[p][choice_vec[p]] for p in by_id)
 
-    tables_built = time.monotonic()
-    found = None  # the dual's result
-    # not when the root already breaks a row: the search then prunes every
-    # placement at once, and the dual could only delay that proof
-    if deadline is not None and not (roots + row_offsets) & row_guards:
-        from . import dual  # here, not at the top: dual imports the DP from this module
-
-        found = dual.search(kernel, deadline)
-    dual_ended = time.monotonic()
     # the bound a timed-out run's gap is measured against: the additive
     # root unless the dual found a higher one; a run without a time limit
     # always ends in a proof
-    root = roots & top if found is None else max(roots & top, found.bound)
+    root = _smallest(kernel.obj) if found is None else max(_smallest(kernel.obj), found.bound)
     chosen = None if found is None else found.chosen
     if chosen is not None and kernel.total(kernel.obj, chosen) == found.value and all(
         kernel.total(row, chosen) <= row.budget for row in kernel.rows
     ):  # adopted only once the kernel confirms what the dual claims
         best_value = found.value
-        offsets = row_offsets + top - best_value
         best_choice, source = (id_ordered(chosen), tuple(chosen)), "dual"
 
     proven = best_value is not None and best_value <= root  # by the dual's bound
-    # per depth p: the next index into branch[p], and the packed bounds of
-    # the tasks placed before p; no search once the bound proves the
-    # instance infeasible
-    at = [0] * n
-    below = [roots] * n
+    # no search once the bound proves the optimum or that there is none
     p = -1 if proven or root > _largest(kernel.obj) else 0
+    if p == 0:
+        rows, bits, roots, step, in_arcs, branch = _search_tables(kernel)
+        # A field over its cap sets its top bit in ``bounds + offsets``: each
+        # row's offset is ``top - budget``, the objective's ``top - incumbent``
+        # once there is an incumbent and 0 before.  ``cause`` maps each row's
+        # top bit to the count its prunes add to.
+        field = bits + 1
+        top = (1 << bits) - 1  # a field's largest value
+        cause = {
+            1 << (q * field + bits): "threshold" if row.label == "lthr" else "budget" for q, row in enumerate(rows, 1)
+        }
+        row_guards = sum(cause)
+        guards = row_guards | (1 << bits)
+        row_offsets = sum([(top - row.budget) << (q * field) for q, row in enumerate(rows, 1)])
+        offsets = row_offsets if best_value is None else row_offsets + top - best_value
+        # per depth p: the next index into branch[p], and the packed bounds
+        # of the tasks placed before p
+        at = [0] * n
+        below = [roots] * n
+    tables_built = time.monotonic()
     last = n - 1
     while p >= 0:
         nodes += 1
@@ -856,11 +853,11 @@ def _branch_and_bound(etfg: Etfg, kernel: _Kernel, started: float, deadline: flo
         "pruned_by_bound": pruned["bound"],
         "pruned_by_budget": pruned["budget"],
         "pruned_by_threshold": pruned["threshold"],
-        "tables_s": tables_built - started,
-        "wall_time_s": time.monotonic() - tables_built,  # the dual, then the search
+        "tables_s": began - started + tables_built - dual_ended,
+        "wall_time_s": dual_ended - began + time.monotonic() - tables_built,  # the dual, then the search
         "time_limit_hit": hit_time_limit,
     }
-    if deadline is not None:
+    if dual_runs:
         stats.update({
             "root_bound": "additive" if found is None else "lagrangian",
             "lower_bound": float(Fraction(root, kernel.obj_den)),
@@ -868,8 +865,10 @@ def _branch_and_bound(etfg: Etfg, kernel: _Kernel, started: float, deadline: flo
             "multipliers": {} if found is None else found.multipliers,
             "binding_rows": [] if found is None else list(found.broken),
             "incumbent_source": source,
-            "dual_s": dual_ended - tables_built,
+            "dual_s": dual_ended - began,
         })
+        if found is not None:  # a pass ran, so the DP's schedule is compiled
+            stats.update({"treewidth": kernel.schedule.width, "dp_states": kernel.schedule.states})
 
     gap = None
     if proven:
@@ -897,34 +896,28 @@ def solve(
 ) -> Allocation:
     """Front door: validate the request, start the clock, build the one
     :class:`_Kernel` and run the route ``method`` names (see the module
-    docstring): ``auto`` takes the elimination DP when the kernel has no
-    rows and the DP fits ``DP_STATE_LIMIT``, else branch and bound on the
-    same kernel; ``bnb`` always takes branch and bound; ``bruteforce``
-    runs the oracle, which never reads the kernel.  Any other method
-    raises ValueError.
+    docstring): ``auto`` takes branch and bound on the kernel, with the
+    Lagrangian dual first when it is time-limited or the kernel has no
+    rows; ``bruteforce`` runs the oracle, which never reads the kernel.
+    Any other method raises ValueError.
 
-    A time limit bounds branch and bound only, counted from the solve's
-    start, so the kernel build, the search-table build and the Lagrangian
-    dual search that runs before the search are inside it (see
-    :func:`_branch_and_bound`).  ``auto`` still takes the DP under a time
-    limit, since its work is bounded by ``DP_STATE_LIMIT`` and it always
-    finishes; ``bruteforce`` with a time limit raises ValueError instead
-    of ignoring it, and so does a latency threshold that is not above
-    zero or comes without the energy objective.
+    A time limit bounds ``auto``, counted from the solve's start, so the
+    kernel build, the dual, the search-table build and the search are
+    inside it (see :func:`_branch_and_bound`); the dual starts no pass
+    once it has passed.  ``bruteforce`` with a time limit
+    raises ValueError instead of ignoring it, and so does a latency
+    threshold that is not above zero or comes without the energy
+    objective.
     """
     objective = Objective(objective)
     check_latency_threshold(objective, latency_threshold)
     time_limit = None if config is None else config.time_limit
     if method == "bruteforce":
         if time_limit is not None:
-            raise ValueError("brute force cannot honour a time limit; use bnb")
+            raise ValueError("brute force cannot honour a time limit")
         return solve_bruteforce(etfg, objective, latency_threshold)
-    if method not in ("auto", "bnb"):
+    if method != "auto":
         raise ValueError(f"unknown solver method {method!r}")
     started = time.monotonic()
     kernel = _Kernel(etfg, objective, latency_threshold)
-    if method == "auto" and not kernel.rows:
-        allocation = _tree_dp(etfg, kernel)
-        if allocation is not None:
-            return allocation
     return _branch_and_bound(etfg, kernel, started, None if time_limit is None else started + time_limit)

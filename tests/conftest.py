@@ -13,7 +13,7 @@ from itertools import combinations, islice
 
 import pytest
 
-from ehcopt import presets
+from ehcopt import presets, solver
 from ehcopt.etfg import transform
 from ehcopt.generator import GenSpec, ParamSpec, default_param_spec, generate_tfg, synthesize_params
 from ehcopt.milp import evaluate
@@ -94,12 +94,22 @@ def complete_dag(n: int) -> TaskGraph:
 
 
 def solve_dp(etfg, objective="latency"):
-    """``solve`` on an instance that the elimination DP must answer:
-    ``auto`` falls back to branch and bound without a word, so this
-    checks that the DP took it."""
+    """``solve`` on an instance that the elimination DP must answer: the
+    dual's one pass, which proves the optimum before any search node.
+    Over ``DP_STATE_LIMIT`` the search answers without a word, so this
+    checks that the DP did."""
     result = solve(etfg, objective)
-    assert result.stats["solver"] == "tree-dp"
+    assert result.stats["nodes_explored"] == 0 and result.stats["dual_passes"] == 1
     return result
+
+
+def solve_searched(monkeypatch, etfg, *args, **kwargs):
+    """``solve`` with the elimination DP switched off, so that the dual
+    runs no pass and branch and bound searches, also on a kernel
+    without rows."""
+    with monkeypatch.context() as patched:
+        patched.setattr(solver, "DP_STATE_LIMIT", 0)
+        return solve(etfg, *args, **kwargs)
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import complete_dag, serial_200_graph, uav_forest_without_budgets, unbudgeted_system
+from conftest import complete_dag, random_tree_instance, serial_200_graph, uav_forest_without_budgets, unbudgeted_system
 from mps_text import read_mps
 import ehcopt.model
 from ehcopt import presets
@@ -241,11 +241,12 @@ def test_generate_with_custom_param_ranges(tmp_path):
     assert meta["paramspec"]["data_range"] == [1000.0, 2000.0]
 
 
-def _refuses_tree_dp(argv, out, capsys):
-    """``--solver tree-dp`` is no method: argparse refuses it with code 2 before anything is written."""
-    assert main(argv + ["--solver", "tree-dp", "--out", str(out)]) == 2
-    assert "invalid choice: 'tree-dp'" in capsys.readouterr().err
-    assert not (out / "allocation.json").exists()
+def _refuses_tree_dp(argv, out, capsys, method="tree-dp"):
+    """``--solver tree-dp`` (or ``bnb``) is no method: argparse refuses it
+    with code 2 before anything is written."""
+    assert main(argv + ["--solver", method, "--out", str(out)]) == 2
+    assert f"invalid choice: '{method}'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_forced_tree_dp_with_a_cap_exits_2(tmp_path, capsys):
@@ -262,14 +263,29 @@ def test_forced_tree_dp_with_a_cap_exits_2(tmp_path, capsys):
 
 
 def test_forced_tree_dp_with_a_time_limit_exits_2(tmp_path, capsys):
-    etfg = uav_forest_without_budgets()
-    tfg, sys_path = tmp_path / "forest.json", tmp_path / "sys.json"
+    etfg = random_tree_instance(3)
+    tfg, sys_path = tmp_path / "tree.json", tmp_path / "sys.json"
     save_task_graph(etfg.graph, tfg)
     save_system_model(etfg.system, sys_path)
-    base = ["solve", str(tfg), "--config", str(sys_path), "--time-limit", "5"]
-    _refuses_tree_dp(base, tmp_path / "a", capsys)
-    assert main(base + ["--out", str(tmp_path / "b")]) == 0
-    assert read_json(tmp_path / "b" / "solver_stats.json")["solver"] == "tree-dp"
+    base = ["solve", str(tfg), "--config", str(sys_path), "--time-limit"]
+    _refuses_tree_dp(base + ["5"], tmp_path / "a", capsys)
+    # with time to spare the dual's one pass, the DP, proves the optimum
+    assert main(base + ["5", "--out", str(tmp_path / "b")]) == 0
+    stats = read_json(tmp_path / "b" / "solver_stats.json")
+    assert (stats["dual_passes"], stats["nodes_explored"]) == (1, 0)
+    # past the deadline the dual starts no pass, and the search proves it;
+    # the DP used to run after the deadline
+    assert main(base + ["1e-9", "--out", str(tmp_path / "c")]) == 0
+    stats = read_json(tmp_path / "c" / "solver_stats.json")
+    assert (stats["dual_passes"], stats["root_bound"]) == (0, "additive") and stats["nodes_explored"] > 0
+    assert read_json(tmp_path / "c" / "allocation.json")["objective_value"] == read_json(
+        tmp_path / "b" / "allocation.json")["objective_value"]
+
+
+def test_the_bnb_solver_exits_2(example_tfg, tmp_path, capsys):
+    # bnb forced branch and bound past the DP, which is now the first pass
+    # of the dual inside branch and bound: auto is that one route
+    _refuses_tree_dp(["solve", example_tfg, "--config", "C1"], tmp_path / "a", capsys, method="bnb")
 
 
 def test_forced_tree_dp_over_the_state_limit_exits_2(tmp_path, capsys):

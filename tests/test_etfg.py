@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from conftest import (
     H,
     random_oracle_instance,
     simple_task,
+    solve_searched,
     two_task_chain,
     uav_forest_without_budgets,
     unbudgeted_system,
@@ -319,14 +321,14 @@ def _lazy_instances():
     yield forest.graph, forest.system, None
 
 
-def test_solves_baselines_kernels_and_counts_never_expand_the_arcs():
+def test_solves_baselines_kernels_and_counts_never_expand_the_arcs(monkeypatch):
     for graph, system, threshold in _lazy_instances():
         etfg = transform(graph, system)
         assignment = {t.id: t.allowed[-1] for t in graph.tasks}
-        for method in ("auto", "bnb"):
+        for run in (solve, functools.partial(solve_searched, monkeypatch)):  # the DP on, and off
             for config in (None, SolveConfig(time_limit=5)):
-                solve(etfg, "latency", None, config, method=method)
-                solve(etfg, "energy", threshold, config, method=method)
+                run(etfg, "latency", None, config)
+                run(etfg, "energy", threshold, config)
         run_baselines(etfg, "latency", threshold)
         run_baselines(etfg, "energy", threshold)
         _Kernel(etfg, Objective.ENERGY, threshold)

@@ -10,7 +10,13 @@ from fractions import Fraction
 import pytest
 
 import ehcopt
-from conftest import complete_dag, serial_200_graph, uav_forest_without_budgets, unbudgeted_system
+from conftest import (
+    complete_dag,
+    serial_200_graph,
+    solve_searched,
+    uav_forest_without_budgets,
+    unbudgeted_system,
+)
 from ehcopt import presets
 from ehcopt.etfg import transform
 from ehcopt.generator import GenSpec, default_param_spec, generate_tfg, synthesize_params
@@ -56,7 +62,7 @@ def test_nested_calls_keep_the_collector_paused_until_the_outermost_returns():
     assert gc.isenabled()
 
 
-def test_the_wrapped_builders_leave_no_cyclic_garbage():
+def test_the_wrapped_builders_leave_no_cyclic_garbage(monkeypatch):
     # the precondition of without_cyclic_gc: pausing the collector around
     # these builders and solve cannot retain memory, because they create no cycles
     system = presets.system_model("C1", "run1")
@@ -86,15 +92,16 @@ def test_the_wrapped_builders_leave_no_cyclic_garbage():
         timed = SolveConfig(time_limit=0.2)
         allocations = [
             solve(transform(complete_dag(5), system), method="bruteforce"),
-            solve(app, Objective.ENERGY, cap, method="bnb"),
-            solve(uav_forest_without_budgets()),  # the elimination DP
-            solve(unbudgeted, config=timed, method="bnb"),
+            solve(app, Objective.ENERGY, cap),  # the search alone
+            solve(uav_forest_without_budgets()),  # the dual's one pass, the elimination DP
+            solve_searched(monkeypatch, unbudgeted, config=timed),  # the search, the DP switched off
             solve(serial, config=timed),
             solve(serial, Objective.ENERGY, cap, timed),
         ]
         routes = [a.stats["solver"] for a in allocations]
-        assert routes == ["bruteforce", "branch-and-bound", "tree-dp"] + ["branch-and-bound"] * 3
-        assert all(a.stats["dual_passes"] for a in allocations[3:])  # the timed solves ran the dual
+        assert routes == ["bruteforce"] + ["branch-and-bound"] * 5
+        assert [a.stats.get("dual_passes") for a in allocations[1:4]] == [None, 1, 0]
+        assert all(a.stats["dual_passes"] for a in allocations[4:])  # the timed solves ran the dual
         del app, serial, unbudgeted, allocations
         assert gc.collect() == 0
     finally:
@@ -164,7 +171,7 @@ def test_each_builder_runs_with_the_collector_paused(builder, monkeypatch):
         "model_to_lp": lambda: model_to_lp(bilp),
         "_Kernel.__init__": lambda: solve(expanded, Objective.ENERGY, cap),
         "_Kernel.schedule": lambda: solve(uav_forest_without_budgets()),  # the elimination DP
-        "_search_tables": lambda: solve(expanded, Objective.ENERGY, cap, method="bnb"),
+        "_search_tables": lambda: solve(expanded, Objective.ENERGY, cap),
         "dual.search": lambda: solve(expanded, Objective.ENERGY, cap, SolveConfig(time_limit=60)),
     }[builder]
     module, name = _CALLEES[builder].rsplit(".", 1)

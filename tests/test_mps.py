@@ -338,7 +338,7 @@ def _sha256(text: str) -> str:
 
 def _solved(etfg, objective, threshold):
     """The B&B solve's status, allocation.json sha256 and search counters."""
-    allocation = solve(etfg, objective, threshold, method="bnb")
+    allocation = solve(etfg, objective, threshold)
     stats = allocation.stats
     return (
         allocation.status.value,

@@ -26,6 +26,7 @@ from conftest import (
     serial_200_graph,
     simple_task,
     solve_dp,
+    solve_searched,
     two_task_chain,
     uav_forest_without_budgets,
     unbudgeted_system,
@@ -47,19 +48,19 @@ from ehcopt.solver import (
 PLAIN = unbudgeted_system("run1")
 
 
-def test_single_task_argmin():
+def test_single_task_argmin(monkeypatch):
     g = TaskGraph(
         tasks=(simple_task(1, ALL, latency={E: 3, H: 2, C: 1}),),
         arcs=(),
     )
     etfg = transform(g, PLAIN)
-    for result in (solve_bruteforce(etfg), solve(etfg, method="bnb"), solve_dp(etfg)):
+    for result in (solve_bruteforce(etfg), solve_searched(monkeypatch, etfg), solve_dp(etfg)):
         assert result.status is SolveStatus.OPTIMAL
         assert result.assignment == {1: C}
         assert result.objective_value == 1
 
 
-def test_degenerate_tie_breaks_lexicographically():
+def test_degenerate_tie_breaks_lexicographically(monkeypatch):
     # identical costs everywhere and no data flow: first assignment wins
     g = two_task_chain(data=0)
     g = TaskGraph(
@@ -68,12 +69,12 @@ def test_degenerate_tie_breaks_lexicographically():
     )
     etfg = transform(g, PLAIN)
     bf = solve_bruteforce(etfg, "latency")
-    bb = solve(etfg, "latency", method="bnb")
+    bb = solve_searched(monkeypatch, etfg, "latency")
     dp = solve_dp(etfg, "latency")
     assert bf.assignment == bb.assignment == dp.assignment == {1: E, 2: E}
 
 
-def test_chain_optimum_matches_enumeration():
+def test_chain_optimum_matches_enumeration(monkeypatch):
     # conflicting preferences with a 1 Mbit transfer between the tasks
     g = TaskGraph(
         tasks=(
@@ -84,7 +85,8 @@ def test_chain_optimum_matches_enumeration():
     )
     etfg = transform(g, PLAIN)
     bf = solve_bruteforce(etfg, "latency")
-    bb = solve(etfg, "latency", method="bnb")
+    bb = solve_searched(monkeypatch, etfg, "latency")
+    assert bb.stats["nodes_explored"] > 0
     assert bf.objective_value == bb.objective_value
     assert bf.assignment == bb.assignment
     # optimum must beat staying on one device
@@ -100,7 +102,7 @@ def test_budget_infeasible_instance():
     )
     etfg = transform(g, system)
     assert solve_bruteforce(etfg, "latency").status is SolveStatus.INFEASIBLE
-    assert solve(etfg, "latency", method="bnb").status is SolveStatus.INFEASIBLE
+    assert solve(etfg, "latency").status is SolveStatus.INFEASIBLE
 
 
 def test_bruteforce_guard():
@@ -183,9 +185,10 @@ class TestTreeDp:
             presets.channels("run1"),
         )
         etfg = transform(two_task_chain(), system)
-        # the DP cannot honour a budget: auto takes branch and bound, and
-        # there is no method that forces the DP
-        assert solve(etfg, "latency").stats["solver"] == "branch-and-bound"
+        # the DP cannot honour a budget: an untimed solve of a kernel with
+        # rows searches without the dual, and there is no method that forces the DP
+        stats = solve(etfg, "latency").stats
+        assert stats["nodes_explored"] > 0 and "dual_passes" not in stats
         with pytest.raises(ValueError, match="unknown solver method 'tree-dp'"):
             solve(etfg, "latency", method="tree-dp")
 
@@ -213,9 +216,9 @@ class TestTreeDp:
         assert digest.hexdigest() == TREE_DP_TIE_DIGEST
 
     def test_applicability_probe(self):
-        assert solve(transform(two_task_chain(), PLAIN), "latency").stats["solver"] == "tree-dp"
+        solve_dp(transform(two_task_chain(), PLAIN), "latency")
         budgeted = transform(two_task_chain(), presets.system_model("C1"))
-        assert solve(budgeted, "latency").stats["solver"] == "branch-and-bound"
+        assert "dual_passes" not in solve(budgeted, "latency").stats
 
 
 def _random_k_tree(seed: int, width: int):
@@ -299,7 +302,8 @@ def test_elimination_dp_with_fill_edges_matches_bruteforce(objective):
     etfg = transform(_diamond(), PLAIN)
     assert _fill_edges(etfg.graph, solver._compile(*solver._skeleton(etfg.graph)).order) == 1
     # the fill edge 2-3 leaves a triangle after the first step: 27 + 27 + 9 + 3 states
-    assert _dp_matches_bruteforce(etfg, objective).stats == {"solver": "tree-dp", "treewidth": 2, "dp_states": 66}
+    stats = _dp_matches_bruteforce(etfg, objective).stats
+    assert (stats["treewidth"], stats["dp_states"]) == (2, 66)
     filled = 0
     for seed in range(40):
         graph = random_oracle_instance(seed)[0].graph
@@ -347,7 +351,9 @@ def test_auto_routes_an_unbudgeted_triangle_to_the_dp():
     etfg = transform(TaskGraph(tasks=tasks, arcs=((1, 2), (1, 3), (2, 3))), PLAIN)
     assert solver._compile(*solver._skeleton(etfg.graph)) is not None
     result = solve(etfg, "latency")
-    assert result.stats == {"solver": "tree-dp", "treewidth": 2, "dp_states": 27 + 9 + 3}
+    assert (result.stats["treewidth"], result.stats["dp_states"]) == (2, 27 + 9 + 3)
+    assert (result.stats["dual_passes"], result.stats["nodes_explored"]) == (1, 0)
+    assert (result.stats["root_bound"], result.stats["incumbent_source"]) == ("lagrangian", "dual")
     assert result.status is SolveStatus.OPTIMAL
 
 
@@ -356,11 +362,12 @@ def test_dp_over_the_state_limit_is_refused():
     etfg = transform(complete_dag(15), PLAIN)
     assert 3**15 > solver.DP_STATE_LIMIT
     assert solver._compile(*solver._skeleton(etfg.graph)) is None
-    assert solver._tree_dp(etfg, solver._Kernel(etfg, solver.Objective.LATENCY, None)) is None
+    assert dual.search(solver._Kernel(etfg, solver.Objective.LATENCY, None), math.inf) is None
     with pytest.raises(ValueError, match="unknown solver method 'tree-dp'"):
         solve(etfg, "latency", method="tree-dp")
     auto = solve(etfg, "latency")
-    assert auto.stats["solver"] == "branch-and-bound"
+    assert auto.stats["dual_passes"] == 0 and auto.stats["root_bound"] == "additive"
+    assert "treewidth" not in auto.stats and auto.stats["nodes_explored"] > 0
     assert auto.status is SolveStatus.OPTIMAL
     assert set(auto.assignment.values()) == {E}
 
@@ -373,7 +380,7 @@ def test_oracle_equivalence_sample(objective):
         etfg, threshold = random_oracle_instance(seed, max_tasks=8)
         thr = threshold if objective == "energy" else None
         bf = solve_bruteforce(etfg, objective, thr)
-        bb = solve(etfg, objective, thr, method="bnb")
+        bb = solve(etfg, objective, thr)
         assert bf.status == bb.status, f"seed {seed}"
         if bf.status is SolveStatus.OPTIMAL:
             assert bf.objective_value == bb.objective_value, f"seed {seed}"
@@ -381,20 +388,19 @@ def test_oracle_equivalence_sample(objective):
 
 
 def test_solves_match_the_oracle_when_the_cloud_relays():
-    """On systems that relay e<->h through the cloud, every solve route
-    agrees with exhaustive enumeration, which reads the system's channels
-    and relays itself."""
+    """On systems that relay e<->h through the cloud, the solve agrees
+    with exhaustive enumeration, which reads the system's channels and
+    relays itself."""
     through_cloud = 0
     for seed in range(6):
         generated, threshold = random_oracle_instance(seed, max_tasks=7)
         etfg = transform(generated.graph, with_cloud_relay(generated.system))
         for objective, thr in (("latency", None), ("energy", threshold)):
             bf = solve_bruteforce(etfg, objective, thr)
-            for method in ("auto", "bnb"):
-                got = solve(etfg, objective, thr, method=method)
-                assert got.status == bf.status, f"seed {seed} {objective} {method}"
-                if bf.status is SolveStatus.OPTIMAL:
-                    assert (got.objective_value, got.assignment) == (bf.objective_value, bf.assignment), f"seed {seed}"
+            got = solve(etfg, objective, thr)
+            assert got.status == bf.status, f"seed {seed} {objective}"
+            if bf.status is SolveStatus.OPTIMAL:
+                assert (got.objective_value, got.assignment) == (bf.objective_value, bf.assignment), f"seed {seed}"
             if bf.status is SolveStatus.OPTIMAL:
                 a = bf.assignment
                 through_cloud += any({a[i], a[j]} == {E, H} for i, j in etfg.graph.arcs)
@@ -419,9 +425,9 @@ def test_root_bound_is_admissible():
 
 def test_determinism_across_runs():
     etfg, threshold = random_oracle_instance(5)
-    a = solve(etfg, "energy", threshold, SolveConfig(), method="bnb")
-    b = solve(etfg, "energy", threshold, SolveConfig(), method="bnb")
-    c = solve(etfg, "energy", threshold, SolveConfig(), method="bnb")
+    a = solve(etfg, "energy", threshold, SolveConfig())
+    b = solve(etfg, "energy", threshold, SolveConfig())
+    c = solve(etfg, "energy", threshold, SolveConfig())
     assert a.assignment == b.assignment == c.assignment
     assert a.objective_value == b.objective_value == c.objective_value
     assert a.stats["nodes_explored"] == b.stats["nodes_explored"] == c.stats["nodes_explored"]
@@ -441,7 +447,7 @@ def test_time_limit_proves_an_unbudgeted_optimum_through_the_dual():
     # assignment meets every row
     etfg = _unbudgeted_300()
     # the proof takes about 0.3 s
-    result = solve(etfg, "latency", config=SolveConfig(time_limit=2), method="bnb")
+    result = solve(etfg, "latency", config=SolveConfig(time_limit=2))
     assert result.status is SolveStatus.OPTIMAL
     assert result.gap is None and not result.stats["time_limit_hit"]
     assert result.objective_value == solve_dp(etfg, "latency").objective_value
@@ -463,8 +469,7 @@ def test_energy_solutions_respect_threshold():
 
 
 def test_solve_front_door_picks_methods():
-    tree = random_tree_instance(3)
-    assert solve(tree, "latency").stats["solver"] == "tree-dp"
+    solve_dp(random_tree_instance(3), "latency")
     budgeted = transform(presets.example_inspection_tfg(), presets.system_model("C1"))
     assert solve(budgeted, "latency").stats["solver"] == "branch-and-bound"
     small, _ = random_oracle_instance(3, max_tasks=6)  # budgeted, 4 tasks
@@ -473,7 +478,14 @@ def test_solve_front_door_picks_methods():
         solve(budgeted, "latency", method="magic")
 
 
-def test_branch_and_bound_replaces_an_incumbent_on_a_tie():
+def test_bnb_is_no_method():
+    # bnb forced branch and bound past the DP, which is now the dual's
+    # first pass inside branch and bound: auto is that one route
+    with pytest.raises(ValueError, match="unknown solver method 'bnb'"):
+        solve(uav_forest_without_budgets(), "latency", method="bnb")
+
+
+def test_branch_and_bound_replaces_an_incumbent_on_a_tie(monkeypatch):
     # cheapest-first branching finds (h, e) at 3 s first, then (e, e) at
     # 3 s; the tie goes to the smaller assignment by task id, as in the
     # oracle, also when memory rows share the packed bound with the
@@ -488,8 +500,9 @@ def test_branch_and_bound_replaces_an_incumbent_on_a_tie():
         etfg = transform(TaskGraph(tasks=tasks, arcs=((1, 2),)), system)
         kernel = solver._Kernel(etfg, solver.Objective.LATENCY, None)
         assert [row.label for row in solver._search_tables(kernel)[0]] == labels
-        bb = solve(etfg, "latency", method="bnb")
+        bb = solve_searched(monkeypatch, etfg, "latency")
         bf = solve_bruteforce(etfg, "latency")
+        assert bb.stats["nodes_explored"] > 0
         assert bb.objective_value == bf.objective_value == 3
         assert bb.assignment == bf.assignment == {1: E, 2: E}
 
@@ -507,8 +520,6 @@ def test_a_latency_cap_under_the_latency_objective_is_rejected(example_app):
     cap = Fraction(1, 100)
     with pytest.raises(ValueError, match="energy objective"):
         solve(example_app, "latency", cap)
-    with pytest.raises(ValueError, match="energy objective"):
-        solve(example_app, "latency", cap, method="bnb")
     with pytest.raises(ValueError, match="energy objective"):
         solve_bruteforce(example_app, "latency", cap)
     assert solve(example_app, "energy", cap).status is SolveStatus.INFEASIBLE
@@ -542,19 +553,19 @@ def test_every_route_builds_one_kernel(monkeypatch):
     free = uav_forest_without_budgets()
     clique = transform(complete_dag(15), PLAIN)
     limited = SolveConfig(time_limit=5)
-    routes = [  # each run, its route and how many schedules it compiles
-        (lambda: solve(budgeted, "energy", cap), "branch-and-bound", 0),
-        (lambda: solve(free, "latency"), "tree-dp", 1),
-        (lambda: solve(clique, "latency"), "branch-and-bound", 1),
-        (lambda: solve(clique, "latency", None, limited), "branch-and-bound", 1),
-        (lambda: solve(budgeted, "latency", method="bnb"), "branch-and-bound", 0),
-        (lambda: solve(budgeted, "latency", None, limited, method="bnb"), "branch-and-bound", 1),
-        (lambda: solve(free, "energy"), "tree-dp", 1),
+    runs = [  # each run and how many schedules it compiles: one whenever the dual runs
+        (lambda: solve(budgeted, "energy", cap), 0),
+        (lambda: solve(free, "latency"), 1),
+        (lambda: solve(clique, "latency"), 1),
+        (lambda: solve(clique, "latency", None, limited), 1),
+        (lambda: solve(budgeted, "latency"), 0),
+        (lambda: solve(budgeted, "latency", None, limited), 1),
+        (lambda: solve(free, "energy"), 1),
     ]
-    for run, route, compiles in routes:
+    for run, compiles in runs:
         built.clear()
         compiled.clear()
-        assert run().stats["solver"] == route
+        assert run().stats["solver"] == "branch-and-bound"
         assert len(built) == 1
         assert len(compiled) == compiles
     built.clear()
@@ -583,15 +594,14 @@ def test_forced_tree_dp_rejects_a_latency_cap():
     # a forced tree DP used to drop the cap and claim a proven optimum at
     # 6.0 s; there is no such method now, and auto honours the cap
     etfg = uav_forest_without_budgets()
-    assert solve(etfg, "energy").stats["solver"] == "tree-dp"
+    solve_dp(etfg, "energy")
     cap = Fraction(1, 2)
     with pytest.raises(ValueError, match="unknown solver method 'tree-dp'"):
         solve(etfg, "energy", cap, method="tree-dp")
-    assert solve(etfg, "energy", cap, method="bnb").status is SolveStatus.INFEASIBLE
     assert solve_bruteforce(etfg, "energy", cap).status is SolveStatus.INFEASIBLE
     auto = solve(etfg, "energy", cap)
     assert auto.status is SolveStatus.INFEASIBLE
-    assert auto.stats["solver"] == "branch-and-bound"
+    assert "dual_passes" not in auto.stats
     # refused without a cap too; under the latency objective the cap is refused first
     with pytest.raises(ValueError, match="unknown solver method 'tree-dp'"):
         solve(etfg, "energy", method="tree-dp")
@@ -601,20 +611,24 @@ def test_forced_tree_dp_rejects_a_latency_cap():
 
 def test_forced_tree_dp_rejects_a_time_limit():
     # a forced tree DP used to drop the limit and claim a proven optimum;
-    # there is no such method now
+    # there is no such method now.  Auto used to run the DP after the
+    # deadline had passed; now the dual starts no pass past it, and the
+    # search proves the optimum before it first looks at the clock
     tree = random_tree_instance(3)
     limit = SolveConfig(time_limit=1e-9)
     with pytest.raises(ValueError, match="unknown solver method 'tree-dp'"):
         solve(tree, "latency", None, limit, method="tree-dp")
-    # auto still takes the DP, whose work is bounded and which always finishes
     auto = solve(tree, "latency", None, limit)
-    assert auto.status is SolveStatus.OPTIMAL
-    assert auto.stats["solver"] == "tree-dp"
+    assert auto.status is SolveStatus.OPTIMAL and not auto.stats["time_limit_hit"]
+    assert (auto.stats["dual_passes"], auto.stats["root_bound"]) == (0, "additive")
+    assert auto.stats["incumbent_source"] == "search" and 0 < auto.stats["nodes_explored"] < 1024
+    assert "treewidth" not in auto.stats
+    assert auto.objective_value == solve_dp(tree, "latency").objective_value
 
 
 def test_time_limit_without_incumbent_has_no_gap():
     etfg = transform(serial_200_graph(), presets.system_model("C1", "run1"))
-    result = solve(etfg, "energy", Fraction(8), SolveConfig(time_limit=0.05), method="bnb")
+    result = solve(etfg, "energy", Fraction(8), SolveConfig(time_limit=0.05))
     assert result.status is SolveStatus.FEASIBLE
     assert result.stats["time_limit_hit"]
     assert result.assignment is None and result.objective_value is None
@@ -633,7 +647,7 @@ def test_time_limit_counts_the_table_build(monkeypatch):
 
     monkeypatch.setattr(solver._Kernel, "__init__", slow_build)
     etfg = transform(serial_200_graph(), presets.system_model("C1", "run1"))
-    result = solve(etfg, "energy", Fraction(8), SolveConfig(time_limit=0.05), method="bnb")
+    result = solve(etfg, "energy", Fraction(8), SolveConfig(time_limit=0.05))
     assert result.stats["time_limit_hit"]
     assert result.stats["nodes_explored"] <= 1024
     assert result.stats["tables_s"] >= 0.1
@@ -657,7 +671,7 @@ def test_timed_out_gap_is_measured_against_the_relaxation_dp(objective, cap):
     assert dual.search(kernel, time.monotonic() + 1.0).bound >= total
     # under energy the dual's bound proves the instance infeasible, so no
     # search node runs; the latency search runs the whole limit
-    result = solve(etfg, objective, cap, SolveConfig(time_limit=3 if cap is None else 1.5), method="bnb")
+    result = solve(etfg, objective, cap, SolveConfig(time_limit=3 if cap is None else 1.5))
     bound = result.stats["lower_bound"]
     assert bound >= float(_additive_root(etfg, objective))
     assert result.stats["dual_passes"] >= 1
@@ -692,7 +706,7 @@ def test_additive_root_stays_when_the_dp_is_over_its_limit(monkeypatch):
     kernel = solver._Kernel(etfg, solver.Objective.LATENCY, None)
     monkeypatch.setattr(solver, "DP_STATE_LIMIT", 0)
     assert dual.search(kernel, time.monotonic() + 10.0) is None  # the dual has no schedule to run
-    result = solve(etfg, "latency", config=SolveConfig(time_limit=0.3), method="bnb")
+    result = solve(etfg, "latency", config=SolveConfig(time_limit=0.3))
     assert result.stats["time_limit_hit"]
     assert result.stats["root_bound"] == "additive"
     assert result.stats["dual_passes"] == 0 and result.stats["incumbent_source"] == "search"
@@ -704,14 +718,14 @@ def test_additive_root_stays_when_the_dp_is_over_its_limit(monkeypatch):
 
 def test_no_dp_bound_once_the_deadline_has_passed():
     etfg = transform(serial_200_graph(), presets.system_model("C1", "run1"))
-    result = solve(etfg, "latency", config=SolveConfig(time_limit=1e-6), method="bnb")
+    result = solve(etfg, "latency", config=SolveConfig(time_limit=1e-6))
     assert result.stats["root_bound"] == "additive"
     assert result.stats["dual_passes"] == 0 and result.stats["binding_rows"] == []
 
 
 def test_a_run_without_a_time_limit_builds_no_dp_bound():
     etfg, _ = random_oracle_instance(5)
-    stats = solve(etfg, "latency", method="bnb").stats
+    stats = solve(etfg, "latency").stats
     assert not {"root_bound", "lower_bound", "dual_passes", "incumbent_source", "dual_s"} & stats.keys()
 
 
@@ -725,11 +739,11 @@ def test_no_solve_starts_a_process_or_leaves_a_thread(monkeypatch):
     monkeypatch.setattr(multiprocessing, "get_context", refuse)
     threads = set(threading.enumerate())
     etfg = transform(presets.example_inspection_tfg(), presets.system_model("C1"))
-    assert solve(etfg, "energy", Fraction(8), method="bnb").status is SolveStatus.OPTIMAL
+    assert solve(etfg, "energy", Fraction(8)).status is SolveStatus.OPTIMAL
     assert solve(etfg, "latency").stats["solver"] == "branch-and-bound"
     assert solve(etfg, "latency", config=SolveConfig(time_limit=5)).status is SolveStatus.OPTIMAL
     serial = transform(serial_200_graph(), presets.system_model("C1", "run1"))
-    timed = solve(serial, "latency", config=SolveConfig(time_limit=0.5), method="bnb")
+    timed = solve(serial, "latency", config=SolveConfig(time_limit=0.5))
     assert timed.stats["dual_passes"] >= 1
     assert set(threading.enumerate()) == threads
 
@@ -738,7 +752,7 @@ def _daemonic_solve(conn):
     import multiprocessing
 
     etfg = transform(serial_200_graph(), presets.system_model("C1", "run1"))
-    result = solve(etfg, "latency", config=SolveConfig(time_limit=1), method="bnb")
+    result = solve(etfg, "latency", config=SolveConfig(time_limit=1))
     conn.send((multiprocessing.current_process().daemon, result.stats))
     conn.close()
 
@@ -773,7 +787,7 @@ from ehcopt.solver import SolveConfig, solve
 system = presets.system_model("C1", "run1")
 spec = GenSpec("serial", 200, 4, 4, Fraction(5, 100), Fraction(2, 100), seed=1)
 graph = synthesize_params(generate_tfg(spec), default_param_spec("C1"), system, spec.seed)
-result = solve(transform(graph, system), "latency", config=SolveConfig(time_limit=1), method="bnb")
+result = solve(transform(graph, system), "latency", config=SolveConfig(time_limit=1))
 print(json.dumps(result.stats))
 """
 
@@ -798,7 +812,7 @@ def test_a_guardless_script_gets_the_dual_without_a_warning(tmp_path):
 def test_a_time_limited_solve_keeps_its_limit():
     etfg = transform(serial_200_graph(), presets.system_model("C1", "run1"))
     started = time.perf_counter()
-    result = solve(etfg, "latency", config=SolveConfig(time_limit=0.5), method="bnb")
+    result = solve(etfg, "latency", config=SolveConfig(time_limit=0.5))
     elapsed = time.perf_counter() - started
     stats = result.stats
     assert stats["time_limit_hit"] and result.assignment is not None
@@ -810,13 +824,35 @@ def test_a_root_that_breaks_a_row_skips_the_dual():
     # the latency row's additive root is over a 1 us cap, so the search
     # prunes every placement at once; the dual would only delay that proof
     etfg = transform(serial_200_graph(), presets.system_model("C1", "run1"))
-    result = solve(etfg, "energy", Fraction(1, 10**6), SolveConfig(time_limit=5), method="bnb")
+    result = solve(etfg, "energy", Fraction(1, 10**6), SolveConfig(time_limit=5))
     assert result.status is SolveStatus.INFEASIBLE
     assert result.stats["dual_passes"] == 0 and result.stats["root_bound"] == "additive"
     assert not result.stats["time_limit_hit"]
 
 
 _SEARCH_TABLES = solver._search_tables
+
+
+@pytest.mark.parametrize("case", ["untimed-forest", "timed-certificate"])
+def test_a_solve_that_the_dual_proves_builds_no_search_tables(case, monkeypatch):
+    # the search tables used to be built before the dual ran, and went
+    # unused whenever the dual's bound ended the solve
+    built = []
+
+    def counted_search_tables(kernel):
+        built.append(kernel)
+        return _SEARCH_TABLES(kernel)
+
+    monkeypatch.setattr(solver, "_search_tables", counted_search_tables)
+    if case == "untimed-forest":
+        result = solve(uav_forest_without_budgets(), "latency")
+        assert result.status is SolveStatus.OPTIMAL
+    else:  # serial-200 energy under the 8 s cap has no feasible placement
+        etfg = transform(serial_200_graph(), presets.system_model("C1", "run1"))
+        result = solve(etfg, "energy", Fraction(8), SolveConfig(time_limit=5))
+        assert result.status is SolveStatus.INFEASIBLE
+    assert result.stats["nodes_explored"] == 0 and result.stats["dual_passes"] >= 1
+    assert built == []
 
 
 class _FailingBranch(tuple):
@@ -839,18 +875,18 @@ def test_no_process_outlives_a_time_limited_solve(case, monkeypatch):
 
     etfg = transform(serial_200_graph(), presets.system_model("C1", "run1"))
     if case == "timed-out":  # the latency search on this graph cannot finish
-        result = solve(etfg, "latency", config=SolveConfig(time_limit=0.5), method="bnb")
+        result = solve(etfg, "latency", config=SolveConfig(time_limit=0.5))
         assert result.stats["time_limit_hit"]
     elif case == "proven":
-        result = solve(_unbudgeted_300(), "latency", config=SolveConfig(time_limit=10), method="bnb")
+        result = solve(_unbudgeted_300(), "latency", config=SolveConfig(time_limit=10))
         assert result.status is SolveStatus.OPTIMAL and not result.stats["time_limit_hit"]
     elif case == "no-time-left":
-        result = solve(etfg, "latency", config=SolveConfig(time_limit=1e-6), method="bnb")
+        result = solve(etfg, "latency", config=SolveConfig(time_limit=1e-6))
         assert result.stats["time_limit_hit"]
     else:
         monkeypatch.setattr(solver, "_search_tables", _failing_search_tables)
         with pytest.raises(RuntimeError, match="the search failed"):
-            solve(etfg, "latency", config=SolveConfig(time_limit=2), method="bnb")
+            solve(etfg, "latency", config=SolveConfig(time_limit=2))
     assert multiprocessing.active_children() == []
     assert set(threading.enumerate()) == threads
 
@@ -949,7 +985,7 @@ def test_the_dual_proves_infeasibility_before_the_search(objective, capped, seed
     kernel = solver._Kernel(etfg, solver.Objective(objective), cap)
     largest = solver._largest(kernel.obj)
     started = time.monotonic()
-    result = solve(etfg, objective, cap, SolveConfig(time_limit=3), method="bnb")
+    result = solve(etfg, objective, cap, SolveConfig(time_limit=3))
     assert time.monotonic() - started < 1.0
     assert result.status is SolveStatus.INFEASIBLE and not result.stats["time_limit_hit"]
     assert result.stats["nodes_explored"] == 0 and math.isfinite(result.stats["lower_bound"])
@@ -973,7 +1009,7 @@ def test_dual_passes_counts_every_pass(monkeypatch, objective, capped):
     for seed in range(60):
         etfg, threshold = random_oracle_instance(seed)
         calls.clear()
-        result = solve(etfg, objective, threshold if capped else None, SolveConfig(time_limit=10), method="bnb")
+        result = solve(etfg, objective, threshold if capped else None, SolveConfig(time_limit=10))
         assert result.stats["dual_passes"] == len(calls), f"seed {seed}"
         several += len(calls) > 1
     assert several >= 10
@@ -1030,7 +1066,7 @@ def test_a_row_at_its_budget_is_not_pruned_and_one_unit_over_is(label, over):
     chosen = [kernel.tasks[p].allowed.index(unconstrained.assignment[kernel.tasks[p].id]) for p in range(kernel.n)]
     assert kernel.total(row, chosen) == row.budget + over
 
-    result = solve(etfg, objective, cap, method="bnb")
+    result = solve(etfg, objective, cap)
     oracle = solve_bruteforce(etfg, objective, cap)
     assert (result.objective_value, result.assignment) == (oracle.objective_value, oracle.assignment)
     assert (result.assignment == unconstrained.assignment) is (over == 0)
@@ -1053,7 +1089,7 @@ def test_the_first_row_over_its_budget_takes_the_prune(budgets, counts):
     labels = ["mem_e", "enr_e", "lthr"] if budgets else ["lthr"]
     assert [row.label for row in solver._search_tables(kernel)[0]] == labels
     assert solver._search_tables(kernel)[-1] == [(1, 2, 0)]  # h, c, e
-    result = solve(etfg, "energy", Fraction(5), method="bnb")
+    result = solve(etfg, "energy", Fraction(5))
     assert result.assignment == {1: H}
     assert {key: result.stats[key] for key in counts} == counts
     assert result.stats["nodes_explored"] == 4  # three placements and the frame's exhaustion
@@ -1081,7 +1117,7 @@ def test_fields_wider_than_128_bits_match_the_oracle():
         if etfg.graph.arcs:
             assert solver._search_tables(kernel)[1] > 128, f"seed {seed}"
             wide += 1
-        bb = solve(etfg, "energy", threshold, method="bnb")
+        bb = solve(etfg, "energy", threshold)
         bf = solve_bruteforce(etfg, "energy", threshold)
         assert bb.status is bf.status, f"seed {seed}"
         assert (bb.objective_value, bb.assignment) == (bf.objective_value, bf.assignment), f"seed {seed}"
