@@ -130,17 +130,22 @@ def serial_200_graph() -> TaskGraph:
     )
 
 
-def uav_forest_without_budgets():
-    """The bundled app without arc (14,15) on C1/run1 with every budget
-    removed: a forest, so tree DP's preconditions hold."""
+def c1_without_budgets() -> SystemModel:
+    """C1/run1 with every memory, storage and energy budget removed."""
     c1 = presets.system_model("C1", "run1")
     devices = [
         replace(d, memory_budget=None, storage_budget=None, energy_budget=None)
         for d in c1.devices.values()
     ]
+    return make_system_model(devices, c1.channels.values())
+
+
+def uav_forest_without_budgets():
+    """The bundled app without arc (14,15) on C1/run1 with every budget
+    removed: a forest, so tree DP's preconditions hold."""
     graph = presets.example_inspection_tfg()
     graph = TaskGraph(tasks=graph.tasks, arcs=tuple(a for a in graph.arcs if a != (14, 15)))
-    return transform(graph, make_system_model(devices, presets.channels("run1")))
+    return transform(graph, c1_without_budgets())
 
 
 # --- seeded random instances for solver cross-checks ------------------------

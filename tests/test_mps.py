@@ -9,7 +9,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import C, E, H, random_oracle_instance, serial_200_graph, simple_task, two_task_chain
+from conftest import (
+    C,
+    E,
+    H,
+    c1_without_budgets,
+    random_oracle_instance,
+    serial_200_graph,
+    simple_task,
+    two_task_chain,
+)
 from mps_text import read_mps
 from ehcopt import milp, mps, presets
 from ehcopt.etfg import transform
@@ -361,6 +370,38 @@ def test_golden_exports_and_allocations(name):
         assert _sha256(model_to_lp(model)) == lp_sha, (name, objective)
         if solved is not None:
             assert _solved(etfg, objective, threshold) == solved, (name, objective)
+
+
+# the same exports with every budget removed: no energy-budget row, so the
+# builder makes no energy share, and under the latency objective no energy
+GOLDEN_UNBUDGETED = {
+    ("uav", "latency"): (
+        "1e4e7835d854c50c588414197adc84307f95dfd5345482faeb574cf822e0cc39",
+        "5efddcd9c95bf84ffc0f8fe02d8ab9a4d5ba446619e4a9df619cb5a912fe8672",
+    ),
+    ("uav", "energy"): (
+        "1279475b0c97ecaee7402fd078aa0b425dedfa9dbbddd2d864fb94083fd7fe48",
+        "c536a975a3630661df092b3e23d1bf47ec93b51c1d0733d98ea33e643f048903",
+    ),
+    ("serial200", "latency"): (
+        "0af4e52b5dbc71bfd1deac899b3935b3a8594c44907f16c6c2c198e9db005492",
+        "27e97a819d0ab301a95723e56c320a52437f1ebc20b67fb5f0fa4a805425521d",
+    ),
+    ("serial200", "energy"): (
+        "7fea192729474415884c431890d611bbdf6273c3174f3b559a0dcb712a446ee9",
+        "1d4d78fe13a09d60c3a8d6b02a2e2bd65a7ab0ead024e43984a686b75e2a30c0",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ["uav", "serial200"])
+def test_golden_exports_without_budgets(name):
+    graph = presets.example_inspection_tfg() if name == "uav" else serial_200_graph()
+    etfg = transform(graph, c1_without_budgets())
+    for objective, threshold in (("latency", None), ("energy", Fraction(8))):
+        model = build_model(etfg, objective, threshold)
+        written = _sha256(model_to_mps(model)), _sha256(model_to_lp(model))
+        assert written == GOLDEN_UNBUDGETED[(name, objective)], (name, objective)
 
 
 def test_golden_solve_under_a_binding_latency_cap():
