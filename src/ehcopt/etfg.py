@@ -11,14 +11,17 @@ through the intermediate device for pairs without a direct channel.
 its energy and how that energy is split over the devices it touches
 (sender tx, receiver rx, relay rx+tx).  Every transfer cost is linear in
 the data size, so :attr:`Etfg.per_bit` calls it once per ordered device
-pair, for one bit, and everything else reads that table: the arc
-expansion, the solvers' integer kernel and :func:`ehcopt.milp.evaluate`
-scale it by data sizes.
+pair, for one bit, and everything else reads that table: the solvers'
+integer kernel and :func:`ehcopt.milp.evaluate` scale it by data sizes
+themselves, and :func:`scaled_costs` scales it into ``Fraction`` values, once
+per distinct size and pair, for the arc expansion and
+:func:`ehcopt.milp.build_model`.
 
 :func:`transform` builds the candidate nodes only.  The arcs are
-expanded on the first read of :attr:`Etfg.arcs_by_dep` (the model
-builder and the ``transform``/``export`` outputs read them); the
-solvers' kernel and :func:`ehcopt.milp.evaluate` never do.
+expanded on the first read of :attr:`Etfg.arcs_by_dep`, which only the
+``transform`` command's outputs (:func:`etfg_to_dict`,
+:func:`etfg_to_dot`) make; the model builder, the solvers' kernel and
+:func:`ehcopt.milp.evaluate` never do.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .model import (
     ROLES,
@@ -98,6 +101,75 @@ class EtfgArc(NamedTuple):
         return self.via is not None
 
 
+class _SizeCosts(dict):
+    """One data size's costs per device pair, ``(latency, energy, shares,
+    via)`` as in :class:`PairCost`: each pair is scaled on its first
+    lookup (``__missing__``) and kept."""
+
+    __slots__ = ("num", "den", "ratios")
+
+    def __missing__(self, pair):
+        num, den = self.num, self.den
+        latency, energy, shares, via = self.ratios[pair]
+        cost = self[pair] = (
+            None if latency is None else Fraction(num * latency[0], den * latency[1]),
+            None if energy is None else Fraction(num * energy[0], den * energy[1]),
+            None if shares is None else tuple([(device, Fraction(num * n, den * d)) for device, n, d in shares]),
+            via,
+        )
+        return cost
+
+
+def scaled_costs(
+    per_bit: dict[tuple[DeviceRole, DeviceRole], PairCost],
+    latency: bool = True,
+    energy: bool = True,
+    shares: bool = True,
+) -> Callable[[Fraction], dict[tuple[DeviceRole, DeviceRole], tuple]]:
+    """The one place that scales the one-bit pair costs of
+    :attr:`Etfg.per_bit` by data sizes, for the arcs and the model builder.
+
+    Returns ``costs_of``: ``costs_of(size)[pair]`` is the latency, energy,
+    energy shares and relay of ``size`` bits sent over ``pair``, with each
+    quantity that was not asked for ``None``.  Each distinct (size, pair)
+    is scaled once, on its first lookup, and later lookups share its
+    values; on-device pairs share :attr:`Etfg.per_bit`'s zeros.  Each
+    product is made as one ``Fraction`` of the numerators' and
+    denominators' products, which ``Fraction`` reduces to the same value
+    that ``size * unit`` gives, without ``Fraction.__mul__``'s dispatch and
+    its two gcds."""
+
+    def ratio(value: Fraction) -> tuple[int, int]:
+        return value.numerator, value.denominator
+
+    ratios, on_device = {}, {}  # per pair: the asked-for per-bit quantities as (numerator, denominator)
+    for (k, l), unit in per_bit.items():
+        if k == l:
+            on_device[(k, l)] = (
+                unit.latency if latency else None,
+                unit.energy if energy else None,
+                unit.shares if shares else None,
+                unit.via,
+            )
+        ratios[(k, l)] = (
+            ratio(unit.latency) if latency else None,
+            ratio(unit.energy) if energy else None,
+            tuple([(device, *ratio(amount)) for device, amount in unit.shares]) if shares else None,
+            unit.via,
+        )
+    tables: dict[tuple[int, int], _SizeCosts] = {}  # per size, keyed by (num, den): Fraction hashing is costly
+
+    def costs_of(size: Fraction) -> _SizeCosts:
+        key = (size.numerator, size.denominator)
+        table = tables.get(key)
+        if table is None:
+            table = tables[key] = _SizeCosts(on_device)
+            table.num, table.den, table.ratios = key[0], key[1], ratios
+        return table
+
+    return costs_of
+
+
 @dataclass(frozen=True)
 class Etfg:
     """The expanded graph plus back-references to its inputs.  The arcs
@@ -142,49 +214,21 @@ class Etfg:
         candidate, destination candidate), in that order, so downstream
         variable numbering and serialization are reproducible.  An arc's
         costs and energy shares are its device pair's per-bit ones scaled
-        by the source task's output size, computed once per distinct size
-        and pair and shared by the arcs that repeat them.  Each product is
-        made as one ``Fraction`` of the numerators' and denominators'
-        products, which ``Fraction`` reduces to the same value that
-        ``size * unit`` gives, without ``Fraction.__mul__``'s dispatch and
-        its two gcds."""
-        nodes_by_task, task_map, per_bit = self.nodes_by_task, self.graph.task_map, self.per_bit
-        on_device = {pair: cost for pair, cost in per_bit.items() if pair[0] == pair[1]}
-        # per pair: the per-bit latency, energy and shares as (numerator, denominator)
-        ratios = {
-            pair: (
-                (unit.latency.numerator, unit.latency.denominator),
-                (unit.energy.numerator, unit.energy.denominator),
-                tuple([(device, amount.numerator, amount.denominator) for device, amount in unit.shares]),
-                unit.via,
-            )
-            for pair, unit in per_bit.items()
-        }
-        scaled: dict[tuple[int, int], dict] = {}  # per data size, keyed by (num, den): Fraction hashing is costly
+        by the source task's output size (:func:`scaled_costs`).  Only
+        :func:`etfg_to_dict`, :func:`etfg_to_dot` and the tests read them;
+        the model builder, the solvers and :func:`ehcopt.milp.evaluate`
+        scale :attr:`per_bit` themselves."""
+        nodes_by_task, task_map = self.nodes_by_task, self.graph.task_map
+        costs_of = scaled_costs(self.per_bit)
         arcs_by_dep: dict[tuple[int, int], tuple[EtfgArc, ...]] = {}
         for dep in self.graph.arcs:
             i, j = dep
-            data = task_map[i].output_data
-            num, den = size = (data.numerator, data.denominator)
-            costs = scaled.get(size)
-            if costs is None:
-                costs = scaled[size] = dict(on_device)
-            group = []
-            for src in nodes_by_task[i]:
-                k = src.device
-                for dst in nodes_by_task[j]:
-                    pair = (k, dst.device)
-                    cost = costs.get(pair)
-                    if cost is None:
-                        (lat_num, lat_den), (en_num, en_den), shares, via = ratios[pair]
-                        cost = costs[pair] = (
-                            Fraction(num * lat_num, den * lat_den),
-                            Fraction(num * en_num, den * en_den),
-                            tuple([(device, Fraction(num * n, den * d)) for device, n, d in shares]),
-                            via,
-                        )
-                    group.append(EtfgArc(i, k, j, pair[1], *cost))
-            arcs_by_dep[dep] = tuple(group)
+            costs = costs_of(task_map[i].output_data)
+            arcs_by_dep[dep] = tuple([
+                EtfgArc(i, src.device, j, dst.device, *costs[(src.device, dst.device)])
+                for src in nodes_by_task[i]
+                for dst in nodes_by_task[j]
+            ])
         return arcs_by_dep
 
 

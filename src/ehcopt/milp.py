@@ -1,20 +1,22 @@
 """0/1 integer program over an expanded task graph.
 
 Decision columns are one binary per candidate node (run task i on device
-k) and one per expanded arc (both endpoint choices selected).  The model
-is solver-neutral: sparse rows with exact rational coefficients, exported
-through :mod:`ehcopt.mps`.  :func:`build_model` numbers the node columns
-(``node_col``) and keeps one link record per arc; the model holds those,
-its objective and its explicit rows, and derives the rest from them: the
-column count and names, and, as cached properties made on their first
-read, the column :class:`Variable` tuples and the arc-column map.  The
-writers never read the last two.
+k) and one per arc of the expanded graph (both endpoint choices
+selected).  The model is solver-neutral: sparse rows with exact rational
+coefficients, exported through :mod:`ehcopt.mps`.  :func:`build_model`
+numbers the node columns (``node_col``) and keeps one link record per
+arc, without expanding the arcs: each arc column's costs come from
+:func:`ehcopt.etfg.scaled_costs`, made only where a row reads them.  The
+model holds those, its objective and its explicit rows, and derives the
+rest from them: the column count and names, and, as cached properties
+made on their first read, the column :class:`Variable` tuples and the
+arc-column map.  The writers never read the last two.
 
 Row families, in emission order:
   asg      one per task: exactly one device is chosen.
   odeg     one per non-sink task: selected outgoing arcs match the
            task's child count (vacuous for sinks, so skipped).
-  lnksrc/  three per expanded arc: the arc variable equals the logical
+  lnksrc/  three per arc column: the arc variable equals the logical
   lnkdst/  AND of its endpoint node variables.  They are kept as one
   lnkand   (arc, source, destination, tag) record per arc and made by
            :func:`link_rows` only when the rows are iterated (:class:`Rows`).
@@ -36,7 +38,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .etfg import Etfg
+from .etfg import Etfg, scaled_costs
 from .model import ROLES, DeviceRole
 from .units import si_number, without_cyclic_gc
 
@@ -189,33 +191,6 @@ class BilpModel:
         return MappingProxyType(_arc_columns(self.node_col, self.rows.links))
 
 
-def _column_costs(nodes, arcs, latency: bool) -> dict[int, Fraction]:
-    """Latency (or energy) of each canonical column where it is nonzero:
-    the objective under that quantity, and the ``lthr`` row's coefficients."""
-    node_field, arc_field = (2, 4) if latency else (4, 5)  # CandidateNode / EtfgArc fields
-    costs = [node[node_field] for node in nodes]
-    costs += [arc[arc_field] for arc in arcs]
-    return {col: cost for col, cost in enumerate(costs) if cost}
-
-
-def _energy_coeffs(nodes, arcs, devices) -> dict[DeviceRole, dict[int, Fraction]]:
-    """Energy-budget coefficients of each given device over the canonical
-    columns: execution energy of its candidate nodes plus its share of
-    every transfer it sends, receives, or relays."""
-    coeffs: dict[DeviceRole, dict[int, Fraction]] = {d: {} for d in devices}
-    for col, node in enumerate(nodes):
-        row = coeffs.get(node.device)
-        if row is not None and node.energy:
-            row[col] = node.energy
-    for col, arc in enumerate(arcs, len(nodes)):
-        # a transfer touches each device at most once, so plain assignment is safe
-        for device, amount in arc.shares:
-            row = coeffs.get(device)
-            if row is not None and amount:
-                row[col] = amount
-    return coeffs
-
-
 def check_latency_threshold(objective: Objective, latency_threshold: Fraction | None) -> None:
     """A latency cap must be above zero, and only the energy objective has one."""
     if latency_threshold is not None and latency_threshold <= 0:
@@ -230,49 +205,79 @@ def build_model(
     objective: Objective | str = Objective.LATENCY,
     latency_threshold: Fraction | None = None,
 ) -> BilpModel:
+    """The model of ``etfg`` under ``objective``.  Each arc column's costs
+    are its device pair's one-bit ones scaled by its source task's output
+    size (:func:`~ehcopt.etfg.scaled_costs`), made only where a row reads
+    them: the latency under the latency objective or a cap, the energy
+    under the energy objective, and the energy shares when some device has
+    an energy budget.  The arcs themselves are never expanded."""
     objective = Objective(objective)
     check_latency_threshold(objective, latency_threshold)
 
-    nodes_list = list(etfg.iter_nodes())
-    arcs_list = list(etfg.iter_arcs())
-    node_col = {(node[0], node[1]): i for i, node in enumerate(nodes_list)}
-    graph, system = etfg.graph, etfg.system
-    arc_base = len(nodes_list)
+    graph, system, nodes_by_task = etfg.graph, etfg.system, etfg.nodes_by_task
+    by_latency, capped = objective is Objective.LATENCY, latency_threshold is not None
+    energy_roles = [r for r in ROLES if system.device(r).energy_budget is not None]
 
-    obj = _column_costs(nodes_list, arcs_list, objective is Objective.LATENCY)
+    # each column's cost where it is nonzero: in the objective, the lthr
+    # row and each energy-budget row (execution energy of the device's
+    # candidates plus its share of every transfer it sends, receives or
+    # relays); node columns first, then the arc columns in order
+    obj: dict[int, Fraction] = {}
+    lthr: dict[int, Fraction] = {}
+    enr: dict[DeviceRole, dict[int, Fraction]] = {r: {} for r in energy_roles}
+    node_col: dict[tuple[int, DeviceRole], int] = {}
+    for col, node in enumerate(etfg.iter_nodes()):
+        node_col[(node.task, node.device)] = col
+        cost = node.latency if by_latency else node.energy
+        if cost:
+            obj[col] = cost
+        if capped and node.latency:
+            lthr[col] = node.latency
+        row = enr.get(node.device)
+        if row is not None and node.energy:
+            row[col] = node.energy
+
+    # the arc columns, per dependency in graph.arcs order, one per (source
+    # candidate, destination candidate), with one link record each (see link_rows)
+    costs_of = scaled_costs(etfg.per_bit, latency=by_latency or capped, energy=not by_latency, shares=bool(energy_roles))
+    pick = 0 if by_latency else 1  # the objective's field of a scaled cost
+    links: list[tuple[int, int, int, str]] = []
+    dep_cols: dict[tuple[int, int], range] = {}
+    task_map, a = graph.task_map, len(node_col)
+    for dep in graph.arcs:
+        i, j = dep
+        costs, first = costs_of(task_map[i].output_data), a
+        for src in nodes_by_task[i]:
+            k = src.device
+            s = node_col[(i, k)]
+            for dst in nodes_by_task[j]:
+                l = dst.device
+                cost = costs[(k, l)]
+                links.append((a, s, node_col[(j, l)], arc_tag(i, k, j, l)))
+                if cost[pick]:
+                    obj[a] = cost[pick]
+                if capped and cost[0]:
+                    lthr[a] = cost[0]
+                if cost[2]:
+                    # a transfer touches each device at most once, so plain assignment is safe
+                    for device, amount in cost[2]:
+                        row = enr.get(device)
+                        if row is not None and amount:
+                            row[a] = amount
+                a += 1
+        dep_cols[dep] = range(first, a)
 
     head: list[ConstraintRow] = []
     append = head.append
-
     for task in graph.tasks:
         coeffs = {node_col[(task.id, role)]: ONE for role in task.allowed}
         append(ConstraintRow(f"asg_{task.id}", coeffs, "E", ONE))
-
-    # arc columns are laid out contiguously in dependency order
-    dep_cols: dict[tuple[int, int], range] = {}
-    col = arc_base
-    for dep in graph.arcs:
-        size = len(etfg.arcs_by_dep[dep])
-        dep_cols[dep] = range(col, col + size)
-        col += size
-
     for task in graph.tasks:
         children = graph.successors[task.id]
         if not children:
             continue  # empty sum: the row would be 0 = 0
         coeffs = {c: ONE for j in children for c in dep_cols[(task.id, j)]}
         append(ConstraintRow(f"odeg_{task.id}", coeffs, "E", Fraction(len(children))))
-
-    # the link rows: one record per arc, in arc-column order (see link_rows)
-    links = [
-        (
-            a,
-            node_col[(src_task, src_device)],
-            node_col[(dst_task, dst_device)],
-            arc_tag(src_task, src_device, dst_task, dst_device),
-        )
-        for a, (src_task, src_device, dst_task, dst_device, _l, _e, _s, _v) in enumerate(arcs_list, arc_base)
-    ]
 
     tail: list[ConstraintRow] = []
     append = tail.append
@@ -287,15 +292,10 @@ def build_model(
                 if role in task.allowed and amount:
                     coeffs[node_col[(task.id, role)]] = amount
             append(ConstraintRow(f"{family}_{role.value}", coeffs, "L", budget))
-    energy_roles = [r for r in ROLES if system.device(r).energy_budget is not None]
-    if energy_roles:
-        coeffs_by_role = _energy_coeffs(nodes_list, arcs_list, energy_roles)
-        for role in energy_roles:
-            budget = system.device(role).energy_budget
-            append(ConstraintRow(f"enr_{role.value}", coeffs_by_role[role], "L", budget))
-
-    if latency_threshold is not None:
-        append(ConstraintRow("lthr", _column_costs(nodes_list, arcs_list, True), "L", latency_threshold))
+    for role in energy_roles:
+        append(ConstraintRow(f"enr_{role.value}", enr[role], "L", system.device(role).energy_budget))
+    if capped:
+        append(ConstraintRow("lthr", lthr, "L", latency_threshold))
 
     return BilpModel(
         objective_kind=objective,

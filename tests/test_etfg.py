@@ -20,12 +20,22 @@ from conftest import (
     unbudgeted_system,
     with_direct_edge_cloud,
 )
+from ehcopt import etfg as etfg_module
 from ehcopt import presets
 from ehcopt.analysis import run_baselines
+from ehcopt.cli import main
 from ehcopt.etfg import EtfgArc, PairCost, etfg_to_dict, etfg_to_dot, transform
 from ehcopt.generator import STRUCTURES, GenSpec, default_param_spec, generate_tfg, synthesize_params
-from ehcopt.milp import Objective, build_model, evaluate
-from ehcopt.model import GraphValidationError, TaskGraph, validate_task_graph
+from ehcopt.milp import ONE, ConstraintRow, Objective, arc_tag, build_model, evaluate, model_stats
+from ehcopt.model import (
+    ROLES,
+    GraphValidationError,
+    TaskGraph,
+    save_system_model,
+    save_task_graph,
+    validate_task_graph,
+)
+from ehcopt.mps import model_to_lp, model_to_mps
 from ehcopt.solver import SolveConfig, _Kernel, solve
 
 SYSTEM = unbudgeted_system("run1")
@@ -321,8 +331,69 @@ def _lazy_instances():
     yield forest.graph, forest.system, None
 
 
-def test_solves_baselines_kernels_and_counts_never_expand_the_arcs(monkeypatch):
+def _model_from_arcs(etfg, objective, threshold):
+    """The model's objective, explicit rows, link records and node columns
+    read from the expanded arcs, one :class:`EtfgArc` per arc column: each
+    column's latency, energy and energy shares are its node's or its arc's
+    fields."""
+    nodes, arcs = list(etfg.iter_nodes()), list(etfg.iter_arcs())
+    graph, system = etfg.graph, etfg.system
+    node_col = {(node.task, node.device): col for col, node in enumerate(nodes)}
+    arc_cols = list(enumerate(arcs, len(nodes)))
+
+    def column_costs(latency: bool) -> dict:
+        costs = [node.latency if latency else node.energy for node in nodes]
+        costs += [arc.latency if latency else arc.energy for arc in arcs]
+        return {col: cost for col, cost in enumerate(costs) if cost}
+
+    head = [ConstraintRow(f"asg_{t.id}", {node_col[(t.id, r)]: ONE for r in t.allowed}, "E", ONE) for t in graph.tasks]
+    dep_cols = {}
+    for col, arc in arc_cols:
+        dep_cols.setdefault((arc.src_task, arc.dst_task), []).append(col)
+    for task in graph.tasks:
+        children = graph.successors[task.id]
+        if children:
+            coeffs = {col: ONE for j in children for col in dep_cols[(task.id, j)]}
+            head.append(ConstraintRow(f"odeg_{task.id}", coeffs, "E", Fraction(len(children))))
+    links = [(col, node_col[arc[:2]], node_col[arc[2:4]], arc_tag(*arc[:4])) for col, arc in arc_cols]
+    tail = []
+    for family, quantity in (("mem", "memory"), ("sto", "storage")):
+        for role in ROLES:
+            budget = getattr(system.device(role), f"{quantity}_budget")
+            if budget is not None:
+                amounts = {t.id: getattr(t, quantity) for t in graph.tasks if role in t.allowed}
+                coeffs = {node_col[(task, role)]: amount for task, amount in amounts.items() if amount}
+                tail.append(ConstraintRow(f"{family}_{role.value}", coeffs, "L", budget))
+    for role in ROLES:
+        budget = system.device(role).energy_budget
+        if budget is not None:
+            coeffs = {col: node.energy for col, node in enumerate(nodes) if node.device == role and node.energy}
+            for col, arc in arc_cols:
+                coeffs.update((col, amount) for device, amount in arc.shares if device == role and amount)
+            tail.append(ConstraintRow(f"enr_{role.value}", coeffs, "L", budget))
+    if threshold is not None:
+        tail.append(ConstraintRow("lthr", column_costs(True), "L", threshold))
+    return column_costs(objective == "latency"), head, links, tail, node_col
+
+
+def _ordered(objective, head, links, tail, node_col):
+    """A model's parts as lists, so that dict key order is compared too."""
+    rows = [(row.label, list(row.coeffs.items()), row.sense, row.rhs) for row in [*head, *tail]]
+    return list(objective.items()), rows, list(links), list(node_col.items())
+
+
+def test_build_model_equals_the_model_read_from_the_expanded_arcs():
     for graph, system, threshold in _lazy_instances():
+        for objective, cap in (("latency", None), ("energy", None), ("energy", threshold)):
+            model = build_model(transform(graph, system), objective, cap)
+            built = _ordered(model.objective, model.rows.head, model.rows.links, model.rows.tail, model.node_col)
+            assert built == _ordered(*_model_from_arcs(transform(graph, system), objective, cap))
+
+
+def test_solves_baselines_kernels_and_counts_never_expand_the_arcs(monkeypatch, tmp_path):
+    made = []
+    monkeypatch.setattr(etfg_module, "EtfgArc", lambda *fields: made.append(fields) or EtfgArc(*fields))
+    for n, (graph, system, threshold) in enumerate(_lazy_instances()):
         etfg = transform(graph, system)
         assignment = {t.id: t.allowed[-1] for t in graph.tasks}
         for run in (solve, functools.partial(solve_searched, monkeypatch)):  # the DP on, and off
@@ -333,19 +404,28 @@ def test_solves_baselines_kernels_and_counts_never_expand_the_arcs(monkeypatch):
         run_baselines(etfg, "energy", threshold)
         _Kernel(etfg, Objective.ENERGY, threshold)
         evaluate(etfg, assignment, threshold)
+        for objective, cap in (("latency", None), ("energy", threshold)):
+            model = build_model(etfg, objective, cap)
+            model_stats(model), model_to_mps(model), model_to_lp(model)
+        # the command line, from files: export writes both texts, stats its counts
+        tfg, config = tmp_path / f"tfg{n}.json", tmp_path / f"system{n}.json"
+        save_task_graph(graph, tfg)
+        save_system_model(system, config)
+        for objective in ("latency", "energy"):
+            common = [str(tfg), "--config", str(config), "--objective", objective]
+            assert main(["export", *common, "--out", str(tmp_path / f"export{n}{objective}")]) == 0
+            assert main(["stats", *common]) == 0
         counts = etfg.node_count, etfg.arc_count
-        assert "arcs_by_dep" not in etfg.__dict__
-        assert counts[1] == sum(map(len, etfg.arcs_by_dep.values())) == len(list(etfg.iter_arcs()))
+        assert "arcs_by_dep" not in etfg.__dict__ and made == []
+        assert counts[1] == sum(map(len, etfg.arcs_by_dep.values())) == len(list(etfg.iter_arcs())) == len(made)
+        made.clear()
 
 
 def test_the_arcs_on_first_read_are_the_eager_expansion():
     for graph, system, threshold in _lazy_instances():
-        for first_read in ("build_model", "iter_arcs"):
+        for first_read in (lambda etfg: next(etfg.iter_arcs(), None), etfg_to_dict):
             etfg = transform(graph, system)
-            if first_read == "build_model":
-                build_model(etfg, "energy", threshold)
-            else:
-                next(etfg.iter_arcs(), None)
+            first_read(etfg)
             assert "arcs_by_dep" in etfg.__dict__
             eager = _eager_arcs(etfg)
             assert list(etfg.arcs_by_dep) == list(eager) == list(graph.arcs)

@@ -137,7 +137,7 @@ _CALLEES = {
     "task_graph_from_dict": "ehcopt.model._check_schema",
     "transform": "ehcopt.etfg.require_valid",
     "Etfg.arcs_by_dep": "ehcopt.etfg.EtfgArc",
-    "build_model": "ehcopt.milp._column_costs",
+    "build_model": "ehcopt.milp.scaled_costs",
     "BilpModel.variables": "ehcopt.milp._variables",
     "BilpModel.arc_col": "ehcopt.milp._arc_columns",
     "value_texts": "ehcopt.mps.fmt12",
