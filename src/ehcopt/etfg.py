@@ -215,9 +215,10 @@ class Etfg:
         variable numbering and serialization are reproducible.  An arc's
         costs and energy shares are its device pair's per-bit ones scaled
         by the source task's output size (:func:`scaled_costs`).  Only
-        :func:`etfg_to_dict`, :func:`etfg_to_dot` and the tests read them;
-        the model builder, the solvers and :func:`ehcopt.milp.evaluate`
-        scale :attr:`per_bit` themselves."""
+        :func:`etfg_to_dict`, :func:`etfg_to_dot`, the tests and the
+        benchmark's reference solver read them; the model builder, the
+        solvers and :func:`ehcopt.milp.evaluate` scale :attr:`per_bit`
+        themselves."""
         nodes_by_task, task_map = self.nodes_by_task, self.graph.task_map
         costs_of = scaled_costs(self.per_bit)
         arcs_by_dep: dict[tuple[int, int], tuple[EtfgArc, ...]] = {}
