@@ -629,6 +629,60 @@ def test_transform_and_generate_files_are_pinned(command, example_tfg, tmp_path)
     assert digests == _PINNED[command]
 
 
+# sha256 of tfg.json and meta.json from generate at 200 tasks and seed 8,
+# measured before parameter synthesis moved to integer arithmetic and the
+# JSON text to model's own writer; "params" is the mixed graph on C1 with
+# _CLAMPING_PARAMS
+_PINNED_GENERATE = {
+    ("serial", "C1"): ("26b80a7c2d4bd852656ec79f7297f6862deba2c2797088198bfa8dbc0e33dbd4",
+                       "5e062a4714bd22531a589b1691fb1f261435d74a88ab55f3611614ffae366308"),
+    ("serial", "C2"): ("7820803ff50ae66f14d60d794184fe2de199193ce656775e426a8cc9176178fc",
+                       "b29c737f938a6dce033901116f3cbb45de1273d59d357d7e70d49ff1ac23ca8e"),
+    ("serial", "C3"): ("d18b64bed9fe127f3174187563699065b321597b6f434a45cdb60b5de9d7a255",
+                       "528874b4344ef58336f31c53dd0c6982f221c9ae94ec2259513c768ed5fbd36c"),
+    ("parallel", "C1"): ("29d2dbd6c44e3828bba1646b56ce1b98370ae5c3ad187adefb3c6859bc0578e6",
+                         "ce589ebfea0db4c33fbd6dc44e7517005a051882b07653dcf6579a3ced5148aa"),
+    ("parallel", "C2"): ("a75d8ab00b5288f6ce01132256c45c6702708fa9e8f4eb500b08a581878aaab5",
+                         "46d43d28a049ae5d06f3b903d6b615c9a568bf25cd9827dfc24f56206922ccea"),
+    ("parallel", "C3"): ("e8702c8acf270b75a90f6a2e0cb1f9b399b722dfeb81f25c089a48c4306f7750",
+                         "6671116c0d334d2d5c744aafb04099f52f0bfae15ef3c27b635c713c70baef17"),
+    ("mixed", "C1"): ("956e1a3afb356b3ce112f139fc8abd919b15875fe7754574c3b18fdee61e37a7",
+                      "af71be3bae5b17da32cb02b41daa5d24cb59f56997ea2ce1c09ee7c4e43a6276"),
+    ("mixed", "C2"): ("8297dd492b9f70edd127edb8e3a9cd89b0b58271339a07a384f2cbdbbf4bf188",
+                      "31174b99c0a04a049d22411cf49387a06db1b61f5dd6704dc40e1a2a312f1a76"),
+    ("mixed", "C3"): ("be7df8afd5f42ea4deea9058ff66e45f4520618069d7976c7cd86c0a0a7e79fc",
+                      "f00cef86d43af892b82f85078032a8322d941adade73b6f27ac36e69cf0fce53"),
+    ("mixed", "params"): ("2bd0bafa65a5f3876d9f376868f5b69f140cd60ce98fad1aaa45f19dbe379a30",
+                          "9794a36b2230e9782429c9d77e2470146e5c5279ab0cdea8cea45f24fe9f491c"),
+}
+# C1's ranges with a slow edge and C1's hub and cloud: edge draws of
+# 0.75-3.25 W fall both below and above the Jetson's 1.9 W idle power, and
+# every hub draw of 76-330 W exceeds the notebook's 65 W maximum
+_CLAMPING_PARAMS = dict(_PARAMS, perf_ratios={"e": 0.5, "h": 50.77, "c": 105.55})
+
+
+@pytest.mark.parametrize("structure, config", list(_PINNED_GENERATE))
+def test_generated_files_are_pinned(structure, config, tmp_path):
+    args = ["generate", "--structure", structure, *_GENERATE_200[3:]]
+    if config == "params":
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(_CLAMPING_PARAMS))
+        args += ["--config", "C1", "--params", str(params)]
+    else:
+        args += ["--config", config]
+    out = tmp_path / "o"
+    assert main(args + ["--out", str(out)]) == 0
+    digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("tfg.json", "meta.json"))
+    assert digests == _PINNED_GENERATE[structure, config]
+    if config == "params":  # both clamps fire: into (idle, idle * 1.005] and [max * 0.995, max)
+        tasks = read_json(out / "tfg.json")["tasks"]
+        edge = [t["power"]["e"] for t in tasks if "e" in t["power"]]
+        hub = [t["power"]["h"] for t in tasks if "h" in t["power"]]
+        above_idle = [p for p in edge if 1.9 < p <= 1.9 * 1.005]
+        assert 0 < len(above_idle) < len(edge)
+        assert hub and all(65 * 0.995 <= p < 65 for p in hub)
+
+
 @pytest.mark.parametrize("command", ["transform", "solve", "baseline", "generate", "export", "stats"])
 def test_every_command_names_each_file_it_writes(command, example_tfg, tmp_path, capsys):
     args = ["generate", "--structure", "serial", "--nodes", "5"] if command == "generate" else [command, example_tfg]
