@@ -15,6 +15,7 @@ device's (idle, max] envelope with a small random slack.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -241,6 +242,16 @@ def generate_tfg(spec: GenSpec) -> TaskGraph:
     return graph
 
 
+# ranges that synthesize_params draws integers from
+_INTEGER_RANGES = ("memory_range", "storage_range", "data_range")
+
+
+def _integer_bounds(bounds: tuple[Fraction, Fraction]) -> tuple[int, int]:
+    """The smallest and the largest integer in ``bounds``."""
+    lo, hi = bounds
+    return math.ceil(lo), math.floor(hi)
+
+
 @dataclass(frozen=True)
 class ParamSpec:
     """Ranges for reference-device draws plus per-role performance ratios."""
@@ -264,6 +275,8 @@ class ParamSpec:
         ):
             if lo <= 0 or hi < lo:
                 raise GenerationError(f"{label}: need 0 < lower <= upper")
+            if label in _INTEGER_RANGES and math.ceil(lo) > math.floor(hi):
+                raise GenerationError(f"{label}: [{float(lo)}, {float(hi)}] holds no integer")
         for role in ROLES:
             if role not in self.perf_ratios:
                 raise GenerationError(f"missing performance ratio for {role.value}")
@@ -333,39 +346,77 @@ def default_param_spec(configuration: str = "C1") -> ParamSpec:
     return ParamSpec.from_dict(document, f"default parameter ranges of {configuration}")
 
 
-def _uniform_fraction(rng: random.Random, lo: Fraction, hi: Fraction, quantum: int) -> Fraction:
-    """Uniform draw quantized to 1/quantum so values stay small rationals."""
-    value = rng.uniform(float(lo), float(hi))
-    q = Fraction(round(value * quantum), quantum)
-    return min(max(q, lo), hi)
+class _Range:
+    """A ``(lo, hi)`` range of a ``ParamSpec``, converted once: its bounds
+    as floats for ``rng.uniform`` and as numerator/denominator pairs."""
+
+    __slots__ = ("lo_float", "hi_float", "lo_num", "lo_den", "hi_num", "hi_den")
+
+    def __init__(self, bounds: tuple[Fraction, Fraction]):
+        lo, hi = bounds
+        self.lo_float, self.hi_float = float(lo), float(hi)
+        self.lo_num, self.lo_den = lo.numerator, lo.denominator
+        self.hi_num, self.hi_den = hi.numerator, hi.denominator
+
+    def draw(self, rng: random.Random, quantum: int) -> tuple[int, int]:
+        """Uniform draw quantized to 1/quantum and clamped into the range,
+        as a (numerator, denominator) pair, so values stay small rationals."""
+        num = round(rng.uniform(self.lo_float, self.hi_float) * quantum)
+        if num * self.lo_den < self.lo_num * quantum:
+            return self.lo_num, self.lo_den
+        if num * self.hi_den > self.hi_num * quantum:
+            return self.hi_num, self.hi_den
+        return num, quantum
 
 
 def synthesize_params(
     graph: TaskGraph, pspec: ParamSpec, system: SystemModel, seed: int
 ) -> TaskGraph:
-    """Fill every task profile from reference draws scaled per device."""
+    """Fill every task profile from reference draws scaled per device.
+
+    Each latency is the reference latency divided by the device's
+    performance ratio, and each power the reference power times it; a
+    power at or below the device's idle power, or above its maximum, is
+    pulled inside by a random fraction ``clamp_alpha`` of that limit.
+    The arithmetic is exact, on numerators and denominators."""
     rng = random.Random(seed)
+    randint = rng.randint
+    latency_range = _Range(pspec.reference_latency)
+    power_range = _Range(pspec.reference_power)
+    alpha_range = _Range(pspec.clamp_alpha)
+    memory_lo, memory_hi = _integer_bounds(pspec.memory_range)
+    storage_lo, storage_hi = _integer_bounds(pspec.storage_range)
+    data_lo, data_hi = _integer_bounds(pspec.data_range)
+    # per role: its ratio, idle power and maximum power, each as a pair
+    devices = {}
+    for role in ROLES:
+        ratio, dev = pspec.perf_ratios[role], system.device(role)
+        devices[role] = (
+            ratio.numerator, ratio.denominator,
+            dev.idle_power.numerator, dev.idle_power.denominator,
+            dev.max_power.numerator, dev.max_power.denominator,
+        )
     tasks = []
     for task in graph.tasks:
-        lat_ref = _uniform_fraction(rng, *pspec.reference_latency, 10**6)
-        pow_ref = _uniform_fraction(rng, *pspec.reference_power, 10**3)
-        memory = Fraction(rng.randint(int(pspec.memory_range[0]), int(pspec.memory_range[1])))
-        storage = Fraction(rng.randint(int(pspec.storage_range[0]), int(pspec.storage_range[1])))
-        data = Fraction(rng.randint(int(pspec.data_range[0]), int(pspec.data_range[1])))
+        lat_num, lat_den = latency_range.draw(rng, 10**6)
+        pow_num, pow_den = power_range.draw(rng, 10**3)
+        memory = Fraction(randint(memory_lo, memory_hi))
+        storage = Fraction(randint(storage_lo, storage_hi))
+        data = Fraction(randint(data_lo, data_hi))
         latency = {}
         power = {}
         for role in task.allowed:
-            ratio = pspec.perf_ratios[role]
-            latency[role] = lat_ref / ratio
-            p = pow_ref * ratio
-            dev = system.device(role)
-            if p <= dev.idle_power:
-                alpha = _uniform_fraction(rng, *pspec.clamp_alpha, 10**6)
-                p = dev.idle_power * (1 + alpha)
-            elif p > dev.max_power:
-                alpha = _uniform_fraction(rng, *pspec.clamp_alpha, 10**6)
-                p = dev.max_power * (1 - alpha)
-            power[role] = p
+            r_num, r_den, idle_num, idle_den, max_num, max_den = devices[role]
+            latency[role] = Fraction(lat_num * r_den, lat_den * r_num)
+            p_num, p_den = pow_num * r_num, pow_den * r_den
+            if p_num * idle_den <= idle_num * p_den:  # idle * (1 + alpha)
+                a_num, a_den = alpha_range.draw(rng, 10**6)
+                power[role] = Fraction(idle_num * (a_den + a_num), idle_den * a_den)
+            elif p_num * max_den > max_num * p_den:  # max * (1 - alpha)
+                a_num, a_den = alpha_range.draw(rng, 10**6)
+                power[role] = Fraction(max_num * (a_den - a_num), max_den * a_den)
+            else:
+                power[role] = Fraction(p_num, p_den)
         tasks.append(
             Task(
                 id=task.id,

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _quote
+from math import inf
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -561,8 +563,83 @@ def system_model_to_dict(system: SystemModel) -> dict:
 
 
 def json_text(document) -> str:
-    """The text of every JSON file ehcopt writes: sorted keys, indented."""
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    """The text of every JSON file ehcopt writes: sorted keys, indented.
+
+    It equals ``json.dumps(document, indent=2, sort_keys=True) + "\\n"``,
+    written without the standard library's generator encoder, which it
+    runs whenever ``indent`` is set."""
+    pieces: list[str] = []
+    _write_json(document, "\n", pieces)
+    pieces.append("\n")
+    return "".join(pieces)
+
+
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == inf:
+        return "Infinity"
+    if value == -inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _write_json(value, indent: str, pieces: list[str]) -> None:
+    """Append the text of ``value`` to ``pieces``; ``indent`` is a newline
+    and two spaces per level of nesting.  The type checks are the
+    standard library encoder's, in its order, so subclasses (``DeviceRole``
+    is a ``str``, ``bool`` an ``int``) are written as it writes them."""
+    if isinstance(value, str):
+        pieces.append(_quote(value))
+    elif value is None:
+        pieces.append("null")
+    elif value is True:
+        pieces.append("true")
+    elif value is False:
+        pieces.append("false")
+    elif isinstance(value, int):
+        pieces.append(int.__repr__(value))
+    elif isinstance(value, float):
+        pieces.append(_float_text(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            pieces.append("[]")
+            return
+        inner = indent + "  "
+        separator = "," + inner
+        first = len(pieces)
+        for item in value:
+            pieces.append(separator)
+            _write_json(item, inner, pieces)
+        pieces[first] = "[" + inner
+        pieces.append(indent + "]")
+    elif isinstance(value, dict):
+        if not value:
+            pieces.append("{}")
+            return
+        inner = indent + "  "
+        first = len(pieces)
+        for key, item in sorted(value.items()):
+            if isinstance(key, str):
+                pass
+            elif isinstance(key, float):
+                key = _float_text(key)
+            elif key is True:
+                key = "true"
+            elif key is False:
+                key = "false"
+            elif key is None:
+                key = "null"
+            elif isinstance(key, int):
+                key = int.__repr__(key)
+            else:
+                raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+            pieces.append(f",{inner}{_quote(key)}: ")
+            _write_json(item, inner, pieces)
+        pieces[first] = "{" + pieces[first][1:]
+        pieces.append(indent + "}")
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
 def read_json(path: str | Path, kind: str, error: type[ValueError]):

@@ -174,7 +174,7 @@ def si_number(value: Fraction) -> int | float:
     """
     if value.denominator == 1 and -_DOUBLE_MAX <= value.numerator <= _DOUBLE_MAX:
         return value.numerator
-    return float(value)
+    return value.numerator / value.denominator  # float(value), without Fraction.__float__
 
 
 def fmt12(value) -> str:

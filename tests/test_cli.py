@@ -513,9 +513,12 @@ _PARAMS = default_param_spec("C1").to_dict()
         (dict(_PARAMS, clamp_alpha=[]), "field 'clamp_alpha': not enough values to unpack"),
         (dict(_PARAMS, perf_ratios=dict(_PARAMS["perf_ratios"], e=True)), "field 'perf_ratios': expected a number, got True"),
         (dict(_without(_PARAMS, "clamp_alpha"), clamp_alhpa=[0.002, 0.003]), "unknown field 'clamp_alhpa' (known: "),
+        (dict(_PARAMS, data_range=[0.3, 0.7]), "data_range: [0.3, 0.7] holds no integer"),
+        (dict(_PARAMS, storage_range=[2.25, 2.75]), "storage_range: [2.25, 2.75] holds no integer"),
     ],
     ids=["empty-object", "no-perf-ratios", "top-level-list", "clamp-one-value", "clamp-object",
-         "range-string", "clamp-three-values", "clamp-empty", "ratio-boolean", "unknown-field"],
+         "range-string", "clamp-three-values", "clamp-empty", "ratio-boolean", "unknown-field",
+         "data-without-integer", "storage-without-integer"],
 )
 def test_malformed_params_file_exits_2(params, message, tmp_path, capsys):
     # each used to end in a traceback and exit 1, or was read in part

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -183,6 +184,19 @@ class TestSynthesis:
                 if role is E:  # pre-clamp value was at most 5 W
                     assert 50 * (1 + Fraction(1, 1000)) <= p <= 50 * (1 + Fraction(5, 1000))
 
+    def test_integer_draws_stay_within_fractional_bounds(self):
+        # each used to be drawn from [int(lower), int(upper)], below its range
+        pspec = dataclasses.replace(
+            self.pspec(),
+            memory_range=(Fraction(1, 2), Fraction(3, 2)),
+            storage_range=(Fraction(5, 2), Fraction(9, 2)),
+            data_range=(Fraction(3, 10), Fraction(11, 10)),
+        )
+        full = synthesize_params(self.graph(), pspec, self.system, seed=6)
+        assert {t.memory for t in full.tasks} == {1}
+        assert {t.storage for t in full.tasks} == {3, 4}
+        assert {t.output_data for t in full.tasks} == {1}
+
     def test_reproducible_and_seed_sensitive(self):
         a = synthesize_params(self.graph(), self.pspec(), self.system, seed=6)
         b = synthesize_params(self.graph(), self.pspec(), self.system, seed=6)
@@ -209,6 +223,11 @@ class TestSynthesis:
                 data_range=(Fraction(1), Fraction(2)),
                 perf_ratios={E: Fraction(1)},
             )
+
+    @pytest.mark.parametrize("field", ["memory_range", "storage_range", "data_range"])
+    def test_paramspec_rejects_an_integer_range_without_an_integer(self, field):
+        with pytest.raises(GenerationError, match=f"^{field}: \\[0.3, 0.7\\] holds no integer$"):
+            dataclasses.replace(self.pspec(), **{field: (Fraction(3, 10), Fraction(7, 10))})
 
     def test_paramspec_round_trip(self):
         spec = self.pspec()

@@ -1,3 +1,6 @@
+import gc
+import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,6 +18,7 @@ from ehcopt.model import (
     SystemModelError,
     Task,
     TaskGraph,
+    json_text,
     system_model_from_dict,
     system_model_to_dict,
     task_graph_from_dict,
@@ -272,3 +276,64 @@ def test_channel_profiles_complete_tables():
     assert set(run1) == set(run2)
     with pytest.raises(KeyError):
         presets.channels("run3")
+
+
+# json_text writes what json.dumps(..., indent=2, sort_keys=True) writes
+_JSON_FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300])
+_JSON_STRINGS = st.text() | st.sampled_from(['"quoted" \\ back', "\x00\x1f\t\n\x7f", "é€😀\ud800"])
+_JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers(min_value=-2**80, max_value=2**80) | _JSON_FLOATS
+    | _JSON_STRINGS | st.sampled_from(ALL)
+)
+# the keys of one object: of one type, of types that sort together, or of types that do not
+_JSON_KEYS = st.sampled_from([
+    _JSON_STRINGS,
+    _JSON_STRINGS | st.sampled_from(ALL),
+    st.integers(min_value=-2**80, max_value=2**80) | _JSON_FLOATS | st.booleans(),
+    st.none(),
+    st.none() | st.integers(),
+])
+_JSON_DOCUMENTS = st.recursive(
+    _JSON_LEAVES,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | _JSON_KEYS.flatmap(lambda keys: st.dictionaries(keys, children, max_size=4))
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_JSON_DOCUMENTS)
+def test_json_text_is_json_dumps_indented_and_sorted(document):
+    try:
+        expected = json.dumps(document, indent=2, sort_keys=True) + "\n"
+    except TypeError:  # the keys of one object do not sort together
+        with pytest.raises(TypeError):
+            json_text(document)
+    else:
+        assert json_text(document) == expected
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 3), {1, 2}, {(1, 2): 3}], ids=["fraction", "set", "tuple-key"])
+def test_json_text_rejects_what_json_dumps_rejects(value):
+    document = {"tasks": [{"id": 1, "value": value}]}
+    with pytest.raises(TypeError) as expected:
+        json.dumps(document, indent=2, sort_keys=True)
+    with pytest.raises(TypeError) as raised:
+        json_text(document)
+    assert str(raised.value) == str(expected.value)
+
+
+def test_json_text_leaves_no_cyclic_garbage():
+    # it appends to one list through a module-level function, so reference
+    # counting frees every piece
+    document = task_graph_to_dict(presets.example_inspection_tfg())
+    gc.collect()
+    gc.disable()
+    try:
+        assert json_text(document)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
