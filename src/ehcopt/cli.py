@@ -40,7 +40,7 @@ from .model import (
 )
 from .mps import model_to_lp, model_to_mps
 from .solver import SolveConfig, SolveStatus, solve
-from .units import parse_quantity
+from .units import decimal_fraction, parse_quantity
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -149,7 +149,7 @@ def cmd_baseline(args) -> int:
 def _fraction_flag(value: float, flag: str) -> Fraction:
     if not math.isfinite(value):
         raise CliError(f"{flag} must be a finite number, got {value}")
-    return Fraction(value).limit_denominator(10**6)
+    return decimal_fraction(value)
 
 
 def cmd_generate(args) -> int:

@@ -101,25 +101,6 @@ class EtfgArc(NamedTuple):
         return self.via is not None
 
 
-class _SizeCosts(dict):
-    """One data size's costs per device pair, ``(latency, energy, shares,
-    via)`` as in :class:`PairCost`: each pair is scaled on its first
-    lookup (``__missing__``) and kept."""
-
-    __slots__ = ("num", "den", "ratios")
-
-    def __missing__(self, pair):
-        num, den = self.num, self.den
-        latency, energy, shares, via = self.ratios[pair]
-        cost = self[pair] = (
-            None if latency is None else Fraction(num * latency[0], den * latency[1]),
-            None if energy is None else Fraction(num * energy[0], den * energy[1]),
-            None if shares is None else tuple([(device, Fraction(num * n, den * d)) for device, n, d in shares]),
-            via,
-        )
-        return cost
-
-
 def scaled_costs(
     per_bit: dict[tuple[DeviceRole, DeviceRole], PairCost],
     latency: bool = True,
@@ -131,18 +112,17 @@ def scaled_costs(
 
     Returns ``costs_of``: ``costs_of(size)[pair]`` is the latency, energy,
     energy shares and relay of ``size`` bits sent over ``pair``, with each
-    quantity that was not asked for ``None``.  Each distinct (size, pair)
-    is scaled once, on its first lookup, and later lookups share its
-    values; on-device pairs share :attr:`Etfg.per_bit`'s zeros.  Each
-    product is made as one ``Fraction`` of the numerators' and
-    denominators' products, which ``Fraction`` reduces to the same value
-    that ``size * unit`` gives, without ``Fraction.__mul__``'s dispatch and
-    its two gcds."""
+    quantity that was not asked for ``None``.  Each distinct size's table
+    is built once, over every pair, and later calls share it; on-device
+    pairs share :attr:`Etfg.per_bit`'s zeros.  Each product is made as one
+    ``Fraction`` of the numerators' and denominators' products, which
+    ``Fraction`` reduces to the same value that ``size * unit`` gives,
+    without ``Fraction.__mul__``'s dispatch and its two gcds."""
 
     def ratio(value: Fraction) -> tuple[int, int]:
         return value.numerator, value.denominator
 
-    ratios, on_device = {}, {}  # per pair: the asked-for per-bit quantities as (numerator, denominator)
+    ratios, on_device = {}, {}  # per pair: the asked-for per-bit quantities, off-device ones as (num, den)
     for (k, l), unit in per_bit.items():
         if k == l:
             on_device[(k, l)] = (
@@ -151,20 +131,27 @@ def scaled_costs(
                 unit.shares if shares else None,
                 unit.via,
             )
-        ratios[(k, l)] = (
-            ratio(unit.latency) if latency else None,
-            ratio(unit.energy) if energy else None,
-            tuple([(device, *ratio(amount)) for device, amount in unit.shares]) if shares else None,
-            unit.via,
-        )
-    tables: dict[tuple[int, int], _SizeCosts] = {}  # per size, keyed by (num, den): Fraction hashing is costly
+        else:
+            ratios[(k, l)] = (
+                ratio(unit.latency) if latency else None,
+                ratio(unit.energy) if energy else None,
+                tuple([(device, *ratio(amount)) for device, amount in unit.shares]) if shares else None,
+                unit.via,
+            )
+    tables: dict[tuple[int, int], dict] = {}  # per size, keyed by (num, den): Fraction hashing is costly
 
-    def costs_of(size: Fraction) -> _SizeCosts:
-        key = (size.numerator, size.denominator)
+    def costs_of(size: Fraction) -> dict[tuple[DeviceRole, DeviceRole], tuple]:
+        key = num, den = size.numerator, size.denominator
         table = tables.get(key)
         if table is None:
-            table = tables[key] = _SizeCosts(on_device)
-            table.num, table.den, table.ratios = key[0], key[1], ratios
+            table = tables[key] = dict(on_device)
+            for pair, (lat, enr, parts, via) in ratios.items():
+                table[pair] = (
+                    None if lat is None else Fraction(num * lat[0], den * lat[1]),
+                    None if enr is None else Fraction(num * enr[0], den * enr[1]),
+                    None if parts is None else tuple([(device, Fraction(num * n, den * d)) for device, n, d in parts]),
+                    via,
+                )
         return table
 
     return costs_of

@@ -21,6 +21,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Mapping
 
+from . import presets
 from .model import (
     ROLES,
     DeviceRole,
@@ -340,8 +341,6 @@ class ParamSpec:
 
 
 def default_param_spec(configuration: str = "C1") -> ParamSpec:
-    from . import presets
-
     document = dict(presets.DEFAULT_PARAM_RANGES, perf_ratios=presets.performance_ratios(configuration))
     return ParamSpec.from_dict(document, f"default parameter ranges of {configuration}")
 

@@ -14,10 +14,10 @@ two routes to a provably optimal assignment by its ``method``:
   prunes on the first row over its budget, then on the objective against
   the incumbent.  Under a time limit, and on every kernel without rows
   (no budget and no latency cap), a Lagrangian multiplier search over
-  the kernel's rows (:mod:`ehcopt.dual`) runs first.  Each of its passes
+  the kernel's rows (:func:`_dual`) runs first.  Each of its passes
   is one run of the elimination DP: tasks are eliminated along a
   min-fill order of the undirected dependency skeleton (bucket
-  elimination), compiled into a schedule once per kernel, whose work is
+  elimination), compiled into a schedule once per solve, whose work is
   the order's state count, at most ``DP_STATE_LIMIT``; forests are its
   width-1 case.  The dual returns its best bound and its best feasible
   assignment.  Branch and bound takes the bound for the gap and starts
@@ -68,7 +68,6 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate, chain, count, repeat
 from operator import add, lshift, sub
 from typing import NamedTuple
@@ -315,17 +314,16 @@ class _Kernel:
     follows everywhere.  ``skeleton`` is the graph's :func:`_skeleton`:
     the task ids by position, each position's candidate count and each
     dependency (in ``graph.arcs`` order) as a ``(src, dst)`` pair of
-    positions, and ``schedule`` its compiled elimination DP.  Every
-    quantity is a :class:`_Row`, whose arc tables are indexed
-    ``src_ci * width + dst_ci``, where ``width`` is the number of
-    candidates of ``dst`` (the order of ``Etfg.arcs_by_dep``): ``obj`` is
-    the objective, and ``rows`` holds every side constraint, each finite
-    memory, storage and energy budget (devices e, h, c in turn), then the
-    latency cap.  Latency, energy, memory and storage each have one fixed
-    denominator, shared by their budgets and the latency cap; the
-    objective is latency or energy on that quantity's denominator,
-    ``obj_den``.  ``objective`` and ``latency_threshold`` record the
-    request it was built for.
+    positions, from which the dual compiles its elimination DP.  Every
+    quantity is a :class:`_Row`, whose arc tables are indexed ``src_ci *
+    width + dst_ci``, where ``width`` is the number of candidates of
+    ``dst`` (the order of ``Etfg.arcs_by_dep``): ``obj`` is the objective,
+    and ``rows`` holds every side constraint, each finite memory, storage
+    and energy budget (devices e, h, c in turn), then the latency cap.
+    Latency, energy, memory and storage each have one fixed denominator,
+    shared by their budgets and the latency cap; the objective is latency
+    or energy on that quantity's denominator, ``obj_den``.  ``objective``
+    and ``latency_threshold`` record the request it was built for.
 
     The kernel reads the expanded graph's candidate nodes and its one-bit
     pair costs (``Etfg.per_bit``), never its arcs: an arc's costs are the
@@ -443,13 +441,6 @@ class _Kernel:
     def assignment(self, choice) -> dict[int, DeviceRole]:
         """The task -> device map of one candidate index per position."""
         return {self.tasks[p].id: ROLES[self.role_of[p][ci]] for p, ci in enumerate(choice)}
-
-    @cached_property
-    def schedule(self) -> _Schedule | None:
-        """The elimination DP compiled for ``skeleton`` (:func:`_compile`),
-        or None when it needs more than ``DP_STATE_LIMIT`` states: made on
-        the first read, which the dual search makes, so its passes share one."""
-        return _compile(*self.skeleton)
 
     def total(self, row: _Row, chosen) -> int:
         """One assignment's sum over ``row``, for one candidate index per position."""
@@ -608,6 +599,155 @@ def _eliminate(schedule: _Schedule, tables) -> tuple[int, list[int]]:
     return total, chosen
 
 
+# --- the Lagrangian dual -----------------------------------------------------
+
+
+class _DualResult(NamedTuple):
+    """What the dual search found: its highest bound on the optimum (above
+    the objective's largest sum when it proves that there is none) and the
+    multipliers by row label of the first pass that reached it, the
+    cheapest assignment that meets every row (one candidate index per
+    position) and its objective value, or None for both, the passes run,
+    the rows the λ = 0 pass's assignment breaks, and the width and state
+    count of the DP's schedule."""
+
+    bound: int
+    multipliers: dict[str, int]
+    chosen: list[int] | None
+    value: int | None
+    passes: int
+    broken: tuple[str, ...]
+    width: int
+    states: int
+
+
+class _Point(NamedTuple):
+    multipliers: tuple[int, ...]
+    bound: int
+    excess: list[int]  # per row: its use minus its budget
+
+
+def _penalised(cost: _Row, rows, multipliers) -> list[list[int]]:
+    """``cost``'s tables with each row's coefficients added at its multiplier."""
+    tables = cost.node + cost.arc
+    for row, weight in zip(rows, multipliers):
+        if weight:
+            for t, coefficients in enumerate(row.node + row.arc):
+                tables[t] = [c + weight * x for c, x in zip(tables[t], coefficients)]
+    return tables
+
+
+def _dual(kernel: _Kernel, deadline: float, largest: int) -> _DualResult | None:
+    """The Lagrangian dual of the kernel's budget rows and latency cap,
+    searched by the elimination DP until ``deadline`` (a
+    :func:`time.monotonic` reading): its bounds and feasible assignments,
+    the best of them as one :class:`_DualResult`, or None when no pass ran
+    (the deadline has passed, or the DP needs more than ``DP_STATE_LIMIT``
+    states).  ``largest`` is ``_largest(kernel.obj)``.  The DP's schedule
+    is compiled once per call, after the deadline check, and every pass
+    runs it.  Without rows the one pass, at λ = 0, is exact: the DP's
+    optimum and its argmin.
+
+    Every finite budget row and the latency cap gets an integer multiplier
+    λ >= 0.  A pass runs the DP over the objective's tables plus λ times each
+    row's coefficients; its total minus the sum of λ times each budget is a
+    lower bound on every feasible assignment's cost, for any λ (Fisher,
+    "The Lagrangian relaxation method for solving integer programming
+    problems", Management Science 1981).  The search starts at λ = 0 and
+    then raises one multiplier at a time, that of the most violated row
+    (relative to its budget): from L0 / (10 x its excess), where L0 is the
+    λ = 0 total, fourfold until the pass's assignment meets the row, then
+    at the intersection of the two supporting lines of the bracket's ends
+    (Kelley's cutting planes, J. SIAM 1960) until the bracket is one wide
+    or those lines promise nothing better.  It continues from the best
+    point of that line on whichever row its assignment breaks.  It keeps
+    the first pass with the highest bound and the first assignment found
+    at the lowest value among those that meet every row.  The search ends
+    once that assignment meets the bound, once no row is broken or every
+    broken row's line is exhausted, once a bound exceeds ``largest``
+    (weak duality: then no assignment meets every row, the dual's one
+    proof of that), or when the next pass would not finish by the
+    deadline.
+    """
+    if time.monotonic() >= deadline:
+        return None
+    schedule = _compile(*kernel.skeleton)
+    if schedule is None:
+        return None
+    cost, rows = kernel.obj, kernel.rows
+    best_bound = best_multipliers = best_value = best_chosen = None
+    passes = 0
+    pass_s = 0.0
+
+    def run(multipliers) -> _Point:
+        nonlocal best_bound, best_multipliers, best_value, best_chosen, passes, pass_s
+        if time.monotonic() + pass_s > deadline:
+            raise TimeoutError
+        started = time.monotonic()
+        total, chosen = _eliminate(schedule, _penalised(cost, rows, multipliers))
+        pass_s = time.monotonic() - started
+        passes += 1
+        use = [kernel.total(row, chosen) for row in rows]
+        bound = total - sum([weight * row.budget for weight, row in zip(multipliers, rows)])
+        excess = [u - row.budget for u, row in zip(use, rows)]
+        if best_bound is None or bound > best_bound:
+            best_bound, best_multipliers = bound, multipliers
+            if bound > largest:
+                raise StopIteration  # a certificate: no assignment meets every row
+        if max(excess, default=0) <= 0:
+            value = total - sum([weight * u for weight, u in zip(multipliers, use)])
+            if best_value is None or value < best_value:
+                best_value, best_chosen = value, chosen
+        return _Point(multipliers, bound, excess)
+
+    def line(i: int, start: _Point) -> _Point:
+        """The best point on row ``i``'s line from ``start``, which breaks it."""
+
+        def at(weight):
+            return run(start.multipliers[:i] + (weight,) + start.multipliers[i + 1 :])
+
+        lo = start
+        weight = 4 * lo.multipliers[i] or max(1, scale // (10 * lo.excess[i]))
+        hi = at(weight)
+        while hi.excess[i] > 0:
+            lo, hi = hi, at(4 * hi.multipliers[i])
+        while hi.multipliers[i] - lo.multipliers[i] > 1:
+            (t_lo, g_lo), (t_hi, g_hi) = (lo.multipliers[i], lo.excess[i]), (hi.multipliers[i], hi.excess[i])
+            t = (hi.bound - lo.bound + g_lo * t_lo - g_hi * t_hi) // (g_lo - g_hi)
+            t = min(max(t, t_lo + 1), t_hi - 1)
+            if min(lo.bound + g_lo * (t - t_lo), hi.bound + g_hi * (t - t_hi)) <= max(lo.bound, hi.bound):
+                break  # the cutting-plane model promises nothing better on this line
+            point = at(t)
+            if point.excess[i] > 0:
+                lo = point
+            else:
+                hi = point
+        return max((start, lo, hi), key=lambda p: p.bound)  # ties keep the start
+
+    try:
+        point = zero = run((0,) * len(rows))
+        scale = point.bound
+        exhausted = set()  # rows whose line from ``point`` gained nothing
+        while best_value is None or best_value > best_bound:
+            broken = [i for i, excess in enumerate(point.excess) if excess > 0 and i not in exhausted]
+            if not broken:
+                break
+            i = max(broken, key=lambda i: Fraction(point.excess[i], rows[i].budget))
+            better = line(i, point)
+            if better is point:
+                exhausted.add(i)
+            else:
+                point, exhausted = better, {i}
+    except (TimeoutError, StopIteration):
+        pass
+    if not passes:
+        return None
+    multipliers = dict(zip([row.label for row in rows], best_multipliers))
+    broken = tuple([row.label for row, excess in zip(rows, zero.excess) if excess > 0])
+    width, states = schedule.width, schedule.states
+    return _DualResult(best_bound, multipliers, best_chosen, best_value, passes, broken, width, states)
+
+
 # --- branch and bound -------------------------------------------------------
 
 
@@ -621,9 +761,9 @@ def _smallest(row: _Row) -> int:
     return sum(map(min, row.node)) + sum(map(min, row.arc))
 
 
-def _search_tables(kernel: _Kernel):
+def _search_tables(kernel: _Kernel, largest: int):
     """Branch and bound's additive bounds, packed into integers, and its
-    branching order.
+    branching order; ``largest`` is ``_largest(kernel.obj)``.
 
     One running bound per quantity, each built the same way from its
     :class:`_Row`: quantity 0 is the objective and quantity ``q > 0`` is
@@ -652,7 +792,7 @@ def _search_tables(kernel: _Kernel):
     packed terms, indexed ``s * width + ci``.
     """
     n, role_of = kernel.n, kernel.role_of
-    largest, rows = [_largest(kernel.obj)], []
+    largest, rows = [largest], []
     for row in kernel.rows:
         most = _largest(row)
         if most > row.budget:
@@ -714,7 +854,7 @@ def _branch_and_bound(etfg: Etfg, kernel: _Kernel, started: float, deadline: flo
     Proves optimality when the search completes.  Deterministic for
     fixed inputs without a time limit.
 
-    The dual search (:func:`ehcopt.dual.search`) runs once when the solve
+    The dual search (:func:`_dual`) runs once when the solve
     is time-limited or the kernel has no rows, unless the root bounds
     already break a row.  Branch and bound keeps its highest bound, and
     adopts its cheapest assignment that meets every row as the first
@@ -747,6 +887,7 @@ def _branch_and_bound(etfg: Etfg, kernel: _Kernel, started: float, deadline: flo
     if n == 0:
         raise ValueError("empty task graph")
     role_of = kernel.role_of
+    largest = _largest(kernel.obj)
     began = time.monotonic()
     found = None  # the dual's result
     # untimed, only a kernel without rows runs the dual, whose one pass is
@@ -754,9 +895,7 @@ def _branch_and_bound(etfg: Etfg, kernel: _Kernel, started: float, deadline: flo
     # prunes every placement at once, and the dual could only delay that proof
     dual_runs = deadline is not None or not kernel.rows
     if dual_runs and all(_smallest(row) <= row.budget for row in kernel.rows):
-        from . import dual  # here, not at the top: dual imports the DP from this module
-
-        found = dual.search(kernel, math.inf if deadline is None else deadline)
+        found = _dual(kernel, math.inf if deadline is None else deadline, largest)
     dual_ended = time.monotonic()
 
     choice = [-1] * n
@@ -785,9 +924,9 @@ def _branch_and_bound(etfg: Etfg, kernel: _Kernel, started: float, deadline: flo
 
     proven = best_value is not None and best_value <= root  # by the dual's bound
     # no search once the bound proves the optimum or that there is none
-    p = -1 if proven or root > _largest(kernel.obj) else 0
+    p = -1 if proven or root > largest else 0
     if p == 0:
-        rows, bits, roots, step, in_arcs, branch = _search_tables(kernel)
+        rows, bits, roots, step, in_arcs, branch = _search_tables(kernel, largest)
         # A field over its cap sets its top bit in ``bounds + offsets``: each
         # row's offset is ``top - budget``, the objective's ``top - incumbent``
         # once there is an incumbent and 0 before.  ``cause`` maps each row's
@@ -867,8 +1006,8 @@ def _branch_and_bound(etfg: Etfg, kernel: _Kernel, started: float, deadline: flo
             "incumbent_source": source,
             "dual_s": dual_ended - began,
         })
-        if found is not None:  # a pass ran, so the DP's schedule is compiled
-            stats.update({"treewidth": kernel.schedule.width, "dp_states": kernel.schedule.states})
+        if found is not None:  # a pass ran, so the result carries the DP schedule's size
+            stats.update({"treewidth": found.width, "dp_states": found.states})
 
     gap = None
     if proven:

@@ -466,6 +466,25 @@ def test_non_finite_fixed_fraction_exits_2(flag, value, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--fixed-edge", "--fixed-hub"])
+@pytest.mark.parametrize("value", ["0.3333333", "1e-07"])
+def test_fixed_fraction_is_recorded_as_given(flag, value, tmp_path):
+    # the flags were rounded to a denominator of at most 10**6, as params
+    # files are not: 0.3333333 was recorded as 1/3, and 1e-07 as 0.0
+    out = tmp_path / "o"
+    assert main(["generate", "--structure", "serial", "--nodes", "6", flag, value, "--out", str(out)]) == 0
+    genspec = read_json(out / "meta.json")["genspec"]
+    assert genspec[f"fixed_{flag[8:]}_fraction"] == float(value)
+
+
+@pytest.mark.parametrize("flag", ["--fixed-edge", "--fixed-hub"])
+def test_fixed_fraction_above_one_exits_2(flag, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["generate", "--structure", "serial", "--nodes", "6", flag, "1.5", "--out", str(out)]) == 2
+    assert "fixed fractions must lie in [0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_lthr_with_the_latency_objective_exits_2(example_tfg, tmp_path, capsys):
     # the cap used to be dropped: solve wrote a 1.79 s allocation as
     # proven-optimal, export wrote no lthr row, stats reported no threshold

@@ -144,9 +144,9 @@ _CALLEES = {
     "model_to_mps": "ehcopt.mps._mps_sections",
     "model_to_lp": "ehcopt.mps._lp_sections",
     "_Kernel.__init__": "ehcopt.solver._skeleton",
-    "_Kernel.schedule": "ehcopt.solver._compile",
+    "_dual": "ehcopt.solver._compile",
     "_search_tables": "ehcopt.solver._largest",
-    "dual.search": "ehcopt.dual._eliminate",
+    "_branch_and_bound": "ehcopt.solver._dual",
 }
 
 
@@ -170,9 +170,9 @@ def test_each_builder_runs_with_the_collector_paused(builder, monkeypatch):
         "model_to_mps": lambda: model_to_mps(bilp),
         "model_to_lp": lambda: model_to_lp(bilp),
         "_Kernel.__init__": lambda: solve(expanded, Objective.ENERGY, cap),
-        "_Kernel.schedule": lambda: solve(uav_forest_without_budgets()),  # the elimination DP
+        "_dual": lambda: solve(uav_forest_without_budgets()),  # the elimination DP
         "_search_tables": lambda: solve(expanded, Objective.ENERGY, cap),
-        "dual.search": lambda: solve(expanded, Objective.ENERGY, cap, SolveConfig(time_limit=60)),
+        "_branch_and_bound": lambda: solve(expanded, Objective.ENERGY, cap, SolveConfig(time_limit=60)),
     }[builder]
     module, name = _CALLEES[builder].rsplit(".", 1)
     callee, states = getattr(importlib.import_module(module), name), []

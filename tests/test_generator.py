@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from ehcopt.generator import (
     GenerationError,
     GenSpec,
     ParamSpec,
+    _Range,
     default_param_spec,
     generate_tfg,
     structure_stats,
@@ -196,6 +198,16 @@ class TestSynthesis:
         assert {t.memory for t in full.tasks} == {1}
         assert {t.storage for t in full.tasks} == {3, 4}
         assert {t.output_data for t in full.tasks} == {1}
+
+    def test_draws_clamp_into_a_range_off_the_quantum_grid(self):
+        # no default or test range ran either clamp: every bound was on the grid
+        lo, hi = Fraction(12, 10000), Fraction(19, 10000)
+        bounds, rng = _Range((lo, hi)), random.Random(3)
+        draws = [Fraction(*bounds.draw(rng, 1000)) for _ in range(200)]
+        assert all(lo <= d <= hi for d in draws)
+        # the grid points near the range, 1/1000 and 2/1000, lie outside it,
+        # so every draw is clamped, to lo or to hi
+        assert set(draws) == {lo, hi}
 
     def test_reproducible_and_seed_sensitive(self):
         a = synthesize_params(self.graph(), self.pspec(), self.system, seed=6)

@@ -33,7 +33,7 @@ from conftest import (
     with_cloud_relay,
     with_direct_edge_cloud,
 )
-from ehcopt import dual, presets, solver
+from ehcopt import presets, solver
 from ehcopt.etfg import transform
 from ehcopt.milp import build_model, evaluate, objective_value
 from ehcopt.model import ROLES, TaskGraph, make_system_model, topological_order
@@ -46,6 +46,16 @@ from ehcopt.solver import (
 )
 
 PLAIN = unbudgeted_system("run1")
+
+
+def _search_tables(kernel):
+    """Branch and bound's search tables, built as a solve builds them."""
+    return solver._search_tables(kernel, solver._largest(kernel.obj))
+
+
+def _dual(kernel, deadline):
+    """The dual search, run as a solve runs it."""
+    return solver._dual(kernel, deadline, solver._largest(kernel.obj))
 
 
 def test_single_task_argmin(monkeypatch):
@@ -362,7 +372,7 @@ def test_dp_over_the_state_limit_is_refused():
     etfg = transform(complete_dag(15), PLAIN)
     assert 3**15 > solver.DP_STATE_LIMIT
     assert solver._compile(*solver._skeleton(etfg.graph)) is None
-    assert dual.search(solver._Kernel(etfg, solver.Objective.LATENCY, None), math.inf) is None
+    assert _dual(solver._Kernel(etfg, solver.Objective.LATENCY, None), math.inf) is None
     with pytest.raises(ValueError, match="unknown solver method 'tree-dp'"):
         solve(etfg, "latency", method="tree-dp")
     auto = solve(etfg, "latency")
@@ -499,7 +509,7 @@ def test_branch_and_bound_replaces_an_incumbent_on_a_tie(monkeypatch):
     for system, labels in ((PLAIN, []), (budgeted, ["mem_h", "mem_c"])):
         etfg = transform(TaskGraph(tasks=tasks, arcs=((1, 2),)), system)
         kernel = solver._Kernel(etfg, solver.Objective.LATENCY, None)
-        assert [row.label for row in solver._search_tables(kernel)[0]] == labels
+        assert [row.label for row in _search_tables(kernel)[0]] == labels
         bb = solve_searched(monkeypatch, etfg, "latency")
         bf = solve_bruteforce(etfg, "latency")
         assert bb.stats["nodes_explored"] > 0
@@ -546,9 +556,7 @@ def test_every_route_builds_one_kernel(monkeypatch):
         return compile_schedule(*args)
 
     monkeypatch.setattr(solver._Kernel, "__init__", counted_build)
-    for module in (solver, dual):  # every module that binds the compiler
-        if vars(module).get("_compile") is compile_schedule:
-            monkeypatch.setattr(module, "_compile", counted_compile)
+    monkeypatch.setattr(solver, "_compile", counted_compile)
     budgeted, cap = random_oracle_instance(1)
     free = uav_forest_without_budgets()
     clique = transform(complete_dag(15), PLAIN)
@@ -636,6 +644,27 @@ def test_time_limit_without_incumbent_has_no_gap():
     assert result.to_dict()["gap"] is None
 
 
+def test_a_timed_search_ends_once_its_incumbent_meets_the_dual_bound(monkeypatch):
+    # the dual's bound is the optimum but it brings no assignment, so the
+    # search finds the optimum itself and stops at its next clock check,
+    # before it has proven the optimum by exhausting the tree
+    etfg = transform(presets.example_inspection_tfg(), presets.system_model("C1", "run1"))
+    untimed = solve(etfg, "latency")
+    optimum = untimed.objective_value * solver._Kernel(etfg, solver.Objective.LATENCY, None).obj_den
+    dual = solver._dual
+
+    def bound_only(kernel, deadline, largest):
+        return dual(kernel, deadline, largest)._replace(bound=int(optimum), chosen=None, value=None)
+
+    monkeypatch.setattr(solver, "_dual", bound_only)
+    timed = solve(etfg, "latency", config=SolveConfig(time_limit=60))
+    assert timed.status is SolveStatus.OPTIMAL and not timed.stats["time_limit_hit"]
+    assert timed.objective_value == untimed.objective_value
+    assert timed.stats["incumbent_source"] == "search"
+    nodes = timed.stats["nodes_explored"]
+    assert nodes % 1024 == 0 and 0 < nodes < untimed.stats["nodes_explored"]
+
+
 def test_time_limit_counts_the_table_build(monkeypatch):
     # the limit used to start after the tables were built, so a slow build
     # was not counted and the search ran for the full limit on top of it
@@ -668,7 +697,7 @@ def test_timed_out_gap_is_measured_against_the_relaxation_dp(objective, cap):
     kernel = solver._Kernel(etfg, solver.Objective(objective), cap)
     total, _ = solver._eliminate(solver._compile(*kernel.skeleton), kernel.obj.node + kernel.obj.arc)
     assert Fraction(total, kernel.obj_den) == relaxed
-    assert dual.search(kernel, time.monotonic() + 1.0).bound >= total
+    assert _dual(kernel, time.monotonic() + 1.0).bound >= total
     # under energy the dual's bound proves the instance infeasible, so no
     # search node runs; the latency search runs the whole limit
     result = solve(etfg, objective, cap, SolveConfig(time_limit=3 if cap is None else 1.5))
@@ -705,7 +734,7 @@ def test_additive_root_stays_when_the_dp_is_over_its_limit(monkeypatch):
     etfg = transform(serial_200_graph(), _without_budgets(presets.system_model("C1", "run1")))
     kernel = solver._Kernel(etfg, solver.Objective.LATENCY, None)
     monkeypatch.setattr(solver, "DP_STATE_LIMIT", 0)
-    assert dual.search(kernel, time.monotonic() + 10.0) is None  # the dual has no schedule to run
+    assert _dual(kernel, time.monotonic() + 10.0) is None  # the dual has no schedule to run
     result = solve(etfg, "latency", config=SolveConfig(time_limit=0.3))
     assert result.stats["time_limit_hit"]
     assert result.stats["root_bound"] == "additive"
@@ -839,9 +868,9 @@ def test_a_solve_that_the_dual_proves_builds_no_search_tables(case, monkeypatch)
     # unused whenever the dual's bound ended the solve
     built = []
 
-    def counted_search_tables(kernel):
+    def counted_search_tables(kernel, largest):
         built.append(kernel)
-        return _SEARCH_TABLES(kernel)
+        return _SEARCH_TABLES(kernel, largest)
 
     monkeypatch.setattr(solver, "_search_tables", counted_search_tables)
     if case == "untimed-forest":
@@ -860,9 +889,9 @@ class _FailingBranch(tuple):
         raise RuntimeError("the search failed")
 
 
-def _failing_search_tables(kernel):
+def _failing_search_tables(kernel, largest):
     """The search tables with a branching order that fails at depth 5."""
-    *tables, branch = _SEARCH_TABLES(kernel)
+    *tables, branch = _SEARCH_TABLES(kernel, largest)
     return (*tables, branch[:5] + [_FailingBranch()] + branch[6:])
 
 
@@ -927,17 +956,17 @@ def test_the_dual_search_bounds_the_oracle(objective, capped, monkeypatch):
     the oracle finds no feasible assignment, and only on the dual's last
     pass; its assignment is feasible at the value it claims; and its
     broken rows are those the λ = 0 pass's assignment breaks."""
-    penalised = dual._penalised
+    penalised = solver._penalised
     tried = []  # the multipliers of each pass
 
     def recorded(cost, rows, weights):
         tried.append(weights)
         return penalised(cost, rows, weights)
 
-    monkeypatch.setattr(dual, "_penalised", recorded)
+    monkeypatch.setattr(solver, "_penalised", recorded)
 
     def bound(kernel, weights):
-        total, _ = solver._eliminate(kernel.schedule, penalised(kernel.obj, kernel.rows, weights))
+        total, _ = solver._eliminate(solver._compile(*kernel.skeleton), penalised(kernel.obj, kernel.rows, weights))
         return total - sum(weight * row.budget for weight, row in zip(weights, kernel.rows))
 
     found = binding = certified = 0
@@ -946,13 +975,13 @@ def test_the_dual_search_bounds_the_oracle(objective, capped, monkeypatch):
         cap = threshold if capped else None
         kernel = solver._Kernel(etfg, solver.Objective(objective), cap)
         tried.clear()
-        result = dual.search(kernel, time.monotonic() + 10.0)
+        largest = solver._largest(kernel.obj)
+        result = solver._dual(kernel, time.monotonic() + 10.0, largest)
         assert result is not None and result.passes >= 1, f"seed {seed}"
         assert list(result.multipliers) == [row.label for row in kernel.rows], f"seed {seed}"
         best = solve_bruteforce(etfg, objective, cap)
         if best.status is SolveStatus.OPTIMAL:
             assert Fraction(result.bound, kernel.obj_den) <= best.objective_value, f"seed {seed}"
-        largest = solver._largest(kernel.obj)
         if result.bound > largest:  # a certificate that no assignment meets every row
             assert best.status is SolveStatus.INFEASIBLE, f"seed {seed}"
             assert all(bound(kernel, weights) <= largest for weights in tried[:-1]), f"seed {seed}"
@@ -991,7 +1020,7 @@ def test_the_dual_proves_infeasibility_before_the_search(objective, capped, seed
     assert result.stats["nodes_explored"] == 0 and math.isfinite(result.stats["lower_bound"])
     assert result.stats["lower_bound"] > Fraction(largest, kernel.obj_den)
     assert solve_bruteforce(etfg, objective, cap).status is SolveStatus.INFEASIBLE
-    assert dual.search(kernel, time.monotonic() + 3600).bound > largest
+    assert solver._dual(kernel, time.monotonic() + 3600, largest).bound > largest
 
 
 @pytest.mark.parametrize("objective, capped", [("latency", False), ("energy", True)])
@@ -999,12 +1028,13 @@ def test_dual_passes_counts_every_pass(monkeypatch, objective, capped):
     """``dual_passes`` is the number of DP passes the dual ran, including
     those that neither raised its bound nor found a cheaper assignment."""
     calls = []
+    eliminate_pass = solver._eliminate
 
     def eliminate(*args):
         calls.append(None)
-        return solver._eliminate(*args)
+        return eliminate_pass(*args)
 
-    monkeypatch.setattr(dual, "_eliminate", eliminate)
+    monkeypatch.setattr(solver, "_eliminate", eliminate)
     several = 0
     for seed in range(60):
         etfg, threshold = random_oracle_instance(seed)
@@ -1060,7 +1090,7 @@ def test_a_row_at_its_budget_is_not_pruned_and_one_unit_over_is(label, over):
         unit = used / solver._Kernel(free, solver.Objective.ENERGY, used).rows[0].budget
         cap = used - over * unit
     kernel = solver._Kernel(etfg, solver.Objective(objective), cap)
-    rows = solver._search_tables(kernel)[0]
+    rows = _search_tables(kernel)[0]
     (row,) = [row for row in rows if row.label == label]  # some assignment breaks it
     unconstrained = solve_bruteforce(free, objective)
     chosen = [kernel.tasks[p].allowed.index(unconstrained.assignment[kernel.tasks[p].id]) for p in range(kernel.n)]
@@ -1087,8 +1117,8 @@ def test_the_first_row_over_its_budget_takes_the_prune(budgets, counts):
     etfg = transform(TaskGraph(tasks=(task,), arcs=()), make_system_model(devices, PLAIN.channels.values()))
     kernel = solver._Kernel(etfg, solver.Objective.ENERGY, Fraction(5))
     labels = ["mem_e", "enr_e", "lthr"] if budgets else ["lthr"]
-    assert [row.label for row in solver._search_tables(kernel)[0]] == labels
-    assert solver._search_tables(kernel)[-1] == [(1, 2, 0)]  # h, c, e
+    assert [row.label for row in _search_tables(kernel)[0]] == labels
+    assert _search_tables(kernel)[-1] == [(1, 2, 0)]  # h, c, e
     result = solve(etfg, "energy", Fraction(5))
     assert result.assignment == {1: H}
     assert {key: result.stats[key] for key in counts} == counts
@@ -1115,7 +1145,7 @@ def test_fields_wider_than_128_bits_match_the_oracle():
         etfg = transform(generated.graph, make_system_model(generated.system.devices.values(), channels))
         kernel = solver._Kernel(etfg, solver.Objective.ENERGY, threshold)
         if etfg.graph.arcs:
-            assert solver._search_tables(kernel)[1] > 128, f"seed {seed}"
+            assert _search_tables(kernel)[1] > 128, f"seed {seed}"
             wide += 1
         bb = solve(etfg, "energy", threshold)
         bf = solve_bruteforce(etfg, "energy", threshold)
