@@ -31,7 +31,7 @@ from .model import (
     _fields,
     topological_order,
 )
-from .units import decimal_fraction, parse_quantity
+from .units import decimal_fraction, decimal_value, parse_quantity
 
 STRUCTURES = ("parallel", "serial", "mixed")
 
@@ -81,6 +81,10 @@ def _fraction(value) -> Fraction:
         raise ValueError(f"expected a number, got {value!r}")
     if isinstance(value, float):
         return decimal_fraction(value)
+    if isinstance(value, str):
+        exact = decimal_value(value)  # Fraction would expand 10 ** exponent first
+        if exact is not None:
+            return exact
     return Fraction(value)
 
 

@@ -374,15 +374,6 @@ def _array(value, error: type[ValueError], where: str) -> list:
     return value
 
 
-def _wrong_type(entry: dict, error: type[ValueError], where: str, exc: Exception) -> ValueError:
-    """The error for a task entry whose parsing raised a TypeError or
-    AttributeError: a field holds the wrong kind of JSON value."""
-    for key in ("latency", "power"):
-        if key in entry and not isinstance(entry[key], dict):
-            return error(f"{where}: field {key!r}: expected a JSON object, got {type(entry[key]).__name__}")
-    return error(f"{where}: a field has the wrong JSON type ({exc})")
-
-
 def _unparsed(exc: ValueError, error: type[ValueError], where: str) -> ValueError:
     """The error for an entry whose parsing raised ``exc``: an ``error``
     already names the entry, while a quantity or device role that does not
@@ -413,16 +404,18 @@ def task_graph_from_dict(data: dict) -> TaskGraph:
     _check_schema(data, "task graph", _TASK_GRAPH_FIELDS, err)
     entries = _required(data, "tasks", err, "task graph file")
     tasks = []
-    # types are checked per document and entry, not per field: a field of
-    # the wrong JSON type surfaces as a TypeError/AttributeError of its entry
+    # a field that holds an array or an object is checked for that JSON type;
+    # a quantity or a device role that does not parse raises a ValueError
     for n, entry in enumerate(_array(entries, err, "task graph file: tasks")):
         where = f"task graph file: tasks[{n}]"
         entry = _fields(entry, _TASK_FIELDS, err, where)
         try:
             allowed = _array(_required(entry, "allowed", err, where), err, f"{where}: field 'allowed'")
             allowed = tuple([role_from(r) for r in allowed])
-            latency = {role_from(r): parse_quantity(v, "time") for r, v in entry.get("latency", {}).items()}
-            power = {role_from(r): parse_quantity(v, "power") for r, v in entry.get("power", {}).items()}
+            latency = _object(entry.get("latency", {}), err, f"{where}: field 'latency'")
+            latency = {role_from(r): parse_quantity(v, "time") for r, v in latency.items()}
+            power = _object(entry.get("power", {}), err, f"{where}: field 'power'")
+            power = {role_from(r): parse_quantity(v, "power") for r, v in power.items()}
             task_id = _required(entry, "id", err, where)
             if type(task_id) is not int:  # JSON integers only: not floats, booleans or strings
                 raise _not_a_task_id(task_id, err, f"{where}: field 'id'")
@@ -437,8 +430,6 @@ def task_graph_from_dict(data: dict) -> TaskGraph:
                     power=power,
                 )
             )
-        except (TypeError, AttributeError) as exc:
-            raise _wrong_type(entry, err, where, exc) from None
         except ValueError as exc:
             raise _unparsed(exc, err, where) from None
     try:

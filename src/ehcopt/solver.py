@@ -101,8 +101,9 @@ class SolveConfig:
     time_limit: float | None = None  # seconds of wall time, None = unlimited
 
     def __post_init__(self):
-        if self.time_limit is not None and not self.time_limit > 0:  # NaN included
-            raise ValueError("time limit must be > 0")
+        # NaN fails both tests; an infinite limit would take the timed route
+        if self.time_limit is not None and not 0 < self.time_limit < math.inf:
+            raise ValueError("time limit must be > 0 and finite")
 
 
 @dataclass
@@ -287,12 +288,22 @@ class _Row(NamedTuple):
     ``node`` holds per position its candidates' coefficients and ``arc``
     per arc (in ``graph.arcs`` order) its flat coefficient table, empty
     when no arc adds to the row, so ``node + arc`` are the row's tables as
-    the elimination DP numbers them; ``budget`` is the right-hand side."""
+    the elimination DP numbers them; ``budget`` is the right-hand side.
+    ``least`` and ``most`` are the sums of its tables' minima and maxima:
+    no assignment's sum lies outside them."""
 
     label: str
     node: list[list[int]]
     arc: list[list[int]]
     budget: int | None
+    least: int
+    most: int
+
+
+def _row(label: str, node: list[list[int]], arc: list[list[int]], budget: int | None = None) -> _Row:
+    """The :class:`_Row` of these tables, with its range."""
+    tables = node + arc
+    return _Row(label, node, arc, budget, sum(map(min, tables)), sum(map(max, tables)))
 
 
 def _skeleton(graph) -> tuple[list[int], list[int], list[tuple[int, int]]]:
@@ -417,9 +428,9 @@ class _Kernel:
             )
             node_enr = [[_as_int(node.energy, enr_den) for node in row] for row in nodes]
         if latency:
-            self.obj, self.obj_den = _Row("obj", node_lat, arc_lat, None), lat_den
+            self.obj, self.obj_den = _row("obj", node_lat, arc_lat), lat_den
         else:
-            self.obj, self.obj_den = _Row("obj", node_enr, tables(unit_enr, enr_den), None), enr_den
+            self.obj, self.obj_den = _row("obj", node_enr, tables(unit_enr, enr_den)), enr_den
 
         self.rows = rows = []
         for kind, quantity in (("mem", "memory"), ("sto", "storage")):
@@ -430,13 +441,13 @@ class _Kernel:
             for r, cap in enumerate(caps):
                 if cap is not None:
                     node = [[a if role == r else 0 for role in roles] for a, roles in zip(demand, role_of)]
-                    rows.append(_Row(f"{kind}_{ROLES[r].value}", node, [], _as_int(cap, den)))
+                    rows.append(_row(f"{kind}_{ROLES[r].value}", node, [], _as_int(cap, den)))
         for r in metered:
             node = [[e if role == r else 0 for e, role in zip(*pair)] for pair in zip(node_enr, role_of)]
             budget = _as_int(budgets[r].energy_budget, enr_den)
-            rows.append(_Row(f"enr_{ROLES[r].value}", node, tables(unit_share[r], enr_den), budget))
+            rows.append(_row(f"enr_{ROLES[r].value}", node, tables(unit_share[r], enr_den), budget))
         if latency_threshold is not None:
-            rows.append(_Row("lthr", node_lat, arc_lat, _as_int(latency_threshold, lat_den)))
+            rows.append(_row("lthr", node_lat, arc_lat, _as_int(latency_threshold, lat_den)))
 
     def assignment(self, choice) -> dict[int, DeviceRole]:
         """The task -> device map of one candidate index per position."""
@@ -604,7 +615,7 @@ def _eliminate(schedule: _Schedule, tables) -> tuple[int, list[int]]:
 
 class _DualResult(NamedTuple):
     """What the dual search found: its highest bound on the optimum (above
-    the objective's largest sum when it proves that there is none) and the
+    the objective's ``most`` when it proves that there is none) and the
     multipliers by row label of the first pass that reached it, the
     cheapest assignment that meets every row (one candidate index per
     position) and its objective value, or None for both, the passes run,
@@ -637,16 +648,15 @@ def _penalised(cost: _Row, rows, multipliers) -> list[list[int]]:
     return tables
 
 
-def _dual(kernel: _Kernel, deadline: float, largest: int) -> _DualResult | None:
+def _dual(kernel: _Kernel, deadline: float) -> _DualResult | None:
     """The Lagrangian dual of the kernel's budget rows and latency cap,
     searched by the elimination DP until ``deadline`` (a
     :func:`time.monotonic` reading): its bounds and feasible assignments,
     the best of them as one :class:`_DualResult`, or None when no pass ran
     (the deadline has passed, or the DP needs more than ``DP_STATE_LIMIT``
-    states).  ``largest`` is ``_largest(kernel.obj)``.  The DP's schedule
-    is compiled once per call, after the deadline check, and every pass
-    runs it.  Without rows the one pass, at λ = 0, is exact: the DP's
-    optimum and its argmin.
+    states).  The DP's schedule is compiled once per call, after the
+    deadline check, and every pass runs it.  Without rows the one pass, at
+    λ = 0, is exact: the DP's optimum and its argmin.
 
     Every finite budget row and the latency cap gets an integer multiplier
     λ >= 0.  A pass runs the DP over the objective's tables plus λ times each
@@ -664,9 +674,9 @@ def _dual(kernel: _Kernel, deadline: float, largest: int) -> _DualResult | None:
     the first pass with the highest bound and the first assignment found
     at the lowest value among those that meet every row.  The search ends
     once that assignment meets the bound, once no row is broken or every
-    broken row's line is exhausted, once a bound exceeds ``largest``
-    (weak duality: then no assignment meets every row, the dual's one
-    proof of that), or when the next pass would not finish by the
+    broken row's line is exhausted, once a bound exceeds the objective's
+    ``most`` (weak duality: then no assignment meets every row, the dual's
+    one proof of that), or when the next pass would not finish by the
     deadline.
     """
     if time.monotonic() >= deadline:
@@ -692,7 +702,7 @@ def _dual(kernel: _Kernel, deadline: float, largest: int) -> _DualResult | None:
         excess = [u - row.budget for u, row in zip(use, rows)]
         if best_bound is None or bound > best_bound:
             best_bound, best_multipliers = bound, multipliers
-            if bound > largest:
+            if bound > cost.most:
                 raise StopIteration  # a certificate: no assignment meets every row
         if max(excess, default=0) <= 0:
             value = total - sum([weight * u for weight, u in zip(multipliers, use)])
@@ -751,26 +761,16 @@ def _dual(kernel: _Kernel, deadline: float, largest: int) -> _DualResult | None:
 # --- branch and bound -------------------------------------------------------
 
 
-def _largest(row: _Row) -> int:
-    """The sum of the maxima of ``row``'s tables: no assignment's sum exceeds it."""
-    return sum(map(max, row.node)) + sum(map(max, row.arc))
-
-
-def _smallest(row: _Row) -> int:
-    """The sum of the minima of ``row``'s tables: no assignment's sum is below it."""
-    return sum(map(min, row.node)) + sum(map(min, row.arc))
-
-
-def _search_tables(kernel: _Kernel, largest: int):
+def _search_tables(kernel: _Kernel):
     """Branch and bound's additive bounds, packed into integers, and its
-    branching order; ``largest`` is ``_largest(kernel.obj)``.
+    branching order.
 
     One running bound per quantity, each built the same way from its
     :class:`_Row`: quantity 0 is the objective and quantity ``q > 0`` is
-    ``rows[q - 1]``, the kernel's rows whose tables' maxima sum to more
-    than their budget (a row that no assignment can break prunes
-    nothing).  The root is the per-task minima plus the per-arc minima
-    over all pairs (``lo``).
+    ``rows[q - 1]``, the kernel's rows whose ``most`` is above their
+    budget (a row that no assignment can break prunes nothing).  The root
+    is each quantity's ``least``: the per-task minima plus the per-arc
+    minima over all pairs (``lo``).
     Placing task ``p`` on candidate ``ci`` adds ``step[p][ci]``: how far
     the candidate's cost lies above the task's minimum plus, per arc out
     of ``p``, how far the minimum of that arc's row ``ci`` (``mins[ci]``)
@@ -782,32 +782,26 @@ def _search_tables(kernel: _Kernel, largest: int):
     The quantities sit side by side in one integer, the "multiple byte
     processing" of Lamport (CACM 18(8), 1975): quantity ``q`` in the
     ``bits + 1`` bits from ``q * (bits + 1)`` up, where ``bits`` is the bit
-    length of the largest sum of table maxima, which is above every kept
-    row's budget.  Every step and arc term is at least 0 and no bound
-    exceeds its sum of maxima, so one integer addition updates every
-    quantity, no field carries into the next, and each field's top bit is
-    free for the prune test of :func:`_branch_and_bound`.  The root
-    and each ``step[p][ci]`` are packed integers; ``in_arcs[p]`` holds per
-    arc into ``p`` its source, ``width`` (the candidates of ``p``) and its
-    packed terms, indexed ``s * width + ci``.
+    length of the largest ``most``, which is above every kept row's
+    budget.  Every step and arc term is at least 0 and no bound exceeds
+    its ``most``, so one integer addition updates every quantity, no field
+    carries into the next, and each field's top bit is free for the prune
+    test of :func:`_branch_and_bound`.  The root and each ``step[p][ci]``
+    are packed integers; ``in_arcs[p]`` holds per arc into ``p`` its
+    source, ``width`` (the candidates of ``p``) and its packed terms,
+    indexed ``s * width + ci``.
     """
     n, role_of = kernel.n, kernel.role_of
-    largest, rows = [largest], []
-    for row in kernel.rows:
-        most = _largest(row)
-        if most > row.budget:
-            rows.append(row)
-            largest.append(most)
+    rows = [row for row in kernel.rows if row.most > row.budget]
     quantities = [kernel.obj, *rows]
-    bits = max(largest).bit_length()
+    bits = max([row.most for row in quantities]).bit_length()
     field = bits + 1
-    widths = [len(roles) for roles in role_of]
+    root = sum([row.least << (q * field) for q, row in enumerate(quantities)])
+    widths = kernel.skeleton[1]
     offset = list(accumulate(widths, initial=0))  # of each position's candidates, flattened
-    root = 0
     steps = []  # per quantity, flat over (position, candidate)
-    for q, row in enumerate(quantities):
+    for row in quantities:
         mins = list(map(min, row.node))
-        root += sum(mins) << (q * field)
         each = chain.from_iterable(map(repeat, mins, widths))  # the task's minimum, once per candidate
         steps.append(list(map(sub, chain.from_iterable(row.node), each)))
     with_arcs = [(q * field, row.arc, steps[q]) for q, row in enumerate(quantities) if row.arc]
@@ -819,7 +813,6 @@ def _search_tables(kernel: _Kernel, largest: int):
             table = arc[a]
             mins = list(map(min, zip(*[iter(table)] * width)))  # per source candidate: its row's minimum
             lo = min(mins)
-            root += lo << shift
             for at, m in enumerate(mins, offset[src]):
                 q_steps[at] += m - lo
             terms = map(sub, table, chain.from_iterable(map(repeat, mins, repeat(width))))
@@ -830,7 +823,7 @@ def _search_tables(kernel: _Kernel, largest: int):
         flat = list(map(add, map(lshift, flat, repeat(field)), q_steps))
     step = [flat[offset[p] : offset[p + 1]] for p in range(n)]
     cost = kernel.obj.node
-    branch = [tuple(sorted(range(len(role_of[p])), key=lambda ci: (cost[p][ci], role_of[p][ci]))) for p in range(n)]
+    branch = [tuple(sorted(range(widths[p]), key=lambda ci: (cost[p][ci], role_of[p][ci]))) for p in range(n)]
     return rows, bits, root, step, in_arcs, branch
 
 
@@ -861,7 +854,7 @@ def _branch_and_bound(etfg: Etfg, kernel: _Kernel, started: float, deadline: flo
     incumbent, once its own kernel confirms the assignment's value and
     every row.  It returns that incumbent as proven optimal once its cost
     meets the bound (on a kernel without rows the DP's optimum does), and
-    infeasible once the bound exceeds ``_largest(kernel.obj)``, both
+    infeasible once the bound exceeds the objective's ``most``, both
     without building the search tables.  Otherwise the search starts from
     the incumbent, with the time the dual left.  It looks at the clock
     every 1024 nodes, so it always runs its first 1023, and returns proven
@@ -887,15 +880,14 @@ def _branch_and_bound(etfg: Etfg, kernel: _Kernel, started: float, deadline: flo
     if n == 0:
         raise ValueError("empty task graph")
     role_of = kernel.role_of
-    largest = _largest(kernel.obj)
     began = time.monotonic()
     found = None  # the dual's result
     # untimed, only a kernel without rows runs the dual, whose one pass is
     # the DP; not when the root already breaks a row: the search then
     # prunes every placement at once, and the dual could only delay that proof
     dual_runs = deadline is not None or not kernel.rows
-    if dual_runs and all(_smallest(row) <= row.budget for row in kernel.rows):
-        found = _dual(kernel, math.inf if deadline is None else deadline, largest)
+    if dual_runs and all(row.least <= row.budget for row in kernel.rows):
+        found = _dual(kernel, math.inf if deadline is None else deadline)
     dual_ended = time.monotonic()
 
     choice = [-1] * n
@@ -912,9 +904,9 @@ def _branch_and_bound(etfg: Etfg, kernel: _Kernel, started: float, deadline: flo
         return tuple(role_of[p][choice_vec[p]] for p in by_id)
 
     # the bound a timed-out run's gap is measured against: the additive
-    # root unless the dual found a higher one; a run without a time limit
-    # always ends in a proof
-    root = _smallest(kernel.obj) if found is None else max(_smallest(kernel.obj), found.bound)
+    # root, or the dual's, which its λ = 0 pass, the DP's optimum, puts at
+    # or above it; a run without a time limit always ends in a proof
+    root = kernel.obj.least if found is None else found.bound
     chosen = None if found is None else found.chosen
     if chosen is not None and kernel.total(kernel.obj, chosen) == found.value and all(
         kernel.total(row, chosen) <= row.budget for row in kernel.rows
@@ -924,9 +916,9 @@ def _branch_and_bound(etfg: Etfg, kernel: _Kernel, started: float, deadline: flo
 
     proven = best_value is not None and best_value <= root  # by the dual's bound
     # no search once the bound proves the optimum or that there is none
-    p = -1 if proven or root > largest else 0
+    p = -1 if proven or root > kernel.obj.most else 0
     if p == 0:
-        rows, bits, roots, step, in_arcs, branch = _search_tables(kernel, largest)
+        rows, bits, roots, step, in_arcs, branch = _search_tables(kernel)
         # A field over its cap sets its top bit in ``bounds + offsets``: each
         # row's offset is ``top - budget``, the objective's ``top - incumbent``
         # once there is an incumbent and 0 before.  ``cause`` maps each row's

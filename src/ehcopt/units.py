@@ -121,10 +121,9 @@ def parse_quantity(value, dimension: str) -> Fraction:
     if match is None:
         raise UnitError(f"cannot parse quantity {value!r}")
     number, suffix = match.groups()
-    try:
-        magnitude = Fraction(*Decimal(number).as_integer_ratio())
-    except InvalidOperation:
-        raise UnitError(f"bad number in quantity {value!r}") from None
+    magnitude = decimal_value(number, value)
+    if magnitude is None:
+        raise UnitError(f"bad number in quantity {value!r}")
 
     if not suffix:
         return _within_double(magnitude, value)
@@ -134,14 +133,45 @@ def parse_quantity(value, dimension: str) -> Fraction:
 
 
 _DOUBLE_MAX = int(sys.float_info.max)
+# the smallest positive double is 2 ** -_DOUBLE_TINY, about 4.9e-324
+_DOUBLE_TINY = 1074
+# A nonzero decimal whose exponent is beyond +-400 lies beyond a double's
+# range whatever its unit factor (1e-9 to 8.8e12), so it is rejected
+# before its exact value is built: 10 ** exponent takes seconds to make
+# once the exponent nears ten million.
+_EXPONENT_LIMIT = 400
+
+
+def _beyond_double(value) -> UnitError:
+    return UnitError(f"quantity {value!r} is beyond the range of a double")
+
+
+def decimal_value(text: str, value=None) -> Fraction | None:
+    """The exact value of ``text`` if it spells a finite decimal, else
+    None.  A nonzero one whose exponent is beyond ``_EXPONENT_LIMIT``
+    either way raises UnitError naming ``value`` (by default ``text``),
+    the input it came from; zero with any exponent is 0."""
+    try:
+        number = Decimal(text)
+    except InvalidOperation:
+        return None
+    if not number.is_finite():
+        return None
+    if number and abs(number.adjusted()) > _EXPONENT_LIMIT:
+        raise _beyond_double(text if value is None else value)
+    return Fraction(*number.as_integer_ratio())
 
 
 def _within_double(quantity, value):
     """``quantity`` (an ``int`` or a ``Fraction``), parsed from ``value``,
-    if a double can hold it: every output writes quantities as doubles."""
-    if abs(quantity.numerator) <= _DOUBLE_MAX * quantity.denominator:  # in integers: Fraction's comparisons are slow
+    if a double can hold it: every output writes quantities as doubles,
+    so a nonzero magnitude above the largest double or below the
+    smallest positive one is rejected."""
+    numerator, denominator = abs(quantity.numerator), quantity.denominator
+    # in integers: Fraction's comparisons are slow
+    if numerator <= _DOUBLE_MAX * denominator and (not numerator or denominator <= numerator << _DOUBLE_TINY):
         return quantity
-    raise UnitError(f"quantity {value!r} is beyond the range of a double")
+    raise _beyond_double(value)
 
 
 def decimal_fraction(value: float) -> Fraction:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -447,9 +448,10 @@ def test_bruteforce_with_a_time_limit_exits_2(example_tfg, tmp_path, capsys):
 
 
 def test_nan_time_limit_exits_2(example_tfg, tmp_path, capsys):
-    for command in ("solve", "baseline"):
+    # an infinite limit used to be taken, and the solve ended after one dual pass
+    for command, limit in (("solve", "nan"), ("baseline", "nan"), ("solve", "inf"), ("baseline", "inf")):
         out = tmp_path / command
-        assert main([command, example_tfg, "--config", "C1", "--time-limit", "nan",
+        assert main([command, example_tfg, "--config", "C1", "--time-limit", limit,
                      "--out", str(out)]) == 2
         assert "time limit must be > 0" in capsys.readouterr().err
         assert not out.exists()
@@ -534,10 +536,11 @@ _PARAMS = default_param_spec("C1").to_dict()
         (dict(_without(_PARAMS, "clamp_alpha"), clamp_alhpa=[0.002, 0.003]), "unknown field 'clamp_alhpa' (known: "),
         (dict(_PARAMS, data_range=[0.3, 0.7]), "data_range: [0.3, 0.7] holds no integer"),
         (dict(_PARAMS, storage_range=[2.25, 2.75]), "storage_range: [2.25, 2.75] holds no integer"),
+        (dict(_PARAMS, perf_ratios=dict(_PARAMS["perf_ratios"], e=0)), "performance ratio for e must be > 0"),
     ],
     ids=["empty-object", "no-perf-ratios", "top-level-list", "clamp-one-value", "clamp-object",
          "range-string", "clamp-three-values", "clamp-empty", "ratio-boolean", "unknown-field",
-         "data-without-integer", "storage-without-integer"],
+         "data-without-integer", "storage-without-integer", "ratio-zero"],
 )
 def test_malformed_params_file_exits_2(params, message, tmp_path, capsys):
     # each used to end in a traceback and exit 1, or was read in part
@@ -624,6 +627,34 @@ def test_a_value_beyond_double_range_exits_2(command, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: a value computed from the inputs is beyond the range of a double")
     # every output is formatted before --out is made, so none is left empty
     assert not (tmp_path / "o").exists()
+
+
+_HUGE = "1e1000000000"
+
+
+@pytest.mark.parametrize("case", ["task-latency", "lthr", "params-ratio"])
+def test_a_huge_decimal_exponent_exits_2_at_once(case, example_tfg, tmp_path, capsys):
+    # each took seconds, growing faster than the exponent, to expand 10 ** exponent
+    out = tmp_path / "o"
+    if case == "task-latency":
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(_with(_APP, f"{_HUGE}s", "tasks", 1, "latency", "c")))
+        args = ["solve", str(path)]
+        message = f"error: task graph file: tasks[1]: quantity '{_HUGE}s' is beyond the range of a double\n"
+    elif case == "lthr":
+        args = ["solve", example_tfg, "--objective", "energy", "--lthr", f"{_HUGE}s"]
+        message = f"error: quantity '{_HUGE}s' is beyond the range of a double\n"
+    else:
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(dict(_PARAMS, perf_ratios=dict(_PARAMS["perf_ratios"], h=_HUGE))))
+        args = ["generate", "--structure", "serial", "--nodes", "6", "--params", str(path)]
+        message = (f"error: params file {path}: field 'perf_ratios': "
+                   f"quantity '{_HUGE}' is beyond the range of a double\n")
+    started = time.monotonic()
+    assert main(args + ["--out", str(out)]) == 2
+    assert time.monotonic() - started < 5.0
+    assert capsys.readouterr().err == message
+    assert not out.exists()
 
 
 # sha256 of every file transform and generate write, measured before both

@@ -145,7 +145,7 @@ _CALLEES = {
     "model_to_lp": "ehcopt.mps._lp_sections",
     "_Kernel.__init__": "ehcopt.solver._skeleton",
     "_dual": "ehcopt.solver._compile",
-    "_search_tables": "ehcopt.solver._largest",
+    "_search_tables": "ehcopt.solver.accumulate",
     "_branch_and_bound": "ehcopt.solver._dual",
 }
 

@@ -48,16 +48,6 @@ from ehcopt.solver import (
 PLAIN = unbudgeted_system("run1")
 
 
-def _search_tables(kernel):
-    """Branch and bound's search tables, built as a solve builds them."""
-    return solver._search_tables(kernel, solver._largest(kernel.obj))
-
-
-def _dual(kernel, deadline):
-    """The dual search, run as a solve runs it."""
-    return solver._dual(kernel, deadline, solver._largest(kernel.obj))
-
-
 def test_single_task_argmin(monkeypatch):
     g = TaskGraph(
         tasks=(simple_task(1, ALL, latency={E: 3, H: 2, C: 1}),),
@@ -372,7 +362,7 @@ def test_dp_over_the_state_limit_is_refused():
     etfg = transform(complete_dag(15), PLAIN)
     assert 3**15 > solver.DP_STATE_LIMIT
     assert solver._compile(*solver._skeleton(etfg.graph)) is None
-    assert _dual(solver._Kernel(etfg, solver.Objective.LATENCY, None), math.inf) is None
+    assert solver._dual(solver._Kernel(etfg, solver.Objective.LATENCY, None), math.inf) is None
     with pytest.raises(ValueError, match="unknown solver method 'tree-dp'"):
         solve(etfg, "latency", method="tree-dp")
     auto = solve(etfg, "latency")
@@ -509,7 +499,7 @@ def test_branch_and_bound_replaces_an_incumbent_on_a_tie(monkeypatch):
     for system, labels in ((PLAIN, []), (budgeted, ["mem_h", "mem_c"])):
         etfg = transform(TaskGraph(tasks=tasks, arcs=((1, 2),)), system)
         kernel = solver._Kernel(etfg, solver.Objective.LATENCY, None)
-        assert [row.label for row in _search_tables(kernel)[0]] == labels
+        assert [row.label for row in solver._search_tables(kernel)[0]] == labels
         bb = solve_searched(monkeypatch, etfg, "latency")
         bf = solve_bruteforce(etfg, "latency")
         assert bb.stats["nodes_explored"] > 0
@@ -536,8 +526,11 @@ def test_a_latency_cap_under_the_latency_objective_is_rejected(example_app):
 
 
 def test_solve_config_validation():
-    with pytest.raises(ValueError):
-        SolveConfig(time_limit=0)
+    # an infinite limit used to pass and take the timed route: on the
+    # bundled app one dual pass and no search node, against 3502 untimed
+    for limit in (0, -1, math.inf, math.nan):
+        with pytest.raises(ValueError, match="time limit must be > 0"):
+            SolveConfig(time_limit=limit)
 
 
 def test_every_route_builds_one_kernel(monkeypatch):
@@ -653,8 +646,8 @@ def test_a_timed_search_ends_once_its_incumbent_meets_the_dual_bound(monkeypatch
     optimum = untimed.objective_value * solver._Kernel(etfg, solver.Objective.LATENCY, None).obj_den
     dual = solver._dual
 
-    def bound_only(kernel, deadline, largest):
-        return dual(kernel, deadline, largest)._replace(bound=int(optimum), chosen=None, value=None)
+    def bound_only(kernel, deadline):
+        return dual(kernel, deadline)._replace(bound=int(optimum), chosen=None, value=None)
 
     monkeypatch.setattr(solver, "_dual", bound_only)
     timed = solve(etfg, "latency", config=SolveConfig(time_limit=60))
@@ -697,7 +690,7 @@ def test_timed_out_gap_is_measured_against_the_relaxation_dp(objective, cap):
     kernel = solver._Kernel(etfg, solver.Objective(objective), cap)
     total, _ = solver._eliminate(solver._compile(*kernel.skeleton), kernel.obj.node + kernel.obj.arc)
     assert Fraction(total, kernel.obj_den) == relaxed
-    assert _dual(kernel, time.monotonic() + 1.0).bound >= total
+    assert solver._dual(kernel, time.monotonic() + 1.0).bound >= total
     # under energy the dual's bound proves the instance infeasible, so no
     # search node runs; the latency search runs the whole limit
     result = solve(etfg, objective, cap, SolveConfig(time_limit=3 if cap is None else 1.5))
@@ -734,7 +727,7 @@ def test_additive_root_stays_when_the_dp_is_over_its_limit(monkeypatch):
     etfg = transform(serial_200_graph(), _without_budgets(presets.system_model("C1", "run1")))
     kernel = solver._Kernel(etfg, solver.Objective.LATENCY, None)
     monkeypatch.setattr(solver, "DP_STATE_LIMIT", 0)
-    assert _dual(kernel, time.monotonic() + 10.0) is None  # the dual has no schedule to run
+    assert solver._dual(kernel, time.monotonic() + 10.0) is None  # the dual has no schedule to run
     result = solve(etfg, "latency", config=SolveConfig(time_limit=0.3))
     assert result.stats["time_limit_hit"]
     assert result.stats["root_bound"] == "additive"
@@ -868,9 +861,9 @@ def test_a_solve_that_the_dual_proves_builds_no_search_tables(case, monkeypatch)
     # unused whenever the dual's bound ended the solve
     built = []
 
-    def counted_search_tables(kernel, largest):
+    def counted_search_tables(kernel):
         built.append(kernel)
-        return _SEARCH_TABLES(kernel, largest)
+        return _SEARCH_TABLES(kernel)
 
     monkeypatch.setattr(solver, "_search_tables", counted_search_tables)
     if case == "untimed-forest":
@@ -889,9 +882,9 @@ class _FailingBranch(tuple):
         raise RuntimeError("the search failed")
 
 
-def _failing_search_tables(kernel, largest):
+def _failing_search_tables(kernel):
     """The search tables with a branching order that fails at depth 5."""
-    *tables, branch = _SEARCH_TABLES(kernel, largest)
+    *tables, branch = _SEARCH_TABLES(kernel)
     return (*tables, branch[:5] + [_FailingBranch()] + branch[6:])
 
 
@@ -975,8 +968,8 @@ def test_the_dual_search_bounds_the_oracle(objective, capped, monkeypatch):
         cap = threshold if capped else None
         kernel = solver._Kernel(etfg, solver.Objective(objective), cap)
         tried.clear()
-        largest = solver._largest(kernel.obj)
-        result = solver._dual(kernel, time.monotonic() + 10.0, largest)
+        largest = kernel.obj.most
+        result = solver._dual(kernel, time.monotonic() + 10.0)
         assert result is not None and result.passes >= 1, f"seed {seed}"
         assert list(result.multipliers) == [row.label for row in kernel.rows], f"seed {seed}"
         best = solve_bruteforce(etfg, objective, cap)
@@ -1012,7 +1005,7 @@ def test_the_dual_proves_infeasibility_before_the_search(objective, capped, seed
     etfg, threshold = random_oracle_instance(seed)
     cap = threshold if capped else None
     kernel = solver._Kernel(etfg, solver.Objective(objective), cap)
-    largest = solver._largest(kernel.obj)
+    largest = kernel.obj.most
     started = time.monotonic()
     result = solve(etfg, objective, cap, SolveConfig(time_limit=3))
     assert time.monotonic() - started < 1.0
@@ -1020,7 +1013,7 @@ def test_the_dual_proves_infeasibility_before_the_search(objective, capped, seed
     assert result.stats["nodes_explored"] == 0 and math.isfinite(result.stats["lower_bound"])
     assert result.stats["lower_bound"] > Fraction(largest, kernel.obj_den)
     assert solve_bruteforce(etfg, objective, cap).status is SolveStatus.INFEASIBLE
-    assert solver._dual(kernel, time.monotonic() + 3600, largest).bound > largest
+    assert solver._dual(kernel, time.monotonic() + 3600).bound > largest
 
 
 @pytest.mark.parametrize("objective, capped", [("latency", False), ("energy", True)])
@@ -1090,7 +1083,7 @@ def test_a_row_at_its_budget_is_not_pruned_and_one_unit_over_is(label, over):
         unit = used / solver._Kernel(free, solver.Objective.ENERGY, used).rows[0].budget
         cap = used - over * unit
     kernel = solver._Kernel(etfg, solver.Objective(objective), cap)
-    rows = _search_tables(kernel)[0]
+    rows = solver._search_tables(kernel)[0]
     (row,) = [row for row in rows if row.label == label]  # some assignment breaks it
     unconstrained = solve_bruteforce(free, objective)
     chosen = [kernel.tasks[p].allowed.index(unconstrained.assignment[kernel.tasks[p].id]) for p in range(kernel.n)]
@@ -1117,8 +1110,8 @@ def test_the_first_row_over_its_budget_takes_the_prune(budgets, counts):
     etfg = transform(TaskGraph(tasks=(task,), arcs=()), make_system_model(devices, PLAIN.channels.values()))
     kernel = solver._Kernel(etfg, solver.Objective.ENERGY, Fraction(5))
     labels = ["mem_e", "enr_e", "lthr"] if budgets else ["lthr"]
-    assert [row.label for row in _search_tables(kernel)[0]] == labels
-    assert _search_tables(kernel)[-1] == [(1, 2, 0)]  # h, c, e
+    assert [row.label for row in solver._search_tables(kernel)[0]] == labels
+    assert solver._search_tables(kernel)[-1] == [(1, 2, 0)]  # h, c, e
     result = solve(etfg, "energy", Fraction(5))
     assert result.assignment == {1: H}
     assert {key: result.stats[key] for key in counts} == counts
@@ -1145,7 +1138,7 @@ def test_fields_wider_than_128_bits_match_the_oracle():
         etfg = transform(generated.graph, make_system_model(generated.system.devices.values(), channels))
         kernel = solver._Kernel(etfg, solver.Objective.ENERGY, threshold)
         if etfg.graph.arcs:
-            assert _search_tables(kernel)[1] > 128, f"seed {seed}"
+            assert solver._search_tables(kernel)[1] > 128, f"seed {seed}"
             wide += 1
         bb = solve(etfg, "energy", threshold)
         bf = solve_bruteforce(etfg, "energy", threshold)

@@ -75,7 +75,13 @@ def test_rejects_quantities_beyond_double_range():
     largest = int(sys.float_info.max)
     assert parse_quantity(largest, "time") == largest
     assert parse_quantity(f"-{largest}", "time") == -largest
-    for value, dimension in (("1e400s", "time"), ("1e308kWh", "energy"), (largest + 1, "time"), (-(10**400), "data")):
+    assert parse_quantity("5e-324s", "time") == Fraction(5, 10**324)  # the smallest double's repr
+    assert parse_quantity("0e1000000000s", "time") == parse_quantity("-0.0E-1000000000", "time") == 0
+    # below the smallest double used to be taken, and an exponent of ten
+    # million took seconds to expand before it was rejected or taken
+    for value, dimension in (("1e400s", "time"), ("1e308kWh", "energy"), (largest + 1, "time"), (-(10**400), "data"),
+                             ("4.9e-324s", "time"), ("1e-316nJ", "energy"), ("1e1000000000s", "time"),
+                             ("-1e-1000000000s", "time")):
         with pytest.raises(UnitError, match="beyond the range of a double"):
             parse_quantity(value, dimension)
 
