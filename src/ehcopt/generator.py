@@ -31,7 +31,7 @@ from .model import (
     _fields,
     topological_order,
 )
-from .units import decimal_fraction, decimal_value, parse_quantity
+from .units import parse_quantity
 
 STRUCTURES = ("parallel", "serial", "mixed")
 
@@ -74,18 +74,6 @@ class GenSpec:
             "fixed_hub_fraction": float(self.fixed_hub_fraction),
             "seed": self.seed,
         }
-
-
-def _fraction(value) -> Fraction:
-    if isinstance(value, bool):  # an int subclass, which Fraction takes as 0 or 1
-        raise ValueError(f"expected a number, got {value!r}")
-    if isinstance(value, float):
-        return decimal_fraction(value)
-    if isinstance(value, str):
-        exact = decimal_value(value)  # Fraction would expand 10 ** exponent first
-        if exact is not None:
-            return exact
-    return Fraction(value)
 
 
 def _round_half_up(x: Fraction) -> int:
@@ -304,8 +292,12 @@ class ParamSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping, source: str = "params") -> "ParamSpec":
-        """The spec a params document describes.  Malformed input raises
-        GenerationError naming ``source`` and the field at fault."""
+        """The spec a params document describes.  Every number is read by
+        :func:`~ehcopt.units.parse_quantity`: the ranges as quantities of
+        their dimension, the performance ratios and ``clamp_alpha`` as
+        dimensionless ``ratio``s, so a string such as ``"1/3"`` is not a
+        ratio.  Malformed input raises GenerationError naming ``source``
+        and the field at fault."""
         _fields(data, frozenset([f.name for f in fields(cls)]), GenerationError, source)
 
         def read(key, parse):
@@ -316,15 +308,14 @@ class ParamSpec:
             except (TypeError, ValueError, AttributeError) as exc:
                 raise GenerationError(f"{source}: field {key!r}: {exc}") from None
 
-        def pair(key, dimension=None):
-            """A lower and an upper quantity of ``dimension``; plain numbers without one."""
-            one = _fraction if dimension is None else lambda value: parse_quantity(value, dimension)
+        def pair(key, dimension):
+            """A lower and an upper quantity of ``dimension``."""
 
             def parse(value):
                 if not isinstance(value, (list, tuple)):  # a string or an object would unpack
                     raise TypeError(f"expected a [lower, upper] pair, got {type(value).__name__}")
                 lo, hi = value
-                return (one(lo), one(hi))
+                return (parse_quantity(lo, dimension), parse_quantity(hi, dimension))
 
             return read(key, parse)
 
@@ -334,10 +325,10 @@ class ParamSpec:
             memory_range=pair("memory_range", "memory"),
             storage_range=pair("storage_range", "memory"),
             data_range=pair("data_range", "data"),
-            perf_ratios=read("perf_ratios", lambda v: {DeviceRole(r): _fraction(x) for r, x in v.items()}),
+            perf_ratios=read("perf_ratios", lambda v: {DeviceRole(r): parse_quantity(x, "ratio") for r, x in v.items()}),
         )
         if data.get("clamp_alpha") is not None:
-            parsed["clamp_alpha"] = pair("clamp_alpha")
+            parsed["clamp_alpha"] = pair("clamp_alpha", "ratio")
         try:
             return cls(**parsed)
         except GenerationError as exc:  # a range or ratio out of bounds

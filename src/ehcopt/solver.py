@@ -84,6 +84,11 @@ BRUTE_FORCE_LIMIT = 10**7
 # 797k of a 12-task clique), so the largest DP allowed costs about as much
 # as a short branch-and-bound run.
 DP_STATE_LIMIT = 10**6
+# The dual scales the objective by this, so its integer multipliers are in
+# units of 1/2**20 of an objective kernel unit per row kernel unit: under
+# the energy objective a latency cap's kernel unit is far finer than the
+# objective's, and a multiplier of 1 objective unit would overshoot.
+_DUAL_SCALE = 1 << 20
 
 
 class InstanceTooLarge(ValueError):
@@ -620,7 +625,9 @@ class _DualResult(NamedTuple):
     cheapest assignment that meets every row (one candidate index per
     position) and its objective value, or None for both, the passes run,
     the rows the λ = 0 pass's assignment breaks, and the width and state
-    count of the DP's schedule."""
+    count of the DP's schedule.  The bound and the value are in the
+    objective's kernel units, the multipliers in 1/``_DUAL_SCALE`` of one
+    per row kernel unit."""
 
     bound: int
     multipliers: dict[str, int]
@@ -659,17 +666,20 @@ def _dual(kernel: _Kernel, deadline: float) -> _DualResult | None:
     λ = 0, is exact: the DP's optimum and its argmin.
 
     Every finite budget row and the latency cap gets an integer multiplier
-    λ >= 0.  A pass runs the DP over the objective's tables plus λ times each
-    row's coefficients; its total minus the sum of λ times each budget is a
-    lower bound on every feasible assignment's cost, for any λ (Fisher,
-    "The Lagrangian relaxation method for solving integer programming
-    problems", Management Science 1981).  The search starts at λ = 0 and
-    then raises one multiplier at a time, that of the most violated row
-    (relative to its budget): from L0 / (10 x its excess), where L0 is the
-    λ = 0 total, fourfold until the pass's assignment meets the row, then
-    at the intersection of the two supporting lines of the bracket's ends
-    (Kelley's cutting planes, J. SIAM 1960) until the bracket is one wide
-    or those lines promise nothing better.  It continues from the best
+    λ >= 0.  A pass runs the DP over the objective's tables, scaled by
+    ``_DUAL_SCALE``, plus λ times each row's coefficients; its total minus
+    the sum of λ times each budget is a lower bound on ``_DUAL_SCALE``
+    times every feasible assignment's cost, for any λ (Fisher, "The
+    Lagrangian relaxation method for solving integer programming problems",
+    Management Science 1981).  Every cost is an integer, so the result's
+    bound is that bound over ``_DUAL_SCALE``, rounded up.  The search
+    starts at λ = 0 and then raises one multiplier at a time, that of the
+    most violated row (relative to its budget): from L0 / (10 x its
+    excess), where L0 is the scaled λ = 0 total, fourfold until the pass's
+    assignment meets the row, then at the intersection of the two
+    supporting lines of the bracket's ends (Kelley's cutting planes,
+    J. SIAM 1960) until the bracket is one wide or those lines promise
+    nothing better.  It continues from the best
     point of that line on whichever row its assignment breaks.  It keeps
     the first pass with the highest bound and the first assignment found
     at the lowest value among those that meet every row.  The search ends
@@ -684,7 +694,9 @@ def _dual(kernel: _Kernel, deadline: float) -> _DualResult | None:
     schedule = _compile(*kernel.skeleton)
     if schedule is None:
         return None
-    cost, rows = kernel.obj, kernel.rows
+    obj, rows = kernel.obj, kernel.rows
+    node, arc = ([[_DUAL_SCALE * c for c in table] for table in tables] for tables in (obj.node, obj.arc))
+    cost = _row("obj", node, arc)
     best_bound = best_multipliers = best_value = best_chosen = None
     passes = 0
     pass_s = 0.0
@@ -702,10 +714,10 @@ def _dual(kernel: _Kernel, deadline: float) -> _DualResult | None:
         excess = [u - row.budget for u, row in zip(use, rows)]
         if best_bound is None or bound > best_bound:
             best_bound, best_multipliers = bound, multipliers
-            if bound > cost.most:
+            if bound > cost.most:  # above _DUAL_SCALE times kernel.obj.most
                 raise StopIteration  # a certificate: no assignment meets every row
         if max(excess, default=0) <= 0:
-            value = total - sum([weight * u for weight, u in zip(multipliers, use)])
+            value = (total - sum([weight * u for weight, u in zip(multipliers, use)])) // _DUAL_SCALE  # exact
             if best_value is None or value < best_value:
                 best_value, best_chosen = value, chosen
         return _Point(multipliers, bound, excess)
@@ -738,7 +750,7 @@ def _dual(kernel: _Kernel, deadline: float) -> _DualResult | None:
         point = zero = run((0,) * len(rows))
         scale = point.bound
         exhausted = set()  # rows whose line from ``point`` gained nothing
-        while best_value is None or best_value > best_bound:
+        while best_value is None or best_value > -(-best_bound // _DUAL_SCALE):
             broken = [i for i, excess in enumerate(point.excess) if excess > 0 and i not in exhausted]
             if not broken:
                 break
@@ -755,7 +767,8 @@ def _dual(kernel: _Kernel, deadline: float) -> _DualResult | None:
     multipliers = dict(zip([row.label for row in rows], best_multipliers))
     broken = tuple([row.label for row, excess in zip(rows, zero.excess) if excess > 0])
     width, states = schedule.width, schedule.states
-    return _DualResult(best_bound, multipliers, best_chosen, best_value, passes, broken, width, states)
+    bound = -(-best_bound // _DUAL_SCALE)  # the optimum is an integer: the ceiling bounds it too
+    return _DualResult(bound, multipliers, best_chosen, best_value, passes, broken, width, states)
 
 
 # --- branch and bound -------------------------------------------------------
@@ -867,8 +880,9 @@ def _branch_and_bound(etfg: Etfg, kernel: _Kernel, started: float, deadline: flo
     ``wall_time_s`` is the dual plus the search, and ``tables_s`` the rest
     since ``started``.  A solve that may run the dual adds ``root_bound``
     (``lagrangian`` once a pass ran, else ``additive``), ``lower_bound``
-    (in s or J), ``dual_passes``, ``multipliers`` (by row label, in kernel
-    units, at the best bound), ``binding_rows`` (those the λ = 0 optimum
+    (in s or J), ``dual_passes``, ``multipliers`` (by row label, at the
+    best bound, in 1/``_DUAL_SCALE`` objective kernel units per row kernel
+    unit), ``binding_rows`` (those the λ = 0 optimum
     breaks), ``incumbent_source`` (``dual`` or ``search``) and ``dual_s``
     (the dual's share of ``wall_time_s``); once a pass ran, also the DP's
     ``treewidth`` and ``dp_states``.

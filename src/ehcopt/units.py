@@ -4,7 +4,11 @@ Everything downstream works in SI base units: seconds, watts, joules,
 bits, bytes, bits/second, joules/bit.  Input files may carry values with
 unit suffixes ("64MiB", "120ms", "15Mbit/s", "0.70uJ/bit"); this module
 converts them exactly, as rationals, so no precision is lost before the
-optimization model is built.
+optimization model is built.  It is the one reader of input numbers: the
+dimensionless ``ratio`` dimension, which takes no suffix, reads the
+performance ratios and clamp fractions of a ``--params`` file.  A string
+is a decimal number and an optional suffix; its exponent is bounded from
+the text before the value is built.
 
 Conventions: 1 Wh = 3600 J, binary prefixes for byte sizes (GiB = 2^30),
 decimal prefixes for bit rates (Mbit = 10^6, the networking convention).
@@ -16,7 +20,7 @@ import functools
 import gc
 import re
 import sys
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from fractions import Fraction
 
 
@@ -84,10 +88,12 @@ _DIMENSIONS: dict[str, dict[str, int | Fraction]] = {
     "memory": dict(_BYTE_UNITS),
     "bandwidth": _BANDWIDTH_UNITS,
     "energy_per_bit": _PER_BIT_UNITS,
+    "ratio": {},
 }
 
+# the number (its integer digits, its fraction digits, its exponent), then the suffix
 _QUANTITY_RE = re.compile(
-    r"^\s*([+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)\s*([A-Za-zµ/]*)\s*$"
+    r"^\s*([+-]?(?=\.?\d)(\d*)(?:\.(\d*))?(?:[eE]([+-]?\d+))?)\s*([A-Za-zµ/]*)\s*$"
 )
 
 
@@ -95,7 +101,10 @@ def parse_quantity(value, dimension: str) -> Fraction:
     """Convert ``value`` to an exact SI rational for the given dimension.
 
     Bare numbers are taken as already being in base units.  Strings may
-    carry any suffix registered for the dimension.
+    carry any suffix registered for the dimension.  A nonzero decimal
+    whose leading digit's exponent is beyond ``_EXPONENT_LIMIT`` either
+    way is rejected before its value is built, however many digits its
+    exponent has; zero with any exponent is 0.
     """
     try:
         units = _DIMENSIONS[dimension]
@@ -111,7 +120,7 @@ def parse_quantity(value, dimension: str) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
-        raise UnitError(f"expected a quantity, got {value!r}")
+        raise UnitError(f"expected a number, got {value!r}")
     if isinstance(value, int):
         return Fraction(_within_double(value, value))
     if not isinstance(value, str):
@@ -120,10 +129,20 @@ def parse_quantity(value, dimension: str) -> Fraction:
     match = _QUANTITY_RE.match(value)
     if match is None:
         raise UnitError(f"cannot parse quantity {value!r}")
-    number, suffix = match.groups()
-    magnitude = decimal_value(number, value)
-    if magnitude is None:
-        raise UnitError(f"bad number in quantity {value!r}")
+    number, whole, fraction, exponent, suffix = match.groups()
+    # Without an exponent the value is no larger than its text, and
+    # _within_double rejects it below.  With one, the leading digit's
+    # exponent is read from the text: a str is shorter than 10**19 - 400
+    # characters, so an exponent of 20 digits or more is beyond the limit
+    # whatever the mantissa, and is not converted.
+    if exponent:
+        fraction = fraction or ""
+        digits = (whole + fraction).lstrip("0")
+        if not digits:
+            number = "0"  # whatever its exponent
+        elif len(exponent.lstrip("+-0")) >= 20 or abs(len(digits) - len(fraction) - 1 + int(exponent)) > _EXPONENT_LIMIT:
+            raise _beyond_double(value)
+    magnitude = Fraction(*Decimal(number).as_integer_ratio())
 
     if not suffix:
         return _within_double(magnitude, value)
@@ -144,22 +163,6 @@ _EXPONENT_LIMIT = 400
 
 def _beyond_double(value) -> UnitError:
     return UnitError(f"quantity {value!r} is beyond the range of a double")
-
-
-def decimal_value(text: str, value=None) -> Fraction | None:
-    """The exact value of ``text`` if it spells a finite decimal, else
-    None.  A nonzero one whose exponent is beyond ``_EXPONENT_LIMIT``
-    either way raises UnitError naming ``value`` (by default ``text``),
-    the input it came from; zero with any exponent is 0."""
-    try:
-        number = Decimal(text)
-    except InvalidOperation:
-        return None
-    if not number.is_finite():
-        return None
-    if number and abs(number.adjusted()) > _EXPONENT_LIMIT:
-        raise _beyond_double(text if value is None else value)
-    return Fraction(*number.as_integer_ratio())
 
 
 def _within_double(quantity, value):

@@ -537,10 +537,13 @@ _PARAMS = default_param_spec("C1").to_dict()
         (dict(_PARAMS, data_range=[0.3, 0.7]), "data_range: [0.3, 0.7] holds no integer"),
         (dict(_PARAMS, storage_range=[2.25, 2.75]), "storage_range: [2.25, 2.75] holds no integer"),
         (dict(_PARAMS, perf_ratios=dict(_PARAMS["perf_ratios"], e=0)), "performance ratio for e must be > 0"),
+        (dict(_PARAMS, perf_ratios=dict(_PARAMS["perf_ratios"], h="1e400")),
+         "field 'perf_ratios': quantity '1e400' is beyond the range of a double"),
+        (dict(_PARAMS, perf_ratios=dict(_PARAMS["perf_ratios"], h="1/3")), "field 'perf_ratios': cannot parse quantity '1/3'"),
     ],
     ids=["empty-object", "no-perf-ratios", "top-level-list", "clamp-one-value", "clamp-object",
          "range-string", "clamp-three-values", "clamp-empty", "ratio-boolean", "unknown-field",
-         "data-without-integer", "storage-without-integer", "ratio-zero"],
+         "data-without-integer", "storage-without-integer", "ratio-zero", "ratio-beyond-double", "ratio-slash"],
 )
 def test_malformed_params_file_exits_2(params, message, tmp_path, capsys):
     # each used to end in a traceback and exit 1, or was read in part
@@ -630,9 +633,18 @@ def test_a_value_beyond_double_range_exits_2(command, tmp_path, capsys):
 
 
 _HUGE = "1e1000000000"
+# an exponent beyond Decimal's: generate ran without end on a ratio of it,
+# which Fraction expanded to 10 ** 10**20
+_LONG = "99999999999999999999"
+# per params case: the field, its value and the text its message quotes
+_HUGE_PARAMS = {
+    "params-ratio": ("perf_ratios", dict(_PARAMS["perf_ratios"], h=_HUGE), _HUGE),
+    "params-ratio-long-exponent": ("perf_ratios", dict(_PARAMS["perf_ratios"], h=f"1e{_LONG}"), f"1e{_LONG}"),
+    "params-clamp-long-exponent": ("clamp_alpha", [f"1e-{_LONG}", 0.005], f"1e-{_LONG}"),
+}
 
 
-@pytest.mark.parametrize("case", ["task-latency", "lthr", "params-ratio"])
+@pytest.mark.parametrize("case", ["task-latency", "lthr", *_HUGE_PARAMS])
 def test_a_huge_decimal_exponent_exits_2_at_once(case, example_tfg, tmp_path, capsys):
     # each took seconds, growing faster than the exponent, to expand 10 ** exponent
     out = tmp_path / "o"
@@ -645,11 +657,11 @@ def test_a_huge_decimal_exponent_exits_2_at_once(case, example_tfg, tmp_path, ca
         args = ["solve", example_tfg, "--objective", "energy", "--lthr", f"{_HUGE}s"]
         message = f"error: quantity '{_HUGE}s' is beyond the range of a double\n"
     else:
+        field, value, text = _HUGE_PARAMS[case]
         path = tmp_path / "params.json"
-        path.write_text(json.dumps(dict(_PARAMS, perf_ratios=dict(_PARAMS["perf_ratios"], h=_HUGE))))
+        path.write_text(json.dumps(dict(_PARAMS, **{field: value})))
         args = ["generate", "--structure", "serial", "--nodes", "6", "--params", str(path)]
-        message = (f"error: params file {path}: field 'perf_ratios': "
-                   f"quantity '{_HUGE}' is beyond the range of a double\n")
+        message = f"error: params file {path}: field '{field}': quantity '{text}' is beyond the range of a double\n"
     started = time.monotonic()
     assert main(args + ["--out", str(out)]) == 2
     assert time.monotonic() - started < 5.0

@@ -251,6 +251,8 @@ def test_configuration_presets_match_published_budgets():
     assert c3.device(C).energy_budget is None
     c1 = presets.system_model("C1")
     assert c1.device(E).memory_budget == 8 * 2**30
+    with pytest.raises(KeyError, match=r"unknown configuration 'C9'; expected one of \['C1', 'C2', 'C3'\]"):
+        presets.system_model("C9")
 
 
 def test_channel_profiles_complete_tables():

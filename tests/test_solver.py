@@ -950,16 +950,17 @@ def test_the_dual_search_bounds_the_oracle(objective, capped, monkeypatch):
     pass; its assignment is feasible at the value it claims; and its
     broken rows are those the λ = 0 pass's assignment breaks."""
     penalised = solver._penalised
-    tried = []  # the multipliers of each pass
+    tried = []  # the objective the dual penalises, in its own units, and the multipliers of each pass
 
     def recorded(cost, rows, weights):
-        tried.append(weights)
+        tried.append((cost, weights))
         return penalised(cost, rows, weights)
 
     monkeypatch.setattr(solver, "_penalised", recorded)
 
-    def bound(kernel, weights):
-        total, _ = solver._eliminate(solver._compile(*kernel.skeleton), penalised(kernel.obj, kernel.rows, weights))
+    def bound(kernel, cost, weights):
+        """A pass's bound in the dual's units, those of ``cost``."""
+        total, _ = solver._eliminate(solver._compile(*kernel.skeleton), penalised(cost, kernel.rows, weights))
         return total - sum(weight * row.budget for weight, row in zip(weights, kernel.rows))
 
     found = binding = certified = 0
@@ -977,7 +978,7 @@ def test_the_dual_search_bounds_the_oracle(objective, capped, monkeypatch):
             assert Fraction(result.bound, kernel.obj_den) <= best.objective_value, f"seed {seed}"
         if result.bound > largest:  # a certificate that no assignment meets every row
             assert best.status is SolveStatus.INFEASIBLE, f"seed {seed}"
-            assert all(bound(kernel, weights) <= largest for weights in tried[:-1]), f"seed {seed}"
+            assert all(bound(kernel, cost, weights) <= cost.most for cost, weights in tried[:-1]), f"seed {seed}"
             certified += 1
         assert (result.chosen is None) == (result.value is None), f"seed {seed}"
         if result.chosen is not None:

@@ -77,11 +77,14 @@ def test_rejects_quantities_beyond_double_range():
     assert parse_quantity(f"-{largest}", "time") == -largest
     assert parse_quantity("5e-324s", "time") == Fraction(5, 10**324)  # the smallest double's repr
     assert parse_quantity("0e1000000000s", "time") == parse_quantity("-0.0E-1000000000", "time") == 0
+    # an exponent too long for Decimal, or for int, is read from the text
+    assert parse_quantity("0e99999999999999999999s", "time") == 0
     # below the smallest double used to be taken, and an exponent of ten
     # million took seconds to expand before it was rejected or taken
     for value, dimension in (("1e400s", "time"), ("1e308kWh", "energy"), (largest + 1, "time"), (-(10**400), "data"),
                              ("4.9e-324s", "time"), ("1e-316nJ", "energy"), ("1e1000000000s", "time"),
-                             ("-1e-1000000000s", "time")):
+                             ("-1e-1000000000s", "time"), ("1e99999999999999999999s", "time"),
+                             ("1e" + "9" * 5000 + "s", "time")):
         with pytest.raises(UnitError, match="beyond the range of a double"):
             parse_quantity(value, dimension)
 
@@ -91,6 +94,7 @@ def test_optional_budgets():
     assert parse_optional("unbounded", "energy") is None
     assert parse_optional("-", "energy") is None
     assert parse_optional("60Wh", "energy") == 216000
+    assert parse_optional(float("inf"), "energy") is None
 
 
 @given(st.floats(min_value=1e-9, max_value=1e12, allow_nan=False, allow_infinity=False))
